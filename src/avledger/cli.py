@@ -29,7 +29,7 @@ from .adjudicator import (
 )
 from .errors import AvLedgerError, ConfigError, LedgerFormatError, MalformedCase
 from .identity import generate_keypair
-from .ledger import PartitionLedger, chain_faults, load_ledger, save_ledger
+from .ledger import PartitionLedger, chain_faults, est_history, load_ledger, save_ledger
 from .scenarios import (
     ScenarioEngine,
     config_from_jsonable,
@@ -40,7 +40,6 @@ from .scenarios import (
     AttackClass,
 )
 from .txmodel import (
-    EstDigest,
     EvidenceRequestBody,
     TxKind,
     body_timestamp,
@@ -253,13 +252,6 @@ def _case_from_jsonable(data: dict, ledger: PartitionLedger) -> CollisionCase:
                 )
             submitted[submitter] = ret.body.edata
             ret_tids[submitter] = tid
-        est_digests = []
-        for cid in sorted(cert_ids):
-            for tx in ledger.query(kind=TxKind.EVENT_SAFETY, cert_id=cid):
-                est_digests.append(
-                    EstDigest(tid=tx.tid, ts=tx.body.ts, trigger=tx.body.esm.trigger)
-                )
-        est_digests.sort(key=lambda d: (d.ts, d.tid))
         parties.append(
             PartyEvidence(
                 vehicle=vehicle,
@@ -267,7 +259,7 @@ def _case_from_jsonable(data: dict, ledger: PartitionLedger) -> CollisionCase:
                 pet_tid=pet_tid,
                 submitted=submitted,
                 ret_tids=ret_tids,
-                est_digests=tuple(est_digests),
+                est_digests=est_history(ledger, cert_ids),
             )
         )
 

@@ -24,40 +24,28 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .encoding import Reader, Writer
-from .errors import InvalidGenesis, LedgerFormatError, UniquenessViolation
+from .errors import InvalidGenesis, LedgerFormatError, NotFound, UniquenessViolation
 from .identity import PUBLIC_KEY_SIZE
 from .txmodel import (
-    CollisionEvidenceBody,
-    EvidenceRequestBody,
     HASH_SIZE,
+    PARTITION_WIRE,
+    ROLE_WIRE,
+    EstDigest,
     Hash256,
     Partition,
+    Reason,
     Role,
     Transaction,
+    TxKind,
     body_timestamp,
-    compute_edata_hash,
-    compute_tid,
+    check_tx,
     decode_transaction,
     encode_transaction,
-    required_signers,
-    validate_structure,
-    verify_signatures,
 )
 
 LEDGER_MAGIC = b"AVLB"
 LEDGER_VERSION = 1
 DEFAULT_B_MAX = 8
-
-_PARTITION_WIRE = {Partition.OPERATIONAL: 1, Partition.DECISIONAL: 2}
-_ROLE_WIRE = {
-    Role.VEHICLE: 0,
-    Role.MANUFACTURER: 1,
-    Role.TECHNICIAN: 2,
-    Role.INSURER: 3,
-    Role.TRANSPORT_AUTHORITY: 4,
-    Role.LEGAL_AUTHORITY: 5,
-    Role.CERT_AUTHORITY: 6,
-}
 
 
 def fold_step(tid: Hash256, acc: Hash256) -> Hash256:
@@ -101,21 +89,16 @@ class MemberRecord:
 
     def encode(self, w: Writer) -> None:
         w.text(self.entity_id)
-        w.u8(_ROLE_WIRE[self.role])
+        ROLE_WIRE.write(w, self.role)
         w.fixed(self.public_key, PUBLIC_KEY_SIZE)
         w.boolean(self.proposer)
         w.boolean(self.validator)
 
     @classmethod
     def decode(cls, r: Reader) -> "MemberRecord":
-        entity_id = r.text()
-        role_tag = r.u8()
-        role = next((k for k, v in _ROLE_WIRE.items() if v == role_tag), None)
-        if role is None:
-            raise LedgerFormatError(f"unknown role tag {role_tag} in membership")
         return cls(
-            entity_id=entity_id,
-            role=role,
+            entity_id=r.text(),
+            role=ROLE_WIRE.read(r),
             public_key=r.fixed(PUBLIC_KEY_SIZE),
             proposer=r.boolean(),
             validator=r.boolean(),
@@ -131,7 +114,7 @@ class GenesisBlock:
 
     def encode_fields(self) -> bytes:
         w = Writer()
-        w.u8(_PARTITION_WIRE[self.partition])
+        PARTITION_WIRE.write(w, self.partition)
         w.items(self.ca_certificates, lambda wr, c: c.encode(wr))
         w.items(self.membership, lambda wr, m: m.encode(wr))
         return w.getvalue()
@@ -170,10 +153,7 @@ def make_genesis(
 
 
 def _decode_genesis(r: Reader) -> GenesisBlock:
-    tag = r.u8()
-    partition = next((k for k, v in _PARTITION_WIRE.items() if v == tag), None)
-    if partition is None:
-        raise LedgerFormatError(f"unknown partition tag {tag}")
+    partition = PARTITION_WIRE.read(r)
     ca_certs = tuple(r.items(CaRootCert.decode))
     membership = tuple(r.items(MemberRecord.decode))
     return make_genesis(partition, ca_certs, membership)
@@ -257,13 +237,12 @@ class PartitionLedger:
         self._by_tid[tx.tid] = tx
         return new_id
 
-    def maybe_seal(self, b_max: Optional[int] = None) -> Optional[Block]:
+    def maybe_seal(self) -> Optional[Block]:
         """Seals the open block once it holds b_max transactions. The seal
         timestamp is the sealing transaction's body timestamp, so it is
         derivable from the record log alone.
         """
-        cap = self.b_max if b_max is None else b_max
-        if len(self.current.transactions) < cap:
+        if len(self.current.transactions) < self.b_max:
             return None
         block = Block(
             block_id=self.current.cblock_id,
@@ -275,6 +254,30 @@ class PartitionLedger:
         self.blocks.append(block)
         self.current = CurrentBlock(prev_block_id=block.block_id)
         return block
+
+    def append_claimed(self, tx: Transaction, fold: Hash256) -> None:
+        """Appends a record as a saved file claims it, fold value included,
+        and seals at capacity. Nothing is checked, not even uniqueness:
+        chain_faults judges the claims and reports what is wrong.
+        """
+        self.current.transactions.append(tx)
+        self.current.fold_trail.append(fold)
+        self._by_tid[tx.tid] = tx
+        self.maybe_seal()
+
+    def remove_open(self, tid: Hash256) -> None:
+        """Out-of-band edit: deletes a transaction from the open block and
+        re-folds the trail after it, so the replica stays self-consistent
+        and only the next consensus round shows the edit.
+        """
+        cur = self.current
+        pos = next((i for i, tx in enumerate(cur.transactions) if tx.tid == tid), None)
+        if pos is None:
+            raise NotFound(f"no open-block transaction {tid.hex()[:16]}")
+        del cur.transactions[pos], cur.fold_trail[pos:]
+        self._by_tid.pop(tid, None)
+        for tx in cur.transactions[pos:]:
+            cur.fold_trail.append(fold_step(tx.tid, cur.cblock_id))
 
     # -- queries --------------------------------------------------------------
 
@@ -303,60 +306,62 @@ class PartitionLedger:
         return out
 
 
+def est_history(ledger: PartitionLedger, cert_ids: Iterable[bytes]) -> tuple[EstDigest, ...]:
+    """Digests of the safety-event reports filed under any of cert_ids, in
+    time order: the driving history the decision partition and the
+    adjudicator weigh for one vehicle.
+    """
+    digests = [
+        EstDigest(tid=tx.tid, ts=tx.body.ts, trigger=tx.body.esm.trigger)
+        for cert_id in cert_ids
+        for tx in ledger.query(kind=TxKind.EVENT_SAFETY, cert_id=cert_id)
+    ]
+    digests.sort(key=lambda d: (d.ts, d.tid))
+    return tuple(digests)
+
+
 # --- chain verification -------------------------------------------------------
+
+# One line per validity reason; a fault names the reason, so `avledger
+# verify` and the consensus audit log speak the same words.
+_FAULT_TEXT = {
+    Reason.MALFORMED_BODY: "malformed, or tid does not match its contents",
+    Reason.UNAUTHORIZED: "proposer not authorized for this kind in this partition",
+    Reason.INCOMPLETE: "signer set incomplete, or parent update not committed before it",
+    Reason.BAD_SIGNATURE: "signature or certificate check failed",
+    Reason.EXPIRED_CERT: "certificate window excludes the body timestamp",
+    Reason.DUPLICATE: "duplicate tid",
+}
+
 
 def chain_faults(ledger: PartitionLedger) -> list[str]:
     """All integrity violations found, as human-readable strings. Empty
-    means the chain verifies. Stops scanning a transaction after its first
-    fault but reports every faulty position.
+    means the chain verifies.
+
+    Every committed record is judged by check_tx, the rule consensus
+    applied when it was proposed, against the records before it; a fault
+    names the first policy it fails. The fold, block links and block
+    capacities are rechecked too, and every faulty position is reported.
     """
     faults: list[str] = []
     genesis = ledger.genesis
     recomputed_genesis = hashlib.sha256(genesis.encode_fields()).digest()
     if recomputed_genesis != genesis.block_id:
         faults.append("genesis: block id does not match its contents")
-    known_keys = genesis.known_keys()
     if not genesis.ca_certificates:
         faults.append("genesis: no CA root certificate")
         return faults
-    ca_pubkey = genesis.ca_certificates[0].public_key
 
-    seen: set[Hash256] = set()
+    committed: dict[Hash256, Transaction] = {}
+    ca_checked: set = set()
     prev = genesis.block_id
 
-    def check_tx(tx: Transaction, where: str) -> None:
-        try:
-            validate_structure(tx)
-        except Exception as exc:
-            faults.append(f"{where}: structure: {exc}")
-            return
-        recomputed = compute_tid(tx.kind, tx.body, tx.cert, tx.parent_tid)
-        if recomputed != tx.tid:
-            faults.append(f"{where}: tid {tx.tid.hex()[:16]} does not match its contents")
-            return
-        if tx.tid in seen:
-            faults.append(f"{where}: duplicate tid {tx.tid.hex()[:16]}")
-            return
-        seen.add(tx.tid)
-        # Signatures live outside the tid, so the fold does not commit to
-        # them; a committed record must still carry its full signer set.
-        if tuple(entry.role for entry in tx.signatures) != required_signers(tx.kind, tx.body):
-            faults.append(f"{where}: signer set incomplete for {tx.tid.hex()[:16]}")
-            return
-        if not verify_signatures(tx, known_keys, ca_pubkey, body_timestamp(tx)):
-            faults.append(f"{where}: signature or certificate check failed for {tx.tid.hex()[:16]}")
-            return
-        edata = None
-        if isinstance(tx.body, CollisionEvidenceBody):
-            edata = tx.body.edata
-        elif isinstance(tx.body, EvidenceRequestBody):
-            edata = tx.body.edata
-        if edata is not None:
-            expected = compute_edata_hash(
-                edata.loc, edata.ts, edata.hv_data, edata.ts_data, edata.enc_witness
-            )
-            if expected != edata.edata_hash:
-                faults.append(f"{where}: evidence hash mismatch in {tx.tid.hex()[:16]}")
+    def check(tx: Transaction, where: str) -> None:
+        reason = check_tx(tx, genesis, committed, ca_checked)
+        if reason is Reason.OK:
+            committed[tx.tid] = tx
+        else:
+            faults.append(f"{where}: tx {tx.tid.hex()[:16]}: {_FAULT_TEXT[reason]} ({reason.value})")
 
     for index, block in enumerate(ledger.blocks):
         where = f"block {index}"
@@ -366,7 +371,7 @@ def chain_faults(ledger: PartitionLedger) -> list[str]:
             faults.append(f"{where}: fold trail length mismatch")
         acc = block.prev_block_id
         for pos, tx in enumerate(block.transactions):
-            check_tx(tx, f"{where} tx {pos}")
+            check(tx, f"{where} tx {pos}")
             acc = fold_step(tx.tid, acc)
             if pos < len(block.fold_trail) and acc != block.fold_trail[pos]:
                 faults.append(f"{where} tx {pos}: fold value mismatch")
@@ -383,7 +388,7 @@ def chain_faults(ledger: PartitionLedger) -> list[str]:
         faults.append("current block: fold trail length mismatch")
     acc = cur.prev_block_id
     for pos, tx in enumerate(cur.transactions):
-        check_tx(tx, f"current tx {pos}")
+        check(tx, f"current tx {pos}")
         acc = fold_step(tx.tid, acc)
         if pos < len(cur.fold_trail) and acc != cur.fold_trail[pos]:
             faults.append(f"current tx {pos}: fold value mismatch")
@@ -471,19 +476,6 @@ def load_ledger(path: str) -> PartitionLedger:
             raise LedgerFormatError(f"record {index}: {exc}") from None
         except Exception as exc:
             raise LedgerFormatError(f"record {index}: undecodable: {exc}") from None
-        # Claims from the file are kept verbatim; verify_chain recomputes.
-        ledger.current.transactions.append(tx)
-        ledger.current.fold_trail.append(fold)
-        ledger._by_tid[tx.tid] = tx
-        if len(ledger.current.transactions) == b_max:
-            block = Block(
-                block_id=fold,
-                prev_block_id=ledger.current.prev_block_id,
-                transactions=ledger.current.transactions,
-                fold_trail=ledger.current.fold_trail,
-                sealed_at=body_timestamp(tx),
-            )
-            ledger.blocks.append(block)
-            ledger.current = CurrentBlock(prev_block_id=fold)
+        ledger.append_claimed(tx, fold)
         index += 1
     return ledger

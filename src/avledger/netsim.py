@@ -98,7 +98,7 @@ class Network:
         # refused at the door); lets the simulation account for the loss.
         self.on_dead: Optional[Callable[[DeliveryRecord], None]] = None
         self._endpoints: dict[str, _Endpoint] = {}
-        self._heap: list[tuple[float, int, DeliveryRecord, float, float, int]] = []
+        self._heap: list[tuple[float, int, DeliveryRecord]] = []
         self._next_msg_id = 0
         self._pumping = False
 
@@ -113,25 +113,10 @@ class Network:
 
     # -- sending ---------------------------------------------------------------
 
-    def send_with_retry(
-        self,
-        sender: EntityId,
-        dest: str,
-        payload: object,
-        drop_prob: Optional[float] = None,
-        retry_interval: Optional[float] = None,
-        max_attempts: Optional[int] = None,
-    ) -> DeliveryRecord:
+    def send_with_retry(self, sender: EntityId, dest: str, payload: object) -> DeliveryRecord:
         """Queues a send whose first attempt fires at the current instant.
         Returns the live delivery record; it fills in as time advances.
         """
-        p = self.drop_prob if drop_prob is None else drop_prob
-        interval = self.retry_interval if retry_interval is None else retry_interval
-        budget = self.max_attempts if max_attempts is None else max_attempts
-        if not 0.0 <= p < 1.0:
-            raise ValueError(f"drop probability must be in [0, 1), got {p}")
-        if budget < 1:
-            raise ValueError("at least one attempt is required")
         envelope = Envelope(
             msg_id=self._next_msg_id,
             sender=sender,
@@ -142,7 +127,7 @@ class Network:
         self._next_msg_id += 1
         record = DeliveryRecord(envelope=envelope)
         self.records.append(record)
-        heapq.heappush(self._heap, (self.clock.now, envelope.msg_id, record, p, interval, budget))
+        heapq.heappush(self._heap, (self.clock.now, envelope.msg_id, record))
         self._pump(self.clock.now)
         return record
 
@@ -181,16 +166,16 @@ class Network:
         self._pumping = True
         try:
             while self._heap and self._heap[0][0] <= limit:
-                due, _, record, p, interval, budget = heapq.heappop(self._heap)
+                due, _, record = heapq.heappop(self._heap)
                 if due > self.clock.now:
                     self.clock.now = due
-                self._attempt(record, p, interval, budget)
+                self._attempt(record)
         finally:
             self._pumping = False
 
-    def _attempt(self, record: DeliveryRecord, p: float, interval: float, budget: int) -> None:
+    def _attempt(self, record: DeliveryRecord) -> None:
         at = self.clock.now
-        delivered = self.rng.random() >= p
+        delivered = self.rng.random() >= self.drop_prob
         record.attempts.append((at, delivered))
         if delivered:
             endpoint = self._endpoints.get(record.envelope.dest)
@@ -210,15 +195,12 @@ class Network:
             record.delivered_at = at
             endpoint.handler(record.envelope)
             return
-        if len(record.attempts) >= budget:
+        if len(record.attempts) >= self.max_attempts:
             record.exhausted = True
             if self.on_dead:
                 self.on_dead(record)
             return
-        heapq.heappush(
-            self._heap,
-            (at + interval, record.envelope.msg_id, record, p, interval, budget),
-        )
+        heapq.heappush(self._heap, (at + self.retry_interval, record.envelope.msg_id, record))
 
 
 # --- cross-partition bridge ---------------------------------------------------
@@ -242,12 +224,11 @@ def forward_evidence_request(
     net: Network,
     ret: Transaction,
     p1_ledger: PartitionLedger,
-    dest: str = "P2",
 ) -> ForwardReceipt:
     """Hands a committed evidence request over to the decision partition."""
     if ret.kind is not TxKind.EVIDENCE_REQUEST:
         raise NotCommitted(f"only evidence requests cross partitions, got {ret.kind.value}")
     if ret.tid not in p1_ledger.tid_index:
         raise NotCommitted(f"evidence request {ret.tid.hex()[:16]} is not committed")
-    record = net.send_with_retry(sender=BRIDGE_SENDER, dest=dest, payload=ret)
+    record = net.send_with_retry(sender=BRIDGE_SENDER, dest="P2", payload=ret)
     return ForwardReceipt(p1_tid=ret.tid, delivery=record)

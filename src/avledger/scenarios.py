@@ -41,7 +41,7 @@ from .adjudicator import (
     adjudicate,
 )
 from .encoding import Reader, Writer
-from .errors import ConfigError, MalformedCase, NotFound, Unattributable
+from .errors import ConfigError, MalformedCase, Unattributable
 from .identity import (
     DEFAULT_CERT_VALIDITY_SECS,
     EntityId,
@@ -59,6 +59,7 @@ from .ledger import (
     GenesisBlock,
     MemberRecord,
     PartitionLedger,
+    est_history,
     make_genesis,
 )
 from .netsim import (
@@ -74,7 +75,6 @@ from .txmodel import (
     BlobStore,
     CollisionEvidenceBody,
     DriveMode,
-    EstDigest,
     EventSafetyBody,
     EventSafetyMessage,
     EventTrigger,
@@ -121,27 +121,7 @@ def tamper_cblock(replica: PartitionLedger, target_tid: Hash256) -> None:
     """Deletes a transaction from the replica's open block and re-derives
     the local fold trail, the way an attacker covering tracks would.
     """
-    cur = replica.current
-    for pos, tx in enumerate(cur.transactions):
-        if tx.tid == target_tid:
-            del cur.transactions[pos]
-            replica.tid_index.pop(target_tid, None)
-            acc = cur.prev_block_id
-            trail = []
-            for t in cur.transactions:
-                acc = hashlib.sha256(t.tid + acc).digest()
-                trail.append(acc)
-            cur.fold_trail[:] = trail
-            return
-    raise NotFound(f"no open-block transaction {target_tid.hex()[:16]}")
-
-
-def suppress_evidence(replica: PartitionLedger, target_tid: Hash256) -> None:
-    """Same mechanics as tamper_cblock; kept separate because the intent
-    differs (making one piece of evidence unavailable) and scenarios
-    report the two attack classes separately.
-    """
-    tamper_cblock(replica, target_tid)
+    replica.remove_open(target_tid)
 
 
 def inject_false_information(edata: EvidenceData) -> EvidenceData:
@@ -747,9 +727,8 @@ class ScenarioEngine:
             ],
         )
         self.genesis: dict[Partition, GenesisBlock] = {P1: genesis_p1, P2: genesis_p2}
-        self.validators: dict[Partition, list[EntityId]] = {
-            P1: ["ic-0", "st-0", "am-0"],
-            P2: ["gta-0", "la-0"],
+        self.validators: dict[Partition, tuple[EntityId, ...]] = {
+            part: genesis.validator_ids() for part, genesis in self.genesis.items()
         }
         self.replicas: dict[Partition, dict[EntityId, PartitionLedger]] = {
             part: {v: PartitionLedger(self.genesis[part], b_max=config.b_max) for v in vals}
@@ -1032,10 +1011,7 @@ class ScenarioEngine:
         if not matches:
             return  # stay armed until the open block holds a target
         victim = matches[-1]
-        if attack.attack_class is AttackClass.SUPPRESS_EVIDENCE:
-            suppress_evidence(replica, victim.tid)
-        else:
-            tamper_cblock(replica, victim.tid)
+        tamper_cblock(replica, victim.tid)
         attack.applied = True
         attack.victim_tid = victim.tid
         log.info(
@@ -1330,7 +1306,7 @@ class ScenarioEngine:
                 edata = inject_false_information(edata)
                 if requester_entity not in tracker.forged_submitters:
                     tracker.forged_submitters.append(requester_entity)
-            digests = self._est_history(vehicle)
+            digests = est_history(honest_p1, vehicle.cert_ids())
             body = EvidenceRequestBody(
                 edata=edata,
                 requester=requester_role,
@@ -1378,17 +1354,6 @@ class ScenarioEngine:
             self._submit(tx, requester_entity, P1, on_terminal=p1_terminal)
 
         return submit
-
-    def _est_history(self, vehicle: _VehicleActor) -> tuple[EstDigest, ...]:
-        honest_p1 = self.honest_replica(P1)
-        digests = []
-        for _keys, cert in vehicle.cert_history:
-            for tx in honest_p1.query(kind=TxKind.EVENT_SAFETY, cert_id=cert.cert_id):
-                digests.append(
-                    EstDigest(tid=tx.tid, ts=tx.body.ts, trigger=tx.body.esm.trigger)
-                )
-        digests.sort(key=lambda d: (d.ts, d.tid))
-        return tuple(digests)
 
     # -- reveal and adjudication ---------------------------------------------------
 
@@ -1441,7 +1406,7 @@ class ScenarioEngine:
                     pet_tid=tracker.pet_tids.get(entity),
                     submitted=submitted,
                     ret_tids=ret_tids,
-                    est_digests=self._est_history(vehicle),
+                    est_digests=est_history(honest_p1, vehicle.cert_ids()),
                 )
             )
         case = CollisionCase(

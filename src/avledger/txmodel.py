@@ -1,4 +1,6 @@
-"""Transaction kinds, bodies, canonical encoding, and signatures.
+"""Transaction kinds, bodies, canonical encoding, signatures, and the one
+transaction-validity rule (check_tx) that consensus and offline
+verification both apply.
 
 A transaction id (tid) is the SHA-256 of the canonical encoding of
 (kind, body, certificate, parent_tid). Signatures cover the tid, so
@@ -21,7 +23,7 @@ from __future__ import annotations
 import enum
 import hashlib
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Union
+from typing import TYPE_CHECKING, Mapping, Optional, Union
 
 from .encoding import Reader, Writer
 from .errors import (
@@ -38,6 +40,9 @@ from .identity import (
     sign_tx_digest,
     verify_tx_digest,
 )
+
+if TYPE_CHECKING:
+    from .ledger import GenesisBlock
 
 Hash256 = bytes
 HASH_SIZE = 32
@@ -83,15 +88,34 @@ class ExecStatus(str, enum.Enum):
     FAILED = "failed"
 
 
-_KIND_WIRE = {
+class WireTable:
+    """An enum's one-byte wire tags, and the reverse map that decodes them."""
+
+    def __init__(self, what: str, tags: dict) -> None:
+        self.what = what
+        self.tags = tags
+        self._members = {code: member for member, code in tags.items()}
+
+    def write(self, w: Writer, member) -> None:
+        w.u8(self.tags[member])
+
+    def read(self, r: Reader):
+        tag = r.u8()
+        member = self._members.get(tag)
+        if member is None:
+            raise MalformedBody(f"unknown {self.what} tag {tag}")
+        return member
+
+
+KIND_WIRE = WireTable("transaction kind", {
     TxKind.EVENT_SAFETY: 1,
     TxKind.COLLISION_EVIDENCE: 2,
     TxKind.UPDATE: 3,
     TxKind.EXECUTION: 4,
     TxKind.MAINTENANCE: 5,
     TxKind.EVIDENCE_REQUEST: 6,
-}
-_ROLE_WIRE = {
+})
+ROLE_WIRE = WireTable("role", {
     Role.VEHICLE: 0,
     Role.MANUFACTURER: 1,
     Role.TECHNICIAN: 2,
@@ -99,18 +123,13 @@ _ROLE_WIRE = {
     Role.TRANSPORT_AUTHORITY: 4,
     Role.LEGAL_AUTHORITY: 5,
     Role.CERT_AUTHORITY: 6,
-}
-_PARTITION_WIRE = {Partition.OPERATIONAL: 1, Partition.DECISIONAL: 2}
-_MODE_WIRE = {DriveMode.AUTONOMOUS: 0, DriveMode.MANUAL: 1}
-_TRIGGER_WIRE = {EventTrigger.HARD_BRAKE: 0, EventTrigger.WRONG_WAY: 1, EventTrigger.SLIPPERY_ROAD: 2}
-_STATUS_WIRE = {ExecStatus.EXECUTED: 0, ExecStatus.FAILED: 1}
-
-
-def _wire_decode(table: dict, value: int, what: str):
-    for key, code in table.items():
-        if code == value:
-            return key
-    raise MalformedBody(f"unknown {what} tag {value}")
+})
+PARTITION_WIRE = WireTable("partition", {Partition.OPERATIONAL: 1, Partition.DECISIONAL: 2})
+MODE_WIRE = WireTable("drive mode", {DriveMode.AUTONOMOUS: 0, DriveMode.MANUAL: 1})
+TRIGGER_WIRE = WireTable(
+    "trigger", {EventTrigger.HARD_BRAKE: 0, EventTrigger.WRONG_WAY: 1, EventTrigger.SLIPPERY_ROAD: 2}
+)
+STATUS_WIRE = WireTable("exec status", {ExecStatus.EXECUTED: 0, ExecStatus.FAILED: 1})
 
 
 # --- geometry / telemetry ----------------------------------------------------
@@ -157,8 +176,8 @@ class EventSafetyMessage:
         self.location.encode(w)
         w.f64(self.speed_mps)
         self.position.encode(w)
-        w.u8(_MODE_WIRE[self.drive_mode])
-        w.u8(_TRIGGER_WIRE[self.trigger])
+        MODE_WIRE.write(w, self.drive_mode)
+        TRIGGER_WIRE.write(w, self.trigger)
 
     @classmethod
     def decode(cls, r: Reader) -> "EventSafetyMessage":
@@ -166,8 +185,8 @@ class EventSafetyMessage:
             location=GeoPoint.decode(r),
             speed_mps=r.f64(),
             position=RoadPosition.decode(r),
-            drive_mode=_wire_decode(_MODE_WIRE, r.u8(), "drive mode"),
-            trigger=_wire_decode(_TRIGGER_WIRE, r.u8(), "trigger"),
+            drive_mode=MODE_WIRE.read(r),
+            trigger=TRIGGER_WIRE.read(r),
         )
 
 
@@ -308,13 +327,13 @@ class ExecReportBody:
     submitted_at: float
 
     def encode(self, w: Writer) -> None:
-        w.u8(_STATUS_WIRE[self.exec_status])
+        STATUS_WIRE.write(w, self.exec_status)
         w.f64(self.submitted_at)
 
     @classmethod
     def decode(cls, r: Reader) -> "ExecReportBody":
         return cls(
-            exec_status=_wire_decode(_STATUS_WIRE, r.u8(), "exec status"),
+            exec_status=STATUS_WIRE.read(r),
             submitted_at=r.f64(),
         )
 
@@ -355,14 +374,14 @@ class EstDigest:
     def encode(self, w: Writer) -> None:
         w.fixed(self.tid, HASH_SIZE)
         w.f64(self.ts)
-        w.u8(_TRIGGER_WIRE[self.trigger])
+        TRIGGER_WIRE.write(w, self.trigger)
 
     @classmethod
     def decode(cls, r: Reader) -> "EstDigest":
         return cls(
             tid=r.fixed(HASH_SIZE),
             ts=r.f64(),
-            trigger=_wire_decode(_TRIGGER_WIRE, r.u8(), "trigger"),
+            trigger=TRIGGER_WIRE.read(r),
         )
 
 
@@ -380,7 +399,7 @@ class EvidenceRequestBody:
 
     def encode(self, w: Writer) -> None:
         self.edata.encode(w)
-        w.u8(_ROLE_WIRE[self.requester])
+        ROLE_WIRE.write(w, self.requester)
         w.f64(self.submitted_at)
         w.items(self.est_digests, lambda wr, d: d.encode(wr))
 
@@ -388,7 +407,7 @@ class EvidenceRequestBody:
     def decode(cls, r: Reader) -> "EvidenceRequestBody":
         return cls(
             edata=EvidenceData.decode(r),
-            requester=_wire_decode(_ROLE_WIRE, r.u8(), "role"),
+            requester=ROLE_WIRE.read(r),
             submitted_at=r.f64(),
             est_digests=tuple(r.items(EstDigest.decode)),
         )
@@ -437,6 +456,29 @@ def required_signers(kind: TxKind, body: Body) -> tuple[Role, ...]:
     return SIGNER_TEMPLATE[kind]
 
 
+# Who may propose which kind into which partition. This table is the
+# normative authorization policy; membership rows in genesis carry keys
+# and validator sets but do not override it.
+AUTHORIZED_PROPOSERS: dict[Partition, dict[TxKind, frozenset[Role]]] = {
+    Partition.OPERATIONAL: {
+        TxKind.EVENT_SAFETY: frozenset({Role.VEHICLE}),
+        TxKind.COLLISION_EVIDENCE: frozenset({Role.VEHICLE}),
+        TxKind.UPDATE: frozenset({Role.MANUFACTURER}),
+        TxKind.EXECUTION: frozenset({Role.VEHICLE}),
+        TxKind.MAINTENANCE: frozenset({Role.TECHNICIAN}),
+        TxKind.EVIDENCE_REQUEST: frozenset({Role.INSURER, Role.MANUFACTURER}),
+    },
+    Partition.DECISIONAL: {
+        TxKind.EVENT_SAFETY: frozenset(),
+        TxKind.COLLISION_EVIDENCE: frozenset(),
+        TxKind.UPDATE: frozenset(),
+        TxKind.EXECUTION: frozenset(),
+        TxKind.MAINTENANCE: frozenset(),
+        TxKind.EVIDENCE_REQUEST: frozenset({Role.INSURER, Role.MANUFACTURER}),
+    },
+}
+
+
 # --- transactions ------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -445,12 +487,12 @@ class SigEntry:
     signature: bytes
 
     def encode(self, w: Writer) -> None:
-        w.u8(_ROLE_WIRE[self.role])
+        ROLE_WIRE.write(w, self.role)
         w.blob(self.signature)
 
     @classmethod
     def decode(cls, r: Reader) -> "SigEntry":
-        return cls(role=_wire_decode(_ROLE_WIRE, r.u8(), "role"), signature=r.blob())
+        return cls(role=ROLE_WIRE.read(r), signature=r.blob())
 
 
 @dataclass(frozen=True)
@@ -489,7 +531,7 @@ def encode_tid_preimage(
     parent_tid: Optional[Hash256],
 ) -> bytes:
     w = Writer()
-    w.u8(_KIND_WIRE[kind])
+    KIND_WIRE.write(w, kind)
     _encode_body(w, kind, body)
     cert.encode(w)
     w.optional(parent_tid, lambda wr, h: wr.fixed(h, HASH_SIZE))
@@ -516,7 +558,7 @@ def encode_transaction(tx: Transaction) -> bytes:
 
 def decode_transaction(data: bytes) -> Transaction:
     r = Reader(data)
-    kind = _wire_decode(_KIND_WIRE, r.u8(), "transaction kind")
+    kind = KIND_WIRE.read(r)
     body = _BODY_TYPES[kind].decode(r)
     cert = PseudonymCertificate.decode(r)
     parent = r.optional(lambda rd: rd.fixed(HASH_SIZE))
@@ -566,6 +608,90 @@ def validate_structure(tx: Transaction) -> None:
             raise MalformedBody("evidence requests come from the insurer or the maker")
 
 
+# --- validity -----------------------------------------------------------------
+
+class Reason(str, enum.Enum):
+    OK = "Ok"
+    INCOMPLETE = "Incomplete"
+    UNAUTHORIZED = "Unauthorized"
+    DUPLICATE = "Duplicate"
+    BAD_SIGNATURE = "BadSignature"
+    EXPIRED_CERT = "ExpiredCert"
+    MALFORMED_BODY = "MalformedBody"
+
+
+def check_tx(
+    tx: Transaction,
+    genesis: "GenesisBlock",
+    committed: Mapping[Hash256, Transaction],
+    ca_checked: Optional[set[PseudonymCertificate]] = None,
+) -> Reason:
+    """The transaction-validity rule, shared by consensus and offline
+    verification. Returns the first policy that fails, in this order:
+    schema (structure, evidence hash, tid), authorization in genesis's
+    partition, completeness, the certificate's CA signature and its window
+    at the body timestamp (so the verdict replays), signatures, uniqueness
+    against `committed` (tid to transaction, all accepted before tx), and
+    an execution report's parent update in `committed`.
+
+    `ca_checked` holds certificates already found CA-signed, so a caller
+    judging many transactions CA-checks each certificate once.
+    """
+    # Schema.
+    try:
+        validate_structure(tx)
+    except Exception:
+        return Reason.MALFORMED_BODY
+    if isinstance(tx.body, (CollisionEvidenceBody, EvidenceRequestBody)):
+        e = tx.body.edata
+        if compute_edata_hash(e.loc, e.ts, e.hv_data, e.ts_data, e.enc_witness) != e.edata_hash:
+            return Reason.MALFORMED_BODY
+    if compute_tid(tx.kind, tx.body, tx.cert, tx.parent_tid) != tx.tid:
+        return Reason.MALFORMED_BODY
+
+    # Authorization: the proposing role must be allowed to put this kind
+    # into this partition.
+    if not tx.signatures:
+        return Reason.INCOMPLETE
+    if tx.signatures[0].role not in AUTHORIZED_PROPOSERS[genesis.partition][tx.kind]:
+        return Reason.UNAUTHORIZED
+
+    # Completeness: exactly the required signer set, in order.
+    if tuple(entry.role for entry in tx.signatures) != required_signers(tx.kind, tx.body):
+        return Reason.INCOMPLETE
+
+    # Certificate, then signatures.
+    if ca_checked is None or tx.cert not in ca_checked:
+        if not certificate_signature_ok(tx.cert, genesis.ca_certificates[0].public_key):
+            return Reason.BAD_SIGNATURE
+        if ca_checked is not None:
+            ca_checked.add(tx.cert)
+    if not tx.cert.window_contains(body_timestamp(tx)):
+        return Reason.EXPIRED_CERT
+    known_keys = genesis.known_keys()
+    for entry in tx.signatures:
+        if entry.role is Role.VEHICLE:
+            pubkey = tx.cert.subject_pubkey
+        else:
+            pubkey = known_keys.get(entry.role)
+            if pubkey is None:
+                return Reason.UNAUTHORIZED
+        if not verify_tx_digest(pubkey, tx.tid, entry.signature):
+            return Reason.BAD_SIGNATURE
+
+    # Uniqueness.
+    if tx.tid in committed:
+        return Reason.DUPLICATE
+
+    # Parent link: an execution report needs its update committed first.
+    if tx.kind is TxKind.EXECUTION:
+        parent = committed.get(tx.parent_tid)
+        if parent is None or parent.kind is not TxKind.UPDATE:
+            return Reason.INCOMPLETE
+
+    return Reason.OK
+
+
 def build_transaction(
     kind: TxKind,
     body: Body,
@@ -597,34 +723,6 @@ def countersign(tx: Transaction, keys: KeyPair, role: Role) -> Transaction:
     if any(entry.role == role for entry in tx.signatures):
         raise DuplicateSigner(f"role {role.value} already signed")
     return tx.with_signature(SigEntry(role=role, signature=sign_tx_digest(keys.secret_key, tx.tid)))
-
-
-def verify_signatures(
-    tx: Transaction,
-    known_keys: Mapping[Role, bytes],
-    ca_pubkey: bytes,
-    at: float,
-) -> bool:
-    """Checks every attached signature (and, for vehicle signatures, the
-    certificate behind it) without judging whether the set is complete.
-    """
-    for entry in tx.signatures:
-        if entry.role is Role.VEHICLE:
-            if tx.cert is None:
-                return False
-            if not certificate_signature_ok(tx.cert, ca_pubkey):
-                return False
-            if not tx.cert.window_contains(at):
-                return False
-            if not verify_tx_digest(tx.cert.subject_pubkey, tx.tid, entry.signature):
-                return False
-        else:
-            pubkey = known_keys.get(entry.role)
-            if pubkey is None:
-                return False
-            if not verify_tx_digest(pubkey, tx.tid, entry.signature):
-                return False
-    return True
 
 
 # --- off-chain media store ---------------------------------------------------

@@ -1,8 +1,11 @@
-"""Transaction verification policies and the per-round consensus protocol.
+"""Per-transaction verdicts and the per-round consensus protocol.
 
-Verification is a conjunction of policies; the verdict reason reports the
-first one that failed, checked in this order: schema, authorization,
-completeness, signatures and certificate window, uniqueness, parent link.
+A validator judges a proposed transaction against its own replica with
+txmodel.check_tx, the one validity rule; `avledger verify` judges every
+committed record with the same rule (ledger.chain_faults). The verdict
+reason reports the first policy that failed, checked in this order:
+schema, authorization, completeness, certificate and its window,
+signatures, uniqueness, parent link.
 
 Consensus is unanimity among a partition's validators: a transaction
 commits only if every validator accepts it and every validator computes
@@ -18,59 +21,15 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from .errors import NotDiverged, ReplicaMismatch, Unattributable
-from .identity import EntityId, certificate_signature_ok, verify_tx_digest
+from .identity import EntityId
 from .ledger import PartitionLedger, fold_ids
-from .txmodel import (
-    CollisionEvidenceBody,
-    EvidenceRequestBody,
-    Hash256,
-    Partition,
-    Role,
-    Transaction,
-    TxKind,
-    body_timestamp,
-    compute_edata_hash,
-    compute_tid,
-    required_signers,
-    validate_structure,
-)
-
-# Who may propose which kind into which partition. This table is the
-# normative authorization policy; membership rows in genesis carry keys
-# and validator sets but do not override it.
-AUTHORIZED_PROPOSERS: dict[Partition, dict[TxKind, frozenset[Role]]] = {
-    Partition.OPERATIONAL: {
-        TxKind.EVENT_SAFETY: frozenset({Role.VEHICLE}),
-        TxKind.COLLISION_EVIDENCE: frozenset({Role.VEHICLE}),
-        TxKind.UPDATE: frozenset({Role.MANUFACTURER}),
-        TxKind.EXECUTION: frozenset({Role.VEHICLE}),
-        TxKind.MAINTENANCE: frozenset({Role.TECHNICIAN}),
-        TxKind.EVIDENCE_REQUEST: frozenset({Role.INSURER, Role.MANUFACTURER}),
-    },
-    Partition.DECISIONAL: {
-        TxKind.EVENT_SAFETY: frozenset(),
-        TxKind.COLLISION_EVIDENCE: frozenset(),
-        TxKind.UPDATE: frozenset(),
-        TxKind.EXECUTION: frozenset(),
-        TxKind.MAINTENANCE: frozenset(),
-        TxKind.EVIDENCE_REQUEST: frozenset({Role.INSURER, Role.MANUFACTURER}),
-    },
-}
+# AUTHORIZED_PROPOSERS and Reason live beside check_tx and stay importable here.
+from .txmodel import AUTHORIZED_PROPOSERS, Hash256, Partition, Reason, Transaction, check_tx  # noqa: F401
 
 
 class Decision(str, enum.Enum):
     ACCEPT = "accept"
     REJECT = "reject"
-
-
-class Reason(str, enum.Enum):
-    OK = "Ok"
-    INCOMPLETE = "Incomplete"
-    UNAUTHORIZED = "Unauthorized"
-    DUPLICATE = "Duplicate"
-    BAD_SIGNATURE = "BadSignature"
-    EXPIRED_CERT = "ExpiredCert"
-    MALFORMED_BODY = "MalformedBody"
 
 
 @dataclass(frozen=True)
@@ -93,83 +52,10 @@ class Verdict:
         return cls(Decision.REJECT, reason)
 
 
-def proposer_role(tx: Transaction) -> Optional[Role]:
-    return tx.signatures[0].role if tx.signatures else None
-
-
-def verify_transaction(
-    tx: Transaction,
-    ledger: PartitionLedger,
-    at: float,
-) -> Verdict:
-    """Runs every policy against one replica. `at` is the round time and
-    only flows into the audit trail; certificate windows are judged at the
-    transaction's own body timestamp so verification is replayable.
-    """
-    del at  # round time does not influence any policy
-
-    # Schema.
-    try:
-        validate_structure(tx)
-    except Exception:
-        return Verdict.reject(Reason.MALFORMED_BODY)
-    edata = None
-    if isinstance(tx.body, CollisionEvidenceBody):
-        edata = tx.body.edata
-    elif isinstance(tx.body, EvidenceRequestBody):
-        edata = tx.body.edata
-    if edata is not None:
-        recomputed = compute_edata_hash(
-            edata.loc, edata.ts, edata.hv_data, edata.ts_data, edata.enc_witness
-        )
-        if recomputed != edata.edata_hash:
-            return Verdict.reject(Reason.MALFORMED_BODY)
-    if compute_tid(tx.kind, tx.body, tx.cert, tx.parent_tid) != tx.tid:
-        return Verdict.reject(Reason.MALFORMED_BODY)
-
-    # Authorization: the proposing role must be allowed to put this kind
-    # into this partition.
-    role = proposer_role(tx)
-    if role is None:
-        return Verdict.reject(Reason.INCOMPLETE)
-    if role not in AUTHORIZED_PROPOSERS[ledger.partition][tx.kind]:
-        return Verdict.reject(Reason.UNAUTHORIZED)
-
-    # Completeness: exactly the required signer set, in order.
-    required = required_signers(tx.kind, tx.body)
-    if tuple(entry.role for entry in tx.signatures) != required:
-        return Verdict.reject(Reason.INCOMPLETE)
-
-    # Signatures and certificate.
-    genesis = ledger.genesis
-    known_keys = genesis.known_keys()
-    ca_pubkey = genesis.ca_certificates[0].public_key
-    ts = body_timestamp(tx)
-    if not certificate_signature_ok(tx.cert, ca_pubkey):
-        return Verdict.reject(Reason.BAD_SIGNATURE)
-    if not tx.cert.window_contains(ts):
-        return Verdict.reject(Reason.EXPIRED_CERT)
-    for entry in tx.signatures:
-        if entry.role is Role.VEHICLE:
-            pubkey = tx.cert.subject_pubkey
-        else:
-            pubkey = known_keys.get(entry.role)
-            if pubkey is None:
-                return Verdict.reject(Reason.UNAUTHORIZED)
-        if not verify_tx_digest(pubkey, tx.tid, entry.signature):
-            return Verdict.reject(Reason.BAD_SIGNATURE)
-
-    # Uniqueness.
-    if tx.tid in ledger.tid_index:
-        return Verdict.reject(Reason.DUPLICATE)
-
-    # Parent link: an execution report needs its update committed here.
-    if tx.kind is TxKind.EXECUTION:
-        parent = ledger.find(tx.parent_tid)
-        if parent is None or parent.kind is not TxKind.UPDATE:
-            return Verdict.reject(Reason.INCOMPLETE)
-
-    return Verdict.accept()
+def verify_transaction(tx: Transaction, ledger: PartitionLedger) -> Verdict:
+    """One validator's verdict on tx against its own replica."""
+    reason = check_tx(tx, ledger.genesis, ledger.tid_index)
+    return Verdict.accept() if reason is Reason.OK else Verdict.reject(reason)
 
 
 # --- consensus ----------------------------------------------------------------
@@ -231,7 +117,7 @@ def run_consensus(
     votes: dict[EntityId, Vote] = {}
     for validator in validators:
         replica = replicas[validator]
-        verdict = verify_transaction(tx, replica, at)
+        verdict = verify_transaction(tx, replica)
         fold = candidate_fold(replica, tx) if verdict.accepted else None
         votes[validator] = Vote(verdict=verdict, cblock_id=fold)
 

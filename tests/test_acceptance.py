@@ -28,10 +28,10 @@ from avledger.scenarios import (
     make_attack_config,
     make_benign_config,
 )
-from avledger.txmodel import Partition, Role, SigEntry, TxKind, body_timestamp
+from avledger.txmodel import Partition, Role, SigEntry, TxKind
 from avledger.validation import Reason, verify_transaction
 
-from conftest import (
+from worldkit import (
     make_edata,
     make_est,
     make_et,
@@ -319,7 +319,7 @@ def test_acceptance_4_authorization_matrix():
                 else:
                     template = templates[kind]
                 tx = signed_as(template, role)
-                verdict = verify_transaction(tx, ledger, at=body_timestamp(tx))
+                verdict = verify_transaction(tx, ledger)
                 cells += 1
                 if (partition, kind.value, role.value) in _ALLOWED:
                     if not verdict.accepted:
@@ -327,13 +327,11 @@ def test_acceptance_4_authorization_matrix():
                 elif verdict.accepted or verdict.reason is not Reason.UNAUTHORIZED:
                     wrong += 1
 
-    solo_ut = verify_transaction(
-        make_ut(world, at=1009.0, creds=creds, countersigned=False), p1, at=1009.0
-    )
+    solo_ut = verify_transaction(make_ut(world, at=1009.0, creds=creds, countersigned=False), p1)
     duplicate_est = make_est(world, at=1010.0, creds=creds)
     p1.append_validated(duplicate_est)
-    dup = verify_transaction(duplicate_est, p1, at=1010.0)
-    expired = verify_transaction(make_est(world, at=1400.0, creds=creds), p1, at=1400.0)
+    dup = verify_transaction(duplicate_est, p1)
+    expired = verify_transaction(make_est(world, at=1400.0, creds=creds), p1)
     probes_ok = (
         solo_ut.reason is Reason.INCOMPLETE
         and dup.reason is Reason.DUPLICATE

@@ -28,7 +28,7 @@ from avledger.txmodel import (
     TxKind,
 )
 
-from conftest import (
+from worldkit import (
     make_edata,
     make_est,
     make_et,

@@ -9,7 +9,7 @@ from avledger.cli import main
 from avledger.ledger import save_ledger
 from avledger.scenarios import config_to_jsonable, make_benign_config
 
-from conftest import make_edata, make_pet, make_ut, make_world, vehicle_credentials
+from worldkit import make_edata, make_pet, make_ut, make_world, vehicle_credentials
 
 
 def run_cli(*argv):

@@ -21,7 +21,7 @@ from avledger.identity import (
     verify_tx_digest,
 )
 
-from conftest import make_world
+from worldkit import make_world
 
 
 def test_keypair_generation_is_seed_deterministic():

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from avledger.errors import InvalidGenesis, LedgerFormatError, UniquenessViolation
+from avledger.identity import generate_keypair, issue_certificate
 from avledger.ledger import (
     PartitionLedger,
     chain_faults,
@@ -20,9 +21,22 @@ from avledger.ledger import (
     save_ledger,
     verify_chain,
 )
+from avledger import txmodel
 from avledger.txmodel import Partition, TxKind, body_timestamp
+from avledger.validation import Reason, verify_transaction
 
-from conftest import fill_ledger, make_est, make_et, make_mt, make_pet, make_ut, make_world, vehicle_credentials
+from worldkit import (
+    fill_ledger,
+    make_edata,
+    make_est,
+    make_et,
+    make_mt,
+    make_pet,
+    make_ret,
+    make_ut,
+    make_world,
+    vehicle_credentials,
+)
 
 WORLD = make_world(seed=555)
 
@@ -191,6 +205,71 @@ def test_faults_report_every_bad_position():
         ledger.blocks[0].transactions[pos] = dataclasses.replace(victim, body=forged)
     faults = chain_faults(ledger)
     assert sum("does not match its contents" in f for f in faults) == 2
+
+
+# Records consensus rejects but a signature-only audit would pass: each is
+# (partition, builder, the reason consensus gives).
+def _foreign_ca_mt(world):
+    foreign_ca = generate_keypair(world.rng)
+    cert = issue_certificate(foreign_ca, generate_keypair(world.rng).public_key, 1000.0, 300.0, world.rng)
+    return make_mt(world, at=1000.0, cert=cert)
+
+
+PARITY_CASES = {
+    "mt-foreign-ca": (Partition.OPERATIONAL, _foreign_ca_mt, Reason.BAD_SIGNATURE),
+    "mt-outside-window": (
+        Partition.OPERATIONAL,
+        lambda world: make_mt(world, at=2000.0, cert=vehicle_credentials(world, 1000.0)[1]),
+        Reason.EXPIRED_CERT,
+    ),
+    "ret-outside-window": (
+        Partition.OPERATIONAL,
+        lambda world: make_ret(
+            world, make_edata(world, 1000.0), at=2000.0, cert=vehicle_credentials(world, 1000.0)[1]
+        ),
+        Reason.EXPIRED_CERT,
+    ),
+    "et-parent-not-on-chain": (
+        Partition.OPERATIONAL,
+        lambda world: make_et(world, b"\x42" * 32, vehicle_credentials(world, 1000.0), at=1100.0),
+        Reason.INCOMPLETE,
+    ),
+    "est-in-p2": (Partition.DECISIONAL, lambda world: make_est(world, at=1000.0), Reason.UNAUTHORIZED),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARITY_CASES))
+def test_chain_faults_judge_by_the_consensus_rule(case):
+    partition, build, reason = PARITY_CASES[case]
+    world = make_world(seed=19)
+    tx = build(world)
+    assert verify_transaction(tx, world.ledger(partition)).reason is reason
+    ledger = world.ledger(partition, b_max=4)
+    if partition is Partition.OPERATIONAL:
+        fill_ledger(world, ledger, 2)  # honest neighbours stay fault-free
+    ledger.append_validated(tx)
+    faults = chain_faults(ledger)
+    assert len(faults) == 1 and tx.tid.hex()[:16] in faults[0], faults
+    assert f"({reason.value})" in faults[0]
+
+
+def test_chain_faults_ca_checks_each_certificate_once(monkeypatch):
+    world = make_world(seed=21)
+    ledger = world.ledger()
+    pet = make_pet(world, at=1000.0)
+    rets = [make_ret(world, make_edata(world, 1000.0), at=1010.0 + i, cert=pet.cert) for i in range(3)]
+    for tx in [pet, *rets]:
+        ledger.append_validated(tx)
+    checked = []
+    real = txmodel.certificate_signature_ok
+
+    def counting(cert, ca_pubkey):
+        checked.append(cert)
+        return real(cert, ca_pubkey)
+
+    monkeypatch.setattr(txmodel, "certificate_signature_ok", counting)
+    assert chain_faults(ledger) == []
+    assert checked == [pet.cert]
 
 
 # --- persistence --------------------------------------------------------------

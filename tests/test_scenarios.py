@@ -26,12 +26,11 @@ from avledger.scenarios import (
     make_attack_config,
     make_benign_config,
     run_scenario,
-    suppress_evidence,
     tamper_cblock,
 )
 from avledger.txmodel import EventTrigger, TxKind, compute_edata_hash
 
-from conftest import make_edata, make_est, make_world
+from worldkit import make_edata, make_est, make_world
 
 
 def _run(config):
@@ -54,7 +53,7 @@ def test_tamper_cblock_rewrites_local_fold():
     # deletion is invisible to a lone replica and only consensus sees it.
     assert verify_chain(ledger)
     with pytest.raises(NotFound):
-        suppress_evidence(ledger, a.tid)
+        tamper_cblock(ledger, a.tid)
 
 
 def test_inject_false_information_is_internally_consistent():

@@ -14,10 +14,12 @@ from avledger.txmodel import (
     EvidenceData,
     EvidenceRequestBody,
     GeoPoint,
+    Reason,
     Role,
     TxKind,
     body_timestamp,
     build_transaction,
+    check_tx,
     compute_edata_hash,
     compute_tid,
     countersign,
@@ -25,10 +27,9 @@ from avledger.txmodel import (
     encode_transaction,
     required_signers,
     validate_structure,
-    verify_signatures,
 )
 
-from conftest import (
+from worldkit import (
     make_edata,
     make_esm,
     make_est,
@@ -127,29 +128,24 @@ def test_countersign_rules():
         countersign(signed, world.keys["am-0"], Role.MANUFACTURER)
 
 
-def test_verify_signatures_checks_every_entry():
+def test_check_tx_checks_every_entry():
     world = make_world(seed=36)
     creds = vehicle_credentials(world, 1000.0)
     ut = make_ut(world, creds=creds)
-    known = world.p1.known_keys()
-    at = body_timestamp(ut)
-    assert verify_signatures(ut, known, world.ca.public_key, at)
-    # Signature-level truth says nothing about completeness: the maker's
-    # lone signature on an update still verifies here.
+    assert check_tx(ut, world.p1, {}) is Reason.OK
+    # The shared rule judges completeness too: the maker's lone signature
+    # on an update verifies, but the signer set is incomplete.
     solo = make_ut(world, creds=creds, countersigned=False)
-    assert verify_signatures(solo, known, world.ca.public_key, body_timestamp(solo))
-    # A flipped signature byte fails.
-    entry = ut.signatures[0]
-    bad = dataclasses.replace(
-        ut,
-        signatures=(
-            dataclasses.replace(entry, signature=bytes([entry.signature[0] ^ 1]) + entry.signature[1:]),
-        )
-        + ut.signatures[1:],
-    )
-    assert not verify_signatures(bad, known, world.ca.public_key, at)
+    assert check_tx(solo, world.p1, {}) is Reason.INCOMPLETE
+    # A flipped signature byte fails, on either entry.
+    for pos in range(len(ut.signatures)):
+        entry = ut.signatures[pos]
+        flipped = dataclasses.replace(entry, signature=bytes([entry.signature[0] ^ 1]) + entry.signature[1:])
+        bad = dataclasses.replace(ut, signatures=ut.signatures[:pos] + (flipped,) + ut.signatures[pos + 1:])
+        assert check_tx(bad, world.p1, {}) is Reason.BAD_SIGNATURE
     # A vehicle signature outside the certificate window fails.
-    assert not verify_signatures(ut, known, world.ca.public_key, at + 10_000.0)
+    late = make_ut(world, at=1000.0 + 10_000.0, creds=creds)
+    assert check_tx(late, world.p1, {}) is Reason.EXPIRED_CERT
 
 
 def test_body_timestamp_source_per_kind():

@@ -8,7 +8,7 @@ import pytest
 from avledger.errors import NotDiverged, ReplicaMismatch, Unattributable
 from avledger.ledger import PartitionLedger
 from avledger.scenarios import tamper_cblock
-from avledger.txmodel import Partition, Role, TxKind, body_timestamp
+from avledger.txmodel import Partition, Role, TxKind
 from avledger.validation import (
     Reason,
     RoundOutcome,
@@ -18,7 +18,7 @@ from avledger.validation import (
     verify_transaction,
 )
 
-from conftest import (
+from worldkit import (
     commit,
     make_est,
     make_et,
@@ -35,7 +35,7 @@ from conftest import (
 def _verdict(world, tx, partition=Partition.OPERATIONAL, ledger=None):
     if ledger is None:
         ledger = world.ledger(partition)
-    return verify_transaction(tx, ledger, body_timestamp(tx))
+    return verify_transaction(tx, ledger)
 
 
 def test_valid_transactions_accepted():
@@ -92,9 +92,9 @@ def test_incomplete_execution_without_committed_parent():
     ut = make_ut(world, creds=creds)
     et = make_et(world, ut.tid, creds, at=1200.0)  # inside the cert window
     ledger = world.ledger()
-    assert verify_transaction(et, ledger, body_timestamp(et)).reason is Reason.INCOMPLETE
+    assert verify_transaction(et, ledger).reason is Reason.INCOMPLETE
     ledger.append_validated(ut)
-    assert verify_transaction(et, ledger, body_timestamp(et)).accepted
+    assert verify_transaction(et, ledger).accepted
 
 
 def test_duplicate_tid_rejected():
@@ -102,7 +102,7 @@ def test_duplicate_tid_rejected():
     ledger = world.ledger()
     est = make_est(world)
     ledger.append_validated(est)
-    assert verify_transaction(est, ledger, body_timestamp(est)).reason is Reason.DUPLICATE
+    assert verify_transaction(est, ledger).reason is Reason.DUPLICATE
 
 
 def test_expired_certificate_rejected_at_body_timestamp():

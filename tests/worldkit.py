@@ -2,12 +2,13 @@
 genesis block per partition, plus builders that produce fully signed
 transactions of every kind. Builders draw fresh randomness from the world's
 rng so repeated calls never collide on tid.
+
+This is a plain module, not a conftest, so that test modules can import
+it by name next to other test directories that have their own conftest.
 """
 
 import random
 from dataclasses import dataclass
-
-import pytest
 
 from avledger.identity import (
     KeyPair,
@@ -92,11 +93,6 @@ def make_world(seed: int = 1234) -> World:
         ],
     )
     return World(ca=ca, root=root, keys=keys, p1=p1, p2=p2, rng=rng)
-
-
-@pytest.fixture
-def world() -> World:
-    return make_world()
 
 
 # --- transaction builders ----------------------------------------------------
