@@ -29,7 +29,6 @@ from .identity import (
     generate_keypair,
     issue_certificate,
     rotate_pseudonym,
-    verify_certificate,
 )
 from .ledger import (
     CaRootCert,
@@ -133,7 +132,6 @@ __all__ = [
     "run_consensus",
     "run_scenario",
     "save_ledger",
-    "verify_certificate",
     "verify_chain",
     "verify_transaction",
 ]

@@ -168,8 +168,8 @@ class PartyEvidence:
     """Everything the decision partition holds about one involved vehicle."""
 
     vehicle: EntityId
-    cert_ids: frozenset[Hash256]
-    pet_tid: Optional[Hash256]
+    cert_ids: frozenset[Hash256] = frozenset()
+    pet_tid: Optional[Hash256] = None
     submitted: Mapping[EntityId, EvidenceData] = field(default_factory=dict)
     ret_tids: Mapping[EntityId, Hash256] = field(default_factory=dict)
     est_digests: tuple[EstDigest, ...] = ()
@@ -185,7 +185,7 @@ class CollisionCase:
     case_id: str
     collision_at: float
     parties: tuple[PartyEvidence, ...]
-    maker: EntityId
+    maker: EntityId = "am-0"
     witness_pet_tids: tuple[Hash256, ...] = ()
     # True when the at-fault vehicle left without submitting evidence
     # (hit and run): the drive-mode rule has no host record to read.

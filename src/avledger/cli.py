@@ -19,25 +19,26 @@ import json
 import os
 import random
 import sys
+from dataclasses import replace
 from typing import Optional
 
-from .adjudicator import (
-    AdjudicationParams,
-    CollisionCase,
-    PartyEvidence,
-    adjudicate,
-)
+from .adjudicator import AdjudicationParams, CollisionCase, adjudicate
 from .errors import AvLedgerError, ConfigError, LedgerFormatError, MalformedCase
 from .identity import generate_keypair
 from .ledger import PartitionLedger, chain_faults, est_history, load_ledger, save_ledger
 from .scenarios import (
+    AttackClass,
     ScenarioEngine,
+    case_from_jsonable,
+    choice,
     config_from_jsonable,
     config_to_jsonable,
+    hash256,
     load_config,
     make_attack_config,
     make_benign_config,
-    AttackClass,
+    optional,
+    read_json,
 )
 from .txmodel import (
     EvidenceRequestBody,
@@ -69,12 +70,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         if args.config is not None:
             config = load_config(args.config)
         elif args.attack is not None:
-            attack = {a.value: a for a in AttackClass}.get(args.attack)
-            if attack is None:
-                return _fail_usage(
-                    f"unknown attack class {args.attack!r}, expected one of "
-                    f"{sorted(a.value for a in AttackClass)}"
-                )
+            attack = choice(AttackClass)(args.attack, "--attack")
             config = make_attack_config(args.seed if args.seed is not None else 0, attack)
         else:
             config = make_benign_config(args.seed if args.seed is not None else 0)
@@ -152,22 +148,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # --- inspect ------------------------------------------------------------------
 
 def cmd_inspect(args: argparse.Namespace) -> int:
-    kind: Optional[TxKind] = None
-    if args.kind is not None:
-        try:
-            kind = TxKind(args.kind)
-        except ValueError:
-            return _fail_usage(
-                f"unknown kind {args.kind!r}, expected one of {KIND_NAMES}"
-            )
-    cert_id: Optional[bytes] = None
-    if args.cert is not None:
-        try:
-            cert_id = bytes.fromhex(args.cert)
-        except ValueError:
-            return _fail_usage(f"certificate id must be hex, got {args.cert!r}")
-        if len(cert_id) != 32:
-            return _fail_usage("certificate id must be 32 bytes of hex")
+    try:
+        kind = optional(choice(TxKind))(args.kind, "--kind")
+        cert_id = optional(hash256)(args.cert, "--cert")
+    except ConfigError as exc:
+        return _fail_usage(str(exc))
 
     try:
         ledger = load_ledger(args.ledger)
@@ -196,91 +181,28 @@ def cmd_inspect(args: argparse.Namespace) -> int:
 
 # --- adjudicate ---------------------------------------------------------------
 
-def _hash_from_hex(value, path: str) -> bytes:
-    if not isinstance(value, str):
-        raise ConfigError(path, "expected a hex string")
-    try:
-        raw = bytes.fromhex(value)
-    except ValueError:
-        raise ConfigError(path, f"not valid hex: {value!r}") from None
-    if len(raw) != 32:
-        raise ConfigError(path, "expected 32 bytes of hex")
-    return raw
-
-
 def _case_from_jsonable(data: dict, ledger: PartitionLedger) -> CollisionCase:
     """Builds a case whose evidence is entirely resolved from the ledger:
     submitted copies come out of referenced RET transactions and safety
     history out of the parties' certificate trails.
     """
-    if not isinstance(data, dict):
-        raise ConfigError("$", "case file must be a JSON object")
-    for key in ("case_id", "collision_at", "parties"):
-        if key not in data:
-            raise ConfigError(f"$.{key}", "missing required field")
-    if not isinstance(data["parties"], list) or not data["parties"]:
-        raise ConfigError("$.parties", "expected a non-empty list")
-
+    case = case_from_jsonable(data)
     parties = []
-    for i, raw in enumerate(data["parties"]):
-        path = f"$.parties[{i}]"
-        if not isinstance(raw, dict):
-            raise ConfigError(path, "expected an object")
-        vehicle = raw.get("vehicle")
-        if not isinstance(vehicle, str):
-            raise ConfigError(f"{path}.vehicle", "expected an entity id string")
-        cert_ids = frozenset(
-            _hash_from_hex(c, f"{path}.cert_ids[{j}]")
-            for j, c in enumerate(raw.get("cert_ids", []))
-        )
-        pet_tid = None
-        if raw.get("pet_tid") is not None:
-            pet_tid = _hash_from_hex(raw["pet_tid"], f"{path}.pet_tid")
-            if ledger.find(pet_tid) is None:
-                raise MalformedCase(f"party {vehicle}: pet_tid not on the ledger")
+    for party in case.parties:
+        if party.pet_tid is not None and ledger.find(party.pet_tid) is None:
+            raise MalformedCase(f"party {party.vehicle}: pet_tid not on the ledger")
         submitted = {}
-        ret_tids = {}
-        rets_raw = raw.get("ret_tids", {})
-        if not isinstance(rets_raw, dict):
-            raise ConfigError(f"{path}.ret_tids", "expected an object")
-        for submitter in sorted(rets_raw):
-            tid = _hash_from_hex(rets_raw[submitter], f"{path}.ret_tids[{submitter}]")
+        for submitter, tid in party.ret_tids.items():
             ret = ledger.find(tid)
             if ret is None or not isinstance(ret.body, EvidenceRequestBody):
                 raise MalformedCase(
-                    f"party {vehicle}: {submitter} evidence request not on the ledger"
+                    f"party {party.vehicle}: {submitter} evidence request not on the ledger"
                 )
             submitted[submitter] = ret.body.edata
-            ret_tids[submitter] = tid
         parties.append(
-            PartyEvidence(
-                vehicle=vehicle,
-                cert_ids=cert_ids,
-                pet_tid=pet_tid,
-                submitted=submitted,
-                ret_tids=ret_tids,
-                est_digests=est_history(ledger, cert_ids),
-            )
+            replace(party, submitted=submitted, est_digests=est_history(ledger, party.cert_ids))
         )
-
-    witness_tids = tuple(
-        _hash_from_hex(t, f"$.witness_pet_tids[{j}]")
-        for j, t in enumerate(data.get("witness_pet_tids", []))
-    )
-    collision_at = data["collision_at"]
-    if not isinstance(collision_at, (int, float)) or isinstance(collision_at, bool):
-        raise ConfigError("$.collision_at", "expected a number")
-    suspect_absent = data.get("suspect_absent", False)
-    if not isinstance(suspect_absent, bool):
-        raise ConfigError("$.suspect_absent", "expected a boolean")
-    return CollisionCase(
-        case_id=str(data["case_id"]),
-        collision_at=float(collision_at),
-        parties=tuple(parties),
-        maker=str(data.get("maker", "am-0")),
-        witness_pet_tids=witness_tids,
-        suspect_absent=suspect_absent,
-    )
+    return replace(case, parties=tuple(parties))
 
 
 def cmd_adjudicate(args: argparse.Namespace) -> int:
@@ -292,15 +214,9 @@ def cmd_adjudicate(args: argparse.Namespace) -> int:
         print(f"invalid: {exc}", file=sys.stderr)
         return EXIT_FAILURE
     try:
-        with open(args.case, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        case = _case_from_jsonable(read_json(args.case), ledger)
     except FileNotFoundError:
         return _fail_usage(f"case file not found: {args.case}")
-    except json.JSONDecodeError as exc:
-        return _fail_usage(f"case file is not valid JSON: {exc}")
-
-    try:
-        case = _case_from_jsonable(data, ledger)
     except ConfigError as exc:
         return _fail_usage(str(exc))
     except MalformedCase as exc:

@@ -30,22 +30,10 @@ class Writer:
         self._buf.append(value)
         return self
 
-    def u16(self, value: int) -> "Writer":
-        if not 0 <= value < 2**16:
-            raise ValueError(f"u16 out of range: {value}")
-        self._buf += value.to_bytes(2, "big")
-        return self
-
     def u32(self, value: int) -> "Writer":
         if not 0 <= value < 2**32:
             raise ValueError(f"u32 out of range: {value}")
         self._buf += value.to_bytes(4, "big")
-        return self
-
-    def u64(self, value: int) -> "Writer":
-        if not 0 <= value < 2**64:
-            raise ValueError(f"u64 out of range: {value}")
-        self._buf += value.to_bytes(8, "big")
         return self
 
     def f64(self, value: float) -> "Writer":
@@ -114,14 +102,8 @@ class Reader:
     def u8(self) -> int:
         return self._take(1)[0]
 
-    def u16(self) -> int:
-        return int.from_bytes(self._take(2), "big")
-
     def u32(self) -> int:
         return int.from_bytes(self._take(4), "big")
-
-    def u64(self) -> int:
-        return int.from_bytes(self._take(8), "big")
 
     def f64(self) -> float:
         return struct.unpack(">d", self._take(8))[0]

@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives import serialization
@@ -163,11 +163,6 @@ def certificate_signature_ok(cert: PseudonymCertificate, ca_pubkey: bytes) -> bo
     return _verify_raw(ca_pubkey, cert.signed_payload(), cert.issuer_signature)
 
 
-def verify_certificate(cert: PseudonymCertificate, ca_pubkey: bytes, at: float) -> bool:
-    """True iff the issuer signature checks out and `at` is inside the window."""
-    return certificate_signature_ok(cert, ca_pubkey) and cert.window_contains(at)
-
-
 class IdentityEscrow:
     """Maps certificate ids to real entities, gated by a two-party policy.
 
@@ -258,7 +253,6 @@ __all__ = [
     "verify_tx_digest",
     "issue_certificate",
     "certificate_signature_ok",
-    "verify_certificate",
     "rotate_pseudonym",
     "seal_to_key",
     "open_sealed",

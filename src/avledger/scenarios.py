@@ -30,7 +30,7 @@ import json
 import logging
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import Callable, Optional, Union
 
 from .adjudicator import (
@@ -72,7 +72,6 @@ from .netsim import (
     forward_evidence_request,
 )
 from .txmodel import (
-    BlobStore,
     CollisionEvidenceBody,
     DriveMode,
     EventSafetyBody,
@@ -105,8 +104,6 @@ from .validation import (
 )
 
 log = logging.getLogger(__name__)
-
-KIND_CODES = [k.value for k in TxKind]
 
 
 class AttackClass(str, enum.Enum):
@@ -142,6 +139,10 @@ def inject_false_information(edata: EvidenceData) -> EvidenceData:
 
 # --- configuration ------------------------------------------------------------
 
+# The fixed infrastructure actors, in the order the engine draws their keys.
+INFRASTRUCTURE_ACTORS = ("am-0", "st-0", "ic-0", "gta-0", "la-0")
+
+
 @dataclass(frozen=True)
 class NetworkConfig:
     drop_prob: float = 0.0
@@ -158,7 +159,7 @@ class VehicleSpec:
 class SafetyEvent:
     at: float
     vehicle: int
-    trigger: EventTrigger
+    trigger: EventTrigger = EventTrigger.HARD_BRAKE
 
 
 @dataclass(frozen=True)
@@ -198,8 +199,8 @@ class AttackConfig:
 @dataclass(frozen=True)
 class ScenarioConfig:
     seed: int
-    vehicles: tuple[VehicleSpec, ...]
-    timeline: tuple[TimelineEvent, ...]
+    vehicles: tuple[VehicleSpec, ...] = (VehicleSpec(),)
+    timeline: tuple[TimelineEvent, ...] = ()
     b_max: int = DEFAULT_B_MAX
     cert_validity_secs: float = DEFAULT_CERT_VALIDITY_SECS
     network: NetworkConfig = NetworkConfig()
@@ -207,313 +208,307 @@ class ScenarioConfig:
     attack: Optional[AttackConfig] = None
 
 
-_TRIGGERS = {t.value: t for t in EventTrigger}
-_MODES = {m.value: m for m in DriveMode}
-_ATTACKS = {a.value: a for a in AttackClass}
-_KINDS = {k.value: k for k in TxKind}
-_EXECUTIONS = ("executed", "failed", "none")
+# --- JSON readers -------------------------------------------------------------
+#
+# A reader takes a JSON value and its `$.path` and returns the parsed value,
+# or raises ConfigError naming that path. The scenario config and the CLI's
+# case file are both read with these.
+
+JsonReader = Callable[[object, str], object]
 
 
-def _need(obj: dict, key: str, path: str):
-    if key not in obj:
-        raise ConfigError(f"{path}.{key}", "missing required field")
-    return obj[key]
+def _at_least(minimum, types, expected: str) -> JsonReader:
+    def read(value, path: str):
+        if not isinstance(value, types) or isinstance(value, bool):
+            raise ConfigError(path, f"expected {expected}, got {value!r}")
+        if minimum is not None and value < minimum:
+            raise ConfigError(path, f"must be >= {minimum}, got {value}")
+        return value
+
+    return read
 
 
-def _num(value, path: str, minimum: Optional[float] = None) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError(path, f"expected a number, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(path, f"must be >= {minimum}, got {value}")
-    return float(value)
+def number(minimum: Optional[float] = None) -> JsonReader:
+    read = _at_least(minimum, (int, float), "a number")
+    return lambda value, path: float(read(value, path))
 
 
-def _int(value, path: str, minimum: Optional[int] = None) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigError(path, f"expected an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(path, f"must be >= {minimum}, got {value}")
+def integer(minimum: Optional[int] = None) -> JsonReader:
+    return _at_least(minimum, int, "an integer")
+
+
+def boolean(value, path: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(path, f"expected a boolean, got {value!r}")
     return value
 
 
-def config_from_jsonable(data: dict) -> ScenarioConfig:
-    if not isinstance(data, dict):
-        raise ConfigError("$", "scenario config must be a JSON object")
-    seed = _int(_need(data, "seed", "$"), "$.seed", minimum=0)
-    b_max = _int(data.get("b_max", DEFAULT_B_MAX), "$.b_max", minimum=1)
-    cert_validity = _num(
-        data.get("cert_validity_secs", DEFAULT_CERT_VALIDITY_SECS),
-        "$.cert_validity_secs",
-        minimum=1e-9,
-    )
+def text(value, path: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(path, f"expected a string, got {value!r}")
+    return value
 
-    net_raw = data.get("network", {})
-    if not isinstance(net_raw, dict):
-        raise ConfigError("$.network", "expected an object")
-    drop = _num(net_raw.get("drop_prob", 0.0), "$.network.drop_prob", minimum=0.0)
-    if drop >= 1.0:
-        raise ConfigError("$.network.drop_prob", f"must be < 1, got {drop}")
-    network = NetworkConfig(
-        drop_prob=drop,
-        retry_interval_secs=_num(
-            net_raw.get("retry_interval_secs", DEFAULT_RETRY_INTERVAL_SECS),
-            "$.network.retry_interval_secs",
-            minimum=0.0,
-        ),
-        max_attempts=_int(
-            net_raw.get("max_attempts", DEFAULT_MAX_ATTEMPTS),
-            "$.network.max_attempts",
-            minimum=1,
-        ),
-    )
 
-    vehicles_raw = data.get("vehicles", 1)
-    specs: list[VehicleSpec] = []
-    if isinstance(vehicles_raw, int) and not isinstance(vehicles_raw, bool):
-        if vehicles_raw < 1:
-            raise ConfigError("$.vehicles", "need at least one vehicle")
-        specs = [VehicleSpec() for _ in range(vehicles_raw)]
-    elif isinstance(vehicles_raw, list):
-        if not vehicles_raw:
-            raise ConfigError("$.vehicles", "need at least one vehicle")
-        for i, item in enumerate(vehicles_raw):
-            if not isinstance(item, dict):
-                raise ConfigError(f"$.vehicles[{i}]", "expected an object")
-            mode_raw = item.get("drive_mode", "autonomous")
-            if mode_raw not in _MODES:
-                raise ConfigError(
-                    f"$.vehicles[{i}].drive_mode",
-                    f"expected one of {sorted(_MODES)}, got {mode_raw!r}",
-                )
-            specs.append(VehicleSpec(drive_mode=_MODES[mode_raw]))
-    else:
-        raise ConfigError("$.vehicles", "expected a count or a list of vehicle objects")
+def hash256(value, path: str) -> bytes:
+    """A 32-byte hash written as 64 hex digits."""
+    try:
+        raw = bytes.fromhex(text(value, path))
+    except ValueError:
+        raise ConfigError(path, f"not valid hex: {value!r}") from None
+    if len(raw) != 32:
+        raise ConfigError(path, "expected 32 bytes of hex")
+    return raw
 
-    timeline_raw = data.get("timeline", [])
-    if not isinstance(timeline_raw, list):
-        raise ConfigError("$.timeline", "expected a list")
-    events: list[TimelineEvent] = []
-    for i, item in enumerate(timeline_raw):
-        path = f"$.timeline[{i}]"
-        if not isinstance(item, dict):
+
+def choice(options) -> JsonReader:
+    """A string naming one of `options`: the keys of a mapping, the values
+    of an enum, or plain strings.
+    """
+    table = options if isinstance(options, dict) else {getattr(o, "value", o): o for o in options}
+
+    def read(value, path: str):
+        if not isinstance(value, str) or value not in table:
+            raise ConfigError(path, f"expected one of {sorted(table)}, got {value!r}")
+        return table[value]
+
+    return read
+
+
+def optional(reader: JsonReader) -> JsonReader:
+    return lambda value, path: None if value is None else reader(value, path)
+
+
+def list_of(item: JsonReader, nonempty: bool = False) -> JsonReader:
+    def read(value, path: str) -> tuple:
+        if not isinstance(value, list) or (nonempty and not value):
+            raise ConfigError(path, "expected a non-empty list" if nonempty else "expected a list")
+        return tuple(item(v, f"{path}[{i}]") for i, v in enumerate(value))
+
+    return read
+
+
+def mapping_of(item: JsonReader) -> JsonReader:
+    def read(value, path: str) -> dict:
+        if not isinstance(value, dict):
             raise ConfigError(path, "expected an object")
-        etype = _need(item, "type", path)
-        at = _num(_need(item, "at", path), f"{path}.at", minimum=0.0)
-        if etype == "event_safety":
-            vid = _int(_need(item, "vehicle", path), f"{path}.vehicle", minimum=0)
-            trig_raw = item.get("trigger", "hard_brake")
-            if trig_raw not in _TRIGGERS:
-                raise ConfigError(f"{path}.trigger", f"expected one of {sorted(_TRIGGERS)}")
-            events.append(SafetyEvent(at=at, vehicle=vid, trigger=_TRIGGERS[trig_raw]))
-        elif etype == "update":
-            vid = _int(_need(item, "vehicle", path), f"{path}.vehicle", minimum=0)
-            execution = item.get("execution", "executed")
-            if execution not in _EXECUTIONS:
-                raise ConfigError(f"{path}.execution", f"expected one of {_EXECUTIONS}")
-            events.append(
-                UpdateEvent(
-                    at=at,
-                    vehicle=vid,
-                    execution=execution,
-                    exec_delay_secs=_num(
-                        item.get("exec_delay_secs", 600.0), f"{path}.exec_delay_secs", minimum=0.0
-                    ),
-                )
-            )
-        elif etype == "maintenance":
-            vid = _int(_need(item, "vehicle", path), f"{path}.vehicle", minimum=0)
-            roadworthy = item.get("roadworthy", True)
-            if not isinstance(roadworthy, bool):
-                raise ConfigError(f"{path}.roadworthy", "expected a boolean")
-            events.append(MaintenanceEvent(at=at, vehicle=vid, roadworthy=roadworthy))
-        elif etype == "collision":
-            involved_raw = _need(item, "vehicles", path)
-            if not isinstance(involved_raw, list) or not involved_raw:
-                raise ConfigError(f"{path}.vehicles", "expected a non-empty list of indices")
-            involved = tuple(
-                _int(v, f"{path}.vehicles[{j}]", minimum=0) for j, v in enumerate(involved_raw)
-            )
-            if len(set(involved)) != len(involved):
-                raise ConfigError(f"{path}.vehicles", "indices must be distinct")
-            n_wit = _int(item.get("n_witnesses", 0), f"{path}.n_witnesses", minimum=0)
-            hit_and_run = item.get("hit_and_run", False)
-            if not isinstance(hit_and_run, bool):
-                raise ConfigError(f"{path}.hit_and_run", "expected a boolean")
-            if hit_and_run and len(involved) < 2:
-                raise ConfigError(f"{path}.hit_and_run", "needs at least two involved vehicles")
-            events.append(
-                CollisionEvent(at=at, vehicles=involved, n_witnesses=n_wit, hit_and_run=hit_and_run)
-            )
-        else:
-            raise ConfigError(f"{path}.type", f"unknown event type {etype!r}")
+        return {key: item(value[key], f"{path}[{key}]") for key in sorted(value)}
 
-    # index and ordering checks
-    n_vehicles = len(specs)
-    for i, ev in enumerate(events):
+    return read
+
+
+def record(keys: dict[str, JsonReader], required=()) -> JsonReader:
+    """A JSON object read key by key into a dict. Keys outside `keys` are
+    ignored; a missing key is left out unless it is `required`.
+    """
+
+    def read(value, path: str) -> dict:
+        if not isinstance(value, dict):
+            raise ConfigError(path, "expected an object")
+        out = {}
+        for key, reader in keys.items():
+            if key in value:
+                out[key] = reader(value[key], f"{path}.{key}")
+            elif key in required:
+                raise ConfigError(f"{path}.{key}", "missing required field")
+        return out
+
+    return read
+
+
+# --- the config schema --------------------------------------------------------
+#
+# One table gives the JSON keys of each class in a scenario config or a
+# collision-case file, with their readers. A key fills the dataclass field
+# of the same name (`_FIELD_OF_KEY` lists the one exception). A missing key
+# takes the field's default; a field without a default is required.
+# config_to_jsonable walks the same table.
+
+def _object(cls: type) -> JsonReader:
+    def read(value, path: str):
+        keys = _SCHEMA[cls]
+        defaulted = {
+            f.name for f in fields(cls)
+            if f.default is not MISSING or f.default_factory is not MISSING
+        }
+        required = [key for key in keys if _FIELD_OF_KEY.get(key, key) not in defaulted]
+        raw = record(keys, required)(value, path)
+        return cls(**{_FIELD_OF_KEY.get(key, key): parsed for key, parsed in raw.items()})
+
+    return read
+
+
+_EVENT_TYPES = {
+    "event_safety": SafetyEvent,
+    "update": UpdateEvent,
+    "maintenance": MaintenanceEvent,
+    "collision": CollisionEvent,
+}
+_EVENT_TYPE_NAMES = {cls: name for name, cls in _EVENT_TYPES.items()}
+
+
+def _event(value, path: str) -> TimelineEvent:
+    cls = record({"type": choice(_EVENT_TYPES)}, required=("type",))(value, path)["type"]
+    return _object(cls)(value, path)
+
+
+def _drop_prob(value, path: str) -> float:
+    drop = number(0.0)(value, path)
+    if drop >= 1.0:
+        raise ConfigError(path, f"must be < 1, got {drop}")
+    return drop
+
+
+def _vehicles(value, path: str) -> tuple[VehicleSpec, ...]:
+    """A count of default vehicles, or a list of vehicle objects."""
+    if isinstance(value, list):
+        return list_of(_object(VehicleSpec), nonempty=True)(value, path)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return (VehicleSpec(),) * integer(1)(value, path)
+    raise ConfigError(path, "expected a count or a list of vehicle objects")
+
+
+def _hash_set(value, path: str) -> frozenset[bytes]:
+    return frozenset(list_of(hash256)(value, path))
+
+
+_FIELD_OF_KEY = {"class": "attack_class"}
+
+_SCHEMA: dict[type, dict[str, JsonReader]] = {
+    ScenarioConfig: {
+        "seed": integer(0),
+        "b_max": integer(1),
+        "cert_validity_secs": number(1e-9),
+        "network": _object(NetworkConfig),
+        "vehicles": _vehicles,
+        "adjudication": _object(AdjudicationParams),
+        "timeline": list_of(_event),
+        "attack": optional(_object(AttackConfig)),
+    },
+    NetworkConfig: {
+        "drop_prob": _drop_prob,
+        "retry_interval_secs": number(0.0),
+        "max_attempts": integer(1),
+    },
+    VehicleSpec: {"drive_mode": choice(DriveMode)},
+    SafetyEvent: {"at": number(0.0), "vehicle": integer(0), "trigger": choice(EventTrigger)},
+    UpdateEvent: {
+        "at": number(0.0),
+        "vehicle": integer(0),
+        "execution": choice(("executed", "failed", "none")),
+        "exec_delay_secs": number(0.0),
+    },
+    MaintenanceEvent: {"at": number(0.0), "vehicle": integer(0), "roadworthy": boolean},
+    CollisionEvent: {
+        "at": number(0.0),
+        "vehicles": list_of(integer(0), nonempty=True),
+        "n_witnesses": integer(0),
+        "hit_and_run": boolean,
+    },
+    AttackConfig: {
+        "class": choice(AttackClass),
+        "at": number(0.0),
+        "actor": optional(choice(INFRASTRUCTURE_ACTORS)),
+        "target_kind": optional(choice(TxKind)),
+    },
+    AdjudicationParams: {
+        "negligence_deadline_secs": number(0.0),
+        "maintenance_window_secs": number(0.0),
+        "staged_window_secs": number(0.0),
+        "staged_threshold": integer(1),
+        "time_tol_secs": number(0.0),
+        "dist_tol_m": number(0.0),
+    },
+    CollisionCase: {
+        "case_id": text,
+        "collision_at": number(),
+        "parties": list_of(_object(PartyEvidence), nonempty=True),
+        "maker": text,
+        "witness_pet_tids": list_of(hash256),
+        "suspect_absent": boolean,
+    },
+    PartyEvidence: {
+        "vehicle": text,
+        "cert_ids": _hash_set,
+        "pet_tid": optional(hash256),
+        "ret_tids": mapping_of(hash256),
+    },
+}
+
+
+def _check_timeline(config: ScenarioConfig) -> None:
+    """The rules that span fields: time order, known vehicle indices,
+    distinct collision parties, a second party for a hit-and-run, and
+    witnesses drawn from the uninvolved vehicles.
+    """
+    n_vehicles = len(config.vehicles)
+    for i, ev in enumerate(config.timeline):
         path = f"$.timeline[{i}]"
-        if i > 0 and ev.at < events[i - 1].at:
+        if i > 0 and ev.at < config.timeline[i - 1].at:
             raise ConfigError(f"{path}.at", "timeline timestamps must be non-decreasing")
-        if isinstance(ev, (SafetyEvent, UpdateEvent, MaintenanceEvent)):
+        if not isinstance(ev, CollisionEvent):
             if ev.vehicle >= n_vehicles:
                 raise ConfigError(f"{path}.vehicle", f"unknown vehicle index {ev.vehicle}")
-        else:
-            for j, vid in enumerate(ev.vehicles):
-                if vid >= n_vehicles:
-                    raise ConfigError(f"{path}.vehicles[{j}]", f"unknown vehicle index {vid}")
-            free = n_vehicles - len(ev.vehicles)
-            if ev.n_witnesses > free:
-                raise ConfigError(
-                    f"{path}.n_witnesses",
-                    f"wanted {ev.n_witnesses} witnesses but only {free} vehicles are uninvolved",
-                )
-
-    attack_raw = data.get("attack")
-    attack: Optional[AttackConfig] = None
-    if attack_raw is not None:
-        if not isinstance(attack_raw, dict):
-            raise ConfigError("$.attack", "expected an object or null")
-        cls_raw = _need(attack_raw, "class", "$.attack")
-        if cls_raw not in _ATTACKS:
-            raise ConfigError("$.attack.class", f"expected one of {sorted(_ATTACKS)}")
-        target_kind = None
-        if "target_kind" in attack_raw and attack_raw["target_kind"] is not None:
-            tk = attack_raw["target_kind"]
-            if tk not in _KINDS:
-                raise ConfigError("$.attack.target_kind", f"expected one of {KIND_CODES}")
-            target_kind = _KINDS[tk]
-        actor = attack_raw.get("actor")
-        if actor is not None and not isinstance(actor, str):
-            raise ConfigError("$.attack.actor", "expected an entity id string")
-        if actor is not None and actor not in INFRASTRUCTURE_ACTORS:
+            continue
+        if len(set(ev.vehicles)) != len(ev.vehicles):
+            raise ConfigError(f"{path}.vehicles", "indices must be distinct")
+        if ev.hit_and_run and len(ev.vehicles) < 2:
+            raise ConfigError(f"{path}.hit_and_run", "needs at least two involved vehicles")
+        for j, vid in enumerate(ev.vehicles):
+            if vid >= n_vehicles:
+                raise ConfigError(f"{path}.vehicles[{j}]", f"unknown vehicle index {vid}")
+        free = n_vehicles - len(ev.vehicles)
+        if ev.n_witnesses > free:
             raise ConfigError(
-                "$.attack.actor",
-                f"unknown actor {actor!r}, expected one of {sorted(INFRASTRUCTURE_ACTORS)}",
+                f"{path}.n_witnesses",
+                f"wanted {ev.n_witnesses} witnesses but only {free} vehicles are uninvolved",
             )
-        attack = AttackConfig(
-            attack_class=_ATTACKS[cls_raw],
-            at=_num(attack_raw.get("at", 0.0), "$.attack.at", minimum=0.0),
-            actor=actor,
-            target_kind=target_kind,
-        )
 
-    adj_raw = data.get("adjudication", {})
-    if not isinstance(adj_raw, dict):
-        raise ConfigError("$.adjudication", "expected an object")
-    defaults = AdjudicationParams()
-    adjudication = AdjudicationParams(
-        negligence_deadline_secs=_num(
-            adj_raw.get("negligence_deadline_secs", defaults.negligence_deadline_secs),
-            "$.adjudication.negligence_deadline_secs",
-            minimum=0.0,
-        ),
-        maintenance_window_secs=_num(
-            adj_raw.get("maintenance_window_secs", defaults.maintenance_window_secs),
-            "$.adjudication.maintenance_window_secs",
-            minimum=0.0,
-        ),
-        staged_window_secs=_num(
-            adj_raw.get("staged_window_secs", defaults.staged_window_secs),
-            "$.adjudication.staged_window_secs",
-            minimum=0.0,
-        ),
-        staged_threshold=_int(
-            adj_raw.get("staged_threshold", defaults.staged_threshold),
-            "$.adjudication.staged_threshold",
-            minimum=1,
-        ),
-        time_tol_secs=_num(
-            adj_raw.get("time_tol_secs", defaults.time_tol_secs),
-            "$.adjudication.time_tol_secs",
-            minimum=0.0,
-        ),
-        dist_tol_m=_num(
-            adj_raw.get("dist_tol_m", defaults.dist_tol_m),
-            "$.adjudication.dist_tol_m",
-            minimum=0.0,
-        ),
-    )
 
-    return ScenarioConfig(
-        seed=seed,
-        vehicles=tuple(specs),
-        timeline=tuple(events),
-        b_max=b_max,
-        cert_validity_secs=cert_validity,
-        network=network,
-        adjudication=adjudication,
-        attack=attack,
-    )
+def config_from_jsonable(data: dict) -> ScenarioConfig:
+    config = _object(ScenarioConfig)(data, "$")
+    _check_timeline(config)
+    return config
+
+
+def case_from_jsonable(data: dict) -> CollisionCase:
+    """The shape of a collision-case file. Each party's evidence (the
+    submitted copies and the safety history) is left empty: the caller
+    resolves it against a ledger.
+    """
+    return _object(CollisionCase)(data, "$")
+
+
+def _to_jsonable(value):
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return [_to_jsonable(v) for v in value]
+    cls = type(value)
+    if cls in _SCHEMA:
+        out = {"type": _EVENT_TYPE_NAMES[cls]} if cls in _EVENT_TYPE_NAMES else {}
+        for key in _SCHEMA[cls]:
+            out[key] = _to_jsonable(getattr(value, _FIELD_OF_KEY.get(key, key)))
+        return out
+    return value
 
 
 def config_to_jsonable(config: ScenarioConfig) -> dict:
-    timeline = []
-    for ev in config.timeline:
-        if isinstance(ev, SafetyEvent):
-            timeline.append(
-                {"type": "event_safety", "at": ev.at, "vehicle": ev.vehicle, "trigger": ev.trigger.value}
-            )
-        elif isinstance(ev, UpdateEvent):
-            timeline.append(
-                {
-                    "type": "update",
-                    "at": ev.at,
-                    "vehicle": ev.vehicle,
-                    "execution": ev.execution,
-                    "exec_delay_secs": ev.exec_delay_secs,
-                }
-            )
-        elif isinstance(ev, MaintenanceEvent):
-            timeline.append(
-                {"type": "maintenance", "at": ev.at, "vehicle": ev.vehicle, "roadworthy": ev.roadworthy}
-            )
-        else:
-            timeline.append(
-                {
-                    "type": "collision",
-                    "at": ev.at,
-                    "vehicles": list(ev.vehicles),
-                    "n_witnesses": ev.n_witnesses,
-                    "hit_and_run": ev.hit_and_run,
-                }
-            )
-    out = {
-        "seed": config.seed,
-        "b_max": config.b_max,
-        "cert_validity_secs": config.cert_validity_secs,
-        "network": {
-            "drop_prob": config.network.drop_prob,
-            "retry_interval_secs": config.network.retry_interval_secs,
-            "max_attempts": config.network.max_attempts,
-        },
-        "vehicles": [{"drive_mode": v.drive_mode.value} for v in config.vehicles],
-        "adjudication": {
-            "negligence_deadline_secs": config.adjudication.negligence_deadline_secs,
-            "maintenance_window_secs": config.adjudication.maintenance_window_secs,
-            "staged_window_secs": config.adjudication.staged_window_secs,
-            "staged_threshold": config.adjudication.staged_threshold,
-            "time_tol_secs": config.adjudication.time_tol_secs,
-            "dist_tol_m": config.adjudication.dist_tol_m,
-        },
-        "timeline": timeline,
-        "attack": None,
-    }
-    if config.attack is not None:
-        out["attack"] = {
-            "class": config.attack.attack_class.value,
-            "at": config.attack.at,
-            "actor": config.attack.actor,
-            "target_kind": config.attack.target_kind.value if config.attack.target_kind else None,
-        }
-    return out
+    return _to_jsonable(config)
+
+
+def read_json(path: str):
+    """The JSON value in the file at `path`; text that is not UTF-8 JSON
+    raises ConfigError at `$`.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ConfigError("$", f"not valid JSON: {exc}") from None
 
 
 def load_config(path: str) -> ScenarioConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError("$", f"not valid JSON: {exc}") from None
-    return config_from_jsonable(data)
+    return config_from_jsonable(read_json(path))
 
 
 # --- report -------------------------------------------------------------------
@@ -617,10 +612,6 @@ class _VehicleActor:
     base_loc: GeoPoint
     cert_history: list[tuple[KeyPair, PseudonymCertificate]] = field(default_factory=list)
 
-    @property
-    def current_credentials(self) -> tuple[KeyPair, PseudonymCertificate]:
-        return self.cert_history[-1]
-
     def cert_ids(self) -> frozenset[Hash256]:
         return frozenset(cert.cert_id for _, cert in self.cert_history)
 
@@ -657,17 +648,6 @@ class _CollisionTracker:
     adjudicated: bool = False
 
 
-_FIXED_MEMBERS = {
-    "am": ("am-0", Role.MANUFACTURER),
-    "st": ("st-0", Role.TECHNICIAN),
-    "ic": ("ic-0", Role.INSURER),
-    "gta": ("gta-0", Role.TRANSPORT_AUTHORITY),
-    "la": ("la-0", Role.LEGAL_AUTHORITY),
-    "ca": ("ca-0", Role.CERT_AUTHORITY),
-}
-
-INFRASTRUCTURE_ACTORS = frozenset({"am-0", "st-0", "ic-0", "gta-0", "la-0"})
-
 P1 = Partition.OPERATIONAL
 P2 = Partition.DECISIONAL
 
@@ -686,13 +666,11 @@ class ScenarioEngine:
         # fixed infrastructure actors
         self.ca_keys = generate_keypair(self.rng_keys)
         self.fixed_keys: dict[EntityId, KeyPair] = {}
-        for short in ("am", "st", "ic", "gta", "la"):
-            entity, _role = _FIXED_MEMBERS[short]
+        for entity in INFRASTRUCTURE_ACTORS:
             self.fixed_keys[entity] = generate_keypair(self.rng_keys)
         self.p2_shared_key = derive_shared_key(self.rng_keys)
 
         self.escrow = IdentityEscrow("gta-0", "la-0")
-        self.blob_store = BlobStore()
 
         # vehicles
         self.vehicles: list[_VehicleActor] = []
@@ -772,7 +750,7 @@ class ScenarioEngine:
         }
         self.counts = {
             part.value: {
-                bucket: {code: 0 for code in KIND_CODES}
+                bucket: {kind.value: 0 for kind in TxKind}
                 for bucket in ("emitted", "committed", "rejected", "undeliverable")
             }
             for part in (P1, P2)
@@ -817,7 +795,7 @@ class ScenarioEngine:
         return keys, cert
 
     def _capture_media(self, at: float, n: int = 2) -> TamperStoreDigest:
-        hashes = tuple(self.blob_store.put(self.rng_payload.randbytes(48)) for _ in range(n))
+        hashes = tuple(hashlib.sha256(self.rng_payload.randbytes(48)).digest() for _ in range(n))
         return TamperStoreDigest(media_hashes=hashes, captured_at=at)
 
     def _make_esm(
@@ -1093,7 +1071,7 @@ class ScenarioEngine:
         at = self.now
         _keys, cert = self._rotate(vehicle, at)
         body = MaintenanceBody(
-            report_hash=self.blob_store.put(self.rng_payload.randbytes(64)),
+            report_hash=hashlib.sha256(self.rng_payload.randbytes(64)).digest(),
             roadworthy=ev.roadworthy,
             technician="st-0",
             submitted_at=at,
@@ -1109,7 +1087,7 @@ class ScenarioEngine:
 
     def _run_update_event(self, ev: UpdateEvent) -> None:
         self._update_counter += 1
-        update_hash = self.blob_store.put(self.rng_payload.randbytes(96))
+        update_hash = hashlib.sha256(self.rng_payload.randbytes(96)).digest()
         metadata = f"update-{self._update_counter}"
         sub = _Submission(kind=TxKind.UPDATE, partition=P1)
         self.counts[P1.value]["emitted"][TxKind.UPDATE.value] += 1

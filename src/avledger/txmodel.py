@@ -30,7 +30,6 @@ from .errors import (
     DuplicateSigner,
     MalformedBody,
     MissingCertificate,
-    NotFound,
     NotMultiSig,
 )
 from .identity import (
@@ -431,12 +430,6 @@ _BODY_TYPES: dict[TxKind, type] = {
     TxKind.EVIDENCE_REQUEST: EvidenceRequestBody,
 }
 
-# Kinds whose first (proposing) signature is made under the attached
-# pseudonym certificate rather than a fixed infrastructure key.
-VEHICLE_PROPOSED_KINDS = frozenset(
-    {TxKind.EVENT_SAFETY, TxKind.COLLISION_EVIDENCE, TxKind.EXECUTION}
-)
-
 # Required signer roles, in order, per kind. The update instruction is the
 # only multi-signature kind: maker first, vehicle countersigns.
 SIGNER_TEMPLATE: dict[TxKind, tuple[Role, ...]] = {
@@ -629,10 +622,11 @@ def check_tx(
     """The transaction-validity rule, shared by consensus and offline
     verification. Returns the first policy that fails, in this order:
     schema (structure, evidence hash, tid), authorization in genesis's
-    partition, completeness, the certificate's CA signature and its window
-    at the body timestamp (so the verdict replays), signatures, uniqueness
-    against `committed` (tid to transaction, all accepted before tx), and
-    an execution report's parent update in `committed`.
+    partition, completeness, the certificate's signature by any of
+    genesis's CA roots and its window at the body timestamp (so the
+    verdict replays), signatures, uniqueness against `committed` (tid to
+    transaction, all accepted before tx), and an execution report's
+    parent update in `committed`.
 
     `ca_checked` holds certificates already found CA-signed, so a caller
     judging many transactions CA-checks each certificate once.
@@ -662,7 +656,7 @@ def check_tx(
 
     # Certificate, then signatures.
     if ca_checked is None or tx.cert not in ca_checked:
-        if not certificate_signature_ok(tx.cert, genesis.ca_certificates[0].public_key):
+        if not any(certificate_signature_ok(tx.cert, r.public_key) for r in genesis.ca_certificates):
             return Reason.BAD_SIGNATURE
         if ca_checked is not None:
             ca_checked.add(tx.cert)
@@ -723,34 +717,6 @@ def countersign(tx: Transaction, keys: KeyPair, role: Role) -> Transaction:
     if any(entry.role == role for entry in tx.signatures):
         raise DuplicateSigner(f"role {role.value} already signed")
     return tx.with_signature(SigEntry(role=role, signature=sign_tx_digest(keys.secret_key, tx.tid)))
-
-
-# --- off-chain media store ---------------------------------------------------
-
-class BlobStore:
-    """Content-addressed store for sensor media; the chain only ever holds
-    the SHA-256 keys.
-    """
-
-    def __init__(self) -> None:
-        self._blobs: dict[Hash256, bytes] = {}
-
-    def put(self, data: bytes) -> Hash256:
-        key = hashlib.sha256(data).digest()
-        self._blobs[key] = data
-        return key
-
-    def get(self, key: Hash256) -> bytes:
-        try:
-            return self._blobs[key]
-        except KeyError:
-            raise NotFound(f"no blob {key.hex()}") from None
-
-    def has(self, key: Hash256) -> bool:
-        return key in self._blobs
-
-    def __len__(self) -> int:
-        return len(self._blobs)
 
 
 # --- debug rendering ---------------------------------------------------------

@@ -23,8 +23,7 @@ from typing import Mapping, Optional, Sequence
 from .errors import NotDiverged, ReplicaMismatch, Unattributable
 from .identity import EntityId
 from .ledger import PartitionLedger, fold_ids
-# AUTHORIZED_PROPOSERS and Reason live beside check_tx and stay importable here.
-from .txmodel import AUTHORIZED_PROPOSERS, Hash256, Partition, Reason, Transaction, check_tx  # noqa: F401
+from .txmodel import AUTHORIZED_PROPOSERS, Hash256, Partition, Reason, Transaction, check_tx
 
 
 class Decision(str, enum.Enum):
@@ -178,3 +177,20 @@ def audit_record(round_: ConsensusRound) -> dict:
             for validator, vote in round_.votes.items()
         },
     }
+
+
+# AUTHORIZED_PROPOSERS and Reason live beside check_tx and stay importable here.
+__all__ = [
+    "AUTHORIZED_PROPOSERS",
+    "Reason",
+    "Decision",
+    "Verdict",
+    "verify_transaction",
+    "RoundOutcome",
+    "Vote",
+    "ConsensusRound",
+    "candidate_fold",
+    "run_consensus",
+    "detect_tamper",
+    "audit_record",
+]

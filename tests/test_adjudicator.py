@@ -25,12 +25,10 @@ from avledger.txmodel import (
     EstDigest,
     EventTrigger,
     GeoPoint,
-    TxKind,
 )
 
 from worldkit import (
     make_edata,
-    make_est,
     make_et,
     make_mt,
     make_pet,

@@ -66,6 +66,8 @@ def test_run_usage_errors(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert run_cli("run", str(bad)) == 2
+    bad.write_bytes(b"\xff\xfe{}")
+    assert run_cli("run", str(bad)) == 2
     capsys.readouterr()
 
 
@@ -185,7 +187,26 @@ def test_adjudicate_usage_errors(tmp_path, capsys):
     case_path.write_text(json.dumps(case))
     assert run_cli("adjudicate", str(ledger_path), str(case_path)) == 2
     assert run_cli("adjudicate", str(ledger_path), str(tmp_path / "nope.json")) == 2
+    case_path.write_bytes(b"\xff\xfe{}")
+    assert run_cli("adjudicate", str(ledger_path), str(case_path)) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "mangle, field",
+    [
+        (lambda c: c["parties"][0].__setitem__("cert_ids", 5), "$.parties[0].cert_ids"),
+        (lambda c: c.__setitem__("witness_pet_tids", 7), "$.witness_pet_tids"),
+        (lambda c: c.__setitem__("maker", None), "$.maker"),
+    ],
+    ids=["cert_ids", "witness_pet_tids", "maker"],
+)
+def test_adjudicate_case_shape_errors_name_the_field(tmp_path, capsys, mangle, field):
+    ledger_path, case_path, case = _small_case(tmp_path)
+    mangle(case)
+    case_path.write_text(json.dumps(case))
+    assert run_cli("adjudicate", str(ledger_path), str(case_path)) == 2
+    assert capsys.readouterr().err.startswith(f"error: {field}: ")
 
 
 # --- keys ---------------------------------------------------------------------

@@ -13,23 +13,19 @@ small_text = st.text(max_size=32)
 
 @given(
     st.integers(0, 2**8 - 1),
-    st.integers(0, 2**16 - 1),
     st.integers(0, 2**32 - 1),
-    st.integers(0, 2**64 - 1),
     finite_f64,
     st.booleans(),
     st.binary(min_size=32, max_size=32),
     small_blob,
     small_text,
 )
-def test_scalar_round_trip(a, b, c, d, f, flag, fixed, blob, text):
+def test_scalar_round_trip(a, c, f, flag, fixed, blob, text):
     w = Writer()
-    w.u8(a).u16(b).u32(c).u64(d).f64(f).boolean(flag).fixed(fixed, 32).blob(blob).text(text)
+    w.u8(a).u32(c).f64(f).boolean(flag).fixed(fixed, 32).blob(blob).text(text)
     r = Reader(w.getvalue())
     assert r.u8() == a
-    assert r.u16() == b
     assert r.u32() == c
-    assert r.u64() == d
     assert r.f64() == f
     assert r.boolean() == flag
     assert r.fixed(32) == fixed
@@ -111,11 +107,7 @@ def test_out_of_range_integers_rejected():
     with pytest.raises(ValueError):
         w.u8(256)
     with pytest.raises(ValueError):
-        w.u16(-1)
-    with pytest.raises(ValueError):
         w.u32(2**32)
-    with pytest.raises(ValueError):
-        w.u64(2**64)
 
 
 def test_fixed_length_enforced():

@@ -1,0 +1,62 @@
+"""Source hygiene: no module imports a name it never uses.
+
+A name listed in the module's ``__all__`` counts as used, since that is
+how a module re-exports what it imports.
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+MODULES = sorted(
+    path
+    for pattern in ("src/avledger/*.py", "tests/*.py", "scripts/*.py")
+    for path in ROOT.glob(pattern)
+)
+
+
+def _annotations(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and node.annotation is not None:
+            yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def _used_names(tree: ast.AST) -> set[str]:
+    """Every name the module reads, including those inside string
+    annotations such as "GenesisBlock"."""
+    trees = [tree]
+    for annotation in _annotations(tree):
+        trees += [
+            ast.parse(sub.value, mode="eval")
+            for sub in ast.walk(annotation)
+            if isinstance(sub, ast.Constant) and isinstance(sub.value, str)
+        ]
+    return {node.id for t in trees for node in ast.walk(t) if isinstance(node, ast.Name)}
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = set()
+    exported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported |= {elt.value for elt in node.value.elts}
+    return sorted(imported - _used_names(tree) - exported)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

@@ -17,7 +17,6 @@ from avledger.identity import (
     rotate_pseudonym,
     seal_to_key,
     sign_tx_digest,
-    verify_certificate,
     verify_tx_digest,
 )
 
@@ -53,10 +52,11 @@ def test_certificate_window_is_half_open():
     world = make_world()
     subject = generate_keypair(world.rng)
     cert = issue_certificate(world.ca, subject.public_key, 1000.0, 300.0, world.rng)
-    assert verify_certificate(cert, world.ca.public_key, 1000.0)
-    assert verify_certificate(cert, world.ca.public_key, 1299.999)
-    assert not verify_certificate(cert, world.ca.public_key, 1300.0)
-    assert not verify_certificate(cert, world.ca.public_key, 999.999)
+    assert certificate_signature_ok(cert, world.ca.public_key)
+    assert cert.window_contains(1000.0)
+    assert cert.window_contains(1299.999)
+    assert not cert.window_contains(1300.0)
+    assert not cert.window_contains(999.999)
 
 
 @given(st.floats(min_value=-400.0, max_value=700.0, allow_nan=False))
@@ -65,7 +65,7 @@ def test_certificate_window_matches_interval_predicate(offset):
     subject = generate_keypair(world.rng)
     cert = issue_certificate(world.ca, subject.public_key, 5000.0, 300.0, world.rng)
     expected = 5000.0 <= 5000.0 + offset < 5300.0
-    assert verify_certificate(cert, world.ca.public_key, 5000.0 + offset) == expected
+    assert cert.window_contains(5000.0 + offset) == expected
 
 
 def test_certificate_signature_binds_all_fields():

@@ -4,7 +4,6 @@ chain-verification level.
 
 import dataclasses
 import hashlib
-import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,7 +11,6 @@ from hypothesis import given, strategies as st
 from avledger.errors import InvalidGenesis, LedgerFormatError, UniquenessViolation
 from avledger.identity import generate_keypair, issue_certificate
 from avledger.ledger import (
-    PartitionLedger,
     chain_faults,
     fold_ids,
     fold_step,

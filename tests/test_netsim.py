@@ -9,11 +9,8 @@ from avledger.errors import ClockViolation, NotCommitted
 from avledger.netsim import (
     BRIDGE_SENDER,
     Network,
-    SimClock,
     forward_evidence_request,
 )
-from avledger.txmodel import Partition
-
 from worldkit import make_edata, make_est, make_ret, make_world
 
 ALMOST_ALWAYS_DROP = 1.0 - 1e-9

@@ -1,7 +1,6 @@
 """End-to-end scenario runs: determinism, accounting conservation, the
 three adversary classes, and configuration handling."""
 
-import copy
 import dataclasses
 import json
 
@@ -28,7 +27,7 @@ from avledger.scenarios import (
     run_scenario,
     tamper_cblock,
 )
-from avledger.txmodel import EventTrigger, TxKind, compute_edata_hash
+from avledger.txmodel import EventTrigger, compute_edata_hash
 
 from worldkit import make_edata, make_est, make_world
 

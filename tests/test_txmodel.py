@@ -6,13 +6,9 @@ import dataclasses
 import pytest
 from hypothesis import given, strategies as st
 
-from avledger.errors import DuplicateSigner, MalformedBody, NotFound, NotMultiSig
+from avledger.errors import DuplicateSigner, MalformedBody, NotMultiSig
 from avledger.txmodel import (
-    BlobStore,
-    DriveMode,
     EventTrigger,
-    EvidenceData,
-    EvidenceRequestBody,
     GeoPoint,
     Reason,
     Role,
@@ -37,7 +33,6 @@ from worldkit import (
     make_mt,
     make_pet,
     make_ret,
-    make_ts_data,
     make_ut,
     make_world,
     vehicle_credentials,
@@ -222,16 +217,3 @@ def test_build_rejects_mismatched_body_type():
     pet = make_pet(world, creds=creds)
     with pytest.raises(MalformedBody):
         build_transaction(TxKind.EVENT_SAFETY, pet.body, creds[0], creds[1])
-
-
-# --- blob store ---------------------------------------------------------------
-
-def test_blob_store_is_content_addressed():
-    store = BlobStore()
-    key = store.put(b"front-camera-frame")
-    assert store.has(key)
-    assert store.get(key) == b"front-camera-frame"
-    assert store.put(b"front-camera-frame") == key
-    assert len(store) == 1
-    with pytest.raises(NotFound):
-        store.get(b"\x00" * 32)

@@ -6,9 +6,9 @@ import dataclasses
 import pytest
 
 from avledger.errors import NotDiverged, ReplicaMismatch, Unattributable
-from avledger.ledger import PartitionLedger
+from avledger.ledger import PartitionLedger, chain_faults, make_genesis
 from avledger.scenarios import tamper_cblock
-from avledger.txmodel import Partition, Role, TxKind
+from avledger.txmodel import Partition, Role
 from avledger.validation import (
     Reason,
     RoundOutcome,
@@ -69,7 +69,7 @@ def test_unauthorized_proposer_role():
     est = make_est(world, creds=creds)
     # Re-sign the same content as if the technician proposed it.
     from avledger.identity import sign_tx_digest
-    from avledger.txmodel import SigEntry, Transaction
+    from avledger.txmodel import SigEntry
 
     forged = dataclasses.replace(
         est,
@@ -130,6 +130,17 @@ def test_foreign_ca_certificate_rejected():
     stranger = make_world(seed=29)  # different CA root
     est = make_est(stranger)
     assert _verdict(world, est).reason is Reason.BAD_SIGNATURE
+
+
+def test_certificate_from_any_genesis_root_accepted():
+    world = make_world(seed=28)
+    second = make_world(seed=29)
+    genesis = make_genesis(Partition.OPERATIONAL, [world.root, second.root], world.p1.membership)
+    ledger = PartitionLedger(genesis)
+    est = make_est(second)
+    assert verify_transaction(est, ledger).reason is Reason.OK
+    ledger.append_validated(est)
+    assert chain_faults(ledger) == []
 
 
 def test_malformed_body_rejected():

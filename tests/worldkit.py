@@ -20,7 +20,6 @@ from avledger.ledger import CaRootCert, GenesisBlock, MemberRecord, PartitionLed
 from avledger.txmodel import (
     CollisionEvidenceBody,
     DriveMode,
-    EstDigest,
     EventSafetyBody,
     EventSafetyMessage,
     EventTrigger,
