@@ -41,7 +41,7 @@ from .ledger import (
     save_ledger,
     verify_chain,
 )
-from .netsim import Network, SimClock, forward_evidence_request
+from .netsim import Network, SimClock
 from .scenarios import (
     AttackClass,
     ScenarioConfig,
@@ -121,7 +121,6 @@ __all__ = [
     "countersign",
     "cross_check_edata",
     "detect_tamper",
-    "forward_evidence_request",
     "generate_keypair",
     "issue_certificate",
     "load_ledger",

@@ -125,13 +125,7 @@ def check_staged(
     before the collision reaches the threshold: a driving pattern
     consistent with provoking the crash on purpose.
     """
-    count = sum(
-        1
-        for d in est_digests
-        if d.trigger is EventTrigger.HARD_BRAKE
-        and collision_at - window_secs <= d.ts < collision_at
-    )
-    return count >= threshold
+    return len(staged_evidence_tids(est_digests, collision_at, window_secs)) >= threshold
 
 
 def staged_evidence_tids(
@@ -139,6 +133,7 @@ def staged_evidence_tids(
     collision_at: float,
     window_secs: float,
 ) -> list[Hash256]:
+    """The hard-brake reports in [collision_at - window_secs, collision_at)."""
     return [
         d.tid
         for d in est_digests

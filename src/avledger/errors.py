@@ -77,10 +77,6 @@ class Unattributable(AvLedgerError):
 
 # --- network ----------------------------------------------------------------
 
-class NotCommitted(AvLedgerError):
-    """Cross-partition forwarding requested for an uncommitted transaction."""
-
-
 class ClockViolation(AvLedgerError):
     """Attempt to move the virtual clock backwards."""
 

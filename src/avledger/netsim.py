@@ -18,10 +18,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .errors import ClockViolation, NotCommitted
+from .errors import ClockViolation
 from .identity import EntityId
-from .ledger import PartitionLedger
-from .txmodel import Hash256, Transaction, TxKind
 
 DEFAULT_RETRY_INTERVAL_SECS = 30.0
 DEFAULT_MAX_ATTEMPTS = 10
@@ -201,34 +199,3 @@ class Network:
                 self.on_dead(record)
             return
         heapq.heappush(self._heap, (at + self.retry_interval, record.envelope.msg_id, record))
-
-
-# --- cross-partition bridge ---------------------------------------------------
-
-BRIDGE_SENDER = "partition:P1"
-
-
-@dataclass
-class ForwardReceipt:
-    """Link between an evidence request committed in the operational
-    partition and its consensus round in the decision partition. The
-    outcome field is filled once the decision round runs.
-    """
-
-    p1_tid: Hash256
-    delivery: DeliveryRecord
-    p2_outcome: Optional[str] = None
-
-
-def forward_evidence_request(
-    net: Network,
-    ret: Transaction,
-    p1_ledger: PartitionLedger,
-) -> ForwardReceipt:
-    """Hands a committed evidence request over to the decision partition."""
-    if ret.kind is not TxKind.EVIDENCE_REQUEST:
-        raise NotCommitted(f"only evidence requests cross partitions, got {ret.kind.value}")
-    if ret.tid not in p1_ledger.tid_index:
-        raise NotCommitted(f"evidence request {ret.tid.hex()[:16]} is not committed")
-    record = net.send_with_retry(sender=BRIDGE_SENDER, dest="P2", payload=ret)
-    return ForwardReceipt(p1_tid=ret.tid, delivery=record)

@@ -63,13 +63,11 @@ from .ledger import (
     make_genesis,
 )
 from .netsim import (
-    BRIDGE_SENDER,
     DEFAULT_MAX_ATTEMPTS,
     DEFAULT_RETRY_INTERVAL_SECS,
     DeliveryRecord,
     Envelope,
     Network,
-    forward_evidence_request,
 )
 from .txmodel import (
     CollisionEvidenceBody,
@@ -229,8 +227,22 @@ def _at_least(minimum, types, expected: str) -> JsonReader:
 
 
 def number(minimum: Optional[float] = None) -> JsonReader:
+    """A finite number, read as a float. Python's json reads NaN and
+    Infinity, and NaN passes every bound check, so non-finite values are
+    refused here.
+    """
     read = _at_least(minimum, (int, float), "a number")
-    return lambda value, path: float(read(value, path))
+
+    def read_finite(value, path: str) -> float:
+        try:
+            result = float(read(value, path))
+        except OverflowError:  # an integer too large for a float
+            result = math.inf
+        if not math.isfinite(result):
+            raise ConfigError(path, f"expected a finite number, got {value!r}")
+        return result
+
+    return read_finite
 
 
 def integer(minimum: Optional[int] = None) -> JsonReader:
@@ -597,7 +609,10 @@ _TERMINAL_STATES = ("committed", "rejected", "undeliverable")
 
 @dataclass
 class _Submission:
-    """One transaction's journey toward one partition."""
+    """One transaction's journey toward one partition: the tracking token
+    every engine message carries beside its data, from emission to the
+    terminal bucket it ends in.
+    """
 
     kind: TxKind
     partition: Partition
@@ -624,7 +639,6 @@ class _PendingReplicaAttack:
     armed_at: float
     target_kind: Optional[TxKind]
     applied: bool = False
-    victim_tid: Optional[Hash256] = None
 
 
 @dataclass
@@ -634,8 +648,6 @@ class _CollisionTracker:
     collision_at: float
     involved: list[EntityId]
     fleeing: Optional[EntityId]
-    witnesses: list[EntityId]
-    collision_certs: dict[EntityId, Hash256]
     pet_tids: dict[EntityId, Hash256] = field(default_factory=dict)
     witness_pet_tids: list[Hash256] = field(default_factory=list)
     pending_pets: int = 0
@@ -643,13 +655,16 @@ class _CollisionTracker:
     rets_scheduled: bool = False
     submissions: dict[tuple[EntityId, EntityId], EvidenceData] = field(default_factory=dict)
     ret_tids: dict[tuple[EntityId, EntityId], Hash256] = field(default_factory=dict)
-    forged_submitters: list[EntityId] = field(default_factory=list)
     revealed: bool = False
     adjudicated: bool = False
 
 
 P1 = Partition.OPERATIONAL
 P2 = Partition.DECISIONAL
+
+# The sender name of the cross-partition bridge: an evidence request
+# committed in P1 is forwarded to P2 under this name.
+BRIDGE_SENDER = "partition:P1"
 
 
 class ScenarioEngine:
@@ -682,6 +697,7 @@ class ScenarioEngine:
             )
             self.vehicles.append(_VehicleActor(entity_id=entity, spec=spec, base_loc=base))
             self.escrow.register_vehicle(entity)
+        self._vehicle_of = {v.entity_id: v for v in self.vehicles}
 
         # genesis and replicas
         ca_root = CaRootCert(name="fleet-root-ca", public_key=self.ca_keys.public_key)
@@ -721,15 +737,15 @@ class ScenarioEngine:
             max_attempts=config.network.max_attempts,
         )
         self.net.on_dead = self._on_dead_send
-        vehicle_ids = {v.entity_id for v in self.vehicles}
+        vehicle_ids = set(self._vehicle_of)
         self.net.register_endpoint(
             "P1",
-            self._make_ingest(P1),
+            lambda envelope: self._ingest(P1, *envelope.payload),
             allowed_senders=vehicle_ids | {"am-0", "st-0", "ic-0"},
         )
         self.net.register_endpoint(
             "P2",
-            self._make_ingest(P2),
+            lambda envelope: self._ingest(P2, *envelope.payload),
             allowed_senders={"ic-0", "am-0", BRIDGE_SENDER},
         )
         self.net.register_endpoint("am-0", self._maker_inbox, allowed_senders=vehicle_ids)
@@ -755,8 +771,6 @@ class ScenarioEngine:
             }
             for part in (P1, P2)
         }
-        self._commit_hooks: dict[tuple[Partition, Hash256], list[Callable[[ConsensusRound], None]]] = {}
-        self._p2_pending: dict[Hash256, _Submission] = {}
         self._timers: list[tuple[float, int, Callable[[], None]]] = []
         self._timer_seq = 0
         self._collisions: list[_CollisionTracker] = []
@@ -832,81 +846,38 @@ class ScenarioEngine:
 
     # -- submission pipeline ---------------------------------------------------
 
-    def _submit(
+    def _track(
         self,
-        tx: Transaction,
-        sender: EntityId,
+        kind: TxKind,
         partition: Partition,
         on_terminal: Optional[Callable[[str, Optional[ConsensusRound]], None]] = None,
-        sub: Optional[_Submission] = None,
     ) -> _Submission:
-        """Sends a transaction toward a partition under a tracking token.
-
-        A fresh token counts as one emission; passing an existing token
-        carries an earlier emission (the multi-hop update flow) through to
-        its ledger outcome without double counting.
+        """Counts one emission and returns its tracking token. The token
+        rides along every message of the flow (the multi-hop update flow
+        carries it through the vehicle and the maker) until `_finish`
+        puts it in exactly one terminal bucket.
         """
-        if sub is None:
-            sub = _Submission(kind=tx.kind, partition=partition, on_terminal=on_terminal)
-            self.counts[partition.value]["emitted"][tx.kind.value] += 1
-        elif on_terminal is not None:
-            sub.on_terminal = on_terminal
-        self.net.send_with_retry(sender, partition.value, ("tx", tx, sub))
-        return sub
+        self.counts[partition.value]["emitted"][kind.value] += 1
+        return _Submission(kind=kind, partition=partition, on_terminal=on_terminal)
+
+    def _send(self, sender: EntityId, dest: str, sub: _Submission, data: object) -> None:
+        self.net.send_with_retry(sender, dest, (sub, data))
 
     def _finish(self, sub: _Submission, state: str, round_: Optional[ConsensusRound]) -> None:
-        assert state in _TERMINAL_STATES
-        if sub.state != "pending":
-            return
+        assert state in _TERMINAL_STATES and sub.state == "pending", (sub, state)
         sub.state = state
         self.counts[sub.partition.value][state][sub.kind.value] += 1
         if sub.on_terminal:
             sub.on_terminal(state, round_)
 
     def _on_dead_send(self, record: DeliveryRecord) -> None:
-        payload = record.envelope.payload
-        if isinstance(payload, Transaction):
-            # a bridge forward that never reached the decision partition
-            sub = self._p2_pending.pop(payload.tid, None)
-            if sub is not None:
-                self._finish(sub, "undeliverable", None)
-            return
-        if not (isinstance(payload, tuple) and payload):
-            return
-        tag = payload[0]
-        if tag == "tx":
-            self._finish(payload[2], "undeliverable", None)
-        elif tag == "update_instruction":
-            # the update never reached the vehicle, so no transaction was
-            # ever assembled; the planned emission still has to land in a
-            # terminal bucket
-            self._finish(payload[2], "undeliverable", None)
-        elif tag == "update_signed":
-            self._finish(payload[2], "undeliverable", None)
+        # Any message of a flow can die: an update instruction that never
+        # reached its vehicle still ends its planned emission here.
+        self._finish(record.envelope.payload[0], "undeliverable", None)
 
     # -- consensus ingest --------------------------------------------------------
 
-    def _make_ingest(self, partition: Partition) -> Callable[[Envelope], None]:
-        def handle(envelope: Envelope) -> None:
-            payload = envelope.payload
-            if isinstance(payload, Transaction):
-                # the cross-partition bridge carries the bare transaction;
-                # the tracking token was parked under its tid
-                sub = self._p2_pending.pop(payload.tid, None)
-                if sub is None:
-                    sub = _Submission(kind=payload.kind, partition=partition)
-                    self.counts[partition.value]["emitted"][payload.kind.value] += 1
-                self._ingest(partition, payload, sub)
-                return
-            if not (isinstance(payload, tuple) and payload and payload[0] == "tx"):
-                log.warning("ignoring non-transaction payload on %s", partition.value)
-                return
-            _, tx, sub = payload
-            self._ingest(partition, tx, sub)
-
-        return handle
-
-    def _ingest(self, partition: Partition, tx: Transaction, sub: _Submission) -> None:
+    def _ingest(self, partition: Partition, sub: _Submission, tx: Transaction) -> None:
         if self.halted[partition]:
             # the partition stopped committing after divergence; the
             # submission terminates without a round
@@ -937,8 +908,6 @@ class ScenarioEngine:
         if round_.outcome is RoundOutcome.COMMITTED:
             stats["committed"] += 1
             self._finish(sub, "committed", round_)
-            for hook in self._commit_hooks.pop((partition, tx.tid), []):
-                hook(round_)
         elif round_.outcome is RoundOutcome.REJECTED:
             stats["rejected"] += 1
             self._finish(sub, "rejected", round_)
@@ -966,9 +935,6 @@ class ScenarioEngine:
             )
             self._finish(sub, "rejected", round_)
 
-    def _on_commit(self, partition: Partition, tid: Hash256, hook: Callable[[ConsensusRound], None]) -> None:
-        self._commit_hooks.setdefault((partition, tid), []).append(hook)
-
     # -- replica attacks ---------------------------------------------------------
 
     def _maybe_apply_replica_attack(self, partition: Partition) -> None:
@@ -991,7 +957,6 @@ class ScenarioEngine:
         victim = matches[-1]
         tamper_cblock(replica, victim.tid)
         attack.applied = True
-        attack.victim_tid = victim.tid
         log.info(
             "%s applied by %s on %s: removed %s",
             attack.attack_class.value,
@@ -1003,11 +968,8 @@ class ScenarioEngine:
     # -- endpoint handlers -------------------------------------------------------
 
     def _vehicle_inbox(self, envelope: Envelope) -> None:
-        payload = envelope.payload
-        if not (isinstance(payload, tuple) and payload and payload[0] == "update_instruction"):
-            return
-        _, (vid, update_hash, metadata, execution, exec_delay), sub = payload
-        vehicle = self.vehicles[vid]
+        sub, (update_hash, metadata) = envelope.payload
+        vehicle = self._vehicle_of[envelope.dest]
         at = self.now
         keys, cert = self._rotate(vehicle, at)
         body = UpdateBody(update_file_hash=update_hash, metadata=metadata, submitted_at=at)
@@ -1019,28 +981,11 @@ class ScenarioEngine:
             signer_role=Role.MANUFACTURER,
         )
         tx = countersign(tx, keys, Role.VEHICLE)
-        self.net.send_with_retry(
-            vehicle.entity_id, "am-0", ("update_signed", tx, sub, execution, exec_delay)
-        )
+        self._send(vehicle.entity_id, "am-0", sub, tx)
 
     def _maker_inbox(self, envelope: Envelope) -> None:
-        payload = envelope.payload
-        if not (isinstance(payload, tuple) and payload and payload[0] == "update_signed"):
-            return
-        _, tx, sub, execution, exec_delay = payload
-        vid = int(envelope.sender.split("-", 1)[1])
-
-        def after_commit(round_: ConsensusRound) -> None:
-            if execution == "none":
-                return
-            status = ExecStatus.EXECUTED if execution == "executed" else ExecStatus.FAILED
-            self._schedule(
-                self.now + exec_delay,
-                lambda: self._submit_exec_report(vid, tx.tid, status),
-            )
-
-        self._on_commit(P1, tx.tid, after_commit)
-        self._submit(tx, "am-0", P1, sub=sub)
+        sub, tx = envelope.payload
+        self._send("am-0", "P1", sub, tx)
 
     def _submit_exec_report(self, vid: int, parent_tid: Hash256, status: ExecStatus) -> None:
         vehicle = self.vehicles[vid]
@@ -1050,7 +995,7 @@ class ScenarioEngine:
         tx = build_transaction(
             TxKind.EXECUTION, body, keys, cert=cert, parent_tid=parent_tid
         )
-        self._submit(tx, vehicle.entity_id, P1)
+        self._send(vehicle.entity_id, "P1", self._track(tx.kind, P1), tx)
 
     # -- timeline events ---------------------------------------------------------
 
@@ -1064,7 +1009,7 @@ class ScenarioEngine:
         esm = self._make_esm(vehicle, ev.trigger)
         body = EventSafetyBody(ts=at, esm=esm, ts_data=self._capture_media(at))
         tx = build_transaction(TxKind.EVENT_SAFETY, body, keys, cert=cert)
-        self._submit(tx, vehicle.entity_id, P1)
+        self._send(vehicle.entity_id, "P1", self._track(tx.kind, P1), tx)
 
     def _run_maintenance_event(self, ev: MaintenanceEvent) -> None:
         vehicle = self.vehicles[ev.vehicle]
@@ -1083,19 +1028,29 @@ class ScenarioEngine:
             cert=cert,
             signer_role=Role.TECHNICIAN,
         )
-        self._submit(tx, "st-0", P1)
+        self._send("st-0", "P1", self._track(tx.kind, P1), tx)
 
     def _run_update_event(self, ev: UpdateEvent) -> None:
+        """The maker sends an update to a vehicle, which countersigns the
+        UT and hands it back for submission. One token carries the UT
+        through all three hops; once the UT commits, the vehicle's
+        execution report (if any) follows after `exec_delay_secs`.
+        """
         self._update_counter += 1
         update_hash = hashlib.sha256(self.rng_payload.randbytes(96)).digest()
         metadata = f"update-{self._update_counter}"
-        sub = _Submission(kind=TxKind.UPDATE, partition=P1)
-        self.counts[P1.value]["emitted"][TxKind.UPDATE.value] += 1
-        self.net.send_with_retry(
-            "am-0",
-            self.vehicles[ev.vehicle].entity_id,
-            ("update_instruction", (ev.vehicle, update_hash, metadata, ev.execution, ev.exec_delay_secs), sub),
-        )
+
+        def ut_terminal(state: str, round_: Optional[ConsensusRound]) -> None:
+            if state != "committed" or ev.execution == "none":
+                return
+            status = ExecStatus.EXECUTED if ev.execution == "executed" else ExecStatus.FAILED
+            self._schedule(
+                self.now + ev.exec_delay_secs,
+                lambda: self._submit_exec_report(ev.vehicle, round_.tid, status),
+            )
+
+        sub = self._track(TxKind.UPDATE, P1, ut_terminal)
+        self._send("am-0", self.vehicles[ev.vehicle].entity_id, sub, (update_hash, metadata))
 
     def stage_collision(self, ev: CollisionEvent, case_index: int) -> None:
         """The full accident flow: fresh pseudonyms at the scene, witness
@@ -1145,18 +1100,16 @@ class ScenarioEngine:
             collision_at=at,
             involved=involved_ids,
             fleeing=fleeing,
-            witnesses=witness_ids,
-            collision_certs=certs,
         )
         self._collisions.append(tracker)
 
-        def pet_terminal(entity: EntityId, is_witness: bool, tid: Hash256):
+        def pet_terminal(entity: EntityId, is_witness: bool):
             def hook(state: str, round_: Optional[ConsensusRound]) -> None:
                 if state == "committed":
                     if is_witness:
-                        tracker.witness_pet_tids.append(tid)
+                        tracker.witness_pet_tids.append(round_.tid)
                     else:
-                        tracker.pet_tids[entity] = tid
+                        tracker.pet_tids[entity] = round_.tid
                 tracker.pending_pets -= 1
                 self._maybe_start_requests(tracker)
 
@@ -1164,49 +1117,37 @@ class ScenarioEngine:
 
         # Build every PET before submitting any: a zero-loss network
         # delivers synchronously, and the request stage must not open
-        # until the whole batch has resolved.
+        # until the whole batch has resolved. Involved parties come first
+        # (the runaway submits nothing), then the witnesses, who carry no
+        # sealed statements and drive slower.
+        scene = [(e, False) for e in involved_ids if e != fleeing]
+        scene += [(w, True) for w in witness_ids]
         pending: list[tuple[EntityId, bool, Transaction]] = []
-        for vid in ev.vehicles:
-            vu = self.vehicles[vid]
-            if vu.entity_id == fleeing:
-                continue  # the runaway submits nothing
-            keys, cert = creds[vu.entity_id]
+        for entity, is_witness in scene:
+            keys, cert = creds[entity]
             loc = self._jittered_loc(center)
             ts = at + self.rng_sim.uniform(-0.9, 0.9)
-            hv = self._make_esm(vu, EventTrigger.HARD_BRAKE, loc=loc, speed=self.rng_sim.uniform(4.0, 26.0))
+            low, high = (0.0, 20.0) if is_witness else (4.0, 26.0)
+            hv = self._make_esm(
+                self._vehicle_of[entity],
+                EventTrigger.HARD_BRAKE,
+                loc=loc,
+                speed=self.rng_sim.uniform(low, high),
+            )
             edata = EvidenceData.make(
                 loc=loc,
                 ts=ts,
                 hv_data=hv,
                 ts_data=self._capture_media(ts),
-                enc_witness=enc_witness,
+                enc_witness=() if is_witness else enc_witness,
             )
             body = CollisionEvidenceBody(edata=edata, ts_data=self._capture_media(ts, n=1))
             tx = build_transaction(TxKind.COLLISION_EVIDENCE, body, keys, cert=cert)
-            pending.append((vu.entity_id, False, tx))
-
-        for w_entity in witness_ids:
-            keys, cert = creds[w_entity]
-            vu = next(v for v in self.vehicles if v.entity_id == w_entity)
-            loc = self._jittered_loc(center)
-            ts = at + self.rng_sim.uniform(-0.9, 0.9)
-            hv = self._make_esm(vu, EventTrigger.HARD_BRAKE, loc=loc, speed=self.rng_sim.uniform(0.0, 20.0))
-            edata = EvidenceData.make(
-                loc=loc,
-                ts=ts,
-                hv_data=hv,
-                ts_data=self._capture_media(ts),
-                enc_witness=(),
-            )
-            body = CollisionEvidenceBody(edata=edata, ts_data=self._capture_media(ts, n=1))
-            tx = build_transaction(TxKind.COLLISION_EVIDENCE, body, keys, cert=cert)
-            pending.append((w_entity, True, tx))
+            pending.append((entity, is_witness, tx))
 
         tracker.pending_pets = len(pending)
         for entity, is_witness, tx in pending:
-            self._submit(
-                tx, entity, P1, on_terminal=pet_terminal(entity, is_witness, tx.tid)
-            )
+            self._send(entity, "P1", self._track(tx.kind, P1, pet_terminal(entity, is_witness)), tx)
         if not pending:
             # nothing was submitted (single fleeing vehicle); close out
             self._maybe_start_requests(tracker)
@@ -1263,7 +1204,7 @@ class ScenarioEngine:
         subject: EntityId,
         forged: bool,
     ) -> Callable[[], None]:
-        def abandon() -> None:
+        def settle() -> None:
             tracker.pending_rets -= 1
             self._maybe_adjudicate(tracker)
 
@@ -1271,19 +1212,17 @@ class ScenarioEngine:
             honest_p1 = self.honest_replica(P1)
             pet_tid = tracker.pet_tids.get(subject)
             if pet_tid is None:
-                abandon()
+                settle()
                 return
             pet = honest_p1.find(pet_tid)
             if pet is None or self.halted[P1]:
                 # evidence never made it or the partition stopped; no request
-                abandon()
+                settle()
                 return
-            vehicle = next(v for v in self.vehicles if v.entity_id == subject)
+            vehicle = self._vehicle_of[subject]
             edata = pet.body.edata
             if forged:
                 edata = inject_false_information(edata)
-                if requester_entity not in tracker.forged_submitters:
-                    tracker.forged_submitters.append(requester_entity)
             digests = est_history(honest_p1, vehicle.cert_ids())
             body = EvidenceRequestBody(
                 edata=edata,
@@ -1301,35 +1240,20 @@ class ScenarioEngine:
             tracker.submissions[(subject, requester_entity)] = edata
             tracker.ret_tids[(subject, requester_entity)] = tx.tid
 
+            def p2_terminal(state: str, round_: Optional[ConsensusRound]) -> None:
+                if state == "committed":
+                    self._maybe_reveal(tracker, tx)
+                settle()
+
             def p1_terminal(state: str, round_: Optional[ConsensusRound]) -> None:
-                if state != "committed":
-                    tracker.pending_rets -= 1
-                    self._maybe_adjudicate(tracker)
-                    return
-                # The bridge send can deliver synchronously, so the tracking
-                # token is parked under the tid before the forward happens
-                # and the receipt is linked up afterwards via a box.
-                receipt_box: list = []
+                # a committed request crosses the bridge to the decision
+                # partition as a second emission
+                if state == "committed":
+                    self._send(BRIDGE_SENDER, "P2", self._track(tx.kind, P2, p2_terminal), tx)
+                else:
+                    settle()
 
-                def p2_terminal(state2: str, round2: Optional[ConsensusRound]) -> None:
-                    if receipt_box:
-                        receipt_box[0].p2_outcome = state2
-                    if state2 == "committed":
-                        self._maybe_reveal(tracker, tx)
-                    tracker.pending_rets -= 1
-                    self._maybe_adjudicate(tracker)
-
-                sub2 = _Submission(
-                    kind=TxKind.EVIDENCE_REQUEST, partition=P2, on_terminal=p2_terminal
-                )
-                self._p2_pending[tx.tid] = sub2
-                self.counts[P2.value]["emitted"][TxKind.EVIDENCE_REQUEST.value] += 1
-                receipt = forward_evidence_request(self.net, tx, self.honest_replica(P1))
-                receipt_box.append(receipt)
-                if sub2.state != "pending":
-                    receipt.p2_outcome = sub2.state
-
-            self._submit(tx, requester_entity, P1, on_terminal=p1_terminal)
+            self._send(requester_entity, "P1", self._track(tx.kind, P1, p1_terminal), tx)
 
         return submit
 
@@ -1366,7 +1290,7 @@ class ScenarioEngine:
 
         parties = []
         for entity in tracker.involved:
-            vehicle = next(v for v in self.vehicles if v.entity_id == entity)
+            vehicle = self._vehicle_of[entity]
             submitted = {
                 requester: edata
                 for (subject, requester), edata in sorted(tracker.submissions.items())

@@ -71,6 +71,15 @@ def test_run_usage_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_run_nan_drop_probability_is_a_usage_error(tmp_path, capsys):
+    data = config_to_jsonable(make_benign_config(0))
+    data["network"]["drop_prob"] = float("nan")
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(data))  # json writes the bare token NaN
+    assert run_cli("run", str(path)) == 2
+    assert "$.network.drop_prob" in capsys.readouterr().err
+
+
 # --- verify -------------------------------------------------------------------
 
 def test_verify_intact_ledger(artifacts, capsys):

@@ -13,6 +13,12 @@ hand-written parser of commit e295b79, except where that parser crashed
 with ``TypeError`` (an unhashable list or object given for a choice such
 as ``drive_mode``); those cases are pinned as a ``ConfigError`` at the
 mutated field, since a loader may raise only domain errors.
+
+Since then, 159 pins moved on purpose when the ``number`` reader began to
+refuse non-finite values, each to ``err`` at its own mutated path: 82
+``:= nan`` and 48 ``:= inf`` cases the earlier parser accepted, and 29
+``:= inf`` cases on a timeline ``at`` that it rejected one event later
+for time order. No other pin moved.
 """
 
 import copy
@@ -107,3 +113,12 @@ def test_single_field_mutations_keep_their_pinned_outcome(base_name):
 def test_every_base_config_round_trips():
     for data in BASES.values():
         assert config_to_jsonable(config_from_jsonable(data)) == data
+
+
+@pytest.mark.parametrize("bad", [float("nan"), 10**400], ids=["nan", "huge-int"])
+def test_non_finite_event_time_is_rejected_at_its_path(bad):
+    data = config_to_jsonable(make_benign_config(0))
+    data["timeline"][1]["at"] = bad
+    with pytest.raises(ConfigError) as caught:
+        config_from_jsonable(json.loads(json.dumps(data)))
+    assert caught.value.field == "$.timeline[1].at"

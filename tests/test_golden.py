@@ -5,9 +5,14 @@ Each run stores one SHA-256 per artefact that ``avledger run --out``
 writes: the report JSON, the audit log, and the saved P1 and P2 ledger
 files. A refactor that moves any of these bytes is a behaviour change and
 fails here, naming the run and the artefact that moved. The runs cover
-benign seeds 0-19, seeds 0-4 of each attack class, and benign seeds 0-4
-at drop probability 0.7, which exercises the retry and undeliverable
-paths.
+benign seeds 0-19, seeds 0-4 of each attack class, benign seeds 0-4 at
+drop probability 0.7, which exercises the retry and undeliverable paths,
+and benign seeds 0-4 at drop 0.7 with a budget of three attempts. The
+last five lose every kind of engine message at least once: an update
+instruction to a vehicle (seeds 0 and 1), a signed update back to the
+maker (seed 2), a bridge forward of an evidence request to the decision
+partition (seeds 0 and 3) and plain submissions to the operational
+partition (all five).
 
 tests/golden_fingerprints.json is data, not something this module
 writes: when a change moves the bytes on purpose, it says so and the file
@@ -42,6 +47,9 @@ def golden_configs() -> dict[str, ScenarioConfig]:
         base = make_benign_config(seed)
         configs[f"benign-drop0.7-s{seed}"] = replace(
             base, network=replace(base.network, drop_prob=0.7)
+        )
+        configs[f"benign-drop0.7-att3-s{seed}"] = replace(
+            base, network=replace(base.network, drop_prob=0.7, max_attempts=3)
         )
     return configs
 
