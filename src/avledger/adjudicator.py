@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
-from .encoding import Writer
+from .encoding import encode
 from .errors import MalformedCase
 from .identity import EntityId
 from .ledger import PartitionLedger
@@ -62,13 +62,10 @@ class CrossCheckResult(str, enum.Enum):
 
 
 def _content_digest(e: EvidenceData) -> Hash256:
-    # Location and timestamp are judged by tolerance, not equality, so the
-    # byte-level comparison covers everything else.
-    w = Writer()
-    e.hv_data.encode(w)
-    e.ts_data.encode(w)
-    w.items(e.enc_witness, lambda wr, b: wr.blob(b))
-    return hashlib.sha256(w.getvalue()).digest()
+    # Location and timestamp, the first two fields, are judged by tolerance,
+    # not equality, so the byte-level comparison covers the fields after
+    # them up to the evidence hash.
+    return hashlib.sha256(encode(e, start=2, stop=-1)).digest()
 
 
 def cross_check_edata(

@@ -23,7 +23,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PublicKey,
 )
 
-from .encoding import Reader, Writer
+from .encoding import BLOB, F64, Writer, encode, fixed, wire
 from .errors import EscrowDenied, InvalidValidity, UnknownCertificate, UnknownEntity
 
 EntityId = str
@@ -95,36 +95,15 @@ class PseudonymCertificate:
     [issued_at, issued_at + validity_secs).
     """
 
-    cert_id: bytes
-    subject_pubkey: bytes
-    issued_at: float
-    validity_secs: float
-    issuer_signature: bytes
-
-    def encode(self, w: Writer) -> None:
-        w.fixed(self.cert_id, 32)
-        w.fixed(self.subject_pubkey, PUBLIC_KEY_SIZE)
-        w.f64(self.issued_at)
-        w.f64(self.validity_secs)
-        w.blob(self.issuer_signature)
-
-    @classmethod
-    def decode(cls, r: Reader) -> "PseudonymCertificate":
-        return cls(
-            cert_id=r.fixed(32),
-            subject_pubkey=r.fixed(PUBLIC_KEY_SIZE),
-            issued_at=r.f64(),
-            validity_secs=r.f64(),
-            issuer_signature=r.blob(),
-        )
+    cert_id: bytes = wire(fixed(32))
+    subject_pubkey: bytes = wire(fixed(PUBLIC_KEY_SIZE))
+    issued_at: float = wire(F64)
+    validity_secs: float = wire(F64)
+    issuer_signature: bytes = wire(BLOB)
 
     def signed_payload(self) -> bytes:
-        w = Writer()
-        w.fixed(self.cert_id, 32)
-        w.fixed(self.subject_pubkey, PUBLIC_KEY_SIZE)
-        w.f64(self.issued_at)
-        w.f64(self.validity_secs)
-        return _CERT_SIGN_PREFIX + w.getvalue()
+        """What the CA signs: every field but the signature, the last."""
+        return _CERT_SIGN_PREFIX + encode(self, stop=-1)
 
     def window_contains(self, at: float) -> bool:
         return self.issued_at <= at < self.issued_at + self.validity_secs

@@ -20,13 +20,14 @@ from __future__ import annotations
 
 import hashlib
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional
 
-from .encoding import Reader, Writer
+from .encoding import BOOLEAN, TEXT, encode, fixed, items, unpack, wire
 from .errors import InvalidGenesis, LedgerFormatError, NotFound, UniquenessViolation
 from .identity import PUBLIC_KEY_SIZE
 from .txmodel import (
+    HASH,
     HASH_SIZE,
     PARTITION_WIRE,
     ROLE_WIRE,
@@ -63,16 +64,8 @@ def fold_ids(seed: Hash256, tids: Iterable[Hash256]) -> Hash256:
 class CaRootCert:
     """Root verification material of a certificate authority."""
 
-    name: str
-    public_key: bytes
-
-    def encode(self, w: Writer) -> None:
-        w.text(self.name)
-        w.fixed(self.public_key, PUBLIC_KEY_SIZE)
-
-    @classmethod
-    def decode(cls, r: Reader) -> "CaRootCert":
-        return cls(name=r.text(), public_key=r.fixed(PUBLIC_KEY_SIZE))
+    name: str = wire(TEXT)
+    public_key: bytes = wire(fixed(PUBLIC_KEY_SIZE))
 
 
 @dataclass(frozen=True)
@@ -81,43 +74,23 @@ class MemberRecord:
     listed: their credential is a CA certificate, not a membership row.
     """
 
-    entity_id: str
-    role: Role
-    public_key: bytes
-    proposer: bool
-    validator: bool
-
-    def encode(self, w: Writer) -> None:
-        w.text(self.entity_id)
-        ROLE_WIRE.write(w, self.role)
-        w.fixed(self.public_key, PUBLIC_KEY_SIZE)
-        w.boolean(self.proposer)
-        w.boolean(self.validator)
-
-    @classmethod
-    def decode(cls, r: Reader) -> "MemberRecord":
-        return cls(
-            entity_id=r.text(),
-            role=ROLE_WIRE.read(r),
-            public_key=r.fixed(PUBLIC_KEY_SIZE),
-            proposer=r.boolean(),
-            validator=r.boolean(),
-        )
+    entity_id: str = wire(TEXT)
+    role: Role = wire(ROLE_WIRE)
+    public_key: bytes = wire(fixed(PUBLIC_KEY_SIZE))
+    proposer: bool = wire(BOOLEAN)
+    validator: bool = wire(BOOLEAN)
 
 
 @dataclass(frozen=True)
 class GenesisBlock:
-    block_id: Hash256
-    partition: Partition
-    ca_certificates: tuple[CaRootCert, ...]
-    membership: tuple[MemberRecord, ...]
+    """The partition's root record. block_id, the first field, is the
+    SHA-256 of the encoding of every field after it; a saved ledger
+    stores those fields and recomputes the id on load."""
 
-    def encode_fields(self) -> bytes:
-        w = Writer()
-        PARTITION_WIRE.write(w, self.partition)
-        w.items(self.ca_certificates, lambda wr, c: c.encode(wr))
-        w.items(self.membership, lambda wr, m: m.encode(wr))
-        return w.getvalue()
+    block_id: Hash256 = wire(HASH)
+    partition: Partition = wire(PARTITION_WIRE)
+    ca_certificates: tuple[CaRootCert, ...] = wire(items(CaRootCert))
+    membership: tuple[MemberRecord, ...] = wire(items(MemberRecord))
 
     def known_keys(self) -> dict[Role, bytes]:
         return {m.role: m.public_key for m in self.membership}
@@ -137,26 +110,12 @@ def make_genesis(
         raise InvalidGenesis("genesis needs at least one CA root certificate")
     if not any(m.validator for m in membership):
         raise InvalidGenesis("genesis needs at least one validator")
-    stub = GenesisBlock(
-        block_id=b"\x00" * HASH_SIZE,
-        partition=partition,
-        ca_certificates=ca_certificates,
-        membership=membership,
-    )
-    block_id = hashlib.sha256(stub.encode_fields()).digest()
-    return GenesisBlock(
-        block_id=block_id,
-        partition=partition,
-        ca_certificates=ca_certificates,
-        membership=membership,
-    )
+    stub = GenesisBlock(b"", partition, ca_certificates, membership)
+    return replace(stub, block_id=_genesis_id(stub))
 
 
-def _decode_genesis(r: Reader) -> GenesisBlock:
-    partition = PARTITION_WIRE.read(r)
-    ca_certs = tuple(r.items(CaRootCert.decode))
-    membership = tuple(r.items(MemberRecord.decode))
-    return make_genesis(partition, ca_certs, membership)
+def _genesis_id(genesis: GenesisBlock) -> Hash256:
+    return hashlib.sha256(encode(genesis, start=1)).digest()
 
 
 @dataclass
@@ -345,8 +304,7 @@ def chain_faults(ledger: PartitionLedger) -> list[str]:
     """
     faults: list[str] = []
     genesis = ledger.genesis
-    recomputed_genesis = hashlib.sha256(genesis.encode_fields()).digest()
-    if recomputed_genesis != genesis.block_id:
+    if _genesis_id(genesis) != genesis.block_id:
         faults.append("genesis: block id does not match its contents")
     if not genesis.ca_certificates:
         faults.append("genesis: no CA root certificate")
@@ -355,44 +313,32 @@ def chain_faults(ledger: PartitionLedger) -> list[str]:
     committed: dict[Hash256, Transaction] = {}
     ca_checked: set = set()
     prev = genesis.block_id
-
-    def check(tx: Transaction, where: str) -> None:
-        reason = check_tx(tx, genesis, committed, ca_checked)
-        if reason is Reason.OK:
-            committed[tx.tid] = tx
-        else:
-            faults.append(f"{where}: tx {tx.tid.hex()[:16]}: {_FAULT_TEXT[reason]} ({reason.value})")
-
-    for index, block in enumerate(ledger.blocks):
-        where = f"block {index}"
-        if block.prev_block_id != prev:
+    # Sealed blocks and the open block are one sequence of segments; only
+    # a sealed one has a block id and exactly b_max transactions.
+    segments = [(f"block {i}", f"block {i} tx", block) for i, block in enumerate(ledger.blocks)]
+    segments.append(("current block", "current tx", ledger.current))
+    for where, tx_where, seg in segments:
+        if seg.prev_block_id != prev:
             faults.append(f"{where}: previous-block link broken")
-        if len(block.transactions) != len(block.fold_trail):
+        if len(seg.transactions) != len(seg.fold_trail):
             faults.append(f"{where}: fold trail length mismatch")
-        acc = block.prev_block_id
-        for pos, tx in enumerate(block.transactions):
-            check(tx, f"{where} tx {pos}")
+        acc = seg.prev_block_id
+        for pos, tx in enumerate(seg.transactions):
+            reason = check_tx(tx, genesis, committed, ca_checked)
+            if reason is Reason.OK:
+                committed[tx.tid] = tx
+            else:
+                faults.append(f"{tx_where} {pos}: tx {tx.tid.hex()[:16]}: {_FAULT_TEXT[reason]} ({reason.value})")
             acc = fold_step(tx.tid, acc)
-            if pos < len(block.fold_trail) and acc != block.fold_trail[pos]:
-                faults.append(f"{where} tx {pos}: fold value mismatch")
-        if block.transactions and acc != block.block_id:
-            faults.append(f"{where}: block id does not match recomputed fold")
-        if len(block.transactions) != ledger.b_max:
-            faults.append(f"{where}: holds {len(block.transactions)} transactions, capacity is {ledger.b_max}")
-        prev = block.block_id
-
-    cur = ledger.current
-    if cur.prev_block_id != prev:
-        faults.append("current block: previous-block link broken")
-    if len(cur.transactions) != len(cur.fold_trail):
-        faults.append("current block: fold trail length mismatch")
-    acc = cur.prev_block_id
-    for pos, tx in enumerate(cur.transactions):
-        check(tx, f"current tx {pos}")
-        acc = fold_step(tx.tid, acc)
-        if pos < len(cur.fold_trail) and acc != cur.fold_trail[pos]:
-            faults.append(f"current tx {pos}: fold value mismatch")
-    if len(cur.transactions) >= ledger.b_max:
+            if pos < len(seg.fold_trail) and acc != seg.fold_trail[pos]:
+                faults.append(f"{tx_where} {pos}: fold value mismatch")
+        if isinstance(seg, Block):
+            if seg.transactions and acc != seg.block_id:
+                faults.append(f"{where}: block id does not match recomputed fold")
+            if len(seg.transactions) != ledger.b_max:
+                faults.append(f"{where}: holds {len(seg.transactions)} transactions, capacity is {ledger.b_max}")
+            prev = seg.block_id
+    if len(ledger.current.transactions) >= ledger.b_max:
         faults.append("current block: at or over capacity but not sealed")
     return faults
 
@@ -408,7 +354,7 @@ def save_ledger(ledger: PartitionLedger, path: str) -> None:
         fh.write(LEDGER_MAGIC)
         fh.write(LEDGER_VERSION.to_bytes(2, "big"))
         fh.write(ledger.b_max.to_bytes(4, "big"))
-        genesis_bytes = ledger.genesis.encode_fields()
+        genesis_bytes = encode(ledger.genesis, start=1)
         fh.write(len(genesis_bytes).to_bytes(4, "big"))
         fh.write(genesis_bytes)
         for tx, fold in _records_with_folds(ledger):
@@ -450,10 +396,9 @@ def load_ledger(path: str) -> PartitionLedger:
     if b_max < 1:
         raise LedgerFormatError(f"bad block capacity {b_max}")
     genesis_len = int.from_bytes(take(4, "genesis length"), "big")
-    genesis_reader = Reader(take(genesis_len, "genesis record"))
+    genesis_record = take(genesis_len, "genesis record")
     try:
-        genesis = _decode_genesis(genesis_reader)
-        genesis_reader.expect_end()
+        genesis = make_genesis(*unpack(GenesisBlock, genesis_record, start=1))
     except LedgerFormatError:
         raise
     except Exception as exc:

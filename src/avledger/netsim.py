@@ -177,12 +177,7 @@ class Network:
         record.attempts.append((at, delivered))
         if delivered:
             endpoint = self._endpoints.get(record.envelope.dest)
-            if endpoint is None:
-                record.refused = True
-                if self.on_dead:
-                    self.on_dead(record)
-                return
-            if (
+            if endpoint is None or (
                 endpoint.allowed_senders is not None
                 and record.envelope.sender not in endpoint.allowed_senders
             ):

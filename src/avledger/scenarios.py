@@ -40,7 +40,7 @@ from .adjudicator import (
     VerdictFlag,
     adjudicate,
 )
-from .encoding import Reader, Writer
+from .encoding import TEXT, decode, encode, items, wire
 from .errors import ConfigError, MalformedCase, Unattributable
 from .identity import (
     DEFAULT_CERT_VALIDITY_SECS,
@@ -70,6 +70,7 @@ from .netsim import (
     Network,
 )
 from .txmodel import (
+    HASH,
     CollisionEvidenceBody,
     DriveMode,
     EventSafetyBody,
@@ -574,27 +575,9 @@ class WitnessStatement:
     own pseudonym and the pseudonyms it observed at the scene.
     """
 
-    witness_cert_id: Hash256
-    observed_cert_ids: tuple[Hash256, ...]
-    note: str
-
-    def encode(self) -> bytes:
-        w = Writer()
-        w.fixed(self.witness_cert_id, 32)
-        w.items(self.observed_cert_ids, lambda wr, h: wr.fixed(h, 32))
-        w.text(self.note)
-        return w.getvalue()
-
-    @classmethod
-    def decode(cls, data: bytes) -> "WitnessStatement":
-        r = Reader(data)
-        out = cls(
-            witness_cert_id=r.fixed(32),
-            observed_cert_ids=tuple(r.items(lambda rd: rd.fixed(32))),
-            note=r.text(),
-        )
-        r.expect_end()
-        return out
+    witness_cert_id: Hash256 = wire(HASH)
+    observed_cert_ids: tuple[Hash256, ...] = wire(items(HASH))
+    note: str = wire(TEXT)
 
 
 # --- engine internals ---------------------------------------------------------
@@ -1090,7 +1073,7 @@ class ScenarioEngine:
                 note=f"seen at case-{case_index}",
             )
             statements.append(
-                seal_to_key(self.p2_shared_key, stmt.encode(), self.rng_payload)
+                seal_to_key(self.p2_shared_key, encode(stmt), self.rng_payload)
             )
         enc_witness = tuple(statements)
 
@@ -1264,7 +1247,7 @@ class ScenarioEngine:
             return
         honest_p1 = self.honest_replica(P1)
         for sealed in ret.body.edata.enc_witness:
-            stmt = WitnessStatement.decode(open_sealed(self.p2_shared_key, sealed))
+            stmt = decode(WitnessStatement, open_sealed(self.p2_shared_key, sealed))
             for cert_id in stmt.observed_cert_ids:
                 has_pet = bool(
                     honest_p1.query(kind=TxKind.COLLISION_EVIDENCE, cert_id=cert_id)

@@ -22,10 +22,26 @@ from __future__ import annotations
 
 import enum
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Mapping, Optional, Union
 
-from .encoding import Reader, Writer
+from .encoding import (
+    BLOB,
+    BOOLEAN,
+    F64,
+    TEXT,
+    U32,
+    Switch,
+    WireTable,
+    decode,
+    encode,
+    field_values,
+    fixed,
+    items,
+    optional,
+    pack,
+    wire,
+)
 from .errors import (
     DuplicateSigner,
     MalformedBody,
@@ -45,6 +61,7 @@ if TYPE_CHECKING:
 
 Hash256 = bytes
 HASH_SIZE = 32
+HASH = fixed(HASH_SIZE)
 
 
 class TxKind(str, enum.Enum):
@@ -87,25 +104,6 @@ class ExecStatus(str, enum.Enum):
     FAILED = "failed"
 
 
-class WireTable:
-    """An enum's one-byte wire tags, and the reverse map that decodes them."""
-
-    def __init__(self, what: str, tags: dict) -> None:
-        self.what = what
-        self.tags = tags
-        self._members = {code: member for member, code in tags.items()}
-
-    def write(self, w: Writer, member) -> None:
-        w.u8(self.tags[member])
-
-    def read(self, r: Reader):
-        tag = r.u8()
-        member = self._members.get(tag)
-        if member is None:
-            raise MalformedBody(f"unknown {self.what} tag {tag}")
-        return member
-
-
 KIND_WIRE = WireTable("transaction kind", {
     TxKind.EVENT_SAFETY: 1,
     TxKind.COLLISION_EVIDENCE: 2,
@@ -135,58 +133,25 @@ STATUS_WIRE = WireTable("exec status", {ExecStatus.EXECUTED: 0, ExecStatus.FAILE
 
 @dataclass(frozen=True)
 class GeoPoint:
-    lat_deg: float
-    lon_deg: float
-
-    def encode(self, w: Writer) -> None:
-        w.f64(self.lat_deg)
-        w.f64(self.lon_deg)
-
-    @classmethod
-    def decode(cls, r: Reader) -> "GeoPoint":
-        return cls(lat_deg=r.f64(), lon_deg=r.f64())
+    lat_deg: float = wire(F64)
+    lon_deg: float = wire(F64)
 
 
 @dataclass(frozen=True)
 class RoadPosition:
-    lane: int
-    heading_deg: float
-
-    def encode(self, w: Writer) -> None:
-        w.u32(self.lane)
-        w.f64(self.heading_deg)
-
-    @classmethod
-    def decode(cls, r: Reader) -> "RoadPosition":
-        return cls(lane=r.u32(), heading_deg=r.f64())
+    lane: int = wire(U32)
+    heading_deg: float = wire(F64)
 
 
 @dataclass(frozen=True)
 class EventSafetyMessage:
     """Host-vehicle telemetry snapshot at the moment of a triggering event."""
 
-    location: GeoPoint
-    speed_mps: float
-    position: RoadPosition
-    drive_mode: DriveMode
-    trigger: EventTrigger
-
-    def encode(self, w: Writer) -> None:
-        self.location.encode(w)
-        w.f64(self.speed_mps)
-        self.position.encode(w)
-        MODE_WIRE.write(w, self.drive_mode)
-        TRIGGER_WIRE.write(w, self.trigger)
-
-    @classmethod
-    def decode(cls, r: Reader) -> "EventSafetyMessage":
-        return cls(
-            location=GeoPoint.decode(r),
-            speed_mps=r.f64(),
-            position=RoadPosition.decode(r),
-            drive_mode=MODE_WIRE.read(r),
-            trigger=TRIGGER_WIRE.read(r),
-        )
+    location: GeoPoint = wire(GeoPoint)
+    speed_mps: float = wire(F64)
+    position: RoadPosition = wire(RoadPosition)
+    drive_mode: DriveMode = wire(MODE_WIRE)
+    trigger: EventTrigger = wire(TRIGGER_WIRE)
 
 
 @dataclass(frozen=True)
@@ -196,52 +161,22 @@ class TamperStoreDigest:
     blobs themselves live off-chain in a content-addressed store.
     """
 
-    media_hashes: tuple[Hash256, ...]
-    captured_at: float
-
-    def encode(self, w: Writer) -> None:
-        w.items(self.media_hashes, lambda wr, h: wr.fixed(h, HASH_SIZE))
-        w.f64(self.captured_at)
-
-    @classmethod
-    def decode(cls, r: Reader) -> "TamperStoreDigest":
-        return cls(
-            media_hashes=tuple(r.items(lambda rd: rd.fixed(HASH_SIZE))),
-            captured_at=r.f64(),
-        )
+    media_hashes: tuple[Hash256, ...] = wire(items(HASH))
+    captured_at: float = wire(F64)
 
 
 @dataclass(frozen=True)
 class EvidenceData:
-    """Collision evidence bundle. edata_hash is the SHA-256 over the
-    canonical encoding of the five sibling fields (never over itself).
+    """Collision evidence bundle. edata_hash, the last field, is the SHA-256
+    over the canonical encoding of every field before it (never over itself).
     """
 
-    loc: GeoPoint
-    ts: float
-    hv_data: EventSafetyMessage
-    ts_data: TamperStoreDigest
-    enc_witness: tuple[bytes, ...]
-    edata_hash: Hash256
-
-    def encode(self, w: Writer) -> None:
-        self.loc.encode(w)
-        w.f64(self.ts)
-        self.hv_data.encode(w)
-        self.ts_data.encode(w)
-        w.items(self.enc_witness, lambda wr, b: wr.blob(b))
-        w.fixed(self.edata_hash, HASH_SIZE)
-
-    @classmethod
-    def decode(cls, r: Reader) -> "EvidenceData":
-        return cls(
-            loc=GeoPoint.decode(r),
-            ts=r.f64(),
-            hv_data=EventSafetyMessage.decode(r),
-            ts_data=TamperStoreDigest.decode(r),
-            enc_witness=tuple(r.items(lambda rd: rd.blob())),
-            edata_hash=r.fixed(HASH_SIZE),
-        )
+    loc: GeoPoint = wire(GeoPoint)
+    ts: float = wire(F64)
+    hv_data: EventSafetyMessage = wire(EventSafetyMessage)
+    ts_data: TamperStoreDigest = wire(TamperStoreDigest)
+    enc_witness: tuple[bytes, ...] = wire(items(BLOB))
+    edata_hash: Hash256 = wire(HASH)
 
     @classmethod
     def make(
@@ -252,112 +187,50 @@ class EvidenceData:
         ts_data: TamperStoreDigest,
         enc_witness: tuple[bytes, ...] = (),
     ) -> "EvidenceData":
-        digest = compute_edata_hash(loc, ts, hv_data, ts_data, enc_witness)
-        return cls(loc, ts, hv_data, ts_data, enc_witness, digest)
+        hashed = (loc, ts, hv_data, ts_data, enc_witness)
+        return cls(*hashed, compute_edata_hash(*hashed))
 
 
-def compute_edata_hash(
-    loc: GeoPoint,
-    ts: float,
-    hv_data: EventSafetyMessage,
-    ts_data: TamperStoreDigest,
-    enc_witness: tuple[bytes, ...],
-) -> Hash256:
-    w = Writer()
-    loc.encode(w)
-    w.f64(ts)
-    hv_data.encode(w)
-    ts_data.encode(w)
-    w.items(enc_witness, lambda wr, b: wr.blob(b))
-    return hashlib.sha256(w.getvalue()).digest()
+def compute_edata_hash(*hashed) -> Hash256:
+    """The evidence hash of EvidenceData's leading fields, every one but
+    the hash itself, given in declared order."""
+    return hashlib.sha256(pack(EvidenceData, *hashed)).digest()
 
 
 # --- bodies ------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class EventSafetyBody:
-    ts: float
-    esm: EventSafetyMessage
-    ts_data: TamperStoreDigest
-
-    def encode(self, w: Writer) -> None:
-        w.f64(self.ts)
-        self.esm.encode(w)
-        self.ts_data.encode(w)
-
-    @classmethod
-    def decode(cls, r: Reader) -> "EventSafetyBody":
-        return cls(ts=r.f64(), esm=EventSafetyMessage.decode(r), ts_data=TamperStoreDigest.decode(r))
+    ts: float = wire(F64)
+    esm: EventSafetyMessage = wire(EventSafetyMessage)
+    ts_data: TamperStoreDigest = wire(TamperStoreDigest)
 
 
 @dataclass(frozen=True)
 class CollisionEvidenceBody:
-    edata: EvidenceData
-    ts_data: TamperStoreDigest
-
-    def encode(self, w: Writer) -> None:
-        self.edata.encode(w)
-        self.ts_data.encode(w)
-
-    @classmethod
-    def decode(cls, r: Reader) -> "CollisionEvidenceBody":
-        return cls(edata=EvidenceData.decode(r), ts_data=TamperStoreDigest.decode(r))
+    edata: EvidenceData = wire(EvidenceData)
+    ts_data: TamperStoreDigest = wire(TamperStoreDigest)
 
 
 @dataclass(frozen=True)
 class UpdateBody:
-    update_file_hash: Hash256
-    metadata: str
-    submitted_at: float
-
-    def encode(self, w: Writer) -> None:
-        w.fixed(self.update_file_hash, HASH_SIZE)
-        w.text(self.metadata)
-        w.f64(self.submitted_at)
-
-    @classmethod
-    def decode(cls, r: Reader) -> "UpdateBody":
-        return cls(update_file_hash=r.fixed(HASH_SIZE), metadata=r.text(), submitted_at=r.f64())
+    update_file_hash: Hash256 = wire(HASH)
+    metadata: str = wire(TEXT)
+    submitted_at: float = wire(F64)
 
 
 @dataclass(frozen=True)
 class ExecReportBody:
-    exec_status: ExecStatus
-    submitted_at: float
-
-    def encode(self, w: Writer) -> None:
-        STATUS_WIRE.write(w, self.exec_status)
-        w.f64(self.submitted_at)
-
-    @classmethod
-    def decode(cls, r: Reader) -> "ExecReportBody":
-        return cls(
-            exec_status=STATUS_WIRE.read(r),
-            submitted_at=r.f64(),
-        )
+    exec_status: ExecStatus = wire(STATUS_WIRE)
+    submitted_at: float = wire(F64)
 
 
 @dataclass(frozen=True)
 class MaintenanceBody:
-    report_hash: Hash256
-    roadworthy: bool
-    technician: str
-    submitted_at: float
-
-    def encode(self, w: Writer) -> None:
-        w.fixed(self.report_hash, HASH_SIZE)
-        w.boolean(self.roadworthy)
-        w.text(self.technician)
-        w.f64(self.submitted_at)
-
-    @classmethod
-    def decode(cls, r: Reader) -> "MaintenanceBody":
-        return cls(
-            report_hash=r.fixed(HASH_SIZE),
-            roadworthy=r.boolean(),
-            technician=r.text(),
-            submitted_at=r.f64(),
-        )
+    report_hash: Hash256 = wire(HASH)
+    roadworthy: bool = wire(BOOLEAN)
+    technician: str = wire(TEXT)
+    submitted_at: float = wire(F64)
 
 
 @dataclass(frozen=True)
@@ -366,22 +239,9 @@ class EstDigest:
     decision partition as historical behavior proof.
     """
 
-    tid: Hash256
-    ts: float
-    trigger: EventTrigger
-
-    def encode(self, w: Writer) -> None:
-        w.fixed(self.tid, HASH_SIZE)
-        w.f64(self.ts)
-        TRIGGER_WIRE.write(w, self.trigger)
-
-    @classmethod
-    def decode(cls, r: Reader) -> "EstDigest":
-        return cls(
-            tid=r.fixed(HASH_SIZE),
-            ts=r.f64(),
-            trigger=TRIGGER_WIRE.read(r),
-        )
+    tid: Hash256 = wire(HASH)
+    ts: float = wire(F64)
+    trigger: EventTrigger = wire(TRIGGER_WIRE)
 
 
 @dataclass(frozen=True)
@@ -391,25 +251,10 @@ class EvidenceRequestBody:
     evidence and that vehicle's event-safety history digests.
     """
 
-    edata: EvidenceData
-    requester: Role
-    submitted_at: float
-    est_digests: tuple[EstDigest, ...]
-
-    def encode(self, w: Writer) -> None:
-        self.edata.encode(w)
-        ROLE_WIRE.write(w, self.requester)
-        w.f64(self.submitted_at)
-        w.items(self.est_digests, lambda wr, d: d.encode(wr))
-
-    @classmethod
-    def decode(cls, r: Reader) -> "EvidenceRequestBody":
-        return cls(
-            edata=EvidenceData.decode(r),
-            requester=ROLE_WIRE.read(r),
-            submitted_at=r.f64(),
-            est_digests=tuple(r.items(EstDigest.decode)),
-        )
+    edata: EvidenceData = wire(EvidenceData)
+    requester: Role = wire(ROLE_WIRE)
+    submitted_at: float = wire(F64)
+    est_digests: tuple[EstDigest, ...] = wire(items(EstDigest))
 
 
 Body = Union[
@@ -421,14 +266,15 @@ Body = Union[
     EvidenceRequestBody,
 ]
 
-_BODY_TYPES: dict[TxKind, type] = {
+# The kind tag picks the body layout.
+BODY_BY_KIND = Switch("kind", {
     TxKind.EVENT_SAFETY: EventSafetyBody,
     TxKind.COLLISION_EVIDENCE: CollisionEvidenceBody,
     TxKind.UPDATE: UpdateBody,
     TxKind.EXECUTION: ExecReportBody,
     TxKind.MAINTENANCE: MaintenanceBody,
     TxKind.EVIDENCE_REQUEST: EvidenceRequestBody,
-}
+})
 
 # Required signer roles, in order, per kind. The update instruction is the
 # only multi-signature kind: maker first, vehicle countersigns.
@@ -476,26 +322,21 @@ AUTHORIZED_PROPOSERS: dict[Partition, dict[TxKind, frozenset[Role]]] = {
 
 @dataclass(frozen=True)
 class SigEntry:
-    role: Role
-    signature: bytes
-
-    def encode(self, w: Writer) -> None:
-        ROLE_WIRE.write(w, self.role)
-        w.blob(self.signature)
-
-    @classmethod
-    def decode(cls, r: Reader) -> "SigEntry":
-        return cls(role=ROLE_WIRE.read(r), signature=r.blob())
+    role: Role = wire(ROLE_WIRE)
+    signature: bytes = wire(BLOB)
 
 
 @dataclass(frozen=True)
 class Transaction:
-    kind: TxKind
-    body: Body
-    cert: PseudonymCertificate
-    parent_tid: Optional[Hash256]
-    tid: Hash256
-    signatures: tuple[SigEntry, ...] = field(default=())
+    """The canonical record: the tid preimage fields (kind, body, cert,
+    parent_tid), then the tid, then the signatures."""
+
+    kind: TxKind = wire(KIND_WIRE)
+    body: Body = wire(BODY_BY_KIND)
+    cert: PseudonymCertificate = wire(PseudonymCertificate)
+    parent_tid: Optional[Hash256] = wire(optional(HASH))
+    tid: Hash256 = wire(HASH)
+    signatures: tuple[SigEntry, ...] = wire(items(SigEntry), default=())
 
     def with_signature(self, entry: SigEntry) -> "Transaction":
         return Transaction(
@@ -508,27 +349,13 @@ class Transaction:
         )
 
 
-def _encode_body(w: Writer, kind: TxKind, body: Body) -> None:
-    expected = _BODY_TYPES[kind]
-    if not isinstance(body, expected):
-        raise MalformedBody(
-            f"{kind.value} body must be {expected.__name__}, got {type(body).__name__}"
-        )
-    body.encode(w)
-
-
 def encode_tid_preimage(
     kind: TxKind,
     body: Body,
     cert: PseudonymCertificate,
     parent_tid: Optional[Hash256],
 ) -> bytes:
-    w = Writer()
-    KIND_WIRE.write(w, kind)
-    _encode_body(w, kind, body)
-    cert.encode(w)
-    w.optional(parent_tid, lambda wr, h: wr.fixed(h, HASH_SIZE))
-    return w.getvalue()
+    return pack(Transaction, kind, body, cert, parent_tid)
 
 
 def compute_tid(
@@ -541,26 +368,11 @@ def compute_tid(
 
 
 def encode_transaction(tx: Transaction) -> bytes:
-    """Full canonical record: tid preimage fields, then tid, then signatures."""
-    w = Writer()
-    w.raw(encode_tid_preimage(tx.kind, tx.body, tx.cert, tx.parent_tid))
-    w.fixed(tx.tid, HASH_SIZE)
-    w.items(tx.signatures, lambda wr, s: s.encode(wr))
-    return w.getvalue()
+    return encode(tx)
 
 
 def decode_transaction(data: bytes) -> Transaction:
-    r = Reader(data)
-    kind = KIND_WIRE.read(r)
-    body = _BODY_TYPES[kind].decode(r)
-    cert = PseudonymCertificate.decode(r)
-    parent = r.optional(lambda rd: rd.fixed(HASH_SIZE))
-    tid = r.fixed(HASH_SIZE)
-    signatures = tuple(r.items(SigEntry.decode))
-    r.expect_end()
-    return Transaction(
-        kind=kind, body=body, cert=cert, parent_tid=parent, tid=tid, signatures=signatures
-    )
+    return decode(Transaction, data)
 
 
 def body_timestamp(tx: Transaction) -> float:
@@ -578,7 +390,7 @@ def body_timestamp(tx: Transaction) -> float:
 
 def validate_structure(tx: Transaction) -> None:
     """Schema-level checks; raises MalformedBody / MissingCertificate."""
-    expected = _BODY_TYPES[tx.kind]
+    expected = BODY_BY_KIND.cases[tx.kind].cls
     if not isinstance(tx.body, expected):
         raise MalformedBody(
             f"{tx.kind.value} body must be {expected.__name__}, got {type(tx.body).__name__}"
@@ -590,8 +402,6 @@ def validate_structure(tx: Transaction) -> None:
             raise MalformedBody("execution report must reference its update transaction")
     elif tx.parent_tid is not None:
         raise MalformedBody(f"{tx.kind.value} must not carry a parent tid")
-    if len(tx.tid) != HASH_SIZE:
-        raise MalformedBody("tid must be 32 bytes")
     if isinstance(tx.body, EventSafetyBody) and tx.body.esm.speed_mps < 0:
         raise MalformedBody("speed cannot be negative")
     if isinstance(tx.body, CollisionEvidenceBody) and tx.body.edata.hv_data.speed_mps < 0:
@@ -631,16 +441,16 @@ def check_tx(
     `ca_checked` holds certificates already found CA-signed, so a caller
     judging many transactions CA-checks each certificate once.
     """
-    # Schema.
+    # Schema. A field value the encoder cannot write is malformed too.
     try:
         validate_structure(tx)
-    except Exception:
-        return Reason.MALFORMED_BODY
-    if isinstance(tx.body, (CollisionEvidenceBody, EvidenceRequestBody)):
-        e = tx.body.edata
-        if compute_edata_hash(e.loc, e.ts, e.hv_data, e.ts_data, e.enc_witness) != e.edata_hash:
+        if isinstance(tx.body, (CollisionEvidenceBody, EvidenceRequestBody)):
+            e = tx.body.edata
+            if compute_edata_hash(*field_values(e)[:-1]) != e.edata_hash:
+                return Reason.MALFORMED_BODY
+        if compute_tid(tx.kind, tx.body, tx.cert, tx.parent_tid) != tx.tid:
             return Reason.MALFORMED_BODY
-    if compute_tid(tx.kind, tx.body, tx.cert, tx.parent_tid) != tx.tid:
+    except Exception:
         return Reason.MALFORMED_BODY
 
     # Authorization: the proposing role must be allowed to put this kind
@@ -702,10 +512,11 @@ def build_transaction(
         if not signers:
             raise MalformedBody(f"cannot infer signer role for {kind.value}")
         signer_role = signers[0]
+    unsigned = Transaction(kind=kind, body=body, cert=cert, parent_tid=parent_tid, tid=b"")
+    validate_structure(unsigned)
     tid = compute_tid(kind, body, cert, parent_tid)
-    tx = Transaction(kind=kind, body=body, cert=cert, parent_tid=parent_tid, tid=tid)
-    validate_structure(tx)
-    return tx.with_signature(SigEntry(role=signer_role, signature=sign_tx_digest(keys.secret_key, tid)))
+    signature = SigEntry(role=signer_role, signature=sign_tx_digest(keys.secret_key, tid))
+    return replace(unsigned, tid=tid, signatures=(signature,))
 
 
 def countersign(tx: Transaction, keys: KeyPair, role: Role) -> Transaction:

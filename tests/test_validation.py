@@ -159,6 +159,29 @@ def test_malformed_body_rejected():
     assert _verdict(world, dataclasses.replace(est, tid=b"\x01" * 32)).reason is Reason.MALFORMED_BODY
 
 
+def test_unencodable_fields_are_malformed_not_a_crash():
+    """A field value the canonical encoder cannot write gives a verdict,
+    never an exception out of the validity rule."""
+    world = make_world(seed=31)
+    ut = make_ut(world)
+    est = make_est(world)
+    unencodable = [
+        dataclasses.replace(ut, body=dataclasses.replace(ut.body, update_file_hash=b"\x00" * 31)),
+        dataclasses.replace(ut, body=dataclasses.replace(ut.body, metadata=5)),
+        dataclasses.replace(
+            est,
+            body=dataclasses.replace(
+                est.body,
+                esm=dataclasses.replace(
+                    est.body.esm, position=dataclasses.replace(est.body.esm.position, lane=-1)
+                ),
+            ),
+        ),
+    ]
+    for tx in unencodable:
+        assert _verdict(world, tx).reason is Reason.MALFORMED_BODY
+
+
 # --- consensus ----------------------------------------------------------------
 
 def test_commit_mutates_every_replica_identically():
