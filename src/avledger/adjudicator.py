@@ -100,15 +100,13 @@ def check_negligence(
     its certificate history), reports whether the owner is negligent:
     no execution report committed and the deadline has passed.
     """
+    executed = {et.parent_tid for et in ledger.query(kind=TxKind.EXECUTION)}
     out: list[tuple[Hash256, bool]] = []
     for ut in ledger.query(kind=TxKind.UPDATE):
         if ut.cert.cert_id not in vehicle_cert_ids:
             continue
-        executed = any(
-            True for _ in ledger.query(kind=TxKind.EXECUTION, parent_tid=ut.tid)
-        )
         overdue = (at - ut.body.submitted_at) > deadline_secs
-        out.append((ut.tid, (not executed) and overdue))
+        out.append((ut.tid, ut.tid not in executed and overdue))
     return out
 
 

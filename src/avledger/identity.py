@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from cryptography.exceptions import InvalidSignature
@@ -43,10 +43,16 @@ _TX_SIGN_PREFIX = b"avledger.tx.v1:"
 
 @dataclass(frozen=True)
 class KeyPair:
-    """Ed25519 key pair; secret_key is the 32-byte RFC 8032 seed."""
+    """Ed25519 key pair; secret_key is the 32-byte RFC 8032 seed.
+
+    `signer` is the private-key object generate_keypair built from that
+    seed, held so that a sign does not rebuild it. It is derived from
+    secret_key, so equality and repr leave it out.
+    """
 
     public_key: bytes
     secret_key: bytes
+    signer: Ed25519PrivateKey = field(compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.public_key) != PUBLIC_KEY_SIZE:
@@ -62,11 +68,11 @@ def generate_keypair(rng: random.Random) -> KeyPair:
     public = private.public_key().public_bytes(
         serialization.Encoding.Raw, serialization.PublicFormat.Raw
     )
-    return KeyPair(public_key=public, secret_key=seed)
+    return KeyPair(public_key=public, secret_key=seed, signer=private)
 
 
-def _sign_raw(secret_key: bytes, message: bytes) -> bytes:
-    return Ed25519PrivateKey.from_private_bytes(secret_key).sign(message)
+def _sign_raw(keys: KeyPair, message: bytes) -> bytes:
+    return keys.signer.sign(message)
 
 
 def _verify_raw(public_key: bytes, message: bytes, signature: bytes) -> bool:
@@ -77,9 +83,9 @@ def _verify_raw(public_key: bytes, message: bytes, signature: bytes) -> bool:
         return False
 
 
-def sign_tx_digest(secret_key: bytes, tid: bytes) -> bytes:
+def sign_tx_digest(keys: KeyPair, tid: bytes) -> bytes:
     """Signs a transaction id (hash-then-sign; the tid is the digest)."""
-    return _sign_raw(secret_key, _TX_SIGN_PREFIX + tid)
+    return _sign_raw(keys, _TX_SIGN_PREFIX + tid)
 
 
 def verify_tx_digest(public_key: bytes, tid: bytes, signature: bytes) -> bool:
@@ -128,7 +134,7 @@ def issue_certificate(
         validity_secs=validity_secs,
         issuer_signature=b"",
     )
-    signature = _sign_raw(ca.secret_key, cert.signed_payload())
+    signature = _sign_raw(ca, cert.signed_payload())
     return PseudonymCertificate(
         cert_id=cert_id,
         subject_pubkey=subject_pubkey,

@@ -143,7 +143,13 @@ class CurrentBlock:
 
 
 class PartitionLedger:
-    """One replica of one partition's chain."""
+    """One replica of one partition's chain.
+
+    Besides the tid map, two indexes serve query: cert id to transactions
+    and kind to transactions, each list holding the block's own
+    Transaction objects in commit order. append_validated, append_claimed
+    and remove_open keep them in step with the blocks.
+    """
 
     def __init__(self, genesis: GenesisBlock, b_max: int = DEFAULT_B_MAX) -> None:
         if b_max < 1:
@@ -153,6 +159,8 @@ class PartitionLedger:
         self.blocks: list[Block] = []
         self.current = CurrentBlock(prev_block_id=genesis.block_id)
         self._by_tid: dict[Hash256, Transaction] = {}
+        self._by_cert: dict[bytes, list[Transaction]] = {}
+        self._by_kind: dict[TxKind, list[Transaction]] = {}
 
     # -- views ----------------------------------------------------------------
 
@@ -193,8 +201,13 @@ class PartitionLedger:
         new_id = fold_step(tx.tid, self.current.cblock_id)
         self.current.transactions.append(tx)
         self.current.fold_trail.append(new_id)
-        self._by_tid[tx.tid] = tx
+        self._index(tx)
         return new_id
+
+    def _index(self, tx: Transaction) -> None:
+        self._by_tid[tx.tid] = tx
+        self._by_cert.setdefault(tx.cert.cert_id, []).append(tx)
+        self._by_kind.setdefault(tx.kind, []).append(tx)
 
     def maybe_seal(self) -> Optional[Block]:
         """Seals the open block once it holds b_max transactions. The seal
@@ -221,7 +234,7 @@ class PartitionLedger:
         """
         self.current.transactions.append(tx)
         self.current.fold_trail.append(fold)
-        self._by_tid[tx.tid] = tx
+        self._index(tx)
         self.maybe_seal()
 
     def remove_open(self, tid: Hash256) -> None:
@@ -233,23 +246,39 @@ class PartitionLedger:
         pos = next((i for i, tx in enumerate(cur.transactions) if tx.tid == tid), None)
         if pos is None:
             raise NotFound(f"no open-block transaction {tid.hex()[:16]}")
+        removed = cur.transactions[pos]
+        later = cur.transactions[pos + 1:]
+        _unindex(self._by_cert, removed.cert.cert_id, [t.cert.cert_id for t in later])
+        _unindex(self._by_kind, removed.kind, [t.kind for t in later])
         del cur.transactions[pos], cur.fold_trail[pos:]
         self._by_tid.pop(tid, None)
-        for tx in cur.transactions[pos:]:
+        for tx in later:
             cur.fold_trail.append(fold_step(tx.tid, cur.cblock_id))
 
     # -- queries --------------------------------------------------------------
 
     def query(
         self,
-        kind=None,
+        kind: Optional[TxKind] = None,
         cert_id: Optional[bytes] = None,
         parent_tid: Optional[bytes] = None,
         time_range: Optional[tuple[float, float]] = None,
     ) -> list[Transaction]:
-        """Committed and open-block transactions, in commit order."""
+        """Committed and open-block transactions that match every given
+        predicate, in commit order.
+
+        The scan starts from the shorter of the cert-id and kind index
+        lists that apply, and walks the whole chain only when neither
+        cert_id nor kind is given; every predicate is then tested on each
+        row scanned.
+        """
+        starts = []
+        if cert_id is not None:
+            starts.append(self._by_cert.get(cert_id, []))
+        if kind is not None:
+            starts.append(self._by_kind.get(kind, []))
         out = []
-        for tx in self.all_transactions():
+        for tx in min(starts, key=len) if starts else self.all_transactions():
             if kind is not None and tx.kind != kind:
                 continue
             if cert_id is not None and tx.cert.cert_id != cert_id:
@@ -263,6 +292,17 @@ class PartitionLedger:
                     continue
             out.append(tx)
         return out
+
+
+def _unindex(index: dict, key, later_keys: list) -> None:
+    """Drops one open-block transaction from index[key]. The list ends with
+    the open block's entries in commit order, so the dropped one is
+    followed by exactly the entries of the later open-block transactions
+    that share its key; matching by position, not by equality, keeps a
+    duplicate record loaded from a file in place.
+    """
+    rows = index[key]
+    del rows[len(rows) - 1 - later_keys.count(key)]
 
 
 def est_history(ledger: PartitionLedger, cert_ids: Iterable[bytes]) -> tuple[EstDigest, ...]:

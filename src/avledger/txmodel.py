@@ -438,6 +438,25 @@ def check_tx(
     transaction, all accepted before tx), and an execution report's
     parent update in `committed`.
 
+    It is the genesis half (check_tx_genesis, every policy up to the
+    signatures) followed by the committed half (check_tx_committed,
+    uniqueness and the parent link). Every replica of a partition holds
+    the same genesis, so a consensus round judges the first half once
+    and only the second half per replica.
+    """
+    reason = check_tx_genesis(tx, genesis, ca_checked)
+    return check_tx_committed(tx, committed) if reason is Reason.OK else reason
+
+
+def check_tx_genesis(
+    tx: Transaction,
+    genesis: "GenesisBlock",
+    ca_checked: Optional[set[PseudonymCertificate]] = None,
+) -> Reason:
+    """The replica-independent half of check_tx: schema, authorization,
+    completeness, the certificate and its window, and signatures. It
+    reads only tx and genesis.
+
     `ca_checked` holds certificates already found CA-signed, so a caller
     judging many transactions CA-checks each certificate once.
     """
@@ -482,8 +501,14 @@ def check_tx(
                 return Reason.UNAUTHORIZED
         if not verify_tx_digest(pubkey, tx.tid, entry.signature):
             return Reason.BAD_SIGNATURE
+    return Reason.OK
 
-    # Uniqueness.
+
+def check_tx_committed(tx: Transaction, committed: Mapping[Hash256, Transaction]) -> Reason:
+    """The replica-state half of check_tx: uniqueness against `committed`
+    and an execution report's parent update in it. Meaningful only for a
+    tx that passed check_tx_genesis.
+    """
     if tx.tid in committed:
         return Reason.DUPLICATE
 
@@ -515,7 +540,7 @@ def build_transaction(
     unsigned = Transaction(kind=kind, body=body, cert=cert, parent_tid=parent_tid, tid=b"")
     validate_structure(unsigned)
     tid = compute_tid(kind, body, cert, parent_tid)
-    signature = SigEntry(role=signer_role, signature=sign_tx_digest(keys.secret_key, tid))
+    signature = SigEntry(role=signer_role, signature=sign_tx_digest(keys, tid))
     return replace(unsigned, tid=tid, signatures=(signature,))
 
 
@@ -527,7 +552,7 @@ def countersign(tx: Transaction, keys: KeyPair, role: Role) -> Transaction:
         raise NotMultiSig(f"{tx.kind.value} takes a single signature")
     if any(entry.role == role for entry in tx.signatures):
         raise DuplicateSigner(f"role {role.value} already signed")
-    return tx.with_signature(SigEntry(role=role, signature=sign_tx_digest(keys.secret_key, tx.tid)))
+    return tx.with_signature(SigEntry(role=role, signature=sign_tx_digest(keys, tx.tid)))
 
 
 # --- debug rendering ---------------------------------------------------------

@@ -7,6 +7,13 @@ reason reports the first policy that failed, checked in this order:
 schema, authorization, completeness, certificate and its window,
 signatures, uniqueness, parent link.
 
+A consensus round applies that rule as its two halves. Every replica of
+a partition holds the same genesis (the round refuses replicas that do
+not), so the genesis half, which runs every policy up to the signatures,
+is judged once per round; only the committed half, uniqueness and the
+parent link, runs once per replica. Each vote is still the verdict
+verify_transaction would give on that replica.
+
 Consensus is unanimity among a partition's validators: a transaction
 commits only if every validator accepts it and every validator computes
 the same next fold value for its own replica. A round where all accept
@@ -23,7 +30,16 @@ from typing import Mapping, Optional, Sequence
 from .errors import NotDiverged, ReplicaMismatch, Unattributable
 from .identity import EntityId
 from .ledger import PartitionLedger, fold_ids
-from .txmodel import AUTHORIZED_PROPOSERS, Hash256, Partition, Reason, Transaction, check_tx
+from .txmodel import (
+    AUTHORIZED_PROPOSERS,
+    Hash256,
+    Partition,
+    Reason,
+    Transaction,
+    check_tx,
+    check_tx_committed,
+    check_tx_genesis,
+)
 
 
 class Decision(str, enum.Enum):
@@ -50,11 +66,14 @@ class Verdict:
             raise ValueError("a rejection needs a non-Ok reason")
         return cls(Decision.REJECT, reason)
 
+    @classmethod
+    def of(cls, reason: Reason) -> "Verdict":
+        return cls.accept() if reason is Reason.OK else cls.reject(reason)
+
 
 def verify_transaction(tx: Transaction, ledger: PartitionLedger) -> Verdict:
     """One validator's verdict on tx against its own replica."""
-    reason = check_tx(tx, ledger.genesis, ledger.tid_index)
-    return Verdict.accept() if reason is Reason.OK else Verdict.reject(reason)
+    return Verdict.of(check_tx(tx, ledger.genesis, ledger.tid_index))
 
 
 # --- consensus ----------------------------------------------------------------
@@ -99,6 +118,10 @@ def run_consensus(
 ) -> ConsensusRound:
     """One unanimity round over a single proposed transaction.
 
+    The genesis half of check_tx is judged once for the round, against
+    the genesis every replica shares; the committed half is judged once
+    per replica, against that replica's own committed set.
+
     Commits mutate every replica (append plus seal-if-full). A rejection
     by anyone leaves all replicas untouched; accept votes that disagree on
     the fold value mark the round Diverged and also leave replicas alone.
@@ -106,17 +129,19 @@ def run_consensus(
     if not validators:
         raise ValueError("a consensus round needs at least one validator")
     ledgers = [replicas[v] for v in validators]
-    partitions = {lg.partition for lg in ledgers}
-    if len(partitions) != 1:
-        raise ReplicaMismatch("validators hold replicas of different partitions")
+    # The genesis id hashes the partition, its CA roots and its members, so
+    # one shared id means one partition and one genesis half for everyone.
+    if len({lg.genesis.block_id for lg in ledgers}) != 1:
+        raise ReplicaMismatch("validator replicas hold different genesis blocks")
     sealed = {(len(lg.blocks), lg.sealed_tip()) for lg in ledgers}
     if len(sealed) != 1:
         raise ReplicaMismatch("validator replicas disagree on the sealed chain")
 
+    shared = check_tx_genesis(tx, ledgers[0].genesis)
     votes: dict[EntityId, Vote] = {}
     for validator in validators:
         replica = replicas[validator]
-        verdict = verify_transaction(tx, replica)
+        verdict = Verdict.of(check_tx_committed(tx, replica.tid_index) if shared is Reason.OK else shared)
         fold = candidate_fold(replica, tx) if verdict.accepted else None
         votes[validator] = Vote(verdict=verdict, cblock_id=fold)
 

@@ -9,7 +9,6 @@ is checked against the closed-form loss rate.
 """
 
 import dataclasses
-import enum
 import hashlib
 import json
 import math
@@ -32,6 +31,8 @@ from avledger.txmodel import Partition, Role, SigEntry, TxKind
 from avledger.validation import Reason, verify_transaction
 
 from worldkit import (
+    apply_mutation,
+    field_mutations,
     make_edata,
     make_est,
     make_et,
@@ -50,53 +51,6 @@ def _criterion(num: int, name: str, ok: bool, detail: str) -> None:
 
 
 # --- 1. tamper evidence -------------------------------------------------------
-
-def _leaf_mutations(value):
-    """One representative corruption for a scalar leaf."""
-    if isinstance(value, enum.Enum):
-        members = list(type(value))
-        return [members[(members.index(value) + 1) % len(members)]]
-    if isinstance(value, bool):
-        return [not value]
-    if isinstance(value, float):
-        return [value + 1.0]
-    if isinstance(value, int):
-        return [value + 1]
-    if isinstance(value, str):
-        return [value + "x"]
-    if isinstance(value, bytes):
-        return [b"\x01" if not value else bytes([value[0] ^ 0x01]) + value[1:]]
-    if value is None:
-        return [b"\x01" * 32]
-    raise AssertionError(f"unhandled leaf type {type(value)!r}")
-
-
-def _field_mutations(obj, path=()):
-    """Every (field path, corrupted value) pair over a transaction tree."""
-    if dataclasses.is_dataclass(obj):
-        for f in dataclasses.fields(obj):
-            yield from _field_mutations(getattr(obj, f.name), path + (f.name,))
-        return
-    if isinstance(obj, tuple):
-        for i, item in enumerate(obj):
-            yield from _field_mutations(item, path + (i,))
-        if obj:
-            yield path, obj[:-1]
-        return
-    for new in _leaf_mutations(obj):
-        yield path, new
-
-
-def _apply(obj, path, new_value):
-    if not path:
-        return new_value
-    head, rest = path[0], path[1:]
-    if isinstance(head, int):
-        items = list(obj)
-        items[head] = _apply(items[head], rest, new_value)
-        return tuple(items)
-    return dataclasses.replace(obj, **{head: _apply(getattr(obj, head), rest, new_value)})
-
 
 def test_acceptance_1_tamper_evidence():
     world = make_world(seed=201)
@@ -127,11 +81,11 @@ def test_acceptance_1_tamper_evidence():
     total = misses = 0
     for block in ledger.blocks:
         for pos, victim in enumerate(list(block.transactions)):
-            mutations = list(_field_mutations(victim))
+            mutations = list(field_mutations(victim))
             if victim.parent_tid is not None:
                 mutations.append((("parent_tid",), None))
             for path, new_value in mutations:
-                block.transactions[pos] = _apply(victim, path, new_value)
+                block.transactions[pos] = apply_mutation(victim, path, new_value)
                 total += 1
                 if verify_chain(ledger):
                     misses += 1
@@ -278,12 +232,12 @@ def test_acceptance_4_authorization_matrix():
 
     def signed_as(tx, role: Role):
         if role is Role.VEHICLE:
-            secret = kp.secret_key
+            keys = kp
         elif role is Role.CERT_AUTHORITY:
-            secret = world.ca.secret_key
+            keys = world.ca
         else:
-            secret = world.keys[_ROLE_ENTITY[role]].secret_key
-        entry = SigEntry(role, sign_tx_digest(secret, tx.tid))
+            keys = world.keys[_ROLE_ENTITY[role]]
+        entry = SigEntry(role, sign_tx_digest(keys, tx.tid))
         return dataclasses.replace(tx, signatures=(entry,) + tuple(tx.signatures[1:]))
 
     p1 = world.ledger(Partition.OPERATIONAL)

@@ -140,6 +140,20 @@ def test_execution_clears_negligence():
     assert check_negligence(ledger, frozenset({cert_id}), deadline, 1e9) == [(ut.tid, False)]
 
 
+def test_negligence_is_judged_per_update_in_commit_order():
+    world = make_world(seed=78)
+    deadline = 1000.0
+    creds = vehicle_credentials(world, 1000.0)
+    ledger = world.ledger()
+    updates = [make_ut(world, at=1000.0 + 10.0 * i, creds=creds) for i in range(3)]
+    for ut in updates:
+        ledger.append_validated(ut)
+    # Only the middle update is executed; its report names it as parent.
+    ledger.append_validated(make_et(world, updates[1].tid, creds, at=1200.0))
+    rows = check_negligence(ledger, frozenset({creds[1].cert_id}), deadline, 1e9)
+    assert rows == [(updates[0].tid, True), (updates[1].tid, False), (updates[2].tid, True)]
+
+
 def test_negligence_is_monotone_in_query_time():
     world = make_world(seed=77)
     deadline = 1000.0

@@ -34,7 +34,7 @@ def test_keypair_generation_is_seed_deterministic():
 def test_sign_verify_round_trip():
     keys = generate_keypair(random.Random(0))
     tid = b"\x07" * 32
-    sig = sign_tx_digest(keys.secret_key, tid)
+    sig = sign_tx_digest(keys, tid)
     assert verify_tx_digest(keys.public_key, tid, sig)
     assert not verify_tx_digest(keys.public_key, b"\x08" * 32, sig)
     other = generate_keypair(random.Random(1))

@@ -21,9 +21,10 @@ from avledger.ledger import (
 )
 from avledger import txmodel
 from avledger.txmodel import Partition, TxKind, body_timestamp
-from avledger.validation import Reason, verify_transaction
+from avledger.validation import Reason, RoundOutcome, verify_transaction
 
 from worldkit import (
+    commit,
     fill_ledger,
     make_edata,
     make_est,
@@ -135,6 +136,96 @@ def test_query_filters():
     assert ledger.query(parent_tid=ut.tid) == [et]
     assert ledger.query(time_range=(1040.0, 1110.0)) == [pet, ut]
     assert ledger.query(kind=TxKind.EVENT_SAFETY, time_range=(0.0, 1001.0)) == [est]
+
+
+def _brute_query(ledger, kind, cert_id, parent_tid, time_range):
+    return [
+        tx
+        for tx in ledger.all_transactions()
+        if (kind is None or tx.kind is kind)
+        and (cert_id is None or tx.cert.cert_id == cert_id)
+        and (parent_tid is None or tx.parent_tid == parent_tid)
+        and (time_range is None or time_range[0] <= body_timestamp(tx) <= time_range[1])
+    ]
+
+
+def _assert_query_matches_scan(ledger):
+    rows = ledger.all_transactions()
+    certs = [None, b"\x00" * 32] + sorted({tx.cert.cert_id for tx in rows})
+    parents = [None, b"\x00" * 32] + sorted({tx.parent_tid for tx in rows if tx.parent_tid})
+    windows = [None, (0.0, 1e9), (1040.0, 1110.0), (1200.0, 1200.0), (5.0, 6.0)]
+    for kind in [None, *TxKind]:
+        for cert_id in certs:
+            for parent_tid in parents:
+                for window in windows:
+                    got = ledger.query(kind=kind, cert_id=cert_id, parent_tid=parent_tid, time_range=window)
+                    want = _brute_query(ledger, kind, cert_id, parent_tid, window)
+                    # The same objects the blocks hold, in commit order.
+                    assert [id(tx) for tx in got] == [id(tx) for tx in want], (kind, cert_id, parent_tid, window)
+
+
+def _consensus_replica(seed=16, b_max=3):
+    """One P1 replica built by consensus: every P1 kind, one vehicle
+    certificate shared by several records, and an open block after two
+    sealed ones."""
+    world = make_world(seed=seed)
+    replicas = world.replicas(Partition.OPERATIONAL, b_max=b_max)
+    creds = vehicle_credentials(world, 1000.0)
+    ut = make_ut(world, at=1100.0, creds=creds)
+    txs = [
+        make_est(world, at=1000.0, creds=creds),
+        make_pet(world, at=1050.0, creds=creds),
+        ut,
+        make_mt(world, at=1060.0),
+        make_ret(world, make_edata(world, 1050.0), at=1070.0),
+        make_est(world, at=1080.0),
+        make_et(world, ut.tid, creds, at=1200.0),
+        make_est(world, at=1210.0, creds=creds),
+        make_est(world, at=1220.0, creds=creds),
+    ]
+    for tx in txs:
+        assert commit(replicas, tx).outcome is RoundOutcome.COMMITTED
+    return replicas["st-0"]
+
+
+def test_query_matches_a_scan_on_a_consensus_ledger():
+    ledger = _consensus_replica()
+    assert len(ledger.blocks) == 3 and not ledger.current.transactions
+    _assert_query_matches_scan(ledger)
+
+
+def test_query_keeps_duplicates_of_a_loaded_file(tmp_path):
+    ledger = _consensus_replica(b_max=4)
+    est = ledger.query(kind=TxKind.EVENT_SAFETY)[0]
+    ledger.append_claimed(est, b"\x00" * 32)  # a file may hold a tid twice
+    path = tmp_path / "dup.avl"
+    save_ledger(ledger, str(path))
+    loaded = load_ledger(str(path))
+    assert [tx.tid for tx in loaded.all_transactions()].count(est.tid) == 2
+    assert len(loaded.query(cert_id=est.cert.cert_id, kind=TxKind.EVENT_SAFETY)) == 4
+    _assert_query_matches_scan(loaded)
+
+
+def test_query_drops_what_remove_open_removed(tmp_path):
+    ledger = _consensus_replica(b_max=16)
+    open_txs = list(ledger.current.transactions)
+    victim = open_txs[7]  # earlier and later open-block records share its cert and its kind
+    ledger.remove_open(victim.tid)
+    assert victim not in ledger.query(cert_id=victim.cert.cert_id)
+    assert victim not in ledger.query(kind=victim.kind)
+    _assert_query_matches_scan(ledger)
+
+    # With a tid held twice, the first open-block copy goes and the second
+    # stays where it was.
+    twice = open_txs[1]
+    ledger.append_claimed(twice, b"\x00" * 32)
+    path = tmp_path / "dup.avl"
+    save_ledger(ledger, str(path))
+    loaded = load_ledger(str(path))
+    loaded.remove_open(twice.tid)
+    assert [tx.tid for tx in loaded.all_transactions()].count(twice.tid) == 1
+    assert loaded.all_transactions()[-1].tid == twice.tid
+    _assert_query_matches_scan(loaded)
 
 
 # --- chain verification -------------------------------------------------------

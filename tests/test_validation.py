@@ -8,7 +8,8 @@ import pytest
 from avledger.errors import NotDiverged, ReplicaMismatch, Unattributable
 from avledger.ledger import PartitionLedger, chain_faults, make_genesis
 from avledger.scenarios import tamper_cblock
-from avledger.txmodel import Partition, Role
+from avledger.identity import sign_tx_digest
+from avledger.txmodel import Partition, Role, SigEntry, check_tx, check_tx_committed, check_tx_genesis
 from avledger.validation import (
     Reason,
     RoundOutcome,
@@ -19,7 +20,9 @@ from avledger.validation import (
 )
 
 from worldkit import (
+    apply_mutation,
     commit,
+    field_mutations,
     make_est,
     make_et,
     make_mt,
@@ -68,13 +71,10 @@ def test_unauthorized_proposer_role():
     creds = vehicle_credentials(world, 1000.0)
     est = make_est(world, creds=creds)
     # Re-sign the same content as if the technician proposed it.
-    from avledger.identity import sign_tx_digest
-    from avledger.txmodel import SigEntry
-
     forged = dataclasses.replace(
         est,
         signatures=(
-            SigEntry(role=Role.TECHNICIAN, signature=sign_tx_digest(world.keys["st-0"].secret_key, est.tid)),
+            SigEntry(role=Role.TECHNICIAN, signature=sign_tx_digest(world.keys["st-0"], est.tid)),
         ),
     )
     assert _verdict(world, forged).reason is Reason.UNAUTHORIZED
@@ -182,6 +182,78 @@ def test_unencodable_fields_are_malformed_not_a_crash():
         assert _verdict(world, tx).reason is Reason.MALFORMED_BODY
 
 
+# --- the two halves of the rule ------------------------------------------------
+
+def _bad_corpus():
+    """A P1 replica holding an EST and a UT, and the transactions it must
+    reject: one named case per failure class, then every single-field
+    corruption of five honest transactions. Returns (ledger, named, all)."""
+    world = make_world(seed=60)
+    ledger = world.ledger()
+    creds = vehicle_credentials(world, 1000.0)
+    est = make_est(world, at=1000.0, creds=creds)
+    ut = make_ut(world, at=1100.0, creds=creds)
+    for tx in (est, ut):
+        ledger.append_validated(tx)
+    entry = est.signatures[0]
+    flipped = dataclasses.replace(entry, signature=bytes([entry.signature[0] ^ 1]) + entry.signature[1:])
+    speeding = dataclasses.replace(est.body, esm=dataclasses.replace(est.body.esm, speed_mps=-5.0))
+    named = {
+        "malformed": (dataclasses.replace(est, body=speeding), Reason.MALFORMED_BODY),
+        "unauthorized": (
+            dataclasses.replace(est, signatures=(SigEntry(Role.TECHNICIAN, sign_tx_digest(world.keys["st-0"], est.tid)),)),
+            Reason.UNAUTHORIZED,
+        ),
+        "incomplete": (make_ut(world, countersigned=False), Reason.INCOMPLETE),
+        "bad-signature": (dataclasses.replace(est, signatures=(flipped,)), Reason.BAD_SIGNATURE),
+        "foreign-ca": (make_est(make_world(seed=61)), Reason.BAD_SIGNATURE),
+        "expired": (make_est(world, at=1400.0, creds=creds), Reason.EXPIRED_CERT),
+        "duplicate": (est, Reason.DUPLICATE),
+        "orphan-et": (make_et(world, b"\x42" * 32, creds, at=1200.0), Reason.INCOMPLETE),
+        "et-parent-not-an-update": (make_et(world, est.tid, creds, at=1200.0), Reason.INCOMPLETE),
+    }
+    honest = [
+        make_et(world, ut.tid, creds, at=1200.0),
+        make_pet(world, at=1000.0),
+        make_mt(world, at=1000.0),
+        make_ret(world, make_edata(world, 1000.0), at=1010.0),
+        make_est(world, at=1000.0),
+    ]
+    corpus = [tx for tx, _ in named.values()] + honest
+    corpus += [apply_mutation(tx, path, value) for tx in honest for path, value in field_mutations(tx)]
+    return ledger, named, corpus
+
+
+def test_check_tx_is_the_genesis_half_then_the_committed_half():
+    ledger, named, corpus = _bad_corpus()
+    for name, (tx, reason) in named.items():
+        assert verify_transaction(tx, ledger).reason is reason, name
+    reasons = set()
+    for tx in corpus:
+        first = check_tx_genesis(tx, ledger.genesis)
+        split = check_tx_committed(tx, ledger.tid_index) if first is Reason.OK else first
+        assert check_tx(tx, ledger.genesis, ledger.tid_index) is split
+        assert check_tx(tx, ledger.genesis, ledger.tid_index, set()) is split
+        reasons.add(split)
+    assert reasons == set(Reason)
+
+
+@pytest.mark.parametrize("proposal", ["removed-tx-again", "et-of-removed-update"])
+def test_each_vote_is_the_replica_verdict_under_tamper(proposal):
+    world = make_world(seed=64)
+    replicas = world.replicas(Partition.OPERATIONAL)
+    creds = vehicle_credentials(world, 1000.0)
+    victim = make_ut(world, at=1000.0, creds=creds)
+    commit(replicas, victim)
+    tamper_cblock(replicas["st-0"], victim.tid)
+    tx = victim if proposal == "removed-tx-again" else make_et(world, victim.tid, creds, at=1100.0)
+    expected = {v: verify_transaction(tx, lg).reason for v, lg in replicas.items()}
+    assert len(set(expected.values())) == 2  # the rogue replica judges differently
+    round_ = commit(replicas, tx)
+    assert {v: vote.verdict.reason for v, vote in round_.votes.items()} == expected
+    assert round_.outcome is RoundOutcome.REJECTED
+
+
 # --- consensus ----------------------------------------------------------------
 
 def test_commit_mutates_every_replica_identically():
@@ -282,6 +354,13 @@ def test_consensus_requires_comparable_replicas():
     mixed["ic-0"] = world.ledger(Partition.DECISIONAL)
     with pytest.raises(ReplicaMismatch):
         commit(mixed, make_est(world, at=1000.0))
+
+    # Same partition, another genesis: the round judges one genesis half
+    # for every replica, so it refuses before judging anything.
+    foreign = world.replicas(Partition.OPERATIONAL)
+    foreign["ic-0"] = make_world(seed=63).ledger(Partition.OPERATIONAL)
+    with pytest.raises(ReplicaMismatch, match="genesis"):
+        commit(foreign, make_est(world, at=1000.0))
 
 
 def test_consensus_needs_a_validator():

@@ -7,6 +7,8 @@ This is a plain module, not a conftest, so that test modules can import
 it by name next to other test directories that have their own conftest.
 """
 
+import dataclasses
+import enum
 import random
 from dataclasses import dataclass
 
@@ -222,3 +224,52 @@ def fill_ledger(world: World, ledger: PartitionLedger, n: int, start_at: float =
         ledger.maybe_seal()
         out.append(tx)
     return out
+
+
+# --- single-field corruptions --------------------------------------------------
+
+def leaf_mutations(value):
+    """One representative corruption for a scalar leaf."""
+    if isinstance(value, enum.Enum):
+        members = list(type(value))
+        return [members[(members.index(value) + 1) % len(members)]]
+    if isinstance(value, bool):
+        return [not value]
+    if isinstance(value, float):
+        return [value + 1.0]
+    if isinstance(value, int):
+        return [value + 1]
+    if isinstance(value, str):
+        return [value + "x"]
+    if isinstance(value, bytes):
+        return [b"\x01" if not value else bytes([value[0] ^ 0x01]) + value[1:]]
+    if value is None:
+        return [b"\x01" * 32]
+    raise AssertionError(f"unhandled leaf type {type(value)!r}")
+
+
+def field_mutations(obj, path=()):
+    """Every (field path, corrupted value) pair over a transaction tree."""
+    if dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from field_mutations(getattr(obj, f.name), path + (f.name,))
+        return
+    if isinstance(obj, tuple):
+        for i, item in enumerate(obj):
+            yield from field_mutations(item, path + (i,))
+        if obj:
+            yield path, obj[:-1]
+        return
+    for new in leaf_mutations(obj):
+        yield path, new
+
+
+def apply_mutation(obj, path, new_value):
+    if not path:
+        return new_value
+    head, rest = path[0], path[1:]
+    if isinstance(head, int):
+        items = list(obj)
+        items[head] = apply_mutation(items[head], rest, new_value)
+        return tuple(items)
+    return dataclasses.replace(obj, **{head: apply_mutation(getattr(obj, head), rest, new_value)})
