@@ -608,7 +608,9 @@ class _VehicleActor:
     entity_id: EntityId
     spec: VehicleSpec
     base_loc: GeoPoint
-    cert_history: list[tuple[KeyPair, PseudonymCertificate]] = field(default_factory=list)
+    # (public key, certificate) of every pseudonym used. The private key
+    # is dropped once the pseudonym is spent: nothing signs with it again.
+    cert_history: list[tuple[bytes, PseudonymCertificate]] = field(default_factory=list)
 
     def cert_ids(self) -> frozenset[Hash256]:
         return frozenset(cert.cert_id for _, cert in self.cert_history)
@@ -788,7 +790,7 @@ class ScenarioEngine:
             self.rng_keys,
             validity_secs=self.config.cert_validity_secs,
         )
-        vehicle.cert_history.append((keys, cert))
+        vehicle.cert_history.append((keys.public_key, cert))
         return keys, cert
 
     def _capture_media(self, at: float, n: int = 2) -> TamperStoreDigest:

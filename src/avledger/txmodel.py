@@ -458,7 +458,9 @@ def check_tx_genesis(
     reads only tx and genesis.
 
     `ca_checked` holds certificates already found CA-signed, so a caller
-    judging many transactions CA-checks each certificate once.
+    judging many transactions CA-checks each certificate once per set it
+    passes. chain_faults passes one set per share of the chain it spreads
+    over the CPUs, so it CA-checks each certificate once per share.
     """
     # Schema. A field value the encoder cannot write is malformed too.
     try:

@@ -3,7 +3,9 @@ chain-verification level.
 """
 
 import dataclasses
+import errno
 import hashlib
+import os
 
 import pytest
 from hypothesis import given, strategies as st
@@ -19,6 +21,7 @@ from avledger.ledger import (
     save_ledger,
     verify_chain,
 )
+from avledger import ledger as ledger_module
 from avledger import txmodel
 from avledger.txmodel import Partition, TxKind, body_timestamp
 from avledger.validation import Reason, RoundOutcome, verify_transaction
@@ -357,8 +360,139 @@ def test_chain_faults_ca_checks_each_certificate_once(monkeypatch):
         return real(cert, ca_pubkey)
 
     monkeypatch.setattr(txmodel, "certificate_signature_ok", counting)
+    # Small enough to be judged in this process: a count made in a forked
+    # helper would never reach `checked`.
+    assert len(ledger.all_transactions()) < 2 * ledger_module.MIN_SHARE
     assert chain_faults(ledger) == []
     assert checked == [pet.cert]
+
+
+# --- chain verification spread over helper processes ---------------------------
+
+@pytest.fixture
+def split(monkeypatch):
+    """Returns a function giving (serial faults, split faults) of a ledger.
+    The split cuts the chain into three shares whatever the host's CPU
+    count, so two helpers are forked. Afterwards no helper process and no
+    pipe end may be left behind."""
+    forks = []
+    real_fork = os.fork
+
+    def counting_fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    def run(ledger):
+        monkeypatch.setattr(ledger_module, "MIN_SHARE", len(ledger.all_transactions()) + 1)
+        serial = chain_faults(ledger)
+        assert forks == []
+        monkeypatch.setattr(ledger_module, "MIN_SHARE", 1)
+        faults = chain_faults(ledger)
+        assert len(forks) == 2
+        return serial, faults
+
+    fds = set(os.listdir("/proc/self/fd"))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setattr(os, "fork", counting_fork)
+    yield run
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert set(os.listdir("/proc/self/fd")) == fds
+
+
+def _parity_ledger(case):
+    """The faulty record of a PARITY_CASES case after two honest records,
+    so that it falls in the last helper's share."""
+    partition, build, _reason = PARITY_CASES[case]
+    world = make_world(seed=19)
+    tx = build(world)
+    ledger = world.ledger(partition, b_max=4)
+    for i in range(2):
+        ledger.append_validated(make_ret(world, make_edata(world, 900.0 + i), at=910.0 + i))
+    ledger.append_validated(tx)
+    return ledger, tx
+
+
+@pytest.mark.parametrize("case", sorted(PARITY_CASES))
+def test_split_chain_faults_equal_serial_on_the_consensus_corpus(split, case):
+    ledger, tx = _parity_ledger(case)
+    serial, faults = split(ledger)
+    assert faults == serial
+    assert len(faults) == 1 and tx.tid.hex()[:16] in faults[0], faults
+
+
+def test_split_chain_faults_equal_serial_on_a_file_with_a_duplicate_tid(split, tmp_path):
+    ledger = _consensus_replica(b_max=4)
+    ledger.append_claimed(ledger.all_transactions()[0], b"\x00" * 32)
+    path = tmp_path / "dup.avl"
+    save_ledger(ledger, str(path))
+    serial, faults = split(load_ledger(str(path)))
+    assert faults == serial
+    assert any("duplicate tid" in f for f in faults), faults
+
+
+def _bad_signature_ledger():
+    """A sealed ledger whose first and last records carry a flipped
+    signature byte: one fault in this process's share, one in a helper's."""
+    _, ledger, _ = _sealed_ledger(n=10)
+    for seg, pos in ((ledger.blocks[0], 0), (ledger.current, -1)):
+        victim = seg.transactions[pos]
+        entry = victim.signatures[0]
+        flipped = bytes([entry.signature[0] ^ 1]) + entry.signature[1:]
+        seg.transactions[pos] = dataclasses.replace(
+            victim, signatures=(dataclasses.replace(entry, signature=flipped),)
+        )
+    return ledger
+
+
+def test_split_chain_faults_equal_serial_with_a_bad_signature_in_a_helper_share(split):
+    serial, faults = split(_bad_signature_ledger())
+    assert faults == serial
+    assert len(faults) == 2 and all("(BadSignature)" in f for f in faults), faults
+
+
+def test_failed_fork_falls_back_to_judging_in_process(split, monkeypatch):
+    attempts = []
+
+    def no_fork():
+        attempts.append(1)
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    ledger = _bad_signature_ledger()
+    serial = chain_faults(ledger)
+    monkeypatch.setattr(ledger_module, "MIN_SHARE", 1)
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert chain_faults(ledger) == serial
+    assert len(attempts) == 2
+
+
+@pytest.mark.parametrize("failure", ["raises", "exits non-zero after a full reply", "replies short"])
+def test_a_failed_helper_share_is_judged_again_in_process(split, monkeypatch, failure):
+    parent = os.getpid()
+    real_judge, real_exit = ledger_module._judge_share, os._exit
+    in_parent = []
+
+    def failing(txs, genesis):
+        if os.getpid() == parent:
+            in_parent.append(len(txs))
+            return real_judge(txs, genesis)
+        if failure == "raises":
+            raise RuntimeError("helper failed")
+        if failure == "replies short":
+            return real_judge(txs, genesis)[:-1]
+        return [Reason.OK] * len(txs)  # a reply that would hide the bad signature
+
+    def exit_non_zero(code):
+        real_exit(3)
+
+    ledger = _bad_signature_ledger()
+    monkeypatch.setattr(ledger_module, "_judge_share", failing)
+    if failure == "exits non-zero after a full reply":
+        monkeypatch.setattr(os, "_exit", exit_non_zero)
+    serial, faults = split(ledger)
+    assert faults == serial
+    # The serial run, then this process's share and both helper shares again.
+    assert in_parent == [10, 3, 3, 4]
 
 
 # --- persistence --------------------------------------------------------------
