@@ -12,10 +12,20 @@ so each record states its layout once, beside its definition. The record
 codec derives everything else from that statement: encode and decode, and
 the digests, each of which covers a run of a record's fields (a tid hashes
 a transaction's leading fields, an evidence hash every field before it).
+
+The record codec compiles each layout, and each field run a digest packs,
+to one straight-line Python function the first time it is used, the way
+dataclasses generates __init__. Nested records are inlined, and each run
+of consecutive fixed-width values (numbers, booleans, enum tags, fixed-size
+byte strings, and the length prefixes before variable ones) becomes one
+precompiled struct call. A list of fixed-width records is read with one
+iter_unpack, and the record a switch picks is found through a dict. Reads
+walk (data, offset); writes append to one bytearray.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import operator
@@ -27,8 +37,147 @@ from .errors import LedgerFormatError, MalformedBody
 T = TypeVar("T")
 
 
+# --- field codecs ---------------------------------------------------------------
+
+class Codec:
+    """How one field value goes on the wire. `fmt` is the struct format of
+    a fixed-width value's bytes (None for a variable-width one); the record
+    codec packs runs of fixed-width values together.
+
+    emit_write adds the code that writes the value of the Python expression
+    `value`; emit_read adds the code that reads one and returns an
+    expression for it.
+    """
+
+    fmt: Optional[str] = None
+
+    def emit_write(self, code: "_Source", value: str) -> None:
+        raise NotImplementedError
+
+    def emit_read(self, code: "_Source") -> str:
+        raise NotImplementedError
+
+
+class Number(Codec):
+    """A fixed-width number, laid out by one struct format."""
+
+    def __init__(self, fmt: str) -> None:
+        self.fmt = fmt
+        self.struct = struct.Struct(">" + fmt)
+
+    def emit_write(self, code: "_Source", value: str) -> None:
+        code.pack(self.fmt, value)
+
+    def emit_read(self, code: "_Source") -> str:
+        return code.unpack(self.fmt)
+
+
+class _Decoding(dict):
+    """Wire value to value; a wire value not in the map raises the domain
+    error that `refuse` makes of it."""
+
+    __slots__ = ("refuse",)
+
+    def __init__(self, pairs: dict, refuse: Callable[[int], Exception]) -> None:
+        super().__init__(pairs)
+        self.refuse = refuse
+
+    def __missing__(self, raw: int):
+        raise self.refuse(raw)
+
+
+U8 = Number("B")
+U32 = Number("I")
+F64 = Number("d")
+_FLAGS = _Decoding({0: False, 1: True}, lambda flag: LedgerFormatError(f"bad boolean byte {flag}"))
+
+
+def _not_bool(value) -> None:
+    raise ValueError(f"boolean must be True or False, got {value!r}")
+
+
+def _wrong_size(value, size: int) -> None:
+    raise ValueError(f"expected {size} bytes, got {len(value)}")
+
+
+class Boolean(Codec):
+    """One byte, 0 or 1; only True and False encode."""
+
+    fmt = U8.fmt
+
+    def emit_write(self, code: "_Source", value: str) -> None:
+        flag = code.bind(value)
+        code.aside(f"if type({flag}) is not bool: {code.ref(_not_bool)}({flag})")
+        code.pack(self.fmt, flag)
+
+    def emit_read(self, code: "_Source") -> str:
+        return code.lookup(_FLAGS, code.unpack(self.fmt))
+
+
+class Fixed(Codec):
+    """A byte string of exactly `size` bytes, with no length prefix."""
+
+    def __init__(self, size: int) -> None:
+        self.size = size
+        self.fmt = f"{size}s"
+
+    def emit_write(self, code: "_Source", value: str) -> None:
+        raw = code.bind(value)
+        # struct pads or cuts an "Ns" value silently, so the size is checked.
+        code.aside(f"if len({raw}) != {self.size}: {code.ref(_wrong_size)}({raw}, {self.size})")
+        code.pack(self.fmt, raw)
+
+    def emit_read(self, code: "_Source") -> str:
+        return code.unpack(self.fmt)
+
+
+class Blob(Codec):
+    """A byte string after its u32 length."""
+
+    def emit_write(self, code: "_Source", value: str) -> None:
+        raw = code.bind(value)
+        code.pack(U32.fmt, f"len({raw})")
+        code.line(f"w += {raw}")
+
+    def emit_read(self, code: "_Source") -> str:
+        size = code.unpack(U32.fmt)
+        raw = code.name()
+        code.line(f"{raw} = data[at:at + {size}]")
+        code.line(f"if len({raw}) != {size}: {code.ref(_short)}(data, at, (({size}, None),))")
+        code.line(f"at += {size}")
+        return raw
+
+
+def _bad_text(exc: UnicodeDecodeError) -> None:
+    raise LedgerFormatError(f"bad utf-8 in text field: {exc}") from None
+
+
+class Text(Blob):
+    """A string as the blob of its UTF-8 bytes."""
+
+    def emit_write(self, code: "_Source", value: str) -> None:
+        super().emit_write(code, f"{value}.encode('utf-8')")
+
+    def emit_read(self, code: "_Source") -> str:
+        raw = super().emit_read(code)
+        text = code.name()
+        code.line(f"try: {text} = {raw}.decode('utf-8')")
+        code.line(f"except UnicodeDecodeError as exc: {code.ref(_bad_text)}(exc)")
+        return text
+
+
+BOOLEAN = Boolean()
+BLOB = Blob()
+TEXT = Text()
+
+
+@functools.cache
+def fixed(size: int) -> Fixed:
+    return Fixed(size)
+
+
 class Writer:
-    """Accumulates canonical bytes."""
+    """Accumulates canonical bytes, one primitive at a time."""
 
     def __init__(self) -> None:
         self._buf = bytearray()
@@ -36,26 +185,27 @@ class Writer:
     def u8(self, value: int) -> "Writer":
         if not 0 <= value < 2**8:
             raise ValueError(f"u8 out of range: {value}")
-        self._buf.append(value)
+        self._buf += U8.struct.pack(value)
         return self
 
     def u32(self, value: int) -> "Writer":
         if not 0 <= value < 2**32:
             raise ValueError(f"u32 out of range: {value}")
-        self._buf += value.to_bytes(4, "big")
+        self._buf += U32.struct.pack(value)
         return self
 
     def f64(self, value: float) -> "Writer":
-        self._buf += struct.pack(">d", value)
+        self._buf += F64.struct.pack(value)
         return self
 
     def boolean(self, value: bool) -> "Writer":
-        self._buf.append(1 if value else 0)
-        return self
+        if type(value) is not bool:
+            _not_bool(value)
+        return self.u8(value)
 
     def fixed(self, value: bytes, size: int) -> "Writer":
         if len(value) != size:
-            raise ValueError(f"expected {size} bytes, got {len(value)}")
+            _wrong_size(value, size)
         self._buf += value
         return self
 
@@ -92,7 +242,8 @@ class Writer:
 
 
 class Reader:
-    """Decodes canonical bytes; raises LedgerFormatError on truncation."""
+    """Decodes canonical bytes one primitive at a time; raises
+    LedgerFormatError on truncation."""
 
     def __init__(self, data: bytes) -> None:
         self._data = data
@@ -100,28 +251,22 @@ class Reader:
 
     def _take(self, n: int) -> bytes:
         if self._pos + n > len(self._data):
-            raise LedgerFormatError(
-                f"truncated record: wanted {n} bytes at offset {self._pos}, "
-                f"have {len(self._data) - self._pos}"
-            )
+            raise _truncated(n, self._pos, len(self._data) - self._pos)
         chunk = self._data[self._pos:self._pos + n]
         self._pos += n
         return chunk
 
     def u8(self) -> int:
-        return self._take(1)[0]
+        return U8.struct.unpack(self._take(U8.struct.size))[0]
 
     def u32(self) -> int:
-        return int.from_bytes(self._take(4), "big")
+        return U32.struct.unpack(self._take(U32.struct.size))[0]
 
     def f64(self) -> float:
-        return struct.unpack(">d", self._take(8))[0]
+        return F64.struct.unpack(self._take(F64.struct.size))[0]
 
     def boolean(self) -> bool:
-        flag = self.u8()
-        if flag not in (0, 1):
-            raise LedgerFormatError(f"bad boolean byte {flag}")
-        return flag == 1
+        return _FLAGS[self.u8()]
 
     def fixed(self, size: int) -> bytes:
         return self._take(size)
@@ -134,7 +279,7 @@ class Reader:
         try:
             return raw.decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise LedgerFormatError(f"bad utf-8 in text field: {exc}") from None
+            _bad_text(exc)
 
     def items(self, decode_one: Callable[["Reader"], T]) -> list[T]:
         count = self.u32()
@@ -145,7 +290,7 @@ class Reader:
         if flag == 0:
             return None
         if flag != 1:
-            raise LedgerFormatError(f"bad optional tag {flag}")
+            _bad_optional(flag)
         return decode_one(self)
 
     def remaining(self) -> int:
@@ -153,71 +298,106 @@ class Reader:
 
     def expect_end(self) -> None:
         if self.remaining():
-            raise LedgerFormatError(f"{self.remaining()} trailing bytes after record")
+            _trailing(self._data, self._pos)
 
 
-# --- field codecs ---------------------------------------------------------------
+class items(Codec):
+    """A u32 count, then that many codec values; decoded as a tuple."""
 
-class Codec:
-    """How one field value goes on the wire: a writer and a reader."""
+    def __init__(self, codec) -> None:
+        self.codec = _codec(codec)
 
-    __slots__ = ("write", "read")
+    def emit_write(self, code: "_Source", value: str) -> None:
+        values = code.bind(value)
+        code.pack(U32.fmt, f"len({values})")
+        one = code.name()
+        with code.block(f"for {one} in {values}:"):
+            self.codec.emit_write(code, one)
 
-    def __init__(self, write: Callable[[Writer, Any], object], read: Callable[[Reader], Any]) -> None:
-        self.write = write
-        self.read = read
-
-
-F64 = Codec(Writer.f64, Reader.f64)
-U32 = Codec(Writer.u32, Reader.u32)
-BOOLEAN = Codec(Writer.boolean, Reader.boolean)
-BLOB = Codec(Writer.blob, Reader.blob)
-TEXT = Codec(Writer.text, Reader.text)
-
-
-def fixed(size: int) -> Codec:
-    return Codec(lambda w, value: w.fixed(value, size), lambda r: r.fixed(size))
-
-
-def items(codec) -> Codec:
-    """A length-prefixed list of codec values, decoded as a tuple."""
-    codec = _codec(codec)
-    return Codec(lambda w, values: w.items(values, codec.write), lambda r: tuple(r.items(codec.read)))
+    def emit_read(self, code: "_Source") -> str:
+        count = code.unpack(U32.fmt)
+        if self.codec.fmt is not None:
+            return code.unpack_items(self.codec, count)
+        values = code.name()
+        code.line(f"{values} = []")
+        with code.block(f"for _ in range({count}):"):
+            code.line(f"{values}.append({self.codec.emit_read(code)})")
+        return f"tuple({values})"
 
 
-def optional(codec) -> Codec:
-    codec = _codec(codec)
-    return Codec(lambda w, value: w.optional(value, codec.write), lambda r: r.optional(codec.read))
+def _bad_optional(flag: int) -> None:
+    raise LedgerFormatError(f"bad optional tag {flag}")
 
 
-class WireTable:
+class optional(Codec):
+    """A flag byte, 0 for None or 1 before the codec value."""
+
+    def __init__(self, codec) -> None:
+        self.codec = _codec(codec)
+
+    def emit_write(self, code: "_Source", value: str) -> None:
+        value = code.bind(value)
+        with code.block(f"if {value} is None:"):
+            code.pack(U8.fmt, "0")
+        with code.block("else:"):
+            code.pack(U8.fmt, "1")
+            self.codec.emit_write(code, value)
+
+    def emit_read(self, code: "_Source") -> str:
+        flag = code.unpack(U8.fmt)
+        value = code.name()
+        with code.block(f"if {flag} == 1:"):
+            code.line(f"{value} = {self.codec.emit_read(code)}")
+        with code.block("else:"):
+            code.line(f"if {flag}: {code.ref(_bad_optional)}({flag})")
+            code.line(f"{value} = None")
+        return value
+
+
+class WireTable(Codec):
     """An enum's one-byte wire tags, and the reverse map that decodes them."""
 
+    fmt = U8.fmt
+
     def __init__(self, what: str, tags: dict) -> None:
-        self.what = what
         self.tags = tags
-        self._members = {code: member for member, code in tags.items()}
+        self.members = _Decoding(
+            {code: member for member, code in tags.items()},
+            lambda tag: MalformedBody(f"unknown {what} tag {tag}"),
+        )
 
-    def write(self, w: Writer, member) -> None:
-        w.u8(self.tags[member])
+    def emit_write(self, code: "_Source", value: str) -> None:
+        code.pack(self.fmt, f"{code.ref(self.tags)}[{value}]")
 
-    def read(self, r: Reader):
-        tag = r.u8()
-        member = self._members.get(tag)
-        if member is None:
-            raise MalformedBody(f"unknown {self.what} tag {tag}")
-        return member
+    def emit_read(self, code: "_Source") -> str:
+        return code.lookup(self.members, code.unpack(self.fmt))
 
 
-class Switch:
+class Switch(Codec):
     """The codec of a field whose layout an earlier field's value picks:
     `on` names that field, and `cases` maps each of its values to a record
-    class."""
+    class. The chosen record's compiled codec is found through a dict."""
 
     def __init__(self, on: str, cases: Mapping[Any, type]) -> None:
         self.on = on
         self.at = -1  # index of the `on` field, set by the record that holds this
         self.cases = {tag: layout(cls) for tag, cls in cases.items()}
+
+    @functools.cached_property
+    def writers(self) -> dict:
+        return {tag: _writer(record.cls, 0, None) for tag, record in self.cases.items()}
+
+    @functools.cached_property
+    def readers(self) -> dict:
+        return {tag: _reader(record.cls) for tag, record in self.cases.items()}
+
+    def emit_write(self, code: "_Source", value: str, on: str) -> None:
+        code.line(f"w += {code.ref(self.writers)}[{on}]({value})")
+
+    def emit_read(self, code: "_Source", on: str) -> str:
+        value = code.name()
+        code.line(f"{value}, at = {code.ref(self.readers)}[{on}](data, at)")
+        return value
 
 
 def wire(codec, **field_args) -> Any:
@@ -232,68 +412,249 @@ def _codec(codec):
 
 # --- the record codec -------------------------------------------------------------
 
-class Record:
+class Record(Codec):
     """The layout of a wire record: its dataclass fields, in declared order,
-    each with the codec wire() gave it. A record is itself a field codec."""
+    each with the codec wire() gave it. A record is itself a field codec,
+    fixed-width when all its fields are."""
 
     def __init__(self, cls: type) -> None:
         fields = dataclasses.fields(cls)
-        names = [f.name for f in fields]
         self.cls = cls
+        self.names = tuple(f.name for f in fields)
         self.codecs = tuple(f.metadata["wire"] for f in fields)
-        switches = [codec for codec in self.codecs if isinstance(codec, Switch)]
-        for switch in switches:
-            switch.at = names.index(switch.on)
-        get = operator.attrgetter(*names)
-        self.values = get if len(names) > 1 else lambda value: (get(value),)
-        if not switches:
-            self.write, self.read = _straight_line(cls, names, self.codecs)
+        for codec in self.codecs:
+            if isinstance(codec, Switch):
+                codec.at = self.names.index(codec.on)
+        get = operator.attrgetter(*self.names)
+        self.values = get if len(self.names) > 1 else lambda value: (get(value),)
+        formats = [codec.fmt for codec in self.codecs]
+        self.fmt = None if None in formats else "".join(formats)
 
-    def write_values(self, w: Writer, values, start: int = 0) -> None:
-        """Writes values as the record's fields from index `start` on."""
+    def emit_write(self, code: "_Source", value: str) -> None:
+        value = code.bind(value)
+        self.emit_fields_write(code, [f"{value}.{name}" for name in self.names])
+
+    def emit_read(self, code: "_Source") -> str:
+        return f"{code.ref(self.cls)}({', '.join(self.emit_fields_read(code))})"
+
+    def emit_fields_write(self, code: "_Source", values: list, start: int = 0) -> None:
+        """Writes `values` as the fields from index `start` on."""
         for codec, value in zip(self.codecs[start:], values):
             if isinstance(codec, Switch):
-                codec = codec.cases[values[codec.at - start]]
-            codec.write(w, value)
+                codec.emit_write(code, value, on=values[codec.at - start])
+            else:
+                codec.emit_write(code, value)
 
-    def read_values(self, r: Reader, start: int = 0) -> list:
-        """Reads the record's fields from index `start` to the end."""
+    def emit_fields_read(self, code: "_Source", start: int = 0) -> list:
+        """Reads the fields from index `start` to the end."""
         values: list = []
         for codec in self.codecs[start:]:
             if isinstance(codec, Switch):
-                codec = codec.cases[values[codec.at - start]]
-            values.append(codec.read(r))
+                values.append(codec.emit_read(code, on=values[codec.at - start]))
+            else:
+                values.append(codec.emit_read(code))
         return values
 
-    # A record without a Switch replaces these two with straight-line code.
-    def write(self, w: Writer, value) -> None:
-        self.write_values(w, self.values(value))
 
-    def read(self, r: Reader):
-        return self.cls(*self.read_values(r))
+def _truncated(size: int, at: int, have: int) -> LedgerFormatError:
+    return LedgerFormatError(f"truncated record: wanted {size} bytes at offset {at}, have {have}")
 
 
-def _straight_line(cls: type, names: list, codecs: tuple):
-    """write(w, value) and read(r) for a record whose field codecs are all
-    fixed, generated as one call per field, the way dataclasses generates
-    __init__. Records nest, so these run once per sub-record, and a loop
-    over the fields there costs about as much as the writes it drives."""
-    env = {"cls": cls}
-    for i, codec in enumerate(codecs):
-        env[f"w{i}"], env[f"r{i}"] = codec.write, codec.read
-    exec(
-        "def write(w, value):\n"
-        + "".join(f"    w{i}(w, value.{name})\n" for i, name in enumerate(names))
-        + "def read(r):\n"
-        + "    return cls(" + "".join(f"r{i}(r), " for i in range(len(names))) + ")\n",
-        env,
-    )
-    return env["write"], env["read"]
+def _short(data: bytes, at: int, fields: tuple, count: int = 1) -> None:
+    """Raises the error of a run of `count` times the fixed-width `fields`,
+    (width, decoding table or None) each, read from `at` past the end of
+    data: that of the first field that overruns data, unless a one-byte
+    field before it holds a value its table refuses, as reading one field
+    at a time would find. Whole repeats that fit were decoded already."""
+    have = len(data)
+    size = sum(width for width, _ in fields)
+    at += min(count, (have - at) // size) * size
+    for width, table in fields:
+        if at + width > have:
+            break
+        if table is not None:
+            table[data[at]]
+        at += width
+    raise _truncated(width, at, have - at)
+
+
+def _trailing(data: bytes, at: int) -> None:
+    raise LedgerFormatError(f"{len(data) - at} trailing bytes after record")
+
+
+class _Source:
+    """The Python source of one generated codec function, built field by
+    field. Fixed-width values collect in a pending run that becomes one
+    struct call when any other code is added. A read unpacks the run from
+    `data` at `at` and advances `at`; a write packs it onto bytearray `w`.
+    Objects the code uses are bound as globals of the function."""
+
+    def __init__(self, reading: bool) -> None:
+        self.reading = reading
+        self.env: dict = {}
+        self.refs: dict = {}
+        self.lines: list = []
+        self.depth = 1
+        self.count = 0
+        self.inline = False  # lookups become expressions, not statements
+        self._reset_run()
+
+    def _reset_run(self) -> None:
+        self.formats: list = []  # each pending field's struct format
+        self.run: list = []  # write: each field's value; read: its name
+        self.after: list = []  # read: lookups bound once the run is read
+        self.tables: dict = {}  # read: the table that decodes a field's name
+
+    def name(self) -> str:
+        self.count += 1
+        return f"x{self.count}"
+
+    def ref(self, obj) -> str:
+        """The global name under which the function sees obj."""
+        if id(obj) not in self.refs:
+            self.refs[id(obj)] = name = f"k{len(self.refs)}"
+            self.env[name] = obj
+        return self.refs[id(obj)]
+
+    def aside(self, text: str) -> None:
+        """Adds a statement that neither reads nor writes wire bytes."""
+        self.lines.append("    " * self.depth + text)
+
+    def line(self, text: str) -> None:
+        """Adds a statement after the pending run."""
+        self.flush()
+        self.aside(text)
+
+    def bind(self, value: str) -> str:
+        """A name for the expression `value`, evaluated once."""
+        if value.isidentifier():
+            return value
+        name = self.name()
+        self.aside(f"{name} = {value}")
+        return name
+
+    @contextlib.contextmanager
+    def block(self, header: str):
+        self.line(header)
+        self.depth += 1
+        yield
+        self.flush()
+        self.depth -= 1
+
+    def pack(self, fmt: str, value: str) -> None:
+        self.formats.append(fmt)
+        self.run.append(value)
+
+    def unpack(self, fmt: str) -> str:
+        name = self.name()
+        self.formats.append(fmt)
+        self.run.append(name)
+        return name
+
+    def lookup(self, table: _Decoding, raw: str) -> str:
+        """The value that `table` decodes from the raw value `raw`."""
+        self.tables[raw] = self.ref(table)
+        value = f"{self.tables[raw]}[{raw}]"
+        if self.inline:
+            return value
+        name = self.name()
+        self.after.append(f"{name} = {value}")
+        return name
+
+    def _struct(self) -> tuple:
+        """The pending run's struct, its size, and the source of the
+        (width, decoding table) pairs that _short takes."""
+        layout = struct.Struct(">" + "".join(self.formats))
+        fields = "".join(
+            f"({struct.calcsize('>' + fmt)}, {self.tables.get(name)}), "
+            for fmt, name in zip(self.formats, self.run)
+        )
+        return self.ref(layout), layout.size, f"({fields})"
+
+    def flush(self) -> None:
+        if not self.formats:
+            return
+        layout, size, fields = self._struct()
+        run, after = ", ".join(self.run), self.after
+        self._reset_run()
+        if self.reading:
+            self.aside(f"try: {run}, = {layout}.unpack_from(data, at)")
+            self.aside(f"except {self.ref(struct.error)}: {self.ref(_short)}(data, at, {fields})")
+            self.aside(f"at += {size}")
+            for text in after:
+                self.aside(text)
+        else:
+            self.aside(f"w += {layout}.pack({run})")
+
+    def unpack_items(self, codec: Codec, count: str) -> str:
+        """Reads `count` values of the fixed-width codec with one iter_unpack."""
+        self.flush()
+        self.inline = True
+        value = codec.emit_read(self)
+        self.inline = False
+        names = ", ".join(self.run)
+        layout, size, fields = self._struct()
+        self._reset_run()
+        end, values = self.name(), self.name()
+        # The values that fit are decoded before a short list is reported,
+        # so a bad tag in them is found first, as one value at a time would.
+        self.line(f"{end} = at + {count} * {size}")
+        self.line(f"if {end} > len(data): {end} = at + (len(data) - at) // {size} * {size}")
+        self.line(f"{values} = tuple([{value} for {names}, in {layout}.iter_unpack(data[at:{end}])])")
+        self.line(f"if len({values}) != {count}: {self.ref(_short)}(data, at, {fields}, {count})")
+        self.line(f"at = {end}")
+        return values
+
+
+def _compile(params: str, reading: bool, emit: Callable[[_Source], str]) -> Callable:
+    """Generates `def f(params)` from the code `emit` adds; emit returns
+    the expression the function returns."""
+    code = _Source(reading)
+    code.line(f"return {emit(code)}")
+    source = f"def f({params}):\n" + "\n".join(code.lines) + "\n"
+    exec(source, code.env)
+    return code.env["f"]
 
 
 @functools.cache
 def layout(cls: type) -> Record:
     return Record(cls)
+
+
+@functools.cache
+def _writer(cls: type, start: int = 0, stop: Optional[int] = None, of_record: bool = True) -> Callable:
+    """f(value) -> the canonical bytes of record value's fields [start:stop];
+    or, not of_record, f(*values) -> those of values taken as the fields
+    from index start on."""
+    names = layout(cls).names[start:stop]
+    values = [f"v.{name}" for name in names] if of_record else [f"f{i}" for i in range(len(names))]
+
+    def emit(code: _Source) -> str:
+        code.aside("w = bytearray()")
+        layout(cls).emit_fields_write(code, values, start)
+        return "bytes(w)"
+
+    return _compile("v" if of_record else ", ".join(values), False, emit)
+
+
+@functools.cache
+def _reader(cls: type, start: int = 0, of_record: bool = True) -> Callable:
+    """f(data, at) -> (the cls record read from offset at, or, not
+    of_record, a list of its field values from index start on; the offset
+    after it)."""
+
+    def emit(code: _Source) -> str:
+        values = ", ".join(layout(cls).emit_fields_read(code, start))
+        return f"{code.ref(cls)}({values}), at" if of_record else f"[{values}], at"
+
+    return _compile("data, at", True, emit)
+
+
+def _exactly(read: Callable, data: bytes):
+    value, at = read(data, 0)
+    if at != len(data):
+        _trailing(data, at)
+    return value
 
 
 def field_values(value) -> tuple:
@@ -304,24 +665,19 @@ def field_values(value) -> tuple:
 def pack(cls: type, *values, start: int = 0) -> bytes:
     """The canonical bytes of values taken as cls's fields from `start` on:
     a whole record, or any run of its fields."""
-    w = Writer()
-    layout(cls).write_values(w, values, start)
-    return w.getvalue()
+    return _writer(cls, start, start + len(values), False)(*values)
 
 
 def encode(value, start: int = 0, stop: Optional[int] = None) -> bytes:
     """The canonical bytes of a record, or of its fields [start:stop]."""
-    return pack(type(value), *field_values(value)[start:stop], start=start)
+    return _writer(type(value), start, stop)(value)
 
 
 def unpack(cls: type, data: bytes, start: int = 0) -> list:
     """Decodes data holding exactly cls's fields from `start` on."""
-    r = Reader(data)
-    values = layout(cls).read_values(r, start)
-    r.expect_end()
-    return values
+    return _exactly(_reader(cls, start, False), data)
 
 
 def decode(cls: type, data: bytes):
     """Decodes data holding exactly one cls record."""
-    return cls(*unpack(cls, data))
+    return _exactly(_reader(cls), data)

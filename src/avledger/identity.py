@@ -92,7 +92,7 @@ def verify_tx_digest(public_key: bytes, tid: bytes, signature: bytes) -> bool:
     return _verify_raw(public_key, _TX_SIGN_PREFIX + tid, signature)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PseudonymCertificate:
     """Short-lived credential binding a throwaway key to the CA's trust.
 

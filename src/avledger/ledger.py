@@ -63,7 +63,7 @@ def fold_ids(seed: Hash256, tids: Iterable[Hash256]) -> Hash256:
     return acc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CaRootCert:
     """Root verification material of a certificate authority."""
 
@@ -71,7 +71,7 @@ class CaRootCert:
     public_key: bytes = wire(fixed(PUBLIC_KEY_SIZE))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MemberRecord:
     """One fixed infrastructure member of a partition. Vehicles are not
     listed: their credential is a CA certificate, not a membership row.
@@ -84,7 +84,7 @@ class MemberRecord:
     validator: bool = wire(BOOLEAN)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GenesisBlock:
     """The partition's root record. block_id, the first field, is the
     SHA-256 of the encoding of every field after it; a saved ledger

@@ -569,7 +569,7 @@ class ScenarioResult:
 
 # --- witness statements -------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WitnessStatement:
     """What a bystander vehicle tells the involved parties over v2v: its
     own pseudonym and the pseudonyms it observed at the scene.

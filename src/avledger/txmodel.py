@@ -131,19 +131,19 @@ STATUS_WIRE = WireTable("exec status", {ExecStatus.EXECUTED: 0, ExecStatus.FAILE
 
 # --- geometry / telemetry ----------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GeoPoint:
     lat_deg: float = wire(F64)
     lon_deg: float = wire(F64)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RoadPosition:
     lane: int = wire(U32)
     heading_deg: float = wire(F64)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EventSafetyMessage:
     """Host-vehicle telemetry snapshot at the moment of a triggering event."""
 
@@ -154,7 +154,7 @@ class EventSafetyMessage:
     trigger: EventTrigger = wire(TRIGGER_WIRE)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TamperStoreDigest:
     """Digest of the vehicle's sealed media store: content hashes of the
     sensor blobs captured for the event, plus the capture timestamp. The
@@ -165,7 +165,7 @@ class TamperStoreDigest:
     captured_at: float = wire(F64)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EvidenceData:
     """Collision evidence bundle. edata_hash, the last field, is the SHA-256
     over the canonical encoding of every field before it (never over itself).
@@ -199,33 +199,33 @@ def compute_edata_hash(*hashed) -> Hash256:
 
 # --- bodies ------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EventSafetyBody:
     ts: float = wire(F64)
     esm: EventSafetyMessage = wire(EventSafetyMessage)
     ts_data: TamperStoreDigest = wire(TamperStoreDigest)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CollisionEvidenceBody:
     edata: EvidenceData = wire(EvidenceData)
     ts_data: TamperStoreDigest = wire(TamperStoreDigest)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UpdateBody:
     update_file_hash: Hash256 = wire(HASH)
     metadata: str = wire(TEXT)
     submitted_at: float = wire(F64)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExecReportBody:
     exec_status: ExecStatus = wire(STATUS_WIRE)
     submitted_at: float = wire(F64)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MaintenanceBody:
     report_hash: Hash256 = wire(HASH)
     roadworthy: bool = wire(BOOLEAN)
@@ -233,7 +233,7 @@ class MaintenanceBody:
     submitted_at: float = wire(F64)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EstDigest:
     """Compact reference to a committed event-safety report, shipped to the
     decision partition as historical behavior proof.
@@ -244,7 +244,7 @@ class EstDigest:
     trigger: EventTrigger = wire(TRIGGER_WIRE)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EvidenceRequestBody:
     """Evidence submission / identification request for the decision
     partition. Carries the requester's copy of the subject vehicle's
@@ -320,13 +320,13 @@ AUTHORIZED_PROPOSERS: dict[Partition, dict[TxKind, frozenset[Role]]] = {
 
 # --- transactions ------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SigEntry:
     role: Role = wire(ROLE_WIRE)
     signature: bytes = wire(BLOB)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transaction:
     """The canonical record: the tid preimage fields (kind, body, cert,
     parent_tid), then the tid, then the signatures."""

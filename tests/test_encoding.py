@@ -3,8 +3,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from avledger.encoding import Reader, Writer
+from avledger.encoding import Reader, Writer, encode
 from avledger.errors import LedgerFormatError
+from avledger.txmodel import MaintenanceBody
 
 finite_f64 = st.floats(allow_nan=False)
 small_blob = st.binary(max_size=48)
@@ -114,3 +115,11 @@ def test_fixed_length_enforced():
     w = Writer()
     with pytest.raises(ValueError):
         w.fixed(b"\x00" * 31, 32)
+
+
+@pytest.mark.parametrize("flag", [2, 0, 1.0, "yes", None])
+def test_boolean_takes_only_true_or_false(flag):
+    with pytest.raises(ValueError, match="boolean must be True or False"):
+        Writer().boolean(flag)
+    with pytest.raises(ValueError, match="boolean must be True or False"):
+        encode(MaintenanceBody(b"\x00" * 32, flag, "st-0", 1.0))

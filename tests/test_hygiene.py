@@ -1,11 +1,15 @@
-"""Source hygiene: no module imports a name it never uses.
+"""Source hygiene: no module imports a name it never uses, and every wire
+record is slotted.
 
 A name listed in the module's ``__all__`` counts as used, since that is
 how a module re-exports what it imports.
 """
 
 import ast
+import dataclasses
+import importlib
 import pathlib
+import pkgutil
 
 import pytest
 
@@ -60,3 +64,35 @@ def unused_imports(source: str) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _wire_records():
+    """Every class in src/avledger that declares a wire() field."""
+    for info in pkgutil.iter_modules([str(ROOT / "src" / "avledger")]):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"avledger.{info.name}")
+        for cls in vars(module).values():
+            if (
+                isinstance(cls, type)
+                and cls.__module__ == module.__name__
+                and dataclasses.is_dataclass(cls)
+                and any("wire" in f.metadata for f in dataclasses.fields(cls))
+            ):
+                yield cls
+
+
+WIRE_RECORDS = sorted(_wire_records(), key=lambda cls: f"{cls.__module__}.{cls.__name__}")
+
+
+def test_wire_records_are_found_in_every_module():
+    modules = {cls.__module__ for cls in WIRE_RECORDS}
+    assert modules == {f"avledger.{name}" for name in ("identity", "ledger", "scenarios", "txmodel")}
+
+
+@pytest.mark.parametrize("cls", WIRE_RECORDS, ids=lambda cls: cls.__name__)
+def test_wire_records_are_slotted(cls):
+    """A wire record is decoded once per transaction of every loaded
+    ledger, so it keeps no per-instance __dict__."""
+    assert "__slots__" in vars(cls)
+    assert "__dict__" not in dir(cls)

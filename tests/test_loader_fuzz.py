@@ -11,6 +11,10 @@ capacity 8). Each mutated file must end in one of three ways:
 
 The third is allowed because the file format has no end marker: a cut
 between two records leaves a shorter ledger that is valid on its own.
+Whatever loads must also re-encode to exactly the bytes it was read from:
+the genesis record and every transaction record. A decoder that accepted
+two spellings of one value (say any non-zero byte as True) would break
+that, and two files would then hold one ledger.
 
 Bit flips spare the block-capacity header: no id covers it, so most
 values re-split the chain into other blocks that still verify (ROADMAP
@@ -21,9 +25,11 @@ strict expected failure until the header is authenticated.
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
+from avledger.encoding import encode
 from avledger.errors import AvLedgerError
 from avledger.ledger import chain_faults, load_ledger, save_ledger
 from avledger.scenarios import ScenarioEngine, make_benign_config
+from avledger.txmodel import encode_transaction
 
 HEADER_SIZE = 4 + 2 + 4  # magic, version, block capacity
 B_MAX_AT = slice(6, 10)
@@ -43,13 +49,24 @@ def saved(tmp_path_factory):
     with open(path, "rb") as fh:
         data = fh.read()
     tids = [tx.tid for tx in ledger.all_transactions()]
-    pos = HEADER_SIZE + 4 + int.from_bytes(data[HEADER_SIZE:HEADER_SIZE + 4], "big")
-    boundaries = [pos]
-    while pos < len(data):
-        pos += 4 + int.from_bytes(data[pos:pos + 4], "big") + 32
-        boundaries.append(pos)
-    assert boundaries[-1] == len(data) and len(boundaries) == len(tids) + 1
+    _, records, boundaries = _framing(data)
+    assert boundaries[-1] == len(data) and len(boundaries) == len(tids) + 1 == len(records) + 1
     return data, tids, boundaries, str(work / "mutated.bin")
+
+
+def _framing(data: bytes):
+    """The genesis record, the transaction records and the offset at which
+    each transaction's frame starts (and the file ends) of a file that
+    loads."""
+    pos = HEADER_SIZE + 4 + int.from_bytes(data[HEADER_SIZE:HEADER_SIZE + 4], "big")
+    genesis = data[HEADER_SIZE + 4:pos]
+    records, boundaries = [], [pos]
+    while pos < len(data):
+        size = int.from_bytes(data[pos:pos + 4], "big")
+        records.append(data[pos + 4:pos + 4 + size])
+        pos += 4 + size + 32
+        boundaries.append(pos)
+    return genesis, records, boundaries
 
 
 def _outcome(saved, mutated: bytes) -> str:
@@ -60,6 +77,10 @@ def _outcome(saved, mutated: bytes) -> str:
         ledger = load_ledger(path)
     except AvLedgerError:
         return "domain error"
+    # Decoding is canonical: whatever loads re-encodes to the bytes it came from.
+    genesis, records, _ = _framing(mutated)
+    assert encode(ledger.genesis, start=1) == genesis
+    assert [encode_transaction(tx) for tx in ledger.all_transactions()] == records
     if chain_faults(ledger):
         return "fault"
     reloaded = [tx.tid for tx in ledger.all_transactions()]

@@ -9,7 +9,16 @@ from avledger.errors import NotDiverged, ReplicaMismatch, Unattributable
 from avledger.ledger import PartitionLedger, chain_faults, make_genesis
 from avledger.scenarios import tamper_cblock
 from avledger.identity import sign_tx_digest
-from avledger.txmodel import Partition, Role, SigEntry, check_tx, check_tx_committed, check_tx_genesis
+from avledger.txmodel import (
+    EstDigest,
+    EventTrigger,
+    Partition,
+    Role,
+    SigEntry,
+    check_tx,
+    check_tx_committed,
+    check_tx_genesis,
+)
 from avledger.validation import (
     Reason,
     RoundOutcome,
@@ -23,6 +32,7 @@ from worldkit import (
     apply_mutation,
     commit,
     field_mutations,
+    fixed_fields,
     make_est,
     make_et,
     make_mt,
@@ -165,7 +175,12 @@ def test_unencodable_fields_are_malformed_not_a_crash():
     world = make_world(seed=31)
     ut = make_ut(world)
     est = make_est(world)
+    mt = make_mt(world, roadworthy=True)
     unencodable = [
+        # A bool field takes only True or False: 2 and "yes" are truthy
+        # but are not the value whose bytes the tid covers.
+        dataclasses.replace(mt, body=dataclasses.replace(mt.body, roadworthy=2)),
+        dataclasses.replace(mt, body=dataclasses.replace(mt.body, roadworthy="yes")),
         dataclasses.replace(ut, body=dataclasses.replace(ut.body, update_file_hash=b"\x00" * 31)),
         dataclasses.replace(ut, body=dataclasses.replace(ut.body, metadata=5)),
         dataclasses.replace(
@@ -180,6 +195,33 @@ def test_unencodable_fields_are_malformed_not_a_crash():
     ]
     for tx in unencodable:
         assert _verdict(world, tx).reason is Reason.MALFORMED_BODY
+
+
+def test_fixed_size_fields_of_the_wrong_size_are_malformed():
+    """Every fixed(n) byte string a transaction carries, one byte short or
+    one byte long, gives MalformedBody."""
+    world = make_world(seed=32)
+    creds = vehicle_credentials(world, 1000.0)
+    est = make_est(world, creds=creds)
+    ut = make_ut(world, creds=creds)
+    digests = (EstDigest(tid=est.tid, ts=1000.0, trigger=EventTrigger.HARD_BRAKE),)
+    honest = [
+        est,
+        ut,
+        make_et(world, ut.tid, creds, at=1200.0),
+        make_pet(world, creds=creds),
+        make_mt(world),
+        make_ret(world, make_edata(world, 1000.0), at=1010.0, est_digests=digests),
+    ]
+    checked = 0
+    for tx in honest:
+        assert _verdict(world, tx).reason is not Reason.MALFORMED_BODY
+        for path, size in fixed_fields(tx):
+            for wrong in (size - 1, size + 1):
+                bad = apply_mutation(tx, path, b"\x07" * wrong)
+                assert _verdict(world, bad).reason is Reason.MALFORMED_BODY, (tx.kind, path, wrong)
+                checked += 1
+    assert checked > 2 * len(honest) * 3
 
 
 # --- the two halves of the rule ------------------------------------------------

@@ -22,14 +22,17 @@ hand-written encoders; regenerate it by hand only for a change that moves
 wire bytes on purpose and says so.
 """
 
+import enum
 import hashlib
 import json
 import os
+import struct
 
 import pytest
 
 from avledger.adjudicator import _content_digest
 from avledger.encoding import decode, encode
+from avledger.errors import LedgerFormatError, MalformedBody
 from avledger.identity import PseudonymCertificate
 from avledger.ledger import CaRootCert, MemberRecord, make_genesis
 from avledger.scenarios import WitnessStatement
@@ -60,6 +63,8 @@ from avledger.txmodel import (
     encode_tid_preimage,
     encode_transaction,
 )
+
+from worldkit import apply_mutation, field_mutations, fixed_fields
 
 PINS_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "wire_vector_pins.json")
 
@@ -240,3 +245,125 @@ def test_vectors_write_every_enum_tag():
     statuses = {RECORDS[n].exec_status for n in ("ExecReportBody-failed", "ExecReportBody-executed")}
     assert statuses == set(ExecStatus)
     assert TRANSACTIONS[TxKind.EXECUTION].parent_tid is not None
+
+
+WHOLE = {
+    **RECORDS,
+    **{f"Transaction-{kind.value}": tx for kind, tx in TRANSACTIONS.items()},
+    **{f"GenesisBlock-{partition.value}": genesis for partition, genesis in GENESES.items()},
+}
+
+
+@pytest.mark.parametrize("name", sorted(WHOLE))
+def test_fixed_size_fields_refuse_other_sizes(name):
+    """struct pads or cuts a byte string to its format's size, so the
+    encoder checks every fixed(n) value's size itself."""
+    value = WHOLE[name]
+    for path, size in fixed_fields(value):
+        for wrong in (size - 1, size + 1):
+            with pytest.raises(ValueError, match=f"expected {size} bytes, got {wrong}"):
+                encode(apply_mutation(value, path, b"\x07" * wrong))
+
+
+def test_every_record_with_a_fixed_size_field_is_exercised():
+    with_fixed = {type(value).__name__ for value in WHOLE.values() if any(fixed_fields(value))}
+    assert with_fixed == {
+        "CaRootCert",
+        "CollisionEvidenceBody",
+        "EstDigest",
+        "EventSafetyBody",
+        "EvidenceData",
+        "EvidenceRequestBody",
+        "GenesisBlock",
+        "MaintenanceBody",
+        "MemberRecord",
+        "PseudonymCertificate",
+        "TamperStoreDigest",
+        "Transaction",
+        "UpdateBody",
+        "WitnessStatement",
+    }
+
+
+# --- the decoder is exactly as strict as the layout ------------------------------
+
+def _one_byte_fields(value):
+    """(path, offset, corrupted copy) of every enum tag and boolean in
+    value's encoding but a switch's key, found by changing the field and
+    seeing which one byte moves."""
+    base = encode(value)
+    for path, other in field_mutations(value):
+        if not isinstance(other, (bool, enum.Enum)) or path == ("kind",):
+            continue
+        moved = encode(apply_mutation(value, path, other))
+        [at] = [i for i, (a, b) in enumerate(zip(base, moved)) if a != b]
+        yield path, at, other
+
+
+@pytest.mark.parametrize("name", sorted(WHOLE))
+def test_bad_tag_and_boolean_bytes_are_refused(name):
+    value = WHOLE[name]
+    data = encode(value)
+    for path, at, other in _one_byte_fields(value):
+        if isinstance(other, bool):
+            with pytest.raises(LedgerFormatError, match="^bad boolean byte 2$"):
+                decode(type(value), data[:at] + b"\x02" + data[at + 1:])
+        else:
+            with pytest.raises(MalformedBody, match=r"^unknown [a-z ]+ tag 255$"):
+                decode(type(value), data[:at] + b"\xff" + data[at + 1:])
+
+
+def test_every_kind_of_one_byte_field_is_exercised():
+    fields = {path[-1] for value in WHOLE.values() for path, _, _ in _one_byte_fields(value)}
+    assert fields == {
+        "drive_mode", "exec_status", "partition", "proposer", "requester", "role",
+        "roadworthy", "trigger", "validator",
+    }
+
+
+@pytest.mark.parametrize("kind", list(TxKind), ids=lambda k: k.value)
+def test_bad_kind_and_optional_bytes_are_refused(kind):
+    tx = TRANSACTIONS[kind]
+    data = encode_transaction(tx)
+    with pytest.raises(MalformedBody, match="^unknown transaction kind tag 7$"):
+        decode_transaction(b"\x07" + data[1:])
+    flag = len(encode(tx, stop=3))  # the byte before parent_tid
+    with pytest.raises(LedgerFormatError, match="^bad optional tag 2$"):
+        decode_transaction(data[:flag] + b"\x02" + data[flag + 1:])
+
+
+@pytest.mark.parametrize("kind", list(TxKind), ids=lambda k: k.value)
+def test_every_cut_and_trailing_byte_is_refused(kind):
+    data = encode_transaction(TRANSACTIONS[kind])
+    for cut in range(len(data)):
+        with pytest.raises(LedgerFormatError, match="^truncated record: wanted"):
+            decode_transaction(data[:cut])
+    with pytest.raises(LedgerFormatError, match="^1 trailing bytes after record$"):
+        decode_transaction(data + b"\x00")
+
+
+def test_bad_utf8_is_refused():
+    body = BODIES[TxKind.UPDATE]
+    data = encode(body)
+    at = data.index("firmware".encode())
+    with pytest.raises(LedgerFormatError, match="^bad utf-8 in text field"):
+        decode(UpdateBody, data[:at] + b"\xff" + data[at + 1:])
+
+
+def test_a_short_list_is_refused_where_it_runs_out():
+    """Three media hashes announced, two present: the bytes after them are
+    not read as the record's later fields."""
+    count = (3).to_bytes(4, "big")
+    data = count + _h(0x01) + _h(0x02) + struct.pack(">d", 999.5)
+    with pytest.raises(LedgerFormatError, match="^truncated record: wanted 32 bytes at offset 68, have 8$"):
+        decode(TamperStoreDigest, data)
+
+
+def test_a_bad_tag_before_a_cut_is_reported_first():
+    """A longer entity id shifts the first public-key byte into the role
+    tag and leaves the record short; read field by field, the tag fails
+    first."""
+    data = encode(MEMBERS[0])
+    assert data[:4] == (4).to_bytes(4, "big")
+    with pytest.raises(MalformedBody, match="^unknown role tag 64$"):
+        decode(MemberRecord, data[:3] + b"\x05" + data[4:])

@@ -12,6 +12,7 @@ import enum
 import random
 from dataclasses import dataclass
 
+from avledger.encoding import Fixed, items, layout, optional
 from avledger.identity import (
     KeyPair,
     PseudonymCertificate,
@@ -273,3 +274,24 @@ def apply_mutation(obj, path, new_value):
         items[head] = apply_mutation(items[head], rest, new_value)
         return tuple(items)
     return dataclasses.replace(obj, **{head: apply_mutation(getattr(obj, head), rest, new_value)})
+
+
+def fixed_fields(record, path=()):
+    """(field path, n) for every fixed(n) byte string in a record tree, by
+    the codecs its layout declares."""
+    rec = layout(type(record))
+    for name, codec in zip(rec.names, rec.codecs):
+        yield from _fixed_values(getattr(record, name), codec, path + (name,))
+
+
+def _fixed_values(value, codec, path):
+    if isinstance(codec, Fixed):
+        yield path, codec.size
+    elif isinstance(codec, items):
+        for i, item in enumerate(value):
+            yield from _fixed_values(item, codec.codec, path + (i,))
+    elif isinstance(codec, optional):
+        if value is not None:
+            yield from _fixed_values(value, codec.codec, path)
+    elif dataclasses.is_dataclass(value):
+        yield from fixed_fields(value, path)
