@@ -30,11 +30,9 @@ import dataclasses
 import functools
 import operator
 import struct
-from typing import Any, Callable, Iterable, Mapping, Optional, TypeVar
+from typing import Any, Callable, Mapping, Optional
 
 from .errors import LedgerFormatError, MalformedBody
-
-T = TypeVar("T")
 
 
 # --- field codecs ---------------------------------------------------------------
@@ -217,21 +215,6 @@ class Writer:
     def text(self, value: str) -> "Writer":
         return self.blob(value.encode("utf-8"))
 
-    def items(self, values: Iterable[T], encode_one: Callable[["Writer", T], None]) -> "Writer":
-        values = list(values)
-        self.u32(len(values))
-        for v in values:
-            encode_one(self, v)
-        return self
-
-    def optional(self, value: Optional[T], encode_one: Callable[["Writer", T], None]) -> "Writer":
-        if value is None:
-            self.u8(0)
-        else:
-            self.u8(1)
-            encode_one(self, value)
-        return self
-
     def raw(self, value: bytes) -> "Writer":
         # No length prefix: only for embedding already-canonical sub-encodings.
         self._buf += value
@@ -239,66 +222,6 @@ class Writer:
 
     def getvalue(self) -> bytes:
         return bytes(self._buf)
-
-
-class Reader:
-    """Decodes canonical bytes one primitive at a time; raises
-    LedgerFormatError on truncation."""
-
-    def __init__(self, data: bytes) -> None:
-        self._data = data
-        self._pos = 0
-
-    def _take(self, n: int) -> bytes:
-        if self._pos + n > len(self._data):
-            raise _truncated(n, self._pos, len(self._data) - self._pos)
-        chunk = self._data[self._pos:self._pos + n]
-        self._pos += n
-        return chunk
-
-    def u8(self) -> int:
-        return U8.struct.unpack(self._take(U8.struct.size))[0]
-
-    def u32(self) -> int:
-        return U32.struct.unpack(self._take(U32.struct.size))[0]
-
-    def f64(self) -> float:
-        return F64.struct.unpack(self._take(F64.struct.size))[0]
-
-    def boolean(self) -> bool:
-        return _FLAGS[self.u8()]
-
-    def fixed(self, size: int) -> bytes:
-        return self._take(size)
-
-    def blob(self) -> bytes:
-        return self._take(self.u32())
-
-    def text(self) -> str:
-        raw = self.blob()
-        try:
-            return raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            _bad_text(exc)
-
-    def items(self, decode_one: Callable[["Reader"], T]) -> list[T]:
-        count = self.u32()
-        return [decode_one(self) for _ in range(count)]
-
-    def optional(self, decode_one: Callable[["Reader"], T]) -> Optional[T]:
-        flag = self.u8()
-        if flag == 0:
-            return None
-        if flag != 1:
-            _bad_optional(flag)
-        return decode_one(self)
-
-    def remaining(self) -> int:
-        return len(self._data) - self._pos
-
-    def expect_end(self) -> None:
-        if self.remaining():
-            _trailing(self._data, self._pos)
 
 
 class items(Codec):

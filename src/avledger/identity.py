@@ -5,16 +5,24 @@ a short-lived pseudonym certificate issued by the certificate authority,
 and the mapping from certificate id back to the real entity lives only in
 an escrow that both settlement authorities must approve to open.
 
-Signing is Ed25519 (deterministic signatures, 32-byte raw public keys)
-behind generate_keypair / sign / verify so the scheme stays swappable.
+Signing is Ed25519 (RFC 8032: deterministic signatures, 32-byte raw public
+keys) behind generate_keypair / sign / verify. Two backends give the same
+keys, signatures and verdicts. The system libsodium, called through ctypes,
+backs them wherever libsodium.so.23 loads; the `cryptography` package backs
+them everywhere else. No option, environment variable or config key
+chooses. One verify rule holds on both: a signature or public key of the
+wrong length, a public key or R that is a small-order point, and a
+non-canonical public key are refused, as libsodium refuses them. Every call
+checks its signature; no verdict is remembered.
 """
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import random
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives import serialization
@@ -30,6 +38,7 @@ EntityId = str
 
 PUBLIC_KEY_SIZE = 32
 SECRET_KEY_SIZE = 32
+SIGNATURE_SIZE = 64
 CERT_NONCE_SIZE = 16
 
 # Certificates are short-lived by design: one rotation per transaction, and
@@ -41,18 +50,131 @@ _CERT_SIGN_PREFIX = b"avledger.cert.v1:"
 _TX_SIGN_PREFIX = b"avledger.tx.v1:"
 
 
+# --- Ed25519 backends ---------------------------------------------------------
+
+class Backend(NamedTuple):
+    """The three Ed25519 primitives. keypair(seed) gives (public key,
+    signer); signer is what sign takes to sign under that seed. verify is
+    called only with a 32-byte key and a 64-byte signature."""
+
+    name: str
+    keypair: Callable[[bytes], tuple[bytes, object]]
+    sign: Callable[[object, bytes], bytes]
+    verify: Callable[[bytes, bytes, bytes], bool]
+
+
+def _load_libsodium() -> Optional[Backend]:
+    """The system libsodium's Ed25519, or None where it does not load.
+
+    The library is opened by soname: ctypes.util.find_library would start
+    ldconfig or a compiler at import.
+    """
+    try:
+        lib = ctypes.CDLL("libsodium.so.23")
+        init = lib.sodium_init
+        seed_keypair = lib.crypto_sign_ed25519_seed_keypair
+        detached = lib.crypto_sign_ed25519_detached
+        verify_detached = lib.crypto_sign_ed25519_verify_detached
+    except (OSError, AttributeError):
+        return None
+    byte_p, size = ctypes.c_char_p, ctypes.c_ulonglong
+    for function, argtypes in (
+        (init, ()),
+        (seed_keypair, (byte_p, byte_p, byte_p)),
+        (detached, (byte_p, ctypes.c_void_p, byte_p, size, byte_p)),
+        (verify_detached, (byte_p, byte_p, size, byte_p)),
+    ):
+        function.argtypes, function.restype = argtypes, ctypes.c_int
+    if init() < 0:
+        return None
+
+    # libsodium reads a fixed number of bytes behind each pointer, so every
+    # input is sized here first.
+    def keypair(seed: bytes) -> tuple[bytes, bytes]:
+        # The signer is libsodium's 64-byte secret key: seed || public key.
+        if len(seed) != SECRET_KEY_SIZE:
+            raise ValueError(f"seed must be {SECRET_KEY_SIZE} bytes")
+        public = ctypes.create_string_buffer(PUBLIC_KEY_SIZE)
+        secret = ctypes.create_string_buffer(SECRET_KEY_SIZE + PUBLIC_KEY_SIZE)
+        if seed_keypair(public, secret, seed) != 0:
+            raise RuntimeError("crypto_sign_ed25519_seed_keypair failed")
+        return public.raw, secret.raw
+
+    def sign(secret: bytes, message: bytes) -> bytes:
+        if len(secret) != SECRET_KEY_SIZE + PUBLIC_KEY_SIZE:
+            raise ValueError("libsodium signs with a 64-byte secret key")
+        signature = ctypes.create_string_buffer(SIGNATURE_SIZE)
+        if detached(signature, None, message, len(message), secret) != 0:
+            raise RuntimeError("crypto_sign_ed25519_detached failed")
+        return signature.raw
+
+    def verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
+        return verify_detached(signature, message, len(message), public_key) == 0
+
+    return Backend("libsodium", keypair, sign, verify)
+
+
+_P = 2**255 - 19
+_Y_MASK = 2**255 - 1  # an encoding without its sign bit: the y coordinate
+# libsodium's small-order encodings (ge25519_has_small_order), as y without
+# the sign bit: the points of order 4, 1, 8, 8 and 2, then p and p + 1, the
+# non-canonical forms of y = 0 and 1. OpenSSL's cofactorless check accepts
+# some of them: with A and R the identity and S = 0, every message verifies.
+_SMALL_ORDER_Y = frozenset({
+    0,
+    1,
+    2707385501144840649318225287225658788936804267575313519463743609750303402022,
+    55188659117513257062467267217118295137698188065244968500265048394206261417927,
+    _P - 1,
+    _P,
+    _P + 1,
+})
+
+
+def _cryptography_keypair(seed: bytes) -> tuple[bytes, Ed25519PrivateKey]:
+    private = Ed25519PrivateKey.from_private_bytes(seed)
+    public = private.public_key().public_bytes(
+        serialization.Encoding.Raw, serialization.PublicFormat.Raw
+    )
+    return public, private
+
+
+def _cryptography_sign(private: Ed25519PrivateKey, message: bytes) -> bytes:
+    return private.sign(message)
+
+
+def _cryptography_verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
+    # Refuse first what libsodium refuses before its equation check.
+    a = int.from_bytes(public_key, "little") & _Y_MASK
+    r = int.from_bytes(signature[:32], "little") & _Y_MASK
+    if a >= _P or a in _SMALL_ORDER_Y or r in _SMALL_ORDER_Y:
+        return False
+    try:
+        Ed25519PublicKey.from_public_bytes(public_key).verify(signature, message)
+        return True
+    except (InvalidSignature, ValueError):
+        return False
+
+
+CRYPTOGRAPHY = Backend("cryptography", _cryptography_keypair, _cryptography_sign, _cryptography_verify)
+
+# The backend every key, signature and verdict of this process comes from.
+BACKEND = _load_libsodium() or CRYPTOGRAPHY
+
+
 @dataclass(frozen=True)
 class KeyPair:
     """Ed25519 key pair; secret_key is the 32-byte RFC 8032 seed.
 
-    `signer` is the private-key object generate_keypair built from that
-    seed, held so that a sign does not rebuild it. It is derived from
-    secret_key, so equality and repr leave it out.
+    `signer` is the backend's signing key that generate_keypair derived
+    from that seed (libsodium's 64-byte secret key, or an
+    Ed25519PrivateKey), held so that a sign does not derive it again.
+    It is derived from secret_key, so equality and repr leave it out.
     """
 
     public_key: bytes
     secret_key: bytes
-    signer: Ed25519PrivateKey = field(compare=False, repr=False)
+    signer: object = field(compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.public_key) != PUBLIC_KEY_SIZE:
@@ -64,23 +186,20 @@ class KeyPair:
 def generate_keypair(rng: random.Random) -> KeyPair:
     """Derives a key pair from the caller's seeded RNG (replayable)."""
     seed = rng.randbytes(SECRET_KEY_SIZE)
-    private = Ed25519PrivateKey.from_private_bytes(seed)
-    public = private.public_key().public_bytes(
-        serialization.Encoding.Raw, serialization.PublicFormat.Raw
-    )
-    return KeyPair(public_key=public, secret_key=seed, signer=private)
+    public, signer = BACKEND.keypair(seed)
+    return KeyPair(public_key=public, secret_key=seed, signer=signer)
 
 
 def _sign_raw(keys: KeyPair, message: bytes) -> bytes:
-    return keys.signer.sign(message)
+    return BACKEND.sign(keys.signer, message)
 
 
 def _verify_raw(public_key: bytes, message: bytes, signature: bytes) -> bool:
-    try:
-        Ed25519PublicKey.from_public_bytes(public_key).verify(signature, message)
-        return True
-    except (InvalidSignature, ValueError):
+    # Stored signatures are blobs of any length; libsodium reads exactly
+    # 64 bytes of one and 32 of a key, so other lengths never reach it.
+    if len(signature) != SIGNATURE_SIZE or len(public_key) != PUBLIC_KEY_SIZE:
         return False
+    return BACKEND.verify(public_key, message, signature)
 
 
 def sign_tx_digest(keys: KeyPair, tid: bytes) -> bytes:

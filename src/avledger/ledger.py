@@ -395,8 +395,10 @@ def chain_faults(ledger: PartitionLedger) -> list[str]:
 
 
 # A helper process judges a share of at least this many transactions. A
-# fork costs about 4 ms in an 80 MB process, the time of some 25 signature
-# checks, so a smaller share is judged faster in process.
+# fork costs about 4.5 ms in an 80 MB process, the time of some 45
+# signature checks through libsodium (20 through `cryptography`), and a
+# transaction with its own pseudonym certificate takes two checks, so a
+# smaller share is judged faster in process.
 MIN_SHARE = 64
 
 _REASONS = tuple(Reason)

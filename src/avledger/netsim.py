@@ -8,7 +8,9 @@ recorded as undeliverable, never raised: losing a message is a fact about
 the world, not a program error.
 
 Identical seeds and identical call sequences replay to byte-identical
-delivery records; due retries fire in (due time, message id) order.
+delivery records; due retries fire in (due time, message id) order. The
+network keeps no record once its send ends, only counts of how sends
+ended.
 """
 
 from __future__ import annotations
@@ -91,7 +93,11 @@ class Network:
         self.drop_prob = drop_prob
         self.retry_interval = retry_interval
         self.max_attempts = max_attempts
-        self.records: list[DeliveryRecord] = []
+        # How sends ended; sends - the other three are still pending.
+        self.sends = 0
+        self.delivered = 0
+        self.undeliverable = 0
+        self.refused = 0
         # Called when a send dies without delivery (budget exhausted or
         # refused at the door); lets the simulation account for the loss.
         self.on_dead: Optional[Callable[[DeliveryRecord], None]] = None
@@ -124,7 +130,7 @@ class Network:
         )
         self._next_msg_id += 1
         record = DeliveryRecord(envelope=envelope)
-        self.records.append(record)
+        self.sends += 1
         heapq.heappush(self._heap, (self.clock.now, envelope.msg_id, record))
         self._pump(self.clock.now)
         return record
@@ -182,14 +188,17 @@ class Network:
                 and record.envelope.sender not in endpoint.allowed_senders
             ):
                 record.refused = True
+                self.refused += 1
                 if self.on_dead:
                     self.on_dead(record)
                 return
             record.delivered_at = at
+            self.delivered += 1
             endpoint.handler(record.envelope)
             return
         if len(record.attempts) >= self.max_attempts:
             record.exhausted = True
+            self.undeliverable += 1
             if self.on_dead:
                 self.on_dead(record)
             return

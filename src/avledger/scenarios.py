@@ -1431,9 +1431,6 @@ class ScenarioEngine:
                 "tx_total": len(replica.tid_index),
                 "cblock_id": replica.cblock_id.hex(),
             }
-        delivered = sum(1 for r in self.net.records if r.status == "delivered")
-        undeliverable = sum(1 for r in self.net.records if r.status == "undeliverable")
-        refused = sum(1 for r in self.net.records if r.status == "refused")
         attack = self.config.attack
         return ScenarioReport(
             seed=self.config.seed,
@@ -1448,10 +1445,10 @@ class ScenarioEngine:
             halted={part.value: flag for part, flag in self.halted.items()},
             chain=chain,
             delivery={
-                "sends": len(self.net.records),
-                "delivered": delivered,
-                "undeliverable": undeliverable,
-                "refused": refused,
+                "sends": self.net.sends,
+                "delivered": self.net.delivered,
+                "undeliverable": self.net.undeliverable,
+                "refused": self.net.refused,
             },
             attack_scripted=attack.attack_class.value if attack else None,
             attack_detected=self._attack_detected(),

@@ -381,10 +381,9 @@ def test_acceptance_7_retry_channel():
         )
         net.register_endpoint("rx", lambda envelope: None)
         net.register_endpoint("tx", lambda envelope: None)
-        for i in range(sends):
-            net.send_with_retry("tx", "rx", i)
+        records = [net.send_with_retry("tx", "rx", i) for i in range(sends)]
         net.run_until_quiet()
-        rate = sum(r.status == "undeliverable" for r in net.records) / sends
+        rate = sum(r.status == "undeliverable" for r in records) / sends
         expected = drop_prob**5
         ok &= abs(rate - expected) <= 0.02
         details.append(f"p={drop_prob}: {rate:.4f} vs {expected:.4f}")

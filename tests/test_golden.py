@@ -26,6 +26,7 @@ from dataclasses import replace
 
 import pytest
 
+from avledger import identity
 from avledger.ledger import save_ledger
 from avledger.scenarios import (
     AttackClass,
@@ -90,3 +91,12 @@ def test_golden_fingerprints(run, tmp_path):
     moved = [name for name in sorted(want) if got.get(name) != want[name]]
     assert sorted(got) == sorted(want), f"{run}: artefact set changed: {sorted(got)}"
     assert not moved, f"{run}: bytes moved in {', '.join(moved)}"
+
+
+def test_golden_run_with_the_cryptography_backend(monkeypatch, tmp_path):
+    """Both Ed25519 backends give the same bytes: a run whose keys,
+    signatures and verdicts all come from `cryptography` matches the pins
+    taken with whichever backend this host loads."""
+    monkeypatch.setattr(identity, "BACKEND", identity.CRYPTOGRAPHY)
+    run = "TamperCBlock-s0"
+    assert artefact_fingerprints(CONFIGS[run], str(tmp_path)) == GOLDEN[run]

@@ -1,11 +1,19 @@
-"""Key handling, pseudonym certificates, the identity escrow, and the
-sealed witness payloads."""
+"""Key handling and the Ed25519 backends, pseudonym certificates, the
+identity escrow, and the sealed witness payloads."""
 
+import ctypes
+import dataclasses
+import functools
+import hashlib
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
+from avledger import identity
 from avledger.errors import EscrowDenied, InvalidValidity, UnknownCertificate, UnknownEntity
 from avledger.identity import (
     IdentityEscrow,
@@ -20,7 +28,13 @@ from avledger.identity import (
     verify_tx_digest,
 )
 
-from worldkit import make_world
+from avledger.ledger import chain_faults, load_ledger, save_ledger
+from avledger.txmodel import check_tx
+from avledger.validation import Reason
+
+from worldkit import fill_ledger, make_world
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def test_keypair_generation_is_seed_deterministic():
@@ -44,6 +58,176 @@ def test_sign_verify_round_trip():
 def test_garbage_signature_rejected_not_raised():
     keys = generate_keypair(random.Random(0))
     assert not verify_tx_digest(keys.public_key, b"\x00" * 32, b"junk")
+
+
+# --- Ed25519 backends -----------------------------------------------------------
+
+def _libsodium_loads() -> bool:
+    try:
+        ctypes.CDLL("libsodium.so.23")
+    except OSError:
+        return False
+    return True
+
+
+BACKENDS = [identity.CRYPTOGRAPHY]
+if identity.BACKEND is not identity.CRYPTOGRAPHY:
+    BACKENDS.append(identity.BACKEND)
+
+
+@pytest.fixture(params=BACKENDS, ids=lambda backend: backend.name)
+def backend(request, monkeypatch):
+    """Runs the test once per backend that loads here, as the backend of
+    every key, signature and verdict."""
+    monkeypatch.setattr(identity, "BACKEND", request.param)
+    return request.param
+
+
+def test_importing_identity_starts_no_subprocess():
+    watch = {"subprocess.Popen", "os.system", "os.posix_spawn", "os.spawn", "os.fork", "os.exec"}
+    code = (
+        "import sys\n"
+        "seen = []\n"
+        f"sys.addaudithook(lambda event, args: event in {sorted(watch)!r} and seen.append(event))\n"
+        "import avledger.identity\n"
+        "print(avledger.identity.BACKEND.name, seen)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split(" ", 1)[1].strip() == "[]", done.stdout
+
+
+def test_libsodium_backs_identity_wherever_it_loads():
+    """A binding slip must fail here, not fall back to the slower backend."""
+    if not _libsodium_loads():
+        pytest.skip("libsodium.so.23 does not load on this host")
+    assert identity.BACKEND.name == "libsodium"
+
+
+def test_backends_derive_the_same_keys_and_signatures():
+    if len(BACKENDS) < 2:
+        pytest.skip("only one Ed25519 backend loads on this host")
+    for seed in range(50):
+        secret = random.Random(seed).randbytes(32)
+        message = b"message %d" % seed
+        derived = [b.keypair(secret) for b in BACKENDS]
+        assert len({public for public, _ in derived}) == 1
+        assert len({b.sign(signer, message) for b, (_, signer) in zip(BACKENDS, derived)}) == 1
+
+
+P = 2**255 - 19
+L = 2**252 + 27742317777372353535851937790883648493
+
+
+def _point(y: int, sign: int = 0) -> bytes:
+    return (y | sign << 255).to_bytes(32, "little")
+
+
+# The encodings libsodium refuses as small-order points, each with either
+# sign bit: y of the points of order 4, 1, 8, 8 and 2, then p and p + 1.
+SMALL_ORDER = [
+    _point(y, sign)
+    for y in (
+        0,
+        1,
+        2707385501144840649318225287225658788936804267575313519463743609750303402022,
+        55188659117513257062467267217118295137698188065244968500265048394206261417927,
+        P - 1,
+        P,
+        P + 1,
+    )
+    for sign in (0, 1)
+]
+NON_CANONICAL = [_point(y, sign) for y in range(P, 2**255) for sign in (0, 1)]
+
+
+def _bit_flips(data: bytes):
+    for bit in range(8 * len(data)):
+        flipped = bytearray(data)
+        flipped[bit // 8] ^= 1 << bit % 8
+        yield bytes(flipped)
+
+
+@functools.cache
+def verify_corpus() -> tuple:
+    """(public key, tid, signature) cases, each with the one verdict every
+    backend must give: only the two honest signatures verify."""
+    cases = []
+    for seed in (0, 1):
+        public, signer = identity.CRYPTOGRAPHY.keypair(random.Random(seed).randbytes(32))
+        tid = hashlib.sha256(bytes([seed])).digest()
+        sig = identity.CRYPTOGRAPHY.sign(signer, b"avledger.tx.v1:" + tid)
+        r, s = sig[:32], int.from_bytes(sig[32:], "little")
+        cases.append((public, tid, sig, True))
+        cases += [(public, tid, flipped, False) for flipped in _bit_flips(sig)]
+        cases += [(public, flipped, sig, False) for flipped in _bit_flips(tid)]
+        cases += [(flipped, tid, sig, False) for flipped in _bit_flips(public)]
+        cases += [(public, tid, r + bad.to_bytes(32, "little"), False) for bad in (L, L + 1, s + L)]
+        cases += [(a, tid, sig, False) for a in SMALL_ORDER + NON_CANONICAL]
+        cases += [(public, tid, r + sig[32:], False) for r in SMALL_ORDER]
+    # With a small-order key and R, S = 0 or 1 passes a cofactorless
+    # equation for some messages.
+    any_tid = hashlib.sha256(b"any").digest()
+    cases += [
+        (a, any_tid, r + s.to_bytes(32, "little"), False)
+        for a in SMALL_ORDER + NON_CANONICAL
+        for r in SMALL_ORDER
+        for s in (0, 1)
+    ]
+    return tuple(cases)
+
+
+def test_verify_corpus_gives_one_verdict_on_every_backend(backend):
+    corpus = verify_corpus()
+    got = [verify_tx_digest(public, tid, sig) for public, tid, sig, _ in corpus]
+    wrong = [i for i, (case, verdict) in enumerate(zip(corpus, got)) if verdict is not case[3]]
+    assert not wrong, f"{len(wrong)} of {len(corpus)} verdicts wrong, first case {wrong[0]}"
+
+
+def test_the_identity_point_key_verifies_no_message(backend):
+    for tid in (bytes(32), b"\x07" * 32, hashlib.sha256(b"any").digest()):
+        assert not verify_tx_digest(b"\x01" + bytes(31), tid, b"\x01" + bytes(63))
+
+
+@pytest.mark.parametrize("size", [0, 3, 63, 65])
+def test_a_wrong_length_is_refused_before_the_backend(backend, monkeypatch, size):
+    keys = generate_keypair(random.Random(0))
+    tid = b"\x07" * 32
+    sig = sign_tx_digest(keys, tid)
+    # 63 bytes are the signature cut short, 65 the signature and one more.
+    wrong = (sig + b"\x00")[:size]
+    assert verify_tx_digest(keys.public_key, tid, wrong) is False
+    calls = []
+    monkeypatch.setattr(identity, "BACKEND", backend._replace(verify=lambda *a: calls.append(a)))
+    assert verify_tx_digest(keys.public_key, tid, wrong) is False
+    assert verify_tx_digest(keys.public_key[:31], tid, sig) is False
+    assert verify_tx_digest(keys.public_key + b"\x00", tid, sig) is False
+    assert calls == []
+
+
+@pytest.mark.parametrize("size", [0, 3, 63, 65])
+def test_a_stored_signature_of_the_wrong_length_is_a_fault(backend, tmp_path, size):
+    world = make_world(seed=19)
+    ledger = world.ledger(b_max=4)
+    fill_ledger(world, ledger, 6)
+    victim = ledger.blocks[0].transactions[2]
+    entry = victim.signatures[0]
+    forged = dataclasses.replace(
+        victim, signatures=(dataclasses.replace(entry, signature=(entry.signature + b"\x00")[:size]),)
+    )
+    assert check_tx(forged, world.p1, {}) is Reason.BAD_SIGNATURE
+    cert = dataclasses.replace(
+        victim.cert, issuer_signature=(victim.cert.issuer_signature + b"\x00")[:size]
+    )
+    assert not certificate_signature_ok(cert, world.ca.public_key)
+    ledger.blocks[0].transactions[2] = forged
+    path = str(tmp_path / "p1.bin")
+    save_ledger(ledger, path)
+    faults = chain_faults(load_ledger(path))
+    assert len(faults) == 1 and "(BadSignature)" in faults[0], faults
 
 
 # --- certificates -------------------------------------------------------------

@@ -4,6 +4,8 @@ the scenario engine; its dead-letter path is pinned by the golden runs
 at drop 0.7 with three attempts."""
 
 import random
+import weakref
+from collections import Counter
 
 import pytest
 
@@ -124,14 +126,47 @@ def test_identical_seeds_replay_identically():
         net = Network(rng=random.Random(seed), drop_prob=0.4, retry_interval=7.0, max_attempts=5)
         _, handler = _collector()
         net.register_endpoint("dest", handler)
+        records = []
         for i in range(20):
-            net.send_with_retry("s", "dest", i)
+            records.append(net.send_with_retry("s", "dest", i))
             net.advance(3.0)
         net.run_until_quiet()
-        return [(r.envelope.msg_id, r.status, tuple(r.attempts)) for r in net.records]
+        return [(r.envelope.msg_id, r.status, tuple(r.attempts)) for r in records]
 
     assert trace(77) == trace(77)
     assert trace(77) != trace(78)
+
+
+def test_counts_match_the_statuses_of_the_returned_records():
+    net = Network(rng=random.Random(8), drop_prob=0.5, retry_interval=5.0, max_attempts=2)
+    _, handler = _collector()
+    net.register_endpoint("dest", handler, allowed_senders={"member"})
+    records = [
+        net.send_with_retry(sender, dest, i)
+        for i, (sender, dest) in enumerate(
+            [("member", "dest"), ("stranger", "dest"), ("member", "nowhere")] * 10
+        )
+    ]
+
+    def counts():
+        return (net.sends, net.delivered, net.undeliverable, net.refused)
+
+    def statuses():
+        got = Counter(r.status for r in records)
+        return (len(records), got["delivered"], got["undeliverable"], got["refused"])
+
+    assert counts() == statuses() and net.has_pending()
+    net.run_until_quiet()
+    assert counts() == statuses()
+    assert net.sends == net.delivered + net.undeliverable + net.refused
+
+
+def test_an_ended_send_is_not_kept():
+    net = Network(rng=random.Random(9), drop_prob=0.0)
+    _, handler = _collector()
+    net.register_endpoint("dest", handler)
+    sent = weakref.ref(net.send_with_retry("s", "dest", "x"))
+    assert sent() is None and net.delivered == 1
 
 
 def test_constructor_and_send_validate_parameters():
