@@ -180,40 +180,15 @@ class Writer:
     def __init__(self) -> None:
         self._buf = bytearray()
 
-    def u8(self, value: int) -> "Writer":
-        if not 0 <= value < 2**8:
-            raise ValueError(f"u8 out of range: {value}")
-        self._buf += U8.struct.pack(value)
-        return self
-
-    def u32(self, value: int) -> "Writer":
-        if not 0 <= value < 2**32:
-            raise ValueError(f"u32 out of range: {value}")
-        self._buf += U32.struct.pack(value)
-        return self
-
     def f64(self, value: float) -> "Writer":
         self._buf += F64.struct.pack(value)
         return self
-
-    def boolean(self, value: bool) -> "Writer":
-        if type(value) is not bool:
-            _not_bool(value)
-        return self.u8(value)
 
     def fixed(self, value: bytes, size: int) -> "Writer":
         if len(value) != size:
             _wrong_size(value, size)
         self._buf += value
         return self
-
-    def blob(self, value: bytes) -> "Writer":
-        self.u32(len(value))
-        self._buf += value
-        return self
-
-    def text(self, value: str) -> "Writer":
-        return self.blob(value.encode("utf-8"))
 
     def raw(self, value: bytes) -> "Writer":
         # No length prefix: only for embedding already-canonical sub-encodings.

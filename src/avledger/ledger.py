@@ -148,10 +148,14 @@ class CurrentBlock:
 class PartitionLedger:
     """One replica of one partition's chain.
 
-    Besides the tid map, two indexes serve query: cert id to transactions
-    and kind to transactions, each list holding the block's own
-    Transaction objects in commit order. append_validated, append_claimed
-    and remove_open keep them in step with the blocks.
+    Besides the tid map, one index serves query: _rows[kind][cert_id] is
+    the list of transactions of that kind under that certificate, with
+    None for "any", so each transaction sits in three lists: (kind,
+    cert_id), (kind, None) and (None, cert_id). Every list holds the
+    blocks' own Transaction objects in commit order. Each kind's entry
+    exists from the start, so upkeep makes a list only for a cert id's
+    first row. append_validated, append_claimed and remove_open keep the
+    index in step with the blocks.
     """
 
     def __init__(self, genesis: GenesisBlock, b_max: int = DEFAULT_B_MAX) -> None:
@@ -162,8 +166,8 @@ class PartitionLedger:
         self.blocks: list[Block] = []
         self.current = CurrentBlock(prev_block_id=genesis.block_id)
         self._by_tid: dict[Hash256, Transaction] = {}
-        self._by_cert: dict[bytes, list[Transaction]] = {}
-        self._by_kind: dict[TxKind, list[Transaction]] = {}
+        self._rows: dict[Optional[TxKind], dict[Optional[bytes], list[Transaction]]]
+        self._rows = {None: {}} | {kind: {None: []} for kind in TxKind}
 
     # -- views ----------------------------------------------------------------
 
@@ -209,8 +213,15 @@ class PartitionLedger:
 
     def _index(self, tx: Transaction) -> None:
         self._by_tid[tx.tid] = tx
-        self._by_cert.setdefault(tx.cert.cert_id, []).append(tx)
-        self._by_kind.setdefault(tx.kind, []).append(tx)
+        by_cert = self._rows[tx.kind]
+        by_cert[None].append(tx)
+        cert_id = tx.cert.cert_id
+        for index in (by_cert, self._rows[None]):
+            rows = index.get(cert_id)
+            if rows is None:
+                index[cert_id] = [tx]
+            else:
+                rows.append(tx)
 
     def maybe_seal(self) -> Optional[Block]:
         """Seals the open block once it holds b_max transactions. The seal
@@ -251,8 +262,9 @@ class PartitionLedger:
             raise NotFound(f"no open-block transaction {tid.hex()[:16]}")
         removed = cur.transactions[pos]
         later = cur.transactions[pos + 1:]
-        _unindex(self._by_cert, removed.cert.cert_id, [t.cert.cert_id for t in later])
-        _unindex(self._by_kind, removed.kind, [t.kind for t in later])
+        kind, cert_id = removed.kind, removed.cert.cert_id
+        for k, c in ((kind, cert_id), (kind, None), (None, cert_id)):
+            _unindex(self._rows[k][c], later, k, c)
         del cur.transactions[pos], cur.fold_trail[pos:]
         self._by_tid.pop(tid, None)
         for tx in later:
@@ -268,24 +280,22 @@ class PartitionLedger:
         time_range: Optional[tuple[float, float]] = None,
     ) -> list[Transaction]:
         """Committed and open-block transactions that match every given
-        predicate, in commit order.
+        predicate, in commit order, as a new list the caller may change.
 
-        The scan starts from the shorter of the cert-id and kind index
-        lists that apply, and walks the whole chain only when neither
-        cert_id nor kind is given; every predicate is then tested on each
-        row scanned.
+        A call that names a kind or a cert id starts from its one index
+        list, which already matches both; only parent_tid and time_range
+        are then tested on each row. A call that names neither walks the
+        whole chain.
         """
-        starts = []
-        if cert_id is not None:
-            starts.append(self._by_cert.get(cert_id, []))
-        if kind is not None:
-            starts.append(self._by_kind.get(kind, []))
+        if kind is None and cert_id is None:
+            rows = self.all_transactions()
+        else:
+            by_cert = self._rows.get(kind)
+            rows = by_cert.get(cert_id, ()) if by_cert is not None else ()
+        if parent_tid is None and time_range is None:
+            return list(rows)
         out = []
-        for tx in min(starts, key=len) if starts else self.all_transactions():
-            if kind is not None and tx.kind != kind:
-                continue
-            if cert_id is not None and tx.cert.cert_id != cert_id:
-                continue
+        for tx in rows:
             if parent_tid is not None and tx.parent_tid != parent_tid:
                 continue
             if time_range is not None:
@@ -297,15 +307,22 @@ class PartitionLedger:
         return out
 
 
-def _unindex(index: dict, key, later_keys: list) -> None:
-    """Drops one open-block transaction from index[key]. The list ends with
-    the open block's entries in commit order, so the dropped one is
-    followed by exactly the entries of the later open-block transactions
-    that share its key; matching by position, not by equality, keeps a
-    duplicate record loaded from a file in place.
+def _unindex(
+    rows: list[Transaction], later: list[Transaction], kind: Optional[TxKind], cert_id: Optional[bytes]
+) -> None:
+    """Drops one open-block transaction from rows, the index list of
+    (kind, cert_id). The list ends with the open block's entries in commit
+    order, so the dropped one is followed by exactly the later open-block
+    transactions that match kind and cert_id (None matches any); matching
+    by position, not by equality, keeps a duplicate record loaded from a
+    file in place.
     """
-    rows = index[key]
-    del rows[len(rows) - 1 - later_keys.count(key)]
+    behind = sum(
+        1
+        for tx in later
+        if (kind is None or tx.kind is kind) and (cert_id is None or tx.cert.cert_id == cert_id)
+    )
+    del rows[len(rows) - 1 - behind]
 
 
 def est_history(ledger: PartitionLedger, cert_ids: Iterable[bytes]) -> tuple[EstDigest, ...]:

@@ -1455,10 +1455,6 @@ class ScenarioEngine:
         )
 
 
-def run_scenario(config: ScenarioConfig) -> ScenarioReport:
-    return ScenarioEngine(config).run().report
-
-
 # --- canned configurations ----------------------------------------------------
 
 def make_benign_config(seed: int, n_vehicles: int = 3) -> ScenarioConfig:

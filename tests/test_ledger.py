@@ -14,6 +14,7 @@ from avledger.errors import InvalidGenesis, LedgerFormatError, UniquenessViolati
 from avledger.identity import generate_keypair, issue_certificate
 from avledger.ledger import (
     chain_faults,
+    est_history,
     fold_ids,
     fold_step,
     load_ledger,
@@ -23,7 +24,7 @@ from avledger.ledger import (
 )
 from avledger import ledger as ledger_module
 from avledger import txmodel
-from avledger.txmodel import Partition, TxKind, body_timestamp
+from avledger.txmodel import EstDigest, Partition, TxKind, body_timestamp
 from avledger.validation import Reason, RoundOutcome, verify_transaction
 
 from worldkit import (
@@ -197,13 +198,19 @@ def test_query_matches_a_scan_on_a_consensus_ledger():
     _assert_query_matches_scan(ledger)
 
 
-def test_query_keeps_duplicates_of_a_loaded_file(tmp_path):
+def _loaded_with_a_duplicate_tid(tmp_path):
+    """The consensus replica saved with its first EST appended twice (a
+    file may hold a tid twice) and loaded back; returns (ledger, EST)."""
     ledger = _consensus_replica(b_max=4)
     est = ledger.query(kind=TxKind.EVENT_SAFETY)[0]
-    ledger.append_claimed(est, b"\x00" * 32)  # a file may hold a tid twice
+    ledger.append_claimed(est, b"\x00" * 32)
     path = tmp_path / "dup.avl"
     save_ledger(ledger, str(path))
-    loaded = load_ledger(str(path))
+    return load_ledger(str(path)), est
+
+
+def test_query_keeps_duplicates_of_a_loaded_file(tmp_path):
+    loaded, est = _loaded_with_a_duplicate_tid(tmp_path)
     assert [tx.tid for tx in loaded.all_transactions()].count(est.tid) == 2
     assert len(loaded.query(cert_id=est.cert.cert_id, kind=TxKind.EVENT_SAFETY)) == 4
     _assert_query_matches_scan(loaded)
@@ -229,6 +236,52 @@ def test_query_drops_what_remove_open_removed(tmp_path):
     assert [tx.tid for tx in loaded.all_transactions()].count(twice.tid) == 1
     assert loaded.all_transactions()[-1].tid == twice.tid
     _assert_query_matches_scan(loaded)
+
+
+def test_every_query_path_returns_a_new_list():
+    ledger = _consensus_replica(b_max=4)
+    et = ledger.query(kind=TxKind.EXECUTION)[0]
+    keys = [{}, {"kind": et.kind}, {"cert_id": et.cert.cert_id}, {"kind": et.kind, "cert_id": et.cert.cert_id}]
+    filters = [{}, {"parent_tid": et.parent_tid}, {"time_range": (0.0, 1e9)}]
+    for args in ({**key, **more} for key in keys for more in filters):
+        first = ledger.query(**args)
+        assert et in first, args
+        want = [id(tx) for tx in first]
+        first.append(et)
+        assert [id(tx) for tx in ledger.query(**args)] == want, args
+        ledger.query(**args).clear()
+        assert [id(tx) for tx in ledger.query(**args)] == want, args
+    _assert_query_matches_scan(ledger)
+
+
+def _brute_est_history(ledger, cert_ids):
+    rows = [
+        tx
+        for tx in ledger.all_transactions()
+        if tx.kind is TxKind.EVENT_SAFETY and tx.cert.cert_id in cert_ids
+    ]
+    rows.sort(key=lambda tx: (tx.body.ts, tx.tid))
+    return tuple(EstDigest(tx.tid, tx.body.ts, tx.body.esm.trigger) for tx in rows)
+
+
+def _assert_est_history_matches_scan(ledger):
+    certs = sorted({tx.cert.cert_id for tx in ledger.all_transactions()})
+    unknown = b"\x00" * 32
+    assert unknown not in certs
+    for cert_ids in [[], *([c] for c in certs), certs, [unknown, *certs[:2]]]:
+        assert est_history(ledger, cert_ids) == _brute_est_history(ledger, cert_ids), cert_ids
+
+
+def test_est_history_matches_a_scan_on_a_consensus_ledger():
+    ledger = _consensus_replica()
+    assert len(est_history(ledger, {tx.cert.cert_id for tx in ledger.all_transactions()})) == 4
+    _assert_est_history_matches_scan(ledger)
+
+
+def test_est_history_keeps_duplicates_of_a_loaded_file(tmp_path):
+    loaded, est = _loaded_with_a_duplicate_tid(tmp_path)
+    assert [d.tid for d in est_history(loaded, [est.cert.cert_id])].count(est.tid) == 2
+    _assert_est_history_matches_scan(loaded)
 
 
 # --- chain verification -------------------------------------------------------

@@ -24,7 +24,6 @@ from avledger.scenarios import (
     load_config,
     make_attack_config,
     make_benign_config,
-    run_scenario,
     tamper_cblock,
 )
 from avledger.txmodel import EventTrigger, compute_edata_hash
@@ -87,7 +86,7 @@ def test_identical_configs_replay_byte_identically(tmp_path):
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 5, 8])
 def test_emitted_equals_committed_plus_rejected_plus_undeliverable(seed):
-    report = run_scenario(make_benign_config(seed))
+    report = _run(make_benign_config(seed)).report
     for partition, buckets in report.counts.items():
         for kind in buckets["emitted"]:
             emitted = buckets["emitted"][kind]
@@ -101,7 +100,7 @@ def test_emitted_equals_committed_plus_rejected_plus_undeliverable(seed):
 
 @pytest.mark.parametrize("seed", range(10))
 def test_benign_runs_raise_no_detections(seed):
-    report = run_scenario(make_benign_config(seed))
+    report = _run(make_benign_config(seed)).report
     assert report.detections == []
     assert report.attack_scripted is None and report.attack_detected is None
     assert not report.halted["P1"] and not report.halted["P2"]
@@ -129,7 +128,7 @@ def test_audit_lines_are_json_rounds():
 # --- the three adversary classes ----------------------------------------------
 
 def test_tamper_cblock_attack_diverges_with_attribution():
-    report = run_scenario(make_attack_config(1, AttackClass.TAMPER_CBLOCK))
+    report = _run(make_attack_config(1, AttackClass.TAMPER_CBLOCK)).report
     assert report.attack_detected is True
     hits = [d for d in report.detections if d["kind"] == "diverged_round"]
     assert hits and hits[0]["partition"] == "P1"
@@ -138,7 +137,7 @@ def test_tamper_cblock_attack_diverges_with_attribution():
 
 
 def test_suppress_evidence_attack_diverges_next_round():
-    report = run_scenario(make_attack_config(2, AttackClass.SUPPRESS_EVIDENCE))
+    report = _run(make_attack_config(2, AttackClass.SUPPRESS_EVIDENCE)).report
     assert report.attack_detected is True
     assert any(
         d["kind"] == "diverged_round" and d["partition"] == "P1" for d in report.detections
@@ -155,7 +154,7 @@ def test_suppression_by_decision_validator_is_seen_but_unattributable():
             actor="gta-0",
         ),
     )
-    report = run_scenario(config)
+    report = _run(config).report
     assert report.attack_detected is True
     hits = [d for d in report.detections if d["kind"] == "diverged_round"]
     assert hits and hits[0]["partition"] == "P2"
@@ -164,7 +163,7 @@ def test_suppression_by_decision_validator_is_seen_but_unattributable():
 
 
 def test_false_information_attack_names_the_forger():
-    report = run_scenario(make_attack_config(4, AttackClass.FALSE_INFORMATION))
+    report = _run(make_attack_config(4, AttackClass.FALSE_INFORMATION)).report
     assert report.attack_detected is True
     hits = [d for d in report.detections if d["kind"] == "forged_evidence"]
     assert hits and "am-0" in hits[0]["attributed"]
@@ -176,7 +175,7 @@ def test_false_information_attack_names_the_forger():
 
 @pytest.mark.parametrize("attack_class", list(AttackClass))
 def test_every_attack_class_detected_on_a_second_seed(attack_class):
-    report = run_scenario(make_attack_config(7, attack_class))
+    report = _run(make_attack_config(7, attack_class)).report
     assert report.attack_scripted == attack_class.value
     assert report.attack_detected is True
 
@@ -195,7 +194,7 @@ def _hit_and_run_config():
 
 
 def test_hit_and_run_reveals_the_fleeing_vehicle():
-    report = run_scenario(_hit_and_run_config())
+    report = _run(_hit_and_run_config()).report
     assert len(report.reveals) == 1
     reveal = report.reveals[0]
     assert reveal["entity"].startswith("av-")
@@ -215,7 +214,7 @@ def test_benign_collision_produces_verdict_and_no_reveal():
             CollisionEvent(at=400.0, vehicles=(0, 1), n_witnesses=1, hit_and_run=False),
         ),
     )
-    report = run_scenario(config)
+    report = _run(config).report
     assert report.reveals == []
     assert len(report.verdicts) == 1
     assert report.counts["P1"]["committed"]["PET"] == 3
@@ -223,7 +222,7 @@ def test_benign_collision_produces_verdict_and_no_reveal():
 
 def test_empty_timeline_still_reports():
     config = ScenarioConfig(seed=0, vehicles=(VehicleSpec(),), timeline=())
-    report = run_scenario(config)
+    report = _run(config).report
     assert report.verdicts == [] and report.detections == []
     assert all(
         count == 0
@@ -239,7 +238,7 @@ def test_update_without_execution_counts_ut_only():
         vehicles=(VehicleSpec(),),
         timeline=(UpdateEvent(at=100.0, vehicle=0, execution="none"),),
     )
-    report = run_scenario(config)
+    report = _run(config).report
     assert report.counts["P1"]["committed"]["UT"] == 1
     assert report.counts["P1"]["committed"]["ET"] == 0
 
@@ -323,7 +322,7 @@ def test_hit_and_run_needs_a_second_party():
 
 
 def test_report_json_is_sorted_and_stable():
-    report = run_scenario(make_benign_config(1))
+    report = _run(make_benign_config(1)).report
     rendered = report.to_json()
     parsed = json.loads(rendered)
     assert rendered == json.dumps(parsed, sort_keys=True, indent=2) + "\n"
