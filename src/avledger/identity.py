@@ -5,6 +5,14 @@ a short-lived pseudonym certificate issued by the certificate authority,
 and the mapping from certificate id back to the real entity lives only in
 an escrow that both settlement authorities must approve to open.
 
+The CA certifies keys in batches. A batch is a Merkle tree in the shape of
+RFC 6962 over one leaf per certificate (a leaf is hashed as 0x00 || leaf,
+an inner node as 0x01 || left || right), and the CA signs only the root
+and the batch size. Each certificate carries its leaf index, the batch
+size and its audit path, so checking it costs about log2(batch) SHA-256
+calls to rebuild the root plus one signature check of that root. A batch
+of one leaf has an empty path and is checked the same way.
+
 Signing is Ed25519 (RFC 8032: deterministic signatures, 32-byte raw public
 keys) behind generate_keypair / sign / verify. Two backends give the same
 keys, signatures and verdicts. The system libsodium, called through ctypes,
@@ -13,7 +21,9 @@ them everywhere else. No option, environment variable or config key
 chooses. One verify rule holds on both: a signature or public key of the
 wrong length, a public key or R that is a small-order point, and a
 non-canonical public key are refused, as libsodium refuses them. Every call
-checks its signature; no verdict is remembered.
+here checks its signature; no verdict is remembered. Only
+txmodel.check_tx_genesis remembers one: the batch roots it found
+CA-signed, in a set its caller owns.
 """
 
 from __future__ import annotations
@@ -22,7 +32,7 @@ import ctypes
 import hashlib
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives import serialization
@@ -31,7 +41,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PublicKey,
 )
 
-from .encoding import BLOB, F64, Writer, encode, fixed, wire
+from .encoding import BLOB, F64, U32, Writer, encode, fixed, pack, wire
 from .errors import EscrowDenied, InvalidValidity, UnknownCertificate, UnknownEntity
 
 EntityId = str
@@ -40,14 +50,18 @@ PUBLIC_KEY_SIZE = 32
 SECRET_KEY_SIZE = 32
 SIGNATURE_SIZE = 64
 CERT_NONCE_SIZE = 16
+NODE_SIZE = 32  # one SHA-256 node of an audit path
 
 # Certificates are short-lived by design: one rotation per transaction, and
 # a roughly five-minute validity window unless a scenario overrides it.
 DEFAULT_CERT_VALIDITY_SECS = 300.0
 
-# Domain separation between the two things a key ever signs.
-_CERT_SIGN_PREFIX = b"avledger.cert.v1:"
+# Domain separation between the two things a key ever signs, and between
+# the two things a batch tree hashes.
+_ROOT_SIGN_PREFIX = b"avledger.cert-root.v2:"
 _TX_SIGN_PREFIX = b"avledger.tx.v1:"
+_LEAF_TAG = b"\x00"
+_NODE_TAG = b"\x01"
 
 
 # --- Ed25519 backends ---------------------------------------------------------
@@ -211,24 +225,101 @@ def verify_tx_digest(public_key: bytes, tid: bytes, signature: bytes) -> bool:
     return _verify_raw(public_key, _TX_SIGN_PREFIX + tid, signature)
 
 
+# --- certificate batches -------------------------------------------------------
+
+def leaf_hash(data: bytes) -> bytes:
+    return hashlib.sha256(_LEAF_TAG + data).digest()
+
+
+def node_hash(left: bytes, right: bytes) -> bytes:
+    return hashlib.sha256(_NODE_TAG + left + right).digest()
+
+
+def merkle_tree(leaves: Sequence[bytes]) -> tuple[bytes, list[bytes]]:
+    """The root over leaf hashes, and each leaf's audit path as one blob of
+    nodes, leaf end first.
+
+    Built level by level: neighbours pair up left to right and a last
+    node without a partner moves up unchanged, which gives the tree of
+    RFC 6962 (the left subtree of n leaves holds the largest power of two
+    below n). A node's path is its sibling, where it has one, followed by
+    its parent's path; paths are built from the root down.
+    """
+    if not leaves:
+        raise ValueError("a batch needs at least one leaf")
+    levels = [list(leaves)]
+    while len(levels[-1]) > 1:
+        level = levels[-1]
+        up = [node_hash(level[i], level[i + 1]) for i in range(0, len(level) - 1, 2)]
+        if len(level) % 2:
+            up.append(level[-1])
+        levels.append(up)
+    paths = [b""]
+    for level in reversed(levels[:-1]):
+        width = len(level)
+        paths = [(level[i ^ 1] if i ^ 1 < width else b"") + paths[i >> 1] for i in range(width)]
+    return levels[-1][0], paths
+
+
+def path_root(leaf: bytes, index: int, size: int, path: bytes) -> Optional[bytes]:
+    """The root that an audit path leads to from a leaf hash, or None when
+    the path does not fit leaf `index` of a batch of `size` leaves: an
+    index out of range, a blob that is not whole nodes, or too many or
+    too few nodes. This is the inclusion check of RFC 9162, 2.1.3.2.
+    """
+    if index >= size or len(path) % NODE_SIZE:
+        return None
+    sha256 = hashlib.sha256  # node_hash inlined: this runs for every transaction judged
+    fn, sn, r = index, size - 1, leaf
+    for at in range(0, len(path), NODE_SIZE):
+        if sn == 0:
+            return None
+        node = path[at:at + NODE_SIZE]
+        if fn & 1 or fn == sn:
+            r = sha256(_NODE_TAG + node + r).digest()
+            while not fn & 1 and fn:
+                fn >>= 1
+                sn >>= 1
+        else:
+            r = sha256(_NODE_TAG + r + node).digest()
+        fn >>= 1
+        sn >>= 1
+    return r if sn == 0 else None
+
+
+def root_payload(root: bytes, size: int) -> bytes:
+    """What the CA signs for a batch: its root and its size."""
+    return _ROOT_SIGN_PREFIX + root + size.to_bytes(4, "big")
+
+
 @dataclass(frozen=True, slots=True)
 class PseudonymCertificate:
     """Short-lived credential binding a throwaway key to the CA's trust.
 
     cert_id is the SHA-256 of subject_pubkey || issued_at || nonce, so ids
     are unlinkable across rotations. Validity is the half-open window
-    [issued_at, issued_at + validity_secs).
+    [issued_at, issued_at + validity_secs). Those four fields are the
+    certificate's leaf in its batch; leaf_index, batch_size and
+    audit_path (whole 32-byte nodes, leaf end first) lead from the leaf to
+    the batch root, and root_signature is the CA's over root_payload.
     """
 
     cert_id: bytes = wire(fixed(32))
     subject_pubkey: bytes = wire(fixed(PUBLIC_KEY_SIZE))
     issued_at: float = wire(F64)
     validity_secs: float = wire(F64)
-    issuer_signature: bytes = wire(BLOB)
+    leaf_index: int = wire(U32)
+    batch_size: int = wire(U32)
+    audit_path: bytes = wire(BLOB)
+    root_signature: bytes = wire(BLOB)
 
-    def signed_payload(self) -> bytes:
-        """What the CA signs: every field but the signature, the last."""
-        return _CERT_SIGN_PREFIX + encode(self, stop=-1)
+    def leaf(self) -> bytes:
+        """The leaf bytes: every field before leaf_index."""
+        return encode(self, stop=4)
+
+    def batch_root(self) -> Optional[bytes]:
+        """The root the audit path leads to, or None when it does not fit."""
+        return path_root(leaf_hash(self.leaf()), self.leaf_index, self.batch_size, self.audit_path)
 
     def window_contains(self, at: float) -> bool:
         return self.issued_at <= at < self.issued_at + self.validity_secs
@@ -236,35 +327,40 @@ class PseudonymCertificate:
 
 def issue_certificate(
     ca: KeyPair,
-    subject_pubkey: bytes,
+    subject_pubkeys: Sequence[bytes],
     issued_at: float,
     validity_secs: float,
     rng: random.Random,
-) -> PseudonymCertificate:
+) -> tuple[PseudonymCertificate, ...]:
+    """One batch: a certificate per key, in the given (leaf) order, all
+    under one CA signature. Every leaf gets the window [issued_at,
+    issued_at + validity_secs)."""
     if validity_secs <= 0:
         raise InvalidValidity(f"validity must be positive, got {validity_secs}")
-    nonce = rng.randbytes(CERT_NONCE_SIZE)
-    preimage = Writer().fixed(subject_pubkey, PUBLIC_KEY_SIZE).f64(issued_at).raw(nonce)
-    cert_id = hashlib.sha256(preimage.getvalue()).digest()
-    cert = PseudonymCertificate(
-        cert_id=cert_id,
-        subject_pubkey=subject_pubkey,
-        issued_at=issued_at,
-        validity_secs=validity_secs,
-        issuer_signature=b"",
-    )
-    signature = _sign_raw(ca, cert.signed_payload())
-    return PseudonymCertificate(
-        cert_id=cert_id,
-        subject_pubkey=subject_pubkey,
-        issued_at=issued_at,
-        validity_secs=validity_secs,
-        issuer_signature=signature,
+    cert_ids = []
+    for subject_pubkey in subject_pubkeys:
+        nonce = rng.randbytes(CERT_NONCE_SIZE)
+        preimage = Writer().fixed(subject_pubkey, PUBLIC_KEY_SIZE).f64(issued_at).raw(nonce)
+        cert_ids.append(hashlib.sha256(preimage.getvalue()).digest())
+    root, paths = merkle_tree([
+        leaf_hash(pack(PseudonymCertificate, cert_id, subject_pubkey, issued_at, validity_secs))
+        for cert_id, subject_pubkey in zip(cert_ids, subject_pubkeys)
+    ])
+    size = len(cert_ids)
+    signature = _sign_raw(ca, root_payload(root, size))
+    return tuple(
+        PseudonymCertificate(cert_id, subject_pubkey, issued_at, validity_secs, index, size, path, signature)
+        for index, (cert_id, subject_pubkey, path) in enumerate(zip(cert_ids, subject_pubkeys, paths))
     )
 
 
 def certificate_signature_ok(cert: PseudonymCertificate, ca_pubkey: bytes) -> bool:
-    return _verify_raw(ca_pubkey, cert.signed_payload(), cert.issuer_signature)
+    """The audit path leads to a root, and the CA signed that root with
+    the certificate's batch size."""
+    root = cert.batch_root()
+    return root is not None and _verify_raw(
+        ca_pubkey, root_payload(root, cert.batch_size), cert.root_signature
+    )
 
 
 class IdentityEscrow:
@@ -297,21 +393,6 @@ class IdentityEscrow:
             return self._by_cert[cert_id]
         except KeyError:
             raise UnknownCertificate(cert_id.hex()) from None
-
-
-def rotate_pseudonym(
-    entity: EntityId,
-    escrow: IdentityEscrow,
-    ca: KeyPair,
-    at: float,
-    rng: random.Random,
-    validity_secs: float = DEFAULT_CERT_VALIDITY_SECS,
-) -> tuple[KeyPair, PseudonymCertificate]:
-    """Fresh key + certificate for one transaction; escrow learns the link."""
-    keys = generate_keypair(rng)
-    cert = issue_certificate(ca, keys.public_key, at, validity_secs, rng)
-    escrow.record(cert.cert_id, entity)
-    return keys, cert
 
 
 # --- witness payload opacity -------------------------------------------------
@@ -357,7 +438,11 @@ __all__ = [
     "verify_tx_digest",
     "issue_certificate",
     "certificate_signature_ok",
-    "rotate_pseudonym",
+    "leaf_hash",
+    "node_hash",
+    "merkle_tree",
+    "path_root",
+    "root_payload",
     "seal_to_key",
     "open_sealed",
     "derive_shared_key",

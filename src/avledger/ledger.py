@@ -19,7 +19,6 @@ are reconstructed from the block capacity in the header.
 from __future__ import annotations
 
 import hashlib
-import io
 import os
 import threading
 from dataclasses import dataclass, field, replace
@@ -48,7 +47,9 @@ from .txmodel import (
 )
 
 LEDGER_MAGIC = b"AVLB"
-LEDGER_VERSION = 1
+# Version 2 carries batch certificates (leaf index, batch size, audit path
+# and root signature). A version 1 file is refused, not converted.
+LEDGER_VERSION = 2
 DEFAULT_B_MAX = 8
 
 
@@ -411,11 +412,14 @@ def chain_faults(ledger: PartitionLedger) -> list[str]:
     return faults
 
 
-# A helper process judges a share of at least this many transactions. A
-# fork costs about 4.5 ms in an 80 MB process, the time of some 45
-# signature checks through libsodium (20 through `cryptography`), and a
-# transaction with its own pseudonym certificate takes two checks, so a
-# smaller share is judged faster in process.
+# A helper process judges a share of at least this many transactions.
+# Forking a helper and reaping it costs about 2.5 ms in a 47 MB process
+# that holds one ledger-audit P1 file (2393 records), and the genesis half
+# of check_tx costs about 100 us per transaction of that file through
+# libsodium: one signature check for most transactions (two for an
+# update), one per batch root in the share, and an audit path of about
+# eight SHA-256 calls. So a share under some 25 transactions is judged
+# faster in process; 64 leaves room for hosts where a fork costs more.
 MIN_SHARE = 64
 
 _REASONS = tuple(Reason)
@@ -545,20 +549,28 @@ def load_ledger(path: str) -> PartitionLedger:
     rebuilds blocks from the recorded fold claims. Chain-level integrity
     is judged separately by verify_chain so corrupt files can still be
     reported on block by block.
+
+    The file is read record by record, never whole, and no read asks for
+    more than the bytes left, so a corrupt length allocates nothing big.
     """
     with open(path, "rb") as fh:
-        data = fh.read()
-    buf = io.BytesIO(data)
+        return _read_records(fh, os.fstat(fh.fileno()).st_size)
+
+
+def _read_records(fh, size: int) -> PartitionLedger:
+    left = size
 
     def take(n: int, what: str) -> bytes:
-        chunk = buf.read(n)
+        nonlocal left
+        chunk = fh.read(n) if n <= left else b""
         if len(chunk) != n:
             raise LedgerFormatError(f"truncated file while reading {what}")
+        left -= n
         return chunk
 
-    if len(data) < 4 or data[:4] != LEDGER_MAGIC:
+    if size < 4 or fh.read(4) != LEDGER_MAGIC:
         raise LedgerFormatError("missing genesis: not a ledger file (bad magic)")
-    take(4, "magic")
+    left -= 4
     version = int.from_bytes(take(2, "version"), "big")
     if version != LEDGER_VERSION:
         raise LedgerFormatError(f"unsupported ledger version {version}")
@@ -576,13 +588,10 @@ def load_ledger(path: str) -> PartitionLedger:
 
     ledger = PartitionLedger(genesis, b_max=b_max)
     index = 0
-    while True:
-        head = buf.read(4)
-        if not head:
-            break
-        if len(head) != 4:
+    while left:
+        if left < 4:
             raise LedgerFormatError(f"truncated record header at record {index}")
-        rec_len = int.from_bytes(head, "big")
+        rec_len = int.from_bytes(take(4, f"record header {index}"), "big")
         record = take(rec_len, f"record {index}")
         fold = take(HASH_SIZE, f"fold value of record {index}")
         try:

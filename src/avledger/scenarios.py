@@ -49,8 +49,8 @@ from .identity import (
     KeyPair,
     derive_shared_key,
     generate_keypair,
+    issue_certificate,
     open_sealed,
-    rotate_pseudonym,
     seal_to_key,
 )
 from .ledger import (
@@ -611,6 +611,10 @@ class _VehicleActor:
     # (public key, certificate) of every pseudonym used. The private key
     # is dropped once the pseudonym is spent: nothing signs with it again.
     cert_history: list[tuple[bytes, PseudonymCertificate]] = field(default_factory=list)
+    # Certified keys not yet used, next one first, and how many keys the
+    # vehicle has used since the last fleet batch.
+    pool: list[tuple[KeyPair, PseudonymCertificate]] = field(default_factory=list)
+    used: int = 0
 
     def cert_ids(self) -> frozenset[Hash256]:
         return frozenset(cert.cert_id for _, cert in self.cert_history)
@@ -651,6 +655,21 @@ P2 = Partition.DECISIONAL
 # committed in P1 is forwarded to P2 under this name.
 BRIDGE_SENDER = "partition:P1"
 
+# Pseudonym pools. Each vehicle holds a pool of certified keys and uses
+# one per pseudonym. The CA certifies keys in fleet-wide batches: the
+# first when a vehicle first needs a pseudonym, and the next at the first
+# need once the batch is cert_validity_secs old. A fleet batch
+# re-certifies every unused key and adds fresh keys to each pool, as many
+# as the vehicle used since the batch before (POOL_START at the first),
+# so no key is thrown away before the run ends. A vehicle whose pool runs
+# dry between fleet batches gets a batch of one fresh key.
+POOL_START = 4
+# Every leaf's window is [batch time - _WINDOW_SLACK_SECS, batch time +
+# 2 * cert_validity_secs), so any use before the next fleet batch keeps at
+# least cert_validity_secs of it, and evidence stamped up to 0.9 s before
+# the scene (clock jitter) is still inside it.
+_WINDOW_SLACK_SECS = 2.0
+
 
 class ScenarioEngine:
     """Owns all state for one scenario run."""
@@ -662,6 +681,7 @@ class ScenarioEngine:
         self.rng_net = _substream(seed, "net")
         self.rng_sim = _substream(seed, "sim")
         self.rng_payload = _substream(seed, "payload")
+        self.rng_leaves = _substream(seed, "leaves")
 
         # fixed infrastructure actors
         self.ca_keys = generate_keypair(self.rng_keys)
@@ -671,6 +691,7 @@ class ScenarioEngine:
         self.p2_shared_key = derive_shared_key(self.rng_keys)
 
         self.escrow = IdentityEscrow("gta-0", "la-0")
+        self._batch_at: Optional[float] = None  # time of the last fleet batch
 
         # vehicles
         self.vehicles: list[_VehicleActor] = []
@@ -713,6 +734,8 @@ class ScenarioEngine:
             part: {v: PartitionLedger(self.genesis[part], b_max=config.b_max) for v in vals}
             for part, vals in self.validators.items()
         }
+        # Each partition's batch roots found CA-signed (check_tx_genesis).
+        self._ca_checked: dict[Partition, set] = {P1: set(), P2: set()}
 
         # network
         self.net = Network(
@@ -782,16 +805,46 @@ class ScenarioEngine:
         self._timer_seq += 1
 
     def _rotate(self, vehicle: _VehicleActor, at: float) -> tuple[KeyPair, PseudonymCertificate]:
-        keys, cert = rotate_pseudonym(
-            vehicle.entity_id,
-            self.escrow,
-            self.ca_keys,
-            at,
-            self.rng_keys,
-            validity_secs=self.config.cert_validity_secs,
-        )
+        """The vehicle's next pseudonym, for use at `at`."""
+        if self._batch_at is None or at >= self._batch_at + self.config.cert_validity_secs:
+            self._issue_fleet_batch(at)
+        if not vehicle.pool:
+            self._certify([(vehicle, generate_keypair(self.rng_keys))], at)
+        keys, cert = vehicle.pool.pop(0)
+        vehicle.used += 1
         vehicle.cert_history.append((keys.public_key, cert))
+        # The escrow learns a certificate's vehicle at first use: one never
+        # used reaches no ledger, so no reveal can ask for it.
+        self.escrow.record(cert.cert_id, vehicle.entity_id)
         return keys, cert
+
+    def _issue_fleet_batch(self, at: float) -> None:
+        """Re-certifies every vehicle's pool, topped up, in one batch whose
+        leaves are shuffled so that no run of indexes marks one vehicle."""
+        leaves = []
+        for vehicle in self.vehicles:
+            fresh = POOL_START if self._batch_at is None else vehicle.used
+            keys = [k for k, _ in vehicle.pool] + [generate_keypair(self.rng_keys) for _ in range(fresh)]
+            vehicle.pool.clear()
+            vehicle.used = 0
+            leaves += [(vehicle, k) for k in keys]
+        self.rng_leaves.shuffle(leaves)
+        self._certify(leaves, at)
+        self._batch_at = at
+
+    def _certify(self, leaves: list[tuple[_VehicleActor, KeyPair]], at: float) -> None:
+        """One CA batch over the given keys, in order; each certificate
+        goes to its vehicle's pool."""
+        validity = self.config.cert_validity_secs
+        certs = issue_certificate(
+            self.ca_keys,
+            [keys.public_key for _, keys in leaves],
+            at - _WINDOW_SLACK_SECS,
+            _WINDOW_SLACK_SECS + 2 * validity,
+            self.rng_keys,
+        )
+        for (vehicle, keys), cert in zip(leaves, certs):
+            vehicle.pool.append((keys, cert))
 
     def _capture_media(self, at: float, n: int = 2) -> TamperStoreDigest:
         hashes = tuple(hashlib.sha256(self.rng_payload.randbytes(48)).digest() for _ in range(n))
@@ -884,7 +937,11 @@ class ScenarioEngine:
         self._maybe_apply_replica_attack(partition)
 
         round_ = run_consensus(
-            self.validators[partition], tx, self.replicas[partition], self.now
+            self.validators[partition],
+            tx,
+            self.replicas[partition],
+            self.now,
+            self._ca_checked[partition],
         )
         self.audit_lines.append(json.dumps(audit_record(round_), sort_keys=True))
         stats = self.consensus_stats[partition]
@@ -1053,16 +1110,15 @@ class ScenarioEngine:
             lon_deg=self.vehicles[ev.vehicles[0]].base_loc.lon_deg + self.rng_sim.uniform(-0.01, 0.01),
         )
 
-        # Everyone at the scene rotates to a fresh pseudonym. Issuance is
-        # backdated slightly below the collision instant so that evidence
-        # timestamps with negative clock jitter still fall inside the
-        # certificate window (which opens exactly at issuance).
+        # Everyone at the scene rotates to a fresh pseudonym. Its window
+        # opens _WINDOW_SLACK_SECS before its batch, so evidence timestamps
+        # with negative clock jitter still fall inside it.
         participants = ev.vehicles + tuple(uninvolved[: ev.n_witnesses])
         certs: dict[EntityId, Hash256] = {}
         creds: dict[EntityId, tuple[KeyPair, PseudonymCertificate]] = {}
         for vid in participants:
             vu = self.vehicles[vid]
-            keys, cert = self._rotate(vu, at - 2.0)
+            keys, cert = self._rotate(vu, at)
             certs[vu.entity_id] = cert.cert_id
             creds[vu.entity_id] = (keys, cert)
 

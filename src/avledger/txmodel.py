@@ -427,16 +427,16 @@ def check_tx(
     tx: Transaction,
     genesis: "GenesisBlock",
     committed: Mapping[Hash256, Transaction],
-    ca_checked: Optional[set[PseudonymCertificate]] = None,
+    ca_checked: Optional[set[tuple[bytes, int, bytes]]] = None,
 ) -> Reason:
     """The transaction-validity rule, shared by consensus and offline
     verification. Returns the first policy that fails, in this order:
     schema (structure, evidence hash, tid), authorization in genesis's
-    partition, completeness, the certificate's signature by any of
-    genesis's CA roots and its window at the body timestamp (so the
-    verdict replays), signatures, uniqueness against `committed` (tid to
-    transaction, all accepted before tx), and an execution report's
-    parent update in `committed`.
+    partition, completeness, the certificate (its audit path, its batch
+    root's signature by any of genesis's CA roots, and its window at the
+    body timestamp, so the verdict replays), signatures, uniqueness
+    against `committed` (tid to transaction, all accepted before tx), and
+    an execution report's parent update in `committed`.
 
     It is the genesis half (check_tx_genesis, every policy up to the
     signatures) followed by the committed half (check_tx_committed,
@@ -451,16 +451,21 @@ def check_tx(
 def check_tx_genesis(
     tx: Transaction,
     genesis: "GenesisBlock",
-    ca_checked: Optional[set[PseudonymCertificate]] = None,
+    ca_checked: Optional[set[tuple[bytes, int, bytes]]] = None,
 ) -> Reason:
     """The replica-independent half of check_tx: schema, authorization,
     completeness, the certificate and its window, and signatures. It
     reads only tx and genesis.
 
-    `ca_checked` holds certificates already found CA-signed, so a caller
-    judging many transactions CA-checks each certificate once per set it
-    passes. chain_faults passes one set per share of the chain it spreads
-    over the CPUs, so it CA-checks each certificate once per share.
+    Every certificate's audit path is rebuilt to its batch root. The
+    verdict on that root is remembered in `ca_checked`: the (root, batch
+    size, root signature) triples already found signed by a CA root of
+    this genesis. So a caller judging many transactions checks one CA
+    signature per batch per set it passes, and a triple that is not in
+    the set is checked on its own, so the verdict never depends on what
+    the set holds. chain_faults passes one set per share of the chain it
+    spreads over the CPUs; a consensus engine passes one per partition.
+    A set must only ever meet one genesis.
     """
     # Schema. A field value the encoder cannot write is malformed too.
     try:
@@ -486,17 +491,22 @@ def check_tx_genesis(
         return Reason.INCOMPLETE
 
     # Certificate, then signatures.
-    if ca_checked is None or tx.cert not in ca_checked:
-        if not any(certificate_signature_ok(tx.cert, r.public_key) for r in genesis.ca_certificates):
+    cert = tx.cert
+    root = cert.batch_root()
+    if root is None:
+        return Reason.BAD_SIGNATURE
+    signed = (root, cert.batch_size, cert.root_signature)
+    if ca_checked is None or signed not in ca_checked:
+        if not any(certificate_signature_ok(cert, r.public_key) for r in genesis.ca_certificates):
             return Reason.BAD_SIGNATURE
         if ca_checked is not None:
-            ca_checked.add(tx.cert)
-    if not tx.cert.window_contains(body_timestamp(tx)):
+            ca_checked.add(signed)
+    if not cert.window_contains(body_timestamp(tx)):
         return Reason.EXPIRED_CERT
     known_keys = genesis.known_keys()
     for entry in tx.signatures:
         if entry.role is Role.VEHICLE:
-            pubkey = tx.cert.subject_pubkey
+            pubkey = cert.subject_pubkey
         else:
             pubkey = known_keys.get(entry.role)
             if pubkey is None:

@@ -115,12 +115,16 @@ def run_consensus(
     tx: Transaction,
     replicas: Mapping[EntityId, PartitionLedger],
     at: float,
+    ca_checked: Optional[set] = None,
 ) -> ConsensusRound:
     """One unanimity round over a single proposed transaction.
 
     The genesis half of check_tx is judged once for the round, against
     the genesis every replica shares; the committed half is judged once
-    per replica, against that replica's own committed set.
+    per replica, against that replica's own committed set. `ca_checked`
+    is check_tx_genesis's set of batch roots found CA-signed; a caller
+    that runs many rounds of one partition passes the same set to each,
+    so each batch root's signature is checked once.
 
     Commits mutate every replica (append plus seal-if-full). A rejection
     by anyone leaves all replicas untouched; accept votes that disagree on
@@ -137,7 +141,7 @@ def run_consensus(
     if len(sealed) != 1:
         raise ReplicaMismatch("validator replicas disagree on the sealed chain")
 
-    shared = check_tx_genesis(tx, ledgers[0].genesis)
+    shared = check_tx_genesis(tx, ledgers[0].genesis, ca_checked)
     votes: dict[EntityId, Vote] = {}
     for validator in validators:
         replica = replicas[validator]

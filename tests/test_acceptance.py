@@ -32,6 +32,7 @@ from avledger.validation import Reason, verify_transaction
 
 from worldkit import (
     apply_mutation,
+    batch_credentials,
     field_mutations,
     make_edata,
     make_est,
@@ -55,7 +56,11 @@ def _criterion(num: int, name: str, ok: bool, detail: str) -> None:
 def test_acceptance_1_tamper_evidence():
     world = make_world(seed=201)
     ledger = world.ledger(b_max=8)
-    txs = [make_est(world, at=1000.0 + 10.0 * i) for i in range(12)]
+    # The reports share one batch of 12, so the sweep reaches audit path
+    # nodes; every other transaction's certificate is alone in its batch.
+    batch = batch_credentials(world, 1000.0, 12)
+    txs = [make_est(world, at=1000.0 + 10.0 * i, creds=batch[i]) for i in range(12)]
+    assert all(tx.cert.audit_path for tx in txs)
     txs += [make_pet(world, at=1130.0), make_pet(world, at=1140.0)]
     ut_a = make_ut(world, at=1150.0)
     ut_b = make_ut(world, at=1160.0)

@@ -21,8 +21,11 @@ from avledger.identity import (
     derive_shared_key,
     generate_keypair,
     issue_certificate,
+    leaf_hash,
+    merkle_tree,
+    node_hash,
     open_sealed,
-    rotate_pseudonym,
+    path_root,
     seal_to_key,
     sign_tx_digest,
     verify_tx_digest,
@@ -32,7 +35,7 @@ from avledger.ledger import chain_faults, load_ledger, save_ledger
 from avledger.txmodel import check_tx
 from avledger.validation import Reason
 
-from worldkit import fill_ledger, make_world
+from worldkit import batch_credentials, fill_ledger, make_est, make_world
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -220,7 +223,7 @@ def test_a_stored_signature_of_the_wrong_length_is_a_fault(backend, tmp_path, si
     )
     assert check_tx(forged, world.p1, {}) is Reason.BAD_SIGNATURE
     cert = dataclasses.replace(
-        victim.cert, issuer_signature=(victim.cert.issuer_signature + b"\x00")[:size]
+        victim.cert, root_signature=(victim.cert.root_signature + b"\x00")[:size]
     )
     assert not certificate_signature_ok(cert, world.ca.public_key)
     ledger.blocks[0].transactions[2] = forged
@@ -232,10 +235,14 @@ def test_a_stored_signature_of_the_wrong_length_is_a_fault(backend, tmp_path, si
 
 # --- certificates -------------------------------------------------------------
 
+def _one_cert(world, at: float, validity: float = 300.0):
+    [cert] = issue_certificate(world.ca, [generate_keypair(world.rng).public_key], at, validity, world.rng)
+    return cert
+
+
 def test_certificate_window_is_half_open():
     world = make_world()
-    subject = generate_keypair(world.rng)
-    cert = issue_certificate(world.ca, subject.public_key, 1000.0, 300.0, world.rng)
+    cert = _one_cert(world, 1000.0)
     assert certificate_signature_ok(cert, world.ca.public_key)
     assert cert.window_contains(1000.0)
     assert cert.window_contains(1299.999)
@@ -246,24 +253,27 @@ def test_certificate_window_is_half_open():
 @given(st.floats(min_value=-400.0, max_value=700.0, allow_nan=False))
 def test_certificate_window_matches_interval_predicate(offset):
     world = make_world(seed=9)
-    subject = generate_keypair(world.rng)
-    cert = issue_certificate(world.ca, subject.public_key, 5000.0, 300.0, world.rng)
+    cert = _one_cert(world, 5000.0)
     expected = 5000.0 <= 5000.0 + offset < 5300.0
     assert cert.window_contains(5000.0 + offset) == expected
 
 
 def test_certificate_signature_binds_all_fields():
     world = make_world()
-    subject = generate_keypair(world.rng)
-    cert = issue_certificate(world.ca, subject.public_key, 1000.0, 300.0, world.rng)
+    subjects = [generate_keypair(world.rng).public_key for _ in range(5)]
+    certs = issue_certificate(world.ca, subjects, 1000.0, 300.0, world.rng)
+    cert = certs[2]
     assert certificate_signature_ok(cert, world.ca.public_key)
-    import dataclasses
-
+    path = cert.audit_path
     for tampered in (
         dataclasses.replace(cert, issued_at=cert.issued_at + 1.0),
         dataclasses.replace(cert, validity_secs=cert.validity_secs + 1.0),
         dataclasses.replace(cert, cert_id=bytes(32)),
         dataclasses.replace(cert, subject_pubkey=generate_keypair(world.rng).public_key),
+        dataclasses.replace(cert, leaf_index=3),
+        dataclasses.replace(cert, batch_size=6),
+        dataclasses.replace(cert, audit_path=bytes([path[0] ^ 1]) + path[1:]),
+        dataclasses.replace(cert, root_signature=bytes(64)),
     ):
         assert not certificate_signature_ok(tampered, world.ca.public_key)
     rogue_ca = generate_keypair(world.rng)
@@ -274,9 +284,150 @@ def test_nonpositive_validity_rejected():
     world = make_world()
     subject = generate_keypair(world.rng)
     with pytest.raises(InvalidValidity):
-        issue_certificate(world.ca, subject.public_key, 0.0, 0.0, world.rng)
+        issue_certificate(world.ca, [subject.public_key], 0.0, 0.0, world.rng)
     with pytest.raises(InvalidValidity):
-        issue_certificate(world.ca, subject.public_key, 0.0, -5.0, world.rng)
+        issue_certificate(world.ca, [subject.public_key], 0.0, -5.0, world.rng)
+
+
+def test_a_batch_signs_once_and_every_certificate_checks():
+    world = make_world(seed=3)
+    subjects = [generate_keypair(world.rng).public_key for _ in range(11)]
+    certs = issue_certificate(world.ca, subjects, 50.0, 300.0, world.rng)
+    assert [c.subject_pubkey for c in certs] == subjects
+    assert [c.leaf_index for c in certs] == list(range(11))
+    assert {c.batch_size for c in certs} == {11}
+    assert len({c.root_signature for c in certs}) == 1
+    assert len({c.batch_root() for c in certs}) == 1
+    assert len({c.cert_id for c in certs}) == 11
+    assert all(certificate_signature_ok(c, world.ca.public_key) for c in certs)
+
+
+# A forged certificate under an otherwise valid transaction: the vehicle
+# key signs the tid, so only the certificate check can refuse it.
+def _path_from_another_batch(world, creds, other):
+    keys, cert = creds[1]
+    return keys, dataclasses.replace(
+        cert, audit_path=other[1][1].audit_path, root_signature=other[1][1].root_signature
+    )
+
+
+def _rogue_ca(world, creds, other):
+    keys = creds[1][0]
+    rogue = generate_keypair(world.rng)
+    subjects = [keys.public_key] + [generate_keypair(world.rng).public_key for _ in range(4)]
+    return keys, issue_certificate(rogue, subjects, 1000.0, 300.0, world.rng)[0]
+
+
+def _edit(**fields):
+    def forge(world, creds, other):
+        keys, cert = creds[0]
+        changes = {name: edit(cert) for name, edit in fields.items()}
+        return keys, dataclasses.replace(cert, **changes)
+
+    return forge
+
+
+FORGED_CERTIFICATES = {
+    "path-from-another-batch": _path_from_another_batch,
+    "root-signed-by-a-ca-not-in-genesis": _rogue_ca,
+    "leaf-index-at-batch-size": _edit(leaf_index=lambda c: c.batch_size),
+    "path-one-node-long": _edit(audit_path=lambda c: c.audit_path + c.audit_path[:32]),
+    "path-one-node-short": _edit(audit_path=lambda c: c.audit_path[:-32]),
+    # Leaf 0 of 5 and of 6 take paths of one shape, so the root comes out
+    # the same; the CA signed it with size 5.
+    "batch-size-changed": _edit(batch_size=lambda c: 6),
+    # Leaf 0's place offered as the inner node above leaves 0 and 1: one
+    # level up, the batch has 3 nodes and the path skips leaf 1.
+    "inner-node-as-leaf": _edit(batch_size=lambda c: 3, audit_path=lambda c: c.audit_path[32:]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FORGED_CERTIFICATES))
+def test_a_forged_certificate_is_refused(tmp_path, case):
+    world = make_world(seed=23)
+    creds = batch_credentials(world, 1000.0, 5)
+    other = batch_credentials(world, 1000.0, 5)
+    keys, forged = FORGED_CERTIFICATES[case](world, creds, other)
+    if case == "batch-size-changed":
+        assert forged.batch_root() == creds[0][1].batch_root()
+    assert not certificate_signature_ok(forged, world.ca.public_key)
+    tx = make_est(world, at=1010.0, creds=(keys, forged))
+    assert check_tx(tx, world.p1, {}) is Reason.BAD_SIGNATURE
+    # Honest neighbours from both batches come first, so both batch roots
+    # are already known signed when the forgery is judged.
+    ledger = world.ledger(b_max=4)
+    for i, honest in enumerate((creds[3], other[3], creds[4])):
+        ledger.append_validated(make_est(world, at=1000.0 + i, creds=honest))
+    ledger.append_validated(tx)
+    path = str(tmp_path / "p1.bin")
+    save_ledger(ledger, path)
+    faults = chain_faults(load_ledger(path))
+    assert len(faults) == 1 and tx.tid.hex()[:16] in faults[0] and "(BadSignature)" in faults[0], faults
+
+
+# --- batch trees ---------------------------------------------------------------
+
+def _rfc6962_root(leaves: list) -> bytes:
+    """MTH of RFC 6962, 2.1, written out recursively as an oracle."""
+    if len(leaves) == 1:
+        return leaves[0]
+    k = 1 << ((len(leaves) - 1).bit_length() - 1)  # largest power of two below n
+    left, right = _rfc6962_root(leaves[:k]), _rfc6962_root(leaves[k:])
+    return hashlib.sha256(b"\x01" + left + right).digest()
+
+
+@pytest.mark.parametrize("size", list(range(1, 34)) + [64, 65, 100])
+def test_merkle_tree_is_the_rfc6962_tree_and_every_path_leads_to_its_root(size):
+    leaves = [hashlib.sha256(b"\x00" + bytes([i % 256]) * 3).digest() for i in range(size)]
+    root, paths = merkle_tree(leaves)
+    assert root == _rfc6962_root(leaves)
+    for index, (leaf, path) in enumerate(zip(leaves, paths)):
+        assert len(path) % 32 == 0
+        assert path_root(leaf, index, size, path) == root
+        # One node more or fewer, or another index, does not lead to the
+        # root. Another size can: leaf 0 of 5 and of 6 take paths of one
+        # shape. That is why the CA signs the size with the root.
+        assert path_root(leaf, index, size, path + leaves[0]) is None
+        if path:
+            assert path_root(leaf, index, size, path[:-32]) is None
+        for other in {index ^ 1, size}:
+            assert path_root(leaf, other, size, path) != root
+
+
+def test_path_root_refuses_what_does_not_fit():
+    leaves = [hashlib.sha256(bytes([i])).digest() for i in range(4)]
+    root, paths = merkle_tree(leaves)
+    assert path_root(leaves[3], 3, 4, paths[3]) == root
+    assert path_root(leaves[3], 4, 4, paths[3]) is None  # index out of range
+    assert path_root(leaves[3], 0, 0, b"") is None  # empty batch
+    assert path_root(leaves[3], 3, 4, paths[3][:-1]) is None  # not whole nodes
+    assert path_root(leaves[3], 3, 4, paths[3][:32]) is None  # too few nodes
+    assert path_root(leaves[3], 3, 4, paths[3] + root) is None  # too many nodes
+    with pytest.raises(ValueError):
+        merkle_tree([])
+
+
+def test_an_inner_node_is_never_a_leaf():
+    """The second-preimage attack on a tree without domain separation:
+    the two children of an inner node, offered as one leaf of the tree
+    one level up, rebuild the same root there. Leaves hash under 0x00 and
+    nodes under 0x01, so here they do not."""
+    data = [bytes([i]) * 80 for i in range(4)]
+
+    def naive(left, right):
+        return hashlib.sha256(left + right).digest()
+
+    h = [hashlib.sha256(d).digest() for d in data]
+    naive_root = naive(naive(h[0], h[1]), naive(h[2], h[3]))
+    inner_as_leaf = h[0] + h[1]
+    assert naive(hashlib.sha256(inner_as_leaf).digest(), naive(h[2], h[3])) == naive_root
+
+    leaves = [leaf_hash(d) for d in data]
+    root, paths = merkle_tree(leaves)
+    upper = node_hash(leaves[2], leaves[3])
+    assert path_root(leaf_hash(leaves[0] + leaves[1]), 0, 2, upper) != root
+    assert path_root(leaf_hash(leaves[0] + leaves[1]), 0, 4, upper) is None
+    assert node_hash(leaves[0], leaves[1]) != leaf_hash(leaves[0] + leaves[1])
 
 
 # --- escrow -------------------------------------------------------------------
@@ -286,18 +437,22 @@ def test_rotation_yields_unique_cert_ids_and_records_links():
     escrow = IdentityEscrow("gta-0", "la-0")
     escrow.register_vehicle("av-0")
     seen = set()
-    for i in range(64):
-        _, cert = rotate_pseudonym("av-0", escrow, world.ca, 100.0 * i, world.rng)
-        assert cert.cert_id not in seen
-        seen.add(cert.cert_id)
-        assert escrow.reveal_identity(cert.cert_id, {"gta-0", "la-0"}) == "av-0"
+    for i in range(8):
+        subjects = [generate_keypair(world.rng).public_key for _ in range(8)]
+        for cert in issue_certificate(world.ca, subjects, 100.0 * i, 300.0, world.rng):
+            assert cert.cert_id not in seen
+            seen.add(cert.cert_id)
+            escrow.record(cert.cert_id, "av-0")
+            assert escrow.reveal_identity(cert.cert_id, {"gta-0", "la-0"}) == "av-0"
+    assert len(seen) == 64
 
 
 def test_reveal_requires_both_authorities():
     world = make_world()
     escrow = IdentityEscrow("gta-0", "la-0")
     escrow.register_vehicle("av-1")
-    _, cert = rotate_pseudonym("av-1", escrow, world.ca, 0.0, world.rng)
+    cert = _one_cert(world, 0.0)
+    escrow.record(cert.cert_id, "av-1")
     with pytest.raises(EscrowDenied):
         escrow.reveal_identity(cert.cert_id, {"gta-0"})
     with pytest.raises(EscrowDenied):

@@ -356,7 +356,7 @@ def test_faults_report_every_bad_position():
 # (partition, builder, the reason consensus gives).
 def _foreign_ca_mt(world):
     foreign_ca = generate_keypair(world.rng)
-    cert = issue_certificate(foreign_ca, generate_keypair(world.rng).public_key, 1000.0, 300.0, world.rng)
+    [cert] = issue_certificate(foreign_ca, [generate_keypair(world.rng).public_key], 1000.0, 300.0, world.rng)
     return make_mt(world, at=1000.0, cert=cert)
 
 

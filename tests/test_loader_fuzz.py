@@ -18,7 +18,7 @@ that, and two files would then hold one ledger.
 
 Bit flips spare the block-capacity header: no id covers it, so most
 values re-split the chain into other blocks that still verify (ROADMAP
-item 4a). test_edited_block_capacity_is_a_fault pins that gap as a
+item 3). test_edited_block_capacity_is_a_fault pins that gap as a
 strict expected failure until the header is authenticated.
 """
 
@@ -127,7 +127,7 @@ def test_every_record_boundary_cut_reloads_a_prefix(saved):
 
 @pytest.mark.xfail(
     strict=True,
-    reason="ROADMAP item 4a: the block-capacity header is not covered by any id, "
+    reason="ROADMAP item 3: the block-capacity header is not covered by any id, "
     "so a file re-split into other blocks still verifies",
 )
 @pytest.mark.parametrize("b_max", [2, 3, 5])

@@ -3,15 +3,18 @@ three adversary classes, and configuration handling."""
 
 import dataclasses
 import json
+import random
 
 import pytest
 
+from avledger import scenarios
 from avledger.errors import ConfigError, NotFound
 from avledger.ledger import verify_chain
 from avledger.scenarios import (
     AttackClass,
     AttackConfig,
     CollisionEvent,
+    MaintenanceEvent,
     NetworkConfig,
     SafetyEvent,
     ScenarioConfig,
@@ -26,7 +29,7 @@ from avledger.scenarios import (
     make_benign_config,
     tamper_cblock,
 )
-from avledger.txmodel import EventTrigger, compute_edata_hash
+from avledger.txmodel import EventTrigger, TxKind, body_timestamp, compute_edata_hash
 
 from worldkit import make_edata, make_est, make_world
 
@@ -327,3 +330,105 @@ def test_report_json_is_sorted_and_stable():
     parsed = json.loads(rendered)
     assert rendered == json.dumps(parsed, sort_keys=True, indent=2) + "\n"
     assert list(parsed) == sorted(parsed)
+
+
+# --- pseudonym batches ----------------------------------------------------------
+
+@pytest.fixture
+def issued(monkeypatch):
+    """Every batch the engine's CA issues, in order, as tuples of certificates."""
+    batches = []
+    real = scenarios.issue_certificate
+
+    def recording(*args):
+        certs = real(*args)
+        batches.append(certs)
+        return certs
+
+    monkeypatch.setattr(scenarios, "issue_certificate", recording)
+    return batches
+
+
+def _disputes_shaped(seed: int, n_events: int = 300) -> ScenarioConfig:
+    """A fleet the shape of the fleet-disputes benchmark workload (20
+    vehicles, 60/15/15/10 safety/update/maintenance/collision, drop 0.1),
+    with fewer events."""
+    rng = random.Random(seed)
+    timeline, t = [], 0.0
+    for _ in range(n_events):
+        t += rng.expovariate(1.0 / 6.0)
+        at, roll, vehicle = round(t, 3), rng.random(), rng.randrange(20)
+        if roll < 0.6:
+            timeline.append(SafetyEvent(at=at, vehicle=vehicle))
+        elif roll < 0.75:
+            timeline.append(UpdateEvent(at=at, vehicle=vehicle, exec_delay_secs=rng.uniform(60.0, 600.0)))
+        elif roll < 0.9:
+            timeline.append(MaintenanceEvent(at=at, vehicle=vehicle))
+        else:
+            parties = tuple(rng.sample(range(20), 2))
+            timeline.append(CollisionEvent(at=at, vehicles=parties, n_witnesses=1, hit_and_run=rng.random() < 0.1))
+    return ScenarioConfig(
+        seed=seed,
+        vehicles=(VehicleSpec(),) * 20,
+        timeline=tuple(timeline),
+        network=NetworkConfig(drop_prob=0.1),
+    )
+
+
+def _owners(engine) -> dict:
+    """Vehicle of every certificate the engine's CA issued, by subject key.
+    A key stays with one vehicle until it is used, so every key is in
+    some vehicle's history or pool when the run ends. Where the
+    certificate was used, the escrow must name the same vehicle."""
+    owners = {}
+    for vehicle in engine.vehicles:
+        for pubkey, cert in vehicle.cert_history:
+            owners[pubkey] = engine.escrow.reveal_identity(cert.cert_id, {"gta-0", "la-0"})
+            assert owners[pubkey] == vehicle.entity_id
+        for keys, _ in vehicle.pool:
+            owners[keys.public_key] = vehicle.entity_id
+    return owners
+
+
+def test_no_batch_root_ties_pseudonyms_to_one_vehicle(issued):
+    """Every root over more than one leaf covers the whole fleet, and its
+    leaves are shuffled: across all batches, neighbouring leaves of one
+    vehicle are far fewer than if each vehicle's keys sat together."""
+    configs = [make_benign_config(seed) for seed in range(20)] + [_disputes_shaped(5)]
+    together = neighbours = shared = 0
+    for config in configs:
+        issued.clear()
+        engine = ScenarioEngine(config)
+        engine.run()
+        owners = _owners(engine)
+        for certs in issued:
+            if len(certs) == 1:
+                continue
+            shared += 1
+            order = [owners[cert.subject_pubkey] for cert in certs]
+            assert set(order) == {v.entity_id for v in engine.vehicles}
+            neighbours += sum(a == b for a, b in zip(order, order[1:]))
+            together += len(order) - len(set(order))
+    assert shared >= len(configs)
+    assert neighbours < together / 2, (neighbours, together)
+
+
+def test_pools_lose_no_key_and_leave_every_use_a_full_window(issued):
+    config = _disputes_shaped(6)
+    engine = ScenarioEngine(config)
+    assert issued == []  # the constructor issues nothing
+    result = engine.run()
+    certified = {cert.subject_pubkey for certs in issued for cert in certs}
+    used = [pubkey for v in engine.vehicles for pubkey, _ in v.cert_history]
+    pooled = [keys.public_key for v in engine.vehicles for keys, _ in v.pool]
+    assert len(set(used)) == len(used) and not set(used) & set(pooled)
+    assert certified == set(used) | set(pooled)
+    # A batch is the whole fleet's pools, or one key of a vehicle whose
+    # pool ran dry; some of each happen here.
+    sizes = [len(certs) for certs in issued]
+    assert 1 in sizes and any(size > len(engine.vehicles) for size in sizes)
+    validity = config.cert_validity_secs
+    for tx in result.ledgers["P1"].all_transactions():
+        if tx.kind is not TxKind.EVIDENCE_REQUEST:
+            left = tx.cert.issued_at + tx.cert.validity_secs - body_timestamp(tx)
+            assert left > validity - 1.0, (tx.kind, left)

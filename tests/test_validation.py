@@ -5,6 +5,7 @@ import dataclasses
 
 import pytest
 
+from avledger import txmodel
 from avledger.errors import NotDiverged, ReplicaMismatch, Unattributable
 from avledger.ledger import PartitionLedger, chain_faults, make_genesis
 from avledger.scenarios import tamper_cblock
@@ -30,6 +31,7 @@ from avledger.validation import (
 
 from worldkit import (
     apply_mutation,
+    batch_credentials,
     commit,
     field_mutations,
     fixed_fields,
@@ -297,6 +299,32 @@ def test_each_vote_is_the_replica_verdict_under_tamper(proposal):
 
 
 # --- consensus ----------------------------------------------------------------
+
+def test_rounds_that_share_a_set_ca_check_each_batch_root_once(monkeypatch):
+    world = make_world(seed=41)
+    batch = batch_credentials(world, 1000.0, 6)
+    txs = [make_est(world, at=1000.0 + i, creds=creds) for i, creds in enumerate(batch)]
+    txs.append(make_est(world, at=1010.0))  # alone in a batch of its own
+    checked = []
+    real = txmodel.certificate_signature_ok
+
+    def counting(cert, ca_pubkey):
+        checked.append(cert.batch_size)
+        return real(cert, ca_pubkey)
+
+    monkeypatch.setattr(txmodel, "certificate_signature_ok", counting)
+    replicas, ca_checked = world.replicas(Partition.OPERATIONAL), set()
+    for tx in txs:
+        round_ = run_consensus(list(replicas), tx, replicas, 1000.0, ca_checked)
+        assert round_.outcome is RoundOutcome.COMMITTED
+    assert checked == [6, 1] and len(ca_checked) == 2
+    # Without a set, every round checks its root again.
+    checked.clear()
+    replicas = world.replicas(Partition.OPERATIONAL)
+    for tx in txs:
+        run_consensus(list(replicas), tx, replicas, 1000.0)
+    assert checked == [6] * 6 + [1]
+
 
 def test_commit_mutates_every_replica_identically():
     world = make_world(seed=41)

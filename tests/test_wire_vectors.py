@@ -12,7 +12,8 @@ enum tag on the wire: all seven roles, all six kinds, both partitions,
 both drive modes, every trigger and both execution states.
 
 Each encoding and each digest derived from it (tid preimage, evidence
-hash, certificate payload, genesis id, the adjudicator's content digest)
+hash, certificate leaf and the batch-root payload its path leads to,
+genesis id, the adjudicator's content digest)
 is pinned by SHA-256 in tests/wire_vector_pins.json, and every record
 must decode back to the value it was built from.
 
@@ -33,7 +34,7 @@ import pytest
 from avledger.adjudicator import _content_digest
 from avledger.encoding import decode, encode
 from avledger.errors import LedgerFormatError, MalformedBody
-from avledger.identity import PseudonymCertificate
+from avledger.identity import PseudonymCertificate, root_payload
 from avledger.ledger import CaRootCert, MemberRecord, make_genesis
 from avledger.scenarios import WitnessStatement
 from avledger.txmodel import (
@@ -100,10 +101,20 @@ CERT = PseudonymCertificate(
     subject_pubkey=_h(0xA1),
     issued_at=998.0,
     validity_secs=300.0,
-    issuer_signature=bytes(range(64)),
+    leaf_index=5,
+    batch_size=6,
+    audit_path=_h(0xD1) + _h(0xD2),  # leaf 5 of 6: its sibling, then leaves 0-3
+    root_signature=bytes(range(64)),
 )
 CERT_UNSIGNED = PseudonymCertificate(
-    cert_id=_h(0xC2), subject_pubkey=_h(0xA2), issued_at=0.0, validity_secs=0.5, issuer_signature=b""
+    cert_id=_h(0xC2),
+    subject_pubkey=_h(0xA2),
+    issued_at=0.0,
+    validity_secs=0.5,
+    leaf_index=0,
+    batch_size=1,
+    audit_path=b"",
+    root_signature=b"",
 )
 ROOT = CaRootCert(name="root-ca", public_key=_h(0xCA))
 MEMBERS = (
@@ -202,7 +213,8 @@ def wire_digests() -> dict[str, str]:
         out[f"edata-hash/{name}"] = compute_edata_hash(e.loc, e.ts, e.hv_data, e.ts_data, e.enc_witness).hex()
         out[f"content-digest/{name}"] = _content_digest(e).hex()
     for name, cert in (("signed", CERT), ("unsigned", CERT_UNSIGNED)):
-        out[f"cert-payload/{name}"] = _sha(cert.signed_payload())
+        out[f"cert-payload/{name}"] = _sha(cert.leaf())
+        out[f"cert-root-payload/{name}"] = _sha(root_payload(cert.batch_root(), cert.batch_size))
     for partition, genesis in GENESES.items():
         out[f"genesis-id/{partition.value}"] = genesis.block_id.hex()
     return out

@@ -100,9 +100,15 @@ def make_world(seed: int = 1234) -> World:
 # --- transaction builders ----------------------------------------------------
 
 def vehicle_credentials(world: World, at: float, validity: float = 300.0):
-    keys = generate_keypair(world.rng)
-    cert = issue_certificate(world.ca, keys.public_key, at, validity, world.rng)
-    return keys, cert
+    """A fresh key and its certificate, alone in its batch."""
+    return batch_credentials(world, at, 1, validity)[0]
+
+
+def batch_credentials(world: World, at: float, n: int, validity: float = 300.0) -> list:
+    """n fresh keys, each with its certificate from one batch of n."""
+    keys = [generate_keypair(world.rng) for _ in range(n)]
+    certs = issue_certificate(world.ca, [k.public_key for k in keys], at, validity, world.rng)
+    return list(zip(keys, certs))
 
 
 def make_esm(
