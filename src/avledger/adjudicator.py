@@ -3,7 +3,10 @@
 The adjudicator never trusts a submitted copy of anything it can anchor
 to the chain: evidence copies are compared against the vehicle's own
 committed collision evidence, update compliance is read off the ledger,
-and behavior history comes from committed event-safety reports.
+and behavior history is read off the ledger too, from the event-safety
+reports filed under a party's certificates in the window before the
+crash. No record carries a vehicle's history, so none ties its
+pseudonyms together.
 
 Rule precedence for a verdict: evidence forgery names the liable party
 first, then owner negligence (an overdue, never-executed update), then a
@@ -26,7 +29,6 @@ from .ledger import PartitionLedger
 from .txmodel import (
     CollisionEvidenceBody,
     DriveMode,
-    EstDigest,
     EventTrigger,
     EvidenceData,
     GeoPoint,
@@ -110,31 +112,26 @@ def check_negligence(
     return out
 
 
-def check_staged(
-    est_digests: tuple[EstDigest, ...],
-    collision_at: float,
-    window_secs: float,
-    threshold: int,
-) -> bool:
-    """True when the vehicle's hard-brake history inside the window right
-    before the collision reaches the threshold: a driving pattern
-    consistent with provoking the crash on purpose.
-    """
-    return len(staged_evidence_tids(est_digests, collision_at, window_secs)) >= threshold
-
-
 def staged_evidence_tids(
-    est_digests: tuple[EstDigest, ...],
+    ledger: PartitionLedger,
+    vehicle_cert_ids: frozenset[Hash256],
     collision_at: float,
     window_secs: float,
 ) -> list[Hash256]:
-    """The hard-brake reports in [collision_at - window_secs, collision_at)."""
-    return [
-        d.tid
-        for d in est_digests
-        if d.trigger is EventTrigger.HARD_BRAKE
-        and collision_at - window_secs <= d.ts < collision_at
+    """The hard-brake event-safety reports filed under the vehicle's
+    certificates in [collision_at - window_secs, collision_at), in
+    (timestamp, tid) order. This windowed read is the one implementation
+    of a vehicle's EST history.
+    """
+    start = collision_at - window_secs
+    brakes = [
+        (tx.body.ts, tx.tid)
+        for cert_id in vehicle_cert_ids
+        for tx in ledger.query(kind=TxKind.EVENT_SAFETY, cert_id=cert_id)
+        if tx.body.esm.trigger is EventTrigger.HARD_BRAKE and start <= tx.body.ts < collision_at
     ]
+    brakes.sort()
+    return [tid for _, tid in brakes]
 
 
 # --- cases and verdicts -------------------------------------------------------
@@ -162,7 +159,6 @@ class PartyEvidence:
     pet_tid: Optional[Hash256] = None
     submitted: Mapping[EntityId, EvidenceData] = field(default_factory=dict)
     ret_tids: Mapping[EntityId, Hash256] = field(default_factory=dict)
-    est_digests: tuple[EstDigest, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -313,18 +309,14 @@ def adjudicate(
     # 4. Staged suspicion: a hard-brake pattern right before the crash.
     if liability_class is None:
         for party in case.parties:
-            if check_staged(
-                party.est_digests,
-                case.collision_at,
-                params.staged_window_secs,
-                params.staged_threshold,
-            ):
+            brakes = staged_evidence_tids(
+                ledger, party.cert_ids, case.collision_at, params.staged_window_secs
+            )
+            if len(brakes) >= params.staged_threshold:
                 liability_class = LiabilityClass.STAGED_SUSPICION
                 if liable is None:
                     liable = party.vehicle
-                for tid in staged_evidence_tids(
-                    party.est_digests, case.collision_at, params.staged_window_secs
-                ):
+                for tid in brakes:
                     seen(tid)
                 break
 

@@ -25,7 +25,7 @@ from typing import Optional
 from .adjudicator import AdjudicationParams, CollisionCase, adjudicate
 from .errors import AvLedgerError, ConfigError, LedgerFormatError, MalformedCase
 from .identity import generate_keypair
-from .ledger import PartitionLedger, chain_faults, est_history, load_ledger, save_ledger
+from .ledger import PartitionLedger, chain_faults, load_ledger, save_ledger
 from .scenarios import (
     AttackClass,
     ScenarioEngine,
@@ -183,8 +183,9 @@ def cmd_inspect(args: argparse.Namespace) -> int:
 
 def _case_from_jsonable(data: dict, ledger: PartitionLedger) -> CollisionCase:
     """Builds a case whose evidence is entirely resolved from the ledger:
-    submitted copies come out of referenced RET transactions and safety
-    history out of the parties' certificate trails.
+    submitted copies come out of referenced RET transactions. The
+    adjudicator reads the safety history itself, under the parties'
+    certificates.
     """
     case = case_from_jsonable(data)
     parties = []
@@ -199,9 +200,7 @@ def _case_from_jsonable(data: dict, ledger: PartitionLedger) -> CollisionCase:
                     f"party {party.vehicle}: {submitter} evidence request not on the ledger"
                 )
             submitted[submitter] = ret.body.edata
-        parties.append(
-            replace(party, submitted=submitted, est_digests=est_history(ledger, party.cert_ids))
-        )
+        parties.append(replace(party, submitted=submitted))
     return replace(case, parties=tuple(parties))
 
 

@@ -10,10 +10,17 @@ fold state, and removing or reordering any committed transaction changes
 every fold value after it. Sealing freezes the fold value as the block's
 permanent id and seeds the next block with it.
 
-The file format is an append-only record log: a fixed header, the genesis
-record, then one length-prefixed canonical transaction per commit, each
-followed by the fold value claimed after that commit. Block boundaries
-are reconstructed from the block capacity in the header.
+The file format (version 3) is a record log with a trailer:
+
+    magic "AVLB" | u16 version | u32 length | genesis record
+    per commit:  u32 length | canonical transaction | fold value after it
+    trailer:     u32 record count | final fold value
+
+The block capacity is a genesis field, so the genesis id, which seeds
+the first fold, covers it; block boundaries are rebuilt from it. The
+trailer names how many records the file holds and the fold value after
+the last one (the genesis id when there is none), so a file cut on a
+record boundary, or an edited genesis in an empty ledger, does not load.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ import threading
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional
 
-from .encoding import BOOLEAN, TEXT, encode, fixed, items, unpack, wire
+from .encoding import BOOLEAN, TEXT, U32, encode, fixed, items, unpack, wire
 from .errors import InvalidGenesis, LedgerFormatError, NotFound, UniquenessViolation
 from .identity import PUBLIC_KEY_SIZE
 from .txmodel import (
@@ -32,7 +39,6 @@ from .txmodel import (
     HASH_SIZE,
     PARTITION_WIRE,
     ROLE_WIRE,
-    EstDigest,
     Hash256,
     Partition,
     Reason,
@@ -47,10 +53,13 @@ from .txmodel import (
 )
 
 LEDGER_MAGIC = b"AVLB"
-# Version 2 carries batch certificates (leaf index, batch size, audit path
-# and root signature). A version 1 file is refused, not converted.
-LEDGER_VERSION = 2
+# Version 3: the block capacity is a genesis field, the file ends in a
+# trailer, and evidence requests carry no driving history. A file of any
+# other version is refused, not converted.
+LEDGER_VERSION = 3
 DEFAULT_B_MAX = 8
+# u32 record count, then the final fold value.
+TRAILER_SIZE = 4 + HASH_SIZE
 
 
 def fold_step(tid: Hash256, acc: Hash256) -> Hash256:
@@ -89,12 +98,14 @@ class MemberRecord:
 class GenesisBlock:
     """The partition's root record. block_id, the first field, is the
     SHA-256 of the encoding of every field after it; a saved ledger
-    stores those fields and recomputes the id on load."""
+    stores those fields and recomputes the id on load. b_max is the block
+    capacity: a block seals once it holds that many transactions."""
 
     block_id: Hash256 = wire(HASH)
     partition: Partition = wire(PARTITION_WIRE)
     ca_certificates: tuple[CaRootCert, ...] = wire(items(CaRootCert))
     membership: tuple[MemberRecord, ...] = wire(items(MemberRecord))
+    b_max: int = wire(U32)
 
     def known_keys(self) -> dict[Role, bytes]:
         return {m.role: m.public_key for m in self.membership}
@@ -107,14 +118,17 @@ def make_genesis(
     partition: Partition,
     ca_certificates: Iterable[CaRootCert],
     membership: Iterable[MemberRecord],
+    b_max: int = DEFAULT_B_MAX,
 ) -> GenesisBlock:
     ca_certificates = tuple(ca_certificates)
     membership = tuple(membership)
+    if b_max < 1:
+        raise InvalidGenesis("block capacity must be at least 1")
     if not ca_certificates:
         raise InvalidGenesis("genesis needs at least one CA root certificate")
     if not any(m.validator for m in membership):
         raise InvalidGenesis("genesis needs at least one validator")
-    stub = GenesisBlock(b"", partition, ca_certificates, membership)
+    stub = GenesisBlock(b"", partition, ca_certificates, membership, b_max)
     return replace(stub, block_id=_genesis_id(stub))
 
 
@@ -159,11 +173,11 @@ class PartitionLedger:
     index in step with the blocks.
     """
 
-    def __init__(self, genesis: GenesisBlock, b_max: int = DEFAULT_B_MAX) -> None:
-        if b_max < 1:
+    def __init__(self, genesis: GenesisBlock) -> None:
+        if genesis.b_max < 1:
             raise ValueError("block capacity must be at least 1")
         self.genesis = genesis
-        self.b_max = b_max
+        self.b_max = genesis.b_max
         self.blocks: list[Block] = []
         self.current = CurrentBlock(prev_block_id=genesis.block_id)
         self._by_tid: dict[Hash256, Transaction] = {}
@@ -324,20 +338,6 @@ def _unindex(
         if (kind is None or tx.kind is kind) and (cert_id is None or tx.cert.cert_id == cert_id)
     )
     del rows[len(rows) - 1 - behind]
-
-
-def est_history(ledger: PartitionLedger, cert_ids: Iterable[bytes]) -> tuple[EstDigest, ...]:
-    """Digests of the safety-event reports filed under any of cert_ids, in
-    time order: the driving history the decision partition and the
-    adjudicator weigh for one vehicle.
-    """
-    digests = [
-        EstDigest(tid=tx.tid, ts=tx.body.ts, trigger=tx.body.esm.trigger)
-        for cert_id in cert_ids
-        for tx in ledger.query(kind=TxKind.EVENT_SAFETY, cert_id=cert_id)
-    ]
-    digests.sort(key=lambda d: (d.ts, d.tid))
-    return tuple(digests)
 
 
 # --- chain verification -------------------------------------------------------
@@ -527,15 +527,18 @@ def save_ledger(ledger: PartitionLedger, path: str) -> None:
     with open(path, "wb") as fh:
         fh.write(LEDGER_MAGIC)
         fh.write(LEDGER_VERSION.to_bytes(2, "big"))
-        fh.write(ledger.b_max.to_bytes(4, "big"))
         genesis_bytes = encode(ledger.genesis, start=1)
         fh.write(len(genesis_bytes).to_bytes(4, "big"))
         fh.write(genesis_bytes)
+        count = 0
         for tx, fold in _records_with_folds(ledger):
             record = encode_transaction(tx)
             fh.write(len(record).to_bytes(4, "big"))
             fh.write(record)
             fh.write(fold)
+            count += 1
+        fh.write(count.to_bytes(4, "big"))
+        fh.write(ledger.cblock_id)
 
 
 def _records_with_folds(ledger: PartitionLedger):
@@ -546,9 +549,11 @@ def _records_with_folds(ledger: PartitionLedger):
 
 def load_ledger(path: str) -> PartitionLedger:
     """Structural load: decodes the header, genesis, and every record, and
-    rebuilds blocks from the recorded fold claims. Chain-level integrity
-    is judged separately by verify_chain so corrupt files can still be
-    reported on block by block.
+    rebuilds blocks from the recorded fold claims. The trailer must name
+    the number of records read and the fold value claimed after the last
+    one (the recomputed genesis id when there is none). Chain-level
+    integrity is judged separately by verify_chain so corrupt files can
+    still be reported on block by block.
 
     The file is read record by record, never whole, and no read asks for
     more than the bytes left, so a corrupt length allocates nothing big.
@@ -558,7 +563,8 @@ def load_ledger(path: str) -> PartitionLedger:
 
 
 def _read_records(fh, size: int) -> PartitionLedger:
-    left = size
+    # Everything up to the trailer; the trailer's bytes are read last.
+    left = size - 4 - TRAILER_SIZE
 
     def take(n: int, what: str) -> bytes:
         nonlocal left
@@ -570,13 +576,9 @@ def _read_records(fh, size: int) -> PartitionLedger:
 
     if size < 4 or fh.read(4) != LEDGER_MAGIC:
         raise LedgerFormatError("missing genesis: not a ledger file (bad magic)")
-    left -= 4
     version = int.from_bytes(take(2, "version"), "big")
     if version != LEDGER_VERSION:
         raise LedgerFormatError(f"unsupported ledger version {version}")
-    b_max = int.from_bytes(take(4, "block capacity"), "big")
-    if b_max < 1:
-        raise LedgerFormatError(f"bad block capacity {b_max}")
     genesis_len = int.from_bytes(take(4, "genesis length"), "big")
     genesis_record = take(genesis_len, "genesis record")
     try:
@@ -586,7 +588,7 @@ def _read_records(fh, size: int) -> PartitionLedger:
     except Exception as exc:
         raise LedgerFormatError(f"bad genesis record: {exc}") from None
 
-    ledger = PartitionLedger(genesis, b_max=b_max)
+    ledger = PartitionLedger(genesis)
     index = 0
     while left:
         if left < 4:
@@ -602,4 +604,10 @@ def _read_records(fh, size: int) -> PartitionLedger:
             raise LedgerFormatError(f"record {index}: undecodable: {exc}") from None
         ledger.append_claimed(tx, fold)
         index += 1
+    trailer = fh.read(TRAILER_SIZE)
+    count = int.from_bytes(trailer[:4], "big")
+    if count != index:
+        raise LedgerFormatError(f"trailer counts {count} records, the file holds {index}")
+    if trailer[4:] != ledger.cblock_id:
+        raise LedgerFormatError("trailer fold value does not match the end of the chain")
     return ledger

@@ -59,7 +59,6 @@ from .ledger import (
     GenesisBlock,
     MemberRecord,
     PartitionLedger,
-    est_history,
     make_genesis,
 )
 from .netsim import (
@@ -484,9 +483,8 @@ def config_from_jsonable(data: dict) -> ScenarioConfig:
 
 
 def case_from_jsonable(data: dict) -> CollisionCase:
-    """The shape of a collision-case file. Each party's evidence (the
-    submitted copies and the safety history) is left empty: the caller
-    resolves it against a ledger.
+    """The shape of a collision-case file. Each party's submitted copies
+    are left empty: the caller resolves them against a ledger.
     """
     return _object(CollisionCase)(data, "$")
 
@@ -715,6 +713,7 @@ class ScenarioEngine:
                 MemberRecord("st-0", Role.TECHNICIAN, self.fixed_keys["st-0"].public_key, True, True),
                 MemberRecord("ic-0", Role.INSURER, self.fixed_keys["ic-0"].public_key, False, True),
             ],
+            config.b_max,
         )
         genesis_p2 = make_genesis(
             P2,
@@ -725,13 +724,14 @@ class ScenarioEngine:
                 MemberRecord("gta-0", Role.TRANSPORT_AUTHORITY, self.fixed_keys["gta-0"].public_key, False, True),
                 MemberRecord("la-0", Role.LEGAL_AUTHORITY, self.fixed_keys["la-0"].public_key, False, True),
             ],
+            config.b_max,
         )
         self.genesis: dict[Partition, GenesisBlock] = {P1: genesis_p1, P2: genesis_p2}
         self.validators: dict[Partition, tuple[EntityId, ...]] = {
             part: genesis.validator_ids() for part, genesis in self.genesis.items()
         }
         self.replicas: dict[Partition, dict[EntityId, PartitionLedger]] = {
-            part: {v: PartitionLedger(self.genesis[part], b_max=config.b_max) for v in vals}
+            part: {v: PartitionLedger(self.genesis[part]) for v in vals}
             for part, vals in self.validators.items()
         }
         # Each partition's batch roots found CA-signed (check_tx_genesis).
@@ -1260,16 +1260,13 @@ class ScenarioEngine:
                 # evidence never made it or the partition stopped; no request
                 settle()
                 return
-            vehicle = self._vehicle_of[subject]
             edata = pet.body.edata
             if forged:
                 edata = inject_false_information(edata)
-            digests = est_history(honest_p1, vehicle.cert_ids())
             body = EvidenceRequestBody(
                 edata=edata,
                 requester=requester_role,
                 submitted_at=self.now,
-                est_digests=digests,
             )
             tx = build_transaction(
                 TxKind.EVIDENCE_REQUEST,
@@ -1349,7 +1346,6 @@ class ScenarioEngine:
                     pet_tid=tracker.pet_tids.get(entity),
                     submitted=submitted,
                     ret_tids=ret_tids,
-                    est_digests=est_history(honest_p1, vehicle.cert_ids()),
                 )
             )
         case = CollisionCase(

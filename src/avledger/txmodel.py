@@ -234,27 +234,17 @@ class MaintenanceBody:
 
 
 @dataclass(frozen=True, slots=True)
-class EstDigest:
-    """Compact reference to a committed event-safety report, shipped to the
-    decision partition as historical behavior proof.
-    """
-
-    tid: Hash256 = wire(HASH)
-    ts: float = wire(F64)
-    trigger: EventTrigger = wire(TRIGGER_WIRE)
-
-
-@dataclass(frozen=True, slots=True)
 class EvidenceRequestBody:
     """Evidence submission / identification request for the decision
-    partition. Carries the requester's copy of the subject vehicle's
-    evidence and that vehicle's event-safety history digests.
+    partition: the requester's copy of the subject vehicle's collision
+    evidence, and nothing of the vehicle's driving history, which would
+    tie its pseudonyms together. The adjudicator reads that history from
+    the ledger itself.
     """
 
     edata: EvidenceData = wire(EvidenceData)
     requester: Role = wire(ROLE_WIRE)
     submitted_at: float = wire(F64)
-    est_digests: tuple[EstDigest, ...] = wire(items(EstDigest))
 
 
 Body = Union[
@@ -376,8 +366,9 @@ def decode_transaction(data: bytes) -> Transaction:
 
 
 def body_timestamp(tx: Transaction) -> float:
-    """The timestamp that certificate-window checks and time queries use:
-    the in-body event time for telemetry kinds, the proposer's submission
+    """The timestamp that time queries and block seals use, and the
+    certificate-window check for every kind but an evidence request: the
+    in-body event time for telemetry kinds, the proposer's submission
     stamp for the rest.
     """
     body = tx.body
@@ -386,6 +377,20 @@ def body_timestamp(tx: Transaction) -> float:
     if isinstance(body, CollisionEvidenceBody):
         return body.edata.ts
     return body.submitted_at  # type: ignore[union-attr]
+
+
+def _certificate_time(tx: Transaction) -> float:
+    """The instant at which tx's certificate must be valid. An evidence
+    request names the subject vehicle's collision certificate, not one of
+    the requester's, so its window is judged at the evidence time, which
+    the committed collision report already proved in-window; the
+    requester's own authority is its membership signature. Every other
+    kind is judged at its body timestamp.
+    """
+    body = tx.body
+    if isinstance(body, EvidenceRequestBody):
+        return body.edata.ts
+    return body_timestamp(tx)
 
 
 def validate_structure(tx: Transaction) -> None:
@@ -434,7 +439,8 @@ def check_tx(
     schema (structure, evidence hash, tid), authorization in genesis's
     partition, completeness, the certificate (its audit path, its batch
     root's signature by any of genesis's CA roots, and its window at the
-    body timestamp, so the verdict replays), signatures, uniqueness
+    body timestamp, or an evidence request's evidence time, so the verdict
+    replays), signatures, uniqueness
     against `committed` (tid to transaction, all accepted before tx), and
     an execution report's parent update in `committed`.
 
@@ -501,7 +507,7 @@ def check_tx_genesis(
             return Reason.BAD_SIGNATURE
         if ca_checked is not None:
             ca_checked.add(signed)
-    if not cert.window_contains(body_timestamp(tx)):
+    if not cert.window_contains(_certificate_time(tx)):
         return Reason.EXPIRED_CERT
     known_keys = genesis.known_keys()
     for entry in tx.signatures:

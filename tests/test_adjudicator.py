@@ -15,20 +15,20 @@ from avledger.adjudicator import (
     VerdictFlag,
     adjudicate,
     check_negligence,
-    check_staged,
     cross_check_edata,
     great_circle_m,
+    staged_evidence_tids,
 )
 from avledger.errors import MalformedCase
 from avledger.txmodel import (
     DriveMode,
-    EstDigest,
     EventTrigger,
     GeoPoint,
 )
 
 from worldkit import (
     make_edata,
+    make_est,
     make_et,
     make_mt,
     make_pet,
@@ -168,33 +168,51 @@ def test_negligence_is_monotone_in_query_time():
 
 # --- staged pattern -----------------------------------------------------------
 
-def _brakes(times):
-    return tuple(
-        EstDigest(tid=bytes([i]) * 32, ts=t, trigger=EventTrigger.HARD_BRAKE)
-        for i, t in enumerate(times)
-    )
+def _brakes(world, ledger, times, triggers=None):
+    """Appends one event-safety report per time, each under a fresh
+    pseudonym, as a vehicle that rotates its certificate per report
+    files them; hard brakes unless triggers says otherwise. Returns the
+    reports."""
+    triggers = triggers or [EventTrigger.HARD_BRAKE] * len(times)
+    ests = [make_est(world, at=t, trigger=trigger) for t, trigger in zip(times, triggers)]
+    for est in ests:
+        ledger.append_validated(est)
+    return ests
+
+
+def _certs(ests):
+    return frozenset(est.cert.cert_id for est in ests)
 
 
 def test_staged_threshold_and_window_edges():
     collision_at, window = 10_000.0, 3600.0
-    inside = _brakes([7000.0, 8000.0, 9999.0])
-    assert check_staged(inside, collision_at, window, 3)
-    assert not check_staged(inside[:2], collision_at, window, 3)
+    world = make_world(seed=75)
+    ledger = world.ledger()
+    # Committed out of time order: the window is read in (ts, tid) order.
+    inside = _brakes(world, ledger, [9999.0, 7000.0, 8000.0])
     # Window start is inclusive, the collision instant itself is not.
-    at_start = _brakes([collision_at - window, 8000.0, 9000.0])
-    assert check_staged(at_start, collision_at, window, 3)
-    at_end = _brakes([collision_at, 8000.0, 9000.0])
-    assert not check_staged(at_end, collision_at, window, 3)
+    at_start, at_end, before = _brakes(
+        world, ledger, [collision_at - window, collision_at, collision_at - window - 0.001]
+    )
+    # Another vehicle's brakes inside the window are not this vehicle's history.
+    stranger = _brakes(world, ledger, [9000.0, 9100.0, 9200.0])
+    got = staged_evidence_tids(ledger, _certs(inside + [at_start, at_end, before]), collision_at, window)
+    assert got == [at_start.tid] + [est.tid for est in sorted(inside, key=lambda e: e.body.ts)]
+    assert staged_evidence_tids(ledger, _certs(inside[:2]), collision_at, window) == [
+        inside[1].tid,
+        inside[0].tid,
+    ]
+    assert staged_evidence_tids(ledger, _certs([at_end, before]), collision_at, window) == []
+    assert len(staged_evidence_tids(ledger, _certs(stranger), collision_at, window)) == 3
+    assert staged_evidence_tids(ledger, frozenset(), collision_at, window) == []
 
 
 def test_staged_counts_only_hard_brakes():
-    digests = tuple(
-        EstDigest(tid=bytes([i]) * 32, ts=9000.0 + i, trigger=t)
-        for i, t in enumerate(
-            [EventTrigger.WRONG_WAY, EventTrigger.SLIPPERY_ROAD, EventTrigger.HARD_BRAKE]
-        )
-    )
-    assert not check_staged(digests, 10_000.0, 3600.0, 3)
+    world = make_world(seed=76)
+    ledger = world.ledger()
+    triggers = [EventTrigger.WRONG_WAY, EventTrigger.SLIPPERY_ROAD, EventTrigger.HARD_BRAKE]
+    ests = _brakes(world, ledger, [9000.0, 9001.0, 9002.0], triggers)
+    assert staged_evidence_tids(ledger, _certs(ests), 10_000.0, 3600.0) == [ests[2].tid]
 
 
 # --- full adjudication --------------------------------------------------------
@@ -279,12 +297,21 @@ def test_stale_maintenance_is_ignored():
 
 def test_brake_history_yields_staged_suspicion():
     world, ledger, _, _, _, party, case = _collision_world(seed=86)
-    history = _brakes([4000.0, 4400.0, 4800.0])
-    case = dataclasses.replace(case, parties=(dataclasses.replace(party, est_digests=history),))
-    verdict = adjudicate(case, ledger, AdjudicationParams())
+    history = _brakes(world, ledger, [4800.0, 4000.0, 4400.0])
+
+    def with_certs(ests):
+        cert_ids = party.cert_ids | _certs(ests)
+        return dataclasses.replace(case, parties=(dataclasses.replace(party, cert_ids=cert_ids),))
+
+    verdict = adjudicate(with_certs(history), ledger, AdjudicationParams())
     assert verdict.liability_class is LiabilityClass.STAGED_SUSPICION
     assert verdict.liable == "av-0"
-    assert set(verdict.evidence_tids) == {d.tid for d in history}
+    assert verdict.evidence_tids == tuple(est.tid for est in sorted(history, key=lambda e: e.body.ts))
+    # Below the threshold, or with the reports under certificates the party
+    # does not hold, the drive mode decides.
+    for other in (with_certs(history[:2]), case):
+        verdict = adjudicate(other, ledger, AdjudicationParams())
+        assert verdict.liability_class is LiabilityClass.PRODUCT_DEFECT
 
 
 def test_absent_suspect_skips_drive_mode():

@@ -10,11 +10,12 @@ import os
 import pytest
 from hypothesis import given, strategies as st
 
+from avledger.adjudicator import staged_evidence_tids
 from avledger.errors import InvalidGenesis, LedgerFormatError, UniquenessViolation
 from avledger.identity import generate_keypair, issue_certificate
 from avledger.ledger import (
+    PartitionLedger,
     chain_faults,
-    est_history,
     fold_ids,
     fold_step,
     load_ledger,
@@ -24,7 +25,7 @@ from avledger.ledger import (
 )
 from avledger import ledger as ledger_module
 from avledger import txmodel
-from avledger.txmodel import EstDigest, Partition, TxKind, body_timestamp
+from avledger.txmodel import EventTrigger, Partition, TxKind, body_timestamp
 from avledger.validation import Reason, RoundOutcome, verify_transaction
 
 from worldkit import (
@@ -77,7 +78,7 @@ def test_append_advances_fold_and_seals_at_capacity():
     assert len(ledger.current.transactions) == 1
     # Conservation: committed == b_max * sealed + open.
     assert len(ledger.tid_index) == 3 * 2 + 1
-    expected_b0 = reference_fold(world.p1.block_id, [t.tid for t in txs[:3]])
+    expected_b0 = reference_fold(ledger.genesis.block_id, [t.tid for t in txs[:3]])
     assert ledger.blocks[0].block_id == expected_b0
     assert ledger.blocks[1].prev_block_id == expected_b0
     assert ledger.blocks[0].sealed_at == body_timestamp(txs[2])
@@ -120,6 +121,16 @@ def test_genesis_requires_ca_and_validator():
     )
     with pytest.raises(InvalidGenesis):
         make_genesis(Partition.OPERATIONAL, [WORLD.root], no_validators)
+
+
+def test_genesis_id_covers_the_block_capacity():
+    p1 = WORLD.p1
+    assert p1.b_max == 8
+    ids = {make_genesis(p1.partition, p1.ca_certificates, p1.membership, b).block_id for b in (1, 2, 8)}
+    assert len(ids) == 3 and p1.block_id in ids
+    assert WORLD.ledger(b_max=3).b_max == 3
+    with pytest.raises(InvalidGenesis, match="block capacity"):
+        make_genesis(p1.partition, p1.ca_certificates, p1.membership, 0)
 
 
 # --- queries ------------------------------------------------------------------
@@ -254,14 +265,22 @@ def test_every_query_path_returns_a_new_list():
     _assert_query_matches_scan(ledger)
 
 
-def _brute_est_history(ledger, cert_ids):
+# A vehicle's EST history has one implementation: the adjudicator's
+# windowed read of hard brakes under its certificates.
+EST_WINDOWS = [(1e9, 1e9), (1210.0, 200.0), (1220.0, 10.0), (1000.0, 0.0), (1000.0, 1.0)]
+
+
+def _brute_est_history(ledger, cert_ids, collision_at, window_secs):
     rows = [
         tx
         for tx in ledger.all_transactions()
-        if tx.kind is TxKind.EVENT_SAFETY and tx.cert.cert_id in cert_ids
+        if tx.kind is TxKind.EVENT_SAFETY
+        and tx.cert.cert_id in cert_ids
+        and tx.body.esm.trigger is EventTrigger.HARD_BRAKE
+        and collision_at - window_secs <= tx.body.ts < collision_at
     ]
     rows.sort(key=lambda tx: (tx.body.ts, tx.tid))
-    return tuple(EstDigest(tx.tid, tx.body.ts, tx.body.esm.trigger) for tx in rows)
+    return [tx.tid for tx in rows]
 
 
 def _assert_est_history_matches_scan(ledger):
@@ -269,18 +288,23 @@ def _assert_est_history_matches_scan(ledger):
     unknown = b"\x00" * 32
     assert unknown not in certs
     for cert_ids in [[], *([c] for c in certs), certs, [unknown, *certs[:2]]]:
-        assert est_history(ledger, cert_ids) == _brute_est_history(ledger, cert_ids), cert_ids
+        cert_ids = frozenset(cert_ids)
+        for window in EST_WINDOWS:
+            got = staged_evidence_tids(ledger, cert_ids, *window)
+            assert got == _brute_est_history(ledger, cert_ids, *window), (cert_ids, window)
 
 
 def test_est_history_matches_a_scan_on_a_consensus_ledger():
     ledger = _consensus_replica()
-    assert len(est_history(ledger, {tx.cert.cert_id for tx in ledger.all_transactions()})) == 4
+    every_cert = frozenset(tx.cert.cert_id for tx in ledger.all_transactions())
+    assert len(staged_evidence_tids(ledger, every_cert, *EST_WINDOWS[0])) == 4
     _assert_est_history_matches_scan(ledger)
 
 
 def test_est_history_keeps_duplicates_of_a_loaded_file(tmp_path):
     loaded, est = _loaded_with_a_duplicate_tid(tmp_path)
-    assert [d.tid for d in est_history(loaded, [est.cert.cert_id])].count(est.tid) == 2
+    history = staged_evidence_tids(loaded, frozenset([est.cert.cert_id]), *EST_WINDOWS[0])
+    assert history.count(est.tid) == 2
     _assert_est_history_matches_scan(loaded)
 
 
@@ -370,7 +394,7 @@ PARITY_CASES = {
     "ret-outside-window": (
         Partition.OPERATIONAL,
         lambda world: make_ret(
-            world, make_edata(world, 1000.0), at=2000.0, cert=vehicle_credentials(world, 1000.0)[1]
+            world, make_edata(world, 2000.0), at=2010.0, cert=vehicle_credentials(world, 1000.0)[1]
         ),
         Reason.EXPIRED_CERT,
     ),
@@ -574,6 +598,56 @@ def test_load_rejects_non_ledger_bytes(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 64)
     with pytest.raises(LedgerFormatError, match="missing genesis"):
         load_ledger(str(path))
+
+
+def _saved_bytes(ledger, tmp_path):
+    path = tmp_path / "saved.bin"
+    save_ledger(ledger, str(path))
+    return path, path.read_bytes()
+
+
+def test_load_refuses_other_file_versions(tmp_path):
+    _, ledger, _ = _sealed_ledger(seed=17, n=5, b_max=4)
+    path, data = _saved_bytes(ledger, tmp_path)
+    assert data[4:6] == (3).to_bytes(2, "big")
+    for version in (1, 2, 4):
+        path.write_bytes(data[:4] + version.to_bytes(2, "big") + data[6:])
+        with pytest.raises(LedgerFormatError, match=f"unsupported ledger version {version}"):
+            load_ledger(str(path))
+
+
+def test_trailer_names_the_record_count_and_the_final_fold(tmp_path):
+    _, ledger, _ = _sealed_ledger(seed=17, n=5, b_max=4)
+    path, data = _saved_bytes(ledger, tmp_path)
+    assert data[-36:] == (5).to_bytes(4, "big") + ledger.cblock_id
+    for count in (4, 6):
+        path.write_bytes(data[:-36] + count.to_bytes(4, "big") + data[-32:])
+        with pytest.raises(LedgerFormatError, match=f"trailer counts {count} records, the file holds 5"):
+            load_ledger(str(path))
+    path.write_bytes(data[:-32] + ledger.blocks[0].block_id)
+    with pytest.raises(LedgerFormatError, match="trailer fold value"):
+        load_ledger(str(path))
+
+
+def test_edited_genesis_of_an_empty_ledger_is_refused(tmp_path):
+    """With no record, the trailer's fold value is the genesis id, so it
+    covers every genesis byte: here the block capacity and a member's
+    proposer flag."""
+    ledger = WORLD.ledger()
+    path, data = _saved_bytes(ledger, tmp_path)
+    assert data[-36:] == bytes(4) + WORLD.p1.block_id
+    assert load_ledger(str(path)).genesis == WORLD.p1
+    genesis_end = len(data) - 36
+    edits = [data[:genesis_end - 1] + b"\x03" + data[genesis_end:]]  # b_max 8 -> 3
+    p1 = WORLD.p1
+    members = (dataclasses.replace(p1.membership[0], proposer=False), *p1.membership[1:])
+    other = make_genesis(p1.partition, p1.ca_certificates, members)
+    edits.append(_saved_bytes(PartitionLedger(other), tmp_path)[1][:-32] + p1.block_id)
+    for edited in edits:
+        assert len(edited) == len(data) and edited != data
+        path.write_bytes(edited)
+        with pytest.raises(LedgerFormatError, match="trailer fold value"):
+            load_ledger(str(path))
 
 
 def test_load_rejects_truncated_file(tmp_path):

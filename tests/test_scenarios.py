@@ -3,7 +3,6 @@ three adversary classes, and configuration handling."""
 
 import dataclasses
 import json
-import random
 
 import pytest
 
@@ -14,7 +13,6 @@ from avledger.scenarios import (
     AttackClass,
     AttackConfig,
     CollisionEvent,
-    MaintenanceEvent,
     NetworkConfig,
     SafetyEvent,
     ScenarioConfig,
@@ -31,7 +29,7 @@ from avledger.scenarios import (
 )
 from avledger.txmodel import EventTrigger, TxKind, body_timestamp, compute_edata_hash
 
-from worldkit import make_edata, make_est, make_world
+from worldkit import disputes_shaped_config, make_edata, make_est, make_world
 
 
 def _run(config):
@@ -349,32 +347,6 @@ def issued(monkeypatch):
     return batches
 
 
-def _disputes_shaped(seed: int, n_events: int = 300) -> ScenarioConfig:
-    """A fleet the shape of the fleet-disputes benchmark workload (20
-    vehicles, 60/15/15/10 safety/update/maintenance/collision, drop 0.1),
-    with fewer events."""
-    rng = random.Random(seed)
-    timeline, t = [], 0.0
-    for _ in range(n_events):
-        t += rng.expovariate(1.0 / 6.0)
-        at, roll, vehicle = round(t, 3), rng.random(), rng.randrange(20)
-        if roll < 0.6:
-            timeline.append(SafetyEvent(at=at, vehicle=vehicle))
-        elif roll < 0.75:
-            timeline.append(UpdateEvent(at=at, vehicle=vehicle, exec_delay_secs=rng.uniform(60.0, 600.0)))
-        elif roll < 0.9:
-            timeline.append(MaintenanceEvent(at=at, vehicle=vehicle))
-        else:
-            parties = tuple(rng.sample(range(20), 2))
-            timeline.append(CollisionEvent(at=at, vehicles=parties, n_witnesses=1, hit_and_run=rng.random() < 0.1))
-    return ScenarioConfig(
-        seed=seed,
-        vehicles=(VehicleSpec(),) * 20,
-        timeline=tuple(timeline),
-        network=NetworkConfig(drop_prob=0.1),
-    )
-
-
 def _owners(engine) -> dict:
     """Vehicle of every certificate the engine's CA issued, by subject key.
     A key stays with one vehicle until it is used, so every key is in
@@ -394,7 +366,7 @@ def test_no_batch_root_ties_pseudonyms_to_one_vehicle(issued):
     """Every root over more than one leaf covers the whole fleet, and its
     leaves are shuffled: across all batches, neighbouring leaves of one
     vehicle are far fewer than if each vehicle's keys sat together."""
-    configs = [make_benign_config(seed) for seed in range(20)] + [_disputes_shaped(5)]
+    configs = [make_benign_config(seed) for seed in range(20)] + [disputes_shaped_config(5)]
     together = neighbours = shared = 0
     for config in configs:
         issued.clear()
@@ -414,7 +386,7 @@ def test_no_batch_root_ties_pseudonyms_to_one_vehicle(issued):
 
 
 def test_pools_lose_no_key_and_leave_every_use_a_full_window(issued):
-    config = _disputes_shaped(6)
+    config = disputes_shaped_config(6)
     engine = ScenarioEngine(config)
     assert issued == []  # the constructor issues nothing
     result = engine.run()

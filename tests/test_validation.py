@@ -8,11 +8,9 @@ import pytest
 from avledger import txmodel
 from avledger.errors import NotDiverged, ReplicaMismatch, Unattributable
 from avledger.ledger import PartitionLedger, chain_faults, make_genesis
-from avledger.scenarios import tamper_cblock
+from avledger.scenarios import inject_false_information, tamper_cblock
 from avledger.identity import sign_tx_digest
 from avledger.txmodel import (
-    EstDigest,
-    EventTrigger,
     Partition,
     Role,
     SigEntry,
@@ -126,6 +124,21 @@ def test_expired_certificate_rejected_at_body_timestamp():
     assert _verdict(world, early).reason is Reason.EXPIRED_CERT
 
 
+def test_evidence_request_window_is_judged_at_the_evidence_time():
+    """An evidence request names the subject's collision certificate. A
+    request filed after that certificate expired, on evidence from inside
+    its window, is honest; evidence from outside the window is not."""
+    world = make_world(seed=27)
+    pet = make_pet(world, at=1200.0, creds=vehicle_credentials(world, 1000.0, validity=300.0))
+    late = make_ret(world, pet.body.edata, at=5000.0, cert=pet.cert)
+    assert _verdict(world, late).reason is Reason.OK
+    forged = make_ret(world, inject_false_information(pet.body.edata), at=5000.0, cert=pet.cert)
+    assert _verdict(world, forged).reason is Reason.OK  # caught by the adjudicator instead
+    for ts in (999.0, 1300.0):
+        outside = make_ret(world, make_edata(world, ts), at=1250.0, cert=pet.cert)
+        assert _verdict(world, outside).reason is Reason.EXPIRED_CERT, ts
+
+
 def test_bad_signature_rejected():
     world = make_world(seed=27)
     est = make_est(world)
@@ -206,14 +219,13 @@ def test_fixed_size_fields_of_the_wrong_size_are_malformed():
     creds = vehicle_credentials(world, 1000.0)
     est = make_est(world, creds=creds)
     ut = make_ut(world, creds=creds)
-    digests = (EstDigest(tid=est.tid, ts=1000.0, trigger=EventTrigger.HARD_BRAKE),)
     honest = [
         est,
         ut,
         make_et(world, ut.tid, creds, at=1200.0),
         make_pet(world, creds=creds),
         make_mt(world),
-        make_ret(world, make_edata(world, 1000.0), at=1010.0, est_digests=digests),
+        make_ret(world, make_edata(world, 1000.0), at=1010.0),
     ]
     checked = 0
     for tx in honest:

@@ -40,7 +40,6 @@ from avledger.scenarios import WitnessStatement
 from avledger.txmodel import (
     CollisionEvidenceBody,
     DriveMode,
-    EstDigest,
     EventSafetyBody,
     EventSafetyMessage,
     EventTrigger,
@@ -91,11 +90,6 @@ EDATA_WITNESSED = EvidenceData.make(
     GEO, 1001.0, ESM_MANUAL, TS_THREE, (b"", b"sealed-witness-a", bytes(range(48)))
 )
 EDATA_ALONE = EvidenceData.make(GEO_SOUTH, 1002.5, ESM_AUTONOMOUS, TS_EMPTY, ())
-EST_DIGESTS = (
-    EstDigest(tid=_h(0x11), ts=900.0, trigger=EventTrigger.HARD_BRAKE),
-    EstDigest(tid=_h(0x12), ts=950.0, trigger=EventTrigger.WRONG_WAY),
-    EstDigest(tid=_h(0x13), ts=975.0, trigger=EventTrigger.SLIPPERY_ROAD),
-)
 CERT = PseudonymCertificate(
     cert_id=_h(0xC1),
     subject_pubkey=_h(0xA1),
@@ -138,7 +132,7 @@ BODIES = {
         report_hash=_h(0x66), roadworthy=False, technician="st-0", submitted_at=1040.0
     ),
     TxKind.EVIDENCE_REQUEST: EvidenceRequestBody(
-        edata=EDATA_WITNESSED, requester=Role.MANUFACTURER, submitted_at=1050.0, est_digests=EST_DIGESTS
+        edata=EDATA_WITNESSED, requester=Role.MANUFACTURER, submitted_at=1050.0
     ),
 }
 SIGNERS = {
@@ -167,7 +161,7 @@ GENESES = {
     for partition in Partition
 }
 
-# One or more fixed instances of each of the 17 wire record classes.
+# One or more fixed instances of each of the 16 wire record classes.
 RECORDS = {
     "GeoPoint": GEO,
     "GeoPoint-south": GEO_SOUTH,
@@ -186,9 +180,8 @@ RECORDS = {
     "ExecReportBody-executed": ExecReportBody(exec_status=ExecStatus.EXECUTED, submitted_at=1031.0),
     "MaintenanceBody-unroadworthy": BODIES[TxKind.MAINTENANCE],
     "MaintenanceBody-roadworthy": MaintenanceBody(_h(0x67), True, "", 1041.0),
-    "EstDigest": EST_DIGESTS[0],
     "EvidenceRequestBody-maker": BODIES[TxKind.EVIDENCE_REQUEST],
-    "EvidenceRequestBody-insurer": EvidenceRequestBody(EDATA_ALONE, Role.INSURER, 1051.0, ()),
+    "EvidenceRequestBody-insurer": EvidenceRequestBody(EDATA_ALONE, Role.INSURER, 1051.0),
     "SigEntry": SigEntry(role=Role.LEGAL_AUTHORITY, signature=b"\x99" * 64),
     "SigEntry-empty": SigEntry(role=Role.TRANSPORT_AUTHORITY, signature=b""),
     "PseudonymCertificate": CERT,
@@ -282,7 +275,6 @@ def test_every_record_with_a_fixed_size_field_is_exercised():
     assert with_fixed == {
         "CaRootCert",
         "CollisionEvidenceBody",
-        "EstDigest",
         "EventSafetyBody",
         "EvidenceData",
         "EvidenceRequestBody",

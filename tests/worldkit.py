@@ -20,6 +20,15 @@ from avledger.identity import (
     issue_certificate,
 )
 from avledger.ledger import CaRootCert, GenesisBlock, MemberRecord, PartitionLedger, make_genesis
+from avledger.scenarios import (
+    CollisionEvent,
+    MaintenanceEvent,
+    NetworkConfig,
+    SafetyEvent,
+    ScenarioConfig,
+    UpdateEvent,
+    VehicleSpec,
+)
 from avledger.txmodel import (
     CollisionEvidenceBody,
     DriveMode,
@@ -57,17 +66,17 @@ class World:
     p2: GenesisBlock
     rng: random.Random
 
-    def genesis(self, partition: Partition) -> GenesisBlock:
-        return self.p1 if partition is Partition.OPERATIONAL else self.p2
+    def genesis(self, partition: Partition, b_max: int = 8) -> GenesisBlock:
+        """The partition's genesis, with block capacity b_max."""
+        base = self.p1 if partition is Partition.OPERATIONAL else self.p2
+        return make_genesis(base.partition, base.ca_certificates, base.membership, b_max)
 
     def replicas(self, partition: Partition, b_max: int = 8) -> dict:
-        genesis = self.genesis(partition)
-        return {
-            v: PartitionLedger(genesis, b_max=b_max) for v in genesis.validator_ids()
-        }
+        genesis = self.genesis(partition, b_max)
+        return {v: PartitionLedger(genesis) for v in genesis.validator_ids()}
 
     def ledger(self, partition: Partition = Partition.OPERATIONAL, b_max: int = 8) -> PartitionLedger:
-        return PartitionLedger(self.genesis(partition), b_max=b_max)
+        return PartitionLedger(self.genesis(partition, b_max))
 
 
 def make_world(seed: int = 1234) -> World:
@@ -204,13 +213,13 @@ def make_ret(
     requester: str = "ic-0",
     role: Role = Role.INSURER,
     cert: PseudonymCertificate = None,
-    est_digests: tuple = (),
 ) -> Transaction:
+    """An evidence request submitted at `at`. It names the subject's
+    collision certificate, which must be valid at the evidence time, so
+    the default is a fresh certificate issued then."""
     if cert is None:
-        _, cert = vehicle_credentials(world, at)
-    body = EvidenceRequestBody(
-        edata=edata, requester=role, submitted_at=at, est_digests=tuple(est_digests)
-    )
+        _, cert = vehicle_credentials(world, edata.ts)
+    body = EvidenceRequestBody(edata=edata, requester=role, submitted_at=at)
     return build_transaction(TxKind.EVIDENCE_REQUEST, body, world.keys[requester], cert)
 
 
@@ -301,3 +310,31 @@ def _fixed_values(value, codec, path):
             yield from _fixed_values(value, codec.codec, path)
     elif dataclasses.is_dataclass(value):
         yield from fixed_fields(value, path)
+
+
+# --- scenario configs ----------------------------------------------------------
+
+def disputes_shaped_config(seed: int, n_events: int = 300) -> ScenarioConfig:
+    """A fleet the shape of the fleet-disputes benchmark workload (20
+    vehicles, 60/15/15/10 safety/update/maintenance/collision, drop 0.1),
+    with fewer events."""
+    rng = random.Random(seed)
+    timeline, t = [], 0.0
+    for _ in range(n_events):
+        t += rng.expovariate(1.0 / 6.0)
+        at, roll, vehicle = round(t, 3), rng.random(), rng.randrange(20)
+        if roll < 0.6:
+            timeline.append(SafetyEvent(at=at, vehicle=vehicle))
+        elif roll < 0.75:
+            timeline.append(UpdateEvent(at=at, vehicle=vehicle, exec_delay_secs=rng.uniform(60.0, 600.0)))
+        elif roll < 0.9:
+            timeline.append(MaintenanceEvent(at=at, vehicle=vehicle))
+        else:
+            parties = tuple(rng.sample(range(20), 2))
+            timeline.append(CollisionEvent(at=at, vehicles=parties, n_witnesses=1, hit_and_run=rng.random() < 0.1))
+    return ScenarioConfig(
+        seed=seed,
+        vehicles=(VehicleSpec(),) * 20,
+        timeline=tuple(timeline),
+        network=NetworkConfig(drop_prob=0.1),
+    )
