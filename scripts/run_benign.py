@@ -12,7 +12,7 @@ import json
 import os
 import sys
 
-from avledger.ledger import save_ledger, verify_chain
+from avledger.ledger import chain_faults, save_ledger
 from avledger.scenarios import ScenarioEngine, make_benign_config
 
 
@@ -34,7 +34,7 @@ def main() -> int:
                 totals[bucket] += sum(report.counts[part][bucket].values())
         diverged += report.consensus["P1"]["diverged"] + report.consensus["P2"]["diverged"]
         detections += len(report.detections)
-        chains_ok += all(verify_chain(lg) for lg in result.ledgers.values())
+        chains_ok += all(not chain_faults(lg) for lg in result.ledgers.values())
         if args.out:
             d = os.path.join(args.out, f"seed_{seed}")
             os.makedirs(d, exist_ok=True)

@@ -138,7 +138,6 @@ def staged_evidence_tids(
 
 class LiabilityClass(str, enum.Enum):
     PRODUCT_DEFECT = "ProductDefect"
-    SOFTWARE_FAULT = "SoftwareFault"
     SERVICE_FAULT = "ServiceFault"
     OWNER_NEGLIGENCE = "OwnerNegligence"
     STAGED_SUSPICION = "StagedSuspicion"

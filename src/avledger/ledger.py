@@ -291,34 +291,29 @@ class PartitionLedger:
         self,
         kind: Optional[TxKind] = None,
         cert_id: Optional[bytes] = None,
-        parent_tid: Optional[bytes] = None,
         time_range: Optional[tuple[float, float]] = None,
     ) -> list[Transaction]:
         """Committed and open-block transactions that match every given
         predicate, in commit order, as a new list the caller may change.
 
         A call that names a kind or a cert id starts from its one index
-        list, which already matches both; only parent_tid and time_range
-        are then tested on each row. A call that names neither walks the
-        whole chain.
+        list, which already matches both; only time_range is then tested
+        on each row. A call that names neither walks the whole chain.
         """
         if kind is None and cert_id is None:
             rows = self.all_transactions()
         else:
             by_cert = self._rows.get(kind)
             rows = by_cert.get(cert_id, ()) if by_cert is not None else ()
-        if parent_tid is None and time_range is None:
+        if time_range is None:
             return list(rows)
+        # A plain loop: a comprehension would close over lo and hi, and
+        # every call, the fast path above too, would pay for their cells.
+        lo, hi = time_range
         out = []
         for tx in rows:
-            if parent_tid is not None and tx.parent_tid != parent_tid:
-                continue
-            if time_range is not None:
-                lo, hi = time_range
-                ts = body_timestamp(tx)
-                if not (lo <= ts <= hi):
-                    continue
-            out.append(tx)
+            if lo <= body_timestamp(tx) <= hi:
+                out.append(tx)
         return out
 
 
@@ -517,10 +512,6 @@ def _reap(helpers: list[Optional[tuple[int, int]]]) -> list[bool]:
     return clean
 
 
-def verify_chain(ledger: PartitionLedger) -> bool:
-    return not chain_faults(ledger)
-
-
 # --- persistence --------------------------------------------------------------
 
 def save_ledger(ledger: PartitionLedger, path: str) -> None:
@@ -552,7 +543,7 @@ def load_ledger(path: str) -> PartitionLedger:
     rebuilds blocks from the recorded fold claims. The trailer must name
     the number of records read and the fold value claimed after the last
     one (the recomputed genesis id when there is none). Chain-level
-    integrity is judged separately by verify_chain so corrupt files can
+    integrity is judged separately by chain_faults, so corrupt files can
     still be reported on block by block.
 
     The file is read record by record, never whole, and no read asks for

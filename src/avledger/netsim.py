@@ -1,4 +1,4 @@
-"""Deterministic message-passing layer for the simulator.
+"""Deterministic message-passing layer and event queue for the simulator.
 
 Time is virtual and only moves when advance() is called. Every send goes
 through a seeded lossy channel: each attempt either arrives (and is
@@ -7,10 +7,16 @@ fixed interval until the attempt budget runs out. An exhausted budget is
 recorded as undeliverable, never raised: losing a message is a fact about
 the world, not a program error.
 
+One queue holds every future event: send attempts and the timers that
+schedule() adds. Events fire in (due time, kind, sequence) order, so at
+one instant every attempt fires before any timer, attempts in message id
+order and timers in the order they were scheduled. A timer runs inside
+the pump: the sends it makes fire after it returns, in message id order,
+and before the next timer due at that instant.
+
 Identical seeds and identical call sequences replay to byte-identical
-delivery records; due retries fire in (due time, message id) order. The
-network keeps no record once its send ends, only counts of how sends
-ended.
+delivery records. The network keeps no record once its send ends, only
+counts of how sends ended.
 """
 
 from __future__ import annotations
@@ -67,7 +73,7 @@ class _Endpoint:
 
 
 class Network:
-    """Seeded lossy channel plus an endpoint registry.
+    """Seeded lossy channel, endpoint registry and the one event queue.
 
     Endpoints may declare an allow-list of senders; an envelope from
     anyone else is refused at the door even when the channel carried it,
@@ -102,8 +108,10 @@ class Network:
         # refused at the door); lets the simulation account for the loss.
         self.on_dead: Optional[Callable[[DeliveryRecord], None]] = None
         self._endpoints: dict[str, _Endpoint] = {}
-        self._heap: list[tuple[float, int, DeliveryRecord]] = []
+        # (due, 0, msg_id, record) for an attempt, (due, 1, seq, fn) for a timer
+        self._heap: list[tuple[float, int, int, object]] = []
         self._next_msg_id = 0
+        self._next_timer_seq = 0
         self._pumping = False
 
     def register_endpoint(
@@ -131,9 +139,14 @@ class Network:
         self._next_msg_id += 1
         record = DeliveryRecord(envelope=envelope)
         self.sends += 1
-        heapq.heappush(self._heap, (self.clock.now, envelope.msg_id, record))
+        heapq.heappush(self._heap, (self.clock.now, 0, envelope.msg_id, record))
         self._pump(self.clock.now)
         return record
+
+    def schedule(self, at: float, fn: Callable[[], None]) -> None:
+        """Queues fn to run at virtual time `at`, or now if `at` has passed."""
+        heapq.heappush(self._heap, (max(at, self.clock.now), 1, self._next_timer_seq, fn))
+        self._next_timer_seq += 1
 
     # -- time ------------------------------------------------------------------
 
@@ -146,15 +159,10 @@ class Network:
         self.clock.now = target
         return self.clock.now
 
-    def next_due(self) -> Optional[float]:
-        return self._heap[0][0] if self._heap else None
-
-    def has_pending(self) -> bool:
-        return bool(self._heap)
-
     def run_until_quiet(self) -> float:
-        """Advances until no retry remains pending. Bounded: every pending
-        send has a finite attempt budget.
+        """Advances until no event remains queued. Bounded as long as the
+        timers stop scheduling: every pending send has a finite attempt
+        budget.
         """
         while self._heap:
             due = self._heap[0][0]
@@ -170,10 +178,13 @@ class Network:
         self._pumping = True
         try:
             while self._heap and self._heap[0][0] <= limit:
-                due, _, record = heapq.heappop(self._heap)
+                due, timer, _, item = heapq.heappop(self._heap)
                 if due > self.clock.now:
                     self.clock.now = due
-                self._attempt(record)
+                if timer:
+                    item()
+                else:
+                    self._attempt(item)
         finally:
             self._pumping = False
 
@@ -202,4 +213,4 @@ class Network:
             if self.on_dead:
                 self.on_dead(record)
             return
-        heapq.heappush(self._heap, (at + self.retry_interval, record.envelope.msg_id, record))
+        heapq.heappush(self._heap, (at + self.retry_interval, 0, record.envelope.msg_id, record))

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import enum
 import hashlib
-import heapq
 import json
 import logging
 import math
@@ -779,8 +778,6 @@ class ScenarioEngine:
             }
             for part in (P1, P2)
         }
-        self._timers: list[tuple[float, int, Callable[[], None]]] = []
-        self._timer_seq = 0
         self._collisions: list[_CollisionTracker] = []
         self._replica_attack: Optional[_PendingReplicaAttack] = None
         self._update_counter = 0
@@ -797,12 +794,6 @@ class ScenarioEngine:
             if validator != rogue:
                 return self.replicas[partition][validator]
         return self.replicas[partition][self.validators[partition][0]]
-
-    def _schedule(self, at: float, fn: Callable[[], None]) -> None:
-        if at < self.now - 1e-9:
-            at = self.now
-        heapq.heappush(self._timers, (at, self._timer_seq, fn))
-        self._timer_seq += 1
 
     def _rotate(self, vehicle: _VehicleActor, at: float) -> tuple[KeyPair, PseudonymCertificate]:
         """The vehicle's next pseudonym, for use at `at`."""
@@ -1086,7 +1077,7 @@ class ScenarioEngine:
             if state != "committed" or ev.execution == "none":
                 return
             status = ExecStatus.EXECUTED if ev.execution == "executed" else ExecStatus.FAILED
-            self._schedule(
+            self.net.schedule(
                 self.now + ev.exec_delay_secs,
                 lambda: self._submit_exec_report(ev.vehicle, round_.tid, status),
             )
@@ -1233,9 +1224,9 @@ class ScenarioEngine:
         # how quickly the early ones complete.
         tracker.pending_rets = len(planned)
         for when, fn in planned:
-            self._schedule(when, fn)
+            self.net.schedule(when, fn)
         if not planned:
-            self._schedule(base + delay, lambda: self._maybe_adjudicate(tracker))
+            self.net.schedule(base + delay, lambda: self._maybe_adjudicate(tracker))
 
     def _make_request_submitter(
         self,
@@ -1386,13 +1377,13 @@ class ScenarioEngine:
         case_index = 0
         for ev in sorted(config.timeline, key=lambda e: e.at):
             if isinstance(ev, SafetyEvent):
-                self._schedule(ev.at, lambda ev=ev: self.trigger_event_safety(ev))
+                self.net.schedule(ev.at, lambda ev=ev: self.trigger_event_safety(ev))
             elif isinstance(ev, UpdateEvent):
-                self._schedule(ev.at, lambda ev=ev: self._run_update_event(ev))
+                self.net.schedule(ev.at, lambda ev=ev: self._run_update_event(ev))
             elif isinstance(ev, MaintenanceEvent):
-                self._schedule(ev.at, lambda ev=ev: self._run_maintenance_event(ev))
+                self.net.schedule(ev.at, lambda ev=ev: self._run_maintenance_event(ev))
             else:
-                self._schedule(
+                self.net.schedule(
                     ev.at, lambda ev=ev, ci=case_index: self.stage_collision(ev, ci)
                 )
                 case_index += 1
@@ -1421,18 +1412,7 @@ class ScenarioEngine:
                 target_kind=target_kind,
             )
 
-        # interleave engine timers with network retries
-        while self._timers or self.net.has_pending():
-            next_timer = self._timers[0][0] if self._timers else math.inf
-            next_net = self.net.next_due()
-            next_net = math.inf if next_net is None else next_net
-            if next_timer <= next_net:
-                at, _, fn = heapq.heappop(self._timers)
-                if at > self.now:
-                    self.net.advance(at - self.now)
-                fn()
-            else:
-                self.net.advance(next_net - self.now)
+        self.net.run_until_quiet()
 
         # close out any collision whose requests never ran (halted partition
         # or undelivered evidence)

@@ -42,38 +42,10 @@ from .txmodel import (
 )
 
 
-class Decision(str, enum.Enum):
-    ACCEPT = "accept"
-    REJECT = "reject"
-
-
-@dataclass(frozen=True)
-class Verdict:
-    decision: Decision
-    reason: Reason
-
-    @property
-    def accepted(self) -> bool:
-        return self.decision is Decision.ACCEPT
-
-    @classmethod
-    def accept(cls) -> "Verdict":
-        return cls(Decision.ACCEPT, Reason.OK)
-
-    @classmethod
-    def reject(cls, reason: Reason) -> "Verdict":
-        if reason is Reason.OK:
-            raise ValueError("a rejection needs a non-Ok reason")
-        return cls(Decision.REJECT, reason)
-
-    @classmethod
-    def of(cls, reason: Reason) -> "Verdict":
-        return cls.accept() if reason is Reason.OK else cls.reject(reason)
-
-
-def verify_transaction(tx: Transaction, ledger: PartitionLedger) -> Verdict:
-    """One validator's verdict on tx against its own replica."""
-    return Verdict.of(check_tx(tx, ledger.genesis, ledger.tid_index))
+def verify_transaction(tx: Transaction, ledger: PartitionLedger) -> Reason:
+    """One validator's verdict on tx against its own replica: Reason.OK
+    accepts, any other reason rejects."""
+    return check_tx(tx, ledger.genesis, ledger.tid_index)
 
 
 # --- consensus ----------------------------------------------------------------
@@ -86,7 +58,10 @@ class RoundOutcome(str, enum.Enum):
 
 @dataclass(frozen=True)
 class Vote:
-    verdict: Verdict
+    """A validator's verdict (Reason.OK accepts) and, when it accepts, the
+    fold value it would publish."""
+
+    reason: Reason
     cblock_id: Optional[Hash256]
 
 
@@ -145,11 +120,11 @@ def run_consensus(
     votes: dict[EntityId, Vote] = {}
     for validator in validators:
         replica = replicas[validator]
-        verdict = Verdict.of(check_tx_committed(tx, replica.tid_index) if shared is Reason.OK else shared)
-        fold = candidate_fold(replica, tx) if verdict.accepted else None
-        votes[validator] = Vote(verdict=verdict, cblock_id=fold)
+        reason = check_tx_committed(tx, replica.tid_index) if shared is Reason.OK else shared
+        fold = candidate_fold(replica, tx) if reason is Reason.OK else None
+        votes[validator] = Vote(reason=reason, cblock_id=fold)
 
-    if any(not vote.verdict.accepted for vote in votes.values()):
+    if any(vote.reason is not Reason.OK for vote in votes.values()):
         outcome = RoundOutcome.REJECTED
     elif len({vote.cblock_id for vote in votes.values()}) == 1:
         outcome = RoundOutcome.COMMITTED
@@ -199,8 +174,8 @@ def audit_record(round_: ConsensusRound) -> dict:
         "outcome": round_.outcome.value,
         "votes": {
             validator: {
-                "decision": vote.verdict.decision.value,
-                "reason": vote.verdict.reason.value,
+                "decision": "accept" if vote.reason is Reason.OK else "reject",
+                "reason": vote.reason.value,
                 "cblock_id": vote.cblock_id.hex() if vote.cblock_id else None,
             }
             for validator, vote in round_.votes.items()
@@ -212,8 +187,6 @@ def audit_record(round_: ConsensusRound) -> dict:
 __all__ = [
     "AUTHORIZED_PROPOSERS",
     "Reason",
-    "Decision",
-    "Verdict",
     "verify_transaction",
     "RoundOutcome",
     "Vote",

@@ -20,7 +20,7 @@ import time
 
 from avledger.adjudicator import check_negligence
 from avledger.identity import sign_tx_digest
-from avledger.ledger import save_ledger, verify_chain
+from avledger.ledger import chain_faults, save_ledger
 from avledger.netsim import Network
 from avledger.scenarios import (
     AttackClass,
@@ -82,7 +82,7 @@ def test_acceptance_1_tamper_evidence():
         ledger.append_validated(tx)
         ledger.maybe_seal()
     assert len(ledger.blocks) == 3 and not ledger.current.transactions
-    assert verify_chain(ledger)
+    assert chain_faults(ledger) == []
 
     start = time.perf_counter()
     total = misses = 0
@@ -94,11 +94,11 @@ def test_acceptance_1_tamper_evidence():
             for path, new_value in mutations:
                 block.transactions[pos] = apply_mutation(victim, path, new_value)
                 total += 1
-                if verify_chain(ledger):
+                if not chain_faults(ledger):
                     misses += 1
                 block.transactions[pos] = victim
     elapsed = time.perf_counter() - start
-    assert verify_chain(ledger)
+    assert chain_faults(ledger) == []
 
     ok = misses == 0 and elapsed < 10.0
     _criterion(
@@ -283,9 +283,9 @@ def test_acceptance_4_authorization_matrix():
                 verdict = verify_transaction(tx, ledger)
                 cells += 1
                 if (partition, kind.value, role.value) in _ALLOWED:
-                    if not verdict.accepted:
+                    if verdict is not Reason.OK:
                         wrong += 1
-                elif verdict.accepted or verdict.reason is not Reason.UNAUTHORIZED:
+                elif verdict is not Reason.UNAUTHORIZED:
                     wrong += 1
 
     solo_ut = verify_transaction(make_ut(world, at=1009.0, creds=creds, countersigned=False), p1)
@@ -294,9 +294,9 @@ def test_acceptance_4_authorization_matrix():
     dup = verify_transaction(duplicate_est, p1)
     expired = verify_transaction(make_est(world, at=1400.0, creds=creds), p1)
     probes_ok = (
-        solo_ut.reason is Reason.INCOMPLETE
-        and dup.reason is Reason.DUPLICATE
-        and expired.reason is Reason.EXPIRED_CERT
+        solo_ut is Reason.INCOMPLETE
+        and dup is Reason.DUPLICATE
+        and expired is Reason.EXPIRED_CERT
     )
 
     ok = cells == 84 and wrong == 0 and probes_ok
@@ -305,8 +305,8 @@ def test_acceptance_4_authorization_matrix():
         "authorization matrix",
         ok,
         f"{cells} partition/kind/role cells, {wrong} off-table verdicts, "
-        f"probes incomplete={solo_ut.reason.value} duplicate={dup.reason.value} "
-        f"expired={expired.reason.value}",
+        f"probes incomplete={solo_ut.value} duplicate={dup.value} "
+        f"expired={expired.value}",
     )
 
 

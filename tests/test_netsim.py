@@ -1,5 +1,5 @@
-"""Deterministic lossy channel: retry schedule, allow-lists and
-exhaustion accounting. The cross-partition bridge is a plain send from
+"""Deterministic lossy channel and event queue: retry schedule,
+same-instant order, allow-lists and exhaustion accounting. The cross-partition bridge is a plain send from
 the scenario engine; its dead-letter path is pinned by the golden runs
 at drop 0.7 with three attempts."""
 
@@ -103,14 +103,61 @@ def test_advance_fires_due_retries_in_order():
     a = net.send_with_retry("s", "dest", "a")
     net.advance(5.0)
     b = net.send_with_retry("s", "dest", "b")
-    assert net.next_due() == 15.0
     net.advance(15.0)  # now 20.0: fires a@15 and b@20
     assert [at for at, _ in a.attempts] == [0.0, 15.0]
     assert [at for at, _ in b.attempts] == [5.0, 20.0]
-    assert net.has_pending()
+    assert a.status == b.status == "pending"
     net.run_until_quiet()
-    assert not net.has_pending()
     assert a.status == b.status == "undeliverable"
+
+
+class _Draws:
+    """A channel rng that returns scripted draws: below drop_prob loses
+    the attempt, at or above it delivers."""
+
+    def __init__(self, draws):
+        self._draws = iter(draws)
+
+    def random(self):
+        return next(self._draws)
+
+
+def test_one_instant_fires_attempts_then_each_timer_with_its_sends():
+    net = Network(rng=_Draws([0.0, 0.9, 0.9]), drop_prob=0.5, retry_interval=10.0)
+    log = []
+    net.register_endpoint("dest", lambda env: log.append((env.payload, net.clock.now)))
+
+    def timer(name, send=None):
+        def fire():
+            log.append((name, net.clock.now))
+            if send:
+                net.send_with_retry("s", "dest", send)
+
+        return fire
+
+    # A retry and a timer due at 10: the attempt fires first, though the
+    # timer was queued before the send.
+    net.schedule(10.0, timer("t1"))
+    net.send_with_retry("s", "dest", "a")  # lost at 0, retried at 10
+    # Two timers due at 20: the first one's send fires before the second.
+    net.schedule(20.0, timer("t2", send="b"))
+    net.schedule(20.0, timer("t3"))
+    net.run_until_quiet()
+    assert log == [("a", 10.0), ("t1", 10.0), ("t2", 20.0), ("b", 20.0), ("t3", 20.0)]
+
+    # A timer scheduled in the past fires at the current time.
+    net.advance(10.0)
+    net.schedule(5.0, timer("late"))
+    net.run_until_quiet()
+    assert log[-1] == ("late", 30.0) and net.clock.now == 30.0
+
+    # A timer fires at exactly its due time, though 2.278 + (6.534 - 2.278)
+    # rounds to 6.534000000000001.
+    net = Network(rng=random.Random(0))
+    net.advance(2.278)
+    net.schedule(6.534, timer("exact"))
+    net.run_until_quiet()
+    assert log[-1] == ("exact", 6.534)
 
 
 def test_clock_never_moves_backwards():
@@ -155,7 +202,7 @@ def test_counts_match_the_statuses_of_the_returned_records():
         got = Counter(r.status for r in records)
         return (len(records), got["delivered"], got["undeliverable"], got["refused"])
 
-    assert counts() == statuses() and net.has_pending()
+    assert counts() == statuses() and any(r.status == "pending" for r in records)
     net.run_until_quiet()
     assert counts() == statuses()
     assert net.sends == net.delivered + net.undeliverable + net.refused

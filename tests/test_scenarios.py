@@ -8,7 +8,7 @@ import pytest
 
 from avledger import scenarios
 from avledger.errors import ConfigError, NotFound
-from avledger.ledger import verify_chain
+from avledger.ledger import chain_faults
 from avledger.scenarios import (
     AttackClass,
     AttackConfig,
@@ -50,7 +50,7 @@ def test_tamper_cblock_rewrites_local_fold():
     assert [t.tid for t in ledger.current.transactions] == [b.tid]
     # The local trail is internally consistent after the edit, so the
     # deletion is invisible to a lone replica and only consensus sees it.
-    assert verify_chain(ledger)
+    assert chain_faults(ledger) == []
     with pytest.raises(NotFound):
         tamper_cblock(ledger, a.tid)
 
@@ -111,7 +111,7 @@ def test_scenario_ledgers_verify_and_match_report(tmp_path):
     result = _run(make_benign_config(4))
     for partition in ("P1", "P2"):
         ledger = result.ledgers[partition]
-        assert verify_chain(ledger)
+        assert chain_faults(ledger) == []
         chain = result.report.chain[partition]
         assert chain["blocks"] == len(ledger.blocks)
         assert chain["tx_total"] == len(ledger.tid_index)
@@ -257,7 +257,7 @@ def test_lossy_network_still_conserves_and_verifies():
                 + buckets["rejected"][kind]
                 + buckets["undeliverable"][kind]
             )
-    assert verify_chain(result.ledgers["P1"])
+    assert chain_faults(result.ledgers["P1"]) == []
 
 
 # --- configuration ------------------------------------------------------------

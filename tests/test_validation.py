@@ -60,20 +60,18 @@ def test_valid_transactions_accepted():
         make_ut(world, creds=creds),
         make_mt(world, cert=creds[1]),
     ):
-        verdict = _verdict(world, tx)
-        assert verdict.accepted and verdict.reason is Reason.OK
+        assert _verdict(world, tx) is Reason.OK
 
 
 def test_unauthorized_kind_for_partition():
     world = make_world(seed=21)
     est = make_est(world)
-    verdict = _verdict(world, est, partition=Partition.DECISIONAL)
-    assert verdict.reason is Reason.UNAUTHORIZED
+    assert _verdict(world, est, partition=Partition.DECISIONAL) is Reason.UNAUTHORIZED
     # Evidence requests are the only kind either partition accepts from
     # the insurer; they pass in both.
     ret = make_ret(world, make_edata(world, 1000.0))
-    assert _verdict(world, ret).accepted
-    assert _verdict(world, ret, partition=Partition.DECISIONAL).accepted
+    assert _verdict(world, ret) is Reason.OK
+    assert _verdict(world, ret, partition=Partition.DECISIONAL) is Reason.OK
 
 
 def test_unauthorized_proposer_role():
@@ -87,13 +85,13 @@ def test_unauthorized_proposer_role():
             SigEntry(role=Role.TECHNICIAN, signature=sign_tx_digest(world.keys["st-0"], est.tid)),
         ),
     )
-    assert _verdict(world, forged).reason is Reason.UNAUTHORIZED
+    assert _verdict(world, forged) is Reason.UNAUTHORIZED
 
 
 def test_incomplete_update_missing_countersignature():
     world = make_world(seed=23)
     solo = make_ut(world, countersigned=False)
-    assert _verdict(world, solo).reason is Reason.INCOMPLETE
+    assert _verdict(world, solo) is Reason.INCOMPLETE
 
 
 def test_incomplete_execution_without_committed_parent():
@@ -102,9 +100,9 @@ def test_incomplete_execution_without_committed_parent():
     ut = make_ut(world, creds=creds)
     et = make_et(world, ut.tid, creds, at=1200.0)  # inside the cert window
     ledger = world.ledger()
-    assert verify_transaction(et, ledger).reason is Reason.INCOMPLETE
+    assert verify_transaction(et, ledger) is Reason.INCOMPLETE
     ledger.append_validated(ut)
-    assert verify_transaction(et, ledger).accepted
+    assert verify_transaction(et, ledger) is Reason.OK
 
 
 def test_duplicate_tid_rejected():
@@ -112,16 +110,16 @@ def test_duplicate_tid_rejected():
     ledger = world.ledger()
     est = make_est(world)
     ledger.append_validated(est)
-    assert verify_transaction(est, ledger).reason is Reason.DUPLICATE
+    assert verify_transaction(est, ledger) is Reason.DUPLICATE
 
 
 def test_expired_certificate_rejected_at_body_timestamp():
     world = make_world(seed=26)
     creds = vehicle_credentials(world, 1000.0, validity=300.0)
     stale = make_est(world, at=1400.0, creds=creds)  # past the window
-    assert _verdict(world, stale).reason is Reason.EXPIRED_CERT
+    assert _verdict(world, stale) is Reason.EXPIRED_CERT
     early = make_est(world, at=999.0, creds=creds)  # before issuance
-    assert _verdict(world, early).reason is Reason.EXPIRED_CERT
+    assert _verdict(world, early) is Reason.EXPIRED_CERT
 
 
 def test_evidence_request_window_is_judged_at_the_evidence_time():
@@ -131,12 +129,12 @@ def test_evidence_request_window_is_judged_at_the_evidence_time():
     world = make_world(seed=27)
     pet = make_pet(world, at=1200.0, creds=vehicle_credentials(world, 1000.0, validity=300.0))
     late = make_ret(world, pet.body.edata, at=5000.0, cert=pet.cert)
-    assert _verdict(world, late).reason is Reason.OK
+    assert _verdict(world, late) is Reason.OK
     forged = make_ret(world, inject_false_information(pet.body.edata), at=5000.0, cert=pet.cert)
-    assert _verdict(world, forged).reason is Reason.OK  # caught by the adjudicator instead
+    assert _verdict(world, forged) is Reason.OK  # caught by the adjudicator instead
     for ts in (999.0, 1300.0):
         outside = make_ret(world, make_edata(world, ts), at=1250.0, cert=pet.cert)
-        assert _verdict(world, outside).reason is Reason.EXPIRED_CERT, ts
+        assert _verdict(world, outside) is Reason.EXPIRED_CERT, ts
 
 
 def test_bad_signature_rejected():
@@ -147,14 +145,14 @@ def test_bad_signature_rejected():
         entry, signature=bytes([entry.signature[0] ^ 1]) + entry.signature[1:]
     )
     forged = dataclasses.replace(est, signatures=(flipped,))
-    assert _verdict(world, forged).reason is Reason.BAD_SIGNATURE
+    assert _verdict(world, forged) is Reason.BAD_SIGNATURE
 
 
 def test_foreign_ca_certificate_rejected():
     world = make_world(seed=28)
     stranger = make_world(seed=29)  # different CA root
     est = make_est(stranger)
-    assert _verdict(world, est).reason is Reason.BAD_SIGNATURE
+    assert _verdict(world, est) is Reason.BAD_SIGNATURE
 
 
 def test_certificate_from_any_genesis_root_accepted():
@@ -163,7 +161,7 @@ def test_certificate_from_any_genesis_root_accepted():
     genesis = make_genesis(Partition.OPERATIONAL, [world.root, second.root], world.p1.membership)
     ledger = PartitionLedger(genesis)
     est = make_est(second)
-    assert verify_transaction(est, ledger).reason is Reason.OK
+    assert verify_transaction(est, ledger) is Reason.OK
     ledger.append_validated(est)
     assert chain_faults(ledger) == []
 
@@ -174,14 +172,14 @@ def test_malformed_body_rejected():
     negative = dataclasses.replace(
         est.body, esm=dataclasses.replace(est.body.esm, speed_mps=-5.0)
     )
-    assert _verdict(world, dataclasses.replace(est, body=negative)).reason is Reason.MALFORMED_BODY
+    assert _verdict(world, dataclasses.replace(est, body=negative)) is Reason.MALFORMED_BODY
     # An edata hash that does not match its content is malformed, not forged-looking.
     pet = make_pet(world)
     bad_edata = dataclasses.replace(pet.body.edata, edata_hash=b"\x00" * 32)
     broken = dataclasses.replace(pet, body=dataclasses.replace(pet.body, edata=bad_edata))
-    assert _verdict(world, broken).reason is Reason.MALFORMED_BODY
+    assert _verdict(world, broken) is Reason.MALFORMED_BODY
     # A tid that does not hash its contents is malformed too.
-    assert _verdict(world, dataclasses.replace(est, tid=b"\x01" * 32)).reason is Reason.MALFORMED_BODY
+    assert _verdict(world, dataclasses.replace(est, tid=b"\x01" * 32)) is Reason.MALFORMED_BODY
 
 
 def test_unencodable_fields_are_malformed_not_a_crash():
@@ -209,7 +207,7 @@ def test_unencodable_fields_are_malformed_not_a_crash():
         ),
     ]
     for tx in unencodable:
-        assert _verdict(world, tx).reason is Reason.MALFORMED_BODY
+        assert _verdict(world, tx) is Reason.MALFORMED_BODY
 
 
 def test_fixed_size_fields_of_the_wrong_size_are_malformed():
@@ -229,11 +227,11 @@ def test_fixed_size_fields_of_the_wrong_size_are_malformed():
     ]
     checked = 0
     for tx in honest:
-        assert _verdict(world, tx).reason is not Reason.MALFORMED_BODY
+        assert _verdict(world, tx) is not Reason.MALFORMED_BODY
         for path, size in fixed_fields(tx):
             for wrong in (size - 1, size + 1):
                 bad = apply_mutation(tx, path, b"\x07" * wrong)
-                assert _verdict(world, bad).reason is Reason.MALFORMED_BODY, (tx.kind, path, wrong)
+                assert _verdict(world, bad) is Reason.MALFORMED_BODY, (tx.kind, path, wrong)
                 checked += 1
     assert checked > 2 * len(honest) * 3
 
@@ -283,7 +281,7 @@ def _bad_corpus():
 def test_check_tx_is_the_genesis_half_then_the_committed_half():
     ledger, named, corpus = _bad_corpus()
     for name, (tx, reason) in named.items():
-        assert verify_transaction(tx, ledger).reason is reason, name
+        assert verify_transaction(tx, ledger) is reason, name
     reasons = set()
     for tx in corpus:
         first = check_tx_genesis(tx, ledger.genesis)
@@ -303,10 +301,10 @@ def test_each_vote_is_the_replica_verdict_under_tamper(proposal):
     commit(replicas, victim)
     tamper_cblock(replicas["st-0"], victim.tid)
     tx = victim if proposal == "removed-tx-again" else make_et(world, victim.tid, creds, at=1100.0)
-    expected = {v: verify_transaction(tx, lg).reason for v, lg in replicas.items()}
+    expected = {v: verify_transaction(tx, lg) for v, lg in replicas.items()}
     assert len(set(expected.values())) == 2  # the rogue replica judges differently
     round_ = commit(replicas, tx)
-    assert {v: vote.verdict.reason for v, vote in round_.votes.items()} == expected
+    assert {v: vote.reason for v, vote in round_.votes.items()} == expected
     assert round_.outcome is RoundOutcome.REJECTED
 
 
@@ -347,7 +345,7 @@ def test_commit_mutates_every_replica_identically():
     folds = {lg.cblock_id for lg in replicas.values()}
     assert len(folds) == 1
     assert all(est.tid in lg.tid_index for lg in replicas.values())
-    assert all(vote.verdict.accepted for vote in round_.votes.values())
+    assert all(vote.reason is Reason.OK for vote in round_.votes.values())
 
 
 def test_rejected_round_leaves_replicas_untouched():
@@ -358,7 +356,7 @@ def test_rejected_round_leaves_replicas_untouched():
     round_ = commit(replicas, solo_ut)
     assert round_.outcome is RoundOutcome.REJECTED
     assert {v: (lg.cblock_id, len(lg.tid_index)) for v, lg in replicas.items()} == before
-    assert all(vote.verdict.reason is Reason.INCOMPLETE for vote in round_.votes.values())
+    assert all(vote.reason is Reason.INCOMPLETE for vote in round_.votes.values())
 
 
 def test_commit_seals_all_replicas_at_capacity():
