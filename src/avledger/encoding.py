@@ -20,7 +20,8 @@ of consecutive fixed-width values (numbers, booleans, enum tags, fixed-size
 byte strings, and the length prefixes before variable ones) becomes one
 precompiled struct call. A list of fixed-width records is read with one
 iter_unpack, and the record a switch picks is found through a dict. Reads
-walk (data, offset); writes append to one bytearray.
+walk (data, offset); writes append to one bytearray. A slotted record is
+read without its __init__: object.__new__, then one slot store per field.
 """
 
 from __future__ import annotations
@@ -174,31 +175,6 @@ def fixed(size: int) -> Fixed:
     return Fixed(size)
 
 
-class Writer:
-    """Accumulates canonical bytes, one primitive at a time."""
-
-    def __init__(self) -> None:
-        self._buf = bytearray()
-
-    def f64(self, value: float) -> "Writer":
-        self._buf += F64.struct.pack(value)
-        return self
-
-    def fixed(self, value: bytes, size: int) -> "Writer":
-        if len(value) != size:
-            _wrong_size(value, size)
-        self._buf += value
-        return self
-
-    def raw(self, value: bytes) -> "Writer":
-        # No length prefix: only for embedding already-canonical sub-encodings.
-        self._buf += value
-        return self
-
-    def getvalue(self) -> bytes:
-        return bytes(self._buf)
-
-
 class items(Codec):
     """A u32 count, then that many codec values; decoded as a tuple."""
 
@@ -333,7 +309,7 @@ class Record(Codec):
         self.emit_fields_write(code, [f"{value}.{name}" for name in self.names])
 
     def emit_read(self, code: "_Source") -> str:
-        return f"{code.ref(self.cls)}({', '.join(self.emit_fields_read(code))})"
+        return f"{code.ref(_builder(self.cls))}({', '.join(self.emit_fields_read(code))})"
 
     def emit_fields_write(self, code: "_Source", values: list, start: int = 0) -> None:
         """Writes `values` as the fields from index `start` on."""
@@ -543,9 +519,28 @@ def _reader(cls: type, start: int = 0, of_record: bool = True) -> Callable:
 
     def emit(code: _Source) -> str:
         values = ", ".join(layout(cls).emit_fields_read(code, start))
-        return f"{code.ref(cls)}({values}), at" if of_record else f"[{values}], at"
+        return f"{code.ref(_builder(cls))}({values}), at" if of_record else f"[{values}], at"
 
     return _compile("data, at", True, emit)
+
+
+@functools.cache
+def _builder(cls: type) -> Callable:
+    """f(*field values) -> the cls record, made as its dataclass __init__
+    makes it, without the call: object.__new__, then each field's slot
+    descriptor. No wire record defines an __init__ or __post_init__ of its
+    own, so no check is skipped. A class without slots is called."""
+    if "__slots__" not in vars(cls):
+        return cls
+    params = ", ".join(f"f{i}" for i in range(len(layout(cls).names)))
+
+    def emit(code: _Source) -> str:
+        code.aside(f"v = {code.ref(object.__new__)}({code.ref(cls)})")
+        for i, name in enumerate(layout(cls).names):
+            code.aside(f"{code.ref(vars(cls)[name].__set__)}(v, f{i})")
+        return "v"
+
+    return _compile(params, False, emit)
 
 
 def _exactly(read: Callable, data: bytes):

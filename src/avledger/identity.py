@@ -41,7 +41,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PublicKey,
 )
 
-from .encoding import BLOB, F64, U32, Writer, encode, fixed, pack, wire
+from .encoding import BLOB, F64, U32, encode, fixed, pack, wire
 from .errors import EscrowDenied, InvalidValidity, UnknownCertificate, UnknownEntity
 
 EntityId = str
@@ -337,15 +337,19 @@ def issue_certificate(
     issued_at + validity_secs)."""
     if validity_secs <= 0:
         raise InvalidValidity(f"validity must be positive, got {validity_secs}")
-    cert_ids = []
+    # The bytes every leaf of the batch shares: the issue time that each
+    # cert id hashes, and the window that each leaf ends with.
+    issued = pack(PseudonymCertificate, issued_at, start=2)
+    window = pack(PseudonymCertificate, issued_at, validity_secs, start=2)
+    sha256 = hashlib.sha256
+    cert_ids, leaves = [], []
     for subject_pubkey in subject_pubkeys:
-        nonce = rng.randbytes(CERT_NONCE_SIZE)
-        preimage = Writer().fixed(subject_pubkey, PUBLIC_KEY_SIZE).f64(issued_at).raw(nonce)
-        cert_ids.append(hashlib.sha256(preimage.getvalue()).digest())
-    root, paths = merkle_tree([
-        leaf_hash(pack(PseudonymCertificate, cert_id, subject_pubkey, issued_at, validity_secs))
-        for cert_id, subject_pubkey in zip(cert_ids, subject_pubkeys)
-    ])
+        if len(subject_pubkey) != PUBLIC_KEY_SIZE:
+            raise ValueError(f"subject key must be {PUBLIC_KEY_SIZE} bytes, got {len(subject_pubkey)}")
+        cert_id = sha256(subject_pubkey + issued + rng.randbytes(CERT_NONCE_SIZE)).digest()
+        cert_ids.append(cert_id)
+        leaves.append(leaf_hash(cert_id + subject_pubkey + window))
+    root, paths = merkle_tree(leaves)
     size = len(cert_ids)
     signature = _sign_raw(ca, root_payload(root, size))
     return tuple(

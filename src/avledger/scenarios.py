@@ -93,9 +93,10 @@ from .txmodel import (
     countersign,
 )
 from .validation import (
+    SKIPPED_HALTED,
     ConsensusRound,
     RoundOutcome,
-    audit_record,
+    audit_line,
     detect_tamper,
     run_consensus,
 )
@@ -910,18 +911,7 @@ class ScenarioEngine:
         if self.halted[partition]:
             # the partition stopped committing after divergence; the
             # submission terminates without a round
-            self.audit_lines.append(
-                json.dumps(
-                    {
-                        "at": self.now,
-                        "partition": partition.value,
-                        "tid": tx.tid.hex(),
-                        "outcome": "SkippedHalted",
-                        "votes": {},
-                    },
-                    sort_keys=True,
-                )
-            )
+            self.audit_lines.append(audit_line(self.now, partition, tx.tid, SKIPPED_HALTED, {}))
             self._finish(sub, "rejected", None)
             return
 
@@ -934,7 +924,9 @@ class ScenarioEngine:
             self.now,
             self._ca_checked[partition],
         )
-        self.audit_lines.append(json.dumps(audit_record(round_), sort_keys=True))
+        self.audit_lines.append(
+            audit_line(round_.at, round_.partition, round_.tid, round_.outcome, round_.votes)
+        )
         stats = self.consensus_stats[partition]
         stats["rounds"] += 1
 

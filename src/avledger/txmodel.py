@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Optional, Union
 
 from .encoding import (
@@ -559,7 +559,7 @@ def build_transaction(
     validate_structure(unsigned)
     tid = compute_tid(kind, body, cert, parent_tid)
     signature = SigEntry(role=signer_role, signature=sign_tx_digest(keys, tid))
-    return replace(unsigned, tid=tid, signatures=(signature,))
+    return Transaction(kind, body, cert, parent_tid, tid, (signature,))
 
 
 def countersign(tx: Transaction, keys: KeyPair, role: Role) -> Transaction:

@@ -19,13 +19,18 @@ commits only if every validator accepts it and every validator computes
 the same next fold value for its own replica. A round where all accept
 but the fold values disagree is the tamper signal: some replica's open
 block no longer matches the others.
+
+Each round, and each submission a halted partition skips, is one line of
+the audit log, rendered by audit_line as canonical JSON.
 """
 
 from __future__ import annotations
 
 import enum
+import json
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from json.encoder import encode_basestring_ascii as quote
+from typing import Mapping, Optional, Sequence, Union
 
 from .errors import NotDiverged, ReplicaMismatch, Unattributable
 from .identity import EntityId
@@ -56,7 +61,7 @@ class RoundOutcome(str, enum.Enum):
     DIVERGED = "Diverged"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Vote:
     """A validator's verdict (Reason.OK accepts) and, when it accepts, the
     fold value it would publish."""
@@ -65,24 +70,13 @@ class Vote:
     cblock_id: Optional[Hash256]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConsensusRound:
     partition: Partition
     tid: Hash256
     at: float
     votes: dict[EntityId, Vote]
     outcome: RoundOutcome
-
-
-def candidate_fold(replica: PartitionLedger, tx: Transaction) -> Hash256:
-    """The fold value this replica would publish after committing tx.
-
-    Recomputed from the open block's transaction list rather than read
-    from cached state, so any out-of-band edit of the list shows up in
-    the vote.
-    """
-    tids = [t.tid for t in replica.current.transactions] + [tx.tid]
-    return fold_ids(replica.current.prev_block_id, tids)
 
 
 def run_consensus(
@@ -117,19 +111,30 @@ def run_consensus(
         raise ReplicaMismatch("validator replicas disagree on the sealed chain")
 
     shared = check_tx_genesis(tx, ledgers[0].genesis, ca_checked)
+    # Each candidate fold value is recomputed from the open block's
+    # transaction list, never read from its cached trail, so an
+    # out-of-band edit of a list shows up in that replica's vote. Replicas
+    # whose lists hold the same tids share one fold.
+    folds: dict[tuple, Hash256] = {}
     votes: dict[EntityId, Vote] = {}
-    for validator in validators:
-        replica = replicas[validator]
+    for validator, replica in zip(validators, ledgers):
         reason = check_tx_committed(tx, replica.tid_index) if shared is Reason.OK else shared
-        fold = candidate_fold(replica, tx) if reason is Reason.OK else None
-        votes[validator] = Vote(reason=reason, cblock_id=fold)
+        fold = None
+        if reason is Reason.OK:
+            open_block = replica.current
+            tids = [t.tid for t in open_block.transactions]
+            key = (open_block.prev_block_id, *tids)
+            fold = folds.get(key)
+            if fold is None:
+                tids.append(tx.tid)
+                fold = folds[key] = fold_ids(open_block.prev_block_id, tids)
+        votes[validator] = Vote(reason, fold)
 
     if any(vote.reason is not Reason.OK for vote in votes.values()):
         outcome = RoundOutcome.REJECTED
     elif len({vote.cblock_id for vote in votes.values()}) == 1:
         outcome = RoundOutcome.COMMITTED
-        for validator in validators:
-            replica = replicas[validator]
+        for replica in ledgers:
             replica.append_validated(tx)
             replica.maybe_seal()
     else:
@@ -165,22 +170,42 @@ def detect_tamper(round_: ConsensusRound) -> tuple[EntityId, ...]:
     return tuple(named)
 
 
-def audit_record(round_: ConsensusRound) -> dict:
-    """One JSON-able object per round for the audit log."""
-    return {
-        "at": round_.at,
-        "partition": round_.partition.value,
-        "tid": round_.tid.hex(),
-        "outcome": round_.outcome.value,
-        "votes": {
-            validator: {
-                "decision": "accept" if vote.reason is Reason.OK else "reject",
-                "reason": vote.reason.value,
-                "cblock_id": vote.cblock_id.hex() if vote.cblock_id else None,
-            }
-            for validator, vote in round_.votes.items()
-        },
-    }
+# The audit log's outcome for a submission its halted partition never
+# put to a round.
+SKIPPED_HALTED = "SkippedHalted"
+
+# Every enum value an audit line holds, quoted as JSON once.
+_QUOTED = {
+    member: json.dumps(member.value) for enum_ in (Reason, RoundOutcome, Partition) for member in enum_
+}
+_QUOTED[SKIPPED_HALTED] = json.dumps(SKIPPED_HALTED)
+
+
+def audit_line(
+    at: float,
+    partition: Partition,
+    tid: Hash256,
+    outcome: Union[RoundOutcome, str],
+    votes: Mapping[EntityId, Vote],
+) -> str:
+    """One line of the audit log: the round's record as canonical JSON,
+    the bytes json.dumps(record, sort_keys=True) writes. `outcome` is the
+    round's, or SKIPPED_HALTED with no votes."""
+    # json writes a number by repr, but NaN and the infinities as tokens.
+    at_text = repr(at) if at - at == 0 else json.dumps(at)
+    cast = []
+    for validator in sorted(votes):
+        vote = votes[validator]
+        fold = f'"{vote.cblock_id.hex()}"' if vote.cblock_id else "null"
+        decision = '"accept"' if vote.reason is Reason.OK else '"reject"'
+        cast.append(
+            f'{quote(validator)}: {{"cblock_id": {fold}, "decision": {decision}, '
+            f'"reason": {_QUOTED[vote.reason]}}}'
+        )
+    return (
+        f'{{"at": {at_text}, "outcome": {_QUOTED[outcome]}, "partition": {_QUOTED[partition]}, '
+        f'"tid": "{tid.hex()}", "votes": {{{", ".join(cast)}}}}}'
+    )
 
 
 # AUTHORIZED_PROPOSERS and Reason live beside check_tx and stay importable here.
@@ -191,8 +216,8 @@ __all__ = [
     "RoundOutcome",
     "Vote",
     "ConsensusRound",
-    "candidate_fold",
     "run_consensus",
     "detect_tamper",
-    "audit_record",
+    "SKIPPED_HALTED",
+    "audit_line",
 ]

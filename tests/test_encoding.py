@@ -15,7 +15,6 @@ from avledger.encoding import (
     TEXT,
     U8,
     U32,
-    Writer,
     decode,
     encode,
     field_values,
@@ -118,12 +117,6 @@ def test_out_of_range_integers_rejected():
         encode(dataclasses.replace(PLAIN, small=256))
     with pytest.raises(struct.error):
         encode(dataclasses.replace(PLAIN, count=2**32))
-
-
-def test_fixed_length_enforced():
-    w = Writer()
-    with pytest.raises(ValueError):
-        w.fixed(b"\x00" * 31, 32)
 
 
 @pytest.mark.parametrize("flag", [2, 0, 1.0, "yes", None])

@@ -1,5 +1,5 @@
 """Source hygiene: no module imports a name it never uses, and every wire
-record is slotted.
+record is slotted and checks nothing in its constructor.
 
 A name listed in the module's ``__all__`` counts as used, since that is
 how a module re-exports what it imports.
@@ -96,3 +96,18 @@ def test_wire_records_are_slotted(cls):
     ledger, so it keeps no per-instance __dict__."""
     assert "__slots__" in vars(cls)
     assert "__dict__" not in dir(cls)
+
+
+@pytest.mark.parametrize("cls", WIRE_RECORDS, ids=lambda cls: cls.__name__)
+def test_wire_records_check_nothing_in_their_constructor(cls):
+    """The decoders make a record without calling its __init__ (one
+    object.__new__ and a slot store per field), which skips no check only
+    while the record's __init__ is the one dataclasses writes and no
+    __post_init__ or __new__ runs."""
+    assert cls.__bases__ == (object,)
+    assert not hasattr(cls, "__post_init__")
+    assert cls.__new__ is object.__new__
+    module = ast.parse(pathlib.Path(importlib.import_module(cls.__module__).__file__).read_text())
+    [body] = [node.body for node in module.body if isinstance(node, ast.ClassDef) and node.name == cls.__name__]
+    defined = {node.name for node in body if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    assert not defined & {"__init__", "__post_init__", "__new__", "__setattr__"}

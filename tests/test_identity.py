@@ -7,6 +7,7 @@ import functools
 import hashlib
 import os
 import random
+import struct
 import subprocess
 import sys
 
@@ -287,6 +288,26 @@ def test_nonpositive_validity_rejected():
         issue_certificate(world.ca, [subject.public_key], 0.0, 0.0, world.rng)
     with pytest.raises(InvalidValidity):
         issue_certificate(world.ca, [subject.public_key], 0.0, -5.0, world.rng)
+
+
+@pytest.mark.parametrize("size", [31, 33])
+def test_a_subject_key_of_the_wrong_length_is_refused(size):
+    world = make_world()
+    subjects = [generate_keypair(world.rng).public_key, bytes(size)]
+    with pytest.raises(ValueError, match="subject key must be 32 bytes"):
+        issue_certificate(world.ca, subjects, 0.0, 300.0, world.rng)
+
+
+def test_a_cert_id_hashes_key_issue_time_and_nonce():
+    world = make_world(seed=4)
+    subjects = [generate_keypair(world.rng).public_key for _ in range(3)]
+    replay = random.Random()
+    replay.setstate(world.rng.getstate())
+    certs = issue_certificate(world.ca, subjects, 42.5, 300.0, world.rng)
+    for cert in certs:
+        nonce = replay.randbytes(16)
+        preimage = cert.subject_pubkey + struct.pack(">d", 42.5) + nonce
+        assert cert.cert_id == hashlib.sha256(preimage).digest()
 
 
 def test_a_batch_signs_once_and_every_certificate_checks():

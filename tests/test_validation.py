@@ -2,12 +2,13 @@
 unanimity consensus round, including divergence attribution."""
 
 import dataclasses
+import json
 
 import pytest
 
 from avledger import txmodel
 from avledger.errors import NotDiverged, ReplicaMismatch, Unattributable
-from avledger.ledger import PartitionLedger, chain_faults, make_genesis
+from avledger.ledger import PartitionLedger, chain_faults, fold_ids, make_genesis
 from avledger.scenarios import inject_false_information, tamper_cblock
 from avledger.identity import sign_tx_digest
 from avledger.txmodel import (
@@ -19,9 +20,12 @@ from avledger.txmodel import (
     check_tx_genesis,
 )
 from avledger.validation import (
+    SKIPPED_HALTED,
+    ConsensusRound,
     Reason,
     RoundOutcome,
-    audit_record,
+    Vote,
+    audit_line,
     detect_tamper,
     run_consensus,
     verify_transaction,
@@ -400,6 +404,43 @@ def test_out_of_band_body_mutation_diverges():
     assert detect_tamper(round_) == ("am-0",)
 
 
+def test_each_replica_is_judged_on_its_own_open_block():
+    world = make_world(seed=65)
+    replicas = world.replicas(Partition.OPERATIONAL)
+    first, second = make_est(world, at=1000.0), make_est(world, at=1005.0)
+    commit(replicas, first)
+    commit(replicas, second)
+    # Two replicas edited two ways, one left intact: three open blocks.
+    tamper_cblock(replicas["st-0"], first.tid)
+    edited = replicas["ic-0"].current.transactions
+    edited[1] = dataclasses.replace(edited[1], tid=b"\x13" * 32)
+    tx = make_est(world, at=1010.0)
+    round_ = commit(replicas, tx)
+    assert round_.outcome is RoundOutcome.DIVERGED
+    for validator, replica in replicas.items():
+        open_block = replica.current
+        tids = [t.tid for t in open_block.transactions] + [tx.tid]
+        assert round_.votes[validator].cblock_id == fold_ids(open_block.prev_block_id, tids)
+    assert len({vote.cblock_id for vote in round_.votes.values()}) == 3
+    with pytest.raises(Unattributable):
+        detect_tamper(round_)
+
+
+def test_a_forged_fold_trail_does_not_move_the_vote():
+    world = make_world(seed=66)
+    replicas = world.replicas(Partition.OPERATIONAL)
+    commit(replicas, make_est(world, at=1000.0))
+    # The candidate fold is recomputed from the transaction list: a forged
+    # trail leaves the rogue's vote equal to its honest peers'.
+    replicas["ic-0"].current.fold_trail[-1] = b"\x55" * 32
+    round_ = commit(replicas, make_est(world, at=1010.0))
+    assert round_.outcome is RoundOutcome.COMMITTED
+    assert len({vote.cblock_id for vote in round_.votes.values()}) == 1
+    # The forgery is still in the rogue's chain, where verify finds it.
+    assert chain_faults(replicas["ic-0"]) != []
+    assert chain_faults(replicas["am-0"]) == []
+
+
 def test_two_validator_divergence_is_unattributable():
     world = make_world(seed=46)
     replicas = world.replicas(Partition.DECISIONAL)
@@ -449,15 +490,86 @@ def test_consensus_needs_a_validator():
         run_consensus([], make_est(world), {}, 0.0)
 
 
-def test_audit_record_shape():
+def _audit_record(round_):
+    """The audit record of a round as a plain object, field by field."""
+    return {
+        "at": round_.at,
+        "partition": round_.partition.value,
+        "tid": round_.tid.hex(),
+        "outcome": round_.outcome.value,
+        "votes": {
+            validator: {
+                "decision": "accept" if vote.reason is Reason.OK else "reject",
+                "reason": vote.reason.value,
+                "cblock_id": vote.cblock_id.hex() if vote.cblock_id else None,
+            }
+            for validator, vote in round_.votes.items()
+        },
+    }
+
+
+def _line_of(round_):
+    return audit_line(round_.at, round_.partition, round_.tid, round_.outcome, round_.votes)
+
+
+def _assert_canonical(line):
+    assert line == json.dumps(json.loads(line), sort_keys=True)
+
+
+def test_audit_line_is_the_canonical_json_of_the_round():
     world = make_world(seed=50)
     replicas = world.replicas(Partition.OPERATIONAL)
-    round_ = commit(replicas, make_est(world))
-    record = audit_record(round_)
-    assert record["outcome"] == "Committed"
-    assert record["partition"] == "P1"
-    assert set(record["votes"]) == set(replicas)
-    for vote in record["votes"].values():
+    victim = make_est(world, at=1000.0)
+    committed = commit(replicas, victim)
+    rejected = commit(replicas, make_ut(world, countersigned=False))
+    tamper_cblock(replicas["st-0"], victim.tid)
+    diverged = commit(replicas, make_est(world, at=1010.0))
+    assert [r.outcome for r in (committed, rejected, diverged)] == [
+        RoundOutcome.COMMITTED,
+        RoundOutcome.REJECTED,
+        RoundOutcome.DIVERGED,
+    ]
+    for round_ in (committed, rejected, diverged):
+        line = _line_of(round_)
+        _assert_canonical(line)
+        record = json.loads(line)
+        assert record == _audit_record(round_)
+        assert record["partition"] == "P1"
+        assert set(record["votes"]) == set(replicas)
+    for vote in json.loads(_line_of(committed))["votes"].values():
         assert vote["decision"] == "accept"
         assert vote["reason"] == "Ok"
         assert len(bytes.fromhex(vote["cblock_id"])) == 32
+    for vote in json.loads(_line_of(rejected))["votes"].values():
+        assert vote == {"cblock_id": None, "decision": "reject", "reason": "Incomplete"}
+    folds = {vote["cblock_id"] for vote in json.loads(_line_of(diverged))["votes"].values()}
+    assert len(folds) == 2
+
+
+def test_a_skipped_line_is_canonical_json_with_no_votes():
+    line = audit_line(12.5, Partition.DECISIONAL, b"\xab" * 32, SKIPPED_HALTED, {})
+    _assert_canonical(line)
+    assert json.loads(line) == {
+        "at": 12.5,
+        "outcome": "SkippedHalted",
+        "partition": "P2",
+        "tid": "ab" * 32,
+        "votes": {},
+    }
+
+
+@pytest.mark.parametrize("at", [0.1 + 0.2, 1e22, 5e-324, -0.0, 1000.0, float("inf"), float("nan")])
+def test_audit_line_escapes_validator_ids_and_writes_at_as_json_does(at):
+    votes = {
+        'st-"0"': Vote(Reason.OK, b"\x01" * 32),
+        "am-\u00e9\u4e2d": Vote(Reason.DUPLICATE, None),
+        "a\\b\n": Vote(Reason.OK, b"\x02" * 32),
+    }
+    round_ = ConsensusRound(Partition.OPERATIONAL, b"\x07" * 32, at, votes, RoundOutcome.REJECTED)
+    line = _line_of(round_)
+    assert line.isascii()
+    assert line == json.dumps(_audit_record(round_), sort_keys=True)
+    _assert_canonical(line)
+    if at == at:  # NaN is the one value json.loads gives back unequal
+        assert json.loads(line) == _audit_record(round_)
+
