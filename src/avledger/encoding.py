@@ -529,9 +529,7 @@ def _builder(cls: type) -> Callable:
     """f(*field values) -> the cls record, made as its dataclass __init__
     makes it, without the call: object.__new__, then each field's slot
     descriptor. No wire record defines an __init__ or __post_init__ of its
-    own, so no check is skipped. A class without slots is called."""
-    if "__slots__" not in vars(cls):
-        return cls
+    own, so no check is skipped."""
     params = ", ".join(f"f{i}" for i in range(len(layout(cls).names)))
 
     def emit(code: _Source) -> str:
