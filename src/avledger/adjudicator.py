@@ -70,6 +70,14 @@ def _content_digest(e: EvidenceData) -> Hash256:
     return hashlib.sha256(encode(e, start=2, stop=-1)).digest()
 
 
+def _beyond_tolerance(
+    a: EvidenceData, b: EvidenceData, time_tol_secs: float, dist_tol_m: float
+) -> bool:
+    """True when two reports of one event disagree on its time or place
+    by more than the jitter tolerances allow."""
+    return abs(a.ts - b.ts) > time_tol_secs or great_circle_m(a.loc, b.loc) > dist_tol_m
+
+
 def cross_check_edata(
     a: EvidenceData,
     b: EvidenceData,
@@ -85,9 +93,7 @@ def cross_check_edata(
     """
     if _content_digest(a) != _content_digest(b):
         return CrossCheckResult.HASH_MISMATCH
-    if abs(a.ts - b.ts) > time_tol_secs:
-        return CrossCheckResult.SPATIOTEMPORAL_MISMATCH
-    if great_circle_m(a.loc, b.loc) > dist_tol_m:
+    if _beyond_tolerance(a, b, time_tol_secs, dist_tol_m):
         return CrossCheckResult.SPATIOTEMPORAL_MISMATCH
     return CrossCheckResult.CONSISTENT
 
@@ -272,10 +278,7 @@ def adjudicate(
         if witness_edata is None:
             continue
         for other in involved_edata:
-            if (
-                abs(witness_edata.ts - other.ts) > params.time_tol_secs
-                or great_circle_m(witness_edata.loc, other.loc) > params.dist_tol_m
-            ):
+            if _beyond_tolerance(witness_edata, other, params.time_tol_secs, params.dist_tol_m):
                 flags.add(VerdictFlag.INCONSISTENT_WITNESS)
                 seen(witness_tid)
 

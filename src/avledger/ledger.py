@@ -163,14 +163,14 @@ class CurrentBlock:
 class PartitionLedger:
     """One replica of one partition's chain.
 
-    Besides the tid map, one index serves query: _rows[kind][cert_id] is
-    the list of transactions of that kind under that certificate, with
-    None for "any", so each transaction sits in three lists: (kind,
-    cert_id), (kind, None) and (None, cert_id). Every list holds the
-    blocks' own Transaction objects in commit order. Each kind's entry
-    exists from the start, so upkeep makes a list only for a cert id's
-    first row. append_validated, append_claimed and remove_open keep the
-    index in step with the blocks.
+    Besides the tid map, one index serves every query that names a kind:
+    _rows[kind][cert_id] is the list of transactions of that kind under
+    that certificate, and _rows[kind][None] all of that kind, so each
+    transaction sits in two lists. Every list holds the blocks' own
+    Transaction objects in commit order. Each kind's entry exists from
+    the start, so upkeep makes a list only for a cert id's first row.
+    append_validated and append_claimed index each record they add;
+    remove_open rebuilds the index from the blocks.
     """
 
     def __init__(self, genesis: GenesisBlock) -> None:
@@ -180,9 +180,7 @@ class PartitionLedger:
         self.b_max = genesis.b_max
         self.blocks: list[Block] = []
         self.current = CurrentBlock(prev_block_id=genesis.block_id)
-        self._by_tid: dict[Hash256, Transaction] = {}
-        self._rows: dict[Optional[TxKind], dict[Optional[bytes], list[Transaction]]]
-        self._rows = {None: {}} | {kind: {None: []} for kind in TxKind}
+        self._reindex()
 
     # -- views ----------------------------------------------------------------
 
@@ -230,13 +228,18 @@ class PartitionLedger:
         self._by_tid[tx.tid] = tx
         by_cert = self._rows[tx.kind]
         by_cert[None].append(tx)
-        cert_id = tx.cert.cert_id
-        for index in (by_cert, self._rows[None]):
-            rows = index.get(cert_id)
-            if rows is None:
-                index[cert_id] = [tx]
-            else:
-                rows.append(tx)
+        rows = by_cert.get(tx.cert.cert_id)
+        if rows is None:
+            by_cert[tx.cert.cert_id] = [tx]
+        else:
+            rows.append(tx)
+
+    def _reindex(self) -> None:
+        self._by_tid: dict[Hash256, Transaction] = {}
+        self._rows: dict[TxKind, dict[Optional[bytes], list[Transaction]]]
+        self._rows = {kind: {None: []} for kind in TxKind}
+        for tx in self.all_transactions():
+            self._index(tx)
 
     def maybe_seal(self) -> Optional[Block]:
         """Seals the open block once it holds b_max transactions. The seal
@@ -275,15 +278,10 @@ class PartitionLedger:
         pos = next((i for i, tx in enumerate(cur.transactions) if tx.tid == tid), None)
         if pos is None:
             raise NotFound(f"no open-block transaction {tid.hex()[:16]}")
-        removed = cur.transactions[pos]
-        later = cur.transactions[pos + 1:]
-        kind, cert_id = removed.kind, removed.cert.cert_id
-        for k, c in ((kind, cert_id), (kind, None), (None, cert_id)):
-            _unindex(self._rows[k][c], later, k, c)
         del cur.transactions[pos], cur.fold_trail[pos:]
-        self._by_tid.pop(tid, None)
-        for tx in later:
+        for tx in cur.transactions[pos:]:
             cur.fold_trail.append(fold_step(tx.tid, cur.cblock_id))
+        self._reindex()
 
     # -- queries --------------------------------------------------------------
 
@@ -296,43 +294,29 @@ class PartitionLedger:
         """Committed and open-block transactions that match every given
         predicate, in commit order, as a new list the caller may change.
 
-        A call that names a kind or a cert id starts from its one index
-        list, which already matches both; only time_range is then tested
-        on each row. A call that names neither walks the whole chain.
+        A call that names a kind starts from its one index list, which
+        already matches the cert id too; only time_range is then tested on
+        each row. A call that names no kind walks the whole chain.
         """
-        if kind is None and cert_id is None:
+        # Plain loops: a comprehension would close over cert_id, lo and
+        # hi, and every call, the index probe too, would pay for their cells.
+        if kind is not None:
+            rows = self._rows[kind].get(cert_id, ())
+        elif cert_id is None:
             rows = self.all_transactions()
         else:
-            by_cert = self._rows.get(kind)
-            rows = by_cert.get(cert_id, ()) if by_cert is not None else ()
+            rows = []
+            for tx in self.all_transactions():
+                if tx.cert.cert_id == cert_id:
+                    rows.append(tx)
         if time_range is None:
             return list(rows)
-        # A plain loop: a comprehension would close over lo and hi, and
-        # every call, the fast path above too, would pay for their cells.
         lo, hi = time_range
         out = []
         for tx in rows:
             if lo <= body_timestamp(tx) <= hi:
                 out.append(tx)
         return out
-
-
-def _unindex(
-    rows: list[Transaction], later: list[Transaction], kind: Optional[TxKind], cert_id: Optional[bytes]
-) -> None:
-    """Drops one open-block transaction from rows, the index list of
-    (kind, cert_id). The list ends with the open block's entries in commit
-    order, so the dropped one is followed by exactly the later open-block
-    transactions that match kind and cert_id (None matches any); matching
-    by position, not by equality, keeps a duplicate record loaded from a
-    file in place.
-    """
-    behind = sum(
-        1
-        for tx in later
-        if (kind is None or tx.kind is kind) and (cert_id is None or tx.cert.cert_id == cert_id)
-    )
-    del rows[len(rows) - 1 - behind]
 
 
 # --- chain verification -------------------------------------------------------

@@ -33,11 +33,6 @@ DEFAULT_RETRY_INTERVAL_SECS = 30.0
 DEFAULT_MAX_ATTEMPTS = 10
 
 
-@dataclass
-class SimClock:
-    now: float = 0.0
-
-
 @dataclass(frozen=True)
 class Envelope:
     msg_id: int
@@ -83,7 +78,6 @@ class Network:
     def __init__(
         self,
         rng: random.Random,
-        clock: Optional[SimClock] = None,
         drop_prob: float = 0.0,
         retry_interval: float = DEFAULT_RETRY_INTERVAL_SECS,
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
@@ -95,7 +89,8 @@ class Network:
         if retry_interval < 0:
             raise ValueError("retry interval cannot be negative")
         self.rng = rng
-        self.clock = clock or SimClock()
+        # Virtual time, in seconds.
+        self.now = 0.0
         self.drop_prob = drop_prob
         self.retry_interval = retry_interval
         self.max_attempts = max_attempts
@@ -134,18 +129,18 @@ class Network:
             sender=sender,
             dest=dest,
             payload=payload,
-            created_at=self.clock.now,
+            created_at=self.now,
         )
         self._next_msg_id += 1
         record = DeliveryRecord(envelope=envelope)
         self.sends += 1
-        heapq.heappush(self._heap, (self.clock.now, 0, envelope.msg_id, record))
-        self._pump(self.clock.now)
+        heapq.heappush(self._heap, (self.now, 0, envelope.msg_id, record))
+        self._pump(self.now)
         return record
 
     def schedule(self, at: float, fn: Callable[[], None]) -> None:
         """Queues fn to run at virtual time `at`, or now if `at` has passed."""
-        heapq.heappush(self._heap, (max(at, self.clock.now), 1, self._next_timer_seq, fn))
+        heapq.heappush(self._heap, (max(at, self.now), 1, self._next_timer_seq, fn))
         self._next_timer_seq += 1
 
     # -- time ------------------------------------------------------------------
@@ -154,10 +149,10 @@ class Network:
         """Moves the clock forward, firing every attempt that falls due."""
         if dt < 0:
             raise ClockViolation(f"cannot move the clock backwards by {dt}")
-        target = self.clock.now + dt
+        target = self.now + dt
         self._pump(target)
-        self.clock.now = target
-        return self.clock.now
+        self.now = target
+        return self.now
 
     def run_until_quiet(self) -> float:
         """Advances until no event remains queued. Bounded as long as the
@@ -166,11 +161,11 @@ class Network:
         """
         while self._heap:
             due = self._heap[0][0]
-            if due > self.clock.now:
-                self.advance(due - self.clock.now)
+            if due > self.now:
+                self.advance(due - self.now)
             else:
-                self._pump(self.clock.now)
-        return self.clock.now
+                self._pump(self.now)
+        return self.now
 
     def _pump(self, limit: float) -> None:
         if self._pumping:
@@ -179,8 +174,8 @@ class Network:
         try:
             while self._heap and self._heap[0][0] <= limit:
                 due, timer, _, item = heapq.heappop(self._heap)
-                if due > self.clock.now:
-                    self.clock.now = due
+                if due > self.now:
+                    self.now = due
                 if timer:
                     item()
                 else:
@@ -189,7 +184,7 @@ class Network:
             self._pumping = False
 
     def _attempt(self, record: DeliveryRecord) -> None:
-        at = self.clock.now
+        at = self.now
         delivered = self.rng.random() >= self.drop_prob
         record.attempts.append((at, delivered))
         if delivered:

@@ -630,20 +630,20 @@ class _PendingReplicaAttack:
 
 @dataclass
 class _CollisionTracker:
+    """One collision case. `pending` counts down the scene's PETs, then
+    the evidence requests planned once the last PET has ended; the case
+    is adjudicated when the last request ends."""
+
     case_id: str
-    event: CollisionEvent
     collision_at: float
     involved: list[EntityId]
     fleeing: Optional[EntityId]
+    pending: int = 0
     pet_tids: dict[EntityId, Hash256] = field(default_factory=dict)
     witness_pet_tids: list[Hash256] = field(default_factory=list)
-    pending_pets: int = 0
-    pending_rets: int = 0
-    rets_scheduled: bool = False
-    submissions: dict[tuple[EntityId, EntityId], EvidenceData] = field(default_factory=dict)
-    ret_tids: dict[tuple[EntityId, EntityId], Hash256] = field(default_factory=dict)
+    # requests[subject][requester] = (RET tid, the copy of the evidence it carries)
+    requests: dict[EntityId, dict[EntityId, tuple[Hash256, EvidenceData]]] = field(default_factory=dict)
     revealed: bool = False
-    adjudicated: bool = False
 
 
 P1 = Partition.OPERATIONAL
@@ -652,6 +652,10 @@ P2 = Partition.DECISIONAL
 # The sender name of the cross-partition bridge: an evidence request
 # committed in P1 is forwarded to P2 under this name.
 BRIDGE_SENDER = "partition:P1"
+
+# Who requests each party's evidence into the decision partition, and how
+# long after the scene's last PET ended.
+_REQUESTERS = (("ic-0", Role.INSURER, 5.0), ("am-0", Role.MANUFACTURER, 20.0))
 
 # Pseudonym pools. Each vehicle holds a pool of certified keys and uses
 # one per pseudonym. The CA certifies keys in fleet-wide batches: the
@@ -779,7 +783,6 @@ class ScenarioEngine:
             }
             for part in (P1, P2)
         }
-        self._collisions: list[_CollisionTracker] = []
         self._replica_attack: Optional[_PendingReplicaAttack] = None
         self._update_counter = 0
 
@@ -787,7 +790,7 @@ class ScenarioEngine:
 
     @property
     def now(self) -> float:
-        return self.net.clock.now
+        return self.net.now
 
     def honest_replica(self, partition: Partition) -> PartitionLedger:
         rogue = self._replica_attack.rogue if self._replica_attack else None
@@ -1120,12 +1123,10 @@ class ScenarioEngine:
 
         tracker = _CollisionTracker(
             case_id=f"case-{case_index}",
-            event=ev,
             collision_at=at,
             involved=involved_ids,
             fleeing=fleeing,
         )
-        self._collisions.append(tracker)
 
         def pet_terminal(entity: EntityId, is_witness: bool):
             def hook(state: str, round_: Optional[ConsensusRound]) -> None:
@@ -1134,16 +1135,17 @@ class ScenarioEngine:
                         tracker.witness_pet_tids.append(round_.tid)
                     else:
                         tracker.pet_tids[entity] = round_.tid
-                tracker.pending_pets -= 1
-                self._maybe_start_requests(tracker)
+                tracker.pending -= 1
+                if not tracker.pending:
+                    self._request_evidence(tracker)
 
             return hook
 
-        # Build every PET before submitting any: a zero-loss network
-        # delivers synchronously, and the request stage must not open
-        # until the whole batch has resolved. Involved parties come first
-        # (the runaway submits nothing), then the witnesses, who carry no
-        # sealed statements and drive slower.
+        # Build every PET before submitting any, so the countdown holds
+        # the whole batch before the first PET can end. Involved parties
+        # come first (the runaway submits nothing), then the witnesses,
+        # who carry no sealed statements and drive slower. A hit-and-run
+        # has a second party, so every scene files at least one PET.
         scene = [(e, False) for e in involved_ids if e != fleeing]
         scene += [(w, True) for w in witness_ids]
         pending: list[tuple[EntityId, bool, Transaction]] = []
@@ -1169,56 +1171,27 @@ class ScenarioEngine:
             tx = build_transaction(TxKind.COLLISION_EVIDENCE, body, keys, cert=cert)
             pending.append((entity, is_witness, tx))
 
-        tracker.pending_pets = len(pending)
+        tracker.pending = len(pending)
         for entity, is_witness, tx in pending:
             self._send(entity, "P1", self._track(tx.kind, P1, pet_terminal(entity, is_witness)), tx)
-        if not pending:
-            # nothing was submitted (single fleeing vehicle); close out
-            self._maybe_start_requests(tracker)
 
     # -- evidence requests -------------------------------------------------------
 
-    def _maybe_start_requests(self, tracker: _CollisionTracker) -> None:
-        if tracker.rets_scheduled or tracker.pending_pets > 0:
-            return
-        tracker.rets_scheduled = True
-        base = self.now
-        delay = 5.0
+    def _request_evidence(self, tracker: _CollisionTracker) -> None:
+        """Plans each requester's evidence request for every involved party
+        whose PET committed, once the scene's last PET has ended. With none
+        committed there is nothing to request and no case to adjudicate.
+        """
         attack = self.config.attack
-        forge = (
-            attack is not None
-            and attack.attack_class is AttackClass.FALSE_INFORMATION
-        )
+        forge = attack is not None and attack.attack_class is AttackClass.FALSE_INFORMATION
         forger = (attack.actor or "am-0") if forge else None
-
-        planned: list[tuple[float, Callable[[], None]]] = []
-        for requester_entity, requester_role, offset in (
-            ("ic-0", Role.INSURER, delay),
-            ("am-0", Role.MANUFACTURER, delay + 15.0),
-        ):
-            for entity in tracker.involved:
-                if entity == tracker.fleeing or entity not in tracker.pet_tids:
-                    continue
-                planned.append(
-                    (
-                        base + offset,
-                        self._make_request_submitter(
-                            tracker,
-                            requester_entity,
-                            requester_role,
-                            entity,
-                            forged=(forge and requester_entity == forger),
-                        ),
-                    )
-                )
-        # Every planned request counts as pending up front; adjudication
-        # waits for the last one to resolve (or be abandoned) no matter
-        # how quickly the early ones complete.
-        tracker.pending_rets = len(planned)
-        for when, fn in planned:
-            self.net.schedule(when, fn)
-        if not planned:
-            self.net.schedule(base + delay, lambda: self._maybe_adjudicate(tracker))
+        subjects = [entity for entity in tracker.involved if entity in tracker.pet_tids]
+        tracker.pending = len(_REQUESTERS) * len(subjects)
+        base = self.now
+        for requester, role, offset in _REQUESTERS:
+            for subject in subjects:
+                submit = self._make_request_submitter(tracker, requester, role, subject, requester == forger)
+                self.net.schedule(base + offset, submit)
 
     def _make_request_submitter(
         self,
@@ -1229,16 +1202,12 @@ class ScenarioEngine:
         forged: bool,
     ) -> Callable[[], None]:
         def settle() -> None:
-            tracker.pending_rets -= 1
-            self._maybe_adjudicate(tracker)
+            tracker.pending -= 1
+            if not tracker.pending:
+                self._adjudicate_case(tracker)
 
         def submit() -> None:
-            honest_p1 = self.honest_replica(P1)
-            pet_tid = tracker.pet_tids.get(subject)
-            if pet_tid is None:
-                settle()
-                return
-            pet = honest_p1.find(pet_tid)
+            pet = self.honest_replica(P1).find(tracker.pet_tids[subject])
             if pet is None or self.halted[P1]:
                 # evidence never made it or the partition stopped; no request
                 settle()
@@ -1258,8 +1227,7 @@ class ScenarioEngine:
                 cert=pet.cert,
                 signer_role=requester_role,
             )
-            tracker.submissions[(subject, requester_entity)] = edata
-            tracker.ret_tids[(subject, requester_entity)] = tx.tid
+            tracker.requests.setdefault(subject, {})[requester_entity] = (tx.tid, edata)
 
             def p2_terminal(state: str, round_: Optional[ConsensusRound]) -> None:
                 if state == "committed":
@@ -1281,7 +1249,7 @@ class ScenarioEngine:
     # -- reveal and adjudication ---------------------------------------------------
 
     def _maybe_reveal(self, tracker: _CollisionTracker, ret: Transaction) -> None:
-        if not tracker.event.hit_and_run or tracker.revealed:
+        if tracker.fleeing is None or tracker.revealed:
             return
         honest_p1 = self.honest_replica(P1)
         for sealed in ret.body.edata.enc_witness:
@@ -1303,44 +1271,29 @@ class ScenarioEngine:
                     )
                     return
 
-    def _maybe_adjudicate(self, tracker: _CollisionTracker) -> None:
-        if tracker.adjudicated or tracker.pending_rets > 0 or not tracker.rets_scheduled:
-            return
-        tracker.adjudicated = True
-        honest_p1 = self.honest_replica(P1)
-
-        parties = []
-        for entity in tracker.involved:
-            vehicle = self._vehicle_of[entity]
-            submitted = {
-                requester: edata
-                for (subject, requester), edata in sorted(tracker.submissions.items())
-                if subject == entity
-            }
-            ret_tids = {
-                requester: tid
-                for (subject, requester), tid in sorted(tracker.ret_tids.items())
-                if subject == entity
-            }
-            parties.append(
-                PartyEvidence(
-                    vehicle=entity,
-                    cert_ids=vehicle.cert_ids(),
-                    pet_tid=tracker.pet_tids.get(entity),
-                    submitted=submitted,
-                    ret_tids=ret_tids,
-                )
+    def _adjudicate_case(self, tracker: _CollisionTracker) -> None:
+        parties = tuple(
+            PartyEvidence(
+                vehicle=entity,
+                cert_ids=self._vehicle_of[entity].cert_ids(),
+                pet_tid=tracker.pet_tids.get(entity),
+                submitted={
+                    requester: edata
+                    for requester, (_, edata) in tracker.requests.get(entity, {}).items()
+                },
             )
+            for entity in tracker.involved
+        )
         case = CollisionCase(
             case_id=tracker.case_id,
             collision_at=tracker.collision_at,
-            parties=tuple(parties),
+            parties=parties,
             maker="am-0",
             witness_pet_tids=tuple(tracker.witness_pet_tids),
             suspect_absent=tracker.fleeing is not None,
         )
         try:
-            verdict = adjudicate(case, honest_p1, self.config.adjudication, at=self.now)
+            verdict = adjudicate(case, self.honest_replica(P1), self.config.adjudication, at=self.now)
         except MalformedCase as exc:
             log.info("case %s not adjudicable: %s", tracker.case_id, exc)
             return
@@ -1355,8 +1308,9 @@ class ScenarioEngine:
                     "at": self.now,
                     "attributed": list(verdict.forgers),
                     "forged_ret_tids": [
-                        tracker.ret_tids[(subject, requester)].hex()
-                        for (subject, requester) in sorted(tracker.ret_tids)
+                        tid.hex()
+                        for subject in sorted(tracker.requests)
+                        for requester, (tid, _) in sorted(tracker.requests[subject].items())
                         if requester in verdict.forgers
                     ],
                 }
@@ -1405,15 +1359,6 @@ class ScenarioEngine:
             )
 
         self.net.run_until_quiet()
-
-        # close out any collision whose requests never ran (halted partition
-        # or undelivered evidence)
-        for tracker in self._collisions:
-            if not tracker.adjudicated:
-                tracker.rets_scheduled = True
-                tracker.pending_rets = 0
-                self._maybe_adjudicate(tracker)
-
         return ScenarioResult(
             report=self._build_report(),
             ledgers={

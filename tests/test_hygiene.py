@@ -1,5 +1,6 @@
-"""Source hygiene: no module imports a name it never uses, and every wire
-record is slotted and checks nothing in its constructor.
+"""Source hygiene: no module imports a name it never uses, every
+definition in src/avledger is named by code outside the tests, and every
+wire record is slotted and checks nothing in its constructor.
 
 A name listed in the module's ``__all__`` counts as used, since that is
 how a module re-exports what it imports.
@@ -44,21 +45,25 @@ def _used_names(tree: ast.AST) -> set[str]:
     return {node.id for t in trees for node in ast.walk(t) if isinstance(node, ast.Name)}
 
 
+def _exported(tree: ast.Module) -> set[str]:
+    """The names the module's ``__all__`` lists."""
+    return {
+        elt.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        for elt in node.value.elts
+    }
+
+
 def unused_imports(source: str) -> list[str]:
     tree = ast.parse(source)
     imported = set()
-    exported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             imported |= {alias.asname or alias.name for alias in node.names}
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            exported |= {elt.value for elt in node.value.elts}
-    return sorted(imported - _used_names(tree) - exported)
+    return sorted(imported - _used_names(tree) - _exported(tree))
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
@@ -111,3 +116,60 @@ def test_wire_records_check_nothing_in_their_constructor(cls):
     [body] = [node.body for node in module.body if isinstance(node, ast.ClassDef) and node.name == cls.__name__]
     defined = {node.name for node in body if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
     assert not defined & {"__init__", "__post_init__", "__new__", "__setattr__"}
+
+
+# --- dead definitions -----------------------------------------------------------
+
+# Code that may call into avledger. Tests do not count as callers: a
+# definition only a test names is dead code with a test.
+CALLERS = sorted(
+    path
+    for pattern in ("src/**/*.py", "scripts/*.py", "perfbench/*.py")
+    for path in ROOT.glob(pattern)
+    if not path.name.startswith("test_") and path.name != "conftest.py"
+)
+
+
+def _definitions(tree: ast.Module):
+    """(qualified name, name) of every top-level function and class, and
+    of every method that is not a dunder."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        if isinstance(node, (*functions, ast.ClassDef)):
+            yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, functions) and not (item.name.startswith("__") and item.name.endswith("__")):
+                    yield f"{node.name}.{item.name}", item.name
+
+
+def _named(tree: ast.AST) -> set[str]:
+    """Every name a module reads: a Name, an attribute, or a string
+    constant, since the tracer patches methods by name."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def dead_definitions() -> list[str]:
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in CALLERS}
+    named = set().union(*map(_named, trees.values()))
+    return sorted(
+        f"{path.relative_to(ROOT)}::{qualified}"
+        for path, tree in trees.items()
+        if path.parent == ROOT / "src" / "avledger"
+        for qualified, name in _definitions(tree)
+        if name not in named and name not in _exported(tree)
+    )
+
+
+def test_every_definition_has_a_caller():
+    """Code that no caller needs is deleted."""
+    assert dead_definitions() == []
+

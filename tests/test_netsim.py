@@ -125,11 +125,11 @@ class _Draws:
 def test_one_instant_fires_attempts_then_each_timer_with_its_sends():
     net = Network(rng=_Draws([0.0, 0.9, 0.9]), drop_prob=0.5, retry_interval=10.0)
     log = []
-    net.register_endpoint("dest", lambda env: log.append((env.payload, net.clock.now)))
+    net.register_endpoint("dest", lambda env: log.append((env.payload, net.now)))
 
     def timer(name, send=None):
         def fire():
-            log.append((name, net.clock.now))
+            log.append((name, net.now))
             if send:
                 net.send_with_retry("s", "dest", send)
 
@@ -149,7 +149,7 @@ def test_one_instant_fires_attempts_then_each_timer_with_its_sends():
     net.advance(10.0)
     net.schedule(5.0, timer("late"))
     net.run_until_quiet()
-    assert log[-1] == ("late", 30.0) and net.clock.now == 30.0
+    assert log[-1] == ("late", 30.0) and net.now == 30.0
 
     # A timer fires at exactly its due time, though 2.278 + (6.534 - 2.278)
     # rounds to 6.534000000000001.
@@ -165,7 +165,7 @@ def test_clock_never_moves_backwards():
     net.advance(10.0)
     with pytest.raises(ClockViolation):
         net.advance(-0.5)
-    assert net.clock.now == 10.0
+    assert net.now == 10.0
 
 
 def test_identical_seeds_replay_identically():

@@ -260,6 +260,39 @@ def test_lossy_network_still_conserves_and_verifies():
     assert chain_faults(result.ledgers["P1"]) == []
 
 
+def test_each_case_is_adjudicated_once_over_a_committed_pet(monkeypatch):
+    """A case goes to the adjudicator once, after its last evidence
+    request ends, and only when some party's PET committed; a scene whose
+    PETs all died has nothing to adjudicate."""
+    calls = []
+
+    def spy(case, ledger, params, at=None):
+        calls.append((case, ledger))
+        return adjudicate(case, ledger, params, at)
+
+    adjudicate = scenarios.adjudicate
+    monkeypatch.setattr(scenarios, "adjudicate", spy)
+    runs = verdicts = 0
+    for drop, attempts in ((0.0, 10), (0.7, 10), (0.7, 3), (0.9, 2)):
+        for seed in range(20):
+            config = dataclasses.replace(
+                make_benign_config(seed), network=NetworkConfig(drop_prob=drop, max_attempts=attempts)
+            )
+            calls.clear()
+            report = _run(config).report
+            runs += 1
+            verdicts += len(report.verdicts)
+            case_ids = [case.case_id for case, _ in calls]
+            assert len(set(case_ids)) == len(case_ids), (drop, attempts, seed)
+            for case, ledger in calls:
+                assert any(
+                    party.pet_tid is not None and ledger.find(party.pet_tid) is not None
+                    for party in case.parties
+                ), (drop, attempts, seed)
+            assert [v["case_id"] for v in report.verdicts] == case_ids
+    assert (runs, verdicts) == (80, 56)
+
+
 # --- configuration ------------------------------------------------------------
 
 def test_config_json_round_trip():
