@@ -1,11 +1,12 @@
 """Liability adjudication over committed evidence.
 
-The adjudicator never trusts a submitted copy of anything it can anchor
-to the chain: evidence copies are compared against the vehicle's own
-committed collision evidence, update compliance is read off the ledger,
-and behavior history is read off the ledger too, from the event-safety
-reports filed under a party's certificates in the window before the
-crash. No record carries a vehicle's history, so none ties its
+A case names its evidence only by tid, and each tid must resolve to a
+committed record: collision evidence on the operational partition, each
+evidence copy on the decision partition, where the bridge delivers it.
+The copies are compared against the vehicle's own committed collision
+evidence, update compliance is read off the ledger, and behavior history
+is read off the ledger too, from the event-safety reports filed under a
+party's certificates in the window before the crash. No record carries a vehicle's history, so none ties its
 pseudonyms together.
 
 Rule precedence for a verdict: evidence forgery names the liable party
@@ -27,7 +28,6 @@ from .errors import MalformedCase
 from .identity import EntityId
 from .ledger import PartitionLedger
 from .txmodel import (
-    CollisionEvidenceBody,
     DriveMode,
     EventTrigger,
     EvidenceData,
@@ -157,12 +157,12 @@ class VerdictFlag(str, enum.Enum):
 
 @dataclass(frozen=True)
 class PartyEvidence:
-    """Everything the decision partition holds about one involved vehicle."""
+    """What a case names about one involved vehicle. `ret_tids` maps each
+    requester to the RET that carried a copy of the PET into P2."""
 
     vehicle: EntityId
     cert_ids: frozenset[Hash256] = frozenset()
     pet_tid: Optional[Hash256] = None
-    submitted: Mapping[EntityId, EvidenceData] = field(default_factory=dict)
     ret_tids: Mapping[EntityId, Hash256] = field(default_factory=dict)
 
 
@@ -213,27 +213,40 @@ class LiabilityVerdict:
         }
 
 
-def _committed_edata(ledger: PartitionLedger, pet_tid: Hash256) -> Optional[EvidenceData]:
-    tx = ledger.find(pet_tid)
-    if tx is None or not isinstance(tx.body, CollisionEvidenceBody):
-        return None
+def _resolve(ledger: PartitionLedger, kind: TxKind, tid: Hash256) -> EvidenceData:
+    """The evidence in the committed record `tid`, which must be of `kind`."""
+    tx = ledger.find(tid)
+    if tx is None or tx.kind is not kind:
+        raise MalformedCase(f"unresolvable tid {tid.hex()}: no committed {kind.value} on {ledger.partition.value}")
     return tx.body.edata
 
 
 def adjudicate(
     case: CollisionCase,
     ledger: PartitionLedger,
+    decisions: PartitionLedger,
     params: AdjudicationParams,
     at: Optional[float] = None,
 ) -> LiabilityVerdict:
-    """Produces one liability verdict for the case. `at` is the query time
-    for deadline checks and defaults to the collision instant.
+    """Produces one liability verdict for the case over the operational
+    (`ledger`) and decision (`decisions`) partitions. `at` is the query
+    time for deadline checks and defaults to the collision instant.
     """
     if not case.parties:
         raise MalformedCase("a collision case needs at least one party")
     if all(p.pet_tid is None for p in case.parties):
         raise MalformedCase("a collision case must reference at least one committed PET")
     query_at = case.collision_at if at is None else at
+
+    # Every tid the case names resolves to a committed record before any
+    # rule runs: PETs and witness PETs on P1, evidence requests on P2.
+    pet = TxKind.COLLISION_EVIDENCE
+    pets = {p.pet_tid: _resolve(ledger, pet, p.pet_tid) for p in case.parties if p.pet_tid is not None}
+    witnesses = {tid: _resolve(ledger, pet, tid) for tid in case.witness_pet_tids}
+    copies = [
+        {who: _resolve(decisions, TxKind.EVIDENCE_REQUEST, tid) for who, tid in sorted(p.ret_tids.items())}
+        for p in case.parties
+    ]
 
     flags: set[VerdictFlag] = set()
     evidence: list[Hash256] = []
@@ -245,17 +258,14 @@ def adjudicate(
         if tid not in evidence:
             evidence.append(tid)
 
-    # 1. Forgery: every submitted copy is compared against the vehicle's
+    # 1. Forgery: every committed copy is compared against the vehicle's
     # own committed evidence. A copy that deviates in content or beyond
     # the jitter tolerances marks its submitter as the forger.
-    for party in case.parties:
+    for party, party_copies in zip(case.parties, copies):
         if party.pet_tid is None:
             continue
-        anchor = _committed_edata(ledger, party.pet_tid)
-        if anchor is None:
-            continue
-        for submitter in sorted(party.submitted):
-            copy = party.submitted[submitter]
+        anchor = pets[party.pet_tid]
+        for submitter, copy in party_copies.items():
             result = cross_check_edata(anchor, copy, params.time_tol_secs, params.dist_tol_m)
             if result is not CrossCheckResult.CONSISTENT:
                 flags.add(VerdictFlag.FALSE_INFO)
@@ -267,17 +277,8 @@ def adjudicate(
 
     # Witness consistency: every witness report must place the event where
     # and when the involved vehicles did, within tolerance.
-    involved_edata = [
-        e
-        for p in case.parties
-        if p.pet_tid is not None
-        if (e := _committed_edata(ledger, p.pet_tid)) is not None
-    ]
-    for witness_tid in case.witness_pet_tids:
-        witness_edata = _committed_edata(ledger, witness_tid)
-        if witness_edata is None:
-            continue
-        for other in involved_edata:
+    for witness_tid, witness_edata in witnesses.items():
+        for other in pets.values():
             if _beyond_tolerance(witness_edata, other, params.time_tol_secs, params.dist_tol_m):
                 flags.add(VerdictFlag.INCONSISTENT_WITNESS)
                 seen(witness_tid)
@@ -324,18 +325,16 @@ def adjudicate(
 
     # 5. Drive mode of the host vehicle at impact.
     if liability_class is None and not case.suspect_absent:
-        host = next((p for p in case.parties if p.pet_tid is not None), None)
-        host_edata = _committed_edata(ledger, host.pet_tid) if host else None
-        if host_edata is not None:
-            if host_edata.hv_data.drive_mode is DriveMode.AUTONOMOUS:
-                liability_class = LiabilityClass.PRODUCT_DEFECT
-                if liable is None:
-                    liable = case.maker
-            else:
-                liability_class = LiabilityClass.OWNER_NEGLIGENCE
-                if liable is None:
-                    liable = host.vehicle
-            seen(host.pet_tid)
+        host = next(p for p in case.parties if p.pet_tid is not None)
+        if pets[host.pet_tid].hv_data.drive_mode is DriveMode.AUTONOMOUS:
+            liability_class = LiabilityClass.PRODUCT_DEFECT
+            if liable is None:
+                liable = case.maker
+        else:
+            liability_class = LiabilityClass.OWNER_NEGLIGENCE
+            if liable is None:
+                liable = host.vehicle
+        seen(host.pet_tid)
 
     # 6. Nothing conclusive.
     if liability_class is None:

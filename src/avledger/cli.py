@@ -5,7 +5,7 @@ Subcommands:
     run         execute a scenario config and emit its report
     verify      recheck a saved ledger file end to end
     inspect     list transactions in a saved ledger, with filters
-    adjudicate  run the liability rules over a saved ledger and a case file
+    adjudicate  run the liability rules over both saved ledgers and a case file
     keys        generate a signing keypair
 
 Exit codes are the machine contract: 0 success, 1 integrity or detection
@@ -19,10 +19,9 @@ import json
 import os
 import random
 import sys
-from dataclasses import replace
-from typing import Optional
+from typing import Optional, Union
 
-from .adjudicator import AdjudicationParams, CollisionCase, adjudicate
+from .adjudicator import AdjudicationParams, adjudicate
 from .errors import AvLedgerError, ConfigError, LedgerFormatError, MalformedCase
 from .identity import generate_keypair
 from .ledger import PartitionLedger, chain_faults, load_ledger, save_ledger
@@ -40,12 +39,7 @@ from .scenarios import (
     optional,
     read_json,
 )
-from .txmodel import (
-    EvidenceRequestBody,
-    TxKind,
-    body_timestamp,
-    tx_to_jsonable,
-)
+from .txmodel import Partition, TxKind, body_timestamp, tx_to_jsonable
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -111,15 +105,29 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 # --- verify -------------------------------------------------------------------
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def _report_faults(faults: list[str]) -> int:
+    """Prints the first fault, then the rest, and fails."""
+    print(f"invalid: {faults[0]}", file=sys.stderr)
+    for line in faults[1:]:
+        print(f"  also: {line}", file=sys.stderr)
+    return EXIT_FAILURE
+
+
+def _load(path: str) -> Union[PartitionLedger, int]:
+    """The ledger saved at `path`, or the exit code when it cannot be read."""
     try:
-        ledger = load_ledger(args.ledger)
+        return load_ledger(path)
     except FileNotFoundError:
-        return _fail_usage(f"ledger file not found: {args.ledger}")
+        return _fail_usage(f"ledger file not found: {path}")
     except LedgerFormatError as exc:
         print(f"invalid: {exc}", file=sys.stderr)
         return EXIT_FAILURE
 
+
+def cmd_verify(args: argparse.Namespace) -> int:
+    ledger = _load(args.ledger)
+    if isinstance(ledger, int):
+        return ledger
     faults = chain_faults(ledger)
     fault_scopes = {line.split(":", 1)[0].strip() for line in faults}
 
@@ -137,10 +145,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(f"current block: ok ({n} tx, id {ledger.cblock_id.hex()[:16]})")
 
     if faults:
-        print(f"invalid: {faults[0]}", file=sys.stderr)
-        for line in faults[1:]:
-            print(f"  also: {line}", file=sys.stderr)
-        return EXIT_FAILURE
+        return _report_faults(faults)
     print("chain ok")
     return EXIT_OK
 
@@ -153,15 +158,9 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         cert_id = optional(hash256)(args.cert, "--cert")
     except ConfigError as exc:
         return _fail_usage(str(exc))
-
-    try:
-        ledger = load_ledger(args.ledger)
-    except FileNotFoundError:
-        return _fail_usage(f"ledger file not found: {args.ledger}")
-    except LedgerFormatError as exc:
-        print(f"invalid: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
-
+    ledger = _load(args.ledger)
+    if isinstance(ledger, int):
+        return ledger
     matches = ledger.query(kind=kind, cert_id=cert_id)
     if args.json:
         print(_dump([tx_to_jsonable(tx) for tx in matches]))
@@ -181,49 +180,27 @@ def cmd_inspect(args: argparse.Namespace) -> int:
 
 # --- adjudicate ---------------------------------------------------------------
 
-def _case_from_jsonable(data: dict, ledger: PartitionLedger) -> CollisionCase:
-    """Builds a case whose evidence is entirely resolved from the ledger:
-    submitted copies come out of referenced RET transactions. The
-    adjudicator reads the safety history itself, under the parties'
-    certificates.
-    """
-    case = case_from_jsonable(data)
-    parties = []
-    for party in case.parties:
-        if party.pet_tid is not None and ledger.find(party.pet_tid) is None:
-            raise MalformedCase(f"party {party.vehicle}: pet_tid not on the ledger")
-        submitted = {}
-        for submitter, tid in party.ret_tids.items():
-            ret = ledger.find(tid)
-            if ret is None or not isinstance(ret.body, EvidenceRequestBody):
-                raise MalformedCase(
-                    f"party {party.vehicle}: {submitter} evidence request not on the ledger"
-                )
-            submitted[submitter] = ret.body.edata
-        parties.append(replace(party, submitted=submitted))
-    return replace(case, parties=tuple(parties))
-
-
 def cmd_adjudicate(args: argparse.Namespace) -> int:
+    ledgers = []
+    for path, partition in ((args.p1, Partition.OPERATIONAL), (args.p2, Partition.DECISIONAL)):
+        ledger = _load(path)
+        if isinstance(ledger, int):
+            return ledger
+        if ledger.partition is not partition:
+            return _fail_usage(f"{path} holds partition {ledger.partition.value}, expected {partition.value}")
+        faults = chain_faults(ledger)
+        if faults:
+            return _report_faults([f"{path}: {line}" for line in faults])
+        ledgers.append(ledger)
     try:
-        ledger = load_ledger(args.ledger)
-    except FileNotFoundError:
-        return _fail_usage(f"ledger file not found: {args.ledger}")
-    except LedgerFormatError as exc:
-        print(f"invalid: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
-    try:
-        case = _case_from_jsonable(read_json(args.case), ledger)
+        case = case_from_jsonable(read_json(args.case))
     except FileNotFoundError:
         return _fail_usage(f"case file not found: {args.case}")
     except ConfigError as exc:
         return _fail_usage(str(exc))
-    except MalformedCase as exc:
-        print(f"unresolvable evidence: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
 
     try:
-        verdict = adjudicate(case, ledger, AdjudicationParams(), at=args.at)
+        verdict = adjudicate(case, *ledgers, AdjudicationParams(), at=args.at)
     except MalformedCase as exc:
         print(f"case not adjudicable: {exc}", file=sys.stderr)
         return EXIT_FAILURE
@@ -277,7 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_inspect.set_defaults(func=cmd_inspect)
 
     p_adj = sub.add_parser("adjudicate", help="run the liability rules over a case file")
-    p_adj.add_argument("ledger", help="operational-partition ledger file")
+    p_adj.add_argument("p1", help="operational-partition (P1) ledger file")
+    p_adj.add_argument("p2", help="decision-partition (P2) ledger file")
     p_adj.add_argument("case", help="collision case JSON")
     p_adj.add_argument("--at", type=float, default=None, help="query time for deadline checks")
     p_adj.set_defaults(func=cmd_adjudicate)

@@ -18,7 +18,9 @@ Attack classes:
 
 The first two replica attacks surface as a Diverged consensus round on
 the next accepted transaction; the forgery surfaces at adjudication when
-the submitted copy fails the cross-check against the committed original.
+a copy committed in the decision partition fails the cross-check against
+the committed original. A forged copy that never commits there is never
+weighed, and the run reports the attack undetected.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .adjudicator import (
     adjudicate,
 )
 from .encoding import TEXT, decode, encode, items, wire
-from .errors import ConfigError, MalformedCase, Unattributable
+from .errors import ConfigError, Unattributable
 from .identity import (
     DEFAULT_CERT_VALIDITY_SECS,
     EntityId,
@@ -111,13 +113,6 @@ class AttackClass(str, enum.Enum):
 
 
 # --- replica attacks ----------------------------------------------------------
-
-def tamper_cblock(replica: PartitionLedger, target_tid: Hash256) -> None:
-    """Deletes a transaction from the replica's open block and re-derives
-    the local fold trail, the way an attacker covering tracks would.
-    """
-    replica.remove_open(target_tid)
-
 
 def inject_false_information(edata: EvidenceData) -> EvidenceData:
     """A forged copy of collision evidence: faster-looking telemetry and a
@@ -476,16 +471,29 @@ def _check_timeline(config: ScenarioConfig) -> None:
             )
 
 
+def _check_attack(attack: Optional[AttackConfig]) -> None:
+    """The per-class actor rule: a forger must be an evidence requester,
+    and it takes no target kind. Any infrastructure actor may stage a
+    replica attack, since each one validates a partition."""
+    if attack is None or attack.attack_class is not AttackClass.FALSE_INFORMATION:
+        return
+    requesters = sorted(entity for entity, _, _ in _REQUESTERS)
+    if attack.actor is not None and attack.actor not in requesters:
+        raise ConfigError("$.attack.actor", f"a forger requests evidence: one of {requesters}, got {attack.actor!r}")
+    if attack.target_kind is not None:
+        raise ConfigError("$.attack.target_kind", "a forger forges evidence requests and takes no target kind")
+
+
 def config_from_jsonable(data: dict) -> ScenarioConfig:
     config = _object(ScenarioConfig)(data, "$")
     _check_timeline(config)
+    _check_attack(config.attack)
     return config
 
 
 def case_from_jsonable(data: dict) -> CollisionCase:
-    """The shape of a collision-case file. Each party's submitted copies
-    are left empty: the caller resolves them against a ledger.
-    """
+    """The shape of a collision-case file; the adjudicator resolves the
+    tids it names against the ledgers."""
     return _object(CollisionCase)(data, "$")
 
 
@@ -641,8 +649,8 @@ class _CollisionTracker:
     pending: int = 0
     pet_tids: dict[EntityId, Hash256] = field(default_factory=dict)
     witness_pet_tids: list[Hash256] = field(default_factory=list)
-    # requests[subject][requester] = (RET tid, the copy of the evidence it carries)
-    requests: dict[EntityId, dict[EntityId, tuple[Hash256, EvidenceData]]] = field(default_factory=dict)
+    # ret_tids[subject][requester] = the evidence request committed in P2
+    ret_tids: dict[EntityId, dict[EntityId, Hash256]] = field(default_factory=dict)
     revealed: bool = False
 
 
@@ -793,11 +801,9 @@ class ScenarioEngine:
         return self.net.now
 
     def honest_replica(self, partition: Partition) -> PartitionLedger:
+        # Each partition has two validators or more, so one is not the rogue.
         rogue = self._replica_attack.rogue if self._replica_attack else None
-        for validator in self.validators[partition]:
-            if validator != rogue:
-                return self.replicas[partition][validator]
-        return self.replicas[partition][self.validators[partition][0]]
+        return next(self.replicas[partition][v] for v in self.validators[partition] if v != rogue)
 
     def _rotate(self, vehicle: _VehicleActor, at: float) -> tuple[KeyPair, PseudonymCertificate]:
         """The vehicle's next pseudonym, for use at `at`."""
@@ -983,7 +989,7 @@ class ScenarioEngine:
         if not matches:
             return  # stay armed until the open block holds a target
         victim = matches[-1]
-        tamper_cblock(replica, victim.tid)
+        replica.remove_open(victim.tid)
         attack.applied = True
         log.info(
             "%s applied by %s on %s: removed %s",
@@ -1189,8 +1195,10 @@ class ScenarioEngine:
         tracker.pending = len(_REQUESTERS) * len(subjects)
         base = self.now
         for requester, role, offset in _REQUESTERS:
+            # A forger forges only the requests it builds once the attack is armed.
+            forged = requester == forger and base + offset >= attack.at
             for subject in subjects:
-                submit = self._make_request_submitter(tracker, requester, role, subject, requester == forger)
+                submit = self._make_request_submitter(tracker, requester, role, subject, forged)
                 self.net.schedule(base + offset, submit)
 
     def _make_request_submitter(
@@ -1207,11 +1215,10 @@ class ScenarioEngine:
                 self._adjudicate_case(tracker)
 
         def submit() -> None:
-            pet = self.honest_replica(P1).find(tracker.pet_tids[subject])
-            if pet is None or self.halted[P1]:
-                # evidence never made it or the partition stopped; no request
-                settle()
+            if self.halted[P1]:
+                settle()  # the partition stopped; no request
                 return
+            pet = self.honest_replica(P1).find(tracker.pet_tids[subject])
             edata = pet.body.edata
             if forged:
                 edata = inject_false_information(edata)
@@ -1227,10 +1234,10 @@ class ScenarioEngine:
                 cert=pet.cert,
                 signer_role=requester_role,
             )
-            tracker.requests.setdefault(subject, {})[requester_entity] = (tx.tid, edata)
 
             def p2_terminal(state: str, round_: Optional[ConsensusRound]) -> None:
                 if state == "committed":
+                    tracker.ret_tids.setdefault(subject, {})[requester_entity] = tx.tid
                     self._maybe_reveal(tracker, tx)
                 settle()
 
@@ -1277,10 +1284,7 @@ class ScenarioEngine:
                 vehicle=entity,
                 cert_ids=self._vehicle_of[entity].cert_ids(),
                 pet_tid=tracker.pet_tids.get(entity),
-                submitted={
-                    requester: edata
-                    for requester, (_, edata) in tracker.requests.get(entity, {}).items()
-                },
+                ret_tids=tracker.ret_tids.get(entity, {}),
             )
             for entity in tracker.involved
         )
@@ -1292,11 +1296,10 @@ class ScenarioEngine:
             witness_pet_tids=tuple(tracker.witness_pet_tids),
             suspect_absent=tracker.fleeing is not None,
         )
-        try:
-            verdict = adjudicate(case, self.honest_replica(P1), self.config.adjudication, at=self.now)
-        except MalformedCase as exc:
-            log.info("case %s not adjudicable: %s", tracker.case_id, exc)
-            return
+        # Every tid in the case is committed on the honest replicas.
+        verdict = adjudicate(
+            case, self.honest_replica(P1), self.honest_replica(P2), self.config.adjudication, at=self.now
+        )
         self.verdicts.append(verdict.to_jsonable())
         if VerdictFlag.FALSE_INFO in verdict.flags:
             self.detections.append(
@@ -1309,8 +1312,8 @@ class ScenarioEngine:
                     "attributed": list(verdict.forgers),
                     "forged_ret_tids": [
                         tid.hex()
-                        for subject in sorted(tracker.requests)
-                        for requester, (tid, _) in sorted(tracker.requests[subject].items())
+                        for subject in sorted(tracker.ret_tids)
+                        for requester, tid in sorted(tracker.ret_tids[subject].items())
                         if requester in verdict.forgers
                     ],
                 }
@@ -1342,9 +1345,8 @@ class ScenarioEngine:
             rogue = attack.actor or (
                 "am-0" if attack.attack_class is AttackClass.TAMPER_CBLOCK else "ic-0"
             )
+            # Every infrastructure actor validates exactly one partition.
             partition = P1 if rogue in self.validators[P1] else P2
-            if rogue not in self.validators[partition]:
-                raise ConfigError("$.attack.actor", f"{rogue!r} is not a validator")
             target_kind = attack.target_kind
             if target_kind is None and attack.attack_class is AttackClass.SUPPRESS_EVIDENCE:
                 target_kind = (

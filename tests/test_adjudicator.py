@@ -24,6 +24,8 @@ from avledger.txmodel import (
     DriveMode,
     EventTrigger,
     GeoPoint,
+    Partition,
+    Role,
 )
 
 from worldkit import (
@@ -32,6 +34,7 @@ from worldkit import (
     make_et,
     make_mt,
     make_pet,
+    make_ret,
     make_ut,
     make_world,
     vehicle_credentials,
@@ -218,28 +221,32 @@ def test_staged_counts_only_hard_brakes():
 # --- full adjudication --------------------------------------------------------
 
 def _collision_world(seed=80, drive_mode=DriveMode.AUTONOMOUS, collision_at=5000.0):
-    """One committed PET for the host vehicle, ready for a case."""
+    """One committed PET for the host vehicle on P1 and the insurer's
+    honest copy of it committed on P2, ready for a case."""
     world = make_world(seed=seed)
     ledger = world.ledger()
+    decisions = world.ledger(Partition.DECISIONAL)
     creds = vehicle_credentials(world, collision_at)
     edata = make_edata(world, collision_at, mode=drive_mode)
     pet = make_pet(world, at=collision_at, creds=creds, edata=edata)
     ledger.append_validated(pet)
+    ret = make_ret(world, edata, at=collision_at + 5.0, cert=creds[1])
+    decisions.append_validated(ret)
     party = PartyEvidence(
         vehicle="av-0",
         cert_ids=frozenset({creds[1].cert_id}),
         pet_tid=pet.tid,
-        submitted={"ic-0": edata},
+        ret_tids={"ic-0": ret.tid},
     )
     case = CollisionCase(
         case_id="case-0", collision_at=collision_at, parties=(party,), maker="am-0"
     )
-    return world, ledger, creds, edata, pet, party, case
+    return world, ledger, decisions, creds, edata, pet, party, case
 
 
 def test_autonomous_host_yields_product_defect():
-    _, ledger, _, _, pet, _, case = _collision_world()
-    verdict = adjudicate(case, ledger, AdjudicationParams())
+    _, ledger, decisions, _, _, pet, _, case = _collision_world()
+    verdict = adjudicate(case, ledger, decisions, AdjudicationParams())
     assert verdict.liability_class is LiabilityClass.PRODUCT_DEFECT
     assert verdict.liable == "am-0"
     assert verdict.evidence_tids == (pet.tid,)
@@ -247,114 +254,148 @@ def test_autonomous_host_yields_product_defect():
 
 
 def test_manual_host_yields_owner_negligence():
-    _, ledger, _, _, _, _, case = _collision_world(seed=81, drive_mode=DriveMode.MANUAL)
-    verdict = adjudicate(case, ledger, AdjudicationParams())
+    _, ledger, decisions, _, _, _, _, case = _collision_world(seed=81, drive_mode=DriveMode.MANUAL)
+    verdict = adjudicate(case, ledger, decisions, AdjudicationParams())
     assert verdict.liability_class is LiabilityClass.OWNER_NEGLIGENCE
     assert verdict.liable == "av-0"
 
 
 def test_forged_submission_outranks_everything():
-    world, ledger, _, edata, pet, party, case = _collision_world(seed=82)
+    world, ledger, decisions, creds, edata, pet, party, case = _collision_world(seed=82)
     forged = dataclasses.replace(
         edata, hv_data=dataclasses.replace(edata.hv_data, speed_mps=99.0)
     )
+    forged_ret = make_ret(world, forged, at=5020.0, requester="am-0", role=Role.MANUFACTURER, cert=creds[1])
+    decisions.append_validated(forged_ret)
     case = dataclasses.replace(
-        case, parties=(dataclasses.replace(party, submitted={"ic-0": edata, "am-0": forged}),)
+        case,
+        parties=(dataclasses.replace(party, ret_tids={**party.ret_tids, "am-0": forged_ret.tid}),),
     )
-    verdict = adjudicate(case, ledger, AdjudicationParams())
+    verdict = adjudicate(case, ledger, decisions, AdjudicationParams())
     assert VerdictFlag.FALSE_INFO in verdict.flags
     assert verdict.forgers == ("am-0",)
     assert verdict.liable == "am-0"
 
 
 def test_overdue_update_outranks_drive_mode():
-    world, ledger, creds, _, _, party, case = _collision_world(seed=83)
+    world, ledger, decisions, creds, _, _, party, case = _collision_world(seed=83)
     ut = make_ut(world, at=100.0, creds=creds)
     ledger.append_validated(ut)
-    verdict = adjudicate(case, ledger, AdjudicationParams(), at=100.0 + 8 * 24 * 3600.0)
+    verdict = adjudicate(case, ledger, decisions, AdjudicationParams(), at=100.0 + 8 * 24 * 3600.0)
     assert verdict.liability_class is LiabilityClass.OWNER_NEGLIGENCE
     assert verdict.liable == "av-0"
     assert ut.tid in verdict.evidence_tids
 
 
 def test_fresh_maintenance_outranks_drive_mode():
-    world, ledger, creds, _, _, _, case = _collision_world(seed=84, collision_at=200_000.0)
+    world, ledger, decisions, creds, _, _, _, case = _collision_world(seed=84, collision_at=200_000.0)
     mt = make_mt(world, at=200_000.0 - 3600.0, cert=creds[1])
     ledger.append_validated(mt)
-    verdict = adjudicate(case, ledger, AdjudicationParams())
+    verdict = adjudicate(case, ledger, decisions, AdjudicationParams())
     assert verdict.liability_class is LiabilityClass.SERVICE_FAULT
     assert verdict.liable == "st-0"
     assert mt.tid in verdict.evidence_tids
 
 
 def test_stale_maintenance_is_ignored():
-    world, ledger, creds, _, _, _, case = _collision_world(seed=85, collision_at=400_000.0)
+    world, ledger, decisions, creds, _, _, _, case = _collision_world(seed=85, collision_at=400_000.0)
     mt = make_mt(world, at=400_000.0 - 72 * 3600.0, cert=creds[1])
     ledger.append_validated(mt)
-    verdict = adjudicate(case, ledger, AdjudicationParams())
+    verdict = adjudicate(case, ledger, decisions, AdjudicationParams())
     assert verdict.liability_class is LiabilityClass.PRODUCT_DEFECT
 
 
 def test_brake_history_yields_staged_suspicion():
-    world, ledger, _, _, _, party, case = _collision_world(seed=86)
+    world, ledger, decisions, _, _, _, party, case = _collision_world(seed=86)
     history = _brakes(world, ledger, [4800.0, 4000.0, 4400.0])
 
     def with_certs(ests):
         cert_ids = party.cert_ids | _certs(ests)
         return dataclasses.replace(case, parties=(dataclasses.replace(party, cert_ids=cert_ids),))
 
-    verdict = adjudicate(with_certs(history), ledger, AdjudicationParams())
+    verdict = adjudicate(with_certs(history), ledger, decisions, AdjudicationParams())
     assert verdict.liability_class is LiabilityClass.STAGED_SUSPICION
     assert verdict.liable == "av-0"
     assert verdict.evidence_tids == tuple(est.tid for est in sorted(history, key=lambda e: e.body.ts))
     # Below the threshold, or with the reports under certificates the party
     # does not hold, the drive mode decides.
     for other in (with_certs(history[:2]), case):
-        verdict = adjudicate(other, ledger, AdjudicationParams())
+        verdict = adjudicate(other, ledger, decisions, AdjudicationParams())
         assert verdict.liability_class is LiabilityClass.PRODUCT_DEFECT
 
 
 def test_absent_suspect_skips_drive_mode():
-    _, ledger, _, _, _, _, case = _collision_world(seed=87)
+    _, ledger, decisions, _, _, _, _, case = _collision_world(seed=87)
     case = dataclasses.replace(case, suspect_absent=True)
-    verdict = adjudicate(case, ledger, AdjudicationParams())
+    verdict = adjudicate(case, ledger, decisions, AdjudicationParams())
     assert verdict.liability_class is LiabilityClass.INCONCLUSIVE
     assert verdict.liable is None
 
 
 def test_inconsistent_witness_is_flagged():
-    world, ledger, _, edata, pet, party, case = _collision_world(seed=88)
+    world, ledger, decisions, _, edata, pet, party, case = _collision_world(seed=88)
     far_away = make_pet(
         world, at=5000.0, edata=make_edata(world, 5000.0, lat=40.2)
     )
     ledger.append_validated(far_away)
     case = dataclasses.replace(case, witness_pet_tids=(far_away.tid,))
-    verdict = adjudicate(case, ledger, AdjudicationParams())
+    verdict = adjudicate(case, ledger, decisions, AdjudicationParams())
     assert VerdictFlag.INCONSISTENT_WITNESS in verdict.flags
     assert far_away.tid in verdict.evidence_tids
 
 
 def test_every_cited_tid_resolves_on_ledger():
-    world, ledger, creds, _, _, party, case = _collision_world(seed=89)
+    world, ledger, decisions, creds, _, _, party, case = _collision_world(seed=89)
     ledger.append_validated(make_ut(world, at=100.0, creds=creds))
-    verdict = adjudicate(case, ledger, AdjudicationParams(), at=1e9)
+    verdict = adjudicate(case, ledger, decisions, AdjudicationParams(), at=1e9)
     assert verdict.evidence_tids
     for tid in verdict.evidence_tids:
         assert ledger.find(tid) is not None
 
 
 def test_malformed_cases_raise():
-    _, ledger, _, _, _, party, case = _collision_world(seed=90)
+    _, ledger, decisions, _, _, _, party, case = _collision_world(seed=90)
     with pytest.raises(MalformedCase):
-        adjudicate(dataclasses.replace(case, parties=()), ledger, AdjudicationParams())
+        adjudicate(dataclasses.replace(case, parties=()), ledger, decisions, AdjudicationParams())
     no_pets = dataclasses.replace(case, parties=(dataclasses.replace(party, pet_tid=None),))
     with pytest.raises(MalformedCase):
-        adjudicate(no_pets, ledger, AdjudicationParams())
+        adjudicate(no_pets, ledger, decisions, AdjudicationParams())
+
+
+def test_every_named_tid_must_resolve_on_its_partition():
+    """A PET and a witness PET resolve on P1 and a RET on P2; a tid that
+    is missing there, or names a record of another kind, raises before
+    any rule runs."""
+    world, ledger, decisions, creds, edata, pet, party, case = _collision_world(seed=92)
+    witness = make_pet(world, at=5000.0)
+    ledger.append_validated(witness)
+    p1_only_ret = make_ret(world, edata, at=5020.0, requester="am-0", role=Role.MANUFACTURER, cert=creds[1])
+    ledger.append_validated(p1_only_ret)
+    (ret_tid,) = party.ret_tids.values()
+    assert adjudicate(
+        dataclasses.replace(case, witness_pet_tids=(witness.tid,)), ledger, decisions, AdjudicationParams()
+    ).liability_class is LiabilityClass.PRODUCT_DEFECT
+    missing = b"\xab" * 32
+    unresolvable = {
+        "PET missing from P1": dataclasses.replace(party, pet_tid=missing),
+        "PET tid naming a RET": dataclasses.replace(party, pet_tid=ret_tid),
+        "RET missing from P2": dataclasses.replace(party, ret_tids={"ic-0": missing}),
+        "RET committed only in P1": dataclasses.replace(party, ret_tids={"am-0": p1_only_ret.tid}),
+        "RET tid naming a PET": dataclasses.replace(party, ret_tids={"ic-0": pet.tid}),
+    }
+    for bad_party in unresolvable.values():
+        with pytest.raises(MalformedCase, match="unresolvable"):
+            adjudicate(dataclasses.replace(case, parties=(bad_party,)), ledger, decisions, AdjudicationParams())
+    for witnesses in ((missing,), (witness.tid, ret_tid)):
+        with pytest.raises(MalformedCase, match="unresolvable"):
+            adjudicate(
+                dataclasses.replace(case, witness_pet_tids=witnesses), ledger, decisions, AdjudicationParams()
+            )
 
 
 def test_verdict_serializes_with_hex_tids():
-    _, ledger, _, _, pet, _, case = _collision_world(seed=91)
-    verdict = adjudicate(case, ledger, AdjudicationParams())
+    _, ledger, decisions, _, _, pet, _, case = _collision_world(seed=91)
+    verdict = adjudicate(case, ledger, decisions, AdjudicationParams())
     out = verdict.to_jsonable()
     assert out["class"] == "ProductDefect"
     assert out["evidence_tids"] == [pet.tid.hex()]

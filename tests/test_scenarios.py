@@ -25,7 +25,6 @@ from avledger.scenarios import (
     load_config,
     make_attack_config,
     make_benign_config,
-    tamper_cblock,
 )
 from avledger.txmodel import EventTrigger, TxKind, body_timestamp, compute_edata_hash
 
@@ -45,14 +44,14 @@ def test_tamper_cblock_rewrites_local_fold():
     b = make_est(world, at=1010.0)
     ledger.append_validated(a)
     ledger.append_validated(b)
-    tamper_cblock(ledger, a.tid)
+    ledger.remove_open(a.tid)
     assert ledger.find(a.tid) is None
     assert [t.tid for t in ledger.current.transactions] == [b.tid]
     # The local trail is internally consistent after the edit, so the
     # deletion is invisible to a lone replica and only consensus sees it.
     assert chain_faults(ledger) == []
     with pytest.raises(NotFound):
-        tamper_cblock(ledger, a.tid)
+        ledger.remove_open(a.tid)
 
 
 def test_inject_false_information_is_internally_consistent():
@@ -266,9 +265,9 @@ def test_each_case_is_adjudicated_once_over_a_committed_pet(monkeypatch):
     PETs all died has nothing to adjudicate."""
     calls = []
 
-    def spy(case, ledger, params, at=None):
+    def spy(case, ledger, decisions, params, at=None):
         calls.append((case, ledger))
-        return adjudicate(case, ledger, params, at)
+        return adjudicate(case, ledger, decisions, params, at)
 
     adjudicate = scenarios.adjudicate
     monkeypatch.setattr(scenarios, "adjudicate", spy)
@@ -335,6 +334,49 @@ def test_attack_actor_must_hold_infrastructure_role():
     data["attack"]["actor"] = "av-0"
     with pytest.raises(ConfigError):
         config_from_jsonable(data)
+
+
+@pytest.mark.parametrize("actor", ["st-0", "gta-0", "la-0"])
+def test_false_information_actor_must_request_evidence(actor):
+    """Only an evidence requester can forge a copy, so any other
+    infrastructure actor is refused at its path; a replica attack takes
+    every one of them, since each validates a partition."""
+    data = config_to_jsonable(make_attack_config(0, AttackClass.FALSE_INFORMATION))
+    data["attack"]["actor"] = actor
+    with pytest.raises(ConfigError) as err:
+        config_from_jsonable(data)
+    assert err.value.field == "$.attack.actor"
+    for ok_actor in ("ic-0", "am-0", None):
+        data["attack"]["actor"] = ok_actor
+        assert config_from_jsonable(data).attack.actor == ok_actor
+    for cls in (AttackClass.TAMPER_CBLOCK, AttackClass.SUPPRESS_EVIDENCE):
+        replica = config_to_jsonable(make_attack_config(0, cls))
+        replica["attack"]["actor"] = actor
+        assert config_from_jsonable(replica).attack.actor == actor
+
+
+def test_false_information_takes_no_target_kind():
+    data = config_to_jsonable(make_attack_config(0, AttackClass.FALSE_INFORMATION))
+    data["attack"]["target_kind"] = "RET"
+    with pytest.raises(ConfigError) as err:
+        config_from_jsonable(data)
+    assert err.value.field == "$.attack.target_kind"
+
+
+def test_false_information_forges_only_requests_built_at_or_after_at():
+    """The insurer's requests go out 5 s and the maker's 20 s after the
+    scene's last PET; arming the forger between or after them decides
+    which copies are forged."""
+    base = make_attack_config(4, AttackClass.FALSE_INFORMATION)
+    assert _run(base).report.attack_detected is True
+    for actor, late in (("am-0", 1e9), ("ic-0", base.attack.at + 10.0)):
+        config = dataclasses.replace(base, attack=dataclasses.replace(base.attack, actor=actor, at=late))
+        report = _run(config).report
+        assert report.attack_detected is False, actor
+        assert not any("FalseInfoDetected" in v["flags"] for v in report.verdicts)
+    early_insurer = dataclasses.replace(base, attack=dataclasses.replace(base.attack, actor="ic-0"))
+    hits = [d for d in _run(early_insurer).report.detections if d["kind"] == "forged_evidence"]
+    assert hits and hits[0]["attributed"] == ["ic-0"]
 
 
 def test_witness_demand_cannot_exceed_bystanders():

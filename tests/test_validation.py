@@ -9,7 +9,7 @@ import pytest
 from avledger import txmodel
 from avledger.errors import NotDiverged, ReplicaMismatch, Unattributable
 from avledger.ledger import PartitionLedger, chain_faults, fold_ids, make_genesis
-from avledger.scenarios import inject_false_information, tamper_cblock
+from avledger.scenarios import inject_false_information
 from avledger.identity import sign_tx_digest
 from avledger.txmodel import (
     Partition,
@@ -303,7 +303,7 @@ def test_each_vote_is_the_replica_verdict_under_tamper(proposal):
     creds = vehicle_credentials(world, 1000.0)
     victim = make_ut(world, at=1000.0, creds=creds)
     commit(replicas, victim)
-    tamper_cblock(replicas["st-0"], victim.tid)
+    replicas["st-0"].remove_open(victim.tid)
     tx = victim if proposal == "removed-tx-again" else make_et(world, victim.tid, creds, at=1100.0)
     expected = {v: verify_transaction(tx, lg) for v, lg in replicas.items()}
     assert len(set(expected.values())) == 2  # the rogue replica judges differently
@@ -378,7 +378,7 @@ def test_out_of_band_deletion_diverges_next_round():
     replicas = world.replicas(Partition.OPERATIONAL)
     victim = make_est(world, at=1000.0)
     commit(replicas, victim)
-    tamper_cblock(replicas["st-0"], victim.tid)
+    replicas["st-0"].remove_open(victim.tid)
 
     next_tx = make_est(world, at=1010.0)
     before = {v: lg.cblock_id for v, lg in replicas.items()}
@@ -411,7 +411,7 @@ def test_each_replica_is_judged_on_its_own_open_block():
     commit(replicas, first)
     commit(replicas, second)
     # Two replicas edited two ways, one left intact: three open blocks.
-    tamper_cblock(replicas["st-0"], first.tid)
+    replicas["st-0"].remove_open(first.tid)
     edited = replicas["ic-0"].current.transactions
     edited[1] = dataclasses.replace(edited[1], tid=b"\x13" * 32)
     tx = make_est(world, at=1010.0)
@@ -447,7 +447,7 @@ def test_two_validator_divergence_is_unattributable():
     assert sorted(replicas) == ["gta-0", "la-0"]
     first = make_ret(world, make_edata(world, 1000.0), at=1000.0)
     commit(replicas, first)
-    tamper_cblock(replicas["la-0"], first.tid)
+    replicas["la-0"].remove_open(first.tid)
     round_ = commit(replicas, make_ret(world, make_edata(world, 1005.0), at=1010.0))
     assert round_.outcome is RoundOutcome.DIVERGED
     with pytest.raises(Unattributable):
@@ -522,7 +522,7 @@ def test_audit_line_is_the_canonical_json_of_the_round():
     victim = make_est(world, at=1000.0)
     committed = commit(replicas, victim)
     rejected = commit(replicas, make_ut(world, countersigned=False))
-    tamper_cblock(replicas["st-0"], victim.tid)
+    replicas["st-0"].remove_open(victim.tid)
     diverged = commit(replicas, make_est(world, at=1010.0))
     assert [r.outcome for r in (committed, rejected, diverged)] == [
         RoundOutcome.COMMITTED,
