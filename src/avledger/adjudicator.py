@@ -20,10 +20,10 @@ from __future__ import annotations
 import enum
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Mapping, Optional
 
-from .encoding import encode
+from .encoding import encode, frozen
 from .errors import MalformedCase
 from .identity import EntityId
 from .ledger import PartitionLedger
@@ -33,7 +33,9 @@ from .txmodel import (
     EvidenceData,
     GeoPoint,
     Hash256,
+    Transaction,
     TxKind,
+    body_timestamp,
 )
 
 # Defaults for the adjudication thresholds; scenario configs may override.
@@ -155,7 +157,7 @@ class VerdictFlag(str, enum.Enum):
     INCONSISTENT_WITNESS = "InconsistentWitness"
 
 
-@dataclass(frozen=True)
+@frozen
 class PartyEvidence:
     """What a case names about one involved vehicle. `ret_tids` maps each
     requester to the RET that carried a copy of the PET into P2."""
@@ -166,7 +168,7 @@ class PartyEvidence:
     ret_tids: Mapping[EntityId, Hash256] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
+@frozen
 class CollisionCase:
     """One collision to adjudicate. Parties are ordered: the first party
     is the host / suspect vehicle whose drive mode settles the default
@@ -183,7 +185,7 @@ class CollisionCase:
     suspect_absent: bool = False
 
 
-@dataclass(frozen=True)
+@frozen
 class AdjudicationParams:
     negligence_deadline_secs: float = DEFAULT_NEGLIGENCE_DEADLINE_SECS
     maintenance_window_secs: float = DEFAULT_MAINTENANCE_WINDOW_SECS
@@ -193,7 +195,7 @@ class AdjudicationParams:
     dist_tol_m: float = DEFAULT_DIST_TOL_M
 
 
-@dataclass(frozen=True)
+@frozen
 class LiabilityVerdict:
     case_id: str
     liable: Optional[EntityId]
@@ -213,12 +215,25 @@ class LiabilityVerdict:
         }
 
 
-def _resolve(ledger: PartitionLedger, kind: TxKind, tid: Hash256) -> EvidenceData:
-    """The evidence in the committed record `tid`, which must be of `kind`."""
+def _resolve(ledger: PartitionLedger, kind: TxKind, tid: Hash256) -> Transaction:
+    """The committed record `tid`, which must be of `kind`."""
     tx = ledger.find(tid)
     if tx is None or tx.kind is not kind:
         raise MalformedCase(f"unresolvable tid {tid.hex()}: no committed {kind.value} on {ledger.partition.value}")
-    return tx.body.edata
+    return tx
+
+
+def _copies(party: PartyEvidence, pet: Optional[Transaction], decisions: PartitionLedger) -> dict:
+    """The evidence in each RET the party names, by requester. A RET
+    counts only for its own party: it must carry the certificate of that
+    party's PET."""
+    copies = {}
+    for who, tid in sorted(party.ret_tids.items()):
+        ret = _resolve(decisions, TxKind.EVIDENCE_REQUEST, tid)
+        if pet is None or ret.cert.cert_id != pet.cert.cert_id:
+            raise MalformedCase(f"RET {tid.hex()} does not carry the PET certificate of {party.vehicle}")
+        copies[who] = ret.body.edata
+    return copies
 
 
 def adjudicate(
@@ -241,12 +256,10 @@ def adjudicate(
     # Every tid the case names resolves to a committed record before any
     # rule runs: PETs and witness PETs on P1, evidence requests on P2.
     pet = TxKind.COLLISION_EVIDENCE
-    pets = {p.pet_tid: _resolve(ledger, pet, p.pet_tid) for p in case.parties if p.pet_tid is not None}
-    witnesses = {tid: _resolve(ledger, pet, tid) for tid in case.witness_pet_tids}
-    copies = [
-        {who: _resolve(decisions, TxKind.EVIDENCE_REQUEST, tid) for who, tid in sorted(p.ret_tids.items())}
-        for p in case.parties
-    ]
+    pet_txs = {p.pet_tid: _resolve(ledger, pet, p.pet_tid) for p in case.parties if p.pet_tid is not None}
+    pets = {tid: tx.body.edata for tid, tx in pet_txs.items()}
+    witnesses = {tid: _resolve(ledger, pet, tid).body.edata for tid in case.witness_pet_tids}
+    copies = [_copies(p, pet_txs.get(p.pet_tid), decisions) for p in case.parties]
 
     flags: set[VerdictFlag] = set()
     evidence: list[Hash256] = []
@@ -300,9 +313,10 @@ def adjudicate(
     # 3. Service fault: fresh maintenance right before the crash.
     if liability_class is None:
         all_certs = frozenset().union(*(p.cert_ids for p in case.parties))
-        window = (case.collision_at - params.maintenance_window_secs, case.collision_at)
-        for mt in ledger.query(kind=TxKind.MAINTENANCE, time_range=window):
-            if mt.cert.cert_id in all_certs:
+        start = case.collision_at - params.maintenance_window_secs
+        # Cert membership first: it is a set probe, and few records pass it.
+        for mt in ledger.query(kind=TxKind.MAINTENANCE):
+            if mt.cert.cert_id in all_certs and start <= body_timestamp(mt) <= case.collision_at:
                 liability_class = LiabilityClass.SERVICE_FAULT
                 if liable is None:
                     liable = mt.body.technician

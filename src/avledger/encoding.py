@@ -22,6 +22,10 @@ precompiled struct call. A list of fixed-width records is read with one
 iter_unpack, and the record a switch picks is found through a dict. Reads
 walk (data, offset); writes append to one bytearray. A slotted record is
 read without its __init__: object.__new__, then one slot store per field.
+
+Every frozen record is declared with frozen(), which compiles its
+__init__ from the same slot stores, so building a record costs one bound
+store per field instead of one object.__setattr__ call per field.
 """
 
 from __future__ import annotations
@@ -524,21 +528,83 @@ def _reader(cls: type, start: int = 0, of_record: bool = True) -> Callable:
     return _compile("data, at", True, emit)
 
 
+# --- record construction ----------------------------------------------------------
+
+def _emit_stores(code: _Source, cls: type, record: str, values: list) -> None:
+    """Sets each field of `record` to its value expression, in declared
+    order, through the field's slot descriptor (its __set__, bound once,
+    is not guarded by the frozen __setattr__); then runs __post_init__
+    where the class has one."""
+    for f, value in zip(dataclasses.fields(cls), values):
+        code.aside(f"{code.ref(vars(cls)[f.name].__set__)}({record}, {value})")
+    if hasattr(cls, "__post_init__"):
+        code.aside(f"{record}.__post_init__()")
+
+
 @functools.cache
 def _builder(cls: type) -> Callable:
-    """f(*field values) -> the cls record, made as its dataclass __init__
-    makes it, without the call: object.__new__, then each field's slot
-    descriptor. No wire record defines an __init__ or __post_init__ of its
-    own, so no check is skipped."""
-    params = ", ".join(f"f{i}" for i in range(len(layout(cls).names)))
+    """f(*field values) -> the cls record, made as its __init__ makes it,
+    without the call: object.__new__, then the stores __init__ makes."""
+    params = [f"f{i}" for i in range(len(dataclasses.fields(cls)))]
 
     def emit(code: _Source) -> str:
         code.aside(f"v = {code.ref(object.__new__)}({code.ref(cls)})")
-        for i, name in enumerate(layout(cls).names):
-            code.aside(f"{code.ref(vars(cls)[name].__set__)}(v, f{i})")
+        _emit_stores(code, cls, "v", params)
         return "v"
 
-    return _compile(params, False, emit)
+    return _compile(", ".join(params), False, emit)
+
+
+class _Factory:
+    """The default of a parameter whose field has a default_factory."""
+
+    def __repr__(self) -> str:
+        return "<factory>"
+
+
+_FACTORY = _Factory()
+
+
+@functools.cache
+def _constructor(cls: type) -> Callable:
+    """The __init__ of a frozen record: the signature and defaults of the
+    one dataclasses writes, and the stores that _builder makes."""
+    written = cls.__init__
+    fields = dataclasses.fields(cls)
+    names = [f.name for f in fields]
+    args = written.__code__.co_varnames[:written.__code__.co_argcount]
+    if list(args) != ["self", *names] or written.__code__.co_kwonlyargcount:
+        raise TypeError(f"{cls.__name__}: a frozen record takes each field, and only its fields, by position")
+
+    def emit(code: _Source) -> str:
+        values = [
+            name if f.default_factory is dataclasses.MISSING
+            else f"{code.ref(f.default_factory)}() if {name} is {code.ref(_FACTORY)} else {name}"
+            for f, name in zip(fields, names)
+        ]
+        _emit_stores(code, cls, "self", values)
+        return "None"
+
+    init = _compile(", ".join(args), False, emit)
+    init.__defaults__ = tuple(
+        f.default if f.default_factory is dataclasses.MISSING else _FACTORY
+        for f in fields
+        if f.default is not dataclasses.MISSING or f.default_factory is not dataclasses.MISSING
+    ) or None
+    init.__name__, init.__qualname__ = written.__name__, written.__qualname__
+    init.__module__, init.__annotations__ = cls.__module__, written.__annotations__
+    return init
+
+
+def frozen(cls: type) -> type:
+    """@dataclass(frozen=True, slots=True), with the __init__ compiled by
+    the emitter the decoders build records with: one bound slot store per
+    field, where dataclasses looks up object.__setattr__ for each. The
+    signature, the defaults, __post_init__, eq, hash, repr, replace and
+    copy stay those of the dataclass."""
+    cls = dataclasses.dataclass(cls, frozen=True, slots=True)
+    cls.__init__ = _constructor(cls)
+    return cls
 
 
 def _exactly(read: Callable, data: bytes):

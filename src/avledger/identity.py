@@ -11,7 +11,9 @@ an inner node as 0x01 || left || right), and the CA signs only the root
 and the batch size. Each certificate carries its leaf index, the batch
 size and its audit path, so checking it costs about log2(batch) SHA-256
 calls to rebuild the root plus one signature check of that root. A batch
-of one leaf has an empty path and is checked the same way.
+of one leaf has an empty path and is checked the same way. A batch keeps
+its tree and builds a certificate, audit path first, when it is indexed,
+so a key that is never used costs no path and no certificate object.
 
 Signing is Ed25519 (RFC 8032: deterministic signatures, 32-byte raw public
 keys) behind generate_keypair / sign / verify. Two backends give the same
@@ -31,7 +33,7 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import random
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from cryptography.exceptions import InvalidSignature
@@ -41,7 +43,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PublicKey,
 )
 
-from .encoding import BLOB, F64, U32, encode, fixed, pack, wire
+from .encoding import BLOB, F64, U32, encode, fixed, frozen, pack, wire
 from .errors import EscrowDenied, InvalidValidity, UnknownCertificate, UnknownEntity
 
 EntityId = str
@@ -176,7 +178,7 @@ CRYPTOGRAPHY = Backend("cryptography", _cryptography_keypair, _cryptography_sign
 BACKEND = _load_libsodium() or CRYPTOGRAPHY
 
 
-@dataclass(frozen=True)
+@frozen
 class KeyPair:
     """Ed25519 key pair; secret_key is the 32-byte RFC 8032 seed.
 
@@ -235,15 +237,12 @@ def node_hash(left: bytes, right: bytes) -> bytes:
     return hashlib.sha256(_NODE_TAG + left + right).digest()
 
 
-def merkle_tree(leaves: Sequence[bytes]) -> tuple[bytes, list[bytes]]:
-    """The root over leaf hashes, and each leaf's audit path as one blob of
-    nodes, leaf end first.
+def _levels(leaves: Sequence[bytes]) -> list[list[bytes]]:
+    """The tree's levels, the leaf hashes first and the root alone last.
 
-    Built level by level: neighbours pair up left to right and a last
-    node without a partner moves up unchanged, which gives the tree of
-    RFC 6962 (the left subtree of n leaves holds the largest power of two
-    below n). A node's path is its sibling, where it has one, followed by
-    its parent's path; paths are built from the root down.
+    Neighbours pair up left to right and a last node without a partner
+    moves up unchanged, which gives the tree of RFC 6962 (the left subtree
+    of n leaves holds the largest power of two below n).
     """
     if not leaves:
         raise ValueError("a batch needs at least one leaf")
@@ -254,11 +253,25 @@ def merkle_tree(leaves: Sequence[bytes]) -> tuple[bytes, list[bytes]]:
         if len(level) % 2:
             up.append(level[-1])
         levels.append(up)
-    paths = [b""]
-    for level in reversed(levels[:-1]):
-        width = len(level)
-        paths = [(level[i ^ 1] if i ^ 1 < width else b"") + paths[i >> 1] for i in range(width)]
-    return levels[-1][0], paths
+    return levels
+
+
+def _audit_path(levels: list[list[bytes]], index: int) -> bytes:
+    """Leaf `index`'s audit path, leaf end first: at each level below the
+    root, the node's sibling where it has one; then on to its parent."""
+    nodes = []
+    for level in levels[:-1]:
+        if index ^ 1 < len(level):
+            nodes.append(level[index ^ 1])
+        index >>= 1
+    return b"".join(nodes)
+
+
+def merkle_tree(leaves: Sequence[bytes]) -> tuple[bytes, list[bytes]]:
+    """The root over leaf hashes, and each leaf's audit path as one blob of
+    nodes, leaf end first."""
+    levels = _levels(leaves)
+    return levels[-1][0], [_audit_path(levels, index) for index in range(len(leaves))]
 
 
 def path_root(leaf: bytes, index: int, size: int, path: bytes) -> Optional[bytes]:
@@ -292,7 +305,7 @@ def root_payload(root: bytes, size: int) -> bytes:
     return _ROOT_SIGN_PREFIX + root + size.to_bytes(4, "big")
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class PseudonymCertificate:
     """Short-lived credential binding a throwaway key to the CA's trust.
 
@@ -325,16 +338,58 @@ class PseudonymCertificate:
         return self.issued_at <= at < self.issued_at + self.validity_secs
 
 
+class CertificateBatch(Sequence[PseudonymCertificate]):
+    """The certificates of one batch, in leaf order. The batch keeps each
+    leaf's cert id and subject key, the tree levels and the root
+    signature, and builds certificate i, audit path first, only when it is
+    indexed; nothing it builds is kept."""
+
+    __slots__ = ("_cert_ids", "_subjects", "_levels", "_issued_at", "_validity_secs", "_signature")
+
+    def __init__(
+        self,
+        cert_ids: list[bytes],
+        subjects: Sequence[bytes],
+        levels: list[list[bytes]],
+        issued_at: float,
+        validity_secs: float,
+        signature: bytes,
+    ) -> None:
+        self._cert_ids = cert_ids
+        self._subjects = subjects
+        self._levels = levels
+        self._issued_at = issued_at
+        self._validity_secs = validity_secs
+        self._signature = signature
+
+    def __len__(self) -> int:
+        return len(self._cert_ids)
+
+    def __getitem__(self, index: int) -> PseudonymCertificate:
+        index = range(len(self._cert_ids))[index]  # IndexError out of range, as a tuple
+        return PseudonymCertificate(
+            self._cert_ids[index],
+            self._subjects[index],
+            self._issued_at,
+            self._validity_secs,
+            index,
+            len(self._cert_ids),
+            _audit_path(self._levels, index),
+            self._signature,
+        )
+
+
 def issue_certificate(
     ca: KeyPair,
     subject_pubkeys: Sequence[bytes],
     issued_at: float,
     validity_secs: float,
     rng: random.Random,
-) -> tuple[PseudonymCertificate, ...]:
+) -> CertificateBatch:
     """One batch: a certificate per key, in the given (leaf) order, all
     under one CA signature. Every leaf gets the window [issued_at,
-    issued_at + validity_secs)."""
+    issued_at + validity_secs). Every leaf is hashed, and its nonce drawn,
+    here; a certificate is built when the batch is indexed."""
     if validity_secs <= 0:
         raise InvalidValidity(f"validity must be positive, got {validity_secs}")
     # The bytes every leaf of the batch shares: the issue time that each
@@ -349,13 +404,9 @@ def issue_certificate(
         cert_id = sha256(subject_pubkey + issued + rng.randbytes(CERT_NONCE_SIZE)).digest()
         cert_ids.append(cert_id)
         leaves.append(leaf_hash(cert_id + subject_pubkey + window))
-    root, paths = merkle_tree(leaves)
-    size = len(cert_ids)
-    signature = _sign_raw(ca, root_payload(root, size))
-    return tuple(
-        PseudonymCertificate(cert_id, subject_pubkey, issued_at, validity_secs, index, size, path, signature)
-        for index, (cert_id, subject_pubkey, path) in enumerate(zip(cert_ids, subject_pubkeys, paths))
-    )
+    levels = _levels(leaves)
+    signature = _sign_raw(ca, root_payload(levels[-1][0], len(cert_ids)))
+    return CertificateBatch(cert_ids, tuple(subject_pubkeys), levels, issued_at, validity_secs, signature)
 
 
 def certificate_signature_ok(cert: PseudonymCertificate, ca_pubkey: bytes) -> bool:
@@ -435,6 +486,7 @@ __all__ = [
     "EntityId",
     "KeyPair",
     "PseudonymCertificate",
+    "CertificateBatch",
     "IdentityEscrow",
     "DEFAULT_CERT_VALIDITY_SECS",
     "generate_keypair",

@@ -31,7 +31,7 @@ import threading
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional
 
-from .encoding import BOOLEAN, TEXT, U32, encode, fixed, items, unpack, wire
+from .encoding import BOOLEAN, TEXT, U32, encode, fixed, frozen, items, unpack, wire
 from .errors import InvalidGenesis, LedgerFormatError, NotFound, UniquenessViolation
 from .identity import PUBLIC_KEY_SIZE
 from .txmodel import (
@@ -73,7 +73,7 @@ def fold_ids(seed: Hash256, tids: Iterable[Hash256]) -> Hash256:
     return acc
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class CaRootCert:
     """Root verification material of a certificate authority."""
 
@@ -81,7 +81,7 @@ class CaRootCert:
     public_key: bytes = wire(fixed(PUBLIC_KEY_SIZE))
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class MemberRecord:
     """One fixed infrastructure member of a partition. Vehicles are not
     listed: their credential is a CA certificate, not a membership row.
@@ -94,7 +94,7 @@ class MemberRecord:
     validator: bool = wire(BOOLEAN)
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class GenesisBlock:
     """The partition's root record. block_id, the first field, is the
     SHA-256 of the encoding of every field after it; a saved ledger

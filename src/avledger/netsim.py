@@ -26,6 +26,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+from .encoding import frozen
 from .errors import ClockViolation
 from .identity import EntityId
 
@@ -33,7 +34,7 @@ DEFAULT_RETRY_INTERVAL_SECS = 30.0
 DEFAULT_MAX_ATTEMPTS = 10
 
 
-@dataclass(frozen=True)
+@frozen
 class Envelope:
     msg_id: int
     sender: EntityId
@@ -61,7 +62,7 @@ class DeliveryRecord:
         return "pending"
 
 
-@dataclass(frozen=True)
+@frozen
 class _Endpoint:
     handler: Callable[[Envelope], None]
     allowed_senders: Optional[frozenset[EntityId]]

@@ -41,10 +41,11 @@ from .adjudicator import (
     VerdictFlag,
     adjudicate,
 )
-from .encoding import TEXT, decode, encode, items, wire
+from .encoding import TEXT, decode, encode, frozen, items, wire
 from .errors import ConfigError, Unattributable
 from .identity import (
     DEFAULT_CERT_VALIDITY_SECS,
+    CertificateBatch,
     EntityId,
     IdentityEscrow,
     KeyPair,
@@ -136,26 +137,26 @@ def inject_false_information(edata: EvidenceData) -> EvidenceData:
 INFRASTRUCTURE_ACTORS = ("am-0", "st-0", "ic-0", "gta-0", "la-0")
 
 
-@dataclass(frozen=True)
+@frozen
 class NetworkConfig:
     drop_prob: float = 0.0
     retry_interval_secs: float = DEFAULT_RETRY_INTERVAL_SECS
     max_attempts: int = DEFAULT_MAX_ATTEMPTS
 
 
-@dataclass(frozen=True)
+@frozen
 class VehicleSpec:
     drive_mode: DriveMode = DriveMode.AUTONOMOUS
 
 
-@dataclass(frozen=True)
+@frozen
 class SafetyEvent:
     at: float
     vehicle: int
     trigger: EventTrigger = EventTrigger.HARD_BRAKE
 
 
-@dataclass(frozen=True)
+@frozen
 class UpdateEvent:
     at: float
     vehicle: int
@@ -163,14 +164,14 @@ class UpdateEvent:
     exec_delay_secs: float = 600.0
 
 
-@dataclass(frozen=True)
+@frozen
 class MaintenanceEvent:
     at: float
     vehicle: int
     roadworthy: bool = True
 
 
-@dataclass(frozen=True)
+@frozen
 class CollisionEvent:
     at: float
     vehicles: tuple[int, ...]
@@ -181,7 +182,7 @@ class CollisionEvent:
 TimelineEvent = Union[SafetyEvent, UpdateEvent, MaintenanceEvent, CollisionEvent]
 
 
-@dataclass(frozen=True)
+@frozen
 class AttackConfig:
     attack_class: AttackClass
     at: float = 0.0
@@ -189,7 +190,7 @@ class AttackConfig:
     target_kind: Optional[TxKind] = None
 
 
-@dataclass(frozen=True)
+@frozen
 class ScenarioConfig:
     seed: int
     vehicles: tuple[VehicleSpec, ...] = (VehicleSpec(),)
@@ -575,7 +576,7 @@ class ScenarioResult:
 
 # --- witness statements -------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class WitnessStatement:
     """What a bystander vehicle tells the involved parties over v2v: its
     own pseudonym and the pseudonyms it observed at the scene.
@@ -614,16 +615,19 @@ class _VehicleActor:
     entity_id: EntityId
     spec: VehicleSpec
     base_loc: GeoPoint
-    # (public key, certificate) of every pseudonym used. The private key
-    # is dropped once the pseudonym is spent: nothing signs with it again.
+    # (public key, certificate) of every pseudonym used, and the set of
+    # their cert ids. The private key is dropped once the pseudonym is
+    # spent: nothing signs with it again.
     cert_history: list[tuple[bytes, PseudonymCertificate]] = field(default_factory=list)
-    # Certified keys not yet used, next one first, and how many keys the
-    # vehicle has used since the last fleet batch.
-    pool: list[tuple[KeyPair, PseudonymCertificate]] = field(default_factory=list)
+    used_cert_ids: set[Hash256] = field(default_factory=set)
+    # Certified keys not yet used, next one first, each as (keys, batch,
+    # leaf index), and how many keys the vehicle has used since the last
+    # fleet batch.
+    pool: list[tuple[KeyPair, CertificateBatch, int]] = field(default_factory=list)
     used: int = 0
 
     def cert_ids(self) -> frozenset[Hash256]:
-        return frozenset(cert.cert_id for _, cert in self.cert_history)
+        return frozenset(self.used_cert_ids)
 
 
 @dataclass
@@ -672,7 +676,9 @@ _REQUESTERS = (("ic-0", Role.INSURER, 5.0), ("am-0", Role.MANUFACTURER, 20.0))
 # re-certifies every unused key and adds fresh keys to each pool, as many
 # as the vehicle used since the batch before (POOL_START at the first),
 # so no key is thrown away before the run ends. A vehicle whose pool runs
-# dry between fleet batches gets a batch of one fresh key.
+# dry between fleet batches gets a batch of one fresh key. A pool names
+# each key's place in its batch, and its certificate is built when the
+# vehicle uses the key.
 POOL_START = 4
 # Every leaf's window is [batch time - _WINDOW_SLACK_SECS, batch time +
 # 2 * cert_validity_secs), so any use before the next fleet batch keeps at
@@ -811,9 +817,11 @@ class ScenarioEngine:
             self._issue_fleet_batch(at)
         if not vehicle.pool:
             self._certify([(vehicle, generate_keypair(self.rng_keys))], at)
-        keys, cert = vehicle.pool.pop(0)
+        keys, batch, index = vehicle.pool.pop(0)
+        cert = batch[index]
         vehicle.used += 1
         vehicle.cert_history.append((keys.public_key, cert))
+        vehicle.used_cert_ids.add(cert.cert_id)
         # The escrow learns a certificate's vehicle at first use: one never
         # used reaches no ledger, so no reveal can ask for it.
         self.escrow.record(cert.cert_id, vehicle.entity_id)
@@ -825,7 +833,7 @@ class ScenarioEngine:
         leaves = []
         for vehicle in self.vehicles:
             fresh = POOL_START if self._batch_at is None else vehicle.used
-            keys = [k for k, _ in vehicle.pool] + [generate_keypair(self.rng_keys) for _ in range(fresh)]
+            keys = [k for k, _, _ in vehicle.pool] + [generate_keypair(self.rng_keys) for _ in range(fresh)]
             vehicle.pool.clear()
             vehicle.used = 0
             leaves += [(vehicle, k) for k in keys]
@@ -834,18 +842,18 @@ class ScenarioEngine:
         self._batch_at = at
 
     def _certify(self, leaves: list[tuple[_VehicleActor, KeyPair]], at: float) -> None:
-        """One CA batch over the given keys, in order; each certificate
-        goes to its vehicle's pool."""
+        """One CA batch over the given keys, in order; each key goes to
+        its vehicle's pool with its place in the batch."""
         validity = self.config.cert_validity_secs
-        certs = issue_certificate(
+        batch = issue_certificate(
             self.ca_keys,
             [keys.public_key for _, keys in leaves],
             at - _WINDOW_SLACK_SECS,
             _WINDOW_SLACK_SECS + 2 * validity,
             self.rng_keys,
         )
-        for (vehicle, keys), cert in zip(leaves, certs):
-            vehicle.pool.append((keys, cert))
+        for index, (vehicle, keys) in enumerate(leaves):
+            vehicle.pool.append((keys, batch, index))
 
     def _capture_media(self, at: float, n: int = 2) -> TamperStoreDigest:
         hashes = tuple(hashlib.sha256(self.rng_payload.randbytes(48)).digest() for _ in range(n))

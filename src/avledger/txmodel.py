@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import enum
 import hashlib
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Optional, Union
 
 from .encoding import (
@@ -37,6 +36,7 @@ from .encoding import (
     encode,
     field_values,
     fixed,
+    frozen,
     items,
     optional,
     pack,
@@ -131,19 +131,19 @@ STATUS_WIRE = WireTable("exec status", {ExecStatus.EXECUTED: 0, ExecStatus.FAILE
 
 # --- geometry / telemetry ----------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class GeoPoint:
     lat_deg: float = wire(F64)
     lon_deg: float = wire(F64)
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class RoadPosition:
     lane: int = wire(U32)
     heading_deg: float = wire(F64)
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class EventSafetyMessage:
     """Host-vehicle telemetry snapshot at the moment of a triggering event."""
 
@@ -154,7 +154,7 @@ class EventSafetyMessage:
     trigger: EventTrigger = wire(TRIGGER_WIRE)
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class TamperStoreDigest:
     """Digest of the vehicle's sealed media store: content hashes of the
     sensor blobs captured for the event, plus the capture timestamp. The
@@ -165,7 +165,7 @@ class TamperStoreDigest:
     captured_at: float = wire(F64)
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class EvidenceData:
     """Collision evidence bundle. edata_hash, the last field, is the SHA-256
     over the canonical encoding of every field before it (never over itself).
@@ -199,33 +199,33 @@ def compute_edata_hash(*hashed) -> Hash256:
 
 # --- bodies ------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class EventSafetyBody:
     ts: float = wire(F64)
     esm: EventSafetyMessage = wire(EventSafetyMessage)
     ts_data: TamperStoreDigest = wire(TamperStoreDigest)
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class CollisionEvidenceBody:
     edata: EvidenceData = wire(EvidenceData)
     ts_data: TamperStoreDigest = wire(TamperStoreDigest)
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class UpdateBody:
     update_file_hash: Hash256 = wire(HASH)
     metadata: str = wire(TEXT)
     submitted_at: float = wire(F64)
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class ExecReportBody:
     exec_status: ExecStatus = wire(STATUS_WIRE)
     submitted_at: float = wire(F64)
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class MaintenanceBody:
     report_hash: Hash256 = wire(HASH)
     roadworthy: bool = wire(BOOLEAN)
@@ -233,7 +233,7 @@ class MaintenanceBody:
     submitted_at: float = wire(F64)
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class EvidenceRequestBody:
     """Evidence submission / identification request for the decision
     partition: the requester's copy of the subject vehicle's collision
@@ -310,13 +310,13 @@ AUTHORIZED_PROPOSERS: dict[Partition, dict[TxKind, frozenset[Role]]] = {
 
 # --- transactions ------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class SigEntry:
     role: Role = wire(ROLE_WIRE)
     signature: bytes = wire(BLOB)
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class Transaction:
     """The canonical record: the tid preimage fields (kind, body, cert,
     parent_tid), then the tid, then the signatures."""

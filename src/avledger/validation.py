@@ -28,10 +28,10 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as quote
 from typing import Mapping, Optional, Sequence, Union
 
+from .encoding import frozen
 from .errors import NotDiverged, ReplicaMismatch, Unattributable
 from .identity import EntityId
 from .ledger import PartitionLedger, fold_ids
@@ -61,7 +61,7 @@ class RoundOutcome(str, enum.Enum):
     DIVERGED = "Diverged"
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class Vote:
     """A validator's verdict (Reason.OK accepts) and, when it accepts, the
     fold value it would publish."""
@@ -70,7 +70,7 @@ class Vote:
     cblock_id: Optional[Hash256]
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class ConsensusRound:
     partition: Partition
     tid: Hash256

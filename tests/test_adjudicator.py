@@ -393,6 +393,22 @@ def test_every_named_tid_must_resolve_on_its_partition():
             )
 
 
+def test_a_ret_counts_only_for_its_own_party():
+    """Each RET a party names must carry that party's PET certificate: a
+    committed RET under another certificate, or one named under a party
+    that has no PET, raises before any rule runs."""
+    world, ledger, decisions, creds, edata, pet, party, case = _collision_world(seed=93)
+    _, other_cert = vehicle_credentials(world, 5000.0)
+    foreign = make_ret(world, edata, at=5020.0, requester="am-0", role=Role.MANUFACTURER, cert=other_cert)
+    decisions.append_validated(foreign)
+    assert decisions.find(foreign.tid) is not None
+    with_foreign = dataclasses.replace(party, ret_tids={**party.ret_tids, "am-0": foreign.tid})
+    without_pet = PartyEvidence(vehicle="av-1", ret_tids=dict(party.ret_tids))
+    for parties in ((with_foreign,), (party, without_pet)):
+        with pytest.raises(MalformedCase, match="PET certificate"):
+            adjudicate(dataclasses.replace(case, parties=parties), ledger, decisions, AdjudicationParams())
+
+
 def test_verdict_serializes_with_hex_tids():
     _, ledger, decisions, _, _, pet, _, case = _collision_world(seed=91)
     verdict = adjudicate(case, ledger, decisions, AdjudicationParams())

@@ -1,8 +1,10 @@
 """Round-trip and injectivity properties of the canonical byte encoding."""
 
+import copy
 import dataclasses
+import inspect
 import struct
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 from typing import Optional
 
 import pytest
@@ -25,6 +27,8 @@ from avledger.encoding import (
 )
 from avledger.errors import LedgerFormatError
 from avledger.txmodel import MaintenanceBody
+
+from worldkit import frozen_records
 
 finite_f64 = st.floats(allow_nan=False)
 small_blob = st.binary(max_size=48)
@@ -123,3 +127,65 @@ def test_out_of_range_integers_rejected():
 def test_boolean_takes_only_true_or_false(flag):
     with pytest.raises(ValueError, match="boolean must be True or False"):
         encode(MaintenanceBody(b"\x00" * 32, flag, "st-0", 1.0))
+
+
+# --- compiled record constructors ------------------------------------------------
+
+def _made_by_setattr(cls, values: dict):
+    """The record as the __init__ dataclasses writes makes it: one
+    object.__setattr__ per field, in declared order."""
+    record = object.__new__(cls)
+    for f in dataclasses.fields(cls):
+        object.__setattr__(record, f.name, values[f.name])
+    return record
+
+
+def _hash(record):
+    try:
+        return hash(record)
+    except TypeError as exc:  # a record holding a dict
+        return str(exc)
+
+
+def _assert_same(record, reference) -> None:
+    assert type(record) is type(reference)
+    assert record == reference
+    assert repr(record) == repr(reference)
+    assert _hash(record) == _hash(reference)
+    for f in dataclasses.fields(reference):
+        assert getattr(record, f.name) == getattr(reference, f.name)
+
+
+@pytest.mark.parametrize("cls", frozen_records(), ids=lambda cls: cls.__name__)
+def test_frozen_record_constructor_sets_what_setattr_would(cls):
+    fields = dataclasses.fields(cls)
+    # 32-byte values pass every length check a __post_init__ makes.
+    values = {f.name: bytes([i + 1]) * 32 for i, f in enumerate(fields)}
+    reference = _made_by_setattr(cls, values)
+    _assert_same(cls(*values.values()), reference)
+    _assert_same(cls(**values), reference)
+
+    given = {f.name: values[f.name] for f in fields if f.default is MISSING and f.default_factory is MISSING}
+    defaults = {
+        f.name: f.default if f.default_factory is MISSING else f.default_factory()
+        for f in fields
+        if f.name not in given
+    }
+    by_default = _made_by_setattr(cls, {**given, **defaults})
+    _assert_same(cls(*given.values()), by_default)
+    _assert_same(cls(**given), by_default)
+    for f in fields:
+        if f.default_factory is not MISSING:
+            assert getattr(cls(**given), f.name) is not getattr(cls(**given), f.name)
+    assert list(inspect.signature(cls).parameters) == [f.name for f in fields]
+
+    record = cls(*values.values())
+    first = fields[0].name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(record, first, values[first])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        delattr(record, first)
+    changed = {**values, first: b"\xee" * 32}
+    _assert_same(dataclasses.replace(record, **{first: changed[first]}), _made_by_setattr(cls, changed))
+    _assert_same(copy.deepcopy(record), reference)
+    _assert_same(copy.copy(record), reference)

@@ -1,6 +1,7 @@
 """Source hygiene: no module imports a name it never uses, every
-definition in src/avledger is named by code outside the tests, and every
-wire record is slotted and checks nothing in its constructor.
+definition in src/avledger is named by code outside the tests, every
+frozen record carries the compiled constructor, and every wire record is
+slotted and checks nothing in its constructor.
 
 A name listed in the module's ``__all__`` counts as used, since that is
 how a module re-exports what it imports.
@@ -10,9 +11,11 @@ import ast
 import dataclasses
 import importlib
 import pathlib
-import pkgutil
 
 import pytest
+
+from avledger import encoding
+from worldkit import avledger_classes, frozen_records
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 MODULES = sorted(
@@ -71,28 +74,33 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def _wire_records():
-    """Every class in src/avledger that declares a wire() field."""
-    for info in pkgutil.iter_modules([str(ROOT / "src" / "avledger")]):
-        if info.name == "__main__":
-            continue
-        module = importlib.import_module(f"avledger.{info.name}")
-        for cls in vars(module).values():
-            if (
-                isinstance(cls, type)
-                and cls.__module__ == module.__name__
-                and dataclasses.is_dataclass(cls)
-                and any("wire" in f.metadata for f in dataclasses.fields(cls))
-            ):
-                yield cls
-
-
-WIRE_RECORDS = sorted(_wire_records(), key=lambda cls: f"{cls.__module__}.{cls.__name__}")
+WIRE_RECORDS = [
+    cls
+    for cls in avledger_classes()
+    if dataclasses.is_dataclass(cls) and any("wire" in f.metadata for f in dataclasses.fields(cls))
+]
+FROZEN_RECORDS = frozen_records()
 
 
 def test_wire_records_are_found_in_every_module():
     modules = {cls.__module__ for cls in WIRE_RECORDS}
     assert modules == {f"avledger.{name}" for name in ("identity", "ledger", "scenarios", "txmodel")}
+
+
+def test_frozen_records_are_found_in_every_module():
+    modules = {cls.__module__ for cls in FROZEN_RECORDS}
+    assert modules == {
+        f"avledger.{name}" for name in ("adjudicator", "identity", "ledger", "netsim", "scenarios", "txmodel", "validation")
+    }
+
+
+@pytest.mark.parametrize("cls", FROZEN_RECORDS, ids=lambda cls: cls.__name__)
+def test_frozen_records_carry_the_compiled_constructor(cls):
+    """Every frozen record is declared with encoding.frozen, so its
+    __init__ sets each field with one bound slot store, never with the
+    object.__setattr__ call per field of the __init__ dataclasses writes."""
+    assert vars(cls)["__init__"] is encoding._constructor(cls)
+    assert "__slots__" in vars(cls)
 
 
 @pytest.mark.parametrize("cls", WIRE_RECORDS, ids=lambda cls: cls.__name__)
@@ -105,10 +113,11 @@ def test_wire_records_are_slotted(cls):
 
 @pytest.mark.parametrize("cls", WIRE_RECORDS, ids=lambda cls: cls.__name__)
 def test_wire_records_check_nothing_in_their_constructor(cls):
-    """The decoders make a record without calling its __init__ (one
-    object.__new__ and a slot store per field), which skips no check only
-    while the record's __init__ is the one dataclasses writes and no
-    __post_init__ or __new__ runs."""
+    """The decoders make a record without calling its __init__: one
+    object.__new__, then the slot stores the compiled __init__ makes.
+    That skips no check only while the record's __init__ is the compiled
+    one and no __post_init__ or __new__ runs."""
+    assert vars(cls)["__init__"] is encoding._constructor(cls)
     assert cls.__bases__ == (object,)
     assert not hasattr(cls, "__post_init__")
     assert cls.__new__ is object.__new__

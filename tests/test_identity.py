@@ -18,6 +18,7 @@ from avledger import identity
 from avledger.errors import EscrowDenied, InvalidValidity, UnknownCertificate, UnknownEntity
 from avledger.identity import (
     IdentityEscrow,
+    PseudonymCertificate,
     certificate_signature_ok,
     derive_shared_key,
     generate_keypair,
@@ -449,6 +450,48 @@ def test_an_inner_node_is_never_a_leaf():
     assert path_root(leaf_hash(leaves[0] + leaves[1]), 0, 2, upper) != root
     assert path_root(leaf_hash(leaves[0] + leaves[1]), 0, 4, upper) is None
     assert node_hash(leaves[0], leaves[1]) != leaf_hash(leaves[0] + leaves[1])
+
+
+def _eager_batch(ca, subjects, issued_at, validity_secs, rng):
+    """Every certificate of a batch built at issue, with merkle_tree's
+    audit paths: the reference a batch's indexed certificates match."""
+    issued = struct.pack(">d", issued_at)
+    window = struct.pack(">dd", issued_at, validity_secs)
+    cert_ids = [hashlib.sha256(subject + issued + rng.randbytes(16)).digest() for subject in subjects]
+    root, paths = merkle_tree([leaf_hash(c + s + window) for c, s in zip(cert_ids, subjects)])
+    signature = identity._sign_raw(ca, identity.root_payload(root, len(subjects)))
+    return [
+        PseudonymCertificate(cert_id, subject, issued_at, validity_secs, index, len(subjects), path, signature)
+        for index, (cert_id, subject, path) in enumerate(zip(cert_ids, subjects, paths))
+    ]
+
+
+@pytest.mark.parametrize("size", [*range(1, 18), 213])
+def test_a_batch_builds_each_certificate_when_indexed_as_the_eager_issue_did(size, monkeypatch):
+    world = make_world(seed=size)
+    subjects = [generate_keypair(world.rng).public_key for _ in range(size)]
+    draws = random.Random()
+    draws.setstate(world.rng.getstate())
+    built = []
+    init = PseudonymCertificate.__init__
+
+    def counting(self, *values):
+        built.append(values[4])  # the leaf index
+        init(self, *values)
+
+    monkeypatch.setattr(PseudonymCertificate, "__init__", counting)
+    batch = issue_certificate(world.ca, subjects, 1000.0, 300.0, world.rng)
+    assert built == [] and len(batch) == size
+    index = size // 2
+    cert = batch[index]
+    assert built == [index]  # indexing one certificate builds no other
+    eager = _eager_batch(world.ca, subjects, 1000.0, 300.0, draws)
+    assert draws.getstate() == world.rng.getstate()  # the batch drew every nonce at issue
+    assert cert == eager[index]
+    assert list(batch) == eager and batch[-1] == eager[-1]
+    with pytest.raises(IndexError):
+        batch[size]
+    assert all(certificate_signature_ok(cert, world.ca.public_key) for cert in batch)
 
 
 # --- escrow -------------------------------------------------------------------

@@ -7,7 +7,8 @@ import json
 import pytest
 
 from avledger import scenarios
-from avledger.errors import ConfigError, NotFound
+from avledger.errors import ConfigError, MalformedCase, NotFound
+from avledger.identity import PseudonymCertificate
 from avledger.ledger import chain_faults
 from avledger.scenarios import (
     AttackClass,
@@ -292,6 +293,35 @@ def test_each_case_is_adjudicated_once_over_a_committed_pet(monkeypatch):
     assert (runs, verdicts) == (80, 56)
 
 
+def test_a_case_naming_another_partys_evidence_requests_is_refused(monkeypatch):
+    """Every RET the engine commits carries its party's PET certificate,
+    so a case that swaps two parties' RETs names none of its own: the
+    adjudicator refuses it rather than finding the honest requesters
+    forgers."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return adjudicate(*args, **kwargs)
+
+    adjudicate = scenarios.adjudicate
+    monkeypatch.setattr(scenarios, "adjudicate", spy)
+    report = _run(make_benign_config(0)).report
+    [((case, ledger, decisions, params), kwargs)] = calls
+    assert adjudicate(case, ledger, decisions, params, **kwargs).to_jsonable() == report.verdicts[0]
+    first, second = case.parties
+    assert first.ret_tids and second.ret_tids
+    swapped = dataclasses.replace(
+        case,
+        parties=(
+            dataclasses.replace(first, ret_tids=second.ret_tids),
+            dataclasses.replace(second, ret_tids=first.ret_tids),
+        ),
+    )
+    with pytest.raises(MalformedCase, match="PET certificate"):
+        adjudicate(swapped, ledger, decisions, params, **kwargs)
+
+
 # --- configuration ------------------------------------------------------------
 
 def test_config_json_round_trip():
@@ -409,7 +439,7 @@ def test_report_json_is_sorted_and_stable():
 
 @pytest.fixture
 def issued(monkeypatch):
-    """Every batch the engine's CA issues, in order, as tuples of certificates."""
+    """Every batch the engine's CA issues, in order."""
     batches = []
     real = scenarios.issue_certificate
 
@@ -432,7 +462,7 @@ def _owners(engine) -> dict:
         for pubkey, cert in vehicle.cert_history:
             owners[pubkey] = engine.escrow.reveal_identity(cert.cert_id, {"gta-0", "la-0"})
             assert owners[pubkey] == vehicle.entity_id
-        for keys, _ in vehicle.pool:
+        for keys, _batch, _index in vehicle.pool:
             owners[keys.public_key] = vehicle.entity_id
     return owners
 
@@ -460,6 +490,31 @@ def test_no_batch_root_ties_pseudonyms_to_one_vehicle(issued):
     assert neighbours < together / 2, (neighbours, together)
 
 
+def test_a_run_builds_a_certificate_for_each_key_used_and_no_other(issued, monkeypatch):
+    """A batch builds a certificate when its key is first used, so a run
+    builds as many as its vehicles' histories hold, while the CA still
+    certifies every pooled key."""
+    built = []
+    init = PseudonymCertificate.__init__
+
+    def counting(self, *values):
+        built.append(values[0])
+        init(self, *values)
+
+    monkeypatch.setattr(PseudonymCertificate, "__init__", counting)
+    configs = [make_benign_config(seed) for seed in range(5)]
+    configs += [make_attack_config(0, attack) for attack in AttackClass] + [disputes_shaped_config(6)]
+    for config in configs:
+        built.clear()
+        issued.clear()
+        engine = ScenarioEngine(config)
+        engine.run()
+        used = [cert.cert_id for v in engine.vehicles for _, cert in v.cert_history]
+        assert sorted(built) == sorted(used)
+        assert sum(len(batch) for batch in issued) >= len(used) > 0
+    assert sum(len(batch) for batch in issued) > len(used)  # the fleet run left keys unused
+
+
 def test_pools_lose_no_key_and_leave_every_use_a_full_window(issued):
     config = disputes_shaped_config(6)
     engine = ScenarioEngine(config)
@@ -467,7 +522,7 @@ def test_pools_lose_no_key_and_leave_every_use_a_full_window(issued):
     result = engine.run()
     certified = {cert.subject_pubkey for certs in issued for cert in certs}
     used = [pubkey for v in engine.vehicles for pubkey, _ in v.cert_history]
-    pooled = [keys.public_key for v in engine.vehicles for keys, _ in v.pool]
+    pooled = [keys.public_key for v in engine.vehicles for keys, _batch, _index in v.pool]
     assert len(set(used)) == len(used) and not set(used) & set(pooled)
     assert certified == set(used) | set(pooled)
     # A batch is the whole fleet's pools, or one key of a vehicle whose

@@ -9,9 +9,12 @@ it by name next to other test directories that have their own conftest.
 
 import dataclasses
 import enum
+import importlib
+import pkgutil
 import random
 from dataclasses import dataclass
 
+import avledger
 from avledger.encoding import Fixed, items, layout, optional
 from avledger.identity import (
     KeyPair,
@@ -104,6 +107,23 @@ def make_world(seed: int = 1234) -> World:
         ],
     )
     return World(ca=ca, root=root, keys=keys, p1=p1, p2=p2, rng=rng)
+
+
+def avledger_classes() -> list[type]:
+    """Every class defined in a module of the avledger package, by
+    qualified name."""
+    classes = []
+    for info in pkgutil.iter_modules(avledger.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"avledger.{info.name}")
+        classes += [cls for cls in vars(module).values() if isinstance(cls, type) and cls.__module__ == module.__name__]
+    return sorted(classes, key=lambda cls: f"{cls.__module__}.{cls.__qualname__}")
+
+
+def frozen_records() -> list[type]:
+    """Every frozen dataclass of the avledger package."""
+    return [cls for cls in avledger_classes() if dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen]
 
 
 # --- transaction builders ----------------------------------------------------
