@@ -169,8 +169,12 @@ class PartitionLedger:
     transaction sits in two lists. Every list holds the blocks' own
     Transaction objects in commit order. Each kind's entry exists from
     the start, so upkeep makes a list only for a cert id's first row.
-    append_validated and append_claimed index each record they add;
-    remove_open rebuilds the index from the blocks.
+
+    The index is built at the first query that names a kind and kept
+    current from then on: a replica nobody queries, such as every replica
+    of a collision-free run and every loaded file, holds none (_rows is
+    None). append_validated and append_claimed index each record they add
+    once it exists; remove_open drops it.
     """
 
     def __init__(self, genesis: GenesisBlock) -> None:
@@ -180,7 +184,8 @@ class PartitionLedger:
         self.b_max = genesis.b_max
         self.blocks: list[Block] = []
         self.current = CurrentBlock(prev_block_id=genesis.block_id)
-        self._reindex()
+        self._by_tid: dict[Hash256, Transaction] = {}
+        self._rows: Optional[dict[TxKind, dict[Optional[bytes], list[Transaction]]]] = None
 
     # -- views ----------------------------------------------------------------
 
@@ -211,21 +216,21 @@ class PartitionLedger:
 
     # -- mutation -------------------------------------------------------------
 
-    def append_validated(self, tx: Transaction) -> Hash256:
-        """Appends an already-validated transaction to the open block and
-        returns the new fold value. Uniqueness is enforced here as the
-        last line of defense even though validation checks it too.
+    def append_validated(self, tx: Transaction, fold: Hash256) -> None:
+        """Appends an already-validated transaction to the open block with
+        `fold`, the fold value after it that the consensus round agreed
+        on. Uniqueness is enforced here as the last line of defense even
+        though validation checks it too.
         """
         if tx.tid in self._by_tid:
             raise UniquenessViolation(tx.tid.hex())
-        new_id = fold_step(tx.tid, self.current.cblock_id)
         self.current.transactions.append(tx)
-        self.current.fold_trail.append(new_id)
-        self._index(tx)
-        return new_id
+        self.current.fold_trail.append(fold)
+        self._by_tid[tx.tid] = tx
+        if self._rows is not None:
+            self._index(tx)
 
     def _index(self, tx: Transaction) -> None:
-        self._by_tid[tx.tid] = tx
         by_cert = self._rows[tx.kind]
         by_cert[None].append(tx)
         rows = by_cert.get(tx.cert.cert_id)
@@ -234,12 +239,11 @@ class PartitionLedger:
         else:
             rows.append(tx)
 
-    def _reindex(self) -> None:
-        self._by_tid: dict[Hash256, Transaction] = {}
-        self._rows: dict[TxKind, dict[Optional[bytes], list[Transaction]]]
+    def _build_index(self) -> dict[TxKind, dict[Optional[bytes], list[Transaction]]]:
         self._rows = {kind: {None: []} for kind in TxKind}
         for tx in self.all_transactions():
             self._index(tx)
+        return self._rows
 
     def maybe_seal(self) -> Optional[Block]:
         """Seals the open block once it holds b_max transactions. The seal
@@ -266,7 +270,9 @@ class PartitionLedger:
         """
         self.current.transactions.append(tx)
         self.current.fold_trail.append(fold)
-        self._index(tx)
+        self._by_tid[tx.tid] = tx
+        if self._rows is not None:
+            self._index(tx)
         self.maybe_seal()
 
     def remove_open(self, tid: Hash256) -> None:
@@ -281,7 +287,8 @@ class PartitionLedger:
         del cur.transactions[pos], cur.fold_trail[pos:]
         for tx in cur.transactions[pos:]:
             cur.fold_trail.append(fold_step(tx.tid, cur.cblock_id))
-        self._reindex()
+        self._by_tid = {tx.tid: tx for tx in self.all_transactions()}
+        self._rows = None
 
     # -- queries --------------------------------------------------------------
 
@@ -300,8 +307,13 @@ class PartitionLedger:
         """
         # Plain loops: a comprehension would close over cert_id, lo and
         # hi, and every call, the index probe too, would pay for their cells.
+        # The index test stays inline: a helper call on every lookup costs
+        # a few percent of a history lookup.
         if kind is not None:
-            rows = self._rows[kind].get(cert_id, ())
+            by_kind = self._rows
+            if by_kind is None:
+                by_kind = self._build_index()
+            rows = by_kind[kind].get(cert_id, ())
         elif cert_id is None:
             rows = self.all_transactions()
         else:
@@ -564,13 +576,26 @@ def _read_records(fh, size: int) -> PartitionLedger:
         raise LedgerFormatError(f"bad genesis record: {exc}") from None
 
     ledger = PartitionLedger(genesis)
+    read = fh.read
     index = 0
+    # Per record: its length, then the record and its fold value in one
+    # read. An error text is built only when a read comes up short.
     while left:
         if left < 4:
             raise LedgerFormatError(f"truncated record header at record {index}")
-        rec_len = int.from_bytes(take(4, f"record header {index}"), "big")
-        record = take(rec_len, f"record {index}")
-        fold = take(HASH_SIZE, f"fold value of record {index}")
+        head = read(4)
+        if len(head) != 4:
+            raise LedgerFormatError(f"truncated file while reading record header {index}")
+        left -= 4
+        rec_len = int.from_bytes(head, "big")
+        want = rec_len + HASH_SIZE
+        chunk = read(want) if want <= left else b""
+        if len(chunk) != want:
+            got = len(chunk) if want <= left else left
+            what = f"record {index}" if got < rec_len else f"fold value of record {index}"
+            raise LedgerFormatError(f"truncated file while reading {what}")
+        left -= want
+        record, fold = chunk[:rec_len], chunk[rec_len:]
         try:
             tx = decode_transaction(record)
         except LedgerFormatError as exc:

@@ -509,12 +509,13 @@ def check_tx_genesis(
             ca_checked.add(signed)
     if not cert.window_contains(_certificate_time(tx)):
         return Reason.EXPIRED_CERT
-    known_keys = genesis.known_keys()
     for entry in tx.signatures:
         if entry.role is Role.VEHICLE:
             pubkey = cert.subject_pubkey
         else:
-            pubkey = known_keys.get(entry.role)
+            # Built here, not per transaction: the completeness check
+            # leaves at most one non-vehicle signer.
+            pubkey = genesis.known_keys().get(entry.role)
             if pubkey is None:
                 return Reason.UNAUTHORIZED
         if not verify_tx_digest(pubkey, tx.tid, entry.signature):

@@ -11,14 +11,16 @@ A consensus round applies that rule as its two halves. Every replica of
 a partition holds the same genesis (the round refuses replicas that do
 not), so the genesis half, which runs every policy up to the signatures,
 is judged once per round; only the committed half, uniqueness and the
-parent link, runs once per replica. Each vote is still the verdict
+parent link, runs once per replica state. Each vote is still the verdict
 verify_transaction would give on that replica.
 
 Consensus is unanimity among a partition's validators: a transaction
 commits only if every validator accepts it and every validator computes
 the same next fold value for its own replica. A round where all accept
 but the fold values disagree is the tamper signal: some replica's open
-block no longer matches the others.
+block no longer matches the others. Replicas whose open blocks agree are
+one state: they share one verdict, one fold and one Vote, and on commit
+every replica appends the fold value it voted for.
 
 Each round, and each submission a halted partition skips, is one line of
 the audit log, rendered by audit_line as canonical JSON.
@@ -90,14 +92,18 @@ def run_consensus(
 
     The genesis half of check_tx is judged once for the round, against
     the genesis every replica shares; the committed half is judged once
-    per replica, against that replica's own committed set. `ca_checked`
-    is check_tx_genesis's set of batch roots found CA-signed; a caller
-    that runs many rounds of one partition passes the same set to each,
-    so each batch root's signature is checked once.
+    per replica state (its open block), against that state's committed
+    set, and replicas in one state share one Vote object. `ca_checked` is
+    check_tx_genesis's set of batch roots found CA-signed; a caller that
+    runs many rounds of one partition passes the same set to each, so
+    each batch root's signature is checked once.
 
-    Commits mutate every replica (append plus seal-if-full). A rejection
-    by anyone leaves all replicas untouched; accept votes that disagree on
-    the fold value mark the round Diverged and also leave replicas alone.
+    Commits mutate every replica: each appends the fold value it voted
+    for, then seals if full. A replica whose cached fold trail was edited
+    out of band appends that value too, and chain_faults still finds the
+    edit. A rejection by anyone leaves all replicas untouched; accept
+    votes that disagree on the fold value mark the round Diverged and
+    also leave replicas alone.
     """
     if not validators:
         raise ValueError("a consensus round needs at least one validator")
@@ -111,31 +117,37 @@ def run_consensus(
         raise ReplicaMismatch("validator replicas disagree on the sealed chain")
 
     shared = check_tx_genesis(tx, ledgers[0].genesis, ca_checked)
-    # Each candidate fold value is recomputed from the open block's
-    # transaction list, never read from its cached trail, so an
-    # out-of-band edit of a list shows up in that replica's vote. Replicas
-    # whose lists hold the same tids share one fold.
-    folds: dict[tuple, Hash256] = {}
+    # The sealed chains are equal, so a replica's state is its open block:
+    # the block it extends and the tids it holds. Replicas in one state
+    # get one committed-half verdict, one fold and one shared Vote. The
+    # candidate fold value is recomputed from the open block's transaction
+    # list, never read from its cached trail, so an out-of-band edit of a
+    # list puts that replica in a state of its own.
+    states: dict[tuple, Vote] = {}
     votes: dict[EntityId, Vote] = {}
     for validator, replica in zip(validators, ledgers):
-        reason = check_tx_committed(tx, replica.tid_index) if shared is Reason.OK else shared
-        fold = None
-        if reason is Reason.OK:
-            open_block = replica.current
-            tids = [t.tid for t in open_block.transactions]
-            key = (open_block.prev_block_id, *tids)
-            fold = folds.get(key)
-            if fold is None:
+        open_block = replica.current
+        tids = [t.tid for t in open_block.transactions]
+        key = (open_block.prev_block_id, *tids)
+        vote = states.get(key)
+        if vote is None:
+            reason = check_tx_committed(tx, replica.tid_index) if shared is Reason.OK else shared
+            fold = None
+            if reason is Reason.OK:
                 tids.append(tx.tid)
-                fold = folds[key] = fold_ids(open_block.prev_block_id, tids)
-        votes[validator] = Vote(reason, fold)
+                fold = fold_ids(open_block.prev_block_id, tids)
+            vote = states[key] = Vote(reason, fold)
+        votes[validator] = vote
 
-    if any(vote.reason is not Reason.OK for vote in votes.values()):
+    if any(vote.reason is not Reason.OK for vote in states.values()):
         outcome = RoundOutcome.REJECTED
-    elif len({vote.cblock_id for vote in votes.values()}) == 1:
+    elif len({vote.cblock_id for vote in states.values()}) == 1:
         outcome = RoundOutcome.COMMITTED
+        # The one value every state voted for: no replica rehashes it, and
+        # all share one bytes object per record.
+        fold = vote.cblock_id
         for replica in ledgers:
-            replica.append_validated(tx)
+            replica.append_validated(tx, fold)
             replica.maybe_seal()
     else:
         outcome = RoundOutcome.DIVERGED

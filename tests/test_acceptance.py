@@ -32,6 +32,7 @@ from avledger.txmodel import Partition, Role, SigEntry, TxKind, encode_transacti
 from avledger.validation import Reason, verify_transaction
 
 from worldkit import (
+    append_by_hand,
     apply_mutation,
     batch_credentials,
     disputes_shaped_config,
@@ -79,7 +80,7 @@ def test_acceptance_1_tamper_evidence():
     ]
     assert len(txs) == 24
     for tx in txs:
-        ledger.append_validated(tx)
+        append_by_hand(ledger, tx)
         ledger.maybe_seal()
     assert len(ledger.blocks) == 3 and not ledger.current.transactions
     assert chain_faults(ledger) == []
@@ -250,7 +251,7 @@ def test_acceptance_4_authorization_matrix():
     p1 = world.ledger(Partition.OPERATIONAL)
     p2 = world.ledger(Partition.DECISIONAL)
     parent_ut = make_ut(world, at=1004.0, creds=creds)
-    p1.append_validated(parent_ut)
+    append_by_hand(p1, parent_ut)
 
     templates = {
         TxKind.EVENT_SAFETY: make_est(world, at=1001.0, creds=creds),
@@ -290,7 +291,7 @@ def test_acceptance_4_authorization_matrix():
 
     solo_ut = verify_transaction(make_ut(world, at=1009.0, creds=creds, countersigned=False), p1)
     duplicate_est = make_est(world, at=1010.0, creds=creds)
-    p1.append_validated(duplicate_est)
+    append_by_hand(p1, duplicate_est)
     dup = verify_transaction(duplicate_est, p1)
     expired = verify_transaction(make_est(world, at=1400.0, creds=creds), p1)
     probes_ok = (
@@ -330,9 +331,9 @@ def test_acceptance_5_negligence_oracle():
 
         ledger = world.ledger()
         ut = make_ut(world, at=ut_time, creds=creds)
-        ledger.append_validated(ut)
+        append_by_hand(ledger, ut)
         if et_time is not None:
-            ledger.append_validated(make_et(world, ut.tid, creds, at=et_time))
+            append_by_hand(ledger, make_et(world, ut.tid, creds, at=et_time))
 
         rows = check_negligence(ledger, frozenset({cert.cert_id}), deadline, query_time)
         got = any(negligent for _tid, negligent in rows)
@@ -356,7 +357,7 @@ def test_acceptance_6_fold_oracle():
         for i in range(1, rng.randrange(0, 25) + 1):
             tid = rng.randbytes(32)
             acc = hashlib.sha256(tid + acc).digest()
-            returned = ledger.append_validated(dataclasses.replace(template, tid=tid))
+            returned = append_by_hand(ledger, dataclasses.replace(template, tid=tid))
             sealed = ledger.maybe_seal()
             good &= returned == acc and ledger.cblock_id == acc
             if i % 8 == 0:

@@ -29,6 +29,7 @@ from avledger.txmodel import (
 )
 
 from worldkit import (
+    append_by_hand,
     make_edata,
     make_est,
     make_et,
@@ -117,9 +118,9 @@ def _ledger_with_update(world, ut_at, et_at=None):
     creds = vehicle_credentials(world, ut_at)
     ledger = world.ledger()
     ut = make_ut(world, at=ut_at, creds=creds)
-    ledger.append_validated(ut)
+    append_by_hand(ledger, ut)
     if et_at is not None:
-        ledger.append_validated(make_et(world, ut.tid, creds, at=et_at))
+        append_by_hand(ledger, make_et(world, ut.tid, creds, at=et_at))
     return ledger, creds[1].cert_id, ut
 
 
@@ -150,9 +151,9 @@ def test_negligence_is_judged_per_update_in_commit_order():
     ledger = world.ledger()
     updates = [make_ut(world, at=1000.0 + 10.0 * i, creds=creds) for i in range(3)]
     for ut in updates:
-        ledger.append_validated(ut)
+        append_by_hand(ledger, ut)
     # Only the middle update is executed; its report names it as parent.
-    ledger.append_validated(make_et(world, updates[1].tid, creds, at=1200.0))
+    append_by_hand(ledger, make_et(world, updates[1].tid, creds, at=1200.0))
     rows = check_negligence(ledger, frozenset({creds[1].cert_id}), deadline, 1e9)
     assert rows == [(updates[0].tid, True), (updates[1].tid, False), (updates[2].tid, True)]
 
@@ -179,7 +180,7 @@ def _brakes(world, ledger, times, triggers=None):
     triggers = triggers or [EventTrigger.HARD_BRAKE] * len(times)
     ests = [make_est(world, at=t, trigger=trigger) for t, trigger in zip(times, triggers)]
     for est in ests:
-        ledger.append_validated(est)
+        append_by_hand(ledger, est)
     return ests
 
 
@@ -229,9 +230,9 @@ def _collision_world(seed=80, drive_mode=DriveMode.AUTONOMOUS, collision_at=5000
     creds = vehicle_credentials(world, collision_at)
     edata = make_edata(world, collision_at, mode=drive_mode)
     pet = make_pet(world, at=collision_at, creds=creds, edata=edata)
-    ledger.append_validated(pet)
+    append_by_hand(ledger, pet)
     ret = make_ret(world, edata, at=collision_at + 5.0, cert=creds[1])
-    decisions.append_validated(ret)
+    append_by_hand(decisions, ret)
     party = PartyEvidence(
         vehicle="av-0",
         cert_ids=frozenset({creds[1].cert_id}),
@@ -266,7 +267,7 @@ def test_forged_submission_outranks_everything():
         edata, hv_data=dataclasses.replace(edata.hv_data, speed_mps=99.0)
     )
     forged_ret = make_ret(world, forged, at=5020.0, requester="am-0", role=Role.MANUFACTURER, cert=creds[1])
-    decisions.append_validated(forged_ret)
+    append_by_hand(decisions, forged_ret)
     case = dataclasses.replace(
         case,
         parties=(dataclasses.replace(party, ret_tids={**party.ret_tids, "am-0": forged_ret.tid}),),
@@ -280,7 +281,7 @@ def test_forged_submission_outranks_everything():
 def test_overdue_update_outranks_drive_mode():
     world, ledger, decisions, creds, _, _, party, case = _collision_world(seed=83)
     ut = make_ut(world, at=100.0, creds=creds)
-    ledger.append_validated(ut)
+    append_by_hand(ledger, ut)
     verdict = adjudicate(case, ledger, decisions, AdjudicationParams(), at=100.0 + 8 * 24 * 3600.0)
     assert verdict.liability_class is LiabilityClass.OWNER_NEGLIGENCE
     assert verdict.liable == "av-0"
@@ -290,7 +291,7 @@ def test_overdue_update_outranks_drive_mode():
 def test_fresh_maintenance_outranks_drive_mode():
     world, ledger, decisions, creds, _, _, _, case = _collision_world(seed=84, collision_at=200_000.0)
     mt = make_mt(world, at=200_000.0 - 3600.0, cert=creds[1])
-    ledger.append_validated(mt)
+    append_by_hand(ledger, mt)
     verdict = adjudicate(case, ledger, decisions, AdjudicationParams())
     assert verdict.liability_class is LiabilityClass.SERVICE_FAULT
     assert verdict.liable == "st-0"
@@ -300,7 +301,7 @@ def test_fresh_maintenance_outranks_drive_mode():
 def test_stale_maintenance_is_ignored():
     world, ledger, decisions, creds, _, _, _, case = _collision_world(seed=85, collision_at=400_000.0)
     mt = make_mt(world, at=400_000.0 - 72 * 3600.0, cert=creds[1])
-    ledger.append_validated(mt)
+    append_by_hand(ledger, mt)
     verdict = adjudicate(case, ledger, decisions, AdjudicationParams())
     assert verdict.liability_class is LiabilityClass.PRODUCT_DEFECT
 
@@ -337,7 +338,7 @@ def test_inconsistent_witness_is_flagged():
     far_away = make_pet(
         world, at=5000.0, edata=make_edata(world, 5000.0, lat=40.2)
     )
-    ledger.append_validated(far_away)
+    append_by_hand(ledger, far_away)
     case = dataclasses.replace(case, witness_pet_tids=(far_away.tid,))
     verdict = adjudicate(case, ledger, decisions, AdjudicationParams())
     assert VerdictFlag.INCONSISTENT_WITNESS in verdict.flags
@@ -346,7 +347,7 @@ def test_inconsistent_witness_is_flagged():
 
 def test_every_cited_tid_resolves_on_ledger():
     world, ledger, decisions, creds, _, _, party, case = _collision_world(seed=89)
-    ledger.append_validated(make_ut(world, at=100.0, creds=creds))
+    append_by_hand(ledger, make_ut(world, at=100.0, creds=creds))
     verdict = adjudicate(case, ledger, decisions, AdjudicationParams(), at=1e9)
     assert verdict.evidence_tids
     for tid in verdict.evidence_tids:
@@ -368,9 +369,9 @@ def test_every_named_tid_must_resolve_on_its_partition():
     any rule runs."""
     world, ledger, decisions, creds, edata, pet, party, case = _collision_world(seed=92)
     witness = make_pet(world, at=5000.0)
-    ledger.append_validated(witness)
+    append_by_hand(ledger, witness)
     p1_only_ret = make_ret(world, edata, at=5020.0, requester="am-0", role=Role.MANUFACTURER, cert=creds[1])
-    ledger.append_validated(p1_only_ret)
+    append_by_hand(ledger, p1_only_ret)
     (ret_tid,) = party.ret_tids.values()
     assert adjudicate(
         dataclasses.replace(case, witness_pet_tids=(witness.tid,)), ledger, decisions, AdjudicationParams()
@@ -400,7 +401,7 @@ def test_a_ret_counts_only_for_its_own_party():
     world, ledger, decisions, creds, edata, pet, party, case = _collision_world(seed=93)
     _, other_cert = vehicle_credentials(world, 5000.0)
     foreign = make_ret(world, edata, at=5020.0, requester="am-0", role=Role.MANUFACTURER, cert=other_cert)
-    decisions.append_validated(foreign)
+    append_by_hand(decisions, foreign)
     assert decisions.find(foreign.tid) is not None
     with_foreign = dataclasses.replace(party, ret_tids={**party.ret_tids, "am-0": foreign.tid})
     without_pet = PartyEvidence(vehicle="av-1", ret_tids=dict(party.ret_tids))

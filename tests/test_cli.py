@@ -22,7 +22,7 @@ from avledger.txmodel import DriveMode, Partition, TxKind
 
 from test_golden import golden_configs
 
-from worldkit import make_edata, make_pet, make_ret, make_ut, make_world, vehicle_credentials
+from worldkit import append_by_hand, make_edata, make_pet, make_ret, make_ut, make_world, vehicle_credentials
 
 
 def run_cli(*argv):
@@ -168,9 +168,9 @@ def _small_case(tmp_path):
     pet = make_pet(world, at=5000.0, creds=creds, edata=edata)
     ut = make_ut(world, at=100.0, creds=ut_creds)
     ret = make_ret(world, edata, at=5005.0, cert=creds[1])
-    ledger.append_validated(pet)
-    ledger.append_validated(ut)
-    decisions.append_validated(ret)
+    append_by_hand(ledger, pet)
+    append_by_hand(ledger, ut)
+    append_by_hand(decisions, ret)
     p1_path, p2_path = tmp_path / "p1.bin", tmp_path / "p2.bin"
     save_ledger(ledger, str(p1_path))
     save_ledger(decisions, str(p2_path))

@@ -37,7 +37,7 @@ from avledger.ledger import chain_faults, load_ledger, save_ledger
 from avledger.txmodel import check_tx
 from avledger.validation import Reason
 
-from worldkit import batch_credentials, fill_ledger, make_est, make_world
+from worldkit import append_by_hand, batch_credentials, fill_ledger, make_est, make_world
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -379,8 +379,8 @@ def test_a_forged_certificate_is_refused(tmp_path, case):
     # are already known signed when the forgery is judged.
     ledger = world.ledger(b_max=4)
     for i, honest in enumerate((creds[3], other[3], creds[4])):
-        ledger.append_validated(make_est(world, at=1000.0 + i, creds=honest))
-    ledger.append_validated(tx)
+        append_by_hand(ledger, make_est(world, at=1000.0 + i, creds=honest))
+    append_by_hand(ledger, tx)
     path = str(tmp_path / "p1.bin")
     save_ledger(ledger, path)
     faults = chain_faults(load_ledger(path))

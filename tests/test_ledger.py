@@ -28,6 +28,7 @@ from avledger.txmodel import EventTrigger, Partition, TxKind, body_timestamp
 from avledger.validation import Reason, RoundOutcome, verify_transaction
 
 from worldkit import (
+    append_by_hand,
     commit,
     fill_ledger,
     make_edata,
@@ -89,7 +90,7 @@ def test_append_changes_cblock_id_every_time():
     ledger = world.ledger()
     seen = {ledger.cblock_id}
     for i in range(6):
-        ledger.append_validated(make_est(world, at=1000.0 + i))
+        append_by_hand(ledger, make_est(world, at=1000.0 + i))
         assert ledger.cblock_id not in seen
         seen.add(ledger.cblock_id)
     assert len(seen) == 7
@@ -99,9 +100,9 @@ def test_duplicate_append_rejected():
     world = make_world(seed=12)
     ledger = world.ledger()
     tx = make_est(world)
-    ledger.append_validated(tx)
+    append_by_hand(ledger, tx)
     with pytest.raises(UniquenessViolation):
-        ledger.append_validated(tx)
+        append_by_hand(ledger, tx)
 
 
 def test_maybe_seal_below_capacity_returns_none():
@@ -144,7 +145,7 @@ def test_query_filters():
     et = make_et(world, ut.tid, creds, at=1200.0)
     other_est = make_est(world, at=1300.0)
     for tx in (est, pet, ut, et, other_est):
-        ledger.append_validated(tx)
+        append_by_hand(ledger, tx)
     assert ledger.query(kind=TxKind.EVENT_SAFETY) == [est, other_est]
     assert ledger.query(cert_id=creds[1].cert_id) == [est, pet, ut, et]
     assert ledger.query(time_range=(1040.0, 1110.0)) == [pet, ut]
@@ -174,10 +175,12 @@ def _assert_query_matches_scan(ledger):
                 assert [id(tx) for tx in got] == [id(tx) for tx in want], (kind, cert_id, window)
 
 
-def _consensus_replica(seed=16, b_max=3):
+def _consensus_replica(seed=16, b_max=3, indexed=False):
     """One P1 replica built by consensus: every P1 kind, one vehicle
     certificate shared by several records, and an open block after two
-    sealed ones."""
+    sealed ones. Unindexed, it is first queried by kind by the caller, so
+    its index is built from the whole chain; indexed, it was queried by
+    kind halfway, so the commits after that kept its index current."""
     world = make_world(seed=seed)
     replicas = world.replicas(Partition.OPERATIONAL, b_max=b_max)
     creds = vehicle_credentials(world, 1000.0)
@@ -193,15 +196,23 @@ def _consensus_replica(seed=16, b_max=3):
         make_est(world, at=1210.0, creds=creds),
         make_est(world, at=1220.0, creds=creds),
     ]
-    for tx in txs:
+    ledger = replicas["st-0"]
+    for i, tx in enumerate(txs):
+        if indexed and i == 4:
+            assert ledger.query(kind=TxKind.EVENT_SAFETY) == txs[:1]
         assert commit(replicas, tx).outcome is RoundOutcome.COMMITTED
-    return replicas["st-0"]
+    assert (ledger._rows is not None) is indexed
+    return ledger
+
+
+INDEXED = (False, True)
 
 
 def test_query_matches_a_scan_on_a_consensus_ledger():
-    ledger = _consensus_replica()
-    assert len(ledger.blocks) == 3 and not ledger.current.transactions
-    _assert_query_matches_scan(ledger)
+    for indexed in INDEXED:
+        ledger = _consensus_replica(indexed=indexed)
+        assert len(ledger.blocks) == 3 and not ledger.current.transactions
+        _assert_query_matches_scan(ledger)
 
 
 def _loaded_with_a_duplicate_tid(tmp_path):
@@ -223,18 +234,21 @@ def test_query_keeps_duplicates_of_a_loaded_file(tmp_path):
 
 
 def test_query_drops_what_remove_open_removed(tmp_path):
-    ledger = _consensus_replica(b_max=16)
-    open_txs = list(ledger.current.transactions)
-    victim = open_txs[7]  # earlier and later open-block records share its cert and its kind
-    ledger.remove_open(victim.tid)
-    assert victim not in ledger.query(cert_id=victim.cert.cert_id)
-    assert victim not in ledger.query(kind=victim.kind)
-    _assert_query_matches_scan(ledger)
+    for indexed in INDEXED:
+        ledger = _consensus_replica(b_max=16, indexed=indexed)
+        open_txs = list(ledger.current.transactions)
+        victim = open_txs[7]  # earlier and later open-block records share its cert and its kind
+        ledger.remove_open(victim.tid)
+        assert ledger._rows is None
+        assert victim not in ledger.query(cert_id=victim.cert.cert_id)
+        assert victim not in ledger.query(kind=victim.kind)
+        _assert_query_matches_scan(ledger)
 
     # With a tid held twice, the first open-block copy goes and the second
     # stays where it was.
     twice = open_txs[1]
     ledger.append_claimed(twice, b"\x00" * 32)
+    _assert_query_matches_scan(ledger)
     path = tmp_path / "dup.avl"
     save_ledger(ledger, str(path))
     loaded = load_ledger(str(path))
@@ -245,19 +259,20 @@ def test_query_drops_what_remove_open_removed(tmp_path):
 
 
 def test_every_query_path_returns_a_new_list():
-    ledger = _consensus_replica(b_max=4)
-    et = ledger.query(kind=TxKind.EXECUTION)[0]
-    keys = [{}, {"kind": et.kind}, {"cert_id": et.cert.cert_id}, {"kind": et.kind, "cert_id": et.cert.cert_id}]
-    filters = [{}, {"time_range": (0.0, 1e9)}]
-    for args in ({**key, **more} for key in keys for more in filters):
-        first = ledger.query(**args)
-        assert et in first, args
-        want = [id(tx) for tx in first]
-        first.append(et)
-        assert [id(tx) for tx in ledger.query(**args)] == want, args
-        ledger.query(**args).clear()
-        assert [id(tx) for tx in ledger.query(**args)] == want, args
-    _assert_query_matches_scan(ledger)
+    for indexed in INDEXED:
+        ledger = _consensus_replica(b_max=4, indexed=indexed)
+        et = ledger.query(kind=TxKind.EXECUTION)[0]
+        keys = [{}, {"kind": et.kind}, {"cert_id": et.cert.cert_id}, {"kind": et.kind, "cert_id": et.cert.cert_id}]
+        filters = [{}, {"time_range": (0.0, 1e9)}]
+        for args in ({**key, **more} for key in keys for more in filters):
+            first = ledger.query(**args)
+            assert et in first, args
+            want = [id(tx) for tx in first]
+            first.append(et)
+            assert [id(tx) for tx in ledger.query(**args)] == want, args
+            ledger.query(**args).clear()
+            assert [id(tx) for tx in ledger.query(**args)] == want, args
+        _assert_query_matches_scan(ledger)
 
 
 # A vehicle's EST history has one implementation: the adjudicator's
@@ -290,10 +305,11 @@ def _assert_est_history_matches_scan(ledger):
 
 
 def test_est_history_matches_a_scan_on_a_consensus_ledger():
-    ledger = _consensus_replica()
-    every_cert = frozenset(tx.cert.cert_id for tx in ledger.all_transactions())
-    assert len(staged_evidence_tids(ledger, every_cert, *EST_WINDOWS[0])) == 4
-    _assert_est_history_matches_scan(ledger)
+    for indexed in INDEXED:
+        ledger = _consensus_replica(indexed=indexed)
+        every_cert = frozenset(tx.cert.cert_id for tx in ledger.all_transactions())
+        assert len(staged_evidence_tids(ledger, every_cert, *EST_WINDOWS[0])) == 4
+        _assert_est_history_matches_scan(ledger)
 
 
 def test_est_history_keeps_duplicates_of_a_loaded_file(tmp_path):
@@ -410,7 +426,7 @@ def test_chain_faults_judge_by_the_consensus_rule(case):
     ledger = world.ledger(partition, b_max=4)
     if partition is Partition.OPERATIONAL:
         fill_ledger(world, ledger, 2)  # honest neighbours stay fault-free
-    ledger.append_validated(tx)
+    append_by_hand(ledger, tx)
     faults = chain_faults(ledger)
     assert len(faults) == 1 and tx.tid.hex()[:16] in faults[0], faults
     assert f"({reason.value})" in faults[0]
@@ -422,7 +438,7 @@ def test_chain_faults_ca_checks_each_certificate_once(monkeypatch):
     pet = make_pet(world, at=1000.0)
     rets = [make_ret(world, make_edata(world, 1000.0), at=1010.0 + i, cert=pet.cert) for i in range(3)]
     for tx in [pet, *rets]:
-        ledger.append_validated(tx)
+        append_by_hand(ledger, tx)
     checked = []
     real = txmodel.certificate_signature_ok
 
@@ -479,8 +495,8 @@ def _parity_ledger(case):
     tx = build(world)
     ledger = world.ledger(partition, b_max=4)
     for i in range(2):
-        ledger.append_validated(make_ret(world, make_edata(world, 900.0 + i), at=910.0 + i))
-    ledger.append_validated(tx)
+        append_by_hand(ledger, make_ret(world, make_edata(world, 900.0 + i), at=910.0 + i))
+    append_by_hand(ledger, tx)
     return ledger, tx
 
 

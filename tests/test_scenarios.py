@@ -9,7 +9,7 @@ import pytest
 from avledger import scenarios
 from avledger.errors import ConfigError, MalformedCase, NotFound
 from avledger.identity import PseudonymCertificate
-from avledger.ledger import chain_faults
+from avledger.ledger import chain_faults, load_ledger, save_ledger
 from avledger.scenarios import (
     AttackClass,
     AttackConfig,
@@ -29,7 +29,7 @@ from avledger.scenarios import (
 )
 from avledger.txmodel import EventTrigger, TxKind, body_timestamp, compute_edata_hash
 
-from worldkit import disputes_shaped_config, make_edata, make_est, make_world
+from worldkit import append_by_hand, disputes_shaped_config, make_edata, make_est, make_world
 
 
 def _run(config):
@@ -43,8 +43,8 @@ def test_tamper_cblock_rewrites_local_fold():
     ledger = world.ledger()
     a = make_est(world, at=1000.0)
     b = make_est(world, at=1010.0)
-    ledger.append_validated(a)
-    ledger.append_validated(b)
+    append_by_hand(ledger, a)
+    append_by_hand(ledger, b)
     ledger.remove_open(a.tid)
     assert ledger.find(a.tid) is None
     assert [t.tid for t in ledger.current.transactions] == [b.tid]
@@ -75,8 +75,6 @@ def test_identical_configs_replay_byte_identically(tmp_path):
     second = _run(config)
     assert first.report.to_json() == second.report.to_json()
     assert first.audit_lines == second.audit_lines
-    from avledger.ledger import save_ledger
-
     for partition in ("P1", "P2"):
         a = tmp_path / f"a_{partition}.bin"
         b = tmp_path / f"b_{partition}.bin"
@@ -116,6 +114,24 @@ def test_scenario_ledgers_verify_and_match_report(tmp_path):
         assert chain["blocks"] == len(ledger.blocks)
         assert chain["tx_total"] == len(ledger.tid_index)
         assert chain["cblock_id"] == ledger.cblock_id.hex()
+
+
+def test_a_collision_free_run_and_every_loaded_file_hold_no_query_index(tmp_path):
+    # Only a collision case queries a replica by kind, so no replica of a
+    # run without one, and no ledger load_ledger returns, builds the index.
+    config = make_benign_config(4)
+    timeline = tuple(e for e in config.timeline if not isinstance(e, CollisionEvent))
+    assert len(timeline) < len(config.timeline)
+    engine = ScenarioEngine(dataclasses.replace(config, timeline=timeline))
+    result = engine.run()
+    replicas = [lg for by_validator in engine.replicas.values() for lg in by_validator.values()]
+    assert len(replicas) == 5 and result.ledgers["P1"].tid_index
+    assert [lg._rows for lg in replicas] == [None] * 5
+    for partition in ("P1", "P2"):
+        path = tmp_path / f"{partition}.avl"
+        save_ledger(result.ledgers[partition], str(path))
+        loaded = load_ledger(str(path))
+        assert loaded._rows is None and loaded.tid_index == result.ledgers[partition].tid_index
 
 
 def test_audit_lines_are_json_rounds():

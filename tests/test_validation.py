@@ -32,6 +32,7 @@ from avledger.validation import (
 )
 
 from worldkit import (
+    append_by_hand,
     apply_mutation,
     batch_credentials,
     commit,
@@ -105,7 +106,7 @@ def test_incomplete_execution_without_committed_parent():
     et = make_et(world, ut.tid, creds, at=1200.0)  # inside the cert window
     ledger = world.ledger()
     assert verify_transaction(et, ledger) is Reason.INCOMPLETE
-    ledger.append_validated(ut)
+    append_by_hand(ledger, ut)
     assert verify_transaction(et, ledger) is Reason.OK
 
 
@@ -113,7 +114,7 @@ def test_duplicate_tid_rejected():
     world = make_world(seed=25)
     ledger = world.ledger()
     est = make_est(world)
-    ledger.append_validated(est)
+    append_by_hand(ledger, est)
     assert verify_transaction(est, ledger) is Reason.DUPLICATE
 
 
@@ -166,7 +167,7 @@ def test_certificate_from_any_genesis_root_accepted():
     ledger = PartitionLedger(genesis)
     est = make_est(second)
     assert verify_transaction(est, ledger) is Reason.OK
-    ledger.append_validated(est)
+    append_by_hand(ledger, est)
     assert chain_faults(ledger) == []
 
 
@@ -252,7 +253,7 @@ def _bad_corpus():
     est = make_est(world, at=1000.0, creds=creds)
     ut = make_ut(world, at=1100.0, creds=creds)
     for tx in (est, ut):
-        ledger.append_validated(tx)
+        append_by_hand(ledger, tx)
     entry = est.signatures[0]
     flipped = dataclasses.replace(entry, signature=bytes([entry.signature[0] ^ 1]) + entry.signature[1:])
     speeding = dataclasses.replace(est.body, esm=dataclasses.replace(est.body.esm, speed_mps=-5.0))
@@ -350,6 +351,53 @@ def test_commit_mutates_every_replica_identically():
     assert len(folds) == 1
     assert all(est.tid in lg.tid_index for lg in replicas.values())
     assert all(vote.reason is Reason.OK for vote in round_.votes.values())
+
+
+def _vote_groups(round_):
+    """The validators that share each Vote object, as sorted tuples."""
+    groups = {}
+    for validator, vote in round_.votes.items():
+        groups.setdefault(id(vote), []).append(validator)
+    return sorted(tuple(sorted(members)) for members in groups.values())
+
+
+def test_replicas_in_one_state_share_one_vote():
+    world = make_world(seed=67)
+    replicas = world.replicas(Partition.OPERATIONAL)
+    victim = make_est(world, at=1000.0)
+    assert _vote_groups(commit(replicas, victim)) == [("am-0", "ic-0", "st-0")]
+    # An edited open block is a state of its own.
+    replicas["st-0"].remove_open(victim.tid)
+    round_ = commit(replicas, make_est(world, at=1010.0))
+    assert round_.outcome is RoundOutcome.DIVERGED
+    assert _vote_groups(round_) == [("am-0", "ic-0"), ("st-0",)]
+    # So is one that already holds the proposed tid.
+    round_ = commit(replicas, victim)
+    assert round_.outcome is RoundOutcome.REJECTED
+    assert _vote_groups(round_) == [("am-0", "ic-0"), ("st-0",)]
+    assert round_.votes["am-0"].reason is Reason.DUPLICATE
+    assert round_.votes["st-0"] == Vote(Reason.OK, round_.votes["st-0"].cblock_id)
+
+
+def test_every_replica_appends_the_fold_it_voted_for():
+    world = make_world(seed=68)
+    replicas = world.replicas(Partition.OPERATIONAL, b_max=2)
+    for at in (1000.0, 1010.0, 1020.0):
+        round_ = commit(replicas, make_est(world, at=at))
+        assert round_.outcome is RoundOutcome.COMMITTED
+        for validator, replica in replicas.items():
+            # The very object voted for: no replica rehashes it.
+            assert replica.cblock_id is round_.votes[validator].cblock_id
+    assert all(chain_faults(lg) == [] for lg in replicas.values())
+    # A replica whose cached trail was forged, its list untouched, is in
+    # its peers' state: it appends the agreed value, not one folded from
+    # its forged trail, and the forgery stays where verify finds it.
+    replicas["ic-0"].current.fold_trail[-1] = b"\x55" * 32
+    round_ = commit(replicas, make_est(world, at=1030.0))
+    assert round_.outcome is RoundOutcome.COMMITTED
+    assert {lg.cblock_id for lg in replicas.values()} == {round_.votes["am-0"].cblock_id}
+    assert len(chain_faults(replicas["ic-0"])) == 1
+    assert chain_faults(replicas["am-0"]) == []
 
 
 def test_rejected_round_leaves_replicas_untouched():
@@ -466,7 +514,7 @@ def test_consensus_requires_comparable_replicas():
     world = make_world(seed=48)
     replicas = world.replicas(Partition.OPERATIONAL, b_max=1)
     # One validator privately sealed a block the others never saw.
-    replicas["ic-0"].append_validated(make_est(world, at=900.0))
+    append_by_hand(replicas["ic-0"], make_est(world, at=900.0))
     replicas["ic-0"].maybe_seal()
     with pytest.raises(ReplicaMismatch):
         commit(replicas, make_est(world, at=1000.0))

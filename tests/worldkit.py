@@ -22,7 +22,7 @@ from avledger.identity import (
     generate_keypair,
     issue_certificate,
 )
-from avledger.ledger import CaRootCert, GenesisBlock, MemberRecord, PartitionLedger, make_genesis
+from avledger.ledger import CaRootCert, GenesisBlock, MemberRecord, PartitionLedger, fold_step, make_genesis
 from avledger.scenarios import (
     CollisionEvent,
     MaintenanceEvent,
@@ -249,6 +249,14 @@ def commit(replicas: dict, tx: Transaction, at: float = None) -> ConsensusRound:
     return run_consensus(list(replicas), tx, replicas, when)
 
 
+def append_by_hand(ledger: PartitionLedger, tx: Transaction) -> bytes:
+    """Appends tx outside consensus, with the fold value a round would
+    agree on for this ledger (its cached fold after tx); returns it."""
+    fold = fold_step(tx.tid, ledger.cblock_id)
+    ledger.append_validated(tx, fold)
+    return fold
+
+
 def fill_ledger(world: World, ledger: PartitionLedger, n: int, start_at: float = 1000.0) -> list:
     """Appends n freshly built ESTs directly (no consensus), sealing as
     capacity is reached. Returns the transactions in append order.
@@ -256,7 +264,7 @@ def fill_ledger(world: World, ledger: PartitionLedger, n: int, start_at: float =
     out = []
     for i in range(n):
         tx = make_est(world, at=start_at + 10.0 * i)
-        ledger.append_validated(tx)
+        append_by_hand(ledger, tx)
         ledger.maybe_seal()
         out.append(tx)
     return out
