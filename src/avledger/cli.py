@@ -57,6 +57,12 @@ def _fail_usage(message: str) -> int:
     return EXIT_USAGE
 
 
+def _unreadable(path: str, exc: OSError) -> int:
+    """A path that exists but cannot be read, such as a directory or a
+    file without read permission, is a usage error."""
+    return _fail_usage(f"cannot read {path}: {exc.strerror or exc}")
+
+
 # --- run ----------------------------------------------------------------------
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -74,6 +80,8 @@ def cmd_run(args: argparse.Namespace) -> int:
             )
     except FileNotFoundError:
         return _fail_usage(f"config file not found: {args.config}")
+    except OSError as exc:
+        return _unreadable(args.config, exc)
     except ConfigError as exc:
         return _fail_usage(str(exc))
 
@@ -119,6 +127,8 @@ def _load(path: str) -> Union[PartitionLedger, int]:
         return load_ledger(path)
     except FileNotFoundError:
         return _fail_usage(f"ledger file not found: {path}")
+    except OSError as exc:
+        return _unreadable(path, exc)
     except LedgerFormatError as exc:
         print(f"invalid: {exc}", file=sys.stderr)
         return EXIT_FAILURE
@@ -196,6 +206,8 @@ def cmd_adjudicate(args: argparse.Namespace) -> int:
         case = case_from_jsonable(read_json(args.case))
     except FileNotFoundError:
         return _fail_usage(f"case file not found: {args.case}")
+    except OSError as exc:
+        return _unreadable(args.case, exc)
     except ConfigError as exc:
         return _fail_usage(str(exc))
 

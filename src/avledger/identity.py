@@ -22,17 +22,29 @@ backs them wherever libsodium.so.23 loads; the `cryptography` package backs
 them everywhere else. No option, environment variable or config key
 chooses. One verify rule holds on both: a signature or public key of the
 wrong length, a public key or R that is a small-order point, and a
-non-canonical public key are refused, as libsodium refuses them. Every call
-here checks its signature; no verdict is remembered. Only
+non-canonical public key are refused, as libsodium refuses them.
+
+Every check is made, and no verdict is remembered here; only
 txmodel.check_tx_genesis remembers one: the batch roots it found
-CA-signed, in a set its caller owns.
+CA-signed, in a set its caller owns. Most checks run inline, on the
+caller's thread, before the verdict that needs them. A scenario run is
+the one exception. Where background_verify_pays() holds (the backend's
+verify gives up the interpreter lock, and the process may use two CPUs
+or more), ScenarioEngine.run hands each transaction signature to a
+TxVerifier, whose worker thread checks it while the engine goes on, and
+confirms every one of them when it joins the worker at the end of the
+run. A check that failed there makes the run repeat with every check
+inline.
 """
 
 from __future__ import annotations
 
 import ctypes
 import hashlib
+import os
+import queue
 import random
+import threading
 from dataclasses import field
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
@@ -71,12 +83,15 @@ _NODE_TAG = b"\x01"
 class Backend(NamedTuple):
     """The three Ed25519 primitives. keypair(seed) gives (public key,
     signer); signer is what sign takes to sign under that seed. verify is
-    called only with a 32-byte key and a 64-byte signature."""
+    called only with a 32-byte key and a 64-byte signature.
+    releases_lock says whether verify gives up the interpreter lock while
+    it runs, so that another thread can run beside it."""
 
     name: str
     keypair: Callable[[bytes], tuple[bytes, object]]
     sign: Callable[[object, bytes], bytes]
     verify: Callable[[bytes, bytes, bytes], bool]
+    releases_lock: bool
 
 
 def _load_libsodium() -> Optional[Backend]:
@@ -127,7 +142,8 @@ def _load_libsodium() -> Optional[Backend]:
     def verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
         return verify_detached(signature, message, len(message), public_key) == 0
 
-    return Backend("libsodium", keypair, sign, verify)
+    # ctypes gives up the interpreter lock for every call through a CDLL.
+    return Backend("libsodium", keypair, sign, verify, True)
 
 
 _P = 2**255 - 19
@@ -172,7 +188,10 @@ def _cryptography_verify(public_key: bytes, message: bytes, signature: bytes) ->
         return False
 
 
-CRYPTOGRAPHY = Backend("cryptography", _cryptography_keypair, _cryptography_sign, _cryptography_verify)
+# `cryptography` holds the interpreter lock while it verifies.
+CRYPTOGRAPHY = Backend(
+    "cryptography", _cryptography_keypair, _cryptography_sign, _cryptography_verify, False
+)
 
 # The backend every key, signature and verdict of this process comes from.
 BACKEND = _load_libsodium() or CRYPTOGRAPHY
@@ -225,6 +244,93 @@ def sign_tx_digest(keys: KeyPair, tid: bytes) -> bytes:
 
 def verify_tx_digest(public_key: bytes, tid: bytes, signature: bytes) -> bool:
     return _verify_raw(public_key, _TX_SIGN_PREFIX + tid, signature)
+
+
+# --- transaction signatures on a worker thread ---------------------------------
+
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def background_verify_pays() -> bool:
+    """Whether a TxVerifier gains here: BACKEND's verify gives up the
+    interpreter lock, so the worker's checks overlap the caller's work,
+    and the process may run on a second CPU. With `cryptography`, which
+    holds the lock, deferring the checks made fleet runs no faster, and
+    in most measured pairs slower, than checking them inline."""
+    return BACKEND.releases_lock and usable_cpus() >= 2
+
+
+# A TxVerifier's worker takes its checks in lists of this many, so that
+# it is woken once per list, not once per check.
+_VERIFY_BATCH = 32
+
+
+class TxVerifier:
+    """Checks transaction signatures on a worker thread.
+
+    check(public_key, tid, signature) queues one check and returns True
+    at once: its caller judges as if the signature held. The checks reach
+    the worker in lists of _VERIFY_BATCH through a SimpleQueue, and the
+    worker runs each through verify_tx_digest, which reads BACKEND at
+    call time. close() queues the last list, stops the worker, waits for
+    it and says whether every check queued before it ran and held; a
+    worker that raised stops there, keeps the exception in `error`, and
+    close() says False. Only the worker writes `checked`, `error` and
+    the failure flag, and only the caller writes `queued`; each side
+    reads the other's after the join, so no lock guards them.
+
+    The owner calls close() in a `finally`: a worker left alive would keep
+    ledger._genesis_reasons from forking its helpers.
+    """
+
+    def __init__(self) -> None:
+        self.queued = 0
+        self.checked = 0
+        self.error: Optional[Exception] = None
+        self._failed = False
+        self._batch: list[tuple[bytes, bytes, bytes]] = []
+        self._queue: queue.SimpleQueue = queue.SimpleQueue()
+        self._thread = threading.Thread(target=self._work, name="avledger-verify", daemon=True)
+        self._thread.start()
+
+    def check(self, public_key: bytes, tid: bytes, signature: bytes) -> bool:
+        batch = self._batch
+        batch.append((public_key, tid, signature))
+        if len(batch) == _VERIFY_BATCH:
+            self._send()
+        return True
+
+    def close(self) -> bool:
+        """Waits for the worker to finish what was queued and stop; True
+        when every check queued so far ran and held. Calling it again
+        waits for nothing and gives the same answer."""
+        if self._batch:
+            self._send()
+        self._queue.put(None)
+        self._thread.join()
+        return not self._failed and self.checked == self.queued
+
+    def _send(self) -> None:
+        self.queued += len(self._batch)
+        self._queue.put(self._batch)
+        self._batch = []
+
+    def _work(self) -> None:
+        try:
+            for batch in iter(self._queue.get, None):
+                for public_key, tid, signature in batch:
+                    if not verify_tx_digest(public_key, tid, signature):
+                        self._failed = True
+                    self.checked += 1
+        except Exception as exc:
+            # The thread's boundary: the error is kept and close() reports
+            # it; the owner's inline replay raises it where it belongs.
+            self.error = exc
 
 
 # --- certificate batches -------------------------------------------------------
@@ -492,6 +598,9 @@ __all__ = [
     "generate_keypair",
     "sign_tx_digest",
     "verify_tx_digest",
+    "usable_cpus",
+    "background_verify_pays",
+    "TxVerifier",
     "issue_certificate",
     "certificate_signature_ok",
     "leaf_hash",

@@ -33,7 +33,7 @@ from typing import Iterable, Optional
 
 from .encoding import BOOLEAN, TEXT, U32, encode, fixed, frozen, items, unpack, wire
 from .errors import InvalidGenesis, LedgerFormatError, NotFound, UniquenessViolation
-from .identity import PUBLIC_KEY_SIZE
+from .identity import PUBLIC_KEY_SIZE, usable_cpus
 from .txmodel import (
     HASH,
     HASH_SIZE,
@@ -429,11 +429,7 @@ def _genesis_reasons(txs: list[Transaction], genesis: GenesisBlock) -> list[Reas
     other threads are alive (a forked child could inherit a lock one of
     them holds), or when txs is too short to split.
     """
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:
-        cpus = os.cpu_count() or 1
-    n = min(cpus, len(txs) // MIN_SHARE)
+    n = min(usable_cpus(), len(txs) // MIN_SHARE)
     if n < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
         return _judge_share(txs, genesis)
     cuts = [len(txs) * i // n for i in range(n + 1)]

@@ -49,11 +49,14 @@ from .identity import (
     EntityId,
     IdentityEscrow,
     KeyPair,
+    TxVerifier,
+    background_verify_pays,
     derive_shared_key,
     generate_keypair,
     issue_certificate,
     open_sealed,
     seal_to_key,
+    verify_tx_digest,
 )
 from .ledger import (
     CaRootCert,
@@ -754,6 +757,9 @@ class ScenarioEngine:
         }
         # Each partition's batch roots found CA-signed (check_tx_genesis).
         self._ca_checked: dict[Partition, set] = {P1: set(), P2: set()}
+        # How a round checks a transaction signature: inline, or queued to
+        # the TxVerifier of a run in progress.
+        self._verify_tx = verify_tx_digest
 
         # network
         self.net = Network(
@@ -940,6 +946,7 @@ class ScenarioEngine:
             self.replicas[partition],
             self.now,
             self._ca_checked[partition],
+            self._verify_tx,
         )
         self.audit_lines.append(
             audit_line(round_.at, round_.partition, round_.tid, round_.outcome, round_.votes)
@@ -1330,6 +1337,38 @@ class ScenarioEngine:
     # -- main loop -----------------------------------------------------------------
 
     def run(self) -> ScenarioResult:
+        """Runs the scenario until the network is quiet.
+
+        Where background_verify_pays() holds, one TxVerifier checks the
+        transaction signatures of every round on a worker thread, and each
+        round is judged as if they held. The worker is joined before run
+        returns or raises. If a queued check failed or the worker raised,
+        the run is thrown away, whether it returned or raised an
+        Exception: the engine is rebuilt in place from its config and the
+        scenario runs again with every check inline. So the result, the
+        engine's state and any exception are those of the inline path;
+        only the replay logs again the run's one log.info line (a replica
+        attack being applied). A KeyboardInterrupt or SystemExit
+        propagates once the worker is joined, with no replay.
+        """
+        if not background_verify_pays():
+            return self._play()
+        verifier = TxVerifier()
+        self._verify_tx = verifier.check
+        try:
+            result = self._play()
+        except Exception:
+            if verifier.close():
+                raise
+        finally:
+            self._verify_tx = verify_tx_digest
+            held = verifier.close()
+        if held:
+            return result
+        self.__init__(self.config)
+        return self._play()
+
+    def _play(self) -> ScenarioResult:
         config = self.config
         case_index = 0
         for ev in sorted(config.timeline, key=lambda e: e.at):

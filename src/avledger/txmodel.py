@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
-from typing import TYPE_CHECKING, Mapping, Optional, Union
+from typing import TYPE_CHECKING, Callable, Mapping, Optional, Union
 
 from .encoding import (
     BLOB,
@@ -458,10 +458,17 @@ def check_tx_genesis(
     tx: Transaction,
     genesis: "GenesisBlock",
     ca_checked: Optional[set[tuple[bytes, int, bytes]]] = None,
+    verify_tx: Callable[[bytes, bytes, bytes], bool] = verify_tx_digest,
 ) -> Reason:
     """The replica-independent half of check_tx: schema, authorization,
     completeness, the certificate and its window, and signatures. It
     reads only tx and genesis.
+
+    Each transaction signature goes through `verify_tx(public key, tid,
+    signature)`: verify_tx_digest by default, or a TxVerifier's check,
+    which queues it and answers True, so that the verdict holds only once
+    the verifier has confirmed every check it queued. Certificate batch
+    roots are always checked here.
 
     Every certificate's audit path is rebuilt to its batch root. The
     verdict on that root is remembered in `ca_checked`: the (root, batch
@@ -518,7 +525,7 @@ def check_tx_genesis(
             pubkey = genesis.known_keys().get(entry.role)
             if pubkey is None:
                 return Reason.UNAUTHORIZED
-        if not verify_tx_digest(pubkey, tx.tid, entry.signature):
+        if not verify_tx(pubkey, tx.tid, entry.signature):
             return Reason.BAD_SIGNATURE
     return Reason.OK
 

@@ -22,6 +22,13 @@ block no longer matches the others. Replicas whose open blocks agree are
 one state: they share one verdict, one fold and one Vote, and on commit
 every replica appends the fold value it voted for.
 
+A round checks every signature it needs inline unless its caller passes
+another transaction-signature check. ScenarioEngine.run passes a
+TxVerifier's, which queues each check to a worker thread and answers
+that it held; the run confirms all of them before it returns, and runs
+again with inline checks if one failed. So a round's votes are final
+only where its caller confirms its checks.
+
 Each round, and each submission a halted partition skips, is one line of
 the audit log, rendered by audit_line as canonical JSON.
 """
@@ -31,11 +38,11 @@ from __future__ import annotations
 import enum
 import json
 from json.encoder import encode_basestring_ascii as quote
-from typing import Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .encoding import frozen
 from .errors import NotDiverged, ReplicaMismatch, Unattributable
-from .identity import EntityId
+from .identity import EntityId, verify_tx_digest
 from .ledger import PartitionLedger, fold_ids
 from .txmodel import (
     AUTHORIZED_PROPOSERS,
@@ -87,6 +94,7 @@ def run_consensus(
     replicas: Mapping[EntityId, PartitionLedger],
     at: float,
     ca_checked: Optional[set] = None,
+    verify_tx: Callable[[bytes, bytes, bytes], bool] = verify_tx_digest,
 ) -> ConsensusRound:
     """One unanimity round over a single proposed transaction.
 
@@ -96,7 +104,11 @@ def run_consensus(
     set, and replicas in one state share one Vote object. `ca_checked` is
     check_tx_genesis's set of batch roots found CA-signed; a caller that
     runs many rounds of one partition passes the same set to each, so
-    each batch root's signature is checked once.
+    each batch root's signature is checked once. `verify_tx` is how the
+    genesis half checks a transaction signature: inline by default. A
+    caller that passes a TxVerifier's check gets the round that holds if
+    every queued check holds, and must confirm them before it trusts the
+    round.
 
     Commits mutate every replica: each appends the fold value it voted
     for, then seals if full. A replica whose cached fold trail was edited
@@ -116,7 +128,7 @@ def run_consensus(
     if len(sealed) != 1:
         raise ReplicaMismatch("validator replicas disagree on the sealed chain")
 
-    shared = check_tx_genesis(tx, ledgers[0].genesis, ca_checked)
+    shared = check_tx_genesis(tx, ledgers[0].genesis, ca_checked, verify_tx)
     # The sealed chains are equal, so a replica's state is its open block:
     # the block it extends and the tids it holds. Replicas in one state
     # get one committed-half verdict, one fold and one shared Vote. The

@@ -82,6 +82,8 @@ def test_run_usage_errors(tmp_path, capsys):
     bad.write_bytes(b"\xff\xfe{}")
     assert run_cli("run", str(bad)) == 2
     capsys.readouterr()
+    assert run_cli("run", str(tmp_path)) == 2
+    assert capsys.readouterr().err == f"error: cannot read {tmp_path}: Is a directory\n"
 
 
 def test_run_nan_drop_probability_is_a_usage_error(tmp_path, capsys):
@@ -116,6 +118,15 @@ def test_verify_empty_file_reports_missing_genesis(tmp_path, capsys):
     assert run_cli("verify", str(empty)) == 1
     assert "missing genesis" in capsys.readouterr().err
     assert run_cli("verify", str(tmp_path / "absent.bin")) == 2
+
+
+@pytest.mark.parametrize("command", ["verify", "inspect"])
+def test_a_ledger_path_that_cannot_be_read_is_a_usage_error(tmp_path, capsys, command):
+    """A directory cannot be read as a ledger file. A file without read
+    permission takes the same path, but root reads any file, so only the
+    directory is tried here."""
+    assert run_cli(command, str(tmp_path)) == 2
+    assert capsys.readouterr().err == f"error: cannot read {tmp_path}: Is a directory\n"
 
 
 # --- inspect ------------------------------------------------------------------
@@ -260,6 +271,9 @@ def test_adjudicate_usage_errors(tmp_path, capsys):
     case_path.write_bytes(b"\xff\xfe{}")
     assert run_cli("adjudicate", str(p1_path), str(p2_path), str(case_path)) == 2
     capsys.readouterr()
+    for paths in ((tmp_path, p2_path, case_path), (p1_path, tmp_path, case_path), (p1_path, p2_path, tmp_path)):
+        assert run_cli("adjudicate", *map(str, paths)) == 2
+        assert capsys.readouterr().err == f"error: cannot read {tmp_path}: Is a directory\n"
 
 
 @pytest.mark.parametrize(

@@ -10,6 +10,7 @@ import random
 import struct
 import subprocess
 import sys
+import threading
 
 import pytest
 from hypothesis import given, strategies as st
@@ -19,6 +20,7 @@ from avledger.errors import EscrowDenied, InvalidValidity, UnknownCertificate, U
 from avledger.identity import (
     IdentityEscrow,
     PseudonymCertificate,
+    TxVerifier,
     certificate_signature_ok,
     derive_shared_key,
     generate_keypair,
@@ -559,3 +561,86 @@ def test_sealed_payloads_differ_per_nonce():
 def test_open_sealed_rejects_short_payload():
     with pytest.raises(ValueError):
         open_sealed(b"\x00" * 32, b"short")
+
+
+# --- transaction signatures on a worker thread ----------------------------------
+
+def _signed_checks(n: int, seed: int) -> list[tuple[bytes, bytes, bytes]]:
+    rng = random.Random(seed)
+    keys = [generate_keypair(rng) for _ in range(4)]
+    checks = []
+    for i in range(n):
+        tid = rng.randbytes(32)
+        checks.append((keys[i % 4].public_key, tid, sign_tx_digest(keys[i % 4], tid)))
+    return checks
+
+
+def _spoil(check: tuple[bytes, bytes, bytes], how: int) -> tuple[bytes, bytes, bytes]:
+    public_key, tid, signature = check
+    if how == 0:
+        return public_key, tid, bytes([signature[0] ^ 0x01]) + signature[1:]
+    if how == 1:
+        return public_key, bytes([tid[0] ^ 0x80]) + tid[1:], signature
+    return public_key, tid, signature[:63]  # refused before the backend
+
+
+def test_verifiers_under_fast_thread_switching_run_every_check_once():
+    """Four verifiers, each fed by a thread of its own, with the
+    interpreter switching threads every microsecond: each runs every
+    check it was given, and reports a failure exactly when a bad check
+    was among them."""
+    valid = _signed_checks(64, seed=5)
+    rng = random.Random(17)
+    feeds = []
+    for index in range(4):
+        checks = [valid[rng.randrange(len(valid))] for _ in range(1000)]
+        if index % 2:
+            for at in rng.sample(range(len(checks)), 2):
+                checks[at] = _spoil(checks[at], rng.randrange(3))
+        feeds.append(checks)
+    before = threading.active_count()
+    verifiers = [TxVerifier() for _ in feeds]
+    held = [None] * len(feeds)
+
+    def feed(index: int) -> None:
+        verifier = verifiers[index]
+        for check in feeds[index]:
+            assert verifier.check(*check) is True
+        held[index] = verifier.close()
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        feeders = [threading.Thread(target=feed, args=(index,)) for index in range(len(feeds))]
+        for thread in feeders:
+            thread.start()
+        for thread in feeders:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(switch)
+    assert held == [True, False, True, False]
+    for verifier, checks in zip(verifiers, feeds):
+        assert verifier.queued == verifier.checked == len(checks)
+        assert verifier.error is None
+    assert threading.active_count() == before
+
+
+def test_a_verifier_whose_backend_raises_stops_and_reports_it(monkeypatch):
+    checks = _signed_checks(40, seed=6)
+    seen = []
+
+    def raising(public_key, message, signature):
+        seen.append(message)
+        if len(seen) == 10:
+            raise RuntimeError("backend failed")
+        return True
+
+    monkeypatch.setattr(identity, "BACKEND", identity.BACKEND._replace(verify=raising))
+    verifier = TxVerifier()
+    for check in checks:
+        verifier.check(*check)
+    assert verifier.close() is False
+    assert verifier.close() is False  # a second close waits for nothing
+    assert isinstance(verifier.error, RuntimeError)
+    assert verifier.queued == 40 and verifier.checked == 9 and len(seen) == 10

@@ -3,10 +3,14 @@ three adversary classes, and configuration handling."""
 
 import dataclasses
 import json
+import os
+import threading
+import time
 
 import pytest
 
-from avledger import scenarios
+from avledger import identity, scenarios
+from avledger import ledger as ledger_module
 from avledger.errors import ConfigError, MalformedCase, NotFound
 from avledger.identity import PseudonymCertificate
 from avledger.ledger import chain_faults, load_ledger, save_ledger
@@ -550,3 +554,149 @@ def test_pools_lose_no_key_and_leave_every_use_a_full_window(issued):
         if tx.kind is not TxKind.EVIDENCE_REQUEST:
             left = tx.cert.issued_at + tx.cert.validity_secs - body_timestamp(tx)
             assert left > validity - 1.0, (tx.kind, left)
+
+
+# --- transaction signatures checked on a worker thread ---------------------------
+
+def _outputs(result, tmp_path, name) -> tuple:
+    """The report JSON, the audit lines and both saved ledger files."""
+    files = []
+    for part, ledger in sorted(result.ledgers.items()):
+        path = tmp_path / f"{name}-{part}.bin"
+        save_ledger(ledger, str(path))
+        files.append(path.read_bytes())
+    return result.report.to_json(), list(result.audit_lines), files
+
+
+def _run_with_verifier(monkeypatch, config, deferred: bool):
+    """The run with signature checks on the worker thread, or inline."""
+    monkeypatch.setattr(scenarios, "background_verify_pays", lambda: deferred)
+    return _run(config)
+
+
+def test_a_failed_deferred_check_replays_the_run_inline(monkeypatch, tmp_path):
+    """One EST's signature has a bit flipped after it was signed, its tid
+    kept, so only its signature check fails. On the worker that check
+    fails after the round accepted the EST; run() throws that run away
+    and replays it inline, which gives the inline path's bytes."""
+    build = scenarios.build_transaction
+    ests = []
+
+    def flip_second_est(kind, *args, **kwargs):
+        tx = build(kind, *args, **kwargs)
+        if kind is TxKind.EVENT_SAFETY:
+            ests.append(tx.tid)
+            if len(ests) == 2:
+                entry = tx.signatures[0]
+                flipped = bytes([entry.signature[0] ^ 0x01]) + entry.signature[1:]
+                tx = dataclasses.replace(tx, signatures=(dataclasses.replace(entry, signature=flipped),))
+        return tx
+
+    monkeypatch.setattr(scenarios, "build_transaction", flip_second_est)
+    plays = []
+    play = ScenarioEngine._play
+
+    def counting_play(engine):
+        plays.append(engine)
+        ests.clear()  # each play flips its own second EST
+        return play(engine)
+
+    monkeypatch.setattr(ScenarioEngine, "_play", counting_play)
+    config = make_benign_config(0)
+
+    deferred = _run_with_verifier(monkeypatch, config, True)
+    assert len(plays) == 2 and plays[0] is plays[1]  # the deferred run, then its replay
+    bad = [line for line in deferred.audit_lines if '"BadSignature"' in line]
+    assert len(bad) == 1 and ests[1].hex() in bad[0]
+    assert json.loads(bad[0])["outcome"] == "Rejected"
+    assert deferred.report.counts["P1"]["rejected"]["EST"] == 1
+
+    plays.clear()
+    inline = _run_with_verifier(monkeypatch, config, False)
+    assert len(plays) == 1
+    assert _outputs(deferred, tmp_path, "deferred") == _outputs(inline, tmp_path, "inline")
+
+
+class _Planted(Exception):
+    """An error a test plants in the program."""
+
+
+def test_a_worker_that_raises_makes_run_raise_as_inline(monkeypatch):
+    """BACKEND.verify raises on the check that is its n-th call in an
+    inline run, a transaction signature. On the worker that error only
+    ends the checks; the inline replay raises it from run()."""
+    config = make_benign_config(0)
+    real = identity.BACKEND
+    messages = []
+
+    def recording(public_key, message, signature):
+        messages.append(message)
+        return real.verify(public_key, message, signature)
+
+    monkeypatch.setattr(identity, "BACKEND", real._replace(verify=recording))
+    _run_with_verifier(monkeypatch, config, False)
+    nth = [m for m in messages if m.startswith(identity._TX_SIGN_PREFIX)][5]
+
+    def raising(public_key, message, signature):
+        if message == nth:
+            raise _Planted(message.hex())
+        return real.verify(public_key, message, signature)
+
+    monkeypatch.setattr(identity, "BACKEND", real._replace(verify=raising))
+    threads = threading.active_count()
+    for deferred in (False, True):
+        with pytest.raises(_Planted):
+            _run_with_verifier(monkeypatch, config, deferred)
+        assert threading.active_count() == threads
+
+
+def test_run_leaves_no_thread_alive_when_it_returns_or_raises(monkeypatch):
+    monkeypatch.setattr(scenarios, "background_verify_pays", lambda: True)
+    threads = threading.active_count()
+    config = make_benign_config(1)
+    _run(config)
+    assert threading.active_count() == threads
+
+    calls = []
+    real = ScenarioEngine.trigger_event_safety
+
+    def failing(engine, event):
+        calls.append(event)
+        if len(calls) == 3:
+            raise _Planted("a timer handler failed")
+        real(engine, event)
+
+    monkeypatch.setattr(ScenarioEngine, "trigger_event_safety", failing)
+    with pytest.raises(_Planted):
+        _run(config)
+    assert len(calls) == 3
+    assert threading.active_count() == threads
+
+
+def test_chain_faults_forks_its_helpers_right_after_a_run(monkeypatch):
+    """The worker is joined before run() returns, so the process has one
+    thread again and chain_faults spreads the chain over forked helpers.
+    Each check is slowed down, so that a worker left running would still
+    be behind when chain_faults starts."""
+    real = identity.BACKEND
+
+    def slow(public_key, message, signature):
+        time.sleep(0.001)
+        return real.verify(public_key, message, signature)
+
+    monkeypatch.setattr(identity, "BACKEND", real._replace(verify=slow))
+    monkeypatch.setattr(scenarios, "background_verify_pays", lambda: True)
+    ledger = _run(disputes_shaped_config(5, n_events=120)).ledgers["P1"]
+    monkeypatch.setattr(identity, "BACKEND", real)
+    assert len(ledger.all_transactions()) >= 2 * ledger_module.MIN_SHARE
+    forks = []
+    real_fork = os.fork
+
+    def counting_fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "fork", counting_fork)
+    assert chain_faults(ledger) == []
+    assert len(forks) == 1
