@@ -36,6 +36,7 @@ from .scenarios import (
     load_config,
     make_attack_config,
     make_benign_config,
+    number,
     optional,
     read_json,
 )
@@ -90,14 +91,17 @@ def cmd_run(args: argparse.Namespace) -> int:
     rendered = report.to_json()
 
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "report.json"), "w", encoding="utf-8") as fh:
-            fh.write(rendered)
-        with open(os.path.join(args.out, "audit.jsonl"), "w", encoding="utf-8") as fh:
-            for line in result.audit_lines:
-                fh.write(line + "\n")
-        for name, ledger in sorted(result.ledgers.items()):
-            save_ledger(ledger, os.path.join(args.out, f"ledger_{name.lower()}.bin"))
+        try:
+            os.makedirs(args.out, exist_ok=True)
+            with open(os.path.join(args.out, "report.json"), "w", encoding="utf-8") as fh:
+                fh.write(rendered)
+            with open(os.path.join(args.out, "audit.jsonl"), "w", encoding="utf-8") as fh:
+                for line in result.audit_lines:
+                    fh.write(line + "\n")
+            for name, ledger in sorted(result.ledgers.items()):
+                save_ledger(ledger, os.path.join(args.out, f"ledger_{name.lower()}.bin"))
+        except OSError as exc:
+            return _fail_usage(f"cannot write {args.out}: {exc.strerror or exc}")
         print(f"report written to {os.path.join(args.out, 'report.json')}")
     else:
         print(rendered, end="")
@@ -146,12 +150,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     if scope_ok("genesis"):
         print(f"genesis {ledger.genesis.block_id.hex()[:16]} ok ({ledger.partition.value})")
-    for index, block in enumerate(ledger.blocks):
+    for index, block_id in enumerate(ledger.block_ids()):
         scope = f"block {index}"
         if scope_ok(scope):
-            print(f"{scope}: ok ({len(block.transactions)} tx, id {block.block_id.hex()[:16]})")
-    if scope_ok("current block") and scope_ok("current tx"):
-        n = len(ledger.current.transactions)
+            print(f"{scope}: ok ({ledger.b_max} tx, id {block_id.hex()[:16]})")
+    if scope_ok("current tx"):
+        n = len(ledger.open_transactions())
         print(f"current block: ok ({n} tx, id {ledger.cblock_id.hex()[:16]})")
 
     if faults:
@@ -191,6 +195,10 @@ def cmd_inspect(args: argparse.Namespace) -> int:
 # --- adjudicate ---------------------------------------------------------------
 
 def cmd_adjudicate(args: argparse.Namespace) -> int:
+    try:
+        at = optional(number())(args.at, "--at")
+    except ConfigError as exc:
+        return _fail_usage(str(exc))
     ledgers = []
     for path, partition in ((args.p1, Partition.OPERATIONAL), (args.p2, Partition.DECISIONAL)):
         ledger = _load(path)
@@ -212,7 +220,7 @@ def cmd_adjudicate(args: argparse.Namespace) -> int:
         return _fail_usage(str(exc))
 
     try:
-        verdict = adjudicate(case, *ledgers, AdjudicationParams(), at=args.at)
+        verdict = adjudicate(case, *ledgers, AdjudicationParams(), at=at)
     except MalformedCase as exc:
         print(f"case not adjudicable: {exc}", file=sys.stderr)
         return EXIT_FAILURE

@@ -1,4 +1,5 @@
-"""Per-partition evidence ledger: sealed blocks plus a running current block.
+"""Per-partition evidence ledger: one replica is the record log a saved
+file stores.
 
 Integrity model: the open block's id is a left fold of committed
 transaction ids, seeded by the previous block id. Appending recomputes
@@ -7,8 +8,11 @@ transaction ids, seeded by the previous block id. Appending recomputes
 
 so every replica that saw the same commit sequence holds byte-identical
 fold state, and removing or reordering any committed transaction changes
-every fold value after it. Sealing freezes the fold value as the block's
-permanent id and seeds the next block with it.
+every fold value after it. A replica holds its records in commit order and,
+beside them, the fold value after each one. Blocks are cut every b_max
+records: block k is records[k*b_max:(k+1)*b_max], it seals when it is
+full, and its id is the fold value after its last record, which seeds the
+next block. The records after the sealed ones are the open block.
 
 The file format (version 3) is a record log with a trailer:
 
@@ -28,7 +32,7 @@ from __future__ import annotations
 import hashlib
 import os
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from typing import Iterable, Optional
 
 from .encoding import BOOLEAN, TEXT, U32, encode, fixed, frozen, items, unpack, wire
@@ -136,45 +140,24 @@ def _genesis_id(genesis: GenesisBlock) -> Hash256:
     return hashlib.sha256(encode(genesis, start=1)).digest()
 
 
-@dataclass
-class Block:
-    """A sealed block. block_id is the final fold value; fold_trail[i] is
-    the fold after transactions[i].
-    """
-
-    block_id: Hash256
-    prev_block_id: Hash256
-    transactions: list[Transaction]
-    fold_trail: list[Hash256]
-    sealed_at: float
-
-
-@dataclass
-class CurrentBlock:
-    prev_block_id: Hash256
-    transactions: list[Transaction] = field(default_factory=list)
-    fold_trail: list[Hash256] = field(default_factory=list)
-
-    @property
-    def cblock_id(self) -> Hash256:
-        return self.fold_trail[-1] if self.fold_trail else self.prev_block_id
-
-
 class PartitionLedger:
-    """One replica of one partition's chain.
+    """One replica of one partition's chain, held as its record log:
+    records in commit order, folds[i] the fold value after records[i],
+    and `sealed`, the count of records in sealed blocks, always a multiple
+    of b_max. The views below are the only block arithmetic there is.
 
     Besides the tid map, one index serves every query that names a kind:
     _rows[kind][cert_id] is the list of transactions of that kind under
     that certificate, and _rows[kind][None] all of that kind, so each
-    transaction sits in two lists. Every list holds the blocks' own
+    transaction sits in two lists. Every list holds the log's own
     Transaction objects in commit order. Each kind's entry exists from
     the start, so upkeep makes a list only for a cert id's first row.
 
     The index is built at the first query that names a kind and kept
     current from then on: a replica nobody queries, such as every replica
     of a collision-free run and every loaded file, holds none (_rows is
-    None). append_validated and append_claimed index each record they add
-    once it exists; remove_open drops it.
+    None). append_claimed indexes each record it adds once it exists;
+    remove_open drops it.
     """
 
     def __init__(self, genesis: GenesisBlock) -> None:
@@ -182,8 +165,9 @@ class PartitionLedger:
             raise ValueError("block capacity must be at least 1")
         self.genesis = genesis
         self.b_max = genesis.b_max
-        self.blocks: list[Block] = []
-        self.current = CurrentBlock(prev_block_id=genesis.block_id)
+        self.records: list[Transaction] = []
+        self.folds: list[Hash256] = []
+        self.sealed = 0
         self._by_tid: dict[Hash256, Transaction] = {}
         self._rows: Optional[dict[TxKind, dict[Optional[bytes], list[Transaction]]]] = None
 
@@ -199,36 +183,56 @@ class PartitionLedger:
 
     @property
     def cblock_id(self) -> Hash256:
-        return self.current.cblock_id
+        """The open block's id: the fold value after the last record, or
+        the genesis id before the first."""
+        return self.folds[-1] if self.folds else self.genesis.block_id
 
     def find(self, tid: Hash256) -> Optional[Transaction]:
         return self._by_tid.get(tid)
 
     def all_transactions(self) -> list[Transaction]:
-        out: list[Transaction] = []
-        for block in self.blocks:
-            out.extend(block.transactions)
-        out.extend(self.current.transactions)
-        return out
+        return self.records[:]
 
     def sealed_tip(self) -> Hash256:
-        return self.blocks[-1].block_id if self.blocks else self.genesis.block_id
+        """The last sealed block's id, which seeds the open block's fold,
+        or the genesis id before the first seal."""
+        return self.folds[self.sealed - 1] if self.sealed else self.genesis.block_id
+
+    def open_transactions(self) -> list[Transaction]:
+        return self.records[self.sealed:]
+
+    def block_ids(self) -> list[Hash256]:
+        """The id of every sealed block, in order."""
+        return self.folds[self.b_max - 1:self.sealed:self.b_max]
 
     # -- mutation -------------------------------------------------------------
 
     def append_validated(self, tx: Transaction, fold: Hash256) -> None:
-        """Appends an already-validated transaction to the open block with
-        `fold`, the fold value after it that the consensus round agreed
-        on. Uniqueness is enforced here as the last line of defense even
-        though validation checks it too.
+        """Appends an already-validated transaction with `fold`, the fold
+        value after it that the consensus round agreed on, as
+        append_claimed does. Uniqueness is enforced here as the last line
+        of defense even though validation checks it too.
         """
         if tx.tid in self._by_tid:
             raise UniquenessViolation(tx.tid.hex())
-        self.current.transactions.append(tx)
-        self.current.fold_trail.append(fold)
+        self.append_claimed(tx, fold)
+
+    def append_claimed(self, tx: Transaction, fold: Hash256) -> None:
+        """Appends a record as a saved file claims it, fold value included,
+        and seals at capacity. Nothing is checked, not even uniqueness:
+        chain_faults judges the claims and reports what is wrong.
+        """
+        self.records.append(tx)
+        self.folds.append(fold)
         self._by_tid[tx.tid] = tx
         if self._rows is not None:
             self._index(tx)
+        self.maybe_seal()
+
+    def maybe_seal(self) -> None:
+        """Seals the open block once it holds b_max transactions."""
+        if len(self.records) - self.sealed >= self.b_max:
+            self.sealed += self.b_max
 
     def _index(self, tx: Transaction) -> None:
         by_cert = self._rows[tx.kind]
@@ -241,53 +245,23 @@ class PartitionLedger:
 
     def _build_index(self) -> dict[TxKind, dict[Optional[bytes], list[Transaction]]]:
         self._rows = {kind: {None: []} for kind in TxKind}
-        for tx in self.all_transactions():
+        for tx in self.records:
             self._index(tx)
         return self._rows
 
-    def maybe_seal(self) -> Optional[Block]:
-        """Seals the open block once it holds b_max transactions. The seal
-        timestamp is the sealing transaction's body timestamp, so it is
-        derivable from the record log alone.
-        """
-        if len(self.current.transactions) < self.b_max:
-            return None
-        block = Block(
-            block_id=self.current.cblock_id,
-            prev_block_id=self.current.prev_block_id,
-            transactions=self.current.transactions,
-            fold_trail=self.current.fold_trail,
-            sealed_at=body_timestamp(self.current.transactions[-1]),
-        )
-        self.blocks.append(block)
-        self.current = CurrentBlock(prev_block_id=block.block_id)
-        return block
-
-    def append_claimed(self, tx: Transaction, fold: Hash256) -> None:
-        """Appends a record as a saved file claims it, fold value included,
-        and seals at capacity. Nothing is checked, not even uniqueness:
-        chain_faults judges the claims and reports what is wrong.
-        """
-        self.current.transactions.append(tx)
-        self.current.fold_trail.append(fold)
-        self._by_tid[tx.tid] = tx
-        if self._rows is not None:
-            self._index(tx)
-        self.maybe_seal()
-
     def remove_open(self, tid: Hash256) -> None:
         """Out-of-band edit: deletes a transaction from the open block and
-        re-folds the trail after it, so the replica stays self-consistent
+        re-folds the values after it, so the replica stays self-consistent
         and only the next consensus round shows the edit.
         """
-        cur = self.current
-        pos = next((i for i, tx in enumerate(cur.transactions) if tx.tid == tid), None)
+        records = self.records
+        pos = next((i for i in range(self.sealed, len(records)) if records[i].tid == tid), None)
         if pos is None:
             raise NotFound(f"no open-block transaction {tid.hex()[:16]}")
-        del cur.transactions[pos], cur.fold_trail[pos:]
-        for tx in cur.transactions[pos:]:
-            cur.fold_trail.append(fold_step(tx.tid, cur.cblock_id))
-        self._by_tid = {tx.tid: tx for tx in self.all_transactions()}
+        del records[pos], self.folds[pos:]
+        for tx in records[pos:]:
+            self.folds.append(fold_step(tx.tid, self.cblock_id))
+        self._by_tid = {tx.tid: tx for tx in records}
         self._rows = None
 
     # -- queries --------------------------------------------------------------
@@ -315,10 +289,10 @@ class PartitionLedger:
                 by_kind = self._build_index()
             rows = by_kind[kind].get(cert_id, ())
         elif cert_id is None:
-            rows = self.all_transactions()
+            rows = self.records
         else:
             rows = []
-            for tx in self.all_transactions():
+            for tx in self.records:
                 if tx.cert.cert_id == cert_id:
                     rows.append(tx)
         if time_range is None:
@@ -351,8 +325,10 @@ def chain_faults(ledger: PartitionLedger) -> list[str]:
 
     Every committed record is judged by check_tx, the rule consensus
     applied when it was proposed, against the records before it; a fault
-    names the first policy it fails. The fold, block links and block
-    capacities are rechecked too, and every faulty position is reported.
+    names the first policy it fails. Every fold value is recomputed too,
+    each block's from the id the block before it claims, and a sealed
+    block whose id does not match is named; every faulty position is
+    reported.
 
     The genesis half of check_tx, which holds all the signature work,
     reads only the record and the genesis, so it is judged for the whole
@@ -369,37 +345,28 @@ def chain_faults(ledger: PartitionLedger) -> list[str]:
         return faults
 
     committed: dict[Hash256, Transaction] = {}
-    first_reasons = iter(_genesis_reasons(ledger.all_transactions(), genesis))
-    prev = genesis.block_id
-    # Sealed blocks and the open block are one sequence of segments; only
-    # a sealed one has a block id and exactly b_max transactions.
-    segments = [(f"block {i}", f"block {i} tx", block) for i, block in enumerate(ledger.blocks)]
-    segments.append(("current block", "current tx", ledger.current))
-    for where, tx_where, seg in segments:
-        if seg.prev_block_id != prev:
-            faults.append(f"{where}: previous-block link broken")
-        if len(seg.transactions) != len(seg.fold_trail):
-            faults.append(f"{where}: fold trail length mismatch")
-        acc = seg.prev_block_id
-        for pos, tx in enumerate(seg.transactions):
-            reason = next(first_reasons)
-            if reason is Reason.OK:
-                reason = check_tx_committed(tx, committed)
-            if reason is Reason.OK:
-                committed[tx.tid] = tx
-            else:
-                faults.append(f"{tx_where} {pos}: tx {tx.tid.hex()[:16]}: {_FAULT_TEXT[reason]} ({reason.value})")
-            acc = fold_step(tx.tid, acc)
-            if pos < len(seg.fold_trail) and acc != seg.fold_trail[pos]:
-                faults.append(f"{tx_where} {pos}: fold value mismatch")
-        if isinstance(seg, Block):
-            if seg.transactions and acc != seg.block_id:
+    folds, b_max = ledger.folds, ledger.b_max
+    reasons = _genesis_reasons(ledger.records, genesis)
+    acc = genesis.block_id
+    for i, (tx, reason, fold) in enumerate(zip(ledger.records, reasons, folds)):
+        pos = i % b_max
+        if not pos:
+            where = f"block {i // b_max}" if i < ledger.sealed else "current"
+            if i:
+                # A block's fold restarts from the id the block before it
+                # claims, so a forged value shows in one block only.
+                acc = folds[i - 1]
+        if reason is Reason.OK:
+            reason = check_tx_committed(tx, committed)
+        if reason is Reason.OK:
+            committed[tx.tid] = tx
+        else:
+            faults.append(f"{where} tx {pos}: tx {tx.tid.hex()[:16]}: {_FAULT_TEXT[reason]} ({reason.value})")
+        acc = fold_step(tx.tid, acc)
+        if acc != fold:
+            faults.append(f"{where} tx {pos}: fold value mismatch")
+            if pos == b_max - 1 and i < ledger.sealed:
                 faults.append(f"{where}: block id does not match recomputed fold")
-            if len(seg.transactions) != ledger.b_max:
-                faults.append(f"{where}: holds {len(seg.transactions)} transactions, capacity is {ledger.b_max}")
-            prev = seg.block_id
-    if len(ledger.current.transactions) >= ledger.b_max:
-        faults.append("current block: at or over capacity but not sealed")
     return faults
 
 
@@ -513,30 +480,22 @@ def save_ledger(ledger: PartitionLedger, path: str) -> None:
         genesis_bytes = encode(ledger.genesis, start=1)
         fh.write(len(genesis_bytes).to_bytes(4, "big"))
         fh.write(genesis_bytes)
-        count = 0
-        for tx, fold in _records_with_folds(ledger):
+        for tx, fold in zip(ledger.records, ledger.folds):
             record = encode_transaction(tx)
             fh.write(len(record).to_bytes(4, "big"))
             fh.write(record)
             fh.write(fold)
-            count += 1
-        fh.write(count.to_bytes(4, "big"))
+        fh.write(len(ledger.records).to_bytes(4, "big"))
         fh.write(ledger.cblock_id)
-
-
-def _records_with_folds(ledger: PartitionLedger):
-    for block in ledger.blocks:
-        yield from zip(block.transactions, block.fold_trail)
-    yield from zip(ledger.current.transactions, ledger.current.fold_trail)
 
 
 def load_ledger(path: str) -> PartitionLedger:
     """Structural load: decodes the header, genesis, and every record, and
-    rebuilds blocks from the recorded fold claims. The trailer must name
-    the number of records read and the fold value claimed after the last
-    one (the recomputed genesis id when there is none). Chain-level
-    integrity is judged separately by chain_faults, so corrupt files can
-    still be reported on block by block.
+    appends each record with the fold value the file claims for it. The
+    trailer must name the number of records read and the fold value
+    claimed after the last one (the recomputed genesis id when there is
+    none). Chain-level integrity is judged separately by chain_faults, so
+    corrupt files can still be reported on block by block.
 
     The file is read record by record, never whole, and no read asks for
     more than the bytes left, so a corrupt length allocates nothing big.

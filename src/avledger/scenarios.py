@@ -996,7 +996,7 @@ class ScenarioEngine:
         ):
             return
         replica = self.replicas[partition][attack.rogue]
-        candidates = replica.current.transactions
+        candidates = replica.open_transactions()
         if attack.target_kind is not None:
             matches = [t for t in candidates if t.kind is attack.target_kind]
         else:
@@ -1444,8 +1444,8 @@ class ScenarioEngine:
         for part in (P1, P2):
             replica = self.honest_replica(part)
             chain[part.value] = {
-                "blocks": len(replica.blocks),
-                "open_tx": len(replica.current.transactions),
+                "blocks": len(replica.block_ids()),
+                "open_tx": len(replica.open_transactions()),
                 "tx_total": len(replica.tid_index),
                 "cblock_id": replica.cblock_id.hex(),
             }

@@ -18,9 +18,11 @@ Consensus is unanimity among a partition's validators: a transaction
 commits only if every validator accepts it and every validator computes
 the same next fold value for its own replica. A round where all accept
 but the fold values disagree is the tamper signal: some replica's open
-block no longer matches the others. Replicas whose open blocks agree are
-one state: they share one verdict, one fold and one Vote, and on commit
-every replica appends the fold value it voted for.
+block no longer matches the others. A replica is its record log (see
+ledger), and the sealed part must be the same on every replica, so
+replicas whose open blocks hold the same tids are one state: they share
+one verdict, one fold and one Vote, and on commit every replica appends
+the fold value it voted for, sealing the block when it is full.
 
 A round checks every signature it needs inline unless its caller passes
 another transaction-signature check. ScenarioEngine.run passes a
@@ -100,8 +102,8 @@ def run_consensus(
 
     The genesis half of check_tx is judged once for the round, against
     the genesis every replica shares; the committed half is judged once
-    per replica state (its open block), against that state's committed
-    set, and replicas in one state share one Vote object. `ca_checked` is
+    per replica state (the tids of its open block), against that state's
+    committed set, and replicas in one state share one Vote object. `ca_checked` is
     check_tx_genesis's set of batch roots found CA-signed; a caller that
     runs many rounds of one partition passes the same set to each, so
     each batch root's signature is checked once. `verify_tx` is how the
@@ -111,7 +113,7 @@ def run_consensus(
     round.
 
     Commits mutate every replica: each appends the fold value it voted
-    for, then seals if full. A replica whose cached fold trail was edited
+    for, and seals if full. A replica whose stored fold values were edited
     out of band appends that value too, and chain_faults still finds the
     edit. A rejection by anyone leaves all replicas untouched; accept
     votes that disagree on the fold value mark the round Diverged and
@@ -124,30 +126,30 @@ def run_consensus(
     # one shared id means one partition and one genesis half for everyone.
     if len({lg.genesis.block_id for lg in ledgers}) != 1:
         raise ReplicaMismatch("validator replicas hold different genesis blocks")
-    sealed = {(len(lg.blocks), lg.sealed_tip()) for lg in ledgers}
+    sealed = {(lg.sealed, lg.sealed_tip()) for lg in ledgers}
     if len(sealed) != 1:
         raise ReplicaMismatch("validator replicas disagree on the sealed chain")
+    [(_, tip)] = sealed
 
     shared = check_tx_genesis(tx, ledgers[0].genesis, ca_checked, verify_tx)
-    # The sealed chains are equal, so a replica's state is its open block:
-    # the block it extends and the tids it holds. Replicas in one state
-    # get one committed-half verdict, one fold and one shared Vote. The
-    # candidate fold value is recomputed from the open block's transaction
-    # list, never read from its cached trail, so an out-of-band edit of a
-    # list puts that replica in a state of its own.
+    # The sealed chains are equal, so a replica's state is the tids of its
+    # open block. Replicas in one state get one committed-half verdict, one
+    # fold and one shared Vote. The candidate fold value is recomputed from
+    # the sealed tip and the open block's records, never read from the
+    # replica's stored fold values, so an out-of-band edit of a record puts
+    # that replica in a state of its own.
     states: dict[tuple, Vote] = {}
     votes: dict[EntityId, Vote] = {}
     for validator, replica in zip(validators, ledgers):
-        open_block = replica.current
-        tids = [t.tid for t in open_block.transactions]
-        key = (open_block.prev_block_id, *tids)
+        tids = [t.tid for t in replica.open_transactions()]
+        key = tuple(tids)
         vote = states.get(key)
         if vote is None:
             reason = check_tx_committed(tx, replica.tid_index) if shared is Reason.OK else shared
             fold = None
             if reason is Reason.OK:
                 tids.append(tx.tid)
-                fold = fold_ids(open_block.prev_block_id, tids)
+                fold = fold_ids(tip, tids)
             vote = states[key] = Vote(reason, fold)
         votes[validator] = vote
 
@@ -160,7 +162,6 @@ def run_consensus(
         fold = vote.cblock_id
         for replica in ledgers:
             replica.append_validated(tx, fold)
-            replica.maybe_seal()
     else:
         outcome = RoundOutcome.DIVERGED
 

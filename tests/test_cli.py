@@ -84,6 +84,13 @@ def test_run_usage_errors(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli("run", str(tmp_path)) == 2
     assert capsys.readouterr().err == f"error: cannot read {tmp_path}: Is a directory\n"
+    # An --out path that cannot be made a directory: an existing file, and
+    # a path under one.
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    for out, reason in ((taken, "File exists"), (taken / "under", "Not a directory")):
+        assert run_cli("run", "--seed", "0", "--out", str(out)) == 2
+        assert capsys.readouterr() == ("", f"error: cannot write {out}: {reason}\n")
 
 
 def test_run_nan_drop_probability_is_a_usage_error(tmp_path, capsys):
@@ -240,6 +247,15 @@ def test_adjudicate_refuses_swapped_ledger_files(tmp_path, capsys):
     assert "expected P2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("at", ["nan", "inf", "-inf", "1e999"])
+def test_a_non_finite_at_is_a_usage_error(tmp_path, capsys, at):
+    """NaN fails every deadline comparison, so it would switch the
+    negligence rule off; --at is read as a config number is."""
+    p1_path, p2_path, case_path, _ = _small_case(tmp_path)
+    assert run_cli("adjudicate", str(p1_path), str(p2_path), str(case_path), f"--at={at}") == 2
+    assert capsys.readouterr() == ("", f"error: --at: expected a finite number, got {float(at)!r}\n")
+
+
 @pytest.mark.parametrize("which", [0, 1], ids=["P1", "P2"])
 def test_adjudicate_authenticates_both_files_before_any_verdict(tmp_path, capsys, which):
     """The party's evidence rewritten in place to the other drive mode,
@@ -248,11 +264,11 @@ def test_adjudicate_authenticates_both_files_before_any_verdict(tmp_path, capsys
     p1_path, p2_path, case_path, _ = _small_case(tmp_path)
     path = (p1_path, p2_path)[which]
     ledger = load_ledger(str(path))
-    tx = ledger.current.transactions[0]
+    tx = ledger.records[0]
     hv = tx.body.edata.hv_data
     other = next(mode for mode in DriveMode if mode is not hv.drive_mode)
     edata = dataclasses.replace(tx.body.edata, hv_data=dataclasses.replace(hv, drive_mode=other))
-    ledger.current.transactions[0] = dataclasses.replace(tx, body=dataclasses.replace(tx.body, edata=edata))
+    ledger.records[0] = dataclasses.replace(tx, body=dataclasses.replace(tx.body, edata=edata))
     save_ledger(ledger, str(path))
     assert run_cli("verify", str(path)) == 1
     capsys.readouterr()

@@ -220,7 +220,7 @@ def test_a_stored_signature_of_the_wrong_length_is_a_fault(backend, tmp_path, si
     world = make_world(seed=19)
     ledger = world.ledger(b_max=4)
     fill_ledger(world, ledger, 6)
-    victim = ledger.blocks[0].transactions[2]
+    victim = ledger.records[2]
     entry = victim.signatures[0]
     forged = dataclasses.replace(
         victim, signatures=(dataclasses.replace(entry, signature=(entry.signature + b"\x00")[:size]),)
@@ -230,7 +230,7 @@ def test_a_stored_signature_of_the_wrong_length_is_a_fault(backend, tmp_path, si
         victim.cert, root_signature=(victim.cert.root_signature + b"\x00")[:size]
     )
     assert not certificate_signature_ok(cert, world.ca.public_key)
-    ledger.blocks[0].transactions[2] = forged
+    ledger.records[2] = forged
     path = str(tmp_path / "p1.bin")
     save_ledger(ledger, path)
     faults = chain_faults(load_ledger(path))

@@ -24,6 +24,7 @@ from avledger.ledger import (
 )
 from avledger import ledger as ledger_module
 from avledger import txmodel
+from avledger.scenarios import ScenarioEngine, make_benign_config
 from avledger.txmodel import EventTrigger, Partition, TxKind, body_timestamp
 from avledger.validation import Reason, RoundOutcome, verify_transaction
 
@@ -74,15 +75,18 @@ def test_append_advances_fold_and_seals_at_capacity():
     world = make_world(seed=10)
     ledger = world.ledger(b_max=3)
     txs = fill_ledger(world, ledger, 7)
-    assert len(ledger.blocks) == 2
-    assert len(ledger.current.transactions) == 1
-    # Conservation: committed == b_max * sealed + open.
+    assert ledger.records == txs
+    # Conservation: committed == b_max * sealed blocks + open.
+    assert ledger.sealed == 3 * 2 and ledger.open_transactions() == txs[6:]
     assert len(ledger.tid_index) == 3 * 2 + 1
+    # Each stored fold value is the left fold of every tid up to it, and
+    # a block's id is the value after its last record.
+    assert ledger.folds == [reference_fold(ledger.genesis.block_id, [t.tid for t in txs[:i + 1]]) for i in range(7)]
     expected_b0 = reference_fold(ledger.genesis.block_id, [t.tid for t in txs[:3]])
-    assert ledger.blocks[0].block_id == expected_b0
-    assert ledger.blocks[1].prev_block_id == expected_b0
-    assert ledger.blocks[0].sealed_at == body_timestamp(txs[2])
-    assert ledger.cblock_id == reference_fold(ledger.blocks[1].block_id, [txs[6].tid])
+    expected_b1 = reference_fold(expected_b0, [t.tid for t in txs[3:6]])
+    assert ledger.block_ids() == [expected_b0, expected_b1]
+    assert ledger.sealed_tip() == expected_b1
+    assert ledger.cblock_id == reference_fold(expected_b1, [txs[6].tid])
 
 
 def test_append_changes_cblock_id_every_time():
@@ -110,7 +114,12 @@ def test_maybe_seal_below_capacity_returns_none():
     ledger = world.ledger(b_max=4)
     fill_ledger(world, ledger, 3)
     assert ledger.maybe_seal() is None
-    assert ledger.blocks == []
+    assert ledger.block_ids() == [] and ledger.sealed == 0
+    # The fourth append seals the block; the open block after it has room.
+    append_by_hand(ledger, make_est(world, at=2000.0))
+    assert ledger.block_ids() == [ledger.cblock_id] and ledger.sealed == 4
+    ledger.maybe_seal()
+    assert ledger.sealed == 4
 
 
 def test_genesis_requires_ca_and_validator():
@@ -211,7 +220,7 @@ INDEXED = (False, True)
 def test_query_matches_a_scan_on_a_consensus_ledger():
     for indexed in INDEXED:
         ledger = _consensus_replica(indexed=indexed)
-        assert len(ledger.blocks) == 3 and not ledger.current.transactions
+        assert len(ledger.block_ids()) == 3 and not ledger.open_transactions()
         _assert_query_matches_scan(ledger)
 
 
@@ -236,7 +245,7 @@ def test_query_keeps_duplicates_of_a_loaded_file(tmp_path):
 def test_query_drops_what_remove_open_removed(tmp_path):
     for indexed in INDEXED:
         ledger = _consensus_replica(b_max=16, indexed=indexed)
-        open_txs = list(ledger.current.transactions)
+        open_txs = ledger.open_transactions()
         victim = open_txs[7]  # earlier and later open-block records share its cert and its kind
         ledger.remove_open(victim.tid)
         assert ledger._rows is None
@@ -335,9 +344,9 @@ def test_intact_chain_verifies():
 
 def test_mutated_committed_body_detected():
     _, ledger, _ = _sealed_ledger()
-    victim = ledger.blocks[0].transactions[1]
+    victim = ledger.records[1]
     forged_body = dataclasses.replace(victim.body, ts=victim.body.ts + 60.0)
-    ledger.blocks[0].transactions[1] = dataclasses.replace(victim, body=forged_body)
+    ledger.records[1] = dataclasses.replace(victim, body=forged_body)
     faults = chain_faults(ledger)
     assert any("does not match its contents" in f for f in faults)
     assert chain_faults(ledger)
@@ -345,43 +354,72 @@ def test_mutated_committed_body_detected():
 
 def test_removed_committed_transaction_detected():
     _, ledger, _ = _sealed_ledger()
-    del ledger.blocks[0].transactions[0]
-    del ledger.blocks[0].fold_trail[0]
+    del ledger.records[0], ledger.folds[0]
     assert chain_faults(ledger)
 
 
-def test_broken_block_link_detected():
-    _, ledger, _ = _sealed_ledger()
-    ledger.blocks[1].prev_block_id = b"\x00" * 32
-    assert any("previous-block link broken" in f for f in chain_faults(ledger))
+def _fold_offsets(data: bytes) -> list[int]:
+    """Where each record's stored fold value starts in a saved file."""
+    pos = 6 + 4 + int.from_bytes(data[6:10], "big")  # magic, version, genesis
+    offsets = []
+    while pos < len(data) - ledger_module.TRAILER_SIZE:
+        pos += 4 + int.from_bytes(data[pos:pos + 4], "big")
+        offsets.append(pos)
+        pos += 32
+    return offsets
+
+
+def test_an_overwritten_fold_value_in_a_saved_file_is_named(tmp_path):
+    """The file-level form of a broken block link. A sealed block's id is
+    the fold value after its last record, and the next block's fold
+    restarts from it; so a value overwritten there is a mismatch, a block
+    id that does not match, and a mismatch at every record of the next
+    block. Overwritten mid-block, it is one mismatch."""
+    ledger = ScenarioEngine(make_benign_config(0)).run().ledgers["P1"]
+    assert (len(ledger.records), ledger.sealed, ledger.b_max) == (13, 8, 8)
+    path, data = _saved_bytes(ledger, tmp_path)
+    offsets = _fold_offsets(data)
+    assert len(offsets) == 13
+
+    def faults_with_fold_overwritten(index):
+        at = offsets[index]
+        path.write_bytes(data[:at] + b"\x00" * 32 + data[at + 32:])
+        return chain_faults(load_ledger(str(path)))
+
+    assert faults_with_fold_overwritten(7) == [
+        "block 0 tx 7: fold value mismatch",
+        "block 0: block id does not match recomputed fold",
+        *(f"current tx {pos}: fold value mismatch" for pos in range(5)),
+    ]
+    assert faults_with_fold_overwritten(3) == ["block 0 tx 3: fold value mismatch"]
+    assert faults_with_fold_overwritten(10) == ["current tx 2: fold value mismatch"]
 
 
 def test_forged_fold_trail_detected():
     _, ledger, _ = _sealed_ledger()
-    ledger.current.fold_trail[-1] = b"\xff" * 32
+    ledger.folds[-1] = b"\xff" * 32
     assert any("fold value mismatch" in f for f in chain_faults(ledger))
 
 
 def test_duplicate_committed_tid_detected():
     _, ledger, _ = _sealed_ledger()
-    dup = ledger.blocks[0].transactions[0]
-    ledger.blocks[0].transactions[1] = dup
+    ledger.records[1] = ledger.records[0]
     assert any("duplicate tid" in f for f in chain_faults(ledger))
 
 
 def test_stripped_signature_detected():
     _, ledger, _ = _sealed_ledger()
-    victim = ledger.blocks[1].transactions[2]
-    ledger.blocks[1].transactions[2] = dataclasses.replace(victim, signatures=())
+    victim = ledger.records[6]  # block 1, position 2
+    ledger.records[6] = dataclasses.replace(victim, signatures=())
     assert any("signer set incomplete" in f for f in chain_faults(ledger))
 
 
 def test_faults_report_every_bad_position():
     _, ledger, _ = _sealed_ledger()
     for pos in (0, 3):
-        victim = ledger.blocks[0].transactions[pos]
+        victim = ledger.records[pos]
         forged = dataclasses.replace(victim.body, ts=victim.body.ts + 1.0)
-        ledger.blocks[0].transactions[pos] = dataclasses.replace(victim, body=forged)
+        ledger.records[pos] = dataclasses.replace(victim, body=forged)
     faults = chain_faults(ledger)
     assert sum("does not match its contents" in f for f in faults) == 2
 
@@ -522,11 +560,11 @@ def _bad_signature_ledger():
     """A sealed ledger whose first and last records carry a flipped
     signature byte: one fault in this process's share, one in a helper's."""
     _, ledger, _ = _sealed_ledger(n=10)
-    for seg, pos in ((ledger.blocks[0], 0), (ledger.current, -1)):
-        victim = seg.transactions[pos]
+    for pos in (0, -1):
+        victim = ledger.records[pos]
         entry = victim.signatures[0]
         flipped = bytes([entry.signature[0] ^ 1]) + entry.signature[1:]
-        seg.transactions[pos] = dataclasses.replace(
+        ledger.records[pos] = dataclasses.replace(
             victim, signatures=(dataclasses.replace(entry, signature=flipped),)
         )
     return ledger
@@ -591,7 +629,9 @@ def test_save_load_round_trip(tmp_path):
     loaded = load_ledger(str(path))
     assert chain_faults(loaded) == []
     assert loaded.b_max == ledger.b_max
-    assert len(loaded.blocks) == len(ledger.blocks)
+    assert loaded.sealed == ledger.sealed == 8
+    assert loaded.folds == ledger.folds
+    assert loaded.block_ids() == ledger.block_ids()
     assert loaded.cblock_id == ledger.cblock_id
     assert [t.tid for t in loaded.all_transactions()] == [t.tid for t in txs]
     # A second save is byte-identical.
@@ -634,7 +674,7 @@ def test_trailer_names_the_record_count_and_the_final_fold(tmp_path):
         path.write_bytes(data[:-36] + count.to_bytes(4, "big") + data[-32:])
         with pytest.raises(LedgerFormatError, match=f"trailer counts {count} records, the file holds 5"):
             load_ledger(str(path))
-    path.write_bytes(data[:-32] + ledger.blocks[0].block_id)
+    path.write_bytes(data[:-32] + ledger.block_ids()[0])
     with pytest.raises(LedgerFormatError, match="trailer fold value"):
         load_ledger(str(path))
 

@@ -51,7 +51,7 @@ def test_tamper_cblock_rewrites_local_fold():
     append_by_hand(ledger, b)
     ledger.remove_open(a.tid)
     assert ledger.find(a.tid) is None
-    assert [t.tid for t in ledger.current.transactions] == [b.tid]
+    assert [t.tid for t in ledger.open_transactions()] == [b.tid]
     # The local trail is internally consistent after the edit, so the
     # deletion is invisible to a lone replica and only consensus sees it.
     assert chain_faults(ledger) == []
@@ -115,7 +115,7 @@ def test_scenario_ledgers_verify_and_match_report(tmp_path):
         ledger = result.ledgers[partition]
         assert chain_faults(ledger) == []
         chain = result.report.chain[partition]
-        assert chain["blocks"] == len(ledger.blocks)
+        assert chain["blocks"] == len(ledger.block_ids())
         assert chain["tx_total"] == len(ledger.tid_index)
         assert chain["cblock_id"] == ledger.cblock_id.hex()
 

@@ -389,10 +389,11 @@ def test_every_replica_appends_the_fold_it_voted_for():
             # The very object voted for: no replica rehashes it.
             assert replica.cblock_id is round_.votes[validator].cblock_id
     assert all(chain_faults(lg) == [] for lg in replicas.values())
-    # A replica whose cached trail was forged, its list untouched, is in
-    # its peers' state: it appends the agreed value, not one folded from
-    # its forged trail, and the forgery stays where verify finds it.
-    replicas["ic-0"].current.fold_trail[-1] = b"\x55" * 32
+    # A replica whose last stored fold value was forged, its records
+    # untouched, is in its peers' state: it appends the agreed value, not
+    # one folded from the forged value, and the forgery stays where
+    # verify finds it.
+    replicas["ic-0"].folds[-1] = b"\x55" * 32
     round_ = commit(replicas, make_est(world, at=1030.0))
     assert round_.outcome is RoundOutcome.COMMITTED
     assert {lg.cblock_id for lg in replicas.values()} == {round_.votes["am-0"].cblock_id}
@@ -416,9 +417,9 @@ def test_commit_seals_all_replicas_at_capacity():
     replicas = world.replicas(Partition.OPERATIONAL, b_max=2)
     commit(replicas, make_est(world, at=1000.0))
     commit(replicas, make_est(world, at=1010.0))
-    assert all(len(lg.blocks) == 1 for lg in replicas.values())
-    block_ids = {lg.blocks[0].block_id for lg in replicas.values()}
-    assert len(block_ids) == 1
+    assert all(lg.sealed == 2 and not lg.open_transactions() for lg in replicas.values())
+    block_ids = {tuple(lg.block_ids()) for lg in replicas.values()}
+    assert len(block_ids) == 1 and len(next(iter(block_ids))) == 1
 
 
 def test_out_of_band_deletion_diverges_next_round():
@@ -443,10 +444,8 @@ def test_out_of_band_body_mutation_diverges():
     victim = make_est(world, at=1000.0)
     commit(replicas, victim)
     rogue = replicas["am-0"]
-    held = rogue.current.transactions[0]
-    rogue.current.transactions[0] = dataclasses.replace(
-        held, tid=b"\x13" * 32
-    )
+    held = rogue.records[0]  # the open block's only record
+    rogue.records[0] = dataclasses.replace(held, tid=b"\x13" * 32)
     round_ = commit(replicas, make_est(world, at=1010.0))
     assert round_.outcome is RoundOutcome.DIVERGED
     assert detect_tamper(round_) == ("am-0",)
@@ -460,15 +459,14 @@ def test_each_replica_is_judged_on_its_own_open_block():
     commit(replicas, second)
     # Two replicas edited two ways, one left intact: three open blocks.
     replicas["st-0"].remove_open(first.tid)
-    edited = replicas["ic-0"].current.transactions
+    edited = replicas["ic-0"].records
     edited[1] = dataclasses.replace(edited[1], tid=b"\x13" * 32)
     tx = make_est(world, at=1010.0)
     round_ = commit(replicas, tx)
     assert round_.outcome is RoundOutcome.DIVERGED
     for validator, replica in replicas.items():
-        open_block = replica.current
-        tids = [t.tid for t in open_block.transactions] + [tx.tid]
-        assert round_.votes[validator].cblock_id == fold_ids(open_block.prev_block_id, tids)
+        tids = [t.tid for t in replica.open_transactions()] + [tx.tid]
+        assert round_.votes[validator].cblock_id == fold_ids(replica.sealed_tip(), tids)
     assert len({vote.cblock_id for vote in round_.votes.values()}) == 3
     with pytest.raises(Unattributable):
         detect_tamper(round_)
@@ -478,9 +476,9 @@ def test_a_forged_fold_trail_does_not_move_the_vote():
     world = make_world(seed=66)
     replicas = world.replicas(Partition.OPERATIONAL)
     commit(replicas, make_est(world, at=1000.0))
-    # The candidate fold is recomputed from the transaction list: a forged
-    # trail leaves the rogue's vote equal to its honest peers'.
-    replicas["ic-0"].current.fold_trail[-1] = b"\x55" * 32
+    # The candidate fold is recomputed from the records: a forged stored
+    # fold value leaves the rogue's vote equal to its honest peers'.
+    replicas["ic-0"].folds[-1] = b"\x55" * 32
     round_ = commit(replicas, make_est(world, at=1010.0))
     assert round_.outcome is RoundOutcome.COMMITTED
     assert len({vote.cblock_id for vote in round_.votes.values()}) == 1
@@ -515,7 +513,7 @@ def test_consensus_requires_comparable_replicas():
     replicas = world.replicas(Partition.OPERATIONAL, b_max=1)
     # One validator privately sealed a block the others never saw.
     append_by_hand(replicas["ic-0"], make_est(world, at=900.0))
-    replicas["ic-0"].maybe_seal()
+    assert replicas["ic-0"].sealed == 1
     with pytest.raises(ReplicaMismatch):
         commit(replicas, make_est(world, at=1000.0))
 

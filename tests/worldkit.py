@@ -258,14 +258,13 @@ def append_by_hand(ledger: PartitionLedger, tx: Transaction) -> bytes:
 
 
 def fill_ledger(world: World, ledger: PartitionLedger, n: int, start_at: float = 1000.0) -> list:
-    """Appends n freshly built ESTs directly (no consensus), sealing as
-    capacity is reached. Returns the transactions in append order.
+    """Appends n freshly built ESTs directly (no consensus); the ledger
+    seals as capacity is reached. Returns the transactions in append order.
     """
     out = []
     for i in range(n):
         tx = make_est(world, at=start_at + 10.0 * i)
         append_by_hand(ledger, tx)
-        ledger.maybe_seal()
         out.append(tx)
     return out
 
