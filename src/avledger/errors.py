@@ -75,12 +75,6 @@ class Unattributable(AvLedgerError):
     """Diverged round has no plurality, so no replica can be blamed."""
 
 
-# --- network ----------------------------------------------------------------
-
-class ClockViolation(AvLedgerError):
-    """Attempt to move the virtual clock backwards."""
-
-
 # --- scenarios / adjudication / cli -----------------------------------------
 
 class ConfigError(AvLedgerError):

@@ -279,10 +279,10 @@ class TxVerifier:
     worker runs each through verify_tx_digest, which reads BACKEND at
     call time. close() queues the last list, stops the worker, waits for
     it and says whether every check queued before it ran and held; a
-    worker that raised stops there, keeps the exception in `error`, and
-    close() says False. Only the worker writes `checked`, `error` and
-    the failure flag, and only the caller writes `queued`; each side
-    reads the other's after the join, so no lock guards them.
+    worker that raised stops there and close() says False. Only the
+    worker writes `checked` and the failure flag, and only the caller
+    writes `queued`; each side reads the other's after the join, so no
+    lock guards them.
 
     The owner calls close() in a `finally`: a worker left alive would keep
     ledger._genesis_reasons from forking its helpers.
@@ -291,7 +291,6 @@ class TxVerifier:
     def __init__(self) -> None:
         self.queued = 0
         self.checked = 0
-        self.error: Optional[Exception] = None
         self._failed = False
         self._batch: list[tuple[bytes, bytes, bytes]] = []
         self._queue: queue.SimpleQueue = queue.SimpleQueue()
@@ -327,10 +326,10 @@ class TxVerifier:
                     if not verify_tx_digest(public_key, tid, signature):
                         self._failed = True
                     self.checked += 1
-        except Exception as exc:
-            # The thread's boundary: the error is kept and close() reports
-            # it; the owner's inline replay raises it where it belongs.
-            self.error = exc
+        except Exception:
+            # The thread's boundary: close() reports the failure, and the
+            # owner's inline replay raises the error where it belongs.
+            self._failed = True
 
 
 # --- certificate batches -------------------------------------------------------

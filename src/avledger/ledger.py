@@ -49,7 +49,6 @@ from .txmodel import (
     Role,
     Transaction,
     TxKind,
-    body_timestamp,
     check_tx_committed,
     check_tx_genesis,
     decode_transaction,
@@ -270,39 +269,30 @@ class PartitionLedger:
         self,
         kind: Optional[TxKind] = None,
         cert_id: Optional[bytes] = None,
-        time_range: Optional[tuple[float, float]] = None,
     ) -> list[Transaction]:
         """Committed and open-block transactions that match every given
         predicate, in commit order, as a new list the caller may change.
 
-        A call that names a kind starts from its one index list, which
-        already matches the cert id too; only time_range is then tested on
-        each row. A call that names no kind walks the whole chain.
+        A call that names a kind copies its one index list, which already
+        matches the cert id too. A call that names no kind walks the
+        whole chain.
         """
-        # Plain loops: a comprehension would close over cert_id, lo and
-        # hi, and every call, the index probe too, would pay for their cells.
+        # Plain loops: a comprehension would close over cert_id, and every
+        # call, the index probe too, would pay for its cell.
         # The index test stays inline: a helper call on every lookup costs
         # a few percent of a history lookup.
         if kind is not None:
             by_kind = self._rows
             if by_kind is None:
                 by_kind = self._build_index()
-            rows = by_kind[kind].get(cert_id, ())
-        elif cert_id is None:
-            rows = self.records
-        else:
-            rows = []
-            for tx in self.records:
-                if tx.cert.cert_id == cert_id:
-                    rows.append(tx)
-        if time_range is None:
-            return list(rows)
-        lo, hi = time_range
-        out = []
-        for tx in rows:
-            if lo <= body_timestamp(tx) <= hi:
-                out.append(tx)
-        return out
+            return list(by_kind[kind].get(cert_id, ()))
+        if cert_id is None:
+            return list(self.records)
+        rows = []
+        for tx in self.records:
+            if tx.cert.cert_id == cert_id:
+                rows.append(tx)
+        return rows
 
 
 # --- chain verification -------------------------------------------------------

@@ -1,33 +1,36 @@
 """Deterministic message-passing layer and event queue for the simulator.
 
-Time is virtual and only moves when advance() is called. Every send goes
-through a seeded lossy channel: each attempt either arrives (and is
-acknowledged immediately) or is lost, and lost sends are retried at a
-fixed interval until the attempt budget runs out. An exhausted budget is
-recorded as undeliverable, never raised: losing a message is a fact about
-the world, not a program error.
+Time is virtual and only moves when advance() is called. The queue is the
+network's only state: a send is one entry, due at the instant it was
+made, and a timer that schedule() adds is another. A send outside a
+drain fires at the next advance() or run_until_quiet(), never during the
+call that made it.
 
-One queue holds every future event: send attempts and the timers that
-schedule() adds. Events fire in (due time, kind, sequence) order, so at
-one instant every attempt fires before any timer, attempts in message id
-order and timers in the order they were scheduled. A timer runs inside
-the pump: the sends it makes fire after it returns, in message id order,
-and before the next timer due at that instant.
+Every send goes through a seeded lossy channel: each attempt either
+arrives (and is acknowledged immediately) or is lost, and lost sends are
+retried at a fixed interval until the attempt budget runs out. An
+exhausted budget counts as undeliverable, never raises: losing a message
+is a fact about the world, not a program error. A handler and on_dead
+are given the payload alone.
 
-Identical seeds and identical call sequences replay to byte-identical
-delivery records. The network keeps no record once its send ends, only
-counts of how sends ended.
+Entries fire in (due time, kind, sequence) order, so at one instant
+every attempt fires before any timer, attempts in message id order and
+timers in the order they were scheduled. The sends a timer makes fire
+after it returns, in message id order, and before the next timer due at
+that instant.
+
+Identical seeds and identical call sequences replay identically. Once a
+send ends the network keeps nothing of it, only counts of how sends
+ended.
 """
 
 from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .encoding import frozen
-from .errors import ClockViolation
 from .identity import EntityId
 
 DEFAULT_RETRY_INTERVAL_SECS = 30.0
@@ -35,45 +38,17 @@ DEFAULT_MAX_ATTEMPTS = 10
 
 
 @frozen
-class Envelope:
-    msg_id: int
-    sender: EntityId
-    dest: str
-    payload: object
-    created_at: float
-
-
-@dataclass
-class DeliveryRecord:
-    envelope: Envelope
-    attempts: list[tuple[float, bool]] = field(default_factory=list)
-    delivered_at: Optional[float] = None
-    refused: bool = False
-    exhausted: bool = False
-
-    @property
-    def status(self) -> str:
-        if self.refused:
-            return "refused"
-        if self.delivered_at is not None:
-            return "delivered"
-        if self.exhausted:
-            return "undeliverable"
-        return "pending"
-
-
-@frozen
 class _Endpoint:
-    handler: Callable[[Envelope], None]
+    handler: Callable[[object], None]
     allowed_senders: Optional[frozenset[EntityId]]
 
 
 class Network:
     """Seeded lossy channel, endpoint registry and the one event queue.
 
-    Endpoints may declare an allow-list of senders; an envelope from
-    anyone else is refused at the door even when the channel carried it,
-    which is how partition membership stays closed.
+    Endpoints may declare an allow-list of senders; a send from anyone
+    else is refused at the door even when the channel carried it, which
+    is how partition membership stays closed.
     """
 
     def __init__(
@@ -100,20 +75,21 @@ class Network:
         self.delivered = 0
         self.undeliverable = 0
         self.refused = 0
-        # Called when a send dies without delivery (budget exhausted or
-        # refused at the door); lets the simulation account for the loss.
-        self.on_dead: Optional[Callable[[DeliveryRecord], None]] = None
+        # Called with the payload when a send dies without delivery (budget
+        # exhausted or refused at the door); lets the simulation account
+        # for the loss.
+        self.on_dead: Optional[Callable[[object], None]] = None
         self._endpoints: dict[str, _Endpoint] = {}
-        # (due, 0, msg_id, record) for an attempt, (due, 1, seq, fn) for a timer
-        self._heap: list[tuple[float, int, int, object]] = []
+        # (due, 0, msg_id, sender, dest, payload, attempts made) for a send,
+        # (due, 1, seq, fn) for a timer
+        self._heap: list[tuple] = []
         self._next_msg_id = 0
         self._next_timer_seq = 0
-        self._pumping = False
 
     def register_endpoint(
         self,
         name: str,
-        handler: Callable[[Envelope], None],
+        handler: Callable[[object], None],
         allowed_senders: Optional[set[EntityId]] = None,
     ) -> None:
         allow = frozenset(allowed_senders) if allowed_senders is not None else None
@@ -121,23 +97,11 @@ class Network:
 
     # -- sending ---------------------------------------------------------------
 
-    def send_with_retry(self, sender: EntityId, dest: str, payload: object) -> DeliveryRecord:
-        """Queues a send whose first attempt fires at the current instant.
-        Returns the live delivery record; it fills in as time advances.
-        """
-        envelope = Envelope(
-            msg_id=self._next_msg_id,
-            sender=sender,
-            dest=dest,
-            payload=payload,
-            created_at=self.now,
-        )
+    def send_with_retry(self, sender: EntityId, dest: str, payload: object) -> None:
+        """Queues a send whose first attempt is due at the current instant."""
+        heapq.heappush(self._heap, (self.now, 0, self._next_msg_id, sender, dest, payload, 0))
         self._next_msg_id += 1
-        record = DeliveryRecord(envelope=envelope)
         self.sends += 1
-        heapq.heappush(self._heap, (self.now, 0, envelope.msg_id, record))
-        self._pump(self.now)
-        return record
 
     def schedule(self, at: float, fn: Callable[[], None]) -> None:
         """Queues fn to run at virtual time `at`, or now if `at` has passed."""
@@ -147,66 +111,51 @@ class Network:
     # -- time ------------------------------------------------------------------
 
     def advance(self, dt: float) -> float:
-        """Moves the clock forward, firing every attempt that falls due."""
+        """Moves the clock forward by dt, firing every entry due by then."""
         if dt < 0:
-            raise ClockViolation(f"cannot move the clock backwards by {dt}")
+            raise ValueError(f"cannot move the clock backwards by {dt}")
         target = self.now + dt
-        self._pump(target)
+        heap = self._heap
+        while heap and heap[0][0] <= target:
+            entry = heapq.heappop(heap)
+            # Nothing is queued before the current instant, so this never
+            # moves the clock back.
+            self.now = entry[0]
+            if entry[1]:
+                entry[3]()
+            else:
+                self._attempt(*entry[2:])
         self.now = target
         return self.now
 
     def run_until_quiet(self) -> float:
-        """Advances until no event remains queued. Bounded as long as the
+        """Advances until no entry remains queued. Bounded as long as the
         timers stop scheduling: every pending send has a finite attempt
         budget.
         """
         while self._heap:
-            due = self._heap[0][0]
-            if due > self.now:
-                self.advance(due - self.now)
-            else:
-                self._pump(self.now)
+            self.advance(self._heap[0][0] - self.now)
         return self.now
 
-    def _pump(self, limit: float) -> None:
-        if self._pumping:
-            return  # the active pump loop will pick up anything new
-        self._pumping = True
-        try:
-            while self._heap and self._heap[0][0] <= limit:
-                due, timer, _, item = heapq.heappop(self._heap)
-                if due > self.now:
-                    self.now = due
-                if timer:
-                    item()
-                else:
-                    self._attempt(item)
-        finally:
-            self._pumping = False
-
-    def _attempt(self, record: DeliveryRecord) -> None:
-        at = self.now
-        delivered = self.rng.random() >= self.drop_prob
-        record.attempts.append((at, delivered))
-        if delivered:
-            endpoint = self._endpoints.get(record.envelope.dest)
+    def _attempt(self, msg_id: int, sender: EntityId, dest: str, payload: object, made: int) -> None:
+        if self.rng.random() >= self.drop_prob:
+            endpoint = self._endpoints.get(dest)
             if endpoint is None or (
-                endpoint.allowed_senders is not None
-                and record.envelope.sender not in endpoint.allowed_senders
+                endpoint.allowed_senders is not None and sender not in endpoint.allowed_senders
             ):
-                record.refused = True
                 self.refused += 1
                 if self.on_dead:
-                    self.on_dead(record)
+                    self.on_dead(payload)
                 return
-            record.delivered_at = at
             self.delivered += 1
-            endpoint.handler(record.envelope)
+            endpoint.handler(payload)
             return
-        if len(record.attempts) >= self.max_attempts:
-            record.exhausted = True
+        made += 1
+        if made >= self.max_attempts:
             self.undeliverable += 1
             if self.on_dead:
-                self.on_dead(record)
+                self.on_dead(payload)
             return
-        heapq.heappush(self._heap, (at + self.retry_interval, 0, record.envelope.msg_id, record))
+        heapq.heappush(
+            self._heap, (self.now + self.retry_interval, 0, msg_id, sender, dest, payload, made)
+        )

@@ -32,6 +32,7 @@ import logging
 import math
 import random
 from dataclasses import MISSING, dataclass, field, fields, replace
+from functools import partial
 from typing import Callable, Optional, Union
 
 from .adjudicator import (
@@ -66,13 +67,7 @@ from .ledger import (
     PartitionLedger,
     make_genesis,
 )
-from .netsim import (
-    DEFAULT_MAX_ATTEMPTS,
-    DEFAULT_RETRY_INTERVAL_SECS,
-    DeliveryRecord,
-    Envelope,
-    Network,
-)
+from .netsim import DEFAULT_MAX_ATTEMPTS, DEFAULT_RETRY_INTERVAL_SECS, Network
 from .txmodel import (
     HASH,
     CollisionEvidenceBody,
@@ -772,18 +767,18 @@ class ScenarioEngine:
         vehicle_ids = set(self._vehicle_of)
         self.net.register_endpoint(
             "P1",
-            lambda envelope: self._ingest(P1, *envelope.payload),
+            lambda payload: self._ingest(P1, *payload),
             allowed_senders=vehicle_ids | {"am-0", "st-0", "ic-0"},
         )
         self.net.register_endpoint(
             "P2",
-            lambda envelope: self._ingest(P2, *envelope.payload),
+            lambda payload: self._ingest(P2, *payload),
             allowed_senders={"ic-0", "am-0", BRIDGE_SENDER},
         )
         self.net.register_endpoint("am-0", self._maker_inbox, allowed_senders=vehicle_ids)
         for v in self.vehicles:
             self.net.register_endpoint(
-                v.entity_id, self._vehicle_inbox, allowed_senders={"am-0"}
+                v.entity_id, partial(self._vehicle_inbox, v), allowed_senders={"am-0"}
             )
 
         # bookkeeping
@@ -923,10 +918,10 @@ class ScenarioEngine:
         if sub.on_terminal:
             sub.on_terminal(state, round_)
 
-    def _on_dead_send(self, record: DeliveryRecord) -> None:
+    def _on_dead_send(self, payload: tuple[_Submission, object]) -> None:
         # Any message of a flow can die: an update instruction that never
         # reached its vehicle still ends its planned emission here.
-        self._finish(record.envelope.payload[0], "undeliverable", None)
+        self._finish(payload[0], "undeliverable", None)
 
     # -- consensus ingest --------------------------------------------------------
 
@@ -1016,9 +1011,8 @@ class ScenarioEngine:
 
     # -- endpoint handlers -------------------------------------------------------
 
-    def _vehicle_inbox(self, envelope: Envelope) -> None:
-        sub, (update_hash, metadata) = envelope.payload
-        vehicle = self._vehicle_of[envelope.dest]
+    def _vehicle_inbox(self, vehicle: _VehicleActor, payload: tuple) -> None:
+        sub, (update_hash, metadata) = payload
         at = self.now
         keys, cert = self._rotate(vehicle, at)
         body = UpdateBody(update_file_hash=update_hash, metadata=metadata, submitted_at=at)
@@ -1032,8 +1026,8 @@ class ScenarioEngine:
         tx = countersign(tx, keys, Role.VEHICLE)
         self._send(vehicle.entity_id, "am-0", sub, tx)
 
-    def _maker_inbox(self, envelope: Envelope) -> None:
-        sub, tx = envelope.payload
+    def _maker_inbox(self, payload: tuple[_Submission, Transaction]) -> None:
+        sub, tx = payload
         self._send("am-0", "P1", sub, tx)
 
     def _submit_exec_report(self, vid: int, parent_tid: Hash256, status: ExecStatus) -> None:

@@ -25,7 +25,7 @@ from avledger.ledger import (
 from avledger import ledger as ledger_module
 from avledger import txmodel
 from avledger.scenarios import ScenarioEngine, make_benign_config
-from avledger.txmodel import EventTrigger, Partition, TxKind, body_timestamp
+from avledger.txmodel import EventTrigger, Partition, TxKind
 from avledger.validation import Reason, RoundOutcome, verify_transaction
 
 from worldkit import (
@@ -157,31 +157,26 @@ def test_query_filters():
         append_by_hand(ledger, tx)
     assert ledger.query(kind=TxKind.EVENT_SAFETY) == [est, other_est]
     assert ledger.query(cert_id=creds[1].cert_id) == [est, pet, ut, et]
-    assert ledger.query(time_range=(1040.0, 1110.0)) == [pet, ut]
-    assert ledger.query(kind=TxKind.EVENT_SAFETY, time_range=(0.0, 1001.0)) == [est]
+    assert ledger.query(kind=TxKind.EVENT_SAFETY, cert_id=creds[1].cert_id) == [est]
 
 
-def _brute_query(ledger, kind, cert_id, time_range):
+def _brute_query(ledger, kind, cert_id):
     return [
         tx
         for tx in ledger.all_transactions()
-        if (kind is None or tx.kind is kind)
-        and (cert_id is None or tx.cert.cert_id == cert_id)
-        and (time_range is None or time_range[0] <= body_timestamp(tx) <= time_range[1])
+        if (kind is None or tx.kind is kind) and (cert_id is None or tx.cert.cert_id == cert_id)
     ]
 
 
 def _assert_query_matches_scan(ledger):
     rows = ledger.all_transactions()
     certs = [None, b"\x00" * 32] + sorted({tx.cert.cert_id for tx in rows})
-    windows = [None, (0.0, 1e9), (1040.0, 1110.0), (1200.0, 1200.0), (5.0, 6.0)]
     for kind in [None, *TxKind]:
         for cert_id in certs:
-            for window in windows:
-                got = ledger.query(kind=kind, cert_id=cert_id, time_range=window)
-                want = _brute_query(ledger, kind, cert_id, window)
-                # The same objects the blocks hold, in commit order.
-                assert [id(tx) for tx in got] == [id(tx) for tx in want], (kind, cert_id, window)
+            got = ledger.query(kind=kind, cert_id=cert_id)
+            want = _brute_query(ledger, kind, cert_id)
+            # The same objects the blocks hold, in commit order.
+            assert [id(tx) for tx in got] == [id(tx) for tx in want], (kind, cert_id)
 
 
 def _consensus_replica(seed=16, b_max=3, indexed=False):
@@ -272,8 +267,7 @@ def test_every_query_path_returns_a_new_list():
         ledger = _consensus_replica(b_max=4, indexed=indexed)
         et = ledger.query(kind=TxKind.EXECUTION)[0]
         keys = [{}, {"kind": et.kind}, {"cert_id": et.cert.cert_id}, {"kind": et.kind, "cert_id": et.cert.cert_id}]
-        filters = [{}, {"time_range": (0.0, 1e9)}]
-        for args in ({**key, **more} for key in keys for more in filters):
+        for args in keys:
             first = ledger.query(**args)
             assert et in first, args
             want = [id(tx) for tx in first]
