@@ -18,10 +18,10 @@ to one straight-line Python function the first time it is used, the way
 dataclasses generates __init__. Nested records are inlined, and each run
 of consecutive fixed-width values (numbers, booleans, enum tags, fixed-size
 byte strings, and the length prefixes before variable ones) becomes one
-precompiled struct call. A list of fixed-width records is read with one
-iter_unpack, and the record a switch picks is found through a dict. Reads
-walk (data, offset); writes append to one bytearray. A slotted record is
-read without its __init__: object.__new__, then one slot store per field.
+precompiled struct call. A list is read one item at a time, and the
+record a switch picks is found through a dict. Reads walk (data, offset);
+writes append to one bytearray. A slotted record is read without its
+__init__: object.__new__, then one slot store per field.
 
 Every frozen record is declared with frozen(), which compiles its
 __init__ from the same slot stores, so building a record costs one bound
@@ -33,7 +33,6 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import functools
-import operator
 import struct
 from typing import Any, Callable, Mapping, Optional
 
@@ -66,7 +65,6 @@ class Number(Codec):
 
     def __init__(self, fmt: str) -> None:
         self.fmt = fmt
-        self.struct = struct.Struct(">" + fmt)
 
     def emit_write(self, code: "_Source", value: str) -> None:
         code.pack(self.fmt, value)
@@ -194,8 +192,6 @@ class items(Codec):
 
     def emit_read(self, code: "_Source") -> str:
         count = code.unpack(U32.fmt)
-        if self.codec.fmt is not None:
-            return code.unpack_items(self.codec, count)
         values = code.name()
         code.line(f"{values} = []")
         with code.block(f"for _ in range({count}):"):
@@ -303,8 +299,6 @@ class Record(Codec):
         for codec in self.codecs:
             if isinstance(codec, Switch):
                 codec.at = self.names.index(codec.on)
-        get = operator.attrgetter(*self.names)
-        self.values = get if len(self.names) > 1 else lambda value: (get(value),)
         formats = [codec.fmt for codec in self.codecs]
         self.fmt = None if None in formats else "".join(formats)
 
@@ -338,15 +332,12 @@ def _truncated(size: int, at: int, have: int) -> LedgerFormatError:
     return LedgerFormatError(f"truncated record: wanted {size} bytes at offset {at}, have {have}")
 
 
-def _short(data: bytes, at: int, fields: tuple, count: int = 1) -> None:
-    """Raises the error of a run of `count` times the fixed-width `fields`,
-    (width, decoding table or None) each, read from `at` past the end of
-    data: that of the first field that overruns data, unless a one-byte
-    field before it holds a value its table refuses, as reading one field
-    at a time would find. Whole repeats that fit were decoded already."""
+def _short(data: bytes, at: int, fields: tuple) -> None:
+    """Raises the error of the fixed-width `fields`, (width, decoding table
+    or None) each, read from `at` past the end of data: that of the first
+    field that overruns data, unless a one-byte field before it holds a
+    value its table refuses, as reading one field at a time would find."""
     have = len(data)
-    size = sum(width for width, _ in fields)
-    at += min(count, (have - at) // size) * size
     for width, table in fields:
         if at + width > have:
             break
@@ -374,7 +365,6 @@ class _Source:
         self.lines: list = []
         self.depth = 1
         self.count = 0
-        self.inline = False  # lookups become expressions, not statements
         self._reset_run()
 
     def _reset_run(self) -> None:
@@ -432,56 +422,29 @@ class _Source:
     def lookup(self, table: _Decoding, raw: str) -> str:
         """The value that `table` decodes from the raw value `raw`."""
         self.tables[raw] = self.ref(table)
-        value = f"{self.tables[raw]}[{raw}]"
-        if self.inline:
-            return value
         name = self.name()
-        self.after.append(f"{name} = {value}")
+        self.after.append(f"{name} = {self.tables[raw]}[{raw}]")
         return name
-
-    def _struct(self) -> tuple:
-        """The pending run's struct, its size, and the source of the
-        (width, decoding table) pairs that _short takes."""
-        layout = struct.Struct(">" + "".join(self.formats))
-        fields = "".join(
-            f"({struct.calcsize('>' + fmt)}, {self.tables.get(name)}), "
-            for fmt, name in zip(self.formats, self.run)
-        )
-        return self.ref(layout), layout.size, f"({fields})"
 
     def flush(self) -> None:
         if not self.formats:
             return
-        layout, size, fields = self._struct()
-        run, after = ", ".join(self.run), self.after
-        self._reset_run()
+        layout = struct.Struct(">" + "".join(self.formats))
+        run = ", ".join(self.run)
         if self.reading:
-            self.aside(f"try: {run}, = {layout}.unpack_from(data, at)")
-            self.aside(f"except {self.ref(struct.error)}: {self.ref(_short)}(data, at, {fields})")
-            self.aside(f"at += {size}")
-            for text in after:
+            # The (width, decoding table) of each field, as _short takes them.
+            fields = "".join(
+                f"({struct.calcsize('>' + fmt)}, {self.tables.get(name)}), "
+                for fmt, name in zip(self.formats, self.run)
+            )
+            self.aside(f"try: {run}, = {self.ref(layout)}.unpack_from(data, at)")
+            self.aside(f"except {self.ref(struct.error)}: {self.ref(_short)}(data, at, ({fields}))")
+            self.aside(f"at += {layout.size}")
+            for text in self.after:
                 self.aside(text)
         else:
-            self.aside(f"w += {layout}.pack({run})")
-
-    def unpack_items(self, codec: Codec, count: str) -> str:
-        """Reads `count` values of the fixed-width codec with one iter_unpack."""
-        self.flush()
-        self.inline = True
-        value = codec.emit_read(self)
-        self.inline = False
-        names = ", ".join(self.run)
-        layout, size, fields = self._struct()
+            self.aside(f"w += {self.ref(layout)}.pack({run})")
         self._reset_run()
-        end, values = self.name(), self.name()
-        # The values that fit are decoded before a short list is reported,
-        # so a bad tag in them is found first, as one value at a time would.
-        self.line(f"{end} = at + {count} * {size}")
-        self.line(f"if {end} > len(data): {end} = at + (len(data) - at) // {size} * {size}")
-        self.line(f"{values} = tuple([{value} for {names}, in {layout}.iter_unpack(data[at:{end}])])")
-        self.line(f"if len({values}) != {count}: {self.ref(_short)}(data, at, {fields}, {count})")
-        self.line(f"at = {end}")
-        return values
 
 
 def _compile(params: str, reading: bool, emit: Callable[[_Source], str]) -> Callable:
@@ -612,11 +575,6 @@ def _exactly(read: Callable, data: bytes):
     if at != len(data):
         _trailing(data, at)
     return value
-
-
-def field_values(value) -> tuple:
-    """A record's field values, in declared order."""
-    return layout(type(value)).values(value)
 
 
 def pack(cls: type, *values, start: int = 0) -> bytes:

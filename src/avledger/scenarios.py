@@ -62,7 +62,6 @@ from .identity import (
 from .ledger import (
     CaRootCert,
     DEFAULT_B_MAX,
-    GenesisBlock,
     MemberRecord,
     PartitionLedger,
     make_genesis,
@@ -742,13 +741,10 @@ class ScenarioEngine:
             ],
             config.b_max,
         )
-        self.genesis: dict[Partition, GenesisBlock] = {P1: genesis_p1, P2: genesis_p2}
-        self.validators: dict[Partition, tuple[EntityId, ...]] = {
-            part: genesis.validator_ids() for part, genesis in self.genesis.items()
-        }
+        # Each partition's validators, in genesis order, with their replicas.
         self.replicas: dict[Partition, dict[EntityId, PartitionLedger]] = {
-            part: {v: PartitionLedger(self.genesis[part]) for v in vals}
-            for part, vals in self.validators.items()
+            genesis.partition: {v: PartitionLedger(genesis) for v in genesis.validator_ids()}
+            for genesis in (genesis_p1, genesis_p2)
         }
         # Each partition's batch roots found CA-signed (check_tx_genesis).
         self._ca_checked: dict[Partition, set] = {P1: set(), P2: set()}
@@ -810,7 +806,7 @@ class ScenarioEngine:
     def honest_replica(self, partition: Partition) -> PartitionLedger:
         # Each partition has two validators or more, so one is not the rogue.
         rogue = self._replica_attack.rogue if self._replica_attack else None
-        return next(self.replicas[partition][v] for v in self.validators[partition] if v != rogue)
+        return next(replica for v, replica in self.replicas[partition].items() if v != rogue)
 
     def _rotate(self, vehicle: _VehicleActor, at: float) -> tuple[KeyPair, PseudonymCertificate]:
         """The vehicle's next pseudonym, for use at `at`."""
@@ -936,7 +932,6 @@ class ScenarioEngine:
         self._maybe_apply_replica_attack(partition)
 
         round_ = run_consensus(
-            self.validators[partition],
             tx,
             self.replicas[partition],
             self.now,
@@ -1387,7 +1382,7 @@ class ScenarioEngine:
                 "am-0" if attack.attack_class is AttackClass.TAMPER_CBLOCK else "ic-0"
             )
             # Every infrastructure actor validates exactly one partition.
-            partition = P1 if rogue in self.validators[P1] else P2
+            partition = P1 if rogue in self.replicas[P1] else P2
             target_kind = attack.target_kind
             if target_kind is None and attack.attack_class is AttackClass.SUPPRESS_EVIDENCE:
                 target_kind = (

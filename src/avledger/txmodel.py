@@ -20,6 +20,7 @@ short codes are the wire / CLI tokens:
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import hashlib
 from typing import TYPE_CHECKING, Callable, Mapping, Optional, Union
@@ -34,7 +35,6 @@ from .encoding import (
     WireTable,
     decode,
     encode,
-    field_values,
     fixed,
     frozen,
     items,
@@ -328,16 +328,6 @@ class Transaction:
     tid: Hash256 = wire(HASH)
     signatures: tuple[SigEntry, ...] = wire(items(SigEntry), default=())
 
-    def with_signature(self, entry: SigEntry) -> "Transaction":
-        return Transaction(
-            kind=self.kind,
-            body=self.body,
-            cert=self.cert,
-            parent_tid=self.parent_tid,
-            tid=self.tid,
-            signatures=self.signatures + (entry,),
-        )
-
 
 def encode_tid_preimage(
     kind: TxKind,
@@ -485,7 +475,7 @@ def check_tx_genesis(
         validate_structure(tx)
         if isinstance(tx.body, (CollisionEvidenceBody, EvidenceRequestBody)):
             e = tx.body.edata
-            if compute_edata_hash(*field_values(e)[:-1]) != e.edata_hash:
+            if hashlib.sha256(encode(e, stop=-1)).digest() != e.edata_hash:
                 return Reason.MALFORMED_BODY
         if compute_tid(tx.kind, tx.body, tx.cert, tx.parent_tid) != tx.tid:
             return Reason.MALFORMED_BODY
@@ -578,7 +568,8 @@ def countersign(tx: Transaction, keys: KeyPair, role: Role) -> Transaction:
         raise NotMultiSig(f"{tx.kind.value} takes a single signature")
     if any(entry.role == role for entry in tx.signatures):
         raise DuplicateSigner(f"role {role.value} already signed")
-    return tx.with_signature(SigEntry(role=role, signature=sign_tx_digest(keys, tx.tid)))
+    entry = SigEntry(role=role, signature=sign_tx_digest(keys, tx.tid))
+    return dataclasses.replace(tx, signatures=tx.signatures + (entry,))
 
 
 # --- debug rendering ---------------------------------------------------------

@@ -40,7 +40,7 @@ from __future__ import annotations
 import enum
 import json
 from json.encoder import encode_basestring_ascii as quote
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Union
 
 from .encoding import frozen
 from .errors import NotDiverged, ReplicaMismatch, Unattributable
@@ -91,14 +91,15 @@ class ConsensusRound:
 
 
 def run_consensus(
-    validators: Sequence[EntityId],
     tx: Transaction,
     replicas: Mapping[EntityId, PartitionLedger],
     at: float,
     ca_checked: Optional[set] = None,
     verify_tx: Callable[[bytes, bytes, bytes], bool] = verify_tx_digest,
 ) -> ConsensusRound:
-    """One unanimity round over a single proposed transaction.
+    """One unanimity round over a single proposed transaction. `replicas`
+    maps each validator, in genesis order, to its replica of the
+    partition's ledger: the mapping is the validator set.
 
     The genesis half of check_tx is judged once for the round, against
     the genesis every replica shares; the committed half is judged once
@@ -119,9 +120,9 @@ def run_consensus(
     votes that disagree on the fold value mark the round Diverged and
     also leave replicas alone.
     """
-    if not validators:
+    if not replicas:
         raise ValueError("a consensus round needs at least one validator")
-    ledgers = [replicas[v] for v in validators]
+    ledgers = list(replicas.values())
     # The genesis id hashes the partition, its CA roots and its members, so
     # one shared id means one partition and one genesis half for everyone.
     if len({lg.genesis.block_id for lg in ledgers}) != 1:
@@ -140,7 +141,7 @@ def run_consensus(
     # that replica in a state of its own.
     states: dict[tuple, Vote] = {}
     votes: dict[EntityId, Vote] = {}
-    for validator, replica in zip(validators, ledgers):
+    for validator, replica in replicas.items():
         tids = [t.tid for t in replica.open_transactions()]
         key = tuple(tids)
         vote = states.get(key)

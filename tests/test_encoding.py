@@ -19,7 +19,6 @@ from avledger.encoding import (
     U32,
     decode,
     encode,
-    field_values,
     fixed,
     items,
     optional,
@@ -86,9 +85,8 @@ def test_optional_round_trip(maybe):
 def _bits(value: Fields) -> tuple:
     # 0.0 and -0.0 compare equal as floats but encode to distinct IEEE
     # doubles, so the float field is compared on the bit level.
-    return tuple(
-        struct.pack(">d", v) if isinstance(v, float) else v for v in field_values(value)
-    )
+    values = (getattr(value, f.name) for f in dataclasses.fields(value))
+    return tuple(struct.pack(">d", v) if isinstance(v, float) else v for v in values)
 
 
 @given(ANY_FIELDS, ANY_FIELDS)

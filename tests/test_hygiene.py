@@ -1,7 +1,8 @@
 """Source hygiene: no module imports a name it never uses, every
 definition in src/avledger is named by code outside the tests, every
-frozen record carries the compiled constructor, and every wire record is
-slotted and checks nothing in its constructor.
+attribute it stores is read there, every frozen record carries the
+compiled constructor, and every wire record is slotted and checks nothing
+in its constructor.
 
 A name listed in the module's ``__all__`` counts as used, since that is
 how a module re-exports what it imports.
@@ -182,3 +183,50 @@ def test_every_definition_has_a_caller():
     """Code that no caller needs is deleted."""
     assert dead_definitions() == []
 
+
+
+# --- unread attributes ------------------------------------------------------------
+
+def _stored_attributes(tree: ast.Module):
+    """(line, qualified name, name) of every `self.<name> = …` in a
+    top-level class."""
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for sub in ast.walk(node):
+            if not isinstance(sub, (ast.Assign, ast.AnnAssign)):
+                continue
+            for target in sub.targets if isinstance(sub, ast.Assign) else [sub.target]:
+                for t in target.elts if isinstance(target, (ast.Tuple, ast.List)) else [target]:
+                    if isinstance(t, ast.Attribute) and isinstance(t.value, ast.Name) and t.value.id == "self":
+                        yield t.lineno, f"{node.name}.{t.attr}", t.attr
+
+
+def _read_attributes(tree: ast.AST) -> set[str]:
+    """Every attribute a module reads, and every string constant, since
+    getattr and the tracer name attributes by string."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def unread_attributes() -> list[str]:
+    src = ROOT / "src" / "avledger"
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in CALLERS}
+    read = set().union(*map(_read_attributes, trees.values()))
+    return sorted(
+        f"{path.relative_to(src)}:{line} {qualified}"
+        for path, tree in trees.items()
+        if path.parent == src
+        for line, qualified, name in _stored_attributes(tree)
+        if name not in read
+    )
+
+
+def test_every_stored_attribute_is_read():
+    """An attribute that is set but never read is code no caller needs."""
+    assert unread_attributes() == []

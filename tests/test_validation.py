@@ -330,14 +330,14 @@ def test_rounds_that_share_a_set_ca_check_each_batch_root_once(monkeypatch):
     monkeypatch.setattr(txmodel, "certificate_signature_ok", counting)
     replicas, ca_checked = world.replicas(Partition.OPERATIONAL), set()
     for tx in txs:
-        round_ = run_consensus(list(replicas), tx, replicas, 1000.0, ca_checked)
+        round_ = run_consensus(tx, replicas, 1000.0, ca_checked)
         assert round_.outcome is RoundOutcome.COMMITTED
     assert checked == [6, 1] and len(ca_checked) == 2
     # Without a set, every round checks its root again.
     checked.clear()
     replicas = world.replicas(Partition.OPERATIONAL)
     for tx in txs:
-        run_consensus(list(replicas), tx, replicas, 1000.0)
+        run_consensus(tx, replicas, 1000.0)
     assert checked == [6] * 6 + [1]
 
 
@@ -533,7 +533,7 @@ def test_consensus_requires_comparable_replicas():
 def test_consensus_needs_a_validator():
     world = make_world(seed=49)
     with pytest.raises(ValueError):
-        run_consensus([], make_est(world), {}, 0.0)
+        run_consensus(make_est(world), {}, 0.0)
 
 
 def _audit_record(round_):

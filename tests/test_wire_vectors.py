@@ -363,6 +363,22 @@ def test_a_short_list_is_refused_where_it_runs_out():
         decode(TamperStoreDigest, data)
 
 
+def test_a_huge_list_count_fails_at_the_first_missing_item():
+    """A count of 2**32 - 1 over a few bytes of data: the list is read one
+    item at a time, so it fails where the first missing item would start,
+    for a list of fixed-width hashes and for one of length-prefixed blobs."""
+    huge = (0xFFFFFFFF).to_bytes(4, "big")
+    data = huge + _h(0x01) + _h(0x02) + struct.pack(">d", 999.5)
+    with pytest.raises(LedgerFormatError, match="^truncated record: wanted 32 bytes at offset 68, have 8$"):
+        decode(TamperStoreDigest, data)
+    # One witness blob, then two bytes of the next one's length.
+    head = encode(EDATA_ALONE, stop=4)
+    data = head + huge + (3).to_bytes(4, "big") + b"abc" + b"\x00\x00"
+    at = len(head) + 4 + 4 + 3
+    with pytest.raises(LedgerFormatError, match=f"^truncated record: wanted 4 bytes at offset {at}, have 2$"):
+        decode(EvidenceData, data)
+
+
 def test_a_bad_tag_before_a_cut_is_reported_first():
     """A longer entity id shifts the first public-key byte into the role
     tag and leaves the record short; read field by field, the tag fails

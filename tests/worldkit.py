@@ -246,7 +246,7 @@ def make_ret(
 def commit(replicas: dict, tx: Transaction, at: float = None) -> ConsensusRound:
     """One consensus round over every replica in the mapping."""
     when = body_timestamp(tx) if at is None else at
-    return run_consensus(list(replicas), tx, replicas, when)
+    return run_consensus(tx, replicas, when)
 
 
 def append_by_hand(ledger: PartitionLedger, tx: Transaction) -> bytes:
