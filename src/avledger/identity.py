@@ -26,27 +26,25 @@ non-canonical public key are refused, as libsodium refuses them.
 
 Every check is made, and no verdict is remembered here; only
 txmodel.check_tx_genesis remembers one: the batch roots it found
-CA-signed, in a set its caller owns. Most checks run inline, on the
-caller's thread, before the verdict that needs them. A scenario run is
-the one exception. Where background_verify_pays() holds (the backend's
-verify gives up the interpreter lock, and the process may use two CPUs
-or more), ScenarioEngine.run hands each transaction signature to a
-TxVerifier, whose worker thread checks it while the engine goes on, and
-confirms every one of them when it joins the worker at the end of the
-run. A check that failed there makes the run repeat with every check
-inline.
+CA-signed, in a set its caller owns. Most checks run inline, before the
+verdict that needs them. A scenario run is the one exception. Where
+forks.fork_pays() holds (the platform can fork, no other thread is
+alive, and the process may use two CPUs or more), ScenarioEngine.run
+forks one VerifyHelper, a child process that makes every Ed25519 check
+of the run's rounds while the engine goes on: transaction signatures
+and certificate batch roots. The run confirms all of them when it reaps
+the helper at its end. A check that failed there, or a helper that
+died, makes the run repeat with every check inline.
 """
 
 from __future__ import annotations
 
 import ctypes
 import hashlib
-import os
-import queue
+import pickle
 import random
-import threading
 from dataclasses import field
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import BinaryIO, Callable, Iterable, NamedTuple, Optional, Sequence
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives import serialization
@@ -57,6 +55,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
 
 from .encoding import BLOB, F64, U32, encode, fixed, frozen, pack, wire
 from .errors import EscrowDenied, InvalidValidity, UnknownCertificate, UnknownEntity
+from .forks import Helper, fork_helper, take_private_pages
 
 EntityId = str
 
@@ -83,15 +82,12 @@ _NODE_TAG = b"\x01"
 class Backend(NamedTuple):
     """The three Ed25519 primitives. keypair(seed) gives (public key,
     signer); signer is what sign takes to sign under that seed. verify is
-    called only with a 32-byte key and a 64-byte signature.
-    releases_lock says whether verify gives up the interpreter lock while
-    it runs, so that another thread can run beside it."""
+    called only with a 32-byte key and a 64-byte signature."""
 
     name: str
     keypair: Callable[[bytes], tuple[bytes, object]]
     sign: Callable[[object, bytes], bytes]
     verify: Callable[[bytes, bytes, bytes], bool]
-    releases_lock: bool
 
 
 def _load_libsodium() -> Optional[Backend]:
@@ -142,8 +138,7 @@ def _load_libsodium() -> Optional[Backend]:
     def verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
         return verify_detached(signature, message, len(message), public_key) == 0
 
-    # ctypes gives up the interpreter lock for every call through a CDLL.
-    return Backend("libsodium", keypair, sign, verify, True)
+    return Backend("libsodium", keypair, sign, verify)
 
 
 _P = 2**255 - 19
@@ -188,10 +183,7 @@ def _cryptography_verify(public_key: bytes, message: bytes, signature: bytes) ->
         return False
 
 
-# `cryptography` holds the interpreter lock while it verifies.
-CRYPTOGRAPHY = Backend(
-    "cryptography", _cryptography_keypair, _cryptography_sign, _cryptography_verify, False
-)
+CRYPTOGRAPHY = Backend("cryptography", _cryptography_keypair, _cryptography_sign, _cryptography_verify)
 
 # The backend every key, signature and verdict of this process comes from.
 BACKEND = _load_libsodium() or CRYPTOGRAPHY
@@ -237,99 +229,108 @@ def _verify_raw(public_key: bytes, message: bytes, signature: bytes) -> bool:
     return BACKEND.verify(public_key, message, signature)
 
 
+def verify_signature(public_key: bytes, message: bytes, signature: bytes) -> bool:
+    """The inline Ed25519 check. It calls _verify_raw by name at each
+    call, so a patched _verify_raw (as perfbench's tracer installs) sees
+    every check made through it."""
+    return _verify_raw(public_key, message, signature)
+
+
+def tx_message(tid: bytes) -> bytes:
+    """What a transaction signature signs: the tid, domain-separated."""
+    return _TX_SIGN_PREFIX + tid
+
+
 def sign_tx_digest(keys: KeyPair, tid: bytes) -> bytes:
     """Signs a transaction id (hash-then-sign; the tid is the digest)."""
-    return _sign_raw(keys, _TX_SIGN_PREFIX + tid)
+    return _sign_raw(keys, tx_message(tid))
 
 
 def verify_tx_digest(public_key: bytes, tid: bytes, signature: bytes) -> bool:
-    return _verify_raw(public_key, _TX_SIGN_PREFIX + tid, signature)
+    return _verify_raw(public_key, tx_message(tid), signature)
 
 
-# --- transaction signatures on a worker thread ---------------------------------
+# --- every check of a scenario run in one helper process -------------------------
 
-def usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def background_verify_pays() -> bool:
-    """Whether a TxVerifier gains here: BACKEND's verify gives up the
-    interpreter lock, so the worker's checks overlap the caller's work,
-    and the process may run on a second CPU. With `cryptography`, which
-    holds the lock, deferring the checks made fleet runs no faster, and
-    in most measured pairs slower, than checking them inline."""
-    return BACKEND.releases_lock and usable_cpus() >= 2
+# A VerifyHelper sends its checks to the helper in lists of this many, so
+# that the pipe is written once per list, not once per check. The list is
+# short because the checks of a run's last list are what its close()
+# waits for: a run reaped its helper in 3-5 ms at 16, 4-10 ms at 64.
+_VERIFY_BATCH = 16
 
 
-# A TxVerifier's worker takes its checks in lists of this many, so that
-# it is woken once per list, not once per check.
-_VERIFY_BATCH = 32
+class VerifyHelper:
+    """Ed25519 checks made in a forked helper process.
 
+    check(public_key, message, signature) has the shape of
+    verify_signature. It adds the check to a list and answers True at
+    once: its caller judges as if the signature held. Each full list of
+    _VERIFY_BATCH goes to the helper as one pickle, and the helper runs
+    every check through _verify_raw, which reads BACKEND at call time,
+    so a helper runs under the backend its parent had when it forked.
+    The helper stops at the first check that fails; when its feed ends,
+    it replies with how many checks held before that.
 
-class TxVerifier:
-    """Checks transaction signatures on a worker thread.
-
-    check(public_key, tid, signature) queues one check and returns True
-    at once: its caller judges as if the signature held. The checks reach
-    the worker in lists of _VERIFY_BATCH through a SimpleQueue, and the
-    worker runs each through verify_tx_digest, which reads BACKEND at
-    call time. close() queues the last list, stops the worker, waits for
-    it and says whether every check queued before it ran and held; a
-    worker that raised stops there and close() says False. Only the
-    worker writes `checked` and the failure flag, and only the caller
-    writes `queued`; each side reads the other's after the join, so no
-    lock guards them.
-
-    The owner calls close() in a `finally`: a worker left alive would keep
-    ledger._genesis_reasons from forking its helpers.
+    close() sends the last list, reads the reply into `held` and reaps
+    the helper: True when every check sent held. A helper that raised,
+    was killed, or replied short leaves `held` None and gives False.
+    close() reaps the helper whatever happens, and calling it again reads
+    nothing and gives the same answer. The owner calls it in a `finally`,
+    so that no helper outlives its run.
     """
 
-    def __init__(self) -> None:
-        self.queued = 0
-        self.checked = 0
-        self._failed = False
+    def __init__(self, helper: Helper) -> None:
+        self.sent = 0
+        self.held: Optional[int] = None
         self._batch: list[tuple[bytes, bytes, bytes]] = []
-        self._queue: queue.SimpleQueue = queue.SimpleQueue()
-        self._thread = threading.Thread(target=self._work, name="avledger-verify", daemon=True)
-        self._thread.start()
+        self._helper: Optional[Helper] = helper
 
-    def check(self, public_key: bytes, tid: bytes, signature: bytes) -> bool:
+    @classmethod
+    def fork(cls) -> Optional["VerifyHelper"]:
+        """A VerifyHelper over a newly forked helper, or None when the
+        fork fails."""
+        helper = fork_helper(_run_checks)
+        return cls(helper) if helper else None
+
+    def check(self, public_key: bytes, message: bytes, signature: bytes) -> bool:
         batch = self._batch
-        batch.append((public_key, tid, signature))
+        batch.append((public_key, message, signature))
         if len(batch) == _VERIFY_BATCH:
             self._send()
         return True
 
     def close(self) -> bool:
-        """Waits for the worker to finish what was queued and stop; True
-        when every check queued so far ran and held. Calling it again
-        waits for nothing and gives the same answer."""
-        if self._batch:
-            self._send()
-        self._queue.put(None)
-        self._thread.join()
-        return not self._failed and self.checked == self.queued
+        helper = self._helper
+        if helper is not None:
+            if self._batch:
+                self._send()
+            self._helper = None
+            reply = helper.reply()
+            if reply is not None and len(reply) == 8:
+                self.held = int.from_bytes(reply, "big")
+        return self.held == self.sent
 
     def _send(self) -> None:
-        self.queued += len(self._batch)
-        self._queue.put(self._batch)
+        self.sent += len(self._batch)
+        self._helper.send(pickle.dumps(self._batch))
         self._batch = []
 
-    def _work(self) -> None:
-        try:
-            for batch in iter(self._queue.get, None):
-                for public_key, tid, signature in batch:
-                    if not verify_tx_digest(public_key, tid, signature):
-                        self._failed = True
-                    self.checked += 1
-        except Exception:
-            # The thread's boundary: close() reports the failure, and the
-            # owner's inline replay raises the error where it belongs.
-            self._failed = True
+
+def _run_checks(feed: BinaryIO) -> bytes:
+    """A VerifyHelper's work, in the helper: every check read from feed,
+    in order, until a check fails or the feed ends. The reply is how many
+    held, as 8 bytes. The helper lives as long as its run, so it first
+    takes its own copy of the pages it shares with the run's process."""
+    take_private_pages()
+    held = 0
+    try:
+        while True:
+            for public_key, message, signature in pickle.load(feed):
+                if not _verify_raw(public_key, message, signature):
+                    return held.to_bytes(8, "big")
+                held += 1
+    except EOFError:
+        return held.to_bytes(8, "big")
 
 
 # --- certificate batches -------------------------------------------------------
@@ -514,13 +515,15 @@ def issue_certificate(
     return CertificateBatch(cert_ids, tuple(subject_pubkeys), levels, issued_at, validity_secs, signature)
 
 
-def certificate_signature_ok(cert: PseudonymCertificate, ca_pubkey: bytes) -> bool:
+def certificate_signature_ok(
+    cert: PseudonymCertificate,
+    ca_pubkey: bytes,
+    verify: Callable[[bytes, bytes, bytes], bool] = verify_signature,
+) -> bool:
     """The audit path leads to a root, and the CA signed that root with
-    the certificate's batch size."""
+    the certificate's batch size, as `verify` finds."""
     root = cert.batch_root()
-    return root is not None and _verify_raw(
-        ca_pubkey, root_payload(root, cert.batch_size), cert.root_signature
-    )
+    return root is not None and verify(ca_pubkey, root_payload(root, cert.batch_size), cert.root_signature)
 
 
 class IdentityEscrow:
@@ -595,11 +598,11 @@ __all__ = [
     "IdentityEscrow",
     "DEFAULT_CERT_VALIDITY_SECS",
     "generate_keypair",
+    "verify_signature",
+    "tx_message",
     "sign_tx_digest",
     "verify_tx_digest",
-    "usable_cpus",
-    "background_verify_pays",
-    "TxVerifier",
+    "VerifyHelper",
     "issue_certificate",
     "certificate_signature_ok",
     "leaf_hash",

@@ -31,13 +31,14 @@ from __future__ import annotations
 
 import hashlib
 import os
-import threading
 from dataclasses import replace
+from functools import partial
 from typing import Iterable, Optional
 
 from .encoding import BOOLEAN, TEXT, U32, encode, fixed, frozen, items, unpack, wire
 from .errors import InvalidGenesis, LedgerFormatError, NotFound, UniquenessViolation
-from .identity import PUBLIC_KEY_SIZE, usable_cpus
+from .forks import Helper, fork_helper, fork_pays, usable_cpus
+from .identity import PUBLIC_KEY_SIZE
 from .txmodel import (
     HASH,
     HASH_SIZE,
@@ -382,25 +383,26 @@ def _genesis_reasons(txs: list[Transaction], genesis: GenesisBlock) -> list[Reas
     to a forked helper, which inherits txs (nothing is pickled) and writes
     back one Reason index per transaction. A share whose helper could not
     be forked, did not exit cleanly or sent a reply of the wrong length is
-    judged here. Everything is judged here when fork is unavailable, when
-    other threads are alive (a forked child could inherit a lock one of
-    them holds), or when txs is too short to split.
+    judged here. Everything is judged here where forks.fork_pays() does
+    not hold, or when txs is too short to split.
     """
     n = min(usable_cpus(), len(txs) // MIN_SHARE)
-    if n < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+    if n < 2 or not fork_pays():
         return _judge_share(txs, genesis)
     cuts = [len(txs) * i // n for i in range(n + 1)]
     shares = [txs[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
-    helpers: list[Optional[tuple[int, int]]] = []
+    helpers: list[Optional[Helper]] = []
     try:
         for share in shares[1:]:
-            helpers.append(_fork_helper(share, genesis))
+            helpers.append(fork_helper(partial(_share_reply, share, genesis)))
         reasons = _judge_share(shares[0], genesis)
-        replies = [_read_to_end(helper[1]) if helper else b"" for helper in helpers]
+        replies = [helper.reply() if helper else None for helper in helpers]
     finally:
-        exits = _reap(helpers)
-    for share, reply, clean in zip(shares[1:], replies, exits):
-        if clean and len(reply) == len(share):
+        for helper in helpers:
+            if helper:
+                helper.close()
+    for share, reply in zip(shares[1:], replies):
+        if reply is not None and len(reply) == len(share):
             reasons += [_REASONS[index] for index in reply]
         else:
             reasons += _judge_share(share, genesis)
@@ -412,53 +414,9 @@ def _judge_share(txs: list[Transaction], genesis: GenesisBlock) -> list[Reason]:
     return [check_tx_genesis(tx, genesis, ca_checked) for tx in txs]
 
 
-def _fork_helper(share: list[Transaction], genesis: GenesisBlock) -> Optional[tuple[int, int]]:
-    """Forks a helper that judges share and writes the Reason indexes to a
-    pipe. Returns (pid, read end), or None when the fork fails."""
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_end)
-        os.close(write_end)
-        return None
-    if pid == 0:
-        code = 1
-        try:
-            os.close(read_end)
-            reply = bytes(_REASONS.index(r) for r in _judge_share(share, genesis))
-            with open(write_end, "wb") as out:
-                out.write(reply)
-            code = 0
-        finally:
-            # Leave without running the parent's cleanup or flushing its
-            # buffered output a second time.
-            os._exit(code)
-    os.close(write_end)
-    return pid, read_end
-
-
-def _read_to_end(fd: int) -> bytes:
-    chunks = []
-    while chunk := os.read(fd, 1 << 16):
-        chunks.append(chunk)
-    return b"".join(chunks)
-
-
-def _reap(helpers: list[Optional[tuple[int, int]]]) -> list[bool]:
-    """Closes every read end, then waits for every helper; True where a
-    helper exited with status 0. All ends close first so that no helper
-    stays blocked writing to a pipe nobody reads."""
-    for helper in helpers:
-        if helper:
-            os.close(helper[1])
-    clean = []
-    for helper in helpers:
-        try:
-            clean.append(helper is not None and os.waitstatus_to_exitcode(os.waitpid(helper[0], 0)[1]) == 0)
-        except ChildProcessError:  # reaped already, as under SIGCHLD set to SIG_IGN
-            clean.append(False)
-    return clean
+def _share_reply(share: list[Transaction], genesis: GenesisBlock, _feed) -> bytes:
+    """A helper's work: the Reason index of every transaction of share."""
+    return bytes(_REASONS.index(r) for r in _judge_share(share, genesis))
 
 
 # --- persistence --------------------------------------------------------------

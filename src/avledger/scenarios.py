@@ -44,20 +44,20 @@ from .adjudicator import (
 )
 from .encoding import TEXT, decode, encode, frozen, items, wire
 from .errors import ConfigError, Unattributable
+from .forks import fork_pays
 from .identity import (
     DEFAULT_CERT_VALIDITY_SECS,
     CertificateBatch,
     EntityId,
     IdentityEscrow,
     KeyPair,
-    TxVerifier,
-    background_verify_pays,
+    VerifyHelper,
     derive_shared_key,
     generate_keypair,
     issue_certificate,
     open_sealed,
     seal_to_key,
-    verify_tx_digest,
+    verify_signature,
 )
 from .ledger import (
     CaRootCert,
@@ -132,6 +132,13 @@ def inject_false_information(edata: EvidenceData) -> EvidenceData:
 
 # The fixed infrastructure actors, in the order the engine draws their keys.
 INFRASTRUCTURE_ACTORS = ("am-0", "st-0", "ic-0", "gta-0", "la-0")
+
+# How far a PET's evidence time may lie from its scene, either way: each
+# party's clock is off by up to this much. A pool key used just before
+# the next fleet batch keeps only about cert_validity_secs of its window,
+# so the parser refuses a validity below this offset, under which honest
+# PETs would expire.
+PET_CLOCK_OFFSET_SECS = 0.9
 
 
 @frozen
@@ -363,6 +370,18 @@ def _drop_prob(value, path: str) -> float:
     return drop
 
 
+def _cert_validity(value, path: str) -> float:
+    validity = number()(value, path)
+    if validity < PET_CLOCK_OFFSET_SECS:
+        raise ConfigError(
+            path,
+            f"must be >= {PET_CLOCK_OFFSET_SECS}, the most a PET's clock is off from its scene: "
+            f"a pseudonym used just before the next fleet batch keeps about one validity of its "
+            f"window, so a shorter validity expires honest evidence; got {validity}",
+        )
+    return validity
+
+
 def _vehicles(value, path: str) -> tuple[VehicleSpec, ...]:
     """A count of default vehicles, or a list of vehicle objects."""
     if isinstance(value, list):
@@ -382,7 +401,7 @@ _SCHEMA: dict[type, dict[str, JsonReader]] = {
     ScenarioConfig: {
         "seed": integer(0),
         "b_max": integer(1),
-        "cert_validity_secs": number(1e-9),
+        "cert_validity_secs": _cert_validity,
         "network": _object(NetworkConfig),
         "vehicles": _vehicles,
         "adjudication": _object(AdjudicationParams),
@@ -679,9 +698,17 @@ _REQUESTERS = (("ic-0", Role.INSURER, 5.0), ("am-0", Role.MANUFACTURER, 20.0))
 POOL_START = 4
 # Every leaf's window is [batch time - _WINDOW_SLACK_SECS, batch time +
 # 2 * cert_validity_secs), so any use before the next fleet batch keeps at
-# least cert_validity_secs of it, and evidence stamped up to 0.9 s before
-# the scene (clock jitter) is still inside it.
+# least cert_validity_secs of it, and evidence stamped up to
+# PET_CLOCK_OFFSET_SECS before the scene is still inside it.
 _WINDOW_SLACK_SECS = 2.0
+
+# A run forks its VerifyHelper only when its timeline holds at least this
+# many events. Forking, feeding and reaping the helper cost a run some
+# 5-10 ms on a 2-core host, about what checking a 50-100 event fleet run
+# inline costs. In 10-vehicle fleet runs the helper was 4 ms slower to
+# 4 ms faster than inline at 50 events, 4-6 ms faster at 100 and 12-22 ms
+# faster at 200.
+MIN_HELPER_EVENTS = 128
 
 
 class ScenarioEngine:
@@ -748,9 +775,9 @@ class ScenarioEngine:
         }
         # Each partition's batch roots found CA-signed (check_tx_genesis).
         self._ca_checked: dict[Partition, set] = {P1: set(), P2: set()}
-        # How a round checks a transaction signature: inline, or queued to
-        # the TxVerifier of a run in progress.
-        self._verify_tx = verify_tx_digest
+        # How a round makes an Ed25519 check: inline, or sent to the
+        # VerifyHelper of a run in progress.
+        self._verify = verify_signature
 
         # network
         self.net = Network(
@@ -936,7 +963,7 @@ class ScenarioEngine:
             self.replicas[partition],
             self.now,
             self._ca_checked[partition],
-            self._verify_tx,
+            self._verify,
         )
         self.audit_lines.append(
             audit_line(round_.at, round_.partition, round_.tid, round_.outcome, round_.votes)
@@ -1162,7 +1189,7 @@ class ScenarioEngine:
         for entity, is_witness in scene:
             keys, cert = creds[entity]
             loc = self._jittered_loc(center)
-            ts = at + self.rng_sim.uniform(-0.9, 0.9)
+            ts = at + self.rng_sim.uniform(-PET_CLOCK_OFFSET_SECS, PET_CLOCK_OFFSET_SECS)
             low, high = (0.0, 20.0) if is_witness else (4.0, 26.0)
             hv = self._make_esm(
                 self._vehicle_of[entity],
@@ -1328,29 +1355,32 @@ class ScenarioEngine:
     def run(self) -> ScenarioResult:
         """Runs the scenario until the network is quiet.
 
-        Where background_verify_pays() holds, one TxVerifier checks the
-        transaction signatures of every round on a worker thread, and each
-        round is judged as if they held. The worker is joined before run
-        returns or raises. If a queued check failed or the worker raised,
-        the run is thrown away, whether it returned or raised an
-        Exception: the engine is rebuilt in place from its config and the
-        scenario runs again with every check inline. So the result, the
-        engine's state and any exception are those of the inline path;
-        only the replay logs again the run's one log.info line (a replica
-        attack being applied). A KeyboardInterrupt or SystemExit
-        propagates once the worker is joined, with no replay.
+        Where forks.fork_pays() holds and the timeline holds at least
+        MIN_HELPER_EVENTS events, run forks one VerifyHelper, which
+        makes every Ed25519 check of every round in a helper process, and
+        each round is judged as if they held. The helper is reaped before
+        run returns or raises. If a check failed there, the helper died,
+        or its reply came up short, the run is thrown away, whether it
+        returned or raised an Exception: the engine is rebuilt in place
+        from its config and the scenario runs again with every check
+        inline. So the result, the engine's state and any exception are
+        those of the inline path; only the replay logs again the run's
+        one log.info line (a replica attack being applied). A
+        KeyboardInterrupt or SystemExit propagates once the helper is
+        reaped, with no replay.
         """
-        if not background_verify_pays():
+        pays = len(self.config.timeline) >= MIN_HELPER_EVENTS and fork_pays()
+        verifier = VerifyHelper.fork() if pays else None
+        if verifier is None:
             return self._play()
-        verifier = TxVerifier()
-        self._verify_tx = verifier.check
+        self._verify = verifier.check
         try:
             result = self._play()
         except Exception:
             if verifier.close():
                 raise
         finally:
-            self._verify_tx = verify_tx_digest
+            self._verify = verify_signature
             held = verifier.close()
         if held:
             return result

@@ -53,7 +53,8 @@ from .identity import (
     PseudonymCertificate,
     certificate_signature_ok,
     sign_tx_digest,
-    verify_tx_digest,
+    tx_message,
+    verify_signature,
 )
 
 if TYPE_CHECKING:
@@ -448,17 +449,20 @@ def check_tx_genesis(
     tx: Transaction,
     genesis: "GenesisBlock",
     ca_checked: Optional[set[tuple[bytes, int, bytes]]] = None,
-    verify_tx: Callable[[bytes, bytes, bytes], bool] = verify_tx_digest,
+    verify: Callable[[bytes, bytes, bytes], bool] = verify_signature,
 ) -> Reason:
     """The replica-independent half of check_tx: schema, authorization,
     completeness, the certificate and its window, and signatures. It
     reads only tx and genesis.
 
-    Each transaction signature goes through `verify_tx(public key, tid,
-    signature)`: verify_tx_digest by default, or a TxVerifier's check,
-    which queues it and answers True, so that the verdict holds only once
-    the verifier has confirmed every check it queued. Certificate batch
-    roots are always checked here.
+    Every Ed25519 check, of a certificate's batch root and of each
+    transaction signature, goes through `verify(public key, message,
+    signature)`: verify_signature by default, or a VerifyHelper's check,
+    which sends it to a helper process and answers True, so that the
+    verdict holds only once the helper has confirmed every check it was
+    sent. A deferred root check answers True for the first CA root of
+    the genesis, so a certificate under another root fails in the helper
+    and its run is judged again inline.
 
     Every certificate's audit path is rebuilt to its batch root. The
     verdict on that root is remembered in `ca_checked`: the (root, batch
@@ -500,7 +504,7 @@ def check_tx_genesis(
         return Reason.BAD_SIGNATURE
     signed = (root, cert.batch_size, cert.root_signature)
     if ca_checked is None or signed not in ca_checked:
-        if not any(certificate_signature_ok(cert, r.public_key) for r in genesis.ca_certificates):
+        if not any(certificate_signature_ok(cert, r.public_key, verify) for r in genesis.ca_certificates):
             return Reason.BAD_SIGNATURE
         if ca_checked is not None:
             ca_checked.add(signed)
@@ -515,7 +519,7 @@ def check_tx_genesis(
             pubkey = genesis.known_keys().get(entry.role)
             if pubkey is None:
                 return Reason.UNAUTHORIZED
-        if not verify_tx(pubkey, tx.tid, entry.signature):
+        if not verify(pubkey, tx_message(tx.tid), entry.signature):
             return Reason.BAD_SIGNATURE
     return Reason.OK
 

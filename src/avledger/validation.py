@@ -24,12 +24,13 @@ replicas whose open blocks hold the same tids are one state: they share
 one verdict, one fold and one Vote, and on commit every replica appends
 the fold value it voted for, sealing the block when it is full.
 
-A round checks every signature it needs inline unless its caller passes
-another transaction-signature check. ScenarioEngine.run passes a
-TxVerifier's, which queues each check to a worker thread and answers
-that it held; the run confirms all of them before it returns, and runs
-again with inline checks if one failed. So a round's votes are final
-only where its caller confirms its checks.
+A round makes every Ed25519 check it needs inline unless its caller
+passes another check. ScenarioEngine.run passes a VerifyHelper's, which
+sends each check, transaction signature or certificate batch root, to a
+forked helper process and answers that it held; the run confirms all of
+them when it reaps the helper, and runs again with inline checks if one
+failed. So a round's votes are final only where its caller confirms its
+checks.
 
 Each round, and each submission a halted partition skips, is one line of
 the audit log, rendered by audit_line as canonical JSON.
@@ -44,7 +45,7 @@ from typing import Callable, Mapping, Optional, Union
 
 from .encoding import frozen
 from .errors import NotDiverged, ReplicaMismatch, Unattributable
-from .identity import EntityId, verify_tx_digest
+from .identity import EntityId, verify_signature
 from .ledger import PartitionLedger, fold_ids
 from .txmodel import (
     AUTHORIZED_PROPOSERS,
@@ -95,7 +96,7 @@ def run_consensus(
     replicas: Mapping[EntityId, PartitionLedger],
     at: float,
     ca_checked: Optional[set] = None,
-    verify_tx: Callable[[bytes, bytes, bytes], bool] = verify_tx_digest,
+    verify: Callable[[bytes, bytes, bytes], bool] = verify_signature,
 ) -> ConsensusRound:
     """One unanimity round over a single proposed transaction. `replicas`
     maps each validator, in genesis order, to its replica of the
@@ -107,10 +108,10 @@ def run_consensus(
     committed set, and replicas in one state share one Vote object. `ca_checked` is
     check_tx_genesis's set of batch roots found CA-signed; a caller that
     runs many rounds of one partition passes the same set to each, so
-    each batch root's signature is checked once. `verify_tx` is how the
-    genesis half checks a transaction signature: inline by default. A
-    caller that passes a TxVerifier's check gets the round that holds if
-    every queued check holds, and must confirm them before it trusts the
+    each batch root's signature is checked once. `verify` is how the
+    genesis half makes each Ed25519 check: inline by default. A caller
+    that passes a VerifyHelper's check gets the round that holds if every
+    check it sent holds, and must confirm them before it trusts the
     round.
 
     Commits mutate every replica: each appends the fold value it voted
@@ -132,7 +133,7 @@ def run_consensus(
         raise ReplicaMismatch("validator replicas disagree on the sealed chain")
     [(_, tip)] = sealed
 
-    shared = check_tx_genesis(tx, ledgers[0].genesis, ca_checked, verify_tx)
+    shared = check_tx_genesis(tx, ledgers[0].genesis, ca_checked, verify)
     # The sealed chains are equal, so a replica's state is the tids of its
     # open block. Replicas in one state get one committed-half verdict, one
     # fold and one shared Vote. The candidate fold value is recomputed from

@@ -18,7 +18,10 @@ Since then, 159 pins moved on purpose when the ``number`` reader began to
 refuse non-finite values, each to ``err`` at its own mutated path: 82
 ``:= nan`` and 48 ``:= inf`` cases the earlier parser accepted, and 29
 ``:= inf`` cases on a timeline ``at`` that it rejected one event later
-for time order. No other pin moved.
+for time order. Later, 5 more moved on purpose when ``cert_validity_secs``
+got its floor, the PET clock offset of 0.9 s: the ``:= 0.5`` case of each
+base config, from ``ok`` to ``err $.cert_validity_secs``. No other pin
+moved.
 """
 
 import copy

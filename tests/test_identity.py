@@ -10,7 +10,6 @@ import random
 import struct
 import subprocess
 import sys
-import threading
 
 import pytest
 from hypothesis import given, strategies as st
@@ -20,7 +19,7 @@ from avledger.errors import EscrowDenied, InvalidValidity, UnknownCertificate, U
 from avledger.identity import (
     IdentityEscrow,
     PseudonymCertificate,
-    TxVerifier,
+    VerifyHelper,
     certificate_signature_ok,
     derive_shared_key,
     generate_keypair,
@@ -32,6 +31,7 @@ from avledger.identity import (
     path_root,
     seal_to_key,
     sign_tx_digest,
+    tx_message,
     verify_tx_digest,
 )
 
@@ -563,82 +563,77 @@ def test_open_sealed_rejects_short_payload():
         open_sealed(b"\x00" * 32, b"short")
 
 
-# --- transaction signatures on a worker thread ----------------------------------
+# --- every check of a run in one helper process ---------------------------------
 
 def _signed_checks(n: int, seed: int) -> list[tuple[bytes, bytes, bytes]]:
+    """n valid (public key, message, signature) checks, each over a
+    transaction message."""
     rng = random.Random(seed)
     keys = [generate_keypair(rng) for _ in range(4)]
     checks = []
     for i in range(n):
-        tid = rng.randbytes(32)
-        checks.append((keys[i % 4].public_key, tid, sign_tx_digest(keys[i % 4], tid)))
+        message = tx_message(rng.randbytes(32))
+        checks.append((keys[i % 4].public_key, message, identity._sign_raw(keys[i % 4], message)))
     return checks
 
 
 def _spoil(check: tuple[bytes, bytes, bytes], how: int) -> tuple[bytes, bytes, bytes]:
-    public_key, tid, signature = check
+    public_key, message, signature = check
     if how == 0:
-        return public_key, tid, bytes([signature[0] ^ 0x01]) + signature[1:]
+        return public_key, message, bytes([signature[0] ^ 0x01]) + signature[1:]
     if how == 1:
-        return public_key, bytes([tid[0] ^ 0x80]) + tid[1:], signature
-    return public_key, tid, signature[:63]  # refused before the backend
+        return public_key, message[:-1] + bytes([message[-1] ^ 0x80]), signature
+    return public_key, message, signature[:63]  # refused before the backend
 
 
-def test_verifiers_under_fast_thread_switching_run_every_check_once():
-    """Four verifiers, each fed by a thread of its own, with the
-    interpreter switching threads every microsecond: each runs every
-    check it was given, and reports a failure exactly when a bad check
-    was among them."""
+def test_helpers_fed_side_by_side_run_every_check_once():
+    """Four helpers live at once, fed in turns, one list at a time: each
+    runs every check it was sent, up to the first that fails, and reports
+    a failure exactly when a bad check was among them. Each holds only
+    its own pipes, so each ends as soon as its own feed does, in any
+    order, and none leaves a pipe end behind (tests/conftest.py checks
+    that none is left unreaped)."""
     valid = _signed_checks(64, seed=5)
     rng = random.Random(17)
-    feeds = []
+    feeds, first_bad = [], []
     for index in range(4):
         checks = [valid[rng.randrange(len(valid))] for _ in range(1000)]
-        if index % 2:
-            for at in rng.sample(range(len(checks)), 2):
-                checks[at] = _spoil(checks[at], rng.randrange(3))
+        spoiled = sorted(rng.sample(range(len(checks)), 2)) if index % 2 else []
+        for at in spoiled:
+            checks[at] = _spoil(checks[at], rng.randrange(3))
         feeds.append(checks)
-    before = threading.active_count()
-    verifiers = [TxVerifier() for _ in feeds]
-    held = [None] * len(feeds)
-
-    def feed(index: int) -> None:
-        verifier = verifiers[index]
-        for check in feeds[index]:
-            assert verifier.check(*check) is True
-        held[index] = verifier.close()
-
-    switch = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        feeders = [threading.Thread(target=feed, args=(index,)) for index in range(len(feeds))]
-        for thread in feeders:
-            thread.start()
-        for thread in feeders:
-            thread.join(timeout=120)
-            assert not thread.is_alive()
-    finally:
-        sys.setswitchinterval(switch)
-    assert held == [True, False, True, False]
-    for verifier, checks in zip(verifiers, feeds):
-        assert verifier.queued == verifier.checked == len(checks)
-    assert threading.active_count() == before
+        first_bad.append(spoiled[0] if spoiled else len(checks))
+    fds = set(os.listdir("/proc/self/fd"))
+    verifiers = [VerifyHelper.fork() for _ in feeds]
+    for at in range(0, 1000, 100):
+        for verifier, checks in zip(verifiers, feeds):
+            for check in checks[at:at + 100]:
+                assert verifier.check(*check) is True
+    held = [verifier.close() for verifier in (verifiers[2], verifiers[0], verifiers[3], verifiers[1])]
+    assert held == [True, True, False, False]
+    for verifier, checks, bad in zip(verifiers, feeds, first_bad):
+        assert verifier.sent == len(checks) and verifier.held == bad
+    assert set(os.listdir("/proc/self/fd")) == fds
 
 
-def test_a_verifier_whose_backend_raises_stops_and_reports_it(monkeypatch):
+def test_a_verifier_whose_backend_raises_stops_and_reports_it(monkeypatch, tmp_path):
+    """The helper's backend raises on its 10th call: the helper stops
+    there, with no reply, and close() says False, twice."""
     checks = _signed_checks(40, seed=6)
-    seen = []
+    seen = tmp_path / "seen"
 
     def raising(public_key, message, signature):
-        seen.append(message)
-        if len(seen) == 10:
+        with open(seen, "a") as out:
+            out.write(message.hex() + "\n")
+        if len(seen.read_text().split()) == 10:
             raise RuntimeError("backend failed")
         return True
 
     monkeypatch.setattr(identity, "BACKEND", identity.BACKEND._replace(verify=raising))
-    verifier = TxVerifier()
+    verifier = VerifyHelper.fork()
     for check in checks:
         verifier.check(*check)
     assert verifier.close() is False
-    assert verifier.close() is False  # a second close waits for nothing
-    assert verifier.queued == 40 and verifier.checked == 9 and len(seen) == 10
+    assert verifier.close() is False  # a second close reads nothing
+    assert verifier.sent == 40 and verifier.held is None
+    assert seen.read_text().split() == [message.hex() for _, message, _ in checks[:10]]

@@ -474,9 +474,9 @@ def test_chain_faults_ca_checks_each_certificate_once(monkeypatch):
     checked = []
     real = txmodel.certificate_signature_ok
 
-    def counting(cert, ca_pubkey):
+    def counting(cert, ca_pubkey, verify):
         checked.append(cert)
-        return real(cert, ca_pubkey)
+        return real(cert, ca_pubkey, verify)
 
     monkeypatch.setattr(txmodel, "certificate_signature_ok", counting)
     # Small enough to be judged in this process: a count made in a forked

@@ -3,7 +3,9 @@ three adversary classes, and configuration handling."""
 
 import dataclasses
 import json
+import math
 import os
+import signal
 import threading
 import time
 
@@ -15,6 +17,7 @@ from avledger.errors import ConfigError, MalformedCase, NotFound
 from avledger.identity import PseudonymCertificate
 from avledger.ledger import chain_faults, load_ledger, save_ledger
 from avledger.scenarios import (
+    PET_CLOCK_OFFSET_SECS,
     AttackClass,
     AttackConfig,
     CollisionEvent,
@@ -379,6 +382,29 @@ def test_config_validation_names_the_bad_field(mangle, path_hint):
     assert path_hint in str(err.value)
 
 
+def test_cert_validity_below_the_pet_clock_offset_is_refused():
+    """A pool key used just before the next fleet batch keeps about one
+    validity of its window, and a PET's clock may run up to
+    PET_CLOCK_OFFSET_SECS ahead of its scene. So a shorter validity is
+    refused at its path, and at the floor itself no benign run rejects
+    an honest transaction."""
+    data = config_to_jsonable(make_benign_config(0))
+    for short in (1e-9, 0.5, math.nextafter(PET_CLOCK_OFFSET_SECS, 0.0)):
+        data["cert_validity_secs"] = short
+        with pytest.raises(ConfigError) as err:
+            config_from_jsonable(data)
+        assert err.value.field == "$.cert_validity_secs"
+        assert "clock" in str(err.value) and "expires honest evidence" in str(err.value)
+    for seed in range(20):
+        data = config_to_jsonable(make_benign_config(seed))
+        data["cert_validity_secs"] = PET_CLOCK_OFFSET_SECS
+        report = _run(config_from_jsonable(data)).report
+        for part in ("P1", "P2"):
+            assert not any(report.counts[part]["rejected"].values()), (seed, part)
+            assert report.consensus[part]["diverged"] == 0, (seed, part)
+        assert report.detections == [], seed
+
+
 def test_attack_actor_must_hold_infrastructure_role():
     data = config_to_jsonable(make_attack_config(0, AttackClass.TAMPER_CBLOCK))
     data["attack"]["actor"] = "av-0"
@@ -556,7 +582,7 @@ def test_pools_lose_no_key_and_leave_every_use_a_full_window(issued):
             assert left > validity - 1.0, (tx.kind, left)
 
 
-# --- transaction signatures checked on a worker thread ---------------------------
+# --- every check of a run made in one helper process -----------------------------
 
 def _outputs(result, tmp_path, name) -> tuple:
     """The report JSON, the audit lines and both saved ledger files."""
@@ -568,15 +594,54 @@ def _outputs(result, tmp_path, name) -> tuple:
     return result.report.to_json(), list(result.audit_lines), files
 
 
-def _run_with_verifier(monkeypatch, config, deferred: bool):
-    """The run with signature checks on the worker thread, or inline."""
-    monkeypatch.setattr(scenarios, "background_verify_pays", lambda: deferred)
+def _force_helper(monkeypatch, deferred: bool) -> None:
+    """Every run from now on makes its checks in a helper process, or
+    inline, whatever its size and this host."""
+    monkeypatch.setattr(scenarios, "fork_pays", lambda: deferred)
+    monkeypatch.setattr(scenarios, "MIN_HELPER_EVENTS", 0)
+
+
+def _run_with_helper(monkeypatch, config, deferred: bool):
+    """The run with its checks made in a helper process, or inline."""
+    _force_helper(monkeypatch, deferred)
     return _run(config)
+
+
+def _counting_plays(monkeypatch) -> list:
+    plays = []
+    play = ScenarioEngine._play
+
+    def counting_play(engine):
+        plays.append(engine)
+        return play(engine)
+
+    monkeypatch.setattr(ScenarioEngine, "_play", counting_play)
+    return plays
+
+
+def _counting_forks(monkeypatch) -> list:
+    """The pid of every child forked from now on."""
+    pids = []
+    real_fork = os.fork
+
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return pids
+
+
+def _no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_a_failed_deferred_check_replays_the_run_inline(monkeypatch, tmp_path):
     """One EST's signature has a bit flipped after it was signed, its tid
-    kept, so only its signature check fails. On the worker that check
+    kept, so only its signature check fails. In the helper that check
     fails after the round accepted the EST; run() throws that run away
     and replays it inline, which gives the inline path's bytes."""
     build = scenarios.build_transaction
@@ -604,7 +669,7 @@ def test_a_failed_deferred_check_replays_the_run_inline(monkeypatch, tmp_path):
     monkeypatch.setattr(ScenarioEngine, "_play", counting_play)
     config = make_benign_config(0)
 
-    deferred = _run_with_verifier(monkeypatch, config, True)
+    deferred = _run_with_helper(monkeypatch, config, True)
     assert len(plays) == 2 and plays[0] is plays[1]  # the deferred run, then its replay
     bad = [line for line in deferred.audit_lines if '"BadSignature"' in line]
     assert len(bad) == 1 and ests[1].hex() in bad[0]
@@ -612,8 +677,30 @@ def test_a_failed_deferred_check_replays_the_run_inline(monkeypatch, tmp_path):
     assert deferred.report.counts["P1"]["rejected"]["EST"] == 1
 
     plays.clear()
-    inline = _run_with_verifier(monkeypatch, config, False)
+    inline = _run_with_helper(monkeypatch, config, False)
     assert len(plays) == 1
+    assert _outputs(deferred, tmp_path, "deferred") == _outputs(inline, tmp_path, "inline")
+
+
+def test_a_certificate_under_a_second_ca_root_replays_inline(monkeypatch, tmp_path):
+    """A deferred root check answers True for the genesis's first CA root,
+    so a certificate the second root signed fails in the helper, and the
+    inline replay gives the verdicts of the inline path."""
+    add_root = scenarios.make_genesis
+
+    def two_roots(partition, ca_certificates, membership, b_max):
+        [root] = ca_certificates
+        decoy = dataclasses.replace(root, name="decoy-root-ca", public_key=bytes(range(32)))
+        return add_root(partition, [decoy, root], membership, b_max)
+
+    monkeypatch.setattr(scenarios, "make_genesis", two_roots)
+    plays = _counting_plays(monkeypatch)
+    config = make_benign_config(2)
+    deferred = _run_with_helper(monkeypatch, config, True)
+    assert len(plays) == 2
+    inline = _run_with_helper(monkeypatch, config, False)
+    assert len(plays) == 3
+    assert sum(deferred.report.counts["P1"]["committed"].values()) > 0
     assert _outputs(deferred, tmp_path, "deferred") == _outputs(inline, tmp_path, "inline")
 
 
@@ -623,8 +710,8 @@ class _Planted(Exception):
 
 def test_a_worker_that_raises_makes_run_raise_as_inline(monkeypatch):
     """BACKEND.verify raises on the check that is its n-th call in an
-    inline run, a transaction signature. On the worker that error only
-    ends the checks; the inline replay raises it from run()."""
+    inline run, a transaction signature. In the helper that error only
+    ends the helper; the inline replay raises it from run()."""
     config = make_benign_config(0)
     real = identity.BACKEND
     messages = []
@@ -634,7 +721,7 @@ def test_a_worker_that_raises_makes_run_raise_as_inline(monkeypatch):
         return real.verify(public_key, message, signature)
 
     monkeypatch.setattr(identity, "BACKEND", real._replace(verify=recording))
-    _run_with_verifier(monkeypatch, config, False)
+    _run_with_helper(monkeypatch, config, False)
     nth = [m for m in messages if m.startswith(identity._TX_SIGN_PREFIX)][5]
 
     def raising(public_key, message, signature):
@@ -646,16 +733,88 @@ def test_a_worker_that_raises_makes_run_raise_as_inline(monkeypatch):
     threads = threading.active_count()
     for deferred in (False, True):
         with pytest.raises(_Planted):
-            _run_with_verifier(monkeypatch, config, deferred)
+            _run_with_helper(monkeypatch, config, deferred)
         assert threading.active_count() == threads
 
 
+@pytest.mark.parametrize("failure", ["killed", "backend raises"])
+def test_a_helper_that_fails_mid_run_replays_inline(monkeypatch, tmp_path, failure):
+    """The helper is killed with SIGKILL while the run goes on, or its
+    backend raises on a check the parent's would pass: run() replays the
+    scenario inline and gives the inline path's bytes."""
+    config = make_benign_config(3)
+    plays = _counting_plays(monkeypatch)
+    inline = _run_with_helper(monkeypatch, config, False)
+    parent, real = os.getpid(), identity.BACKEND
+
+    def raising_in_helper(public_key, message, signature):
+        if os.getpid() != parent:
+            raise _Planted("the helper's backend failed")
+        return real.verify(public_key, message, signature)
+
+    pids = _counting_forks(monkeypatch)
+    if failure == "killed":
+        calls = []
+        trigger = ScenarioEngine.trigger_event_safety
+
+        def killing(engine, event):
+            calls.append(event)
+            if len(calls) == 3 and pids:
+                os.kill(pids[0], signal.SIGKILL)
+            trigger(engine, event)
+
+        monkeypatch.setattr(ScenarioEngine, "trigger_event_safety", killing)
+    else:
+        monkeypatch.setattr(identity, "BACKEND", real._replace(verify=raising_in_helper))
+    deferred = _run_with_helper(monkeypatch, config, True)
+    assert len(pids) == 1 and len(plays) == 3  # inline, then the deferred run and its replay
+    assert _outputs(deferred, tmp_path, "deferred") == _outputs(inline, tmp_path, "inline")
+
+
+def test_a_run_with_a_second_thread_alive_forks_nothing(monkeypatch, tmp_path):
+    """The one fork rule: with another thread alive, run() forks no
+    helper and makes every check inline, in this process, even where two
+    CPUs are usable."""
+    config = make_benign_config(4)
+    real = identity.BACKEND
+    checks = []
+
+    def counting(public_key, message, signature):
+        checks.append(message)
+        return real.verify(public_key, message, signature)
+
+    monkeypatch.setattr(identity, "BACKEND", real._replace(verify=counting))
+    monkeypatch.setattr(scenarios, "MIN_HELPER_EVENTS", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    pids = _counting_forks(monkeypatch)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(60,))
+    other.start()
+    try:
+        alive = _run(config)
+    finally:
+        release.set()
+        other.join(timeout=60)
+    assert not other.is_alive()
+    assert pids == []
+    alive_checks = len(checks)
+    checks.clear()
+    inline = _run_with_helper(monkeypatch, config, False)
+    assert alive_checks == len(checks) > 0
+    assert _outputs(alive, tmp_path, "alive") == _outputs(inline, tmp_path, "inline")
+
+
 def test_run_leaves_no_thread_alive_when_it_returns_or_raises(monkeypatch):
-    monkeypatch.setattr(scenarios, "background_verify_pays", lambda: True)
+    """Nor a child process or an open pipe end."""
+    _force_helper(monkeypatch, True)
     threads = threading.active_count()
+    fds = set(os.listdir("/proc/self/fd"))
+    pids = _counting_forks(monkeypatch)
     config = make_benign_config(1)
     _run(config)
-    assert threading.active_count() == threads
+    assert threading.active_count() == threads and len(pids) == 1
+    assert set(os.listdir("/proc/self/fd")) == fds
+    _no_child_left()
 
     calls = []
     real = ScenarioEngine.trigger_event_safety
@@ -669,15 +828,17 @@ def test_run_leaves_no_thread_alive_when_it_returns_or_raises(monkeypatch):
     monkeypatch.setattr(ScenarioEngine, "trigger_event_safety", failing)
     with pytest.raises(_Planted):
         _run(config)
-    assert len(calls) == 3
+    assert len(calls) == 3 and len(pids) == 2
     assert threading.active_count() == threads
+    assert set(os.listdir("/proc/self/fd")) == fds
+    _no_child_left()
 
 
 def test_chain_faults_forks_its_helpers_right_after_a_run(monkeypatch):
-    """The worker is joined before run() returns, so the process has one
-    thread again and chain_faults spreads the chain over forked helpers.
-    Each check is slowed down, so that a worker left running would still
-    be behind when chain_faults starts."""
+    """The run's helper is reaped before run() returns, and it is a
+    process, not a thread, so chain_faults spreads the chain over forked
+    helpers right after it. Each check is slowed down, so that a helper
+    left running would still be busy when chain_faults starts."""
     real = identity.BACKEND
 
     def slow(public_key, message, signature):
@@ -685,7 +846,7 @@ def test_chain_faults_forks_its_helpers_right_after_a_run(monkeypatch):
         return real.verify(public_key, message, signature)
 
     monkeypatch.setattr(identity, "BACKEND", real._replace(verify=slow))
-    monkeypatch.setattr(scenarios, "background_verify_pays", lambda: True)
+    _force_helper(monkeypatch, True)
     ledger = _run(disputes_shaped_config(5, n_events=120)).ledgers["P1"]
     monkeypatch.setattr(identity, "BACKEND", real)
     assert len(ledger.all_transactions()) >= 2 * ledger_module.MIN_SHARE

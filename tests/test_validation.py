@@ -323,9 +323,9 @@ def test_rounds_that_share_a_set_ca_check_each_batch_root_once(monkeypatch):
     checked = []
     real = txmodel.certificate_signature_ok
 
-    def counting(cert, ca_pubkey):
+    def counting(cert, ca_pubkey, verify):
         checked.append(cert.batch_size)
-        return real(cert, ca_pubkey)
+        return real(cert, ca_pubkey, verify)
 
     monkeypatch.setattr(txmodel, "certificate_signature_ok", counting)
     replicas, ca_checked = world.replicas(Partition.OPERATIONAL), set()
