@@ -24,17 +24,19 @@ chooses. One verify rule holds on both: a signature or public key of the
 wrong length, a public key or R that is a small-order point, and a
 non-canonical public key are refused, as libsodium refuses them.
 
-Every check is made, and no verdict is remembered here; only
-txmodel.check_tx_genesis remembers one: the batch roots it found
-CA-signed, in a set its caller owns. Most checks run inline, before the
-verdict that needs them. A scenario run is the one exception. Where
-forks.fork_pays() holds (the platform can fork, no other thread is
-alive, and the process may use two CPUs or more), ScenarioEngine.run
-forks one VerifyHelper, a child process that makes every Ed25519 check
-of the run's rounds while the engine goes on: transaction signatures
-and certificate batch roots. The run confirms all of them when it reaps
-the helper at its end. A check that failed there, or a helper that
-died, makes the run repeat with every check inline.
+Every check a verdict needs goes through a checks object, of one of two
+kinds with the same two methods: signature(public key, message,
+signature), an Ed25519 check, and certificate(cert, CA keys), the whole
+certificate rule. InlineChecks makes each check when it is asked, and is
+the one place a verdict is remembered: the batch roots it found signed by
+one of the CA keys, so that each is checked once per object. Every
+caller checks inline but a scenario run. Where forks.fork_pays() holds (the platform can
+fork, no other thread is alive, and the process may use two CPUs or
+more), ScenarioEngine.run forks one VerifyHelper, a child process that
+makes every certificate and signature check of the run's rounds with an
+InlineChecks of its own while the engine goes on. The run confirms all of
+them when it reaps the helper at its end. A check that failed there, or a
+helper that died, makes the run repeat with every check inline.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ import hashlib
 import pickle
 import random
 from dataclasses import field
-from typing import BinaryIO, Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import BinaryIO, Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives import serialization
@@ -229,13 +231,6 @@ def _verify_raw(public_key: bytes, message: bytes, signature: bytes) -> bool:
     return BACKEND.verify(public_key, message, signature)
 
 
-def verify_signature(public_key: bytes, message: bytes, signature: bytes) -> bool:
-    """The inline Ed25519 check. It calls _verify_raw by name at each
-    call, so a patched _verify_raw (as perfbench's tracer installs) sees
-    every check made through it."""
-    return _verify_raw(public_key, message, signature)
-
-
 def tx_message(tid: bytes) -> bytes:
     """What a transaction signature signs: the tid, domain-separated."""
     return _TX_SIGN_PREFIX + tid
@@ -244,93 +239,6 @@ def tx_message(tid: bytes) -> bytes:
 def sign_tx_digest(keys: KeyPair, tid: bytes) -> bytes:
     """Signs a transaction id (hash-then-sign; the tid is the digest)."""
     return _sign_raw(keys, tx_message(tid))
-
-
-def verify_tx_digest(public_key: bytes, tid: bytes, signature: bytes) -> bool:
-    return _verify_raw(public_key, tx_message(tid), signature)
-
-
-# --- every check of a scenario run in one helper process -------------------------
-
-# A VerifyHelper sends its checks to the helper in lists of this many, so
-# that the pipe is written once per list, not once per check. The list is
-# short because the checks of a run's last list are what its close()
-# waits for: a run reaped its helper in 3-5 ms at 16, 4-10 ms at 64.
-_VERIFY_BATCH = 16
-
-
-class VerifyHelper:
-    """Ed25519 checks made in a forked helper process.
-
-    check(public_key, message, signature) has the shape of
-    verify_signature. It adds the check to a list and answers True at
-    once: its caller judges as if the signature held. Each full list of
-    _VERIFY_BATCH goes to the helper as one pickle, and the helper runs
-    every check through _verify_raw, which reads BACKEND at call time,
-    so a helper runs under the backend its parent had when it forked.
-    The helper stops at the first check that fails; when its feed ends,
-    it replies with how many checks held before that.
-
-    close() sends the last list, reads the reply into `held` and reaps
-    the helper: True when every check sent held. A helper that raised,
-    was killed, or replied short leaves `held` None and gives False.
-    close() reaps the helper whatever happens, and calling it again reads
-    nothing and gives the same answer. The owner calls it in a `finally`,
-    so that no helper outlives its run.
-    """
-
-    def __init__(self, helper: Helper) -> None:
-        self.sent = 0
-        self.held: Optional[int] = None
-        self._batch: list[tuple[bytes, bytes, bytes]] = []
-        self._helper: Optional[Helper] = helper
-
-    @classmethod
-    def fork(cls) -> Optional["VerifyHelper"]:
-        """A VerifyHelper over a newly forked helper, or None when the
-        fork fails."""
-        helper = fork_helper(_run_checks)
-        return cls(helper) if helper else None
-
-    def check(self, public_key: bytes, message: bytes, signature: bytes) -> bool:
-        batch = self._batch
-        batch.append((public_key, message, signature))
-        if len(batch) == _VERIFY_BATCH:
-            self._send()
-        return True
-
-    def close(self) -> bool:
-        helper = self._helper
-        if helper is not None:
-            if self._batch:
-                self._send()
-            self._helper = None
-            reply = helper.reply()
-            if reply is not None and len(reply) == 8:
-                self.held = int.from_bytes(reply, "big")
-        return self.held == self.sent
-
-    def _send(self) -> None:
-        self.sent += len(self._batch)
-        self._helper.send(pickle.dumps(self._batch))
-        self._batch = []
-
-
-def _run_checks(feed: BinaryIO) -> bytes:
-    """A VerifyHelper's work, in the helper: every check read from feed,
-    in order, until a check fails or the feed ends. The reply is how many
-    held, as 8 bytes. The helper lives as long as its run, so it first
-    takes its own copy of the pages it shares with the run's process."""
-    take_private_pages()
-    held = 0
-    try:
-        while True:
-            for public_key, message, signature in pickle.load(feed):
-                if not _verify_raw(public_key, message, signature):
-                    return held.to_bytes(8, "big")
-                held += 1
-    except EOFError:
-        return held.to_bytes(8, "big")
 
 
 # --- certificate batches -------------------------------------------------------
@@ -371,13 +279,6 @@ def _audit_path(levels: list[list[bytes]], index: int) -> bytes:
             nodes.append(level[index ^ 1])
         index >>= 1
     return b"".join(nodes)
-
-
-def merkle_tree(leaves: Sequence[bytes]) -> tuple[bytes, list[bytes]]:
-    """The root over leaf hashes, and each leaf's audit path as one blob of
-    nodes, leaf end first."""
-    levels = _levels(leaves)
-    return levels[-1][0], [_audit_path(levels, index) for index in range(len(leaves))]
 
 
 def path_root(leaf: bytes, index: int, size: int, path: bytes) -> Optional[bytes]:
@@ -515,15 +416,151 @@ def issue_certificate(
     return CertificateBatch(cert_ids, tuple(subject_pubkeys), levels, issued_at, validity_secs, signature)
 
 
-def certificate_signature_ok(
-    cert: PseudonymCertificate,
-    ca_pubkey: bytes,
-    verify: Callable[[bytes, bytes, bytes], bool] = verify_signature,
-) -> bool:
-    """The audit path leads to a root, and the CA signed that root with
-    the certificate's batch size, as `verify` finds."""
-    root = cert.batch_root()
-    return root is not None and verify(ca_pubkey, root_payload(root, cert.batch_size), cert.root_signature)
+# --- the checks a verdict needs ----------------------------------------------------
+
+class InlineChecks:
+    """Certificate and signature checks, each made when it is asked.
+
+    signature(public_key, message, signature) is the Ed25519 check. It
+    calls _verify_raw by name at each call, so a patched _verify_raw (as
+    perfbench's tracer installs) sees every check made through it.
+
+    certificate(cert, ca_keys) is the certificate rule: the audit path
+    leads from the leaf to a batch root, and one of ca_keys signed that
+    root with the batch size. The window is not part of it. Each
+    (CA keys, root, batch size, root signature) found signed is kept in
+    signed_roots and not checked again, so a caller judging many
+    transactions checks one CA signature per batch per object. The key
+    holds the CA keys, so one object may meet any genesis.
+    """
+
+    def __init__(self) -> None:
+        self.signed_roots: set[tuple[tuple[bytes, ...], bytes, int, bytes]] = set()
+
+    def signature(self, public_key: bytes, message: bytes, signature: bytes) -> bool:
+        return _verify_raw(public_key, message, signature)
+
+    def certificate(self, cert: PseudonymCertificate, ca_keys: tuple[bytes, ...]) -> bool:
+        root = cert.batch_root()
+        if root is None:
+            return False
+        signed = (ca_keys, root, cert.batch_size, cert.root_signature)
+        if signed in self.signed_roots:
+            return True
+        message = root_payload(root, cert.batch_size)
+        if not any(self.signature(key, message, cert.root_signature) for key in ca_keys):
+            return False
+        self.signed_roots.add(signed)
+        return True
+
+
+# A VerifyHelper sends its checks to the helper in lists of this many, so
+# that the pipe is written once per list, not once per check. The list is
+# short because the checks of a run's last list are what its close()
+# waits for: a run reaped its helper in 3-5 ms at 16, 4-10 ms at 64.
+_VERIFY_BATCH = 16
+
+
+class VerifyHelper:
+    """The checks of InlineChecks, made in a forked helper process.
+
+    signature and certificate take the arguments of InlineChecks'. Each
+    adds its check to a list and answers True at once: its caller judges
+    as if the check held. A certificate goes as its fields and the CA
+    keys. Each full list of _VERIFY_BATCH goes to the helper as one
+    pickle, and the helper makes every check with an InlineChecks of its
+    own, whose signature check reads BACKEND at call time, so a helper
+    runs under the backend its parent had when it forked. The helper
+    stops at the first check that fails; when its feed ends, it replies
+    with how many checks held before that.
+
+    close() sends the last list, reads the reply into `held` and reaps
+    the helper: True when every check sent held. A helper that raised,
+    was killed, or replied short leaves `held` None and gives False.
+    close() reaps the helper whatever happens, and calling it again reads
+    nothing and gives the same answer. The owner calls it in a `finally`,
+    so that no helper outlives its run.
+    """
+
+    def __init__(self, helper: Helper) -> None:
+        self.sent = 0
+        self.held: Optional[int] = None
+        self._batch: list[tuple] = []
+        self._helper: Optional[Helper] = helper
+
+    @classmethod
+    def fork(cls) -> Optional["VerifyHelper"]:
+        """A VerifyHelper over a newly forked helper, or None when the
+        fork fails."""
+        helper = fork_helper(_run_checks)
+        return cls(helper) if helper else None
+
+    def signature(self, public_key: bytes, message: bytes, signature: bytes) -> bool:
+        self._add((public_key, message, signature))
+        return True
+
+    def certificate(self, cert: PseudonymCertificate, ca_keys: tuple[bytes, ...]) -> bool:
+        self._add((
+            cert.cert_id,
+            cert.subject_pubkey,
+            cert.issued_at,
+            cert.validity_secs,
+            cert.leaf_index,
+            cert.batch_size,
+            cert.audit_path,
+            cert.root_signature,
+            ca_keys,
+        ))
+        return True
+
+    def close(self) -> bool:
+        helper = self._helper
+        if helper is not None:
+            if self._batch:
+                self._send()
+            self._helper = None
+            reply = helper.reply()
+            if reply is not None and len(reply) == 8:
+                self.held = int.from_bytes(reply, "big")
+        return self.held == self.sent
+
+    def _add(self, check: tuple) -> None:
+        batch = self._batch
+        batch.append(check)
+        if len(batch) == _VERIFY_BATCH:
+            self._send()
+
+    def _send(self) -> None:
+        self.sent += len(self._batch)
+        self._helper.send(pickle.dumps(self._batch))
+        self._batch = []
+
+
+def _run_checks(feed: BinaryIO) -> bytes:
+    """A VerifyHelper's work, in the helper: every check read from feed,
+    in order, until a check fails or the feed ends. A check of three
+    items is a signature's; one of nine is a certificate's fields, then
+    the CA keys. The reply is how many held, as 8 bytes. The helper
+    lives as long as its run, so it first takes its own copy of the
+    pages it shares with the run's process."""
+    take_private_pages()
+    checks = InlineChecks()
+    held = 0
+    try:
+        while True:
+            for check in pickle.load(feed):
+                if len(check) == 3:
+                    ok = checks.signature(*check)
+                else:
+                    ok = checks.certificate(PseudonymCertificate(*check[:-1]), check[-1])
+                if not ok:
+                    return held.to_bytes(8, "big")
+                held += 1
+    except EOFError:
+        return held.to_bytes(8, "big")
+
+
+Checks = Union[InlineChecks, VerifyHelper]
 
 
 class IdentityEscrow:
@@ -598,16 +635,14 @@ __all__ = [
     "IdentityEscrow",
     "DEFAULT_CERT_VALIDITY_SECS",
     "generate_keypair",
-    "verify_signature",
     "tx_message",
     "sign_tx_digest",
-    "verify_tx_digest",
-    "VerifyHelper",
     "issue_certificate",
-    "certificate_signature_ok",
+    "InlineChecks",
+    "VerifyHelper",
+    "Checks",
     "leaf_hash",
     "node_hash",
-    "merkle_tree",
     "path_root",
     "root_payload",
     "seal_to_key",

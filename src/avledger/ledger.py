@@ -38,7 +38,7 @@ from typing import Iterable, Optional
 from .encoding import BOOLEAN, TEXT, U32, encode, fixed, frozen, items, unpack, wire
 from .errors import InvalidGenesis, LedgerFormatError, NotFound, UniquenessViolation
 from .forks import Helper, fork_helper, fork_pays, usable_cpus
-from .identity import PUBLIC_KEY_SIZE
+from .identity import PUBLIC_KEY_SIZE, InlineChecks
 from .txmodel import (
     HASH,
     HASH_SIZE,
@@ -110,6 +110,9 @@ class GenesisBlock:
     ca_certificates: tuple[CaRootCert, ...] = wire(items(CaRootCert))
     membership: tuple[MemberRecord, ...] = wire(items(MemberRecord))
     b_max: int = wire(U32)
+
+    def ca_keys(self) -> tuple[bytes, ...]:
+        return tuple(root.public_key for root in self.ca_certificates)
 
     def known_keys(self) -> dict[Role, bytes]:
         return {m.role: m.public_key for m in self.membership}
@@ -314,18 +317,19 @@ def chain_faults(ledger: PartitionLedger) -> list[str]:
     """All integrity violations found, as human-readable strings. Empty
     means the chain verifies.
 
-    Every committed record is judged by check_tx, the rule consensus
-    applied when it was proposed, against the records before it; a fault
+    Every committed record is judged by the validity rule consensus
+    applied when it was proposed (check_tx_genesis, then
+    check_tx_committed), against the records before it; a fault
     names the first policy it fails. Every fold value is recomputed too,
     each block's from the id the block before it claims, and a sealed
     block whose id does not match is named; every faulty position is
     reported.
 
-    The genesis half of check_tx, which holds all the signature work,
+    The genesis half of the rule, which holds all the signature work,
     reads only the record and the genesis, so it is judged for the whole
     chain first, spread over the usable CPUs (see _genesis_reasons). The
     walk in commit order then applies the committed half, so the faults
-    and their order are those of a serial check_tx walk.
+    and their order are those of a serial walk.
     """
     faults: list[str] = []
     genesis = ledger.genesis
@@ -364,7 +368,7 @@ def chain_faults(ledger: PartitionLedger) -> list[str]:
 # A helper process judges a share of at least this many transactions.
 # Forking a helper and reaping it costs about 2.5 ms in a 47 MB process
 # that holds one ledger-audit P1 file (2393 records), and the genesis half
-# of check_tx costs about 100 us per transaction of that file through
+# of the rule costs about 100 us per transaction of that file through
 # libsodium: one signature check for most transactions (two for an
 # update), one per batch root in the share, and an audit path of about
 # eight SHA-256 calls. So a share under some 25 transactions is judged
@@ -410,8 +414,8 @@ def _genesis_reasons(txs: list[Transaction], genesis: GenesisBlock) -> list[Reas
 
 
 def _judge_share(txs: list[Transaction], genesis: GenesisBlock) -> list[Reason]:
-    ca_checked: set = set()
-    return [check_tx_genesis(tx, genesis, ca_checked) for tx in txs]
+    checks = InlineChecks()
+    return [check_tx_genesis(tx, genesis, checks) for tx in txs]
 
 
 def _share_reply(share: list[Transaction], genesis: GenesisBlock, _feed) -> bytes:

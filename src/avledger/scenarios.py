@@ -48,8 +48,10 @@ from .forks import fork_pays
 from .identity import (
     DEFAULT_CERT_VALIDITY_SECS,
     CertificateBatch,
+    Checks,
     EntityId,
     IdentityEscrow,
+    InlineChecks,
     KeyPair,
     VerifyHelper,
     derive_shared_key,
@@ -57,7 +59,6 @@ from .identity import (
     issue_certificate,
     open_sealed,
     seal_to_key,
-    verify_signature,
 )
 from .ledger import (
     CaRootCert,
@@ -773,11 +774,9 @@ class ScenarioEngine:
             genesis.partition: {v: PartitionLedger(genesis) for v in genesis.validator_ids()}
             for genesis in (genesis_p1, genesis_p2)
         }
-        # Each partition's batch roots found CA-signed (check_tx_genesis).
-        self._ca_checked: dict[Partition, set] = {P1: set(), P2: set()}
-        # How a round makes an Ed25519 check: inline, or sent to the
-        # VerifyHelper of a run in progress.
-        self._verify = verify_signature
+        # How every round makes its certificate and signature checks:
+        # inline, or sent to the VerifyHelper of a run in progress.
+        self._checks: Checks = InlineChecks()
 
         # network
         self.net = Network(
@@ -962,8 +961,7 @@ class ScenarioEngine:
             tx,
             self.replicas[partition],
             self.now,
-            self._ca_checked[partition],
-            self._verify,
+            self._checks,
         )
         self.audit_lines.append(
             audit_line(round_.at, round_.partition, round_.tid, round_.outcome, round_.votes)
@@ -1357,30 +1355,30 @@ class ScenarioEngine:
 
         Where forks.fork_pays() holds and the timeline holds at least
         MIN_HELPER_EVENTS events, run forks one VerifyHelper, which
-        makes every Ed25519 check of every round in a helper process, and
-        each round is judged as if they held. The helper is reaped before
-        run returns or raises. If a check failed there, the helper died,
-        or its reply came up short, the run is thrown away, whether it
-        returned or raised an Exception: the engine is rebuilt in place
-        from its config and the scenario runs again with every check
-        inline. So the result, the engine's state and any exception are
-        those of the inline path; only the replay logs again the run's
-        one log.info line (a replica attack being applied). A
-        KeyboardInterrupt or SystemExit propagates once the helper is
-        reaped, with no replay.
+        makes every certificate and signature check of every round in a
+        helper process, and each round is judged as if they held. The
+        helper is reaped before run returns or raises. If a check failed
+        there, the helper died, or its reply came up short, the run is
+        thrown away, whether it returned or raised an Exception: the
+        engine is rebuilt in place from its config and the scenario runs
+        again with every check inline. So the result, the engine's state
+        and any exception are those of the inline path; only the replay
+        logs again the run's one log.info line (a replica attack being
+        applied). A KeyboardInterrupt or SystemExit propagates once the
+        helper is reaped, with no replay.
         """
         pays = len(self.config.timeline) >= MIN_HELPER_EVENTS and fork_pays()
         verifier = VerifyHelper.fork() if pays else None
         if verifier is None:
             return self._play()
-        self._verify = verifier.check
+        inline, self._checks = self._checks, verifier
         try:
             result = self._play()
         except Exception:
             if verifier.close():
                 raise
         finally:
-            self._verify = verify_signature
+            self._checks = inline
             held = verifier.close()
         if held:
             return result

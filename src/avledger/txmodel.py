@@ -1,6 +1,6 @@
 """Transaction kinds, bodies, canonical encoding, signatures, and the one
-transaction-validity rule (check_tx) that consensus and offline
-verification both apply.
+transaction-validity rule that consensus and offline verification both
+apply: check_tx_genesis, then check_tx_committed.
 
 A transaction id (tid) is the SHA-256 of the canonical encoding of
 (kind, body, certificate, parent_tid). Signatures cover the tid, so
@@ -23,7 +23,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import hashlib
-from typing import TYPE_CHECKING, Callable, Mapping, Optional, Union
+from typing import TYPE_CHECKING, Mapping, Optional, Union
 
 from .encoding import (
     BLOB,
@@ -49,12 +49,12 @@ from .errors import (
     NotMultiSig,
 )
 from .identity import (
+    Checks,
+    InlineChecks,
     KeyPair,
     PseudonymCertificate,
-    certificate_signature_ok,
     sign_tx_digest,
     tx_message,
-    verify_signature,
 )
 
 if TYPE_CHECKING:
@@ -419,61 +419,34 @@ class Reason(str, enum.Enum):
     MALFORMED_BODY = "MalformedBody"
 
 
-def check_tx(
-    tx: Transaction,
-    genesis: "GenesisBlock",
-    committed: Mapping[Hash256, Transaction],
-    ca_checked: Optional[set[tuple[bytes, int, bytes]]] = None,
-) -> Reason:
-    """The transaction-validity rule, shared by consensus and offline
-    verification. Returns the first policy that fails, in this order:
-    schema (structure, evidence hash, tid), authorization in genesis's
-    partition, completeness, the certificate (its audit path, its batch
-    root's signature by any of genesis's CA roots, and its window at the
-    body timestamp, or an evidence request's evidence time, so the verdict
-    replays), signatures, uniqueness
-    against `committed` (tid to transaction, all accepted before tx), and
-    an execution report's parent update in `committed`.
-
-    It is the genesis half (check_tx_genesis, every policy up to the
-    signatures) followed by the committed half (check_tx_committed,
-    uniqueness and the parent link). Every replica of a partition holds
-    the same genesis, so a consensus round judges the first half once
-    and only the second half per replica.
-    """
-    reason = check_tx_genesis(tx, genesis, ca_checked)
-    return check_tx_committed(tx, committed) if reason is Reason.OK else reason
-
-
 def check_tx_genesis(
     tx: Transaction,
     genesis: "GenesisBlock",
-    ca_checked: Optional[set[tuple[bytes, int, bytes]]] = None,
-    verify: Callable[[bytes, bytes, bytes], bool] = verify_signature,
+    checks: Optional[Checks] = None,
 ) -> Reason:
-    """The replica-independent half of check_tx: schema, authorization,
-    completeness, the certificate and its window, and signatures. It
-    reads only tx and genesis.
+    """The replica-independent half of the transaction-validity rule. It
+    reads only tx and genesis, and returns the first policy that fails,
+    in this order: schema (structure, evidence hash, tid), authorization
+    in genesis's partition, completeness, the certificate (its audit path
+    and its batch root's signature by any of genesis's CA roots), the
+    certificate's window at the body timestamp, or an evidence request's
+    evidence time, so the verdict replays, and signatures. A tx that
+    passes is then judged by check_tx_committed against the transactions
+    committed before it. Every replica of a partition holds the same
+    genesis, so a consensus round judges this half once and only the
+    committed half per replica.
 
-    Every Ed25519 check, of a certificate's batch root and of each
-    transaction signature, goes through `verify(public key, message,
-    signature)`: verify_signature by default, or a VerifyHelper's check,
-    which sends it to a helper process and answers True, so that the
-    verdict holds only once the helper has confirmed every check it was
-    sent. A deferred root check answers True for the first CA root of
-    the genesis, so a certificate under another root fails in the helper
-    and its run is judged again inline.
-
-    Every certificate's audit path is rebuilt to its batch root. The
-    verdict on that root is remembered in `ca_checked`: the (root, batch
-    size, root signature) triples already found signed by a CA root of
-    this genesis. So a caller judging many transactions checks one CA
-    signature per batch per set it passes, and a triple that is not in
-    the set is checked on its own, so the verdict never depends on what
-    the set holds. chain_faults passes one set per share of the chain it
-    spreads over the CPUs; a consensus engine passes one per partition.
-    A set must only ever meet one genesis.
+    `checks` makes the certificate check and each signature check: a new
+    InlineChecks by default. A caller judging many transactions passes
+    one object to each call, so that each batch root's signature is
+    checked once; chain_faults passes one per share of the chain it
+    spreads over the CPUs, and a scenario engine one for its run. A
+    VerifyHelper sends each check to a helper process and answers True,
+    so the verdict holds only once the helper has confirmed every check
+    it was sent. The window check is always made here.
     """
+    if checks is None:
+        checks = InlineChecks()
     # Schema. A field value the encoder cannot write is malformed too.
     try:
         validate_structure(tx)
@@ -497,17 +470,10 @@ def check_tx_genesis(
     if tuple(entry.role for entry in tx.signatures) != required_signers(tx.kind, tx.body):
         return Reason.INCOMPLETE
 
-    # Certificate, then signatures.
+    # Certificate, its window, then signatures.
     cert = tx.cert
-    root = cert.batch_root()
-    if root is None:
+    if not checks.certificate(cert, genesis.ca_keys()):
         return Reason.BAD_SIGNATURE
-    signed = (root, cert.batch_size, cert.root_signature)
-    if ca_checked is None or signed not in ca_checked:
-        if not any(certificate_signature_ok(cert, r.public_key, verify) for r in genesis.ca_certificates):
-            return Reason.BAD_SIGNATURE
-        if ca_checked is not None:
-            ca_checked.add(signed)
     if not cert.window_contains(_certificate_time(tx)):
         return Reason.EXPIRED_CERT
     for entry in tx.signatures:
@@ -519,15 +485,16 @@ def check_tx_genesis(
             pubkey = genesis.known_keys().get(entry.role)
             if pubkey is None:
                 return Reason.UNAUTHORIZED
-        if not verify(pubkey, tx_message(tx.tid), entry.signature):
+        if not checks.signature(pubkey, tx_message(tx.tid), entry.signature):
             return Reason.BAD_SIGNATURE
     return Reason.OK
 
 
 def check_tx_committed(tx: Transaction, committed: Mapping[Hash256, Transaction]) -> Reason:
-    """The replica-state half of check_tx: uniqueness against `committed`
-    and an execution report's parent update in it. Meaningful only for a
-    tx that passed check_tx_genesis.
+    """The replica-state half of the transaction-validity rule:
+    uniqueness against `committed` (tid to transaction, all accepted
+    before tx) and an execution report's parent update in it. Meaningful
+    only for a tx that passed check_tx_genesis.
     """
     if tx.tid in committed:
         return Reason.DUPLICATE

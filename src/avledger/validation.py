@@ -1,18 +1,18 @@
 """Per-transaction verdicts and the per-round consensus protocol.
 
 A validator judges a proposed transaction against its own replica with
-txmodel.check_tx, the one validity rule; `avledger verify` judges every
+the one validity rule of txmodel; `avledger verify` judges every
 committed record with the same rule (ledger.chain_faults). The verdict
 reason reports the first policy that failed, checked in this order:
 schema, authorization, completeness, certificate and its window,
 signatures, uniqueness, parent link.
 
-A consensus round applies that rule as its two halves. Every replica of
-a partition holds the same genesis (the round refuses replicas that do
-not), so the genesis half, which runs every policy up to the signatures,
-is judged once per round; only the committed half, uniqueness and the
-parent link, runs once per replica state. Each vote is still the verdict
-verify_transaction would give on that replica.
+The rule has two halves. Every replica of a partition holds the same
+genesis (the round refuses replicas that do not), so the genesis half
+(check_tx_genesis), which runs every policy up to the signatures, is
+judged once per round; only the committed half (check_tx_committed),
+uniqueness and the parent link, runs once per replica state. Each vote
+is still the verdict the whole rule gives on that replica.
 
 Consensus is unanimity among a partition's validators: a transaction
 commits only if every validator accepts it and every validator computes
@@ -24,9 +24,9 @@ replicas whose open blocks hold the same tids are one state: they share
 one verdict, one fold and one Vote, and on commit every replica appends
 the fold value it voted for, sealing the block when it is full.
 
-A round makes every Ed25519 check it needs inline unless its caller
-passes another check. ScenarioEngine.run passes a VerifyHelper's, which
-sends each check, transaction signature or certificate batch root, to a
+A round makes its certificate and signature checks through the checks
+object its caller passes, inline by default. ScenarioEngine.run passes a
+VerifyHelper, which sends every certificate and signature check to a
 forked helper process and answers that it held; the run confirms all of
 them when it reaps the helper, and runs again with inline checks if one
 failed. So a round's votes are final only where its caller confirms its
@@ -41,11 +41,11 @@ from __future__ import annotations
 import enum
 import json
 from json.encoder import encode_basestring_ascii as quote
-from typing import Callable, Mapping, Optional, Union
+from typing import Mapping, Optional, Union
 
 from .encoding import frozen
 from .errors import NotDiverged, ReplicaMismatch, Unattributable
-from .identity import EntityId, verify_signature
+from .identity import Checks, EntityId
 from .ledger import PartitionLedger, fold_ids
 from .txmodel import (
     AUTHORIZED_PROPOSERS,
@@ -53,16 +53,9 @@ from .txmodel import (
     Partition,
     Reason,
     Transaction,
-    check_tx,
     check_tx_committed,
     check_tx_genesis,
 )
-
-
-def verify_transaction(tx: Transaction, ledger: PartitionLedger) -> Reason:
-    """One validator's verdict on tx against its own replica: Reason.OK
-    accepts, any other reason rejects."""
-    return check_tx(tx, ledger.genesis, ledger.tid_index)
 
 
 # --- consensus ----------------------------------------------------------------
@@ -95,24 +88,22 @@ def run_consensus(
     tx: Transaction,
     replicas: Mapping[EntityId, PartitionLedger],
     at: float,
-    ca_checked: Optional[set] = None,
-    verify: Callable[[bytes, bytes, bytes], bool] = verify_signature,
+    checks: Optional[Checks] = None,
 ) -> ConsensusRound:
     """One unanimity round over a single proposed transaction. `replicas`
     maps each validator, in genesis order, to its replica of the
     partition's ledger: the mapping is the validator set.
 
-    The genesis half of check_tx is judged once for the round, against
-    the genesis every replica shares; the committed half is judged once
-    per replica state (the tids of its open block), against that state's
-    committed set, and replicas in one state share one Vote object. `ca_checked` is
-    check_tx_genesis's set of batch roots found CA-signed; a caller that
-    runs many rounds of one partition passes the same set to each, so
-    each batch root's signature is checked once. `verify` is how the
-    genesis half makes each Ed25519 check: inline by default. A caller
-    that passes a VerifyHelper's check gets the round that holds if every
-    check it sent holds, and must confirm them before it trusts the
-    round.
+    The genesis half of the validity rule is judged once for the round,
+    against the genesis every replica shares; the committed half is
+    judged once per replica state (the tids of its open block), against
+    that state's committed set, and replicas in one state share one Vote
+    object. `checks` makes the genesis half's certificate and signature
+    checks, as check_tx_genesis takes it: a caller that runs many rounds
+    passes one object to each, so each batch root's signature is checked
+    once. A caller that passes a VerifyHelper gets the round that holds
+    if every check it sent holds, and must confirm them before it trusts
+    the round.
 
     Commits mutate every replica: each appends the fold value it voted
     for, and seals if full. A replica whose stored fold values were edited
@@ -133,7 +124,7 @@ def run_consensus(
         raise ReplicaMismatch("validator replicas disagree on the sealed chain")
     [(_, tip)] = sealed
 
-    shared = check_tx_genesis(tx, ledgers[0].genesis, ca_checked, verify)
+    shared = check_tx_genesis(tx, ledgers[0].genesis, checks)
     # The sealed chains are equal, so a replica's state is the tids of its
     # open block. Replicas in one state get one committed-half verdict, one
     # fold and one shared Vote. The candidate fold value is recomputed from
@@ -235,11 +226,10 @@ def audit_line(
     )
 
 
-# AUTHORIZED_PROPOSERS and Reason live beside check_tx and stay importable here.
+# AUTHORIZED_PROPOSERS and Reason live beside the validity rule and stay importable here.
 __all__ = [
     "AUTHORIZED_PROPOSERS",
     "Reason",
-    "verify_transaction",
     "RoundOutcome",
     "Vote",
     "ConsensusRound",

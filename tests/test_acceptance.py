@@ -1,12 +1,14 @@
-"""Acceptance gate: ten end-to-end properties, each reported as one
+"""Acceptance gate: eleven end-to-end properties, each reported as one
 numbered pass/fail line (run with ``pytest tests/test_acceptance.py -v -s``
 to see the lines while green; on a failure the captured line is shown).
 
 Every oracle here is computed independently of the code under test: the
 fold is re-derived with hashlib, the authorization table is restated by
 hand, negligence is recomputed from the raw tuple, the retry channel
-is checked against the closed-form loss rate, and pseudonym linkage is
-read off the raw record bytes with the identity escrow's map.
+is checked against the closed-form loss rate, pseudonym linkage is
+read off the raw record bytes with the identity escrow's map, and honest
+traffic is swept over configs drawn from the JSON space the parser
+accepts.
 """
 
 import dataclasses
@@ -18,18 +20,24 @@ import random
 import tempfile
 import time
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from avledger import scenarios
 from avledger.adjudicator import check_negligence
+from avledger.errors import ConfigError
 from avledger.identity import sign_tx_digest
 from avledger.ledger import chain_faults, save_ledger
 from avledger.netsim import Network
 from avledger.scenarios import (
     AttackClass,
     ScenarioEngine,
+    config_from_jsonable,
     make_attack_config,
     make_benign_config,
 )
 from avledger.txmodel import Partition, Role, SigEntry, TxKind, encode_transaction
-from avledger.validation import Reason, verify_transaction
+from avledger.validation import Reason
 
 from worldkit import (
     append_by_hand,
@@ -46,6 +54,7 @@ from worldkit import (
     make_ut,
     make_world,
     vehicle_credentials,
+    verify_transaction,
 )
 
 
@@ -510,4 +519,115 @@ def test_acceptance_10_pseudonym_linkability():
         f"{records} P1 records of {len(configs)} runs ({requests} evidence requests, "
         f"{parent_links} parent links allowed): {len(linking)} tie two pseudonyms "
         f"of one vehicle {linking[:3]}",
+    )
+
+
+# --- 11. honest traffic under every accepted config ---------------------------------
+
+# Each number is drawn at its least accepted value often, and elsewhere
+# from a range that holds it.
+def _at_least(least: float, most: float):
+    return st.one_of(st.just(least), st.floats(least, most))
+
+
+@st.composite
+def _scenario_json(draw) -> dict:
+    """A benign scenario config as JSON, every field drawn: 1-7 vehicles,
+    0-25 events of every type with equal timestamps and zero delays among
+    them, b_max 1-50, drop rates 0-0.99, one-attempt networks and a
+    certificate validity from 1e-9 s up, so that some draws fall below
+    what the parser accepts."""
+    n_vehicles = draw(st.integers(1, 7))
+    if draw(st.booleans()):
+        vehicles = n_vehicles
+    else:
+        vehicles = [{"drive_mode": draw(st.sampled_from(["autonomous", "manual"]))} for _ in range(n_vehicles)]
+    timeline = []
+    at = draw(_at_least(0.0, 1e5))
+    for _ in range(draw(st.integers(0, 25))):
+        at += draw(_at_least(0.0, 3000.0))
+        kind = draw(st.sampled_from(["event_safety", "update", "maintenance", "collision"]))
+        event = {"type": kind, "at": at}
+        if kind == "collision":
+            involved = draw(st.lists(st.integers(0, n_vehicles - 1), min_size=1, max_size=3, unique=True))
+            event["vehicles"] = involved
+            event["n_witnesses"] = draw(st.integers(0, n_vehicles - len(involved)))
+            event["hit_and_run"] = len(involved) > 1 and draw(st.booleans())
+        else:
+            event["vehicle"] = draw(st.integers(0, n_vehicles - 1))
+        if kind == "event_safety":
+            event["trigger"] = draw(st.sampled_from(["hard_brake", "wrong_way", "slippery_road"]))
+        elif kind == "update":
+            event["execution"] = draw(st.sampled_from(["executed", "failed", "none"]))
+            event["exec_delay_secs"] = draw(_at_least(0.0, 5000.0))
+        elif kind == "maintenance":
+            event["roadworthy"] = draw(st.booleans())
+        timeline.append(event)
+    return {
+        "seed": draw(st.integers(0, 2**32)),
+        "b_max": draw(st.integers(1, 50)),
+        "cert_validity_secs": draw(st.one_of(st.just(0.9), st.floats(1e-9, 0.9), st.floats(0.9, 3600.0))),
+        "network": {
+            "drop_prob": draw(st.one_of(st.just(0.99), _at_least(0.0, 0.99))),
+            "retry_interval_secs": draw(_at_least(0.0, 5000.0)),
+            "max_attempts": draw(st.one_of(st.just(1), st.integers(1, 40))),
+        },
+        "vehicles": vehicles,
+        "adjudication": {
+            "negligence_deadline_secs": draw(_at_least(0.0, 1e5)),
+            "maintenance_window_secs": draw(_at_least(0.0, 1e5)),
+            "staged_window_secs": draw(_at_least(0.0, 1e5)),
+            "staged_threshold": draw(st.integers(1, 5)),
+            "time_tol_secs": draw(_at_least(0.0, 10.0)),
+            "dist_tol_m": draw(_at_least(0.0, 100.0)),
+        },
+        "timeline": timeline,
+        "attack": None,
+    }
+
+
+def test_acceptance_11_honest_traffic_under_accepted_configs():
+    """Every config the parser accepts runs its honest traffic with no
+    rejection, no divergence and no detection, and raises nothing. Some
+    runs make their checks in the forked helper whatever their size, and
+    every check must hold there, in one play; the rest make them
+    inline."""
+    tally = {"refused": 0, "inline": 0, "helper": 0, "rounds": 0}
+
+    @settings(max_examples=80, derandomize=True, database=None, deadline=None)
+    @given(_scenario_json(), st.booleans())
+    def honest(data, deferred):
+        try:
+            config = config_from_jsonable(data)
+        except ConfigError as exc:
+            assert exc.field == "$.cert_validity_secs", exc
+            tally["refused"] += 1
+            return
+        plays = []
+        with pytest.MonkeyPatch.context() as patch:
+            play = ScenarioEngine._play
+            patch.setattr(ScenarioEngine, "_play", lambda engine: plays.append(engine) or play(engine))
+            patch.setattr(scenarios, "fork_pays", lambda: deferred)
+            patch.setattr(scenarios, "MIN_HELPER_EVENTS", 0)
+            report = ScenarioEngine(config).run().report.to_jsonable()
+        assert len(plays) == 1, "a check failed in the helper"
+        assert _rejections(report) == 0, report["counts"]
+        for part in ("P1", "P2"):
+            assert report["consensus"][part]["diverged"] == 0, report["consensus"]
+            tally["rounds"] += report["consensus"][part]["rounds"]
+        assert report["detections"] == [], report["detections"]
+        tally["helper" if deferred else "inline"] += 1
+
+    try:
+        honest()
+    except Exception as exc:
+        _criterion(11, "honest traffic", False, f"{type(exc).__name__}: {exc}")
+    # The sweep must meet both check paths and the parser's floor.
+    assert min(tally.values()) > 0, tally
+    _criterion(
+        11,
+        "honest traffic",
+        True,
+        f"{tally['inline'] + tally['helper']} accepted configs ({tally['helper']} checked in the helper), "
+        f"{tally['rounds']} rounds, none rejected, diverged or detected; {tally['refused']} refused",
     )

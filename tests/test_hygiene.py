@@ -4,8 +4,10 @@ attribute it stores is read there, every frozen record carries the
 compiled constructor, and every wire record is slotted and checks nothing
 in its constructor.
 
-A name listed in the module's ``__all__`` counts as used, since that is
-how a module re-exports what it imports.
+A name listed in the module's ``__all__`` counts as used by the import
+check, since that is how a module re-exports what it imports. It does not
+count as a caller of a definition: a module lists what it defines there
+too, and a listed definition that no code calls is still dead.
 """
 
 import ast
@@ -49,14 +51,14 @@ def _used_names(tree: ast.AST) -> set[str]:
     return {node.id for t in trees for node in ast.walk(t) if isinstance(node, ast.Name)}
 
 
+def _is_all(node: ast.stmt) -> bool:
+    """Whether the statement assigns the module's ``__all__``."""
+    return isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+
+
 def _exported(tree: ast.Module) -> set[str]:
     """The names the module's ``__all__`` lists."""
-    return {
-        elt.value
-        for node in tree.body
-        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
-        for elt in node.value.elts
-    }
+    return {elt.value for node in tree.body if _is_all(node) for elt in node.value.elts}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -153,11 +155,13 @@ def _definitions(tree: ast.Module):
                     yield f"{node.name}.{item.name}", item.name
 
 
-def _named(tree: ast.AST) -> set[str]:
+def _named(tree: ast.Module) -> set[str]:
     """Every name a module reads: a Name, an attribute, or a string
-    constant, since the tracer patches methods by name."""
+    constant, since the tracer patches methods by name. The strings of
+    ``__all__`` are not read."""
     names = set()
-    for node in ast.walk(tree):
+    body = [node for node in tree.body if not _is_all(node)]
+    for node in (sub for statement in body for sub in ast.walk(statement)):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -175,7 +179,7 @@ def dead_definitions() -> list[str]:
         for path, tree in trees.items()
         if path.parent == ROOT / "src" / "avledger"
         for qualified, name in _definitions(tree)
-        if name not in named and name not in _exported(tree)
+        if name not in named
     )
 
 

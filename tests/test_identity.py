@@ -18,28 +18,34 @@ from avledger import identity
 from avledger.errors import EscrowDenied, InvalidValidity, UnknownCertificate, UnknownEntity
 from avledger.identity import (
     IdentityEscrow,
+    InlineChecks,
     PseudonymCertificate,
     VerifyHelper,
-    certificate_signature_ok,
     derive_shared_key,
     generate_keypair,
     issue_certificate,
     leaf_hash,
-    merkle_tree,
     node_hash,
     open_sealed,
     path_root,
     seal_to_key,
     sign_tx_digest,
     tx_message,
-    verify_tx_digest,
 )
 
 from avledger.ledger import chain_faults, load_ledger, save_ledger
-from avledger.txmodel import check_tx
 from avledger.validation import Reason
 
-from worldkit import append_by_hand, batch_credentials, fill_ledger, make_est, make_world
+from worldkit import (
+    append_by_hand,
+    batch_credentials,
+    check_tx,
+    fill_ledger,
+    make_est,
+    make_world,
+    merkle_tree,
+    verify_tx_digest,
+)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -229,7 +235,7 @@ def test_a_stored_signature_of_the_wrong_length_is_a_fault(backend, tmp_path, si
     cert = dataclasses.replace(
         victim.cert, root_signature=(victim.cert.root_signature + b"\x00")[:size]
     )
-    assert not certificate_signature_ok(cert, world.ca.public_key)
+    assert not InlineChecks().certificate(cert, (world.ca.public_key,))
     ledger.records[2] = forged
     path = str(tmp_path / "p1.bin")
     save_ledger(ledger, path)
@@ -247,7 +253,7 @@ def _one_cert(world, at: float, validity: float = 300.0):
 def test_certificate_window_is_half_open():
     world = make_world()
     cert = _one_cert(world, 1000.0)
-    assert certificate_signature_ok(cert, world.ca.public_key)
+    assert InlineChecks().certificate(cert, (world.ca.public_key,))
     assert cert.window_contains(1000.0)
     assert cert.window_contains(1299.999)
     assert not cert.window_contains(1300.0)
@@ -267,7 +273,7 @@ def test_certificate_signature_binds_all_fields():
     subjects = [generate_keypair(world.rng).public_key for _ in range(5)]
     certs = issue_certificate(world.ca, subjects, 1000.0, 300.0, world.rng)
     cert = certs[2]
-    assert certificate_signature_ok(cert, world.ca.public_key)
+    assert InlineChecks().certificate(cert, (world.ca.public_key,))
     path = cert.audit_path
     for tampered in (
         dataclasses.replace(cert, issued_at=cert.issued_at + 1.0),
@@ -279,9 +285,9 @@ def test_certificate_signature_binds_all_fields():
         dataclasses.replace(cert, audit_path=bytes([path[0] ^ 1]) + path[1:]),
         dataclasses.replace(cert, root_signature=bytes(64)),
     ):
-        assert not certificate_signature_ok(tampered, world.ca.public_key)
+        assert not InlineChecks().certificate(tampered, (world.ca.public_key,))
     rogue_ca = generate_keypair(world.rng)
-    assert not certificate_signature_ok(cert, rogue_ca.public_key)
+    assert not InlineChecks().certificate(cert, (rogue_ca.public_key,))
 
 
 def test_nonpositive_validity_rejected():
@@ -323,7 +329,7 @@ def test_a_batch_signs_once_and_every_certificate_checks():
     assert len({c.root_signature for c in certs}) == 1
     assert len({c.batch_root() for c in certs}) == 1
     assert len({c.cert_id for c in certs}) == 11
-    assert all(certificate_signature_ok(c, world.ca.public_key) for c in certs)
+    assert all(InlineChecks().certificate(c, (world.ca.public_key,)) for c in certs)
 
 
 # A forged certificate under an otherwise valid transaction: the vehicle
@@ -374,7 +380,7 @@ def test_a_forged_certificate_is_refused(tmp_path, case):
     keys, forged = FORGED_CERTIFICATES[case](world, creds, other)
     if case == "batch-size-changed":
         assert forged.batch_root() == creds[0][1].batch_root()
-    assert not certificate_signature_ok(forged, world.ca.public_key)
+    assert not InlineChecks().certificate(forged, (world.ca.public_key,))
     tx = make_est(world, at=1010.0, creds=(keys, forged))
     assert check_tx(tx, world.p1, {}) is Reason.BAD_SIGNATURE
     # Honest neighbours from both batches come first, so both batch roots
@@ -493,7 +499,7 @@ def test_a_batch_builds_each_certificate_when_indexed_as_the_eager_issue_did(siz
     assert list(batch) == eager and batch[-1] == eager[-1]
     with pytest.raises(IndexError):
         batch[size]
-    assert all(certificate_signature_ok(cert, world.ca.public_key) for cert in batch)
+    assert all(InlineChecks().certificate(cert, (world.ca.public_key,)) for cert in batch)
 
 
 # --- escrow -------------------------------------------------------------------
@@ -608,7 +614,7 @@ def test_helpers_fed_side_by_side_run_every_check_once():
     for at in range(0, 1000, 100):
         for verifier, checks in zip(verifiers, feeds):
             for check in checks[at:at + 100]:
-                assert verifier.check(*check) is True
+                assert verifier.signature(*check) is True
     held = [verifier.close() for verifier in (verifiers[2], verifiers[0], verifiers[3], verifiers[1])]
     assert held == [True, True, False, False]
     for verifier, checks, bad in zip(verifiers, feeds, first_bad):
@@ -632,7 +638,7 @@ def test_a_verifier_whose_backend_raises_stops_and_reports_it(monkeypatch, tmp_p
     monkeypatch.setattr(identity, "BACKEND", identity.BACKEND._replace(verify=raising))
     verifier = VerifyHelper.fork()
     for check in checks:
-        verifier.check(*check)
+        verifier.signature(*check)
     assert verifier.close() is False
     assert verifier.close() is False  # a second close reads nothing
     assert verifier.sent == 40 and verifier.held is None

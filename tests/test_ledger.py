@@ -23,12 +23,12 @@ from avledger.ledger import (
     save_ledger,
 )
 from avledger import ledger as ledger_module
-from avledger import txmodel
 from avledger.scenarios import ScenarioEngine, make_benign_config
 from avledger.txmodel import EventTrigger, Partition, TxKind
-from avledger.validation import Reason, RoundOutcome, verify_transaction
+from avledger.validation import Reason, RoundOutcome
 
 from worldkit import (
+    CountingChecks,
     append_by_hand,
     commit,
     fill_ledger,
@@ -41,6 +41,7 @@ from worldkit import (
     make_ut,
     make_world,
     vehicle_credentials,
+    verify_transaction,
 )
 
 WORLD = make_world(seed=555)
@@ -472,13 +473,7 @@ def test_chain_faults_ca_checks_each_certificate_once(monkeypatch):
     for tx in [pet, *rets]:
         append_by_hand(ledger, tx)
     checked = []
-    real = txmodel.certificate_signature_ok
-
-    def counting(cert, ca_pubkey, verify):
-        checked.append(cert)
-        return real(cert, ca_pubkey, verify)
-
-    monkeypatch.setattr(txmodel, "certificate_signature_ok", counting)
+    monkeypatch.setattr(ledger_module, "InlineChecks", lambda: CountingChecks(checked))
     # Small enough to be judged in this process: a count made in a forked
     # helper would never reach `checked`.
     assert len(ledger.all_transactions()) < 2 * ledger_module.MIN_SHARE

@@ -14,8 +14,8 @@ import pytest
 from avledger import identity, scenarios
 from avledger import ledger as ledger_module
 from avledger.errors import ConfigError, MalformedCase, NotFound
-from avledger.identity import PseudonymCertificate
-from avledger.ledger import chain_faults, load_ledger, save_ledger
+from avledger.identity import InlineChecks, PseudonymCertificate, generate_keypair
+from avledger.ledger import CaRootCert, chain_faults, load_ledger, make_genesis, save_ledger
 from avledger.scenarios import (
     PET_CLOCK_OFFSET_SECS,
     AttackClass,
@@ -34,7 +34,7 @@ from avledger.scenarios import (
     make_attack_config,
     make_benign_config,
 )
-from avledger.txmodel import EventTrigger, TxKind, body_timestamp, compute_edata_hash
+from avledger.txmodel import EventTrigger, Reason, TxKind, body_timestamp, check_tx_genesis, compute_edata_hash
 
 from worldkit import append_by_hand, disputes_shaped_config, make_edata, make_est, make_world
 
@@ -682,10 +682,77 @@ def test_a_failed_deferred_check_replays_the_run_inline(monkeypatch, tmp_path):
     assert _outputs(deferred, tmp_path, "deferred") == _outputs(inline, tmp_path, "inline")
 
 
-def test_a_certificate_under_a_second_ca_root_replays_inline(monkeypatch, tmp_path):
-    """A deferred root check answers True for the genesis's first CA root,
-    so a certificate the second root signed fails in the helper, and the
-    inline replay gives the verdicts of the inline path."""
+def _flip(blob: bytes) -> bytes:
+    return bytes([blob[0] ^ 0x01]) + blob[1:]
+
+
+# Four ways to forge a certificate that only its audit path or root
+# signature can refuse, and one forgery whose window is wrong too.
+CERT_FORGERIES = {
+    "flipped path node": lambda cert: dataclasses.replace(cert, audit_path=_flip(cert.audit_path)),
+    "wrong leaf index": lambda cert: dataclasses.replace(cert, leaf_index=(cert.leaf_index + 1) % cert.batch_size),
+    "wrong batch size": lambda cert: dataclasses.replace(cert, batch_size=cert.batch_size + 1),
+    "flipped root signature": lambda cert: dataclasses.replace(cert, root_signature=_flip(cert.root_signature)),
+    # A window that opens long after the EST: a new leaf, so the path
+    # leads to a root the CA never signed.
+    "forged and out of its window": lambda cert: dataclasses.replace(cert, issued_at=cert.issued_at + 1e6),
+}
+
+
+@pytest.mark.parametrize("forgery", sorted(CERT_FORGERIES))
+def test_a_forged_certificate_fails_in_the_helper_and_replays_inline(monkeypatch, tmp_path, forgery):
+    """The second EST whose batch holds two keys or more is built under a
+    forged certificate, and signed over its new tid, so only the
+    certificate rule can refuse it. In the helper that check fails after
+    the round accepted the EST; run() replays the run inline, which logs
+    BadSignature for it and gives the inline path's bytes. The inline
+    rule judges the certificate before its window, so a forgery out of
+    its window is BadSignature too, though the helper's play, which
+    judged the window alone, logged ExpiredCert."""
+    build = scenarios.build_transaction
+    ests, tids = [], []
+
+    def forge_second_est(kind, body, keys, cert, *args, **kwargs):
+        if kind is TxKind.EVENT_SAFETY and cert.batch_size > 1:
+            ests.append(cert)
+            if len(ests) == 2:
+                tx = build(kind, body, keys, CERT_FORGERIES[forgery](cert), *args, **kwargs)
+                tids.append(tx.tid)
+                return tx
+        return build(kind, body, keys, cert, *args, **kwargs)
+
+    monkeypatch.setattr(scenarios, "build_transaction", forge_second_est)
+    plays = []
+    play = ScenarioEngine._play
+
+    def recording_play(engine):
+        ests.clear()  # each play forges its own second EST
+        result = play(engine)
+        plays.append(result.audit_lines[:])
+        return result
+
+    monkeypatch.setattr(ScenarioEngine, "_play", recording_play)
+    config = make_benign_config(0)
+    deferred = _run_with_helper(monkeypatch, config, True)
+    assert len(plays) == 2 and len(tids) == 2 and tids[0] == tids[1]  # the deferred run, then its replay
+    bad = [line for line in deferred.audit_lines if '"BadSignature"' in line]
+    assert len(bad) == 1 and tids[0].hex() in bad[0]
+    assert json.loads(bad[0])["outcome"] == "Rejected"
+    [helper_line] = [line for line in plays[0] if tids[0].hex() in line]
+    if forgery == "forged and out of its window":
+        assert '"ExpiredCert"' in helper_line
+    else:
+        assert json.loads(helper_line)["outcome"] == "Committed"
+
+    inline = _run_with_helper(monkeypatch, config, False)
+    assert len(plays) == 3
+    assert _outputs(deferred, tmp_path, "deferred") == _outputs(inline, tmp_path, "inline")
+
+
+def test_a_certificate_under_a_second_ca_root_holds_in_the_helper(monkeypatch, tmp_path):
+    """The helper tries every CA root of the genesis, as the inline rule
+    does, so certificates the second root signed hold there: the run is
+    played once, in one helper, and gives the inline path's bytes."""
     add_root = scenarios.make_genesis
 
     def two_roots(partition, ca_certificates, membership, b_max):
@@ -695,13 +762,31 @@ def test_a_certificate_under_a_second_ca_root_replays_inline(monkeypatch, tmp_pa
 
     monkeypatch.setattr(scenarios, "make_genesis", two_roots)
     plays = _counting_plays(monkeypatch)
+    pids = _counting_forks(monkeypatch)
     config = make_benign_config(2)
     deferred = _run_with_helper(monkeypatch, config, True)
-    assert len(plays) == 2
+    assert len(plays) == 1 and len(pids) == 1
     inline = _run_with_helper(monkeypatch, config, False)
-    assert len(plays) == 3
+    assert len(plays) == 2 and len(pids) == 1
     assert sum(deferred.report.counts["P1"]["committed"].values()) > 0
     assert _outputs(deferred, tmp_path, "deferred") == _outputs(inline, tmp_path, "inline")
+
+
+def test_one_inline_checks_object_carries_no_verdict_across_ca_roots():
+    """A batch root found signed under one genesis's CA roots is not
+    taken as signed under another's, in either order."""
+    world = make_world(seed=29)
+    tx = make_est(world, at=1000.0)
+    rogue = CaRootCert("rogue-root-ca", generate_keypair(world.rng).public_key)
+    other = make_genesis(world.p1.partition, [rogue], world.p1.membership, world.p1.b_max)
+    checks = InlineChecks()
+    for _ in range(2):
+        assert check_tx_genesis(tx, world.p1, checks) is Reason.OK
+        assert check_tx_genesis(tx, other, checks) is Reason.BAD_SIGNATURE
+    assert [keys for keys, *_ in checks.signed_roots] == [world.p1.ca_keys()]
+    checks = InlineChecks()
+    assert check_tx_genesis(tx, other, checks) is Reason.BAD_SIGNATURE
+    assert check_tx_genesis(tx, world.p1, checks) is Reason.OK
 
 
 class _Planted(Exception):

@@ -15,7 +15,6 @@ from avledger.txmodel import (
     TxKind,
     body_timestamp,
     build_transaction,
-    check_tx,
     compute_edata_hash,
     compute_tid,
     countersign,
@@ -26,6 +25,7 @@ from avledger.txmodel import (
 )
 
 from worldkit import (
+    check_tx,
     make_edata,
     make_esm,
     make_est,

@@ -6,16 +6,14 @@ import json
 
 import pytest
 
-from avledger import txmodel
 from avledger.errors import NotDiverged, ReplicaMismatch, Unattributable
 from avledger.ledger import PartitionLedger, chain_faults, fold_ids, make_genesis
 from avledger.scenarios import inject_false_information
-from avledger.identity import sign_tx_digest
+from avledger.identity import InlineChecks, sign_tx_digest
 from avledger.txmodel import (
     Partition,
     Role,
     SigEntry,
-    check_tx,
     check_tx_committed,
     check_tx_genesis,
 )
@@ -28,13 +26,14 @@ from avledger.validation import (
     audit_line,
     detect_tamper,
     run_consensus,
-    verify_transaction,
 )
 
 from worldkit import (
+    CountingChecks,
     append_by_hand,
     apply_mutation,
     batch_credentials,
+    check_tx,
     commit,
     field_mutations,
     fixed_fields,
@@ -47,6 +46,7 @@ from worldkit import (
     make_ut,
     make_world,
     vehicle_credentials,
+    verify_transaction,
 )
 
 
@@ -292,7 +292,7 @@ def test_check_tx_is_the_genesis_half_then_the_committed_half():
         first = check_tx_genesis(tx, ledger.genesis)
         split = check_tx_committed(tx, ledger.tid_index) if first is Reason.OK else first
         assert check_tx(tx, ledger.genesis, ledger.tid_index) is split
-        assert check_tx(tx, ledger.genesis, ledger.tid_index, set()) is split
+        assert check_tx(tx, ledger.genesis, ledger.tid_index, InlineChecks()) is split
         reasons.add(split)
     assert reasons == set(Reason)
 
@@ -320,24 +320,19 @@ def test_rounds_that_share_a_set_ca_check_each_batch_root_once(monkeypatch):
     batch = batch_credentials(world, 1000.0, 6)
     txs = [make_est(world, at=1000.0 + i, creds=creds) for i, creds in enumerate(batch)]
     txs.append(make_est(world, at=1010.0))  # alone in a batch of its own
-    checked = []
-    real = txmodel.certificate_signature_ok
-
-    def counting(cert, ca_pubkey, verify):
-        checked.append(cert.batch_size)
-        return real(cert, ca_pubkey, verify)
-
-    monkeypatch.setattr(txmodel, "certificate_signature_ok", counting)
-    replicas, ca_checked = world.replicas(Partition.OPERATIONAL), set()
+    certs = []
+    replicas, checks = world.replicas(Partition.OPERATIONAL), CountingChecks(certs)
     for tx in txs:
-        round_ = run_consensus(tx, replicas, 1000.0, ca_checked)
+        round_ = run_consensus(tx, replicas, 1000.0, checks)
         assert round_.outcome is RoundOutcome.COMMITTED
-    assert checked == [6, 1] and len(ca_checked) == 2
-    # Without a set, every round checks its root again.
-    checked.clear()
+    checked = [cert.batch_size for cert in certs]
+    assert checked == [6, 1] and len(checks.signed_roots) == 2
+    # With a new checks object per round, every round checks its root again.
+    certs.clear()
     replicas = world.replicas(Partition.OPERATIONAL)
     for tx in txs:
-        run_consensus(tx, replicas, 1000.0)
+        run_consensus(tx, replicas, 1000.0, CountingChecks(certs))
+    checked = [cert.batch_size for cert in certs]
     assert checked == [6] * 6 + [1]
 
 

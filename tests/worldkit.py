@@ -15,12 +15,15 @@ import random
 from dataclasses import dataclass
 
 import avledger
+from avledger import identity
 from avledger.encoding import Fixed, items, layout, optional
 from avledger.identity import (
+    InlineChecks,
     KeyPair,
     PseudonymCertificate,
     generate_keypair,
     issue_certificate,
+    tx_message,
 )
 from avledger.ledger import CaRootCert, GenesisBlock, MemberRecord, PartitionLedger, fold_step, make_genesis
 from avledger.scenarios import (
@@ -45,6 +48,7 @@ from avledger.txmodel import (
     GeoPoint,
     MaintenanceBody,
     Partition,
+    Reason,
     RoadPosition,
     Role,
     TamperStoreDigest,
@@ -53,6 +57,8 @@ from avledger.txmodel import (
     UpdateBody,
     body_timestamp,
     build_transaction,
+    check_tx_committed,
+    check_tx_genesis,
     countersign,
 )
 from avledger.validation import ConsensusRound, run_consensus
@@ -241,6 +247,54 @@ def make_ret(
         _, cert = vehicle_credentials(world, edata.ts)
     body = EvidenceRequestBody(edata=edata, requester=role, submitted_at=at)
     return build_transaction(TxKind.EVIDENCE_REQUEST, body, world.keys[requester], cert)
+
+
+# --- the program's checks, as tests name them ------------------------------------
+
+def check_tx(tx: Transaction, genesis: GenesisBlock, committed, checks=None) -> Reason:
+    """The whole validity rule: the genesis half, then the committed half
+    against `committed` (tid to transaction)."""
+    reason = check_tx_genesis(tx, genesis, checks)
+    return check_tx_committed(tx, committed) if reason is Reason.OK else reason
+
+
+def verify_transaction(tx: Transaction, ledger: PartitionLedger) -> Reason:
+    """One validator's verdict on tx against its own replica."""
+    return check_tx(tx, ledger.genesis, ledger.tid_index)
+
+
+def verify_tx_digest(public_key: bytes, tid: bytes, signature: bytes) -> bool:
+    """The inline check of a transaction signature over tid."""
+    return InlineChecks().signature(public_key, tx_message(tid), signature)
+
+
+def merkle_tree(leaves: list) -> tuple:
+    """The root over leaf hashes, and each leaf's audit path as one blob of
+    nodes, leaf end first, as a certificate batch builds them."""
+    levels = identity._levels(leaves)
+    return levels[-1][0], [identity._audit_path(levels, index) for index in range(len(leaves))]
+
+
+class CountingChecks(InlineChecks):
+    """Inline checks that append to `log` the certificate of every CA
+    root signature check they make."""
+
+    def __init__(self, log: list) -> None:
+        super().__init__()
+        self.log = log
+        self._cert = None
+
+    def certificate(self, cert, ca_keys):
+        self._cert = cert
+        try:
+            return super().certificate(cert, ca_keys)
+        finally:
+            self._cert = None
+
+    def signature(self, public_key, message, signature):
+        if self._cert is not None:
+            self.log.append(self._cert)
+        return super().signature(public_key, message, signature)
 
 
 def commit(replicas: dict, tx: Transaction, at: float = None) -> ConsensusRound:
