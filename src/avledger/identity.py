@@ -29,20 +29,23 @@ kinds with the same two methods: signature(public key, message,
 signature), an Ed25519 check, and certificate(cert, CA keys), the whole
 certificate rule. InlineChecks makes each check when it is asked, and is
 the one place a verdict is remembered: the batch roots it found signed by
-one of the CA keys, so that each is checked once per object. Every
-caller checks inline but a scenario run. Where forks.fork_pays() holds (the platform can
-fork, no other thread is alive, and the process may use two CPUs or
-more), ScenarioEngine.run forks one VerifyHelper, a child process that
-makes every certificate and signature check of the run's rounds with an
-InlineChecks of its own while the engine goes on. The run confirms all of
-them when it reaps the helper at its end. A check that failed there, or a
-helper that died, makes the run repeat with every check inline.
+one of the CA keys, so that each is checked once per object. SentChecks
+sends checks to the process's check helpers (see forks), long-lived
+child processes that make them with an InlineChecks of their own while
+the caller goes on, and answers True at once; the caller confirms them
+all at its end (close()). ScenarioEngine.run sends every check of its
+rounds, and chain_faults every signature check while a helper has room.
+A check that failed there, or a helper that died, makes the caller judge
+again with every check inline. Where forks.fork_pays() does not hold
+(the platform cannot fork, another thread is alive, or the process may
+use one CPU), and in every other caller, every check is inline.
 """
 
 from __future__ import annotations
 
 import ctypes
 import hashlib
+import os
 import pickle
 import random
 from dataclasses import field
@@ -57,7 +60,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
 
 from .encoding import BLOB, F64, U32, encode, fixed, frozen, pack, wire
 from .errors import EscrowDenied, InvalidValidity, UnknownCertificate, UnknownEntity
-from .forks import Helper, fork_helper, take_private_pages
+from .forks import Helper, helpers
 
 EntityId = str
 
@@ -454,52 +457,70 @@ class InlineChecks:
         return True
 
 
-# A VerifyHelper sends its checks to the helper in lists of this many, so
-# that the pipe is written once per list, not once per check. The list is
-# short because the checks of a run's last list are what its close()
-# waits for: a run reaped its helper in 3-5 ms at 16, 4-10 ms at 64.
-_VERIFY_BATCH = 16
+# SentChecks sends its checks to a helper in lists of this many, so that
+# a pipe is written once per list, not once per check. The list is short,
+# so that the checks still unacked when a call ends are few.
+_LIST = 16
+# The message that resets a helper for a new call.
+_BEGIN = pickle.dumps(None)
+# The most lists a helper may hold unacked. Its acks pipe holds 64 KiB of
+# them; a helper blocked on a full one would stop reading its feed.
+_MAX_IN_FLIGHT = 1 << 12
 
 
-class VerifyHelper:
-    """The checks of InlineChecks, made in a forked helper process.
+class SentChecks:
+    """The checks of InlineChecks, sent to the process's check helpers
+    (forks.helpers), which make them while the caller goes on.
 
-    signature and certificate take the arguments of InlineChecks'. Each
-    adds its check to a list and answers True at once: its caller judges
-    as if the check held. A certificate goes as its fields and the CA
-    keys. Each full list of _VERIFY_BATCH goes to the helper as one
-    pickle, and the helper makes every check with an InlineChecks of its
-    own, whose signature check reads BACKEND at call time, so a helper
-    runs under the backend its parent had when it forked. The helper
-    stops at the first check that fails; when its feed ends, it replies
-    with how many checks held before that.
+    open(room) gives one for a call, or None where the process has no
+    helper. signature and certificate take the arguments of
+    InlineChecks'. Each adds its check to a list and answers True at
+    once: the caller judges as if the check held. A certificate goes as
+    its eight fields and the CA keys. Each full list of _LIST goes to the
+    helper with the fewest lists in flight as one pickle, and each helper
+    makes its checks with an InlineChecks of its own, which a new call
+    resets, so no verdict carries from one call to the next. A helper
+    runs under the Ed25519 backend this process had when it forked it.
 
-    close() sends the last list, reads the reply into `held` and reaps
-    the helper: True when every check sent held. A helper that raised,
-    was killed, or replied short leaves `held` None and gives False.
-    close() reaps the helper whatever happens, and calling it again reads
-    nothing and gives the same answer. The owner calls it in a `finally`,
-    so that no helper outlives its run.
+    With room None, every check is sent. With a room, as chain_faults
+    asks, a new list is started only while some helper holds fewer than
+    room lists unacked, and a check is made here when every helper is
+    full; so the split between this process and its helpers follows how
+    fast each goes. A full helper's acks are read at most once per check,
+    one helper at a time. The certificate rule is then made here too:
+    with its batch roots kept, a certificate costs little more than
+    sending it would.
+
+    close() sends the last, short list and waits for every ack: True
+    when every check held, wherever it was made. A check that failed, or
+    a helper that died or was killed, makes it False. Calling it again
+    gives the same answer.
     """
 
-    def __init__(self, helper: Helper) -> None:
-        self.sent = 0
-        self.held: Optional[int] = None
-        self._batch: list[tuple] = []
-        self._helper: Optional[Helper] = helper
+    def __init__(self, helpers: list[Helper], room: Optional[int]) -> None:
+        self._inline = InlineChecks()
+        self._held: Optional[bool] = None
+        self._helpers = helpers
+        self._room = room
+        self._list: list[tuple] = []
+        self._next = 0  # the full helper whose acks are read next
+        for helper in helpers:
+            helper.begin(_BEGIN)
 
     @classmethod
-    def fork(cls) -> Optional["VerifyHelper"]:
-        """A VerifyHelper over a newly forked helper, or None when the
-        fork fails."""
-        helper = fork_helper(_run_checks)
-        return cls(helper) if helper else None
+    def open(cls, room: Optional[int] = None) -> Optional["SentChecks"]:
+        live = helpers(_serve_checks)
+        return cls(live, room) if live else None
 
     def signature(self, public_key: bytes, message: bytes, signature: bytes) -> bool:
-        self._add((public_key, message, signature))
-        return True
+        if self._list or self._has_room():
+            self._add((public_key, message, signature))
+            return True
+        return self._inline.signature(public_key, message, signature)
 
     def certificate(self, cert: PseudonymCertificate, ca_keys: tuple[bytes, ...]) -> bool:
+        if self._room is not None:
+            return self._inline.certificate(cert, ca_keys)
         self._add((
             cert.cert_id,
             cert.subject_pubkey,
@@ -514,53 +535,71 @@ class VerifyHelper:
         return True
 
     def close(self) -> bool:
-        helper = self._helper
-        if helper is not None:
-            if self._batch:
+        if self._held is None:
+            if self._list:
                 self._send()
-            self._helper = None
-            reply = helper.reply()
-            if reply is not None and len(reply) == 8:
-                self.held = int.from_bytes(reply, "big")
-        return self.held == self.sent
+            for helper in self._helpers:
+                helper.wait()
+            self._held = not any(h.dead or h.failed for h in self._helpers)
+        return self._held
+
+    def _has_room(self) -> bool:
+        room = self._room
+        if room is None:
+            return True
+        live = self._helpers
+        if any(h.in_flight < room for h in live):
+            return True
+        helper = live[self._next % len(live)]
+        self._next += 1
+        helper.poll()
+        return helper.in_flight < room
 
     def _add(self, check: tuple) -> None:
-        batch = self._batch
-        batch.append(check)
-        if len(batch) == _VERIFY_BATCH:
+        self._list.append(check)
+        if len(self._list) == _LIST:
             self._send()
 
     def _send(self) -> None:
-        self.sent += len(self._batch)
-        self._helper.send(pickle.dumps(self._batch))
-        self._batch = []
+        helper = min(self._helpers, key=_in_flight)
+        if helper.in_flight >= _MAX_IN_FLIGHT:
+            helper.wait()
+        helper.send(pickle.dumps(self._list))
+        self._list = []
 
 
-def _run_checks(feed: BinaryIO) -> bytes:
-    """A VerifyHelper's work, in the helper: every check read from feed,
-    in order, until a check fails or the feed ends. A check of three
-    items is a signature's; one of nine is a certificate's fields, then
-    the CA keys. The reply is how many held, as 8 bytes. The helper
-    lives as long as its run, so it first takes its own copy of the
-    pages it shares with the run's process."""
-    take_private_pages()
-    checks = InlineChecks()
-    held = 0
-    try:
-        while True:
-            for check in pickle.load(feed):
-                if len(check) == 3:
-                    ok = checks.signature(*check)
-                else:
-                    ok = checks.certificate(PseudonymCertificate(*check[:-1]), check[-1])
-                if not ok:
-                    return held.to_bytes(8, "big")
-                held += 1
-    except EOFError:
-        return held.to_bytes(8, "big")
+def _in_flight(helper: Helper) -> int:
+    return helper.in_flight
 
 
-Checks = Union[InlineChecks, VerifyHelper]
+def _check(checks: InlineChecks, check: tuple) -> bool:
+    """One sent check, made with checks: a signature's three items, or a
+    certificate's eight fields, then the CA keys."""
+    if len(check) == 3:
+        return checks.signature(*check)
+    return checks.certificate(PseudonymCertificate(*check[:-1]), check[-1])
+
+
+def _serve_checks(feed: BinaryIO, acks: int) -> None:
+    """A check helper's work: reads lists of checks from feed until it
+    ends, and answers each with one byte, 1 when every check of the list
+    held. A None resets it for a new call: a new InlineChecks, and
+    checking again. After a check fails it checks nothing more, and
+    answers 0 to every list, until the next reset."""
+    checks, held = InlineChecks(), True
+    while True:
+        try:
+            message = pickle.load(feed)
+        except EOFError:
+            return
+        if message is None:
+            checks, held = InlineChecks(), True
+            continue
+        held = held and all(_check(checks, check) for check in message)
+        os.write(acks, b"\x01" if held else b"\x00")
+
+
+Checks = Union[InlineChecks, SentChecks]
 
 
 class IdentityEscrow:
@@ -639,7 +678,7 @@ __all__ = [
     "sign_tx_digest",
     "issue_certificate",
     "InlineChecks",
-    "VerifyHelper",
+    "SentChecks",
     "Checks",
     "leaf_hash",
     "node_hash",

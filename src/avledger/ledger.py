@@ -32,13 +32,11 @@ from __future__ import annotations
 import hashlib
 import os
 from dataclasses import replace
-from functools import partial
 from typing import Iterable, Optional
 
 from .encoding import BOOLEAN, TEXT, U32, encode, fixed, frozen, items, unpack, wire
 from .errors import InvalidGenesis, LedgerFormatError, NotFound, UniquenessViolation
-from .forks import Helper, fork_helper, fork_pays, usable_cpus
-from .identity import PUBLIC_KEY_SIZE, InlineChecks
+from .identity import PUBLIC_KEY_SIZE, InlineChecks, SentChecks
 from .txmodel import (
     HASH,
     HASH_SIZE,
@@ -327,9 +325,10 @@ def chain_faults(ledger: PartitionLedger) -> list[str]:
 
     The genesis half of the rule, which holds all the signature work,
     reads only the record and the genesis, so it is judged for the whole
-    chain first, spread over the usable CPUs (see _genesis_reasons). The
-    walk in commit order then applies the committed half, so the faults
-    and their order are those of a serial walk.
+    chain first, in commit order, with its signature checks spread over
+    this process and its check helpers (see _genesis_reasons). The walk
+    in commit order then applies the committed half, so the faults and
+    their order are those of a serial walk.
     """
     faults: list[str] = []
     genesis = ledger.genesis
@@ -365,62 +364,37 @@ def chain_faults(ledger: PartitionLedger) -> list[str]:
     return faults
 
 
-# A helper process judges a share of at least this many transactions.
-# Forking a helper and reaping it costs about 2.5 ms in a 47 MB process
-# that holds one ledger-audit P1 file (2393 records), and the genesis half
-# of the rule costs about 100 us per transaction of that file through
-# libsodium: one signature check for most transactions (two for an
-# update), one per batch root in the share, and an audit path of about
-# eight SHA-256 calls. So a share under some 25 transactions is judged
-# faster in process; 64 leaves room for hosts where a fork costs more.
-MIN_SHARE = 64
-
-_REASONS = tuple(Reason)
+# A chain shorter than this is judged with every check in this process.
+# On a 2-core host with the helper running, a 16-record chain of a
+# ledger-audit file took 1.47 ms with its checks sent against 1.41 ms in
+# process, 32 records 2.53 against 2.69 ms, and 64 records 4.5 against
+# 5.4 ms. The first call of a process also pays for forking the helpers.
+MIN_SENT_RECORDS = 64
+# The most lists of signature checks a helper holds unacked while
+# chain_faults goes on: enough that it need not idle while this process
+# fills the next list, few enough that this process waits little for the
+# last acks.
+_HELPER_ROOM = 3
 
 
 def _genesis_reasons(txs: list[Transaction], genesis: GenesisBlock) -> list[Reason]:
-    """check_tx_genesis for every transaction of txs, in order, one
-    certificate cache per share.
+    """check_tx_genesis for every transaction of txs, in order.
 
-    txs is cut into contiguous shares, one per usable CPU and none under
-    MIN_SHARE. This process judges the first share; each other share goes
-    to a forked helper, which inherits txs (nothing is pickled) and writes
-    back one Reason index per transaction. A share whose helper could not
-    be forked, did not exit cleanly or sent a reply of the wrong length is
-    judged here. Everything is judged here where forks.fork_pays() does
-    not hold, or when txs is too short to split.
+    The transactions are judged here, in commit order, with each
+    signature check sent to the check helpers while one has room and
+    made here while all are full (identity.SentChecks); certificates are
+    checked here. If a check failed in a helper, or a helper died, every
+    transaction is judged again with every check here, so the verdicts
+    are those of a serial walk. A chain under MIN_SENT_RECORDS, or a
+    process with no helper, is judged here alone.
     """
-    n = min(usable_cpus(), len(txs) // MIN_SHARE)
-    if n < 2 or not fork_pays():
-        return _judge_share(txs, genesis)
-    cuts = [len(txs) * i // n for i in range(n + 1)]
-    shares = [txs[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
-    helpers: list[Optional[Helper]] = []
-    try:
-        for share in shares[1:]:
-            helpers.append(fork_helper(partial(_share_reply, share, genesis)))
-        reasons = _judge_share(shares[0], genesis)
-        replies = [helper.reply() if helper else None for helper in helpers]
-    finally:
-        for helper in helpers:
-            if helper:
-                helper.close()
-    for share, reply in zip(shares[1:], replies):
-        if reply is not None and len(reply) == len(share):
-            reasons += [_REASONS[index] for index in reply]
-        else:
-            reasons += _judge_share(share, genesis)
-    return reasons
-
-
-def _judge_share(txs: list[Transaction], genesis: GenesisBlock) -> list[Reason]:
+    sent = SentChecks.open(_HELPER_ROOM) if len(txs) >= MIN_SENT_RECORDS else None
+    if sent is not None:
+        reasons = [check_tx_genesis(tx, genesis, sent) for tx in txs]
+        if sent.close():
+            return reasons
     checks = InlineChecks()
     return [check_tx_genesis(tx, genesis, checks) for tx in txs]
-
-
-def _share_reply(share: list[Transaction], genesis: GenesisBlock, _feed) -> bytes:
-    """A helper's work: the Reason index of every transaction of share."""
-    return bytes(_REASONS.index(r) for r in _judge_share(share, genesis))
 
 
 # --- persistence --------------------------------------------------------------

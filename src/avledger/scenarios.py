@@ -44,7 +44,6 @@ from .adjudicator import (
 )
 from .encoding import TEXT, decode, encode, frozen, items, wire
 from .errors import ConfigError, Unattributable
-from .forks import fork_pays
 from .identity import (
     DEFAULT_CERT_VALIDITY_SECS,
     CertificateBatch,
@@ -53,7 +52,7 @@ from .identity import (
     IdentityEscrow,
     InlineChecks,
     KeyPair,
-    VerifyHelper,
+    SentChecks,
     derive_shared_key,
     generate_keypair,
     issue_certificate,
@@ -703,14 +702,6 @@ POOL_START = 4
 # PET_CLOCK_OFFSET_SECS before the scene is still inside it.
 _WINDOW_SLACK_SECS = 2.0
 
-# A run forks its VerifyHelper only when its timeline holds at least this
-# many events. Forking, feeding and reaping the helper cost a run some
-# 5-10 ms on a 2-core host, about what checking a 50-100 event fleet run
-# inline costs. In 10-vehicle fleet runs the helper was 4 ms slower to
-# 4 ms faster than inline at 50 events, 4-6 ms faster at 100 and 12-22 ms
-# faster at 200.
-MIN_HELPER_EVENTS = 128
-
 
 class ScenarioEngine:
     """Owns all state for one scenario run."""
@@ -775,7 +766,7 @@ class ScenarioEngine:
             for genesis in (genesis_p1, genesis_p2)
         }
         # How every round makes its certificate and signature checks:
-        # inline, or sent to the VerifyHelper of a run in progress.
+        # inline, or sent to the check helpers by a run in progress.
         self._checks: Checks = InlineChecks()
 
         # network
@@ -1353,33 +1344,33 @@ class ScenarioEngine:
     def run(self) -> ScenarioResult:
         """Runs the scenario until the network is quiet.
 
-        Where forks.fork_pays() holds and the timeline holds at least
-        MIN_HELPER_EVENTS events, run forks one VerifyHelper, which
-        makes every certificate and signature check of every round in a
-        helper process, and each round is judged as if they held. The
-        helper is reaped before run returns or raises. If a check failed
-        there, the helper died, or its reply came up short, the run is
-        thrown away, whether it returned or raised an Exception: the
-        engine is rebuilt in place from its config and the scenario runs
-        again with every check inline. So the result, the engine's state
-        and any exception are those of the inline path; only the replay
-        logs again the run's one log.info line (a replica attack being
-        applied). A KeyboardInterrupt or SystemExit propagates once the
-        helper is reaped, with no replay.
+        Where the process has check helpers (forks.helpers; they are
+        forked at the first call that wants them and serve every later
+        one), run sends every certificate and signature check of every
+        round to them through an identity.SentChecks, and each round is
+        judged as if they held. Before run returns or raises, it waits
+        for every helper to confirm the checks it was sent. If a check
+        failed there, or a helper died, the run is thrown away, whether
+        it returned or raised an Exception: the engine is rebuilt in
+        place from its config and the scenario runs again with every
+        check inline. So the result, the engine's state and any exception
+        are those of the inline path; only the replay logs again the
+        run's one log.info line (a replica attack being applied). A
+        KeyboardInterrupt or SystemExit propagates once the acks are in,
+        with no replay.
         """
-        pays = len(self.config.timeline) >= MIN_HELPER_EVENTS and fork_pays()
-        verifier = VerifyHelper.fork() if pays else None
-        if verifier is None:
+        sent = SentChecks.open()
+        if sent is None:
             return self._play()
-        inline, self._checks = self._checks, verifier
+        inline, self._checks = self._checks, sent
         try:
             result = self._play()
         except Exception:
-            if verifier.close():
+            if sent.close():
                 raise
         finally:
             self._checks = inline
-            held = verifier.close()
+            held = sent.close()
         if held:
             return result
         self.__init__(self.config)

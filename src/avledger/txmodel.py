@@ -439,11 +439,11 @@ def check_tx_genesis(
     `checks` makes the certificate check and each signature check: a new
     InlineChecks by default. A caller judging many transactions passes
     one object to each call, so that each batch root's signature is
-    checked once; chain_faults passes one per share of the chain it
-    spreads over the CPUs, and a scenario engine one for its run. A
-    VerifyHelper sends each check to a helper process and answers True,
-    so the verdict holds only once the helper has confirmed every check
-    it was sent. The window check is always made here.
+    checked once; chain_faults passes one for the whole chain, and a
+    scenario engine one for its run. A SentChecks sends checks to the
+    process's check helpers and answers True, so the verdict holds only
+    once the helpers have confirmed every check they were sent. The
+    window check is always made here.
     """
     if checks is None:
         checks = InlineChecks()

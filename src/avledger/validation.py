@@ -26,11 +26,11 @@ the fold value it voted for, sealing the block when it is full.
 
 A round makes its certificate and signature checks through the checks
 object its caller passes, inline by default. ScenarioEngine.run passes a
-VerifyHelper, which sends every certificate and signature check to a
-forked helper process and answers that it held; the run confirms all of
-them when it reaps the helper, and runs again with inline checks if one
-failed. So a round's votes are final only where its caller confirms its
-checks.
+SentChecks, which sends every certificate and signature check to the
+process's check helpers and answers that it held; the run waits for
+them to confirm every check at its end, and runs again with inline
+checks if one failed. So a round's votes are final only where its
+caller confirms its checks.
 
 Each round, and each submission a halted partition skips, is one line of
 the audit log, rendered by audit_line as canonical JSON.
@@ -101,7 +101,7 @@ def run_consensus(
     object. `checks` makes the genesis half's certificate and signature
     checks, as check_tx_genesis takes it: a caller that runs many rounds
     passes one object to each, so each batch root's signature is checked
-    once. A caller that passes a VerifyHelper gets the round that holds
+    once. A caller that passes a SentChecks gets the round that holds
     if every check it sent holds, and must confirm them before it trusts
     the round.
 

@@ -23,7 +23,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from avledger import scenarios
+from avledger import forks
 from avledger.adjudicator import check_negligence
 from avledger.errors import ConfigError
 from avledger.identity import sign_tx_digest
@@ -589,7 +589,7 @@ def _scenario_json(draw) -> dict:
 def test_acceptance_11_honest_traffic_under_accepted_configs():
     """Every config the parser accepts runs its honest traffic with no
     rejection, no divergence and no detection, and raises nothing. Some
-    runs make their checks in the forked helper whatever their size, and
+    runs make their checks in the check helper whatever the host, and
     every check must hold there, in one play; the rest make them
     inline."""
     tally = {"refused": 0, "inline": 0, "helper": 0, "rounds": 0}
@@ -607,8 +607,7 @@ def test_acceptance_11_honest_traffic_under_accepted_configs():
         with pytest.MonkeyPatch.context() as patch:
             play = ScenarioEngine._play
             patch.setattr(ScenarioEngine, "_play", lambda engine: plays.append(engine) or play(engine))
-            patch.setattr(scenarios, "fork_pays", lambda: deferred)
-            patch.setattr(scenarios, "MIN_HELPER_EVENTS", 0)
+            patch.setattr(forks, "fork_pays", lambda: deferred)
             report = ScenarioEngine(config).run().report.to_jsonable()
         assert len(plays) == 1, "a check failed in the helper"
         assert _rejections(report) == 0, report["counts"]

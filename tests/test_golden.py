@@ -26,7 +26,7 @@ from dataclasses import replace
 
 import pytest
 
-from avledger import identity, scenarios
+from avledger import forks, identity
 from avledger.ledger import save_ledger
 from avledger.scenarios import (
     AttackClass,
@@ -105,11 +105,10 @@ def test_golden_run_with_the_cryptography_backend(monkeypatch, tmp_path):
 @pytest.mark.parametrize("path", ["helper", "inline", "helper on cryptography"])
 def test_golden_bytes_on_every_check_path(monkeypatch, tmp_path, path):
     """Every golden run gives its pinned bytes with its Ed25519 checks
-    made in a forked helper or inline, whatever this host and the run's
-    size would choose, and with the helper under the `cryptography`
+    made in the process's check helper or inline, whatever this host
+    would choose, and with the helper under the `cryptography`
     backend."""
-    monkeypatch.setattr(scenarios, "fork_pays", lambda: path != "inline")
-    monkeypatch.setattr(scenarios, "MIN_HELPER_EVENTS", 0)
+    monkeypatch.setattr(forks, "fork_pays", lambda: path != "inline")
     if path.endswith("cryptography"):
         monkeypatch.setattr(identity, "BACKEND", identity.CRYPTOGRAPHY)
     moved = [run for run in sorted(CONFIGS) if artefact_fingerprints(CONFIGS[run], str(tmp_path)) != GOLDEN[run]]

@@ -14,13 +14,13 @@ import sys
 import pytest
 from hypothesis import given, strategies as st
 
-from avledger import identity
+from avledger import forks, identity
 from avledger.errors import EscrowDenied, InvalidValidity, UnknownCertificate, UnknownEntity
 from avledger.identity import (
     IdentityEscrow,
     InlineChecks,
     PseudonymCertificate,
-    VerifyHelper,
+    SentChecks,
     derive_shared_key,
     generate_keypair,
     issue_certificate,
@@ -569,7 +569,7 @@ def test_open_sealed_rejects_short_payload():
         open_sealed(b"\x00" * 32, b"short")
 
 
-# --- every check of a run in one helper process ---------------------------------
+# --- checks sent to the process's check helpers ----------------------------------
 
 def _signed_checks(n: int, seed: int) -> list[tuple[bytes, bytes, bytes]]:
     """n valid (public key, message, signature) checks, each over a
@@ -592,41 +592,74 @@ def _spoil(check: tuple[bytes, bytes, bytes], how: int) -> tuple[bytes, bytes, b
     return public_key, message, signature[:63]  # refused before the backend
 
 
-def test_helpers_fed_side_by_side_run_every_check_once():
-    """Four helpers live at once, fed in turns, one list at a time: each
-    runs every check it was sent, up to the first that fails, and reports
-    a failure exactly when a bad check was among them. Each holds only
-    its own pipes, so each ends as soon as its own feed does, in any
-    order, and none leaves a pipe end behind (tests/conftest.py checks
-    that none is left unreaped)."""
+def _sends_by_helper(monkeypatch) -> list[int]:
+    """The pid of the helper each list goes to, from now on."""
+    pids = []
+    send = forks.Helper.send
+
+    def recording(helper, message):
+        pids.append(helper.pid)
+        send(helper, message)
+
+    monkeypatch.setattr(forks.Helper, "send", recording)
+    return pids
+
+
+def test_helpers_fed_side_by_side_run_every_check_once(monkeypatch):
+    """Four calls one after the other, on three usable CPUs, so two
+    helpers fed in turns: each call sends every check, its last, short
+    list too, makes none itself, and reports a failure exactly when a
+    bad check was among them, whichever helper had it. Lists reach both
+    helpers, the helpers are forked once, and no pipe end is left
+    behind."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     valid = _signed_checks(64, seed=5)
     rng = random.Random(17)
-    feeds, first_bad = [], []
+    feeds, bad = [], []
     for index in range(4):
         checks = [valid[rng.randrange(len(valid))] for _ in range(1000)]
         spoiled = sorted(rng.sample(range(len(checks)), 2)) if index % 2 else []
         for at in spoiled:
             checks[at] = _spoil(checks[at], rng.randrange(3))
         feeds.append(checks)
-        first_bad.append(spoiled[0] if spoiled else len(checks))
+        bad.append(bool(spoiled))
     fds = set(os.listdir("/proc/self/fd"))
-    verifiers = [VerifyHelper.fork() for _ in feeds]
-    for at in range(0, 1000, 100):
-        for verifier, checks in zip(verifiers, feeds):
-            for check in checks[at:at + 100]:
-                assert verifier.signature(*check) is True
-    held = [verifier.close() for verifier in (verifiers[2], verifiers[0], verifiers[3], verifiers[1])]
-    assert held == [True, True, False, False]
-    for verifier, checks, bad in zip(verifiers, feeds, first_bad):
-        assert verifier.sent == len(checks) and verifier.held == bad
+    sent = SentChecks.open()
+    helper_pids = {helper.pid for helper in forks._HELPERS}
+    assert len(helper_pids) == 2
+    real = identity.BACKEND
+    here = []
+
+    def counting(public_key, message, signature):
+        here.append(message)
+        return real.verify(public_key, message, signature)
+
+    # Only this process sees the patch: the helpers were forked before it.
+    monkeypatch.setattr(identity, "BACKEND", real._replace(verify=counting))
+    pids = _sends_by_helper(monkeypatch)
+    held = []
+    for checks in feeds:
+        sent = sent or SentChecks.open()
+        for check in checks:
+            assert sent.signature(*check) is True
+        held.append(sent.close())
+        assert sent.close() is held[-1]
+        sent = None
+    assert held == [not spoiled for spoiled in bad]
+    assert {helper.pid for helper in forks._HELPERS} == helper_pids == set(pids)
+    assert len(pids) == 4 * -(-1000 // 16) and here == []
+    forks.close()
     assert set(os.listdir("/proc/self/fd")) == fds
 
 
 def test_a_verifier_whose_backend_raises_stops_and_reports_it(monkeypatch, tmp_path):
     """The helper's backend raises on its 10th call: the helper stops
-    there, with no reply, and close() says False, twice."""
-    checks = _signed_checks(40, seed=6)
+    there and dies, close() says False, twice, and the next call forks a
+    new helper, whose checks hold."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    checks = _signed_checks(48, seed=6)
     seen = tmp_path / "seen"
+    real = identity.BACKEND
 
     def raising(public_key, message, signature):
         with open(seen, "a") as out:
@@ -635,11 +668,50 @@ def test_a_verifier_whose_backend_raises_stops_and_reports_it(monkeypatch, tmp_p
             raise RuntimeError("backend failed")
         return True
 
-    monkeypatch.setattr(identity, "BACKEND", identity.BACKEND._replace(verify=raising))
-    verifier = VerifyHelper.fork()
+    monkeypatch.setattr(identity, "BACKEND", real._replace(verify=raising))
+    sent = SentChecks.open()
+    [first] = forks._HELPERS
+    monkeypatch.setattr(identity, "BACKEND", real)
     for check in checks:
-        verifier.signature(*check)
-    assert verifier.close() is False
-    assert verifier.close() is False  # a second close reads nothing
-    assert verifier.sent == 40 and verifier.held is None
+        sent.signature(*check)
+    assert sent.close() is False
+    assert sent.close() is False  # a second close reads nothing
+    assert first.dead and forks._HELPERS == []
     assert seen.read_text().split() == [message.hex() for _, message, _ in checks[:10]]
+    sent = SentChecks.open()
+    assert [helper.pid for helper in forks._HELPERS] != [first.pid]
+    for check in checks:
+        sent.signature(*check)
+    assert sent.close() is True
+
+
+def test_no_verdict_carries_from_one_call_to_the_next(monkeypatch, tmp_path):
+    """A batch root found signed in one call is checked again in the
+    next: each call resets the helper's InlineChecks. Within a call, the
+    helper checks each root once."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    world = make_world(seed=31)
+    subjects = [generate_keypair(world.rng).public_key for _ in range(16)]
+    certs = list(issue_certificate(world.ca, subjects, 1000.0, 300.0, world.rng))
+    ca_keys = (world.ca.public_key,)
+    seen = tmp_path / "seen"
+    real = identity.BACKEND
+
+    def recording(public_key, message, signature):
+        with open(seen, "a") as out:
+            out.write(message.hex() + "\n")
+        return real.verify(public_key, message, signature)
+
+    monkeypatch.setattr(identity, "BACKEND", real._replace(verify=recording))
+    for call in range(2):
+        sent = SentChecks.open()
+        for cert in certs:
+            assert sent.certificate(cert, ca_keys) is True
+        assert sent.close() is True
+        assert len(seen.read_text().split()) == call + 1
+    assert len(forks._HELPERS) == 1
+    sent = SentChecks.open()
+    forged = dataclasses.replace(certs[3], root_signature=bytes(64))
+    for cert in [*certs[:15], forged]:
+        sent.certificate(cert, ca_keys)
+    assert sent.close() is False

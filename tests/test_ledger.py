@@ -6,6 +6,8 @@ import dataclasses
 import errno
 import hashlib
 import os
+import signal
+import threading
 
 import pytest
 from hypothesis import given, strategies as st
@@ -22,6 +24,7 @@ from avledger.ledger import (
     make_genesis,
     save_ledger,
 )
+from avledger import forks, identity
 from avledger import ledger as ledger_module
 from avledger.scenarios import ScenarioEngine, make_benign_config
 from avledger.txmodel import EventTrigger, Partition, TxKind
@@ -474,49 +477,74 @@ def test_chain_faults_ca_checks_each_certificate_once(monkeypatch):
         append_by_hand(ledger, tx)
     checked = []
     monkeypatch.setattr(ledger_module, "InlineChecks", lambda: CountingChecks(checked))
-    # Small enough to be judged in this process: a count made in a forked
+    # Short enough to be judged in this process alone: a check made in a
     # helper would never reach `checked`.
-    assert len(ledger.all_transactions()) < 2 * ledger_module.MIN_SHARE
+    assert len(ledger.all_transactions()) < ledger_module.MIN_SENT_RECORDS
     assert chain_faults(ledger) == []
     assert checked == [pet.cert]
 
 
-# --- chain verification spread over helper processes ---------------------------
+# --- chain verification with checks sent to the check helpers -----------------
 
-@pytest.fixture
-def split(monkeypatch):
-    """Returns a function giving (serial faults, split faults) of a ledger.
-    The split cuts the chain into three shares whatever the host's CPU
-    count, so two helpers are forked. Afterwards no helper process and no
-    pipe end may be left behind."""
-    forks = []
+def _counting_forks(monkeypatch) -> list:
+    """The pid of every process that forks from now on, once per fork."""
+    forked = []
     real_fork = os.fork
 
     def counting_fork():
-        forks.append(os.getpid())
+        forked.append(os.getpid())
         return real_fork()
 
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forked
+
+
+def _sends(monkeypatch) -> list:
+    """The helper pid of every list of checks sent from now on."""
+    pids = []
+    send = forks.Helper.send
+
+    def recording(helper, message):
+        pids.append(helper.pid)
+        send(helper, message)
+
+    monkeypatch.setattr(forks.Helper, "send", recording)
+    return pids
+
+
+@pytest.fixture
+def split(monkeypatch):
+    """Returns a function giving (serial faults, sent faults) of a
+    ledger. The sent walk sends every signature check to the check
+    helpers, one check per list, whatever the chain's length and the
+    helpers' speed, so a fault in a signature is found there; two
+    helpers are forked whatever the host's CPU count. Afterwards no
+    helper process and no pipe end may be left behind."""
+    forked = _counting_forks(monkeypatch)
+    sends = _sends(monkeypatch)
+
     def run(ledger):
-        monkeypatch.setattr(ledger_module, "MIN_SHARE", len(ledger.all_transactions()) + 1)
+        monkeypatch.setattr(ledger_module, "MIN_SENT_RECORDS", len(ledger.all_transactions()) + 1)
         serial = chain_faults(ledger)
-        assert forks == []
-        monkeypatch.setattr(ledger_module, "MIN_SHARE", 1)
+        assert forked == [] and sends == []
+        monkeypatch.setattr(ledger_module, "MIN_SENT_RECORDS", 0)
         faults = chain_faults(ledger)
-        assert len(forks) == 2
+        assert len(forked) == 2 and len(set(sends)) == 2
         return serial, faults
 
     fds = set(os.listdir("/proc/self/fd"))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    monkeypatch.setattr(os, "fork", counting_fork)
+    monkeypatch.setattr(identity, "_LIST", 1)
+    monkeypatch.setattr(ledger_module, "_HELPER_ROOM", 1 << 10)
     yield run
+    forks.close()
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert set(os.listdir("/proc/self/fd")) == fds
 
 
 def _parity_ledger(case):
-    """The faulty record of a PARITY_CASES case after two honest records,
-    so that it falls in the last helper's share."""
+    """The faulty record of a PARITY_CASES case after two honest records."""
     partition, build, _reason = PARITY_CASES[case]
     world = make_world(seed=19)
     tx = build(world)
@@ -547,7 +575,7 @@ def test_split_chain_faults_equal_serial_on_a_file_with_a_duplicate_tid(split, t
 
 def _bad_signature_ledger():
     """A sealed ledger whose first and last records carry a flipped
-    signature byte: one fault in this process's share, one in a helper's."""
+    signature byte."""
     _, ledger, _ = _sealed_ledger(n=10)
     for pos in (0, -1):
         victim = ledger.records[pos]
@@ -559,9 +587,25 @@ def _bad_signature_ledger():
     return ledger
 
 
-def test_split_chain_faults_equal_serial_with_a_bad_signature_in_a_helper_share(split):
+def _closes(monkeypatch) -> list:
+    """What each SentChecks.close() of chain_faults answers from now on."""
+    answers = []
+    close = identity.SentChecks.close
+
+    def recording(checks):
+        answers.append(close(checks))
+        return answers[-1]
+
+    monkeypatch.setattr(identity.SentChecks, "close", recording)
+    return answers
+
+
+def test_split_chain_faults_equal_serial_with_a_bad_signature_in_a_helper_share(split, monkeypatch):
+    """Both bad signatures are checked in a helper, which reports the
+    failure; the chain is judged again in this process."""
+    answers = _closes(monkeypatch)
     serial, faults = split(_bad_signature_ledger())
-    assert faults == serial
+    assert faults == serial and answers == [False]
     assert len(faults) == 2 and all("(BadSignature)" in f for f in faults), faults
 
 
@@ -574,39 +618,154 @@ def test_failed_fork_falls_back_to_judging_in_process(split, monkeypatch):
 
     ledger = _bad_signature_ledger()
     serial = chain_faults(ledger)
-    monkeypatch.setattr(ledger_module, "MIN_SHARE", 1)
+    monkeypatch.setattr(ledger_module, "MIN_SENT_RECORDS", 1)
     monkeypatch.setattr(os, "fork", no_fork)
     assert chain_faults(ledger) == serial
-    assert len(attempts) == 2
+    assert chain_faults(ledger) == serial
+    assert len(attempts) == 2  # one per call: the first failure ends the call's forking
 
 
-@pytest.mark.parametrize("failure", ["raises", "exits non-zero after a full reply", "replies short"])
-def test_a_failed_helper_share_is_judged_again_in_process(split, monkeypatch, failure):
-    parent = os.getpid()
-    real_judge, real_exit = ledger_module._judge_share, os._exit
-    in_parent = []
+def _sent_chain_faults(monkeypatch, ledger, room=1 << 10):
+    """chain_faults of ledger with every signature check sent, one per
+    list, while a helper holds fewer than room unacked."""
+    monkeypatch.setattr(ledger_module, "MIN_SENT_RECORDS", 0)
+    monkeypatch.setattr(ledger_module, "_HELPER_ROOM", room)
+    monkeypatch.setattr(identity, "_LIST", 1)
+    return chain_faults(ledger)
 
-    def failing(txs, genesis):
-        if os.getpid() == parent:
-            in_parent.append(len(txs))
-            return real_judge(txs, genesis)
-        if failure == "raises":
-            raise RuntimeError("helper failed")
-        if failure == "replies short":
-            return real_judge(txs, genesis)[:-1]
-        return [Reason.OK] * len(txs)  # a reply that would hide the bad signature
 
-    def exit_non_zero(code):
-        real_exit(3)
-
+@pytest.mark.parametrize("failure", ["raises", "killed", "acks a failure"])
+def test_a_failed_helper_share_is_judged_again_in_process(monkeypatch, failure):
+    """A helper whose backend raises, one killed mid-call, and one that
+    finds a failure that this process does not: chain_faults judges the
+    chain again in this process and gives the serial faults. A helper
+    that died is reaped, and the next call forks a new one."""
     ledger = _bad_signature_ledger()
-    monkeypatch.setattr(ledger_module, "_judge_share", failing)
-    if failure == "exits non-zero after a full reply":
-        monkeypatch.setattr(os, "_exit", exit_non_zero)
-    serial, faults = split(ledger)
-    assert faults == serial
-    # The serial run, then this process's share and both helper shares again.
-    assert in_parent == [10, 3, 3, 4]
+    serial = chain_faults(ledger)
+    parent, real = os.getpid(), identity.BACKEND
+    forked = _counting_forks(monkeypatch)
+    answers = _closes(monkeypatch)
+
+    def failing(public_key, message, signature):
+        if os.getpid() != parent:
+            if failure == "raises":
+                raise RuntimeError("the helper's backend failed")
+            return False
+        return real.verify(public_key, message, signature)
+
+    judge = ledger_module.check_tx_genesis
+    if failure == "killed":
+        judged = []
+
+        def killing(tx, genesis, checks):
+            judged.append(tx)
+            if len(judged) == 3:
+                [helper] = forks._HELPERS
+                os.kill(helper.pid, signal.SIGKILL)
+            return judge(tx, genesis, checks)
+
+        monkeypatch.setattr(ledger_module, "check_tx_genesis", killing)
+    else:
+        monkeypatch.setattr(identity, "BACKEND", real._replace(verify=failing))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert _sent_chain_faults(monkeypatch, ledger) == serial
+    assert answers == [False] and len(forked) == 1
+    if failure != "acks a failure":
+        assert forks._HELPERS == []
+        monkeypatch.setattr(identity, "BACKEND", real)
+        monkeypatch.setattr(ledger_module, "check_tx_genesis", judge)
+        assert _sent_chain_faults(monkeypatch, ledger) == serial
+        assert answers == [False, False] and len(forked) == 2  # the flipped signatures, found in the new helper
+
+
+def test_a_helper_that_died_between_calls_is_replaced_before_the_next(monkeypatch):
+    """A helper killed after one call is reaped when the next call
+    starts, and a new one is forked in its place: that call's checks
+    hold there, and nothing is judged twice."""
+    ledger = _sealed_ledger(n=10)[1]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    answers = _closes(monkeypatch)
+    assert _sent_chain_faults(monkeypatch, ledger) == []
+    [first] = forks._HELPERS
+    os.kill(first.pid, signal.SIGKILL)
+    os.waitid(os.P_PID, first.pid, os.WEXITED | os.WNOWAIT)  # dead, not yet reaped
+    forked = _counting_forks(monkeypatch)
+    sends = _sends(monkeypatch)
+    assert _sent_chain_faults(monkeypatch, ledger) == []
+    assert first.dead and len(forked) == 1 and answers == [True, True]
+    assert set(sends) == {helper.pid for helper in forks._HELPERS} != {first.pid}
+
+
+def test_every_helper_full_makes_every_check_in_process(monkeypatch):
+    """With no room in any helper, each signature check is made here
+    after one read of a helper's acks, and nothing is sent."""
+    ledger = _bad_signature_ledger()
+    serial = chain_faults(ledger)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    sends = _sends(monkeypatch)
+    polls = []
+    poll = forks.Helper.poll
+
+    def counting_poll(helper):
+        polls.append(helper.pid)
+        poll(helper)
+
+    monkeypatch.setattr(forks.Helper, "poll", counting_poll)
+    assert _sent_chain_faults(monkeypatch, ledger, room=0) == serial
+    assert sends == []
+    signatures = sum(len(tx.signatures) for tx in ledger.records)
+    assert len(polls) == signatures and len(set(polls)) == 2  # one read per check, helper by helper
+
+
+def test_a_second_thread_alive_makes_every_check_in_process(monkeypatch):
+    ledger = _bad_signature_ledger()
+    serial = chain_faults(ledger)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    forked = _counting_forks(monkeypatch)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(60,))
+    other.start()
+    try:
+        assert _sent_chain_faults(monkeypatch, ledger) == serial
+    finally:
+        release.set()
+        other.join(timeout=60)
+    assert forked == []
+
+
+def test_a_child_forked_after_the_helper_exists_checks_in_process(monkeypatch):
+    """A process forked after the helper gets none of its pipe ends and
+    forks no helper of its own: it judges every check itself. The
+    owner's helper serves the owner as before."""
+    ledger = _bad_signature_ledger()
+    serial = chain_faults(ledger)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert _sent_chain_faults(monkeypatch, ledger) == serial
+    [helper] = forks._HELPERS
+    forked = _counting_forks(monkeypatch)
+    sends = _sends(monkeypatch)
+    read_end, write_end = os.pipe()
+    child = os.fork()
+    if child == 0:
+        ok = 0
+        try:
+            os.close(read_end)
+            ok = int(
+                forks._HELPERS == []
+                and chain_faults(ledger) == serial
+                and forked == [os.getppid()]
+                and sends == []
+            )
+        finally:
+            os.write(write_end, bytes([ok]))
+            os._exit(0)
+    os.close(write_end)
+    with os.fdopen(read_end, "rb") as answer:
+        assert answer.read() == b"\x01"
+    assert os.waitpid(child, 0)[1] == 0
+    assert forks._HELPERS == [helper] and helper.in_flight == 0
+    assert chain_faults(ledger) == serial
+    assert len(forked) == 1 and set(sends) == {helper.pid}
 
 
 # --- persistence --------------------------------------------------------------

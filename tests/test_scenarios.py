@@ -6,12 +6,14 @@ import json
 import math
 import os
 import signal
+import subprocess
+import sys
 import threading
 import time
 
 import pytest
 
-from avledger import identity, scenarios
+from avledger import forks, identity, scenarios
 from avledger import ledger as ledger_module
 from avledger.errors import ConfigError, MalformedCase, NotFound
 from avledger.identity import InlineChecks, PseudonymCertificate, generate_keypair
@@ -595,10 +597,9 @@ def _outputs(result, tmp_path, name) -> tuple:
 
 
 def _force_helper(monkeypatch, deferred: bool) -> None:
-    """Every run from now on makes its checks in a helper process, or
-    inline, whatever its size and this host."""
-    monkeypatch.setattr(scenarios, "fork_pays", lambda: deferred)
-    monkeypatch.setattr(scenarios, "MIN_HELPER_EVENTS", 0)
+    """Every run from now on makes its checks in the process's check
+    helper, or inline, whatever this host."""
+    monkeypatch.setattr(forks, "fork_pays", lambda: deferred)
 
 
 def _run_with_helper(monkeypatch, config, deferred: bool):
@@ -869,7 +870,6 @@ def test_a_run_with_a_second_thread_alive_forks_nothing(monkeypatch, tmp_path):
         return real.verify(public_key, message, signature)
 
     monkeypatch.setattr(identity, "BACKEND", real._replace(verify=counting))
-    monkeypatch.setattr(scenarios, "MIN_HELPER_EVENTS", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     pids = _counting_forks(monkeypatch)
     release = threading.Event()
@@ -890,7 +890,9 @@ def test_a_run_with_a_second_thread_alive_forks_nothing(monkeypatch, tmp_path):
 
 
 def test_run_leaves_no_thread_alive_when_it_returns_or_raises(monkeypatch):
-    """Nor a child process or an open pipe end."""
+    """Nor a second child process or an open pipe end: a run that
+    returns and one that raises use the one check helper, which
+    forks.close() ends and reaps."""
     _force_helper(monkeypatch, True)
     threads = threading.active_count()
     fds = set(os.listdir("/proc/self/fd"))
@@ -898,8 +900,7 @@ def test_run_leaves_no_thread_alive_when_it_returns_or_raises(monkeypatch):
     config = make_benign_config(1)
     _run(config)
     assert threading.active_count() == threads and len(pids) == 1
-    assert set(os.listdir("/proc/self/fd")) == fds
-    _no_child_left()
+    assert [helper.pid for helper in forks._HELPERS] == pids
 
     calls = []
     real = ScenarioEngine.trigger_event_safety
@@ -913,17 +914,21 @@ def test_run_leaves_no_thread_alive_when_it_returns_or_raises(monkeypatch):
     monkeypatch.setattr(ScenarioEngine, "trigger_event_safety", failing)
     with pytest.raises(_Planted):
         _run(config)
-    assert len(calls) == 3 and len(pids) == 2
+    assert len(calls) == 3 and len(pids) == 1
     assert threading.active_count() == threads
+    [helper] = forks._HELPERS
+    assert helper.pid == pids[0] and helper.in_flight == 0
+    forks.close()
     assert set(os.listdir("/proc/self/fd")) == fds
     _no_child_left()
 
 
-def test_chain_faults_forks_its_helpers_right_after_a_run(monkeypatch):
-    """The run's helper is reaped before run() returns, and it is a
-    process, not a thread, so chain_faults spreads the chain over forked
-    helpers right after it. Each check is slowed down, so that a helper
-    left running would still be busy when chain_faults starts."""
+def test_a_run_and_the_verify_after_it_share_one_helper(monkeypatch):
+    """The run's helper serves chain_faults right after it: one fork in
+    all, and chain_faults' lists go to the helper the run used. Each
+    check is slowed down in the helper, so that the run returns only
+    after waiting for its acks: the helper holds nothing in flight when
+    chain_faults starts."""
     real = identity.BACKEND
 
     def slow(public_key, message, signature):
@@ -932,17 +937,55 @@ def test_chain_faults_forks_its_helpers_right_after_a_run(monkeypatch):
 
     monkeypatch.setattr(identity, "BACKEND", real._replace(verify=slow))
     _force_helper(monkeypatch, True)
+    pids = _counting_forks(monkeypatch)
     ledger = _run(disputes_shaped_config(5, n_events=120)).ledgers["P1"]
     monkeypatch.setattr(identity, "BACKEND", real)
-    assert len(ledger.all_transactions()) >= 2 * ledger_module.MIN_SHARE
-    forks = []
-    real_fork = os.fork
+    assert len(ledger.all_transactions()) >= ledger_module.MIN_SENT_RECORDS
+    [helper] = forks._HELPERS
+    assert helper.in_flight == 0
+    sends = []
+    send = forks.Helper.send
 
-    def counting_fork():
-        forks.append(os.getpid())
-        return real_fork()
+    def recording(helper, message):
+        sends.append(helper.pid)
+        send(helper, message)
 
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(os, "fork", counting_fork)
+    monkeypatch.setattr(forks.Helper, "send", recording)
     assert chain_faults(ledger) == []
-    assert len(forks) == 1
+    assert pids == [helper.pid] and set(sends) == {helper.pid}
+
+
+def test_no_helper_outlives_its_process():
+    """A process that runs chain_faults on a 200-record ledger and one
+    fleet run of 128 events or more uses one check helper for both, and
+    reaps it before it exits: once the process is gone, so is its
+    helper, zombie or not."""
+    tests = os.path.dirname(os.path.abspath(__file__))
+    code = (
+        "import os, sys\n"
+        f"sys.path.insert(0, {tests!r})\n"
+        "from avledger import forks\n"
+        "from avledger.ledger import PartitionLedger, chain_faults\n"
+        "from avledger.scenarios import ScenarioEngine\n"
+        "from worldkit import disputes_shaped_config\n"
+        "forks.fork_pays = lambda: True\n"
+        "real_fork, forked = os.fork, []\n"
+        "os.fork = lambda: forked.append(1) or real_fork()\n"
+        "config = disputes_shaped_config(5, n_events=200)\n"
+        "assert len(config.timeline) >= 128\n"
+        "p1 = ScenarioEngine(config).run().ledgers['P1']\n"
+        "ledger = PartitionLedger(p1.genesis)\n"
+        "for tx, fold in list(zip(p1.records, p1.folds))[:200]:\n"
+        "    ledger.append_claimed(tx, fold)\n"
+        "assert len(ledger.records) == 200 and chain_faults(ledger) == []\n"
+        "assert len(forked) == len(forks._HELPERS)\n"
+        "print(*[helper.pid for helper in forks._HELPERS])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(tests), "src"))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    pids = [int(pid) for pid in done.stdout.split()]
+    assert len(pids) >= 1
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
