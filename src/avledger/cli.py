@@ -21,7 +21,7 @@ import random
 import sys
 from typing import Optional, Union
 
-from .adjudicator import AdjudicationParams, adjudicate
+from .adjudicator import adjudicate
 from .errors import AvLedgerError, ConfigError, LedgerFormatError, MalformedCase
 from .identity import generate_keypair
 from .ledger import PartitionLedger, chain_faults, load_ledger, save_ledger
@@ -29,6 +29,7 @@ from .scenarios import (
     AttackClass,
     ScenarioEngine,
     case_from_jsonable,
+    case_params_from_jsonable,
     choice,
     config_from_jsonable,
     config_to_jsonable,
@@ -211,7 +212,8 @@ def cmd_adjudicate(args: argparse.Namespace) -> int:
             return _report_faults([f"{path}: {line}" for line in faults])
         ledgers.append(ledger)
     try:
-        case = case_from_jsonable(read_json(args.case))
+        data = read_json(args.case)
+        case, params = case_from_jsonable(data), case_params_from_jsonable(data)
     except FileNotFoundError:
         return _fail_usage(f"case file not found: {args.case}")
     except OSError as exc:
@@ -220,7 +222,7 @@ def cmd_adjudicate(args: argparse.Namespace) -> int:
         return _fail_usage(str(exc))
 
     try:
-        verdict = adjudicate(case, *ledgers, AdjudicationParams(), at=at)
+        verdict = adjudicate(case, *ledgers, params, at=at)
     except MalformedCase as exc:
         print(f"case not adjudicable: {exc}", file=sys.stderr)
         return EXIT_FAILURE

@@ -3,7 +3,10 @@
 A check helper is a child process forked from this one at first use, one
 per usable CPU beyond the first. It lives as long as its parent: every
 later call hands it work through one pipe (its feed), and it answers one
-byte per message through another (its acks). A child inherits its
+byte per acked message through another (its acks). A third pipe (its
+results) carries whatever else it writes back, unasked: the owner reads
+it without blocking, and the helper writes to it without blocking, so
+that neither ever waits on the other there. A child inherits its
 parent's memory, so it starts with everything the code it runs needs,
 and only the work itself is pickled to it. The two share every page
 copy-on-write for the helper's whole life, so the parent copies each
@@ -29,7 +32,7 @@ import atexit
 import os
 import select
 import threading
-from typing import BinaryIO, Callable, Optional
+from typing import Callable, Optional
 
 
 def usable_cpus() -> int:
@@ -52,34 +55,46 @@ class Helper:
     """One live helper, seen from its owner.
 
     send() writes one message that the helper answers with one ack byte,
-    begin() one that it answers with none. in_flight counts the messages
-    not acked yet, and `failed` whether any ack since the last begin()
-    was a 0. poll() reads whatever acks have come, without blocking;
-    wait() blocks until every message sent is acked. A helper whose
-    pipes show that it is gone (EOF on its acks, EPIPE on its feed) is
-    reaped and leaves the pool; its `dead` is then True and its in_flight
-    stays as it was, so a caller sees which of its messages went
-    unanswered.
+    tell() one that it answers with none, and begin() is a tell() that
+    first waits for the acks a call before left unread and forgets them.
+    in_flight counts the messages not acked yet, and `failed` whether any
+    ack since the last begin() was a 0. poll() reads whatever acks have
+    come, without blocking; wait() blocks until every message sent is
+    acked. results() reads whatever the helper has written to its results
+    pipe, without blocking. A helper whose pipes show that it is gone
+    (EOF on its acks, EPIPE on its feed) is reaped and leaves the pool;
+    its `dead` is then True and its in_flight stays as it was, so a
+    caller sees which of its messages went unanswered.
     """
 
-    def __init__(self, pid: int, feed: int, acks: int) -> None:
+    def __init__(self, pid: int, feed: int, acks: int, results: int) -> None:
         self.pid = pid
         self.in_flight = 0
         self.failed = False
         self.dead = False
         self._feed = feed
         self._acks = acks
+        self._results = results
 
     def begin(self, message: bytes) -> None:
-        """Waits for the acks a call before left unread, forgets them,
-        and sends message, which the helper does not ack."""
         self.wait()
         self.failed = False
-        self._write(message)
+        self.tell(message)
 
     def send(self, message: bytes) -> None:
         self.in_flight += 1
         self._write(message)
+
+    def tell(self, message: bytes) -> None:
+        self._write(message)
+
+    def results(self) -> bytes:
+        if self.dead:
+            return b""
+        try:
+            return os.read(self._results, _RESULTS_READ)
+        except BlockingIOError:
+            return b""
 
     def poll(self) -> None:
         if not self.dead:
@@ -94,7 +109,7 @@ class Helper:
             self.poll()
 
     def _write(self, message: bytes) -> None:
-        view = memoryview(message)
+        view = memoryview(len(message).to_bytes(_LENGTH, "little") + message)
         try:
             while view and not self.dead:
                 view = view[os.write(self._feed, view):]
@@ -114,12 +129,50 @@ class Helper:
             return
         self.dead = True
         _HELPERS.remove(self)
-        os.close(self._feed)
-        os.close(self._acks)
+        _close_ends(self)
         try:
             os.waitpid(self.pid, 0)
         except ChildProcessError:  # reaped already, as under SIGCHLD set to SIG_IGN
             pass
+
+
+# Each message on a feed is its length in this many bytes, then its bytes.
+_LENGTH = 4
+# The most bytes one results() reads: a whole number of any record size
+# that divides 4096, so that records written whole are read whole.
+_RESULTS_READ = 1 << 16
+
+
+class Feed:
+    """A helper's end of its feed. read(wait) gives every whole message
+    that has come, in the order sent: none when wait is False and none
+    has, so that a helper can do other work between messages, and at
+    least one when wait is True. EOFError once the feed has ended."""
+
+    def __init__(self, fd: int) -> None:
+        self._fd = fd
+        self._buffer = bytearray()
+
+    def read(self, wait: bool) -> list[bytes]:
+        buffer, messages = self._buffer, []
+        while not messages:
+            if not wait and not select.select([self._fd], [], [], 0)[0]:
+                break
+            chunk = os.read(self._fd, 1 << 16)
+            if not chunk:
+                raise EOFError
+            buffer += chunk
+            start = 0
+            while len(buffer) - start >= _LENGTH:
+                end = start + _LENGTH + int.from_bytes(buffer[start:start + _LENGTH], "little")
+                if end > len(buffer):
+                    break
+                messages.append(bytes(buffer[start + _LENGTH:end]))
+                start = end
+            del buffer[:start]
+            if not wait:
+                break
+        return messages
 
 
 # This process's live helpers, and the pid that forked them.
@@ -127,10 +180,11 @@ _HELPERS: list[Helper] = []
 _owner: Optional[int] = None
 
 
-def helpers(serve: Callable[[BinaryIO, int], None]) -> list[Helper]:
+def helpers(serve: Callable[[Feed, int, int], None]) -> list[Helper]:
     """The helpers this process may use now: one per usable CPU beyond
     the first, or at least one, forking any that are missing, each to run
-    serve(feed, acks). Empty where fork_pays() does not hold, in a process
+    serve(feed, acks, results), acks and results being the write ends of
+    those pipes, results non-blocking. Empty where fork_pays() does not hold, in a process
     that did not fork the live ones, or where every fork fails. A helper
     that has died since the last call is reaped first, and replaced. The
     process has one pool, so every caller passes the same serve."""
@@ -148,31 +202,38 @@ def helpers(serve: Callable[[BinaryIO, int], None]) -> list[Helper]:
     return list(_HELPERS)
 
 
-def _fork(serve: Callable[[BinaryIO, int], None]) -> Optional[Helper]:
+def _fork(serve: Callable[[Feed, int, int], None]) -> Optional[Helper]:
     feed_in, feed_out = os.pipe()
     acks_in, acks_out = os.pipe()
+    results_in, results_out = os.pipe()
     try:
         pid = os.fork()
     except OSError:
-        for fd in (feed_in, feed_out, acks_in, acks_out):
+        for fd in (feed_in, feed_out, acks_in, acks_out, results_in, results_out):
             os.close(fd)
         return None
     if pid == 0:
         code = 1
         try:
-            os.close(feed_out)
-            os.close(acks_in)
-            with open(feed_in, "rb") as feed:
-                serve(feed, acks_out)
+            for fd in (feed_out, acks_in, results_in):
+                os.close(fd)
+            os.set_blocking(results_out, False)
+            serve(Feed(feed_in), acks_out, results_out)
             code = 0
         finally:
             # Leave without running the parent's cleanup or flushing its
             # buffered output a second time.
             os._exit(code)
-    os.close(feed_in)
-    os.close(acks_out)
+    for fd in (feed_in, acks_out, results_out):
+        os.close(fd)
     os.set_blocking(acks_in, False)
-    return Helper(pid, feed_out, acks_in)
+    os.set_blocking(results_in, False)
+    return Helper(pid, feed_out, acks_in, results_in)
+
+
+def _close_ends(helper: Helper) -> None:
+    for fd in (helper._feed, helper._acks, helper._results):
+        os.close(fd)
 
 
 def close() -> None:
@@ -188,8 +249,7 @@ def _forget_helpers() -> None:
     """In a child just forked: closes the owner's pipe ends, which only
     the owner may use."""
     for helper in _HELPERS:
-        os.close(helper._feed)
-        os.close(helper._acks)
+        _close_ends(helper)
     _HELPERS.clear()
 
 
@@ -198,4 +258,4 @@ if hasattr(os, "register_at_fork"):
 atexit.register(close)
 
 
-__all__ = ["usable_cpus", "fork_pays", "Helper", "helpers", "close"]
+__all__ = ["usable_cpus", "fork_pays", "Helper", "Feed", "helpers", "close"]

@@ -39,6 +39,14 @@ A check that failed there, or a helper that died, makes the caller judge
 again with every check inline. Where forks.fork_pays() does not hold
 (the platform cannot fork, another thread is alive, or the process may
 use one CPU), and in every other caller, every check is inline.
+
+A checks object is also the key source of the caller that draws keys
+through it (generate_keypairs(rng, n, checks)). InlineChecks derives each
+key when it is drawn. A run's SentChecks has its first helper derive, in
+the time its checks leave it, the public keys of the seeds the engine
+will draw next, and takes a key from there only when its seed is exactly
+one drawn; otherwise, and under the `cryptography` backend, it derives
+the key itself, never waiting for the helper.
 """
 
 from __future__ import annotations
@@ -48,8 +56,10 @@ import hashlib
 import os
 import pickle
 import random
+from collections import deque
 from dataclasses import field
-from typing import BinaryIO, Callable, Iterable, NamedTuple, Optional, Sequence, Union
+from itertools import islice
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives import serialization
@@ -60,7 +70,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
 
 from .encoding import BLOB, F64, U32, encode, fixed, frozen, pack, wire
 from .errors import EscrowDenied, InvalidValidity, UnknownCertificate, UnknownEntity
-from .forks import Helper, helpers
+from .forks import Feed, Helper, helpers
 
 EntityId = str
 
@@ -87,12 +97,15 @@ _NODE_TAG = b"\x01"
 class Backend(NamedTuple):
     """The three Ed25519 primitives. keypair(seed) gives (public key,
     signer); signer is what sign takes to sign under that seed. verify is
-    called only with a 32-byte key and a 64-byte signature."""
+    called only with a 32-byte key and a 64-byte signature. signer(seed,
+    public key), where a backend has it, builds the signer from a seed
+    and its public key derived already, at no derivation's cost."""
 
     name: str
     keypair: Callable[[bytes], tuple[bytes, object]]
     sign: Callable[[object, bytes], bytes]
     verify: Callable[[bytes, bytes, bytes], bool]
+    signer: Optional[Callable[[bytes, bytes], object]] = None
 
 
 def _load_libsodium() -> Optional[Backend]:
@@ -143,7 +156,10 @@ def _load_libsodium() -> Optional[Backend]:
     def verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
         return verify_detached(signature, message, len(message), public_key) == 0
 
-    return Backend("libsodium", keypair, sign, verify)
+    def signer(seed: bytes, public: bytes) -> bytes:
+        return seed + public
+
+    return Backend("libsodium", keypair, sign, verify, signer)
 
 
 _P = 2**255 - 19
@@ -220,6 +236,30 @@ def generate_keypair(rng: random.Random) -> KeyPair:
     seed = rng.randbytes(SECRET_KEY_SIZE)
     public, signer = BACKEND.keypair(seed)
     return KeyPair(public_key=public, secret_key=seed, signer=signer)
+
+
+def generate_keypairs(rng: random.Random, n: int, checks: "Checks") -> list[KeyPair]:
+    """n key pairs drawn from the caller's seeded RNG as n calls of
+    generate_keypair would draw them, one 32-byte seed after the other,
+    with their public keys and signers from checks.keypairs: a
+    SentChecks may answer some from keys its helper derived ahead."""
+    seeds = [rng.randbytes(SECRET_KEY_SIZE) for _ in range(n)]
+    return [
+        KeyPair(public_key=public, secret_key=seed, signer=signer)
+        for seed, (public, signer) in zip(seeds, checks.keypairs(seeds))
+    ]
+
+
+class KeyStream(random.Random):
+    """A Random that counts the bytes randbytes has drawn from it, so that
+    whoever holds a copy of its state at some count can find the bytes it
+    draws at any later one."""
+
+    drawn = 0
+
+    def randbytes(self, n: int) -> bytes:
+        self.drawn += n
+        return self.getrandbits(n * 8).to_bytes(n, "little")
 
 
 def _sign_raw(keys: KeyPair, message: bytes) -> bytes:
@@ -435,6 +475,12 @@ class InlineChecks:
     signed_roots and not checked again, so a caller judging many
     transactions checks one CA signature per batch per object. The key
     holds the CA keys, so one object may meet any genesis.
+
+    A checks object is also its caller's key source: keypairs(seeds)
+    gives the (public key, signer) of each seed as BACKEND.keypair does,
+    and derive_ahead(rng, keys) says that about `keys` seeds are drawn
+    from the KeyStream rng next, one after the other. Here every key is
+    derived when it is asked, and derive_ahead does nothing.
     """
 
     def __init__(self) -> None:
@@ -456,16 +502,31 @@ class InlineChecks:
         self.signed_roots.add(signed)
         return True
 
+    def keypairs(self, seeds: Sequence[bytes]) -> list[tuple[bytes, object]]:
+        return [BACKEND.keypair(seed) for seed in seeds]
+
+    def derive_ahead(self, rng: KeyStream, keys: int) -> None:
+        pass
+
 
 # SentChecks sends its checks to a helper in lists of this many, so that
 # a pipe is written once per list, not once per check. The list is short,
 # so that the checks still unacked when a call ends are few.
 _LIST = 16
-# The message that resets a helper for a new call.
+# The message that resets a helper for a new call, and the one that stops
+# the keys it derives ahead.
 _BEGIN = pickle.dumps(None)
+_STOP = pickle.dumps(())
 # The most lists a helper may hold unacked. Its acks pipe holds 64 KiB of
 # them; a helper blocked on a full one would stop reading its feed.
 _MAX_IN_FLIGHT = 1 << 12
+# A key derived ahead, as its helper writes it back: its seed, then its
+# public key. The helper derives this many keys between two reads of its
+# feed, and writes their pairs in one write, which a pipe takes whole.
+_PAIR = SECRET_KEY_SIZE + PUBLIC_KEY_SIZE
+_GROUP = 8
+# A helper derives keys ahead only while at most this many lists wait.
+_BACKLOG = 4
 
 
 class SentChecks:
@@ -491,10 +552,36 @@ class SentChecks:
     with its batch roots kept, a certificate costs little more than
     sending it would.
 
-    close() sends the last, short list and waits for every ack: True
-    when every check held, wherever it was made. A check that failed, or
-    a helper that died or was killed, makes it False. Calling it again
-    gives the same answer.
+    Keys derived ahead. derive_ahead(rng, keys) tells the first helper
+    where the KeyStream rng stands (a copy of its state the first time,
+    then only the count of bytes drawn from it) and that about `keys`
+    seeds of 32 bytes are drawn from it next, one after the other. The
+    helper draws those bytes from its own copy of the state, derives the
+    public key of each seed with BACKEND.keypair while no more than
+    _BACKLOG lists wait for it, so that its checks fall behind by a few
+    lists at most, and writes each (seed, public key) back on its results
+    pipe, without blocking. It derives no more once the pipe is full, a
+    newer count comes, or the call ends. keypairs(seeds) reads whatever pairs have come,
+    without blocking, takes a pair only when its seed is exactly one of
+    seeds, and derives the others here, from the last seed back, reading
+    again between two, so that the helper going forward and this process
+    going back meet: the caller never waits for a derivation. No byte
+    moves: the caller still draws every seed itself, in its own order,
+    and a pair only spares it the public key that the backend would
+    derive from that seed. A key that signs a check sent here is
+    confirmed by that check, since a signature made with seed || wrong
+    key does not verify under the wrong key. A key that signs none (one
+    left in a pool, or one whose certificate only names the vehicle) is
+    taken on the helper's word, as every verdict a helper acks is. This
+    is done only where the backend builds a signer from a seed and its
+    public key at no cost (Backend.signer, libsodium). Under
+    `cryptography` a signer costs a derivation anyway, so every key is
+    derived here and no snapshot is sent.
+
+    close() stops the keys derived ahead, sends the last, short list and
+    waits for every ack: True when every check held, wherever it was
+    made. A check that failed, or a helper that died or was killed,
+    makes it False. Calling it again gives the same answer.
     """
 
     def __init__(self, helpers: list[Helper], room: Optional[int]) -> None:
@@ -504,6 +591,10 @@ class SentChecks:
         self._room = room
         self._list: list[tuple] = []
         self._next = 0  # the full helper whose acks are read next
+        # The helper that derives keys ahead, once a snapshot went to it,
+        # and the pairs read back from it, seed to public key.
+        self._deriver: Optional[Helper] = None
+        self._ahead: dict[bytes, bytes] = {}
         for helper in helpers:
             helper.begin(_BEGIN)
 
@@ -534,8 +625,45 @@ class SentChecks:
         ))
         return True
 
+    def keypairs(self, seeds: Sequence[bytes]) -> list[tuple[bytes, object]]:
+        if self._deriver is None:
+            return [BACKEND.keypair(seed) for seed in seeds]
+        # The helper derives from the first seed on, so the keys not come
+        # yet are derived here from the last one back, until the two meet.
+        keys: list = [None] * len(seeds)
+        low, high = 0, len(seeds)
+        while low < high:
+            pairs = self._deriver.results()
+            for at in range(0, len(pairs), _PAIR):
+                self._ahead[pairs[at:at + SECRET_KEY_SIZE]] = pairs[at + SECRET_KEY_SIZE:at + _PAIR]
+            while low < high and seeds[low] in self._ahead:
+                keys[low] = self._taken(seeds[low])
+                low += 1
+            if low < high:
+                high -= 1
+                seed = seeds[high]
+                keys[high] = self._taken(seed) if seed in self._ahead else BACKEND.keypair(seed)
+        return keys
+
+    def _taken(self, seed: bytes) -> tuple[bytes, object]:
+        public = self._ahead.pop(seed)
+        return public, BACKEND.signer(seed, public)
+
+    def derive_ahead(self, rng: KeyStream, keys: int) -> None:
+        if BACKEND.signer is None:
+            return
+        if self._deriver is None:
+            self._deriver = self._helpers[0]
+            while self._deriver.results():  # pairs a call before left unread
+                pass
+            self._deriver.tell(pickle.dumps((rng.getstate(), rng.drawn, keys)))
+        else:
+            self._deriver.tell(pickle.dumps((rng.drawn, keys)))
+
     def close(self) -> bool:
         if self._held is None:
+            if self._deriver is not None:
+                self._deriver.tell(_STOP)
             if self._list:
                 self._send()
             for helper in self._helpers:
@@ -580,23 +708,101 @@ def _check(checks: InlineChecks, check: tuple) -> bool:
     return checks.certificate(PseudonymCertificate(*check[:-1]), check[-1])
 
 
-def _serve_checks(feed: BinaryIO, acks: int) -> None:
+class _Drawn:
+    """What a helper knows of its caller's KeyStream: a copy made when
+    `drawn` bytes had been drawn from it, and the bytes drawn from the
+    copy since, from the first a later read may ask for on."""
+
+    def __init__(self, state: tuple, drawn: int) -> None:
+        self._rng = random.Random()
+        self._rng.setstate(state)
+        self._at = drawn
+        self._bytes = bytearray()
+
+    def read(self, at: int, n: int) -> bytes:
+        """The n bytes the caller's stream draws once `at` are drawn: at
+        is never less than at the read before. Every count is a whole
+        number of 4-byte words, as the caller draws 16 or 32 bytes at a
+        time, so the copy draws the same words in the same order."""
+        skipped = at - self._at - len(self._bytes)
+        if skipped > 0:
+            self._rng.randbytes(skipped)
+            self._bytes.clear()
+        else:
+            del self._bytes[:at - self._at]
+        self._at = at
+        if len(self._bytes) < n:
+            self._bytes += self._rng.randbytes(n - len(self._bytes))
+        return bytes(self._bytes[:n])
+
+
+def _keys_ahead(seeds: bytes, done: set[bytes]) -> Iterator[bytes]:
+    """(seed, public key) pairs of the 32-byte seeds in a row in seeds. A
+    seed in done is not derived again: b"" stands for it."""
+    for at in range(0, len(seeds), SECRET_KEY_SIZE):
+        seed = seeds[at:at + SECRET_KEY_SIZE]
+        if seed in done:
+            yield b""
+        else:
+            done.add(seed)
+            yield seed + BACKEND.keypair(seed)[0]
+
+
+def _serve_checks(feed: Feed, acks: int, results: int) -> None:
     """A check helper's work: reads lists of checks from feed until it
     ends, and answers each with one byte, 1 when every check of the list
     held. A None resets it for a new call: a new InlineChecks, and
     checking again. After a check fails it checks nothing more, and
-    answers 0 to every list, until the next reset."""
+    answers 0 to every list, until the next reset.
+
+    A (state, drawn, keys) snapshot of a caller's KeyStream, or a (drawn,
+    keys) one of the same stream since, starts the keys derived ahead of
+    it (_keys_ahead), in place of any before, and an empty one stops them;
+    either takes effect as soon as it is read, ahead of the lists read
+    with it. Keys are derived _GROUP at a time between two reads of the
+    feed, and only while at most _BACKLOG lists wait: past that, lists
+    come first, so that the checks fall behind by a few lists at most. A
+    seed already derived from a stream is not derived again, and each
+    group of pairs goes to results in one write, which never blocks: once
+    the pipe is full, nobody reads it, and the helper derives no more
+    until the next snapshot."""
     checks, held = InlineChecks(), True
+    waiting: deque = deque()  # lists and resets, in the order sent
+    stream: Optional[_Drawn] = None
+    done: set[bytes] = set()  # the seeds derived from stream
+    ahead: Optional[Iterator[bytes]] = None
     while True:
         try:
-            message = pickle.load(feed)
+            messages = feed.read(wait=not waiting and ahead is None)
         except EOFError:
             return
-        if message is None:
-            checks, held = InlineChecks(), True
-            continue
-        held = held and all(_check(checks, check) for check in message)
-        os.write(acks, b"\x01" if held else b"\x00")
+        for message in map(pickle.loads, messages):
+            if not isinstance(message, tuple):
+                waiting.append(message)
+                continue
+            ahead = None
+            if len(message) == 3:
+                stream, done = _Drawn(*message[:2]), set()
+            if message:
+                drawn, keys = message[-2:]
+                ahead = _keys_ahead(stream.read(drawn, SECRET_KEY_SIZE * keys), done)
+        if ahead is not None and len(waiting) <= _BACKLOG:
+            group = list(islice(ahead, _GROUP))
+            if len(group) < _GROUP:
+                ahead = None
+            pairs = b"".join(group)
+            if pairs:
+                try:
+                    os.write(results, pairs)
+                except BlockingIOError:  # nobody reads them: derive no more
+                    ahead = None
+        elif waiting:
+            message = waiting.popleft()
+            if message is None:
+                checks, held = InlineChecks(), True
+            else:
+                held = held and all(_check(checks, check) for check in message)
+                os.write(acks, b"\x01" if held else b"\x00")
 
 
 Checks = Union[InlineChecks, SentChecks]
@@ -669,6 +875,7 @@ def derive_shared_key(rng: random.Random) -> bytes:
 __all__ = [
     "EntityId",
     "KeyPair",
+    "KeyStream",
     "PseudonymCertificate",
     "CertificateBatch",
     "IdentityEscrow",

@@ -33,6 +33,7 @@ import math
 import random
 from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import partial
+from itertools import islice
 from typing import Callable, Optional, Union
 
 from .adjudicator import (
@@ -52,9 +53,11 @@ from .identity import (
     IdentityEscrow,
     InlineChecks,
     KeyPair,
+    KeyStream,
     SentChecks,
     derive_shared_key,
     generate_keypair,
+    generate_keypairs,
     issue_certificate,
     open_sealed,
     seal_to_key,
@@ -514,6 +517,14 @@ def case_from_jsonable(data: dict) -> CollisionCase:
     return _object(CollisionCase)(data, "$")
 
 
+def case_params_from_jsonable(data: dict) -> AdjudicationParams:
+    """The parameters a collision-case file is judged under: its
+    "adjudication" object, read as a scenario config's is, with the
+    config's defaults for every key it leaves out."""
+    read = record({"adjudication": _SCHEMA[ScenarioConfig]["adjudication"]})
+    return read(data, "$").get("adjudication", AdjudicationParams())
+
+
 def _to_jsonable(value):
     if isinstance(value, enum.Enum):
         return value.value
@@ -605,9 +616,9 @@ class WitnessStatement:
 
 # --- engine internals ---------------------------------------------------------
 
-def _substream(seed: int, label: str) -> random.Random:
+def _substream(seed: int, label: str, stream: type = random.Random) -> random.Random:
     digest = hashlib.sha256(f"avledger:{seed}:{label}".encode()).digest()
-    return random.Random(int.from_bytes(digest[:8], "big"))
+    return stream(int.from_bytes(digest[:8], "big"))
 
 
 _TERMINAL_STATES = ("committed", "rejected", "undeliverable")
@@ -694,8 +705,16 @@ _REQUESTERS = (("ic-0", Role.INSURER, 5.0), ("am-0", Role.MANUFACTURER, 20.0))
 # so no key is thrown away before the run ends. A vehicle whose pool runs
 # dry between fleet batches gets a batch of one fresh key. A pool names
 # each key's place in its batch, and its certificate is built when the
-# vehicle uses the key.
+# vehicle uses the key. Every key is drawn through the run's checks object
+# (generate_keypairs(rng_keys, n, checks)), and the engine tells it where
+# rng_keys stands and how many keys the next fleet batch is likely to draw
+# (_derive_ahead), so that a check helper can derive them ahead. rng_keys
+# draws nothing after __init__ but 32-byte seeds and 16-byte certificate
+# nonces.
 POOL_START = 4
+# The keys a check helper is asked to derive ahead stay at least this many
+# ahead of the keys used since the last fleet batch (see _derive_ahead).
+KEYS_AHEAD = 8
 # Every leaf's window is [batch time - _WINDOW_SLACK_SECS, batch time +
 # 2 * cert_validity_secs), so any use before the next fleet batch keeps at
 # least cert_validity_secs of it, and evidence stamped up to
@@ -709,7 +728,7 @@ class ScenarioEngine:
     def __init__(self, config: ScenarioConfig) -> None:
         self.config = config
         seed = config.seed
-        self.rng_keys = _substream(seed, "keys")
+        self.rng_keys = _substream(seed, "keys", KeyStream)
         self.rng_net = _substream(seed, "net")
         self.rng_sim = _substream(seed, "sim")
         self.rng_payload = _substream(seed, "payload")
@@ -724,6 +743,9 @@ class ScenarioEngine:
 
         self.escrow = IdentityEscrow("gta-0", "la-0")
         self._batch_at: Optional[float] = None  # time of the last fleet batch
+        self._fleet_keys = 0  # fresh keys it drew
+        self._used = 0  # keys used since
+        self._asked = 0  # keys the run's checks were last told the next one draws
 
         # vehicles
         self.vehicles: list[_VehicleActor] = []
@@ -830,10 +852,14 @@ class ScenarioEngine:
         if self._batch_at is None or at >= self._batch_at + self.config.cert_validity_secs:
             self._issue_fleet_batch(at)
         if not vehicle.pool:
-            self._certify([(vehicle, generate_keypair(self.rng_keys))], at)
+            self._certify([(vehicle, generate_keypairs(self.rng_keys, 1, self._checks)[0])], at)
+            self._derive_ahead()
         keys, batch, index = vehicle.pool.pop(0)
         cert = batch[index]
         vehicle.used += 1
+        self._used += 1
+        if self._used + KEYS_AHEAD > self._asked:
+            self._derive_ahead()
         vehicle.cert_history.append((keys.public_key, cert))
         vehicle.used_cert_ids.add(cert.cert_id)
         # The escrow learns a certificate's vehicle at first use: one never
@@ -844,16 +870,34 @@ class ScenarioEngine:
     def _issue_fleet_batch(self, at: float) -> None:
         """Re-certifies every vehicle's pool, topped up, in one batch whose
         leaves are shuffled so that no run of indexes marks one vehicle."""
-        leaves = []
-        for vehicle in self.vehicles:
-            fresh = POOL_START if self._batch_at is None else vehicle.used
-            keys = [k for k, _, _ in vehicle.pool] + [generate_keypair(self.rng_keys) for _ in range(fresh)]
+        first, leaves = self._batch_at is None, []
+        fresh = [POOL_START if first else vehicle.used for vehicle in self.vehicles]
+        drawn = iter(generate_keypairs(self.rng_keys, sum(fresh), self._checks))
+        for vehicle, n in zip(self.vehicles, fresh):
+            keys = [k for k, _, _ in vehicle.pool] + list(islice(drawn, n))
             vehicle.pool.clear()
             vehicle.used = 0
             leaves += [(vehicle, k) for k in keys]
         self.rng_leaves.shuffle(leaves)
         self._certify(leaves, at)
         self._batch_at = at
+        self._fleet_keys = len(self.vehicles) if first else sum(fresh)
+        self._used = 0
+        self._derive_ahead()
+
+    def _derive_ahead(self) -> None:
+        """Tells the run's checks where rng_keys stands and how many keys
+        the next fleet batch is likely to draw, unless the timeline ends
+        before that batch is due. That batch draws a fresh key per key
+        used until then: about as many as the last fleet batch drew (one
+        per vehicle after the first), and at least as many as are used
+        already. So the count asked for is the larger of the two, with
+        2 * KEYS_AHEAD to spare on the second, and _rotate asks again
+        once the keys used come within KEYS_AHEAD of it."""
+        self._asked = max(self._fleet_keys, self._used + 2 * KEYS_AHEAD)
+        timeline = self.config.timeline
+        if timeline and self._batch_at + self.config.cert_validity_secs <= timeline[-1].at:
+            self._checks.derive_ahead(self.rng_keys, self._asked)
 
     def _certify(self, leaves: list[tuple[_VehicleActor, KeyPair]], at: float) -> None:
         """One CA batch over the given keys, in order; each key goes to
@@ -1348,14 +1392,21 @@ class ScenarioEngine:
         forked at the first call that wants them and serve every later
         one), run sends every certificate and signature check of every
         round to them through an identity.SentChecks, and each round is
-        judged as if they held. Before run returns or raises, it waits
-        for every helper to confirm the checks it was sent. If a check
+        judged as if they held. The same object is the run's key source:
+        told where rng_keys stands as the run goes (_derive_ahead), the
+        first helper derives, in the time its checks leave it, the public
+        keys of the seeds the next fleet batch will draw, and the engine
+        takes each key from there when its seed is exactly one it drew,
+        never waiting for one. Before run returns or raises, it waits for
+        every helper to confirm the checks it was sent; a wrong public
+        key fails the check of a signature made under it. If a check
         failed there, or a helper died, the run is thrown away, whether
         it returned or raised an Exception: the engine is rebuilt in
         place from its config and the scenario runs again with every
-        check inline. So the result, the engine's state and any exception
-        are those of the inline path; only the replay logs again the
-        run's one log.info line (a replica attack being applied). A
+        check inline and every key derived here. So the result, the
+        engine's state and any exception are those of the inline path;
+        only the replay logs again the run's one log.info line (a replica
+        attack being applied). A
         KeyboardInterrupt or SystemExit propagates once the acks are in,
         with no replay.
         """
@@ -1363,6 +1414,9 @@ class ScenarioEngine:
         if sent is None:
             return self._play()
         inline, self._checks = self._checks, sent
+        if self._batch_at is None:
+            # The first fleet batch draws the first seeds after __init__.
+            sent.derive_ahead(self.rng_keys, POOL_START * len(self.vehicles))
         try:
             result = self._play()
         except Exception:

@@ -7,13 +7,16 @@ import json
 import pytest
 
 from avledger import scenarios
+from avledger.adjudicator import AdjudicationParams
 from avledger.cli import main
+from avledger.errors import ConfigError
 from avledger.ledger import load_ledger, save_ledger
 from avledger.scenarios import (
     AttackClass,
     NetworkConfig,
     ScenarioEngine,
     case_from_jsonable,
+    case_params_from_jsonable,
     config_to_jsonable,
     make_attack_config,
     make_benign_config,
@@ -342,11 +345,11 @@ def _replay_configs() -> dict:
     return configs
 
 
-def test_every_engine_verdict_replays_from_the_saved_ledgers(tmp_path, capsys, monkeypatch):
-    """The engine and `avledger adjudicate` judge one case of tids by one
-    rule: each case the engine adjudicates, written as a case file,
-    gives the same verdict JSON from the two saved ledger files. No
-    verdict or detection cites a record missing from its partition."""
+def _replay_every_verdict(tmp_path, capsys, monkeypatch, params=None) -> tuple[int, int]:
+    """Runs every replay config, under params where given, and replays
+    each case the engine adjudicates through `avledger adjudicate` from
+    the two saved ledgers, with params in the case file. Returns the
+    number of verdicts replayed and of forged copies found on P2."""
     calls = []
 
     def spy(case, ledger, decisions, params, at=None):
@@ -358,6 +361,8 @@ def test_every_engine_verdict_replays_from_the_saved_ledgers(tmp_path, capsys, m
     p1_path, p2_path, case_path = tmp_path / "p1.bin", tmp_path / "p2.bin", tmp_path / "case.json"
     replayed = forged_copies = 0
     for name, config in sorted(_replay_configs().items()):
+        if params is not None:
+            config = dataclasses.replace(config, adjudication=params)
         calls.clear()
         result = ScenarioEngine(config).run()
         p1, p2 = result.ledgers["P1"], result.ledgers["P2"]
@@ -367,6 +372,9 @@ def test_every_engine_verdict_replays_from_the_saved_ledgers(tmp_path, capsys, m
         for (case, at), verdict in zip(calls, result.report.verdicts):
             data = _case_jsonable(case)
             assert case_from_jsonable(data) == case, name
+            if params is not None:
+                data["adjudication"] = config_to_jsonable(config)["adjudication"]
+                assert case_params_from_jsonable(data) == params, name
             case_path.write_text(json.dumps(data))
             assert run_cli("adjudicate", str(p1_path), str(p2_path), str(case_path), "--at", repr(at)) == 0, name
             assert json.loads(capsys.readouterr().out) == verdict, name
@@ -376,7 +384,50 @@ def test_every_engine_verdict_replays_from_the_saved_ledgers(tmp_path, capsys, m
             for tid in detection.get("forged_ret_tids", ()):
                 assert p2.find(bytes.fromhex(tid)).kind is TxKind.EVIDENCE_REQUEST, name
                 forged_copies += 1
-    assert (replayed, forged_copies) == (163, 190)
+    return replayed, forged_copies
+
+
+def test_every_engine_verdict_replays_from_the_saved_ledgers(tmp_path, capsys, monkeypatch):
+    """The engine and `avledger adjudicate` judge one case of tids by one
+    rule: each case the engine adjudicates, written as a case file,
+    gives the same verdict JSON from the two saved ledger files. No
+    verdict or detection cites a record missing from its partition."""
+    assert _replay_every_verdict(tmp_path, capsys, monkeypatch) == (163, 190)
+
+
+# Every adjudication key off its default, each tighter than it.
+OFF_DEFAULT_PARAMS = AdjudicationParams(
+    negligence_deadline_secs=600.0,
+    maintenance_window_secs=300.0,
+    staged_window_secs=60.0,
+    staged_threshold=2,
+    time_tol_secs=0.5,
+    dist_tol_m=20.0,
+)
+
+
+def test_every_engine_verdict_replays_under_off_default_adjudication(tmp_path, capsys, monkeypatch):
+    """The same replay under a config that sets every adjudication key
+    off its default: the case file carries the parameters, and the CLI
+    judges under them, not under the defaults."""
+    assert all(
+        getattr(OFF_DEFAULT_PARAMS, f.name) != f.default for f in dataclasses.fields(AdjudicationParams)
+    )
+    assert _replay_every_verdict(tmp_path, capsys, monkeypatch, OFF_DEFAULT_PARAMS) == (163, 190)
+
+
+def test_a_case_file_reads_its_parameters_as_a_config_does():
+    """A case file without "adjudication" is judged under the defaults;
+    one with it under its keys, each read and refused as a scenario
+    config's, with the config's default for a key it leaves out."""
+    case = {"case_id": "c", "collision_at": 1.0, "parties": [{"vehicle": "av-0"}]}
+    assert case_params_from_jsonable(case) == AdjudicationParams()
+    partial = dict(case, adjudication={"staged_threshold": 5})
+    assert case_params_from_jsonable(partial) == AdjudicationParams(staged_threshold=5)
+    with pytest.raises(ConfigError, match=r"\$\.adjudication\.staged_threshold"):
+        case_params_from_jsonable(dict(case, adjudication={"staged_threshold": 0}))
+    with pytest.raises(ConfigError, match=r"\$\.adjudication"):
+        case_params_from_jsonable(dict(case, adjudication=[]))
 
 
 # --- keys ---------------------------------------------------------------------

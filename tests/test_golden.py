@@ -107,9 +107,20 @@ def test_golden_bytes_on_every_check_path(monkeypatch, tmp_path, path):
     """Every golden run gives its pinned bytes with its Ed25519 checks
     made in the process's check helper or inline, whatever this host
     would choose, and with the helper under the `cryptography`
-    backend."""
+    backend. On the helper path, where the backend builds a signer from
+    a seed and its public key (libsodium), the runs take pseudonym keys
+    that the helper derived ahead; on the others they take none."""
     monkeypatch.setattr(forks, "fork_pays", lambda: path != "inline")
+    real, taken = identity.BACKEND, []
     if path.endswith("cryptography"):
         monkeypatch.setattr(identity, "BACKEND", identity.CRYPTOGRAPHY)
+    elif real.signer is not None:
+
+        def signer(seed, public):
+            taken.append(seed)
+            return real.signer(seed, public)
+
+        monkeypatch.setattr(identity, "BACKEND", real._replace(signer=signer))
     moved = [run for run in sorted(CONFIGS) if artefact_fingerprints(CONFIGS[run], str(tmp_path)) != GOLDEN[run]]
     assert not moved, f"bytes moved in {moved}"
+    assert bool(taken) is (path == "helper" and real.signer is not None)

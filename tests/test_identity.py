@@ -715,3 +715,112 @@ def test_no_verdict_carries_from_one_call_to_the_next(monkeypatch, tmp_path):
     for cert in [*certs[:15], forged]:
         sent.certificate(cert, ca_keys)
     assert sent.close() is False
+
+
+# --- keys derived ahead -------------------------------------------------------------
+
+# A backend under which keys are taken from a helper: the host's when it
+# builds a signer from a seed and its public key at no cost (libsodium),
+# else `cryptography` with a signer that derives the key again.
+KEY_BACKEND = (
+    identity.BACKEND
+    if identity.BACKEND.signer is not None
+    else identity.CRYPTOGRAPHY._replace(signer=lambda seed, public: identity.CRYPTOGRAPHY.keypair(seed)[1])
+)
+
+
+def _wrong_key(seeds, done):
+    for pair in _KEYS_AHEAD(seeds, done):
+        yield pair[:-1] + bytes([pair[-1] ^ 0x01]) if pair else pair
+
+
+_KEYS_AHEAD = identity._keys_ahead
+
+
+def _take_keys(monkeypatch, backend, keys_ahead=None, sign=False, n=24):
+    """n keys drawn from a seeded rng through one SentChecks, after a
+    snapshot of the rng; with sign, each key then signs one check sent
+    there. A full list of valid checks is sent after the snapshot, and
+    acked only once the helper has derived every key of it (one list
+    waiting does not hold back a derivation), so the keys are all ahead
+    before the first is drawn. Returns the keys, the seeds of those taken
+    from the helper and close()'s answer."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    taken = []
+
+    def signer(seed, public):
+        taken.append(seed)
+        return backend.signer(seed, public)
+
+    monkeypatch.setattr(identity, "BACKEND", backend._replace(signer=backend.signer and signer))
+    if keys_ahead is not None:
+        monkeypatch.setattr(identity, "_keys_ahead", keys_ahead)
+    sent = SentChecks.open()
+    rng = identity.KeyStream(11)
+    sent.derive_ahead(rng, n)
+    for check in _signed_checks(16, seed=12):
+        sent.signature(*check)
+    for helper in forks._HELPERS:
+        helper.wait()
+    keys = identity.generate_keypairs(rng, n, sent)
+    if sign:
+        for key in keys:
+            message = tx_message(key.secret_key)
+            sent.signature(key.public_key, message, identity._sign_raw(key, message))
+    return keys, taken, sent.close()
+
+
+@pytest.mark.parametrize("sign", [False, True], ids=["signing nothing", "each signing a check"])
+def test_keys_taken_from_a_helper_are_the_backends_keys(monkeypatch, sign):
+    """Every key is taken from the helper, equal to the key derived here
+    from the same seed, and signs as it would: close() holds."""
+    keys, taken, held = _take_keys(monkeypatch, KEY_BACKEND, sign=sign)
+    clone = random.Random(11)
+    assert keys == [generate_keypair(clone) for _ in keys]
+    assert taken == [key.secret_key for key in keys] and held is True
+    message = tx_message(bytes(32))
+    assert all(identity._verify_raw(key.public_key, message, identity._sign_raw(key, message)) for key in keys)
+
+
+def test_a_wrong_key_from_a_helper_fails_close(monkeypatch):
+    """The helper answers every public key with its last bit flipped.
+    The keys are taken, each signs a check sent to the helper, and
+    close() says False: a signature made with seed || wrong key does not
+    verify under the wrong key."""
+    keys, taken, held = _take_keys(monkeypatch, KEY_BACKEND, _wrong_key, sign=True)
+    assert taken == [key.secret_key for key in keys] and held is False
+
+
+def test_no_key_is_derived_ahead_under_cryptography(monkeypatch):
+    """Under `cryptography` no snapshot goes to a helper, every key is
+    derived here, and close() holds."""
+    told = []
+    tell = forks.Helper.tell
+
+    def recording(helper, message):
+        told.append(message)
+        tell(helper, message)
+
+    monkeypatch.setattr(forks.Helper, "tell", recording)
+    keys, taken, held = _take_keys(monkeypatch, identity.CRYPTOGRAPHY)
+    clone = random.Random(11)
+    assert keys == [generate_keypair(clone) for _ in keys]
+    assert taken == [] and told == [identity._BEGIN] and held is True
+
+
+def test_a_helper_finds_the_bytes_a_key_stream_draws_from_its_count():
+    """_Drawn, made from a copy of a KeyStream's state, reads at any later
+    count the bytes the stream itself draws there, whatever mix of 32-
+    and 16-byte draws came between, and at counts read before."""
+    stream = identity.KeyStream(5)
+    stream.randbytes(96)
+    drawn = identity._Drawn(stream.getstate(), stream.drawn)
+    sizes = random.Random(6).choices([32, 16, 48, 3200], k=60)
+    for size in sizes:
+        at = stream.drawn
+        peek = identity.KeyStream()
+        peek.setstate(stream.getstate())
+        ahead = peek.randbytes(64 * 32)
+        assert drawn.read(at, 64 * 32) == ahead
+        assert drawn.read(at, 2 * 32) == ahead[:64]
+        stream.randbytes(size)

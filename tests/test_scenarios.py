@@ -989,3 +989,160 @@ def test_no_helper_outlives_its_process():
     for pid in pids:
         with pytest.raises(ProcessLookupError):
             os.kill(pid, 0)
+
+
+# --- pseudonym keys derived ahead ---------------------------------------------------
+
+# The backends a run may take keys from its helper under: the host's when
+# it builds a signer from a seed and its public key at no cost
+# (libsodium), and `cryptography` given a signer that derives the key
+# again, so that the path runs on a host without libsodium too.
+KEY_BACKENDS = {
+    "cryptography": identity.CRYPTOGRAPHY._replace(
+        signer=lambda seed, public: identity.CRYPTOGRAPHY.keypair(seed)[1]
+    ),
+}
+if identity.BACKEND.signer is not None:
+    KEY_BACKENDS[identity.BACKEND.name] = identity.BACKEND
+
+
+def _taking_keys(monkeypatch, backend) -> list:
+    """Runs from now on use backend, and the seed of every key this
+    process takes from a helper is listed: Backend.signer builds a
+    signer for those keys and no other."""
+    taken = []
+
+    def signer(seed, public):
+        taken.append(seed)
+        return backend.signer(seed, public)
+
+    monkeypatch.setattr(identity, "BACKEND", backend._replace(signer=signer))
+    return taken
+
+
+def _wrong_key(seeds, done):
+    """Every public key derived ahead with its last bit flipped."""
+    for pair in _KEYS_AHEAD(seeds, done):
+        yield pair[:-1] + bytes([pair[-1] ^ 0x01]) if pair else pair
+
+
+def _no_key(seeds, done):
+    return iter(())
+
+
+def _dying(seeds, done):
+    """Derives five keys, then the helper dies in the middle of its work."""
+    for n, pair in enumerate(_KEYS_AHEAD(seeds, done)):
+        if n == 5:
+            os._exit(1)
+        yield pair
+
+
+_KEYS_AHEAD = identity._keys_ahead
+HELPER_KEYS = {"honest": None, "wrong public key": _wrong_key, "derives nothing": _no_key, "dies mid-derivation": _dying}
+
+
+@pytest.mark.parametrize("helper_keys", sorted(HELPER_KEYS))
+@pytest.mark.parametrize("backend", sorted(KEY_BACKENDS))
+def test_keys_from_the_helper_never_move_a_byte(monkeypatch, tmp_path, backend, helper_keys):
+    """A fleet run that takes its keys from a helper gives the inline
+    bytes: in one play when the helper derives right, and in a replay
+    when it answers a wrong public key or dies mid-derivation. A helper
+    that derives nothing leaves every key to the engine, which never
+    waits for one, in one play."""
+    config = disputes_shaped_config(5, n_events=120)
+    plays = _counting_plays(monkeypatch)
+    taken = _taking_keys(monkeypatch, KEY_BACKENDS[backend])
+    inline = _run_with_helper(monkeypatch, config, False)
+    assert taken == [] and len(plays) == 1
+    if HELPER_KEYS[helper_keys] is not None:
+        monkeypatch.setattr(identity, "_keys_ahead", HELPER_KEYS[helper_keys])
+    deferred = _run_with_helper(monkeypatch, config, True)
+    assert _outputs(deferred, tmp_path, "deferred") == _outputs(inline, tmp_path, "inline")
+    replayed = helper_keys in ("wrong public key", "dies mid-derivation")
+    assert len(plays) == (3 if replayed else 2)
+    assert (len(taken) > 0) is (helper_keys in ("honest", "wrong public key"))
+
+
+def test_a_run_under_cryptography_takes_no_key_from_its_helper(monkeypatch, tmp_path):
+    """Under `cryptography` a signer costs a derivation, so a run sends
+    its helper no snapshot and derives every key itself: same bytes, one
+    play."""
+    config = disputes_shaped_config(5, n_events=60)
+    monkeypatch.setattr(identity, "BACKEND", identity.CRYPTOGRAPHY)
+    inline = _run_with_helper(monkeypatch, config, False)
+    told = []
+    tell = forks.Helper.tell
+
+    def recording(helper, message):
+        told.append(message)
+        tell(helper, message)
+
+    monkeypatch.setattr(forks.Helper, "tell", recording)
+    plays = _counting_plays(monkeypatch)
+    deferred = _run_with_helper(monkeypatch, config, True)
+    assert len(plays) == 1 and told == [identity._BEGIN]
+    assert _outputs(deferred, tmp_path, "deferred") == _outputs(inline, tmp_path, "inline")
+
+
+def test_no_derivation_outlives_the_run_that_asked_for_it(monkeypatch, tmp_path):
+    """Each key the helper derives ahead takes 0.1 s, so the run's last
+    snapshot asks for seconds of them. close() stops them: the run ends
+    without waiting for them, and chain_faults right after it sends its
+    checks to the same helper, which derives nothing more, and finds no
+    fault."""
+    log = tmp_path / "derived"
+
+    def slow(seeds, done):
+        for pair in _KEYS_AHEAD(seeds, done):
+            time.sleep(0.1)
+            with open(log, "a") as out:
+                out.write("k\n")
+            yield pair
+
+    monkeypatch.setattr(identity, "_keys_ahead", slow)
+    _force_helper(monkeypatch, True)
+    monkeypatch.setattr(identity, "BACKEND", identity.BACKEND if identity.BACKEND.signer else KEY_BACKENDS["cryptography"])
+    config = disputes_shaped_config(5, n_events=120)
+    start = time.monotonic()
+    ledger = _run(config).ledgers["P1"]
+    assert time.monotonic() - start < 2.0  # each snapshot asks for 2.4 s of keys or more
+    assert len(ledger.records) >= ledger_module.MIN_SENT_RECORDS
+    derived = log.read_text().count("k")
+    sends = []
+    send = forks.Helper.send
+
+    def recording(helper, message):
+        sends.append(helper.pid)
+        send(helper, message)
+
+    monkeypatch.setattr(forks.Helper, "send", recording)
+    assert chain_faults(ledger) == []
+    time.sleep(0.2)
+    assert sends and log.read_text().count("k") == derived
+
+
+def test_the_key_stream_draws_only_seeds_and_nonces_after_init():
+    """The helper derives the keys of 32-byte seeds drawn in a row, and
+    finds a fleet batch's seeds after an odd number of one-key batches
+    16 bytes on, because after __init__ rng_keys draws nothing but
+    32-byte seeds and 16-byte certificate nonces. A run that draws
+    anything else from it, or draws any other way, fails here."""
+    engine = ScenarioEngine(disputes_shaped_config(5, n_events=120))
+    sizes = []
+
+    class Recording(type(engine.rng_keys)):
+        def randbytes(self, n):
+            sizes.append(n)
+            return super().randbytes(n)
+
+    start = engine.rng_keys.getstate()
+    engine.rng_keys = Recording()
+    engine.rng_keys.setstate(start)
+    engine.run()
+    assert set(sizes) == {32, 16} and sizes.count(32) > 200
+    replay = Recording()
+    replay.setstate(start)
+    for n in list(sizes):
+        replay.randbytes(n)
+    assert replay.getstate() == engine.rng_keys.getstate()
