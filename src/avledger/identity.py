@@ -34,7 +34,8 @@ sends checks to the process's check helpers (see forks), long-lived
 child processes that make them with an InlineChecks of their own while
 the caller goes on, and answers True at once; the caller confirms them
 all at its end (close()). ScenarioEngine.run sends every check of its
-rounds, and chain_faults every signature check while a helper has room.
+rounds, and a chain's judgement (ledger.load_ledger as it reads a file,
+or ledger.chain_faults) every signature check while a helper has room.
 A check that failed there, or a helper that died, makes the caller judge
 again with every check inline. Where forks.fork_pays() does not hold
 (the platform cannot fork, another thread is alive, or the process may
@@ -543,8 +544,8 @@ class SentChecks:
     resets, so no verdict carries from one call to the next. A helper
     runs under the Ed25519 backend this process had when it forked it.
 
-    With room None, every check is sent. With a room, as chain_faults
-    asks, a new list is started only while some helper holds fewer than
+    With room None, every check is sent. With a room, as a chain's
+    judgement asks (ledger._Judgement), a new list is started only while some helper holds fewer than
     room lists unacked, and a check is made here when every helper is
     full; so the split between this process and its helpers follows how
     fast each goes. A full helper's acks are read at most once per check,

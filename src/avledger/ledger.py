@@ -25,6 +25,14 @@ the first fold, covers it; block boundaries are rebuilt from it. The
 trailer names how many records the file holds and the fold value after
 the last one (the genesis id when there is none), so a file cut on a
 record boundary, or an edited genesis in an empty ledger, does not load.
+
+A chain is judged by one rule and one walk (_Judgement): each record by
+the validity rule consensus applied to it, then its fold value, in
+commit order. load_ledger judges each record as soon as it has decoded
+it, so the process's check helpers check signatures while the file is
+still being read, and keeps the faults found on the ledger; chain_faults
+returns them while the ledger holds what was judged, and judges any
+other ledger itself.
 """
 
 from __future__ import annotations
@@ -32,7 +40,8 @@ from __future__ import annotations
 import hashlib
 import os
 from dataclasses import replace
-from typing import Iterable, Optional
+from operator import is_
+from typing import Iterable, NamedTuple, Optional
 
 from .encoding import BOOLEAN, TEXT, U32, encode, fixed, frozen, items, unpack, wire
 from .errors import InvalidGenesis, LedgerFormatError, NotFound, UniquenessViolation
@@ -159,6 +168,9 @@ class PartitionLedger:
     of a collision-free run and every loaded file, holds none (_rows is
     None). append_claimed indexes each record it adds once it exists;
     remove_open drops it.
+
+    A ledger that load_ledger returns also holds what it judged while
+    reading (_judged), which chain_faults uses while it still applies.
     """
 
     def __init__(self, genesis: GenesisBlock) -> None:
@@ -171,6 +183,7 @@ class PartitionLedger:
         self.sealed = 0
         self._by_tid: dict[Hash256, Transaction] = {}
         self._rows: Optional[dict[TxKind, dict[Optional[bytes], list[Transaction]]]] = None
+        self._judged: Optional[_Judged] = None
 
     # -- views ----------------------------------------------------------------
 
@@ -309,6 +322,7 @@ _FAULT_TEXT = {
     Reason.EXPIRED_CERT: "certificate window excludes the body timestamp",
     Reason.DUPLICATE: "duplicate tid",
 }
+_FOLD_MISMATCH = "fold value mismatch"
 
 
 def chain_faults(ledger: PartitionLedger) -> list[str]:
@@ -321,47 +335,41 @@ def chain_faults(ledger: PartitionLedger) -> list[str]:
     names the first policy it fails. Every fold value is recomputed too,
     each block's from the id the block before it claims, and a sealed
     block whose id does not match is named; every faulty position is
-    reported.
+    reported. The walk is a _Judgement's, in commit order.
 
-    The genesis half of the rule, which holds all the signature work,
-    reads only the record and the genesis, so it is judged for the whole
-    chain first, in commit order, with its signature checks spread over
-    this process and its check helpers (see _genesis_reasons). The walk
-    in commit order then applies the committed half, so the faults and
-    their order are those of a serial walk.
+    A ledger that load_ledger returned was judged as it was read: while
+    its genesis, records and folds are still the objects judged (the
+    same objects, in the same places, compared by identity) and its
+    block capacity and sealed count are unchanged, a copy of that
+    judgement's faults is returned. Any other ledger, or one edited in
+    place since its load, is judged here.
     """
-    faults: list[str] = []
-    genesis = ledger.genesis
-    if _genesis_id(genesis) != genesis.block_id:
-        faults.append("genesis: block id does not match its contents")
-    if not genesis.ca_certificates:
-        faults.append("genesis: no CA root certificate")
-        return faults
+    judged = ledger._judged
+    if (
+        judged is not None
+        and judged.genesis is ledger.genesis
+        and (judged.b_max, judged.sealed) == (ledger.b_max, ledger.sealed)
+        and _same(judged.records, ledger.records)
+        and _same(judged.folds, ledger.folds)
+    ):
+        return list(judged.faults)
+    return _Judgement.open(ledger.genesis, ledger.b_max, len(ledger.records)).judge(ledger)
 
-    committed: dict[Hash256, Transaction] = {}
-    folds, b_max = ledger.folds, ledger.b_max
-    reasons = _genesis_reasons(ledger.records, genesis)
-    acc = genesis.block_id
-    for i, (tx, reason, fold) in enumerate(zip(ledger.records, reasons, folds)):
-        pos = i % b_max
-        if not pos:
-            where = f"block {i // b_max}" if i < ledger.sealed else "current"
-            if i:
-                # A block's fold restarts from the id the block before it
-                # claims, so a forged value shows in one block only.
-                acc = folds[i - 1]
-        if reason is Reason.OK:
-            reason = check_tx_committed(tx, committed)
-        if reason is Reason.OK:
-            committed[tx.tid] = tx
-        else:
-            faults.append(f"{where} tx {pos}: tx {tx.tid.hex()[:16]}: {_FAULT_TEXT[reason]} ({reason.value})")
-        acc = fold_step(tx.tid, acc)
-        if acc != fold:
-            faults.append(f"{where} tx {pos}: fold value mismatch")
-            if pos == b_max - 1 and i < ledger.sealed:
-                faults.append(f"{where}: block id does not match recomputed fold")
-    return faults
+
+def _same(judged: tuple, now: list) -> bool:
+    """Whether now holds judged's objects, in the same places."""
+    return len(judged) == len(now) and all(map(is_, judged, now))
+
+
+class _Judged(NamedTuple):
+    """What load_ledger judged, kept on the ledger for chain_faults."""
+
+    genesis: GenesisBlock
+    records: tuple[Transaction, ...]
+    folds: tuple[Hash256, ...]
+    b_max: int
+    sealed: int
+    faults: list[str]
 
 
 # A chain shorter than this is judged with every check in this process.
@@ -370,31 +378,108 @@ def chain_faults(ledger: PartitionLedger) -> list[str]:
 # process, 32 records 2.53 against 2.69 ms, and 64 records 4.5 against
 # 5.4 ms. The first call of a process also pays for forking the helpers.
 MIN_SENT_RECORDS = 64
-# The most lists of signature checks a helper holds unacked while
-# chain_faults goes on: enough that it need not idle while this process
-# fills the next list, few enough that this process waits little for the
-# last acks.
+# The most lists of signature checks a helper holds unacked while a
+# chain is judged: enough that it need not idle while this process fills
+# the next list, few enough that this process waits little for the last
+# acks.
 _HELPER_ROOM = 3
 
 
-def _genesis_reasons(txs: list[Transaction], genesis: GenesisBlock) -> list[Reason]:
-    """check_tx_genesis for every transaction of txs, in order.
+class _Judgement:
+    """The consensus rule and the fold check, applied to a chain's
+    records one at a time, in commit order: add(tx, fold) judges one
+    record, with the fold value claimed after it, against the records
+    added before it, and faults(ledger) gives the faults of a serial walk,
+    in its order. chain_faults has it judge a ledger's records (judge);
+    load_ledger adds each record as it is decoded, so the judgement goes
+    on while the file is read.
 
-    The transactions are judged here, in commit order, with each
-    signature check sent to the check helpers while one has room and
-    made here while all are full (identity.SentChecks); certificates are
-    checked here. If a check failed in a helper, or a helper died, every
-    transaction is judged again with every check here, so the verdicts
-    are those of a serial walk. A chain under MIN_SENT_RECORDS, or a
-    process with no helper, is judged here alone.
+    Each record is judged by check_tx_genesis, then check_tx_committed,
+    then its fold value. A chain of at least MIN_SENT_RECORDS (count, the
+    records the caller expects) sends each signature check to the
+    process's check helpers while one holds fewer than _HELPER_ROOM lists
+    unacked, and makes it here while all are full (identity.SentChecks);
+    certificates are checked here. Until its checks are confirmed, a
+    record's genesis half is taken to hold as answered. If a check failed
+    in a helper, or a helper died, faults() judges the ledger's records
+    again with every check here, so the faults are those of a serial
+    walk. A shorter chain, or a process with no helper, is judged here
+    alone. Every caller closes a judgement it opened, faults() or
+    close(), before it returns or raises, so no checks stay open past it.
+
+    A fault names its position by block once the sealed count is known:
+    a record in a sealed block as "block k", one in the open block as
+    "current", and a fold mismatch at the end of a sealed block names
+    that block's id too.
     """
-    sent = SentChecks.open(_HELPER_ROOM) if len(txs) >= MIN_SENT_RECORDS else None
-    if sent is not None:
-        reasons = [check_tx_genesis(tx, genesis, sent) for tx in txs]
-        if sent.close():
-            return reasons
-    checks = InlineChecks()
-    return [check_tx_genesis(tx, genesis, checks) for tx in txs]
+
+    def __init__(self, genesis: GenesisBlock, b_max: int, sent: Optional[SentChecks]) -> None:
+        self._genesis = genesis
+        self._b_max = b_max
+        self._head: list[str] = []  # the genesis's own faults
+        if _genesis_id(genesis) != genesis.block_id:
+            self._head.append("genesis: block id does not match its contents")
+        self._walks = bool(genesis.ca_certificates)
+        if not self._walks:
+            self._head.append("genesis: no CA root certificate")
+        self._sent = sent
+        self._checks = sent or InlineChecks()
+        self._found: list[tuple[int, str]] = []  # (record index, fault) in walk order
+        self._committed: dict[Hash256, Transaction] = {}
+        self._count = 0
+        self._acc = genesis.block_id
+        self._claimed = genesis.block_id  # the fold value claimed after the last record
+
+    @classmethod
+    def open(cls, genesis: GenesisBlock, b_max: int, count: int) -> "_Judgement":
+        """A judgement of a chain of about count records."""
+        sends = count >= MIN_SENT_RECORDS and genesis.ca_certificates
+        return cls(genesis, b_max, SentChecks.open(_HELPER_ROOM) if sends else None)
+
+    def add(self, tx: Transaction, fold: Hash256) -> None:
+        i = self._count
+        self._count = i + 1
+        if not self._walks:
+            return
+        if i and not i % self._b_max:
+            # A block's fold restarts from the id the block before it
+            # claims, so a forged value shows in one block only.
+            self._acc = self._claimed
+        reason = check_tx_genesis(tx, self._genesis, self._checks)
+        if reason is Reason.OK:
+            reason = check_tx_committed(tx, self._committed)
+        if reason is Reason.OK:
+            self._committed[tx.tid] = tx
+        else:
+            self._found.append((i, f"tx {tx.tid.hex()[:16]}: {_FAULT_TEXT[reason]} ({reason.value})"))
+        self._acc = fold_step(tx.tid, self._acc)
+        if self._acc != fold:
+            self._found.append((i, _FOLD_MISMATCH))
+        self._claimed = fold
+
+    def judge(self, ledger: PartitionLedger) -> list[str]:
+        """Adds every record of ledger, then gives the faults."""
+        for tx, fold in zip(ledger.records, ledger.folds):
+            self.add(tx, fold)
+        return self.faults(ledger)
+
+    def close(self) -> bool:
+        """Waits for every check sent: True when each held, or none was."""
+        return self._sent is None or self._sent.close()
+
+    def faults(self, ledger: PartitionLedger) -> list[str]:
+        """The faults found, once every check is confirmed; ledger holds
+        the records added, in order, and their block arithmetic."""
+        if not self.close():
+            return _Judgement(self._genesis, self._b_max, None).judge(ledger)
+        faults, b_max, sealed = list(self._head), self._b_max, ledger.sealed
+        for i, fault in self._found:
+            pos = i % b_max
+            where = f"block {i // b_max}" if i - pos < sealed else "current"
+            faults.append(f"{where} tx {pos}: {fault}")
+            if fault == _FOLD_MISMATCH and pos == b_max - 1 and i < sealed:
+                faults.append(f"{where}: block id does not match recomputed fold")
+        return faults
 
 
 # --- persistence --------------------------------------------------------------
@@ -416,12 +501,16 @@ def save_ledger(ledger: PartitionLedger, path: str) -> None:
 
 
 def load_ledger(path: str) -> PartitionLedger:
-    """Structural load: decodes the header, genesis, and every record, and
-    appends each record with the fold value the file claims for it. The
-    trailer must name the number of records read and the fold value
-    claimed after the last one (the recomputed genesis id when there is
-    none). Chain-level integrity is judged separately by chain_faults, so
-    corrupt files can still be reported on block by block.
+    """Decodes the header, genesis, and every record, appends each record
+    with the fold value the file claims for it, and judges each as it is
+    decoded (_Judgement), so that the check helpers check signatures
+    while this process reads. The trailer must name the number of records
+    read and the fold value claimed after the last one (the recomputed
+    genesis id when there is none); a file that breaks its framing raises
+    LedgerFormatError, after every check sent for it is answered. A file
+    that loads keeps its judgement, which chain_faults returns while the
+    ledger is unchanged, so a corrupt chain is still reported on block by
+    block, not refused.
 
     The file is read record by record, never whole, and no read asks for
     more than the bytes left, so a corrupt length allocates nothing big.
@@ -457,38 +546,51 @@ def _read_records(fh, size: int) -> PartitionLedger:
         raise LedgerFormatError(f"bad genesis record: {exc}") from None
 
     ledger = PartitionLedger(genesis)
+    # The record count the trailer claims decides whether the judgement
+    # sends its checks; the trailer itself is checked after the records.
+    here = fh.tell()
+    fh.seek(size - TRAILER_SIZE)
+    trailer = fh.read(TRAILER_SIZE)
+    fh.seek(here)
+    count = int.from_bytes(trailer[:4], "big")
+    judgement = _Judgement.open(genesis, ledger.b_max, count)
     read = fh.read
     index = 0
-    # Per record: its length, then the record and its fold value in one
-    # read. An error text is built only when a read comes up short.
-    while left:
-        if left < 4:
-            raise LedgerFormatError(f"truncated record header at record {index}")
-        head = read(4)
-        if len(head) != 4:
-            raise LedgerFormatError(f"truncated file while reading record header {index}")
-        left -= 4
-        rec_len = int.from_bytes(head, "big")
-        want = rec_len + HASH_SIZE
-        chunk = read(want) if want <= left else b""
-        if len(chunk) != want:
-            got = len(chunk) if want <= left else left
-            what = f"record {index}" if got < rec_len else f"fold value of record {index}"
-            raise LedgerFormatError(f"truncated file while reading {what}")
-        left -= want
-        record, fold = chunk[:rec_len], chunk[rec_len:]
-        try:
-            tx = decode_transaction(record)
-        except LedgerFormatError as exc:
-            raise LedgerFormatError(f"record {index}: {exc}") from None
-        except Exception as exc:
-            raise LedgerFormatError(f"record {index}: undecodable: {exc}") from None
-        ledger.append_claimed(tx, fold)
-        index += 1
-    trailer = fh.read(TRAILER_SIZE)
-    count = int.from_bytes(trailer[:4], "big")
-    if count != index:
-        raise LedgerFormatError(f"trailer counts {count} records, the file holds {index}")
-    if trailer[4:] != ledger.cblock_id:
-        raise LedgerFormatError("trailer fold value does not match the end of the chain")
+    try:
+        # Per record: its length, then the record and its fold value in
+        # one read. An error text is built only when a read comes up short.
+        while left:
+            if left < 4:
+                raise LedgerFormatError(f"truncated record header at record {index}")
+            head = read(4)
+            if len(head) != 4:
+                raise LedgerFormatError(f"truncated file while reading record header {index}")
+            left -= 4
+            rec_len = int.from_bytes(head, "big")
+            want = rec_len + HASH_SIZE
+            chunk = read(want) if want <= left else b""
+            if len(chunk) != want:
+                got = len(chunk) if want <= left else left
+                what = f"record {index}" if got < rec_len else f"fold value of record {index}"
+                raise LedgerFormatError(f"truncated file while reading {what}")
+            left -= want
+            record, fold = chunk[:rec_len], chunk[rec_len:]
+            try:
+                tx = decode_transaction(record)
+            except LedgerFormatError as exc:
+                raise LedgerFormatError(f"record {index}: {exc}") from None
+            except Exception as exc:
+                raise LedgerFormatError(f"record {index}: undecodable: {exc}") from None
+            ledger.append_claimed(tx, fold)
+            judgement.add(tx, fold)
+            index += 1
+        if count != index:
+            raise LedgerFormatError(f"trailer counts {count} records, the file holds {index}")
+        if trailer[4:] != ledger.cblock_id:
+            raise LedgerFormatError("trailer fold value does not match the end of the chain")
+    except BaseException:
+        judgement.close()
+        raise
+    faults = judgement.faults(ledger)
+    ledger._judged = _Judged(genesis, tuple(ledger.records), tuple(ledger.folds), ledger.b_max, ledger.sealed, faults)
     return ledger

@@ -439,7 +439,8 @@ def check_tx_genesis(
     `checks` makes the certificate check and each signature check: a new
     InlineChecks by default. A caller judging many transactions passes
     one object to each call, so that each batch root's signature is
-    checked once; chain_faults passes one for the whole chain, and a
+    checked once; a chain's judgement (ledger.load_ledger,
+    ledger.chain_faults) passes one for the whole chain, and a
     scenario engine one for its run. A SentChecks sends checks to the
     process's check helpers and answers True, so the verdict holds only
     once the helpers have confirmed every check they were sent. The

@@ -2,7 +2,8 @@
 
 A validator judges a proposed transaction against its own replica with
 the one validity rule of txmodel; `avledger verify` judges every
-committed record with the same rule (ledger.chain_faults). The verdict
+committed record with the same rule (ledger.load_ledger as it reads a
+file, ledger.chain_faults). The verdict
 reason reports the first policy that failed, checked in this order:
 schema, authorization, completeness, certificate and its window,
 signatures, uniqueness, parent link.

@@ -515,20 +515,25 @@ def _sends(monkeypatch) -> list:
 @pytest.fixture
 def split(monkeypatch):
     """Returns a function giving (serial faults, sent faults) of a
-    ledger. The sent walk sends every signature check to the check
-    helpers, one check per list, whatever the chain's length and the
-    helpers' speed, so a fault in a signature is found there; two
-    helpers are forked whatever the host's CPU count. Afterwards no
-    helper process and no pipe end may be left behind."""
+    ledger, or of the file at a path, loaded again under each walk's
+    patches, since load_ledger judges a file as it reads it. The sent
+    walk sends every signature check to the check helpers, one check per
+    list, whatever the chain's length and the helpers' speed, so a fault
+    in a signature is found there; two helpers are forked whatever the
+    host's CPU count. Afterwards no helper process and no pipe end may be
+    left behind."""
     forked = _counting_forks(monkeypatch)
     sends = _sends(monkeypatch)
 
-    def run(ledger):
-        monkeypatch.setattr(ledger_module, "MIN_SENT_RECORDS", len(ledger.all_transactions()) + 1)
-        serial = chain_faults(ledger)
+    def run(source):
+        def judge():
+            return chain_faults(load_ledger(source) if isinstance(source, str) else source)
+
+        monkeypatch.setattr(ledger_module, "MIN_SENT_RECORDS", 1 << 30)
+        serial = judge()
         assert forked == [] and sends == []
         monkeypatch.setattr(ledger_module, "MIN_SENT_RECORDS", 0)
-        faults = chain_faults(ledger)
+        faults = judge()
         assert len(forked) == 2 and len(set(sends)) == 2
         return serial, faults
 
@@ -568,9 +573,16 @@ def test_split_chain_faults_equal_serial_on_a_file_with_a_duplicate_tid(split, t
     ledger.append_claimed(ledger.all_transactions()[0], b"\x00" * 32)
     path = tmp_path / "dup.avl"
     save_ledger(ledger, str(path))
-    serial, faults = split(load_ledger(str(path)))
+    serial, faults = split(str(path))
     assert faults == serial
     assert any("duplicate tid" in f for f in faults), faults
+
+
+def _flipped(tx):
+    """tx with its first signature's first byte flipped."""
+    entry = tx.signatures[0]
+    flipped = bytes([entry.signature[0] ^ 1]) + entry.signature[1:]
+    return dataclasses.replace(tx, signatures=(dataclasses.replace(entry, signature=flipped), *tx.signatures[1:]))
 
 
 def _bad_signature_ledger():
@@ -578,12 +590,7 @@ def _bad_signature_ledger():
     signature byte."""
     _, ledger, _ = _sealed_ledger(n=10)
     for pos in (0, -1):
-        victim = ledger.records[pos]
-        entry = victim.signatures[0]
-        flipped = bytes([entry.signature[0] ^ 1]) + entry.signature[1:]
-        ledger.records[pos] = dataclasses.replace(
-            victim, signatures=(dataclasses.replace(entry, signature=flipped),)
-        )
+        ledger.records[pos] = _flipped(ledger.records[pos])
     return ledger
 
 
@@ -870,3 +877,136 @@ def test_flipped_record_byte_fails_verification(tmp_path):
     except LedgerFormatError:
         return  # the flip landed in framing; rejection at load is detection too
     assert chain_faults(loaded)
+
+
+# --- a file judged as it is read -------------------------------------------------
+
+def _forged(tx):
+    return dataclasses.replace(tx, body=dataclasses.replace(tx.body, ts=tx.body.ts + 1.0))
+
+
+# In-place edits of a ledger, each of which changes its faults.
+EDITS = {
+    "record replaced": lambda lg: lg.records.__setitem__(1, _forged(lg.records[1])),
+    "record duplicated": lambda lg: lg.records.__setitem__(2, lg.records[1]),
+    "record deleted": lambda lg: (lg.records.pop(1), lg.folds.pop(1)),
+    "fold overwritten": lambda lg: lg.folds.__setitem__(5, b"\x00" * 32),
+    "record appended": lambda lg: lg.append_claimed(lg.records[3], b"\x00" * 32),
+    "open record removed": lambda lg: lg.remove_open(lg.records[-1].tid),
+    "genesis swapped": lambda lg: setattr(lg, "genesis", WORLD.p2),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(EDITS))
+def test_a_loaded_ledger_edited_in_place_is_judged_again(monkeypatch, tmp_path, edit):
+    """The judgement load_ledger keeps is not the answer once the ledger
+    has changed: chain_faults gives the faults that the same edit gives
+    on the ledger saved, which was never loaded, judged serially."""
+    monkeypatch.setattr(ledger_module, "MIN_SENT_RECORDS", 1 << 30)
+    source = _bad_signature_ledger()  # the open block's last record fails
+    path = str(tmp_path / "p1.bin")
+    save_ledger(source, path)
+    loaded = load_ledger(path)
+    stale = chain_faults(loaded)
+    assert stale == chain_faults(source) and len(stale) == 2
+    EDITS[edit](source)
+    EDITS[edit](loaded)
+    fresh = chain_faults(source)
+    assert fresh != stale
+    assert chain_faults(loaded) == fresh
+
+
+def test_an_untouched_loaded_ledger_is_not_judged_again(monkeypatch, tmp_path):
+    """chain_faults returns a copy of the faults found at load, without
+    judging a record again."""
+    source = _bad_signature_ledger()
+    path = str(tmp_path / "p1.bin")
+    save_ledger(source, path)
+    judged = []
+    judge = ledger_module.check_tx_genesis
+
+    def counting(tx, genesis, checks):
+        judged.append(tx)
+        return judge(tx, genesis, checks)
+
+    serial = chain_faults(source)
+    assert len(serial) == 2
+    monkeypatch.setattr(ledger_module, "check_tx_genesis", counting)
+    loaded = load_ledger(path)
+    assert judged == source.records
+    judged.clear()
+    faults = chain_faults(loaded)
+    assert faults == serial
+    faults.clear()
+    assert chain_faults(loaded) == serial
+    assert judged == []
+
+
+@pytest.fixture
+def sent_loads(monkeypatch):
+    """Loads send every signature check to one helper, one per list;
+    gives the helper pid of every list sent. Afterwards no pipe end may
+    be left behind once the helper is gone."""
+    fds = set(os.listdir("/proc/self/fd"))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(identity, "_LIST", 1)
+    monkeypatch.setattr(ledger_module, "_HELPER_ROOM", 1 << 10)
+    monkeypatch.setattr(ledger_module, "MIN_SENT_RECORDS", 0)
+    yield _sends(monkeypatch)
+    forks.close()
+    assert set(os.listdir("/proc/self/fd")) == fds
+
+
+def _serial_faults(monkeypatch, ledger):
+    with monkeypatch.context() as patch:
+        patch.setattr(ledger_module, "MIN_SENT_RECORDS", 1 << 30)
+        return chain_faults(ledger)
+
+
+# Files that raise while read, after 66 good records of 72: each is made
+# from the file's bytes and where each record's fold value starts, and
+# raises an error that matches.
+BROKEN_READS = {
+    "truncated record": (lambda data, folds: data[:folds[66] + 31], "record 66"),
+    "bad trailer": (lambda data, folds: data[:-36] + (71).to_bytes(4, "big") + data[-32:], "trailer counts 71"),
+    "undecodable record": (lambda data, folds: data[:folds[65] + 36] + b"\xff" + data[folds[65] + 37:], "record 66"),
+}
+
+
+@pytest.mark.parametrize("broken", sorted(BROKEN_READS))
+def test_a_file_that_raises_mid_read_leaves_no_checks_behind(sent_loads, monkeypatch, tmp_path, broken):
+    """A load that raises waits for every check it sent first: no list
+    is left in flight to be answered into the next call, which still
+    finds a bad signature in the helper's share."""
+    _, ledger, _ = _sealed_ledger(n=72, b_max=8)
+    path, data = _saved_bytes(ledger, tmp_path)
+    corrupt, error = BROKEN_READS[broken]
+    path.write_bytes(corrupt(data, _fold_offsets(data)))
+    with pytest.raises(LedgerFormatError, match=error):
+        load_ledger(str(path))
+    assert len(sent_loads) >= 66 and all(helper.in_flight == 0 for helper in forks._HELPERS)
+
+    ledger.records[70] = _flipped(ledger.records[70])
+    serial = _serial_faults(monkeypatch, ledger)
+    assert len(serial) == 1 and "(BadSignature)" in serial[0]
+    save_ledger(ledger, str(path))
+    answers = _closes(monkeypatch)
+    assert chain_faults(load_ledger(str(path))) == serial
+    assert answers == [False]
+
+
+def test_two_loads_then_two_judgements_give_each_file_its_faults(sent_loads, monkeypatch, tmp_path):
+    """As the fleet read-back does: both files loaded, then both judged.
+    Each load's checks end with it, so the first file's bad signature
+    stays its own."""
+    ledgers = [_sealed_ledger(seed=seed, n=72, b_max=8)[1] for seed in (15, 16)]
+    ledgers[0].records[40] = _flipped(ledgers[0].records[40])
+    paths = [str(tmp_path / f"{i}.bin") for i in range(2)]
+    for lg, path in zip(ledgers, paths):
+        save_ledger(lg, path)
+    serial = [_serial_faults(monkeypatch, lg) for lg in ledgers]
+    assert len(serial[0]) == 1 and serial[1] == []
+    answers = _closes(monkeypatch)
+    loaded = [load_ledger(path) for path in paths]
+    assert answers == [False, True]
+    assert [chain_faults(lg) for lg in loaded] == serial

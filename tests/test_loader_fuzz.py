@@ -5,7 +5,8 @@ The input is the P1 ledger that benign seed 4 saves (12 records, block
 capacity 8). Each mutated file must end in one of two ways:
 
 1. ``load_ledger`` raises a domain error (``AvLedgerError``);
-2. ``chain_faults`` reports at least one fault.
+2. ``chain_faults`` reports at least one fault, the same faults a serial
+   walk of the loaded records gives.
 
 Every byte of the file is covered: the block capacity is a genesis field,
 so the genesis id covers it, and the trailer's record count and final
@@ -22,7 +23,7 @@ from hypothesis import given, seed, settings, strategies as st
 
 from avledger.encoding import encode
 from avledger.errors import AvLedgerError
-from avledger.ledger import chain_faults, load_ledger, save_ledger
+from avledger.ledger import PartitionLedger, chain_faults, load_ledger, save_ledger
 from avledger.scenarios import ScenarioEngine, make_benign_config
 from avledger.txmodel import encode_transaction
 
@@ -77,7 +78,13 @@ def _outcome(saved, mutated: bytes) -> str:
     genesis, records, _ = _framing(mutated)
     assert encode(ledger.genesis, start=1) == genesis
     assert [encode_transaction(tx) for tx in ledger.all_transactions()] == records
-    assert chain_faults(ledger), "undetected corruption"
+    faults = chain_faults(ledger)
+    assert faults, "undetected corruption"
+    # The faults found as the file was read are those of a serial walk.
+    fresh = PartitionLedger(ledger.genesis)
+    for tx, fold in zip(ledger.records, ledger.folds):
+        fresh.append_claimed(tx, fold)
+    assert chain_faults(fresh) == faults
     return "fault"
 
 
