@@ -7,7 +7,8 @@ SRC_A and SRC_B are `src/` directories: A is the baseline (a parent
 commit's, say) and B the change. Each is copied beside a copy of this
 checkout's `perfbench/`, so both sides run the same harness, and pair i
 runs `perfbench/run.py --workload W --seed S_i --seconds N --trace 0` on
-both, one run at a time: A first in even pairs, B first in odd ones. The
+both, one run at a time: A first in even pairs, B first in odd ones. A
+run that fails to give a result is counted under "failed_runs". The
 end-to-end metrics are those BENCHMARK.json names. For each, standard
 output gets one JSON object with both sides' medians and quartiles
 (inclusive method), the interquartile range of A, B's median over A's,
@@ -39,16 +40,23 @@ def _side(src: str, into: str) -> str:
 
 
 def _run(side: str, workload: str, seed: int, seconds: float) -> dict:
-    """The result line of one perfbench run in side."""
+    """The result line of one perfbench run in side. A run that exits
+    non-zero, or whose last line is not JSON, is recorded as failed: not
+    correct, with its exit code and no metrics."""
     done = subprocess.run(
         [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=side,
         capture_output=True,
         text=True,
-        check=True,
     )
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    lines = done.stdout.strip().splitlines()
+    if done.returncode == 0 and lines:
+        try:
+            return json.loads(lines[-1])
+        except json.JSONDecodeError:
+            pass
+    return {"correct": False, "exit_code": done.returncode, "metrics": {}}
 
 
 def _spread(values: list[float]) -> dict:

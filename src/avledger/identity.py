@@ -43,11 +43,13 @@ use one CPU), and in every other caller, every check is inline.
 
 A checks object is also the key source of the caller that draws keys
 through it (generate_keypairs(rng, n, checks)). InlineChecks derives each
-key when it is drawn. A run's SentChecks has its first helper derive, in
-the time its checks leave it, the public keys of the seeds the engine
-will draw next, and takes a key from there only when its seed is exactly
-one drawn; otherwise, and under the `cryptography` backend, it derives
-the key itself, never waiting for the helper.
+key when it is drawn. A run's SentChecks sends its first helper one copy
+of the stream the run draws its pseudonym seeds from, a stream that
+draws nothing else; the helper derives that stream's seeds in order, in
+the time its checks leave it, up to a bound the run raises as it draws.
+A key is taken from there only when its seed is exactly one drawn;
+otherwise, and under the `cryptography` backend, the key is derived
+here, never waiting for the helper.
 """
 
 from __future__ import annotations
@@ -59,8 +61,7 @@ import pickle
 import random
 from collections import deque
 from dataclasses import field
-from itertools import islice
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives import serialization
@@ -249,18 +250,6 @@ def generate_keypairs(rng: random.Random, n: int, checks: "Checks") -> list[KeyP
         KeyPair(public_key=public, secret_key=seed, signer=signer)
         for seed, (public, signer) in zip(seeds, checks.keypairs(seeds))
     ]
-
-
-class KeyStream(random.Random):
-    """A Random that counts the bytes randbytes has drawn from it, so that
-    whoever holds a copy of its state at some count can find the bytes it
-    draws at any later one."""
-
-    drawn = 0
-
-    def randbytes(self, n: int) -> bytes:
-        self.drawn += n
-        return self.getrandbits(n * 8).to_bytes(n, "little")
 
 
 def _sign_raw(keys: KeyPair, message: bytes) -> bytes:
@@ -479,9 +468,10 @@ class InlineChecks:
 
     A checks object is also its caller's key source: keypairs(seeds)
     gives the (public key, signer) of each seed as BACKEND.keypair does,
-    and derive_ahead(rng, keys) says that about `keys` seeds are drawn
-    from the KeyStream rng next, one after the other. Here every key is
-    derived when it is asked, and derive_ahead does nothing.
+    and derive_ahead(rng, keys) says that about `keys` more seeds are
+    drawn from rng next, rng drawing nothing but the seeds keypairs is
+    given. Here every key is derived when it is asked, and derive_ahead
+    does nothing.
     """
 
     def __init__(self) -> None:
@@ -506,7 +496,7 @@ class InlineChecks:
     def keypairs(self, seeds: Sequence[bytes]) -> list[tuple[bytes, object]]:
         return [BACKEND.keypair(seed) for seed in seeds]
 
-    def derive_ahead(self, rng: KeyStream, keys: int) -> None:
+    def derive_ahead(self, rng: random.Random, keys: int) -> None:
         pass
 
 
@@ -514,10 +504,10 @@ class InlineChecks:
 # a pipe is written once per list, not once per check. The list is short,
 # so that the checks still unacked when a call ends are few.
 _LIST = 16
-# The message that resets a helper for a new call, and the one that stops
-# the keys it derives ahead.
+# The message that resets a helper for a new call, and the bound that
+# stops the keys it derives ahead.
 _BEGIN = pickle.dumps(None)
-_STOP = pickle.dumps(())
+_STOP = pickle.dumps(0)
 # The most lists a helper may hold unacked. Its acks pipe holds 64 KiB of
 # them; a helper blocked on a full one would stop reading its feed.
 _MAX_IN_FLIGHT = 1 << 12
@@ -553,31 +543,32 @@ class SentChecks:
     with its batch roots kept, a certificate costs little more than
     sending it would.
 
-    Keys derived ahead. derive_ahead(rng, keys) tells the first helper
-    where the KeyStream rng stands (a copy of its state the first time,
-    then only the count of bytes drawn from it) and that about `keys`
-    seeds of 32 bytes are drawn from it next, one after the other. The
-    helper draws those bytes from its own copy of the state, derives the
-    public key of each seed with BACKEND.keypair while no more than
-    _BACKLOG lists wait for it, so that its checks fall behind by a few
-    lists at most, and writes each (seed, public key) back on its results
-    pipe, without blocking. It derives no more once the pipe is full, a
-    newer count comes, or the call ends. keypairs(seeds) reads whatever pairs have come,
-    without blocking, takes a pair only when its seed is exactly one of
-    seeds, and derives the others here, from the last seed back, reading
-    again between two, so that the helper going forward and this process
-    going back meet: the caller never waits for a derivation. No byte
-    moves: the caller still draws every seed itself, in its own order,
-    and a pair only spares it the public key that the backend would
-    derive from that seed. A key that signs a check sent here is
-    confirmed by that check, since a signature made with seed || wrong
-    key does not verify under the wrong key. A key that signs none (one
-    left in a pool, or one whose certificate only names the vehicle) is
-    taken on the helper's word, as every verdict a helper acks is. This
-    is done only where the backend builds a signer from a seed and its
-    public key at no cost (Backend.signer, libsodium). Under
-    `cryptography` a signer costs a derivation anyway, so every key is
-    derived here and no snapshot is sent.
+    Keys derived ahead. derive_ahead(rng, keys) says that about `keys`
+    more seeds are drawn from rng next, rng being the stream of 32-byte
+    seeds that every keypairs call of this object draws from, and
+    nothing else. The first call sends the first helper a copy of rng's
+    state; each sends it a bound: the seeds keypairs has seen since that
+    copy, plus keys. The helper draws the seeds from its copy, in order,
+    derives the public key of each with BACKEND.keypair while no more
+    than _BACKLOG lists wait for it, so that its checks fall behind by a
+    few lists at most, and writes each (seed, public key) back on its
+    results pipe, without blocking. It derives no more once it reaches
+    the bound, the pipe is full or the call ends. keypairs(seeds) reads
+    whatever pairs have come, without blocking, takes a pair only when
+    its seed is exactly one of seeds, and derives the others here, from
+    the last seed back, reading again between two, so that the helper
+    going forward and this process going back meet: the caller never
+    waits for a derivation. No byte moves: the caller still draws every
+    seed itself, in its own order, and a pair only spares it the public
+    key that the backend would derive from that seed. A key that signs a
+    check sent here is confirmed by that check, since a signature made
+    with seed || wrong key does not verify under the wrong key. A key
+    that signs none (one left in a pool, or one whose certificate only
+    names the vehicle) is taken on the helper's word, as every verdict a
+    helper acks is. This is done only where the backend builds a signer
+    from a seed and its public key at no cost (Backend.signer,
+    libsodium). Under `cryptography` a signer costs a derivation anyway,
+    so every key is derived here and no copy of the stream is sent.
 
     close() stops the keys derived ahead, sends the last, short list and
     waits for every ack: True when every check held, wherever it was
@@ -592,9 +583,11 @@ class SentChecks:
         self._room = room
         self._list: list[tuple] = []
         self._next = 0  # the full helper whose acks are read next
-        # The helper that derives keys ahead, once a snapshot went to it,
-        # and the pairs read back from it, seed to public key.
+        # The helper that derives keys ahead, once a copy of the stream
+        # went to it, the seeds drawn since, and the pairs read back from
+        # it, seed to public key.
         self._deriver: Optional[Helper] = None
+        self._seen = 0
         self._ahead: dict[bytes, bytes] = {}
         for helper in helpers:
             helper.begin(_BEGIN)
@@ -629,6 +622,7 @@ class SentChecks:
     def keypairs(self, seeds: Sequence[bytes]) -> list[tuple[bytes, object]]:
         if self._deriver is None:
             return [BACKEND.keypair(seed) for seed in seeds]
+        self._seen += len(seeds)
         # The helper derives from the first seed on, so the keys not come
         # yet are derived here from the last one back, until the two meet.
         keys: list = [None] * len(seeds)
@@ -650,16 +644,15 @@ class SentChecks:
         public = self._ahead.pop(seed)
         return public, BACKEND.signer(seed, public)
 
-    def derive_ahead(self, rng: KeyStream, keys: int) -> None:
+    def derive_ahead(self, rng: random.Random, keys: int) -> None:
         if BACKEND.signer is None:
             return
         if self._deriver is None:
             self._deriver = self._helpers[0]
             while self._deriver.results():  # pairs a call before left unread
                 pass
-            self._deriver.tell(pickle.dumps((rng.getstate(), rng.drawn, keys)))
-        else:
-            self._deriver.tell(pickle.dumps((rng.drawn, keys)))
+            self._deriver.tell(pickle.dumps(rng.getstate()))
+        self._deriver.tell(pickle.dumps(self._seen + keys))
 
     def close(self) -> bool:
         if self._held is None:
@@ -709,44 +702,13 @@ def _check(checks: InlineChecks, check: tuple) -> bool:
     return checks.certificate(PseudonymCertificate(*check[:-1]), check[-1])
 
 
-class _Drawn:
-    """What a helper knows of its caller's KeyStream: a copy made when
-    `drawn` bytes had been drawn from it, and the bytes drawn from the
-    copy since, from the first a later read may ask for on."""
-
-    def __init__(self, state: tuple, drawn: int) -> None:
-        self._rng = random.Random()
-        self._rng.setstate(state)
-        self._at = drawn
-        self._bytes = bytearray()
-
-    def read(self, at: int, n: int) -> bytes:
-        """The n bytes the caller's stream draws once `at` are drawn: at
-        is never less than at the read before. Every count is a whole
-        number of 4-byte words, as the caller draws 16 or 32 bytes at a
-        time, so the copy draws the same words in the same order."""
-        skipped = at - self._at - len(self._bytes)
-        if skipped > 0:
-            self._rng.randbytes(skipped)
-            self._bytes.clear()
-        else:
-            del self._bytes[:at - self._at]
-        self._at = at
-        if len(self._bytes) < n:
-            self._bytes += self._rng.randbytes(n - len(self._bytes))
-        return bytes(self._bytes[:n])
-
-
-def _keys_ahead(seeds: bytes, done: set[bytes]) -> Iterator[bytes]:
-    """(seed, public key) pairs of the 32-byte seeds in a row in seeds. A
-    seed in done is not derived again: b"" stands for it."""
-    for at in range(0, len(seeds), SECRET_KEY_SIZE):
-        seed = seeds[at:at + SECRET_KEY_SIZE]
-        if seed in done:
-            yield b""
-        else:
-            done.add(seed)
-            yield seed + BACKEND.keypair(seed)[0]
+def _keys_ahead(rng: random.Random, n: int) -> bytes:
+    """The next n seeds of rng, each followed by its public key."""
+    pairs = []
+    for _ in range(n):
+        seed = rng.randbytes(SECRET_KEY_SIZE)
+        pairs.append(seed + BACKEND.keypair(seed)[0])
+    return b"".join(pairs)
 
 
 def _serve_checks(feed: Feed, acks: int, results: int) -> None:
@@ -756,47 +718,42 @@ def _serve_checks(feed: Feed, acks: int, results: int) -> None:
     checking again. After a check fails it checks nothing more, and
     answers 0 to every list, until the next reset.
 
-    A (state, drawn, keys) snapshot of a caller's KeyStream, or a (drawn,
-    keys) one of the same stream since, starts the keys derived ahead of
-    it (_keys_ahead), in place of any before, and an empty one stops them;
-    either takes effect as soon as it is read, ahead of the lists read
-    with it. Keys are derived _GROUP at a time between two reads of the
-    feed, and only while at most _BACKLOG lists wait: past that, lists
-    come first, so that the checks fall behind by a few lists at most. A
-    seed already derived from a stream is not derived again, and each
-    group of pairs goes to results in one write, which never blocks: once
-    the pipe is full, nobody reads it, and the helper derives no more
-    until the next snapshot."""
+    A tuple is the state of a caller's pseudonym-seed stream (a Random),
+    which the helper copies, and an int the number of seeds, counted from
+    that copy on, that the caller has asked for so far: the helper
+    derives the seeds of the copy in order (_keys_ahead) until it has
+    derived that many, and 0 stops it. Either takes effect as soon as it
+    is read, ahead of the lists read with it.
+    Keys are derived _GROUP at a time between two reads of the feed, and
+    only while at most _BACKLOG lists wait: past that, lists come first,
+    so that the checks fall behind by a few lists at most. Each group of
+    pairs goes to results in one write, which never blocks: once the pipe
+    is full, nobody reads it, and the helper derives no more until the
+    next bound."""
     checks, held = InlineChecks(), True
     waiting: deque = deque()  # lists and resets, in the order sent
-    stream: Optional[_Drawn] = None
-    done: set[bytes] = set()  # the seeds derived from stream
-    ahead: Optional[Iterator[bytes]] = None
+    stream = random.Random()
+    derived = bound = 0  # seeds derived from stream, and seeds asked for
     while True:
         try:
-            messages = feed.read(wait=not waiting and ahead is None)
+            messages = feed.read(wait=not waiting and derived >= bound)
         except EOFError:
             return
         for message in map(pickle.loads, messages):
-            if not isinstance(message, tuple):
+            if isinstance(message, int):
+                bound = message
+            elif isinstance(message, tuple):
+                stream.setstate(message)
+                derived = bound = 0
+            else:
                 waiting.append(message)
-                continue
-            ahead = None
-            if len(message) == 3:
-                stream, done = _Drawn(*message[:2]), set()
-            if message:
-                drawn, keys = message[-2:]
-                ahead = _keys_ahead(stream.read(drawn, SECRET_KEY_SIZE * keys), done)
-        if ahead is not None and len(waiting) <= _BACKLOG:
-            group = list(islice(ahead, _GROUP))
-            if len(group) < _GROUP:
-                ahead = None
-            pairs = b"".join(group)
-            if pairs:
-                try:
-                    os.write(results, pairs)
-                except BlockingIOError:  # nobody reads them: derive no more
-                    ahead = None
+        if derived < bound and len(waiting) <= _BACKLOG:
+            n = min(_GROUP, bound - derived)
+            derived += n
+            try:
+                os.write(results, _keys_ahead(stream, n))
+            except BlockingIOError:  # nobody reads them: derive no more
+                bound = 0
         elif waiting:
             message = waiting.popleft()
             if message is None:
@@ -876,7 +833,6 @@ def derive_shared_key(rng: random.Random) -> bytes:
 __all__ = [
     "EntityId",
     "KeyPair",
-    "KeyStream",
     "PseudonymCertificate",
     "CertificateBatch",
     "IdentityEscrow",

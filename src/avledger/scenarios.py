@@ -53,7 +53,6 @@ from .identity import (
     IdentityEscrow,
     InlineChecks,
     KeyPair,
-    KeyStream,
     SentChecks,
     derive_shared_key,
     generate_keypair,
@@ -616,9 +615,9 @@ class WitnessStatement:
 
 # --- engine internals ---------------------------------------------------------
 
-def _substream(seed: int, label: str, stream: type = random.Random) -> random.Random:
+def _substream(seed: int, label: str) -> random.Random:
     digest = hashlib.sha256(f"avledger:{seed}:{label}".encode()).digest()
-    return stream(int.from_bytes(digest[:8], "big"))
+    return random.Random(int.from_bytes(digest[:8], "big"))
 
 
 _TERMINAL_STATES = ("committed", "rejected", "undeliverable")
@@ -705,12 +704,11 @@ _REQUESTERS = (("ic-0", Role.INSURER, 5.0), ("am-0", Role.MANUFACTURER, 20.0))
 # so no key is thrown away before the run ends. A vehicle whose pool runs
 # dry between fleet batches gets a batch of one fresh key. A pool names
 # each key's place in its batch, and its certificate is built when the
-# vehicle uses the key. Every key is drawn through the run's checks object
-# (generate_keypairs(rng_keys, n, checks)), and the engine tells it where
-# rng_keys stands and how many keys the next fleet batch is likely to draw
-# (_derive_ahead), so that a check helper can derive them ahead. rng_keys
-# draws nothing after __init__ but 32-byte seeds and 16-byte certificate
-# nonces.
+# vehicle uses the key. Every key's seed is drawn from rng_pseudonyms,
+# which draws nothing else, through the run's checks object
+# (generate_keypairs(rng_pseudonyms, n, checks)), and the engine tells it
+# how many keys the next fleet batch is likely to draw (_derive_ahead), so
+# that a check helper can derive them ahead, in stream order.
 POOL_START = 4
 # The keys a check helper is asked to derive ahead stay at least this many
 # ahead of the keys used since the last fleet batch (see _derive_ahead).
@@ -728,7 +726,8 @@ class ScenarioEngine:
     def __init__(self, config: ScenarioConfig) -> None:
         self.config = config
         seed = config.seed
-        self.rng_keys = _substream(seed, "keys", KeyStream)
+        self.rng_keys = _substream(seed, "keys")
+        self.rng_pseudonyms = _substream(seed, "pseudonyms")
         self.rng_net = _substream(seed, "net")
         self.rng_sim = _substream(seed, "sim")
         self.rng_payload = _substream(seed, "payload")
@@ -852,7 +851,7 @@ class ScenarioEngine:
         if self._batch_at is None or at >= self._batch_at + self.config.cert_validity_secs:
             self._issue_fleet_batch(at)
         if not vehicle.pool:
-            self._certify([(vehicle, generate_keypairs(self.rng_keys, 1, self._checks)[0])], at)
+            self._certify([(vehicle, generate_keypairs(self.rng_pseudonyms, 1, self._checks)[0])], at)
             self._derive_ahead()
         keys, batch, index = vehicle.pool.pop(0)
         cert = batch[index]
@@ -872,7 +871,7 @@ class ScenarioEngine:
         leaves are shuffled so that no run of indexes marks one vehicle."""
         first, leaves = self._batch_at is None, []
         fresh = [POOL_START if first else vehicle.used for vehicle in self.vehicles]
-        drawn = iter(generate_keypairs(self.rng_keys, sum(fresh), self._checks))
+        drawn = iter(generate_keypairs(self.rng_pseudonyms, sum(fresh), self._checks))
         for vehicle, n in zip(self.vehicles, fresh):
             keys = [k for k, _, _ in vehicle.pool] + list(islice(drawn, n))
             vehicle.pool.clear()
@@ -886,8 +885,8 @@ class ScenarioEngine:
         self._derive_ahead()
 
     def _derive_ahead(self) -> None:
-        """Tells the run's checks where rng_keys stands and how many keys
-        the next fleet batch is likely to draw, unless the timeline ends
+        """Tells the run's checks how many keys the next fleet batch is
+        likely to draw from rng_pseudonyms, unless the timeline ends
         before that batch is due. That batch draws a fresh key per key
         used until then: about as many as the last fleet batch drew (one
         per vehicle after the first), and at least as many as are used
@@ -897,7 +896,7 @@ class ScenarioEngine:
         self._asked = max(self._fleet_keys, self._used + 2 * KEYS_AHEAD)
         timeline = self.config.timeline
         if timeline and self._batch_at + self.config.cert_validity_secs <= timeline[-1].at:
-            self._checks.derive_ahead(self.rng_keys, self._asked)
+            self._checks.derive_ahead(self.rng_pseudonyms, self._asked)
 
     def _certify(self, leaves: list[tuple[_VehicleActor, KeyPair]], at: float) -> None:
         """One CA batch over the given keys, in order; each key goes to
@@ -1393,11 +1392,12 @@ class ScenarioEngine:
         one), run sends every certificate and signature check of every
         round to them through an identity.SentChecks, and each round is
         judged as if they held. The same object is the run's key source:
-        told where rng_keys stands as the run goes (_derive_ahead), the
-        first helper derives, in the time its checks leave it, the public
-        keys of the seeds the next fleet batch will draw, and the engine
-        takes each key from there when its seed is exactly one it drew,
-        never waiting for one. Before run returns or raises, it waits for
+        given a copy of rng_pseudonyms and told as the run goes how many
+        seeds the next fleet batch will draw (_derive_ahead), the first
+        helper derives, in the time its checks leave it, the public keys
+        of those seeds in stream order, and the engine takes each key
+        from there when its seed is exactly one it drew, never waiting
+        for one. Before run returns or raises, it waits for
         every helper to confirm the checks it was sent; a wrong public
         key fails the check of a signature made under it. If a check
         failed there, or a helper died, the run is thrown away, whether
@@ -1415,8 +1415,8 @@ class ScenarioEngine:
             return self._play()
         inline, self._checks = self._checks, sent
         if self._batch_at is None:
-            # The first fleet batch draws the first seeds after __init__.
-            sent.derive_ahead(self.rng_keys, POOL_START * len(self.vehicles))
+            # The first fleet batch draws the stream's first seeds.
+            sent.derive_ahead(self.rng_pseudonyms, POOL_START * len(self.vehicles))
         try:
             result = self._play()
         except Exception:

@@ -729,9 +729,9 @@ KEY_BACKEND = (
 )
 
 
-def _wrong_key(seeds, done):
-    for pair in _KEYS_AHEAD(seeds, done):
-        yield pair[:-1] + bytes([pair[-1] ^ 0x01]) if pair else pair
+def _wrong_key(rng, n):
+    """Every public key derived ahead with its last bit flipped."""
+    return bytes(byte ^ (at % 64 == 63) for at, byte in enumerate(_KEYS_AHEAD(rng, n)))
 
 
 _KEYS_AHEAD = identity._keys_ahead
@@ -739,12 +739,12 @@ _KEYS_AHEAD = identity._keys_ahead
 
 def _take_keys(monkeypatch, backend, keys_ahead=None, sign=False, n=24):
     """n keys drawn from a seeded rng through one SentChecks, after a
-    snapshot of the rng; with sign, each key then signs one check sent
-    there. A full list of valid checks is sent after the snapshot, and
-    acked only once the helper has derived every key of it (one list
-    waiting does not hold back a derivation), so the keys are all ahead
-    before the first is drawn. Returns the keys, the seeds of those taken
-    from the helper and close()'s answer."""
+    copy of the rng went to its helper; with sign, each key then signs
+    one check sent there. A full list of valid checks is sent after the
+    copy, and acked only once the helper has derived every key of it
+    (one list waiting does not hold back a derivation), so the keys are
+    all ahead before the first is drawn. Returns the keys, the seeds of
+    those taken from the helper and close()'s answer."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     taken = []
 
@@ -756,7 +756,7 @@ def _take_keys(monkeypatch, backend, keys_ahead=None, sign=False, n=24):
     if keys_ahead is not None:
         monkeypatch.setattr(identity, "_keys_ahead", keys_ahead)
     sent = SentChecks.open()
-    rng = identity.KeyStream(11)
+    rng = random.Random(11)
     sent.derive_ahead(rng, n)
     for check in _signed_checks(16, seed=12):
         sent.signature(*check)
@@ -792,8 +792,8 @@ def test_a_wrong_key_from_a_helper_fails_close(monkeypatch):
 
 
 def test_no_key_is_derived_ahead_under_cryptography(monkeypatch):
-    """Under `cryptography` no snapshot goes to a helper, every key is
-    derived here, and close() holds."""
+    """Under `cryptography` no copy of the stream goes to a helper, every
+    key is derived here, and close() holds."""
     told = []
     tell = forks.Helper.tell
 
@@ -806,21 +806,3 @@ def test_no_key_is_derived_ahead_under_cryptography(monkeypatch):
     clone = random.Random(11)
     assert keys == [generate_keypair(clone) for _ in keys]
     assert taken == [] and told == [identity._BEGIN] and held is True
-
-
-def test_a_helper_finds_the_bytes_a_key_stream_draws_from_its_count():
-    """_Drawn, made from a copy of a KeyStream's state, reads at any later
-    count the bytes the stream itself draws there, whatever mix of 32-
-    and 16-byte draws came between, and at counts read before."""
-    stream = identity.KeyStream(5)
-    stream.randbytes(96)
-    drawn = identity._Drawn(stream.getstate(), stream.drawn)
-    sizes = random.Random(6).choices([32, 16, 48, 3200], k=60)
-    for size in sizes:
-        at = stream.drawn
-        peek = identity.KeyStream()
-        peek.setstate(stream.getstate())
-        ahead = peek.randbytes(64 * 32)
-        assert drawn.read(at, 64 * 32) == ahead
-        assert drawn.read(at, 2 * 32) == ahead[:64]
-        stream.randbytes(size)

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -1020,22 +1021,20 @@ def _taking_keys(monkeypatch, backend) -> list:
     return taken
 
 
-def _wrong_key(seeds, done):
+def _wrong_key(rng, n):
     """Every public key derived ahead with its last bit flipped."""
-    for pair in _KEYS_AHEAD(seeds, done):
-        yield pair[:-1] + bytes([pair[-1] ^ 0x01]) if pair else pair
+    return bytes(byte ^ (at % 64 == 63) for at, byte in enumerate(_KEYS_AHEAD(rng, n)))
 
 
-def _no_key(seeds, done):
-    return iter(())
+def _no_key(rng, n):
+    return b""
 
 
-def _dying(seeds, done):
-    """Derives five keys, then the helper dies in the middle of its work."""
-    for n, pair in enumerate(_KEYS_AHEAD(seeds, done)):
-        if n == 5:
-            os._exit(1)
-        yield pair
+def _dying(rng, n):
+    """Derives a group of keys, then the helper dies before it writes
+    them."""
+    _KEYS_AHEAD(rng, n)
+    os._exit(1)
 
 
 _KEYS_AHEAD = identity._keys_ahead
@@ -1066,8 +1065,8 @@ def test_keys_from_the_helper_never_move_a_byte(monkeypatch, tmp_path, backend, 
 
 def test_a_run_under_cryptography_takes_no_key_from_its_helper(monkeypatch, tmp_path):
     """Under `cryptography` a signer costs a derivation, so a run sends
-    its helper no snapshot and derives every key itself: same bytes, one
-    play."""
+    its helper no copy of its stream and derives every key itself: same
+    bytes, one play."""
     config = disputes_shaped_config(5, n_events=60)
     monkeypatch.setattr(identity, "BACKEND", identity.CRYPTOGRAPHY)
     inline = _run_with_helper(monkeypatch, config, False)
@@ -1087,18 +1086,17 @@ def test_a_run_under_cryptography_takes_no_key_from_its_helper(monkeypatch, tmp_
 
 def test_no_derivation_outlives_the_run_that_asked_for_it(monkeypatch, tmp_path):
     """Each key the helper derives ahead takes 0.1 s, so the run's last
-    snapshot asks for seconds of them. close() stops them: the run ends
+    bound asks for seconds of them. close() stops them: the run ends
     without waiting for them, and chain_faults right after it sends its
     checks to the same helper, which derives nothing more, and finds no
     fault."""
     log = tmp_path / "derived"
 
-    def slow(seeds, done):
-        for pair in _KEYS_AHEAD(seeds, done):
-            time.sleep(0.1)
-            with open(log, "a") as out:
-                out.write("k\n")
-            yield pair
+    def slow(rng, n):
+        time.sleep(0.1 * n)
+        with open(log, "a") as out:
+            out.write("k\n" * n)
+        return _KEYS_AHEAD(rng, n)
 
     monkeypatch.setattr(identity, "_keys_ahead", slow)
     _force_helper(monkeypatch, True)
@@ -1106,7 +1104,7 @@ def test_no_derivation_outlives_the_run_that_asked_for_it(monkeypatch, tmp_path)
     config = disputes_shaped_config(5, n_events=120)
     start = time.monotonic()
     ledger = _run(config).ledgers["P1"]
-    assert time.monotonic() - start < 2.0  # each snapshot asks for 2.4 s of keys or more
+    assert time.monotonic() - start < 2.0  # each bound asks for 2.4 s of keys or more
     assert len(ledger.records) >= ledger_module.MIN_SENT_RECORDS
     derived = log.read_text().count("k")
     sends = []
@@ -1122,27 +1120,56 @@ def test_no_derivation_outlives_the_run_that_asked_for_it(monkeypatch, tmp_path)
     assert sends and log.read_text().count("k") == derived
 
 
-def test_the_key_stream_draws_only_seeds_and_nonces_after_init():
-    """The helper derives the keys of 32-byte seeds drawn in a row, and
-    finds a fleet batch's seeds after an odd number of one-key batches
-    16 bytes on, because after __init__ rng_keys draws nothing but
-    32-byte seeds and 16-byte certificate nonces. A run that draws
-    anything else from it, or draws any other way, fails here."""
-    engine = ScenarioEngine(disputes_shaped_config(5, n_events=120))
-    sizes = []
+def test_the_helper_derives_a_prefix_of_the_runs_seed_stream(monkeypatch, tmp_path):
+    """The seeds a run's helper derives ahead are the first seeds of
+    rng_pseudonyms, in draw order, however far the helper got: it derives
+    no seed that the run's draws skip, and none twice."""
+    log = tmp_path / "derived"
 
-    class Recording(type(engine.rng_keys)):
+    def logging(rng, n):
+        pairs = _KEYS_AHEAD(rng, n)
+        with open(log, "ab") as out:
+            out.write(b"".join(pairs[at:at + 32] for at in range(0, len(pairs), 64)))
+        return pairs
+
+    monkeypatch.setattr(identity, "_keys_ahead", logging)
+    _force_helper(monkeypatch, True)
+    monkeypatch.setattr(identity, "BACKEND", identity.BACKEND if identity.BACKEND.signer else KEY_BACKENDS["cryptography"])
+    config = disputes_shaped_config(5, n_events=120)
+    _run(config)
+    derived = log.read_bytes()
+    derived = derived[:len(derived) - len(derived) % 32]  # a write the helper may still be making
+    assert derived
+    stream = scenarios._substream(config.seed, "pseudonyms")
+    assert derived == b"".join(stream.randbytes(32) for _ in range(len(derived) // 32))
+
+
+def test_after_init_the_key_streams_draw_only_nonces_and_seeds():
+    """After __init__, rng_keys draws nothing but 16-byte certificate
+    nonces and rng_pseudonyms nothing but 32-byte seeds, so the seeds a
+    helper derives from its copy of rng_pseudonyms are the seeds the run
+    draws, in the same order. A run that draws anything else from
+    either, or draws any other way, fails here."""
+    engine = ScenarioEngine(disputes_shaped_config(5, n_events=120))
+
+    class Recording(random.Random):
         def randbytes(self, n):
-            sizes.append(n)
+            self.sizes.append(n)
             return super().randbytes(n)
 
-    start = engine.rng_keys.getstate()
-    engine.rng_keys = Recording()
-    engine.rng_keys.setstate(start)
+    sizes, starts = {}, {}
+    for name in ("rng_keys", "rng_pseudonyms"):
+        starts[name] = getattr(engine, name).getstate()
+        recording = Recording()
+        recording.setstate(starts[name])
+        recording.sizes = sizes[name] = []
+        setattr(engine, name, recording)
     engine.run()
-    assert set(sizes) == {32, 16} and sizes.count(32) > 200
-    replay = Recording()
-    replay.setstate(start)
-    for n in list(sizes):
-        replay.randbytes(n)
-    assert replay.getstate() == engine.rng_keys.getstate()
+    assert set(sizes["rng_keys"]) == {16} and set(sizes["rng_pseudonyms"]) == {32}
+    assert len(sizes["rng_pseudonyms"]) > 200
+    for name, drawn in sizes.items():
+        replay = random.Random()
+        replay.setstate(starts[name])
+        for n in drawn:
+            replay.randbytes(n)
+        assert replay.getstate() == getattr(engine, name).getstate()

@@ -1,9 +1,11 @@
 """Smoke tests of scripts/: each seed-sweep script runs the scenario
 engine end to end and must exit 0 on a few seeds, and the benchmark pair
-runner must summarise one pair of short runs."""
+runner must summarise one pair of short runs, and count a run that
+crashes as failed."""
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -47,3 +49,26 @@ def test_bench_pairs_compares_a_tree_with_itself():
         assert summary["a"]["n"] == summary["b"]["n"] == 1
         assert summary["a"]["q1"] == summary["a"]["median"] == summary["a"]["q3"]
         assert summary["b_better_pairs"] + summary["b_worse_pairs"] <= 1
+
+
+def test_bench_pairs_counts_a_crashed_run_as_failed(tmp_path):
+    """One pair against a copy of src/ whose package raises on import:
+    the runner still prints its summary, with B's run failed and A's
+    measured."""
+    src = os.path.join(ROOT, "src")
+    broken = tmp_path / "src"
+    shutil.copytree(src, broken, ignore=shutil.ignore_patterns("__pycache__"))
+    with open(broken / "avledger" / "__init__.py", "a", encoding="utf-8") as fh:
+        fh.write('\nraise RuntimeError("broken on purpose")\n')
+    done = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "bench_pairs.py"), src, str(broken),
+         "--workload", "fleet-telemetry", "--seeds", "5", "--seconds", "0.3"],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    out = json.loads(done.stdout)
+    assert out["failed_runs"] == {"a": 0, "b": 1}
+    [run] = out["runs"]
+    assert run["a"]["correct"] is True and run["b"] == {"correct": False, "exit_code": 1, "metrics": {}}
